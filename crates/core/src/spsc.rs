@@ -21,7 +21,9 @@
 //! before the head that frees them is visible (DESIGN.md §13 spells it
 //! out).
 //!
-//! Blocking is a three-phase spin → yield → park ladder. Phase one is a
+//! Blocking is a three-phase spin → yield → park ladder, written once in
+//! [`wait`] and climbed by both ring endpoints here and by the typed
+//! pipeline edge in `patternlets-stream`. Phase one is a
 //! short `spin_loop` burst — but only when more than one hardware thread
 //! exists ([`spin_budget`] resolves to zero on a single-CPU host, where
 //! the peer cannot make progress while we burn the core). Phase two is a
@@ -41,7 +43,7 @@
 //! without a bell, which is what lets callers interleave liveness checks
 //! (is the peer SIGKILLed?) into an otherwise indefinite wait — the
 //! `abort` closure on [`Producer::push_all`] and the stop flag on
-//! [`Consumer`] are evaluated at exactly that cadence.
+//! [`Consumer`] are evaluated at least at that cadence.
 
 use std::io;
 use std::mem::size_of;
@@ -92,6 +94,105 @@ pub fn spin_budget() -> u32 {
 /// check (`abort` / stop flag) can be while blocked, and caps the lost-
 /// wakeup window on fallback platforms.
 pub const PARK_NS: u64 = 1_000_000;
+
+/// What one [`wait`] cost.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Wait {
+    /// Spin-loop and `yield_now` iterations taken.
+    pub spins: u64,
+    /// Doorbell parks taken.
+    pub parks: u64,
+}
+
+impl Wait {
+    /// Did the wait reach the doorbell? A wait that parked counts as a
+    /// park wait; one that resolved while spinning or yielding, as a spin
+    /// wait.
+    pub fn parked(&self) -> bool {
+        self.parks > 0
+    }
+}
+
+impl std::ops::AddAssign for Wait {
+    fn add_assign(&mut self, other: Wait) {
+        self.spins += other.spins;
+        self.parks += other.parks;
+    }
+}
+
+/// Block until `ready()` holds, climbing the spin → yield → park ladder
+/// (see the module docs). `ready` is re-checked after every spin and
+/// yield, and between announcing a park on `bell` and taking it — which
+/// closes the race with a waker that changed state just before the
+/// announcement. The waking side must ring `bell` after every state
+/// change `ready` reads. Call it only once `ready()` has been seen false:
+/// the returned cost then always counts at least one spin or park.
+pub fn wait(bell: &Doorbell, ready: impl Fn() -> bool) -> Wait {
+    let mut cost = Wait::default();
+    let spin = spin_budget();
+    for i in 0..spin + YIELDS {
+        cost.spins += 1;
+        if i < spin {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        if ready() {
+            return cost;
+        }
+    }
+    loop {
+        bell.prepare_park();
+        if ready() {
+            bell.cancel_park();
+            return cost;
+        }
+        cost.parks += 1;
+        bell.park(PARK_NS);
+    }
+}
+
+/// An endpoint's blocking-wait counters since its last `take_*` call.
+#[derive(Default)]
+struct WaitStats {
+    /// Spin-loop and yield iterations.
+    spins: u64,
+    /// Doorbell parks.
+    parks: u64,
+    /// Blocked calls that resolved without parking.
+    spin_waits: u64,
+    /// Blocked calls that parked at least once.
+    park_waits: u64,
+}
+
+impl WaitStats {
+    /// Fold in the waits of one blocking call. With `episode`, the call
+    /// also counts once as a spin or a park wait, by whether any of its
+    /// waits parked — the mailbox's RecvSpin/RecvPark split.
+    fn record(&mut self, cost: Wait, episode: bool) {
+        self.spins += cost.spins;
+        self.parks += cost.parks;
+        if episode && cost.parked() {
+            self.park_waits += 1;
+        } else if episode && cost.spins > 0 {
+            self.spin_waits += 1;
+        }
+    }
+
+    fn take_stats(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.spins),
+            std::mem::take(&mut self.parks),
+        )
+    }
+
+    fn take_wait_stats(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.spin_waits),
+            std::mem::take(&mut self.park_waits),
+        )
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Futex doorbell
@@ -418,10 +519,7 @@ impl SpscRing {
     pub fn producer(self: &Arc<Self>) -> Producer {
         Producer {
             ring: Arc::clone(self),
-            spins: 0,
-            parks: 0,
-            spin_waits: 0,
-            park_waits: 0,
+            stats: WaitStats::default(),
         }
     }
 
@@ -430,10 +528,7 @@ impl SpscRing {
         Consumer {
             ring: Arc::clone(self),
             stop: None,
-            spins: 0,
-            parks: 0,
-            spin_waits: 0,
-            park_waits: 0,
+            stats: WaitStats::default(),
         }
     }
 }
@@ -450,18 +545,8 @@ pub enum PushError {
 /// [`close`](Producer::close) the ring.
 pub struct Producer {
     ring: Arc<SpscRing>,
-    /// Spin-loop iterations spent waiting on a full ring since the last
-    /// [`take_stats`](Producer::take_stats).
-    spins: u64,
-    /// Doorbell parks taken on a full ring since the last
-    /// [`take_stats`](Producer::take_stats).
-    parks: u64,
-    /// Blocked pushes that resolved in the spin/yield phase (no park)
-    /// since the last [`take_wait_stats`](Producer::take_wait_stats).
-    spin_waits: u64,
-    /// Blocked pushes that parked at least once since the last
-    /// [`take_wait_stats`](Producer::take_wait_stats).
-    park_waits: u64,
+    /// Waits on a full ring.
+    stats: WaitStats,
 }
 
 impl Producer {
@@ -503,68 +588,28 @@ impl Producer {
     }
 
     /// Write all of `buf`, spin-then-parking whenever the ring is full.
-    /// `abort` is polled once per park timeout (≈ every [`PARK_NS`]); a
-    /// true return abandons the write mid-record — only do that when the
-    /// consumer is gone for good.
+    /// `abort` is polled while waiting, at least once per park timeout
+    /// (≈ every [`PARK_NS`]); a true return on a still-full ring abandons
+    /// the write mid-record — only do that when the consumer is gone for
+    /// good.
     pub fn push_all(&mut self, mut buf: &[u8], abort: impl Fn() -> bool) -> Result<(), PushError> {
-        // One blocked call = one wait episode, classified by whether it
-        // ever reached a park — the mailbox's RecvSpin/RecvPark split.
-        let mut waited = false;
-        let mut parked = false;
-        while !buf.is_empty() {
+        let mut cost = Wait::default();
+        let result = loop {
             let n = self.try_push(buf);
             buf = &buf[n..];
             if buf.is_empty() {
-                break;
+                break Ok(());
             }
-            // Full: spin briefly, then yield the core to the consumer,
-            // then park on the producer doorbell.
-            waited = true;
-            let mut moved = false;
-            for _ in 0..spin_budget() {
-                self.spins += 1;
-                std::hint::spin_loop();
-                if self.free() > 0 {
-                    moved = true;
-                    break;
-                }
+            cost += wait(&self.ring.hdr().producer_bell, || {
+                self.free() > 0 || abort()
+            });
+            if self.free() == 0 && abort() {
+                break Err(PushError::Aborted);
             }
-            if moved {
-                continue;
-            }
-            for _ in 0..YIELDS {
-                self.spins += 1;
-                std::thread::yield_now();
-                if self.free() > 0 {
-                    moved = true;
-                    break;
-                }
-            }
-            if moved {
-                continue;
-            }
-            let hdr = self.ring.hdr();
-            hdr.producer_bell.prepare_park();
-            if self.free() > 0 {
-                hdr.producer_bell.cancel_park();
-                continue;
-            }
-            if abort() {
-                hdr.producer_bell.cancel_park();
-                self.park_waits += u64::from(parked);
-                self.spin_waits += u64::from(!parked);
-                return Err(PushError::Aborted);
-            }
-            self.parks += 1;
-            parked = true;
-            hdr.producer_bell.park(PARK_NS);
-        }
-        if parked {
-            self.park_waits += 1;
-        } else if waited {
-            self.spin_waits += 1;
-        }
-        Ok(())
+        };
+        // One blocked call = one wait episode.
+        self.stats.record(cost, true);
+        result
     }
 
     /// Close the ring: no more bytes will be written. Wakes the consumer
@@ -578,20 +623,14 @@ impl Producer {
     /// Drain and reset the (spins, parks) counters accumulated since the
     /// last call.
     pub fn take_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.spins),
-            std::mem::take(&mut self.parks),
-        )
+        self.stats.take_stats()
     }
 
     /// Drain and reset the (spin-resolved, parked) *wait episode*
     /// counters: each blocked `push_all` counts once, under whichever
     /// resolution it reached.
     pub fn take_wait_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.spin_waits),
-            std::mem::take(&mut self.park_waits),
-        )
+        self.stats.take_wait_stats()
     }
 
     /// The underlying ring.
@@ -609,18 +648,8 @@ impl Producer {
 pub struct Consumer {
     ring: Arc<SpscRing>,
     stop: Option<Arc<AtomicBool>>,
-    /// Spin-loop iterations spent waiting on an empty ring since the
-    /// last [`take_stats`](Consumer::take_stats).
-    spins: u64,
-    /// Doorbell parks taken on an empty ring since the last
-    /// [`take_stats`](Consumer::take_stats).
-    parks: u64,
-    /// Blocked reads that resolved in the spin/yield phase (no park)
-    /// since the last [`take_wait_stats`](Consumer::take_wait_stats).
-    spin_waits: u64,
-    /// Blocked reads that parked at least once since the last
-    /// [`take_wait_stats`](Consumer::take_wait_stats).
-    park_waits: u64,
+    /// Waits on an empty ring.
+    stats: WaitStats,
 }
 
 impl Consumer {
@@ -674,20 +703,14 @@ impl Consumer {
     /// Drain and reset the (spins, parks) counters accumulated since the
     /// last call.
     pub fn take_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.spins),
-            std::mem::take(&mut self.parks),
-        )
+        self.stats.take_stats()
     }
 
     /// Drain and reset the (spin-resolved, parked) *wait episode*
     /// counters: each blocked read counts once, under whichever
     /// resolution it reached.
     pub fn take_wait_stats(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.spin_waits),
-            std::mem::take(&mut self.park_waits),
-        )
+        self.stats.take_wait_stats()
     }
 
     /// The underlying ring.
@@ -702,62 +725,22 @@ impl Consumer {
 
 impl io::Read for Consumer {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // One blocked call = one wait episode, classified by whether it
-        // ever reached a park — the mailbox's RecvSpin/RecvPark split.
-        let mut waited = false;
-        let mut parked = false;
+        let mut cost = Wait::default();
         loop {
             let n = self.try_pop(buf);
-            if n > 0 {
-                if parked {
-                    self.park_waits += 1;
-                } else if waited {
-                    self.spin_waits += 1;
-                }
-                return Ok(n);
-            }
             // Empty. Closed-and-drained is EOF; the close flag is read
             // AFTER the pop attempt so a close racing the last bytes
             // can't truncate them (close happens-after the final push).
-            if self.ring.is_closed() && self.available() == 0 {
-                return Ok(0);
+            let eof =
+                n == 0 && ((self.ring.is_closed() && self.available() == 0) || self.stopped());
+            if n > 0 || eof {
+                // One blocked read = one wait episode; EOF counts none.
+                self.stats.record(cost, n > 0);
+                return Ok(n);
             }
-            if self.stopped() {
-                return Ok(0);
-            }
-            waited = true;
-            let mut moved = false;
-            for _ in 0..spin_budget() {
-                self.spins += 1;
-                std::hint::spin_loop();
-                if self.available() > 0 {
-                    moved = true;
-                    break;
-                }
-            }
-            if moved {
-                continue;
-            }
-            for _ in 0..YIELDS {
-                self.spins += 1;
-                std::thread::yield_now();
-                if self.available() > 0 || self.ring.is_closed() || self.stopped() {
-                    moved = true;
-                    break;
-                }
-            }
-            if moved {
-                continue;
-            }
-            let hdr = self.ring.hdr();
-            hdr.consumer_bell.prepare_park();
-            if self.available() > 0 || self.ring.is_closed() || self.stopped() {
-                hdr.consumer_bell.cancel_park();
-                continue;
-            }
-            self.parks += 1;
-            parked = true;
-            hdr.consumer_bell.park(PARK_NS);
+            cost += wait(&self.ring.hdr().consumer_bell, || {
+                self.available() > 0 || self.ring.is_closed() || self.stopped()
+            });
         }
     }
 }

@@ -15,6 +15,7 @@ use crate::envelope::{collective_tag, is_collective_tag, Envelope, Payload, INLI
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric};
 use crate::fault::retry_backoff;
 use crate::status::{SourceSel, Status, TagSel};
+use crate::world::WorldCtx;
 
 /// Agreement kinds for the message-free `agree`/`shrink` protocol.
 const AGREE_KIND: u8 = 0;
@@ -38,6 +39,9 @@ pub struct Comm {
     /// The transport backend carrying this communicator's traffic — the
     /// in-process thread fabric, or a network backend under `pmrun`.
     fabric: Arc<dyn Fabric>,
+    /// What the world's ranks share above the transport: hostnames, poll
+    /// interval, tracer, metrics and the fault plan.
+    ctx: Arc<WorldCtx>,
     /// Count of collective operations this rank has started; used to build
     /// reserved tags that line up across ranks.
     coll_seq: Cell<u64>,
@@ -56,16 +60,37 @@ const WORLD_COMM_ID: u64 = 0;
 impl Comm {
     /// A rank's world communicator over any [`Fabric`] — the constructor
     /// both the thread backend and provider-built worlds use.
-    pub(crate) fn over_fabric(rank: usize, fabric: Arc<dyn Fabric>) -> Self {
+    pub(crate) fn over_fabric(rank: usize, fabric: Arc<dyn Fabric>, ctx: Arc<WorldCtx>) -> Self {
         let np = fabric.np();
         Comm {
             local_rank: rank,
             group: Arc::new((0..np).collect()),
             comm_id: WORLD_COMM_ID,
             fabric,
+            ctx,
             coll_seq: Cell::new(0),
             agree_seq: Cell::new(0),
         }
+    }
+
+    /// A communicator over `group` (world ranks) on the same world, with
+    /// a fresh message space `comm_id`.
+    fn derived(&self, local_rank: usize, group: Vec<usize>, comm_id: u64) -> Comm {
+        Comm {
+            local_rank,
+            group: Arc::new(group),
+            comm_id,
+            fabric: Arc::clone(&self.fabric),
+            ctx: Arc::clone(&self.ctx),
+            coll_seq: Cell::new(0),
+            agree_seq: Cell::new(0),
+        }
+    }
+
+    /// Count one message operation against the fault plan (see
+    /// [`WorldCtx::fault_op`]).
+    fn fault_op(&self, op: &'static str) -> Result<()> {
+        self.ctx.fault_op(&*self.fabric, self.world_rank(), op)
     }
 
     /// This rank's id in this communicator — `MPI_Comm_rank`.
@@ -94,14 +119,14 @@ impl Comm {
 
     /// Simulated hostname — `MPI_Get_processor_name`.
     pub fn processor_name(&self) -> &str {
-        self.fabric.rank_name(self.world_rank())
+        self.ctx.rank_name(self.world_rank())
     }
 
     /// Emit a structured trace event on this rank's world lane, when a
     /// tracer is attached. The disabled path is a single `Option` check.
     #[inline]
     pub(crate) fn trace_event(&self, kind: impl FnOnce() -> EventKind) {
-        if let Some(tracer) = self.fabric.tracer() {
+        if let Some(tracer) = &self.ctx.tracer {
             tracer.emit(self.world_rank(), kind());
         }
     }
@@ -109,8 +134,9 @@ impl Comm {
     /// Open a collective-phase trace span (closed on drop, even on error
     /// paths), or `None` when tracing is off.
     pub(crate) fn trace_coll(&self, op: &'static str) -> Option<CollSpan> {
-        self.fabric
-            .tracer()
+        self.ctx
+            .tracer
+            .as_ref()
             .map(|t| t.coll_span(self.world_rank(), op))
     }
 
@@ -119,7 +145,7 @@ impl Comm {
     /// single `Option` check.
     #[inline]
     pub(crate) fn metric(&self, record: impl FnOnce(&MetricsHub, usize)) {
-        if let Some(hub) = self.fabric.metrics() {
+        if let Some(hub) = &self.ctx.metrics {
             record(hub, self.world_rank());
         }
     }
@@ -127,8 +153,9 @@ impl Comm {
     /// Open a collective-latency timer (recorded into the per-op histogram
     /// on drop, even on error paths), or `None` when metrics are off.
     pub(crate) fn metric_coll(&self, op: &'static str) -> Option<TimerGuard<'_>> {
-        self.fabric
-            .metrics()
+        self.ctx
+            .metrics
+            .as_ref()
             .map(|hub| hub.timer(self.world_rank(), HistId::coll(op)))
     }
 
@@ -156,14 +183,7 @@ impl Comm {
         );
         let comm_id = h.next_u64() | 1; // never collides with WORLD_COMM_ID
         let group: Vec<usize> = members.iter().map(|&r| self.group[r]).collect();
-        Ok(Comm {
-            local_rank,
-            group: Arc::new(group),
-            comm_id,
-            fabric: Arc::clone(&self.fabric),
-            coll_seq: Cell::new(0),
-            agree_seq: Cell::new(0),
-        })
+        Ok(self.derived(local_rank, group, comm_id))
     }
 
     /// Duplicate this communicator — `MPI_Comm_dup`: same group, isolated
@@ -195,13 +215,13 @@ impl Comm {
     }
 
     /// The payload representation for a send of `data` to `dest`: the
-    /// inline form for small encodings on fabrics that opt in, the shared
-    /// in-process form when the fabric says the two ranks share an
-    /// address space (and the element type supports sharing), the encoded
-    /// wire form otherwise. Collectives call this once at the root and
-    /// forward the same payload to every child.
+    /// inline form for small encodings, the shared in-process form when
+    /// the fabric says the two ranks share an address space (and the
+    /// element type supports sharing), the encoded wire form otherwise.
+    /// Collectives call this once at the root and forward the same
+    /// payload to every child.
     pub(crate) fn prepare_payload<T: Datatype>(&self, data: &[T], dest: usize) -> Payload {
-        if self.fabric.inline_payloads() && T::encoded_len(data) <= INLINE_MAX {
+        if T::encoded_len(data) <= INLINE_MAX {
             return Payload::inline(data);
         }
         if self
@@ -254,7 +274,7 @@ impl Comm {
             });
         }
         let me = self.world_rank();
-        self.fabric.fault_op(me, "send")?;
+        self.fault_op("send")?;
         if self.fabric.rank_failed(self.group[dest]) {
             return Err(Error::RankFailed {
                 rank: self.group[dest],
@@ -304,7 +324,7 @@ impl Comm {
         // possibly twice (the receiving mailbox deduplicates).
         let mut overtake = 0;
         let mut duplicate = false;
-        if let Some(decision) = self.fabric.chaos_decision(me) {
+        if let Some(decision) = self.ctx.chaos_decision(me) {
             if !decision.delay.is_zero() {
                 std::thread::sleep(decision.delay);
             }
@@ -432,7 +452,7 @@ impl Comm {
         let me = self.local_rank;
         let group = &self.group;
         let my_world = self.world_rank();
-        fabric.fault_op(my_world, "recv")?;
+        self.fault_op("recv")?;
 
         // Publish what we are about to block on, for the waits-for
         // deadlock detector; cleared on every exit path by the guard.
@@ -472,7 +492,7 @@ impl Comm {
             self.comm_id,
             src,
             tag,
-            fabric.poll_interval(),
+            self.ctx.poll_interval,
             || {
                 // Collective-internal receives fail fast when ANY group
                 // member has died: the collective can no longer complete
@@ -604,7 +624,7 @@ impl Comm {
     ) -> Result<impl Fn(u32) -> i32> {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
-        self.fabric.fault_op(self.world_rank(), op)?;
+        self.fault_op(op)?;
         if let Some(&dead) = self.group.iter().find(|&&w| self.fabric.rank_failed(w)) {
             return Err(Error::RankFailed {
                 rank: dead,
@@ -628,7 +648,7 @@ impl Comm {
     fn agreement_round(&self, kind: u8, value: u64, op: &'static str) -> Result<AgreeSlot> {
         let seq = self.agree_seq.get();
         self.agree_seq.set(seq + 1);
-        self.fabric.fault_op(self.world_rank(), op)?;
+        self.fault_op(op)?;
         let key: AgreeKey = (self.comm_id, kind, seq);
         Ok(self
             .fabric
@@ -672,14 +692,7 @@ impl Comm {
         let mut h =
             SplitMix64::new(self.comm_id ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xFA17);
         let comm_id = h.next_u64() | 1;
-        Ok(Comm {
-            local_rank,
-            group: Arc::new(group),
-            comm_id,
-            fabric: Arc::clone(&self.fabric),
-            coll_seq: Cell::new(0),
-            agree_seq: Cell::new(0),
-        })
+        Ok(self.derived(local_rank, group, comm_id))
     }
 
     /// Persist `data` as this rank's checkpoint for `step` — the metered

@@ -1,13 +1,18 @@
-//! The transport seam: [`Fabric`] is everything a [`crate::Comm`] needs
-//! from the layer that moves envelopes between ranks.
+//! The transport seam: [`Fabric`] is what a [`crate::Comm`] needs from
+//! the layer that moves envelopes between ranks — delivery, liveness,
+//! finish, agreement and the rank's own mailbox — and nothing else.
 //!
 //! The in-process [`crate::World`] backend (ranks as threads, one shared
 //! [`crate::mailbox::Mailbox`] per rank) is one implementation; the
-//! `patternlets-net` crate provides a TCP implementation in which every
-//! rank is a separate OS process on a real socket mesh. Patternlet code
-//! never sees the difference: the [`Datatype`](crate::Datatype) layer
-//! already round-trips every payload through bytes, so the only thing a
-//! backend changes is *how* those bytes cross the rank boundary.
+//! `patternlets-net` crate provides the multi-process ones, in which every
+//! rank is a separate OS process on a mesh of TCP or shared-memory links.
+//! Patternlet code never sees the difference: the
+//! [`Datatype`](crate::Datatype) layer already round-trips every payload
+//! through bytes, so the only thing a backend changes is *how* those
+//! bytes cross the rank boundary. What is not transport — hostnames, the
+//! receive poll interval, tracer, metrics hub and fault plan — lives in
+//! the world context [`crate::WorldBuilder`] builds from the
+//! [`WorldSpec`] and every `Comm` holds.
 //!
 //! A process that wants worlds built on a different backend installs a
 //! [`FabricProvider`] via [`install_fabric_provider`] (the `pmrun`
@@ -25,7 +30,7 @@ use patternlets_metrics::MetricsHub;
 use patternlets_trace::Tracer;
 
 use crate::envelope::Envelope;
-use crate::fault::{ChaosDecision, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
 use crate::world::{MsgEvent, WaitRecord};
 
@@ -42,88 +47,24 @@ pub type AgreeSlot = HashMap<usize, u64>;
 /// All ranks in the methods below are **world** ranks. A backend hosting
 /// only one rank of the world (one process of a multi-process job) must
 /// support [`Fabric::mailbox`] for that rank alone; `Comm` only ever
-/// reads its own mailbox.
+/// reads its own mailbox, and delivers a rank's sends to itself straight
+/// into it, never through [`Fabric::deliver`]. The defaulted methods fit
+/// a backend that hosts one rank per process; the thread backend, which
+/// sees every rank, overrides them.
 pub trait Fabric: Send + Sync {
     /// World size.
     fn np(&self) -> usize;
-
-    /// Simulated (or real) hostname of `world_rank`.
-    fn rank_name(&self, world_rank: usize) -> &str;
-
-    /// How long blocked receives sleep between liveness re-checks.
-    fn poll_interval(&self) -> Duration;
-
-    /// The structured-event tracer, when tracing is on.
-    fn tracer(&self) -> Option<&Tracer>;
-
-    /// The metrics hub, when metrics collection is on. The default `None`
-    /// keeps instrumentation zero-cost for backends that never attach one.
-    fn metrics(&self) -> Option<&MetricsHub> {
-        None
-    }
-
-    /// Record a delivery in the legacy message log (no-op for backends
-    /// that don't keep one).
-    fn record_msg(&self, event: MsgEvent);
 
     /// Next per-sender sequence number for `me` (monotone per sender;
     /// receivers deduplicate retransmissions by it).
     fn next_send_seq(&self, me: usize) -> u64;
 
-    /// Count one message operation by `me` against the installed fault
-    /// plan; a kill trigger marks `me` failed (visible to peers) and
-    /// returns [`patternlets_core::Error::RankFailed`].
-    fn fault_op(&self, me: usize, op: &'static str) -> Result<()>;
-
-    /// Draw the chaos decisions for one transmission by `me`, or `None`
-    /// when no fault plan is installed.
-    fn chaos_decision(&self, me: usize) -> Option<ChaosDecision>;
-
-    /// Do `me` and `dest` share an address space, so a send between them
-    /// may ship a shared in-process payload
-    /// ([`Payload::InProc`](crate::envelope::Payload)) instead of an
-    /// encoded one? A backend answering `true` must deliver envelopes by
-    /// handing them to the destination's [`Mailbox`] directly. The
-    /// default is `false` — always encode — which is always correct:
-    /// `InProc` payloads that do reach a wire-crossing backend are
-    /// converted at the framing seam via `Payload::to_wire`.
-    fn shares_address_space(&self, me: usize, dest: usize) -> bool {
-        let _ = (me, dest);
-        false
-    }
-
-    /// Should small payloads be stored inline in the envelope (a
-    /// stack-resident byte array) instead of a heap/`Arc` allocation?
-    /// Profitable on backends that encode every payload anyway (the wire
-    /// path); pointless on shared-memory backends whose zero-copy path
-    /// beats any encoding. Default `false` — only opt in when encoding
-    /// is unavoidable.
-    fn inline_payloads(&self) -> bool {
-        false
-    }
-
-    /// Is `world_rank` still running (not finished, normally or not)?
-    fn rank_alive(&self, world_rank: usize) -> bool;
-
-    /// Has `world_rank` failed (fault-plan kill, panic, or — on network
-    /// backends — a dead peer process)?
-    fn rank_failed(&self, world_rank: usize) -> bool;
-
-    /// Raise `world_rank`'s failed flag and wake any waiters that must
-    /// re-examine membership.
-    fn mark_failed(&self, world_rank: usize);
-
-    /// Mark `me` finished (rank body returned). Network backends announce
-    /// this to peers so a closed connection afterwards reads as a normal
-    /// exit, not a failure.
-    fn finish(&self, me: usize);
-
-    /// Deliver `env` from `me` to `dest`'s mailbox, displaced past up to
-    /// `overtake` envelopes from other senders; when `duplicate`, a second
-    /// copy is transmitted (the receiving mailbox deduplicates). Returns
-    /// `true` if a duplicate copy was observably swallowed *on this call
-    /// path* (in-process backends only; network receivers swallow
-    /// duplicates on their own side).
+    /// Deliver `env` from `me` to `dest`'s mailbox (`dest != me`),
+    /// displaced past up to `overtake` envelopes from other senders; when
+    /// `duplicate`, a second copy is transmitted (the receiving mailbox
+    /// deduplicates). Returns `true` if a duplicate copy was observably
+    /// swallowed *on this call path* (in-process backends only; network
+    /// receivers swallow duplicates on their own side).
     fn deliver(
         &self,
         me: usize,
@@ -137,19 +78,22 @@ pub trait Fabric: Send + Sync {
     /// panic for any other rank; `Comm` only reads its own.
     fn mailbox(&self, world_rank: usize) -> &Mailbox;
 
-    /// Record that `me` is blocked on `record` (waits-for deadlock
-    /// detection). Backends without a global view may ignore this.
-    fn publish_wait(&self, me: usize, record: WaitRecord);
+    /// Is `world_rank` still running (not finished, normally or not)?
+    fn rank_alive(&self, world_rank: usize) -> bool;
 
-    /// Record that `me` is no longer blocked.
-    fn clear_wait(&self, me: usize);
+    /// Has `world_rank` failed (fault-plan kill, panic, or — on network
+    /// backends — a dead peer process)?
+    fn rank_failed(&self, world_rank: usize) -> bool;
 
-    /// Waits-for deadlock verdict for `me`: a rendered stuck-set when the
-    /// backend can *prove* no future delivery can wake `me`, else `None`.
-    /// Backends without a global view must return `None` (never a false
-    /// positive); receives from finished ranks still resolve through
-    /// [`Fabric::rank_alive`].
-    fn deadlocked(&self, me: usize) -> Option<String>;
+    /// Raise `world_rank`'s failed flag and wake any waiters that must
+    /// re-examine membership. Network backends announce a rank's own
+    /// failure to its peers.
+    fn mark_failed(&self, world_rank: usize);
+
+    /// Mark `me` finished (rank body returned). Network backends announce
+    /// this to peers so a closed connection afterwards reads as a normal
+    /// exit, not a failure.
+    fn finish(&self, me: usize);
 
     /// One blocking round of the message-free agreement protocol behind
     /// `Comm::agree`/`Comm::shrink`: contribute `value` for `me` under
@@ -157,11 +101,52 @@ pub trait Fabric: Send + Sync {
     /// failed, or finished. Every caller observes the same final map.
     fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot;
 
+    /// Record a delivery in the legacy message log (kept by the thread
+    /// backend only).
+    fn record_msg(&self, event: MsgEvent) {
+        let _ = event;
+    }
+
+    /// Do `me` and `dest` share an address space, so a send between them
+    /// may ship a shared in-process payload
+    /// ([`Payload::InProc`](crate::envelope::Payload)) instead of an
+    /// encoded one? A backend answering `true` must deliver envelopes by
+    /// handing them to the destination's [`Mailbox`] directly. By default
+    /// only a rank's sends to itself qualify; `InProc` payloads that do
+    /// reach a wire-crossing backend are converted at the framing seam via
+    /// `Payload::to_wire`.
+    fn shares_address_space(&self, me: usize, dest: usize) -> bool {
+        me == dest
+    }
+
+    /// Record that `me` is blocked on `record` (waits-for deadlock
+    /// detection). Backends without a global view ignore this.
+    fn publish_wait(&self, me: usize, record: WaitRecord) {
+        let _ = (me, record);
+    }
+
+    /// Record that `me` is no longer blocked.
+    fn clear_wait(&self, me: usize) {
+        let _ = me;
+    }
+
+    /// Waits-for deadlock verdict for `me`: a rendered stuck-set when the
+    /// backend can *prove* no future delivery can wake `me`, else `None`.
+    /// Backends without a global view return `None` (never a false
+    /// positive); receives from finished ranks still resolve through
+    /// [`Fabric::rank_alive`].
+    fn deadlocked(&self, me: usize) -> Option<String> {
+        let _ = me;
+        None
+    }
+
     /// A communicator owned by `me` was dropped: release per-communicator
     /// receive-side state (the mailbox's dedup high-water marks and any
     /// stray queued envelopes for `comm_id`), so long-running worlds that
     /// split/shrink in a loop don't accumulate per-communicator entries.
-    fn prune_comm(&self, me: usize, comm_id: u64);
+    fn prune_comm(&self, me: usize, comm_id: u64) {
+        self.mailbox(me).prune_comm(comm_id);
+    }
 }
 
 /// What a rank's process should run for one world, as decided by the

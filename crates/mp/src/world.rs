@@ -44,7 +44,6 @@ pub(crate) struct Transport {
     /// than finishing normally. Peer operations that depend on a failed
     /// rank report [`Error::RankFailed`] instead of `Deadlock`.
     pub(crate) failed: Vec<AtomicBool>,
-    pub(crate) names: Vec<String>,
     pub(crate) send_seqs: Vec<AtomicU64>,
     /// What each world rank is currently blocked receiving (None = not
     /// blocked). Basis of the waits-for deadlock detector.
@@ -54,22 +53,12 @@ pub(crate) struct Transport {
     pub(crate) wait_epochs: Vec<AtomicU64>,
     /// When tracing is on, every delivered message is recorded here.
     pub(crate) trace: Option<PlMutex<Vec<MsgEvent>>>,
-    /// Structured event tracing ([`patternlets_trace`]): sends, receives,
-    /// collective phases, and chaos-transport incidents, per world rank.
-    /// `None` (the default) keeps the hot paths event-free.
-    pub(crate) tracer: Option<Tracer>,
-    /// Quantitative instruments ([`patternlets_metrics`]): msg/byte
-    /// counters, wait counters, and latency histograms, per world rank.
-    /// `None` (the default) keeps the hot paths instrument-free.
-    pub(crate) metrics: Option<MetricsHub>,
     /// Bumped on every message delivery. A deadlock verdict is only valid
     /// if no delivery happened while it was being computed — otherwise a
     /// just-delivered message could wake a rank the fixpoint still counts
     /// as stuck.
     pub(crate) progress: AtomicU64,
-    /// Installed fault plan state, if any.
-    pub(crate) fault: Option<FaultState>,
-    /// How long blocked receives sleep between liveness re-checks.
+    /// Backstop for missed agreement wake-ups.
     pub(crate) poll_interval: Duration,
     /// Force every payload through the encode/decode wire path even
     /// though all ranks share this address space (benchmark baseline;
@@ -125,21 +114,72 @@ pub struct WaitRecord {
     pub world_group: Arc<Vec<usize>>,
 }
 
+/// What every rank of one world shares above the transport: simulated
+/// hostnames, the receive poll interval, the tracer and metrics hub, and
+/// the fault plan's state. [`WorldBuilder`] builds it once per world from
+/// the [`WorldSpec`], and every [`Comm`] of the world holds it, so no
+/// [`Fabric`] has to carry any of it.
+pub(crate) struct WorldCtx {
+    names: Vec<String>,
+    /// How long blocked receives sleep between liveness re-checks.
+    pub(crate) poll_interval: Duration,
+    /// Structured event tracing ([`patternlets_trace`]): sends, receives,
+    /// collective phases, and chaos-transport incidents, per world rank.
+    /// `None` (the default) keeps the hot paths event-free.
+    pub(crate) tracer: Option<Tracer>,
+    /// Quantitative instruments ([`patternlets_metrics`]): msg/byte
+    /// counters, wait counters, and latency histograms, per world rank.
+    /// `None` (the default) keeps the hot paths instrument-free.
+    pub(crate) metrics: Option<MetricsHub>,
+    fault: Option<FaultState>,
+}
+
+impl WorldCtx {
+    fn new(spec: &WorldSpec) -> Self {
+        WorldCtx {
+            names: (0..spec.np)
+                .map(|r| format!("node-{:02}", r / spec.ranks_per_node + 1))
+                .collect(),
+            poll_interval: spec.poll_interval,
+            tracer: spec.tracer.clone(),
+            metrics: spec.metrics.clone(),
+            fault: spec
+                .fault
+                .clone()
+                .map(|plan| FaultState::new(plan, spec.np)),
+        }
+    }
+
+    /// Simulated hostname of `world_rank`.
+    pub(crate) fn rank_name(&self, world_rank: usize) -> &str {
+        &self.names[world_rank]
+    }
+
+    /// Count one message operation by `me` against the fault plan; a kill
+    /// trigger marks `me` failed through `fabric` (so peers see it) and
+    /// returns [`Error::RankFailed`].
+    pub(crate) fn fault_op(&self, fabric: &dyn Fabric, me: usize, op: &'static str) -> Result<()> {
+        if let Some(fault) = &self.fault {
+            if let Err(e) = fault.record_op(me, op) {
+                fabric.mark_failed(me);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Draw the chaos decisions for one transmission by `me`, or `None`
+    /// when no fault plan is installed.
+    pub(crate) fn chaos_decision(&self, me: usize) -> Option<ChaosDecision> {
+        self.fault.as_ref().map(|fault| fault.decide(me))
+    }
+}
+
 impl Transport {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        np: usize,
-        ranks_per_node: usize,
-        traced: bool,
-        tracer: Option<Tracer>,
-        metrics: Option<MetricsHub>,
-        fault: Option<FaultPlan>,
-        poll_interval: Duration,
-        encoded_only: bool,
-    ) -> Self {
+    fn new(np: usize, traced: bool, ctx: &WorldCtx, encoded_only: bool) -> Self {
         // Each mailbox records dedup/depth/wait metrics on its owner's lane.
         let mailboxes = (0..np)
-            .map(|r| match &metrics {
+            .map(|r| match &ctx.metrics {
                 Some(hub) => Mailbox::with_metrics(hub.clone(), r),
                 None => Mailbox::new(),
             })
@@ -147,20 +187,14 @@ impl Transport {
         Transport {
             encoded_only,
             trace: traced.then(|| PlMutex::new(Vec::new())),
-            tracer,
-            metrics,
             progress: AtomicU64::new(0),
             mailboxes,
             finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
             failed: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            names: (0..np)
-                .map(|r| format!("node-{:02}", r / ranks_per_node + 1))
-                .collect(),
             send_seqs: (0..np).map(|_| AtomicU64::new(0)).collect(),
             waits: (0..np).map(|_| PlMutex::new(None)).collect(),
             wait_epochs: (0..np).map(|_| AtomicU64::new(0)).collect(),
-            fault: fault.map(|plan| FaultState::new(plan, np)),
-            poll_interval,
+            poll_interval: ctx.poll_interval,
             agreements: PlMutex::new(HashMap::new()),
             agree_cv: Condvar::new(),
         }
@@ -284,7 +318,10 @@ impl Transport {
             }
         }
 
-        if !stuck[me] {
+        // A failure that landed after the caller's own liveness check
+        // resolves its wait on the next poll. Ranks raise `failed` before
+        // `finished`, so a peer seen finished above shows its failure here.
+        if !stuck[me] || records[me].as_ref().is_some_and(failure_resolves) {
             return None;
         }
         // Confirm against a quiescent snapshot: no wait was posted,
@@ -334,18 +371,6 @@ impl Transport {
         self.agree_cv.notify_all();
     }
 
-    /// Count one message operation by `me` against the fault plan;
-    /// the kill trigger marks `me` failed and returns `RankFailed`.
-    pub(crate) fn fault_op(&self, me: usize, op: &'static str) -> Result<()> {
-        if let Some(fault) = &self.fault {
-            if let Err(e) = fault.record_op(me, op) {
-                self.mark_failed(me);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// One blocking agreement round through shared runtime state (the
     /// in-process realisation of [`Fabric::agreement`]).
     pub(crate) fn agreement(
@@ -381,22 +406,6 @@ impl Fabric for Transport {
         self.mailboxes.len()
     }
 
-    fn rank_name(&self, world_rank: usize) -> &str {
-        &self.names[world_rank]
-    }
-
-    fn poll_interval(&self) -> Duration {
-        self.poll_interval
-    }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    fn metrics(&self) -> Option<&MetricsHub> {
-        self.metrics.as_ref()
-    }
-
     fn record_msg(&self, event: MsgEvent) {
         Transport::record_msg(self, event);
     }
@@ -405,26 +414,11 @@ impl Fabric for Transport {
         self.send_seqs[me].fetch_add(1, Ordering::Relaxed)
     }
 
-    fn fault_op(&self, me: usize, op: &'static str) -> Result<()> {
-        Transport::fault_op(self, me, op)
-    }
-
-    fn chaos_decision(&self, me: usize) -> Option<ChaosDecision> {
-        self.fault.as_ref().map(|fault| fault.decide(me))
-    }
-
     fn shares_address_space(&self, _me: usize, _dest: usize) -> bool {
         // Every rank is a thread of this process, so all pairs qualify
         // for the shared in-process payload path — unless the world was
         // built with the encode-everything benchmark baseline.
         !self.encoded_only
-    }
-
-    fn inline_payloads(&self) -> bool {
-        // Tiny payloads beat the `Arc` round-trip of the shared path
-        // (two allocations per send) in either payload mode, so the
-        // inline cutover applies regardless of `encoded_only`.
-        true
     }
 
     fn rank_alive(&self, world_rank: usize) -> bool {
@@ -485,10 +479,6 @@ impl Fabric for Transport {
 
     fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
         Transport::agreement(self, key, me, value, group)
-    }
-
-    fn prune_comm(&self, me: usize, comm_id: u64) {
-        self.mailboxes[me].prune_comm(comm_id);
     }
 }
 
@@ -629,24 +619,28 @@ impl WorldBuilder {
             return Err(Error::InvalidConfig("world needs at least one rank".into()));
         }
         if let Some(provider) = crate::fabric::fabric_provider() {
-            let spec = WorldSpec {
-                np: self.np,
-                ranks_per_node: self.ranks_per_node,
-                fault: self.fault.clone(),
-                poll_interval: self.poll_interval,
-                tracer: self.tracer.clone(),
-                metrics: self.metrics.clone(),
-                epoch: next_world_epoch(),
-            };
+            let spec = self.spec(next_world_epoch());
             if let Some(world) = provider(&spec)? {
-                return self.run_provided(world, f);
+                return self.run_provided(world, Arc::new(WorldCtx::new(&spec)), f);
             }
         }
         self.run_inner(f).map(|(results, _)| results)
     }
 
+    fn spec(&self, epoch: u64) -> WorldSpec {
+        WorldSpec {
+            np: self.np,
+            ranks_per_node: self.ranks_per_node,
+            fault: self.fault.clone(),
+            poll_interval: self.poll_interval,
+            tracer: self.tracer.clone(),
+            metrics: self.metrics.clone(),
+            epoch,
+        }
+    }
+
     /// Run this process's single rank of a provider-built world.
-    fn run_provided<R, F>(&self, world: ProvidedWorld, f: F) -> Result<Vec<R>>
+    fn run_provided<R, F>(&self, world: ProvidedWorld, ctx: Arc<WorldCtx>, f: F) -> Result<Vec<R>>
     where
         R: Send,
         F: Fn(Comm) -> R + Sync,
@@ -673,7 +667,7 @@ impl WorldBuilder {
             fabric: Arc::clone(&fabric),
             rank,
         };
-        let comm = Comm::over_fabric(rank, fabric);
+        let comm = Comm::over_fabric(rank, fabric, ctx);
         Ok(vec![f(comm)])
     }
 
@@ -685,14 +679,11 @@ impl WorldBuilder {
         if self.np == 0 {
             return Err(Error::InvalidConfig("world needs at least one rank".into()));
         }
+        let ctx = Arc::new(WorldCtx::new(&self.spec(0)));
         let transport = Arc::new(Transport::new(
             self.np,
-            self.ranks_per_node,
             self.traced,
-            self.tracer.clone(),
-            self.metrics.clone(),
-            self.fault.clone(),
-            self.poll_interval,
+            &ctx,
             self.encoded_only,
         ));
         let results: Vec<Mutex<Option<R>>> = (0..self.np).map(|_| Mutex::new(None)).collect();
@@ -705,13 +696,14 @@ impl WorldBuilder {
         // condvar wakeup latency (tens of µs) would stagger the release
         // by more than an in-process message takes to deliver, hiding
         // real message edges from the critical path.
-        let start_gate = (self.traced || self.tracer.is_some())
-            .then(|| std::sync::atomic::AtomicUsize::new(0));
+        let start_gate =
+            (self.traced || self.tracer.is_some()).then(|| std::sync::atomic::AtomicUsize::new(0));
         let np = self.np;
 
         std::thread::scope(|scope| {
             for (rank, slot) in results.iter().enumerate() {
                 let transport = Arc::clone(&transport);
+                let ctx = Arc::clone(&ctx);
                 let f = &f;
                 let start_gate = &start_gate;
                 scope.spawn(move || {
@@ -737,7 +729,8 @@ impl WorldBuilder {
                         transport: &transport,
                         rank,
                     };
-                    let comm = Comm::over_fabric(rank, Arc::clone(&transport) as Arc<dyn Fabric>);
+                    let comm =
+                        Comm::over_fabric(rank, Arc::clone(&transport) as Arc<dyn Fabric>, ctx);
                     if let Some(gate) = start_gate {
                         gate.fetch_add(1, Ordering::SeqCst);
                         let mut spins = 0u32;
@@ -841,6 +834,28 @@ mod tests {
             comm.rank() * 100
         });
         assert_eq!(out, vec![0, 100, 200, 300, 400]);
+    }
+
+    #[test]
+    fn a_failure_racing_the_liveness_check_is_not_a_deadlock() {
+        // What a lost race leaves behind: rank 0's own liveness check saw
+        // rank 1 alive, then rank 1 was killed and finished before rank 0
+        // ran the detector. Its next poll reports RankFailed instead.
+        let ctx = WorldCtx::new(&WorldBuilder::new(2).spec(0));
+        let transport = Transport::new(2, false, &ctx, false);
+        transport.publish_wait(
+            0,
+            WaitRecord {
+                comm_id: 0,
+                src: SourceSel::Rank(1),
+                tag: TagSel::Tag(0),
+                world_sources: vec![1],
+                world_group: Arc::new(vec![0, 1]),
+            },
+        );
+        transport.mark_failed(1);
+        transport.finished[1].store(true, Ordering::SeqCst);
+        assert_eq!(transport.deadlocked(0), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The TCP fabric: one process's slice of a world, over a socket mesh.
+//! The TCP link: one process's slice of a world, over a socket mesh.
 //!
 //! Every participating rank binds a loopback listener, registers it with
 //! the job's rendezvous server, and — once the full address table is back
@@ -26,18 +26,13 @@
 //! ([`RECONNECT_BUDGET`]) is exhausted does the verdict escalate to
 //! [`Error::RankFailed`](patternlets_core::Error::RankFailed).
 //!
-//! ## Failure detection
+//! ## Liveness
 //!
-//! Ranks announce a normal exit with a `Finish` frame before shutting
-//! their write side down, so EOF-after-Finish reads as a clean exit. EOF
-//! *without* Finish enters the reconnect cycle above; a peer that cannot
-//! be re-reached within the budget is marked failed, surfacing to the
-//! application as the same `RankFailed` the fault-injection layer
-//! produces; the ULFM-style `agree`/`shrink` recovery path works
-//! unchanged across processes. A heartbeat thread additionally pings
-//! every peer; one silent past [`PEER_TIMEOUT`] gets a *probe* — its
-//! connection is cut, forcing a reconnect round-trip — and is declared
-//! failed only if still silent after that.
+//! EOF without a `Finish` enters the reconnect cycle above. The
+//! [`PeerMesh`] heartbeat backstops half-open connections: a peer silent
+//! past [`PEER_TIMEOUT`] gets a *probe* — its connection is cut, forcing
+//! a reconnect round-trip — and is declared failed only if still silent
+//! after that.
 //!
 //! ## Wire chaos
 //!
@@ -47,41 +42,24 @@
 //! flip one bit (which the frame CRC catches on the far side). All three
 //! funnel into the same reconnect/resume machinery, so a chaos soak
 //! exercises exactly the code paths a flaky network would.
-//!
-//! ## What the thread backend has that this one doesn't
-//!
-//! The waits-for deadlock *detector* needs a global view of every rank's
-//! blocked receive; a process only sees its own. [`Fabric::deadlocked`]
-//! therefore always answers `None` here (never a false positive) — a
-//! genuinely cyclic deadlock hangs under `pmrun` just as it would under
-//! real MPI, while the common classroom case (receiving from a rank that
-//! exited) still resolves, because `Finish` frames feed the same
-//! every-sender-finished check the thread backend uses.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
-use patternlets_mp::envelope::{Envelope, Payload};
-use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
-use patternlets_mp::fault::{ChaosDecision, FaultState};
-use patternlets_mp::mailbox::Mailbox;
-use patternlets_mp::world::{MsgEvent, WaitRecord};
-use patternlets_trace::{EventKind, Tracer};
+use patternlets_mp::fabric::WorldSpec;
+use patternlets_trace::EventKind;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
 use crate::frame::{encode_frame, read_frame, Frame, CRC_MISMATCH, IDLE_TIMEOUT};
+use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 use crate::ring::SendRing;
-
-/// How often the heartbeat thread pings every live peer.
-pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
 
 /// A peer silent this long (no frame, no ping) while not finished gets a
 /// reconnect probe; still silent after the probe, it is declared failed.
@@ -112,45 +90,6 @@ const MID_FRAME_TIMEOUT: Duration = Duration::from_millis(1000);
 /// Poll cadence of the (non-blocking) accept thread that fields
 /// reconnect dials.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// On `finish`, how long to wait for peers to acknowledge the frames
-/// still in flight (the Finish itself included) before half-closing.
-/// Acks ride the peers' heartbeats, so the common case drains in one or
-/// two heartbeat intervals.
-const FINISH_DRAIN: Duration = Duration::from_secs(1);
-
-/// `TYPE_NAME`s of the built-in [`patternlets_mp::Datatype`] impls, used
-/// to intern wire type names back into `&'static str` without leaking.
-const KNOWN_TYPE_NAMES: &[&str] = &[
-    "i32",
-    "i64",
-    "u32",
-    "u64",
-    "f32",
-    "f64",
-    "u8",
-    "bool",
-    "usize",
-    "String",
-    "(T, usize)",
-];
-
-/// Intern a wire type name. Built-in names map to their static constants;
-/// unknown (user-defined `Datatype`) names are leaked once and cached, so
-/// repeated traffic of the same type allocates nothing.
-pub(crate) fn intern_type_name(name: &str) -> &'static str {
-    if let Some(known) = KNOWN_TYPE_NAMES.iter().find(|&&k| k == name) {
-        return known;
-    }
-    static EXTRA: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut extra = EXTRA.lock();
-    if let Some(cached) = extra.iter().find(|&&k| k == name) {
-        return cached;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    extra.push(leaked);
-    leaked
-}
 
 /// Most frames one flush pass will hand to a single vectored write.
 /// Bounds both the `IoSlice` array and how long one sender can be stuck
@@ -195,7 +134,7 @@ struct Ring {
 /// sequenced sends accumulate (to be replayed) and unsequenced sends are
 /// dropped.
 ///
-/// Lock order: `ring` → `breaker` → `stream`. `breaker` holds a clone of
+/// Lock order: `stream` → `ring` → `breaker`. `breaker` holds a clone of
 /// the socket used only for `shutdown`, so a blocked writer can be
 /// kicked loose without waiting for its write to return.
 struct PeerWriter {
@@ -267,6 +206,12 @@ impl PeerWriter {
     /// must have set `flushing`; this clears it on exit.
     fn flush_loop(&self) {
         loop {
+            // Hold the stream from taking a batch until it is written: a
+            // resume swaps the socket and rewinds the ring under this same
+            // lock, so a batch taken for one connection can never go out on
+            // the next one ahead of the replay (the peer would count it as
+            // the frames it expects, then drop the real ones as duplicates).
+            let mut stream = self.stream.lock();
             let batch: Vec<Vec<u8>> = {
                 let mut ring = self.ring.lock();
                 if ring.state != ConnState::Connected
@@ -286,7 +231,8 @@ impl PeerWriter {
                 batch.extend(ring.seq.next_batch(room));
                 batch
             };
-            if !self.write_batch(&batch) {
+            if !self.write_batch(stream.as_mut(), &batch) {
+                drop(stream);
                 self.disconnect();
                 // Loop back: the state check above clears `flushing`.
             }
@@ -298,8 +244,11 @@ impl PeerWriter {
     /// (`write_all_vectored` is not yet stable). `false` drops the
     /// connection (sequenced frames in the batch stay in the ring and
     /// are replayed after resume).
-    fn write_batch(&self, batch: &[Vec<u8>]) -> bool {
+    fn write_batch(&self, stream: Option<&mut TcpStream>, batch: &[Vec<u8>]) -> bool {
         use std::io::Write;
+        let Some(stream) = stream else {
+            return false;
+        };
         if let Some(chaos) = &self.chaos {
             let total: usize = batch.iter().map(|r| r.len()).sum();
             let decision = chaos.lock().decide(total, batch.len());
@@ -312,10 +261,7 @@ impl PeerWriter {
                 ChaosAction::Truncate { bytes } => {
                     let flat: Vec<u8> = batch.concat();
                     let cut = bytes.min(flat.len());
-                    let mut stream = self.stream.lock();
-                    if let Some(s) = stream.as_mut() {
-                        let _ = s.write_all(&flat[..cut]);
-                    }
+                    let _ = stream.write_all(&flat[..cut]);
                     return false;
                 }
                 ChaosAction::Corrupt { byte, bit } => {
@@ -325,11 +271,7 @@ impl PeerWriter {
                     if let Some(b) = flat.get_mut(byte) {
                         *b ^= 1 << bit;
                     }
-                    let mut stream = self.stream.lock();
-                    let ok = match stream.as_mut() {
-                        Some(s) => s.write_all(&flat).is_ok(),
-                        None => false,
-                    };
+                    let ok = stream.write_all(&flat).is_ok();
                     if ok {
                         self.record_batch(batch);
                     }
@@ -337,19 +279,15 @@ impl PeerWriter {
                 }
             }
         }
-        if !self.write_batch_vectored(batch) {
+        if !Self::write_batch_vectored(stream, batch) {
             return false;
         }
         self.record_batch(batch);
         true
     }
 
-    fn write_batch_vectored(&self, batch: &[Vec<u8>]) -> bool {
+    fn write_batch_vectored(stream: &mut TcpStream, batch: &[Vec<u8>]) -> bool {
         use std::io::{ErrorKind, IoSlice, Write};
-        let mut stream = self.stream.lock();
-        let Some(stream) = stream.as_mut() else {
-            return false;
-        };
         let mut idx = 0; // first record not fully written
         let mut off = 0; // bytes of batch[idx] already written
         while idx < batch.len() {
@@ -422,13 +360,14 @@ impl PeerWriter {
     /// frames go out with the next flush (a heartbeat at the latest), so
     /// the calling reader thread never blocks on a socket write here.
     fn resume(&self, stream: TcpStream, peer_recv: u64) -> Result<u64> {
+        let mut current = self.stream.lock();
         let mut ring = self.ring.lock();
         if ring.state == ConnState::Terminal {
             return Err(Error::Codec("peer link already terminal".into()));
         }
         let replayed = ring.seq.resume(peer_recv)?;
         *self.breaker.lock() = stream.try_clone().ok();
-        *self.stream.lock() = Some(stream);
+        *current = Some(stream);
         ring.state = ConnState::Connected;
         Ok(replayed)
     }
@@ -472,63 +411,96 @@ struct PendingResume {
     their_recv: u64,
 }
 
-struct Inner {
-    me: usize,
-    np: usize,
-    epoch: u64,
-    names: Vec<String>,
+/// The TCP side of a [`PeerMesh`]: one combining writer per peer over a
+/// replaceable socket, the listener that fields redials, and the
+/// clock-probe reply slot.
+pub struct TcpLink {
     /// Rendezvous address table, kept for redials.
     addrs: Vec<String>,
     /// This rank's listener, kept open for redials (serviced by the
     /// accept thread).
     listener: TcpListener,
-    poll_interval: Duration,
-    tracer: Option<Tracer>,
-    metrics: Option<MetricsHub>,
-    fault: Option<FaultState>,
-    /// This process's rank's mailbox — the only one a `Comm` here reads.
-    mailbox: Mailbox,
-    send_seq: AtomicU64,
-    finished: Vec<AtomicBool>,
-    failed: Vec<AtomicBool>,
     /// Write sides, indexed by peer world rank (`None` at `me`).
-    peers: Vec<Option<PeerWriter>>,
-    /// Count of *sequenced* frames delivered from each peer — the number
-    /// this side reports in `Ping { seen }` acks and `Resume` handshakes.
-    recv_seq: Vec<AtomicU64>,
-    /// Per-peer: a reconnect probe is outstanding (set on first
-    /// heartbeat timeout, cleared on any frame heard).
-    probed: Vec<AtomicBool>,
+    writers: Vec<Option<PeerWriter>>,
     /// Per-peer handoff slot for redialed connections (accept thread
     /// produces, the peer's reader thread consumes).
     pending: Mutex<Vec<Option<PendingResume>>>,
     pending_cv: Condvar,
-    /// Milliseconds (since `start`) each peer was last heard from.
-    last_heard: Vec<AtomicU64>,
-    /// Nanoseconds (since `start`, 0 = none pending) of the oldest
-    /// unanswered heartbeat ping per peer; the next frame heard from the
-    /// peer closes it into the RTT histogram. There is no dedicated pong
-    /// frame — peers talk at least every heartbeat interval, so this
-    /// measures ping-to-next-frame time.
-    pending_ping_ns: Vec<AtomicU64>,
-    start: Instant,
-    agreements: Mutex<HashMap<AgreeKey, AgreeSlot>>,
-    agree_cv: Condvar,
     /// Clock-probe replies from rank 0 land here (a reader thread
     /// produces, the establish-time offset estimator consumes; see
-    /// [`Inner::estimate_clock_offset`]).
+    /// [`Mesh::estimate_clock_offset`]).
     clock_reply: Mutex<Option<(u64, u64)>>,
     clock_cv: Condvar,
-    /// Raised by `finish`/`sever`: background threads stop writing and
-    /// no reconnects are attempted or served.
-    closing: AtomicBool,
 }
 
-impl Inner {
-    fn elapsed_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+impl Link for TcpLink {
+    const PEER_TIMEOUT: Duration = PEER_TIMEOUT;
+    const ESTABLISH_GRACE: Duration = PEER_TIMEOUT;
+
+    fn write(&self, _mesh: &Mesh<Self>, peer: usize, record: &[u8], sequenced: bool) -> bool {
+        match &self.writers[peer] {
+            Some(writer) => writer.send(record, sequenced),
+            None => true,
+        }
     }
 
+    fn unacked(&self, peer: usize) -> usize {
+        self.writers[peer].as_ref().map_or(0, PeerWriter::retained)
+    }
+
+    fn close(&self, _mesh: &Mesh<Self>) {
+        // Half-close every connection: peers read our Finish, then a
+        // clean EOF, and their reader threads wind down; ours exit when
+        // the peers do the same. No sockets or threads outlive the world.
+        for writer in self.writers.iter().flatten() {
+            writer.half_close();
+        }
+    }
+
+    fn cut(&self, peer: usize) {
+        if let Some(writer) = &self.writers[peer] {
+            writer.terminal(true);
+        }
+    }
+
+    fn probe(&self, peer: usize) -> bool {
+        // Cut the (possibly half-open) connection so the reader runs a
+        // reconnect round-trip.
+        if let Some(writer) = &self.writers[peer] {
+            writer.disconnect();
+        }
+        true
+    }
+
+    fn control(&self, mesh: &Mesh<Self>, peer: usize, frame: Frame) {
+        match frame {
+            Frame::Ping { seen } => {
+                // The peer's delivery count: prune the send ring.
+                if let Some(writer) = &self.writers[peer] {
+                    writer.ack(seen);
+                }
+            }
+            Frame::ClockProbe { t0 } => {
+                // Answer with our wall clock; the prober turns the echo
+                // into an RTT-midpoint offset estimate.
+                let reply = encode_frame(&Frame::ClockReply {
+                    t0,
+                    server_ns: unix_now_ns(),
+                });
+                self.write(mesh, peer, &reply, false);
+            }
+            Frame::ClockReply { t0, server_ns } => {
+                *self.clock_reply.lock() = Some((t0, server_ns));
+                self.clock_cv.notify_all();
+            }
+            // Hello and Resume are consumed by the handshakes themselves;
+            // anything else has no business on a peer connection.
+            _ => {}
+        }
+    }
+}
+
+impl Mesh<TcpLink> {
     /// Estimate this process's wall-clock offset to rank 0 — rank 0's
     /// clock minus ours, in nanoseconds — by RTT-midpoint probing over
     /// the freshly established peer link. Each probe yields
@@ -543,11 +515,11 @@ impl Inner {
         for _ in 0..PROBES {
             let t0 = unix_now_ns();
             let probe = encode_frame(&Frame::ClockProbe { t0 });
-            if !self.write_to(0, &probe, false) {
+            if !self.link.write(self, 0, &probe, false) {
                 break;
             }
             let deadline = Instant::now() + REPLY_TIMEOUT;
-            let mut slot = self.clock_reply.lock();
+            let mut slot = self.link.clock_reply.lock();
             let reply = loop {
                 match slot.take() {
                     Some((echo, s)) if echo == t0 => break Some(s),
@@ -560,7 +532,7 @@ impl Inner {
                 if timeout.is_zero() {
                     break None;
                 }
-                self.clock_cv.wait_for(&mut slot, timeout);
+                self.link.clock_cv.wait_for(&mut slot, timeout);
             };
             drop(slot);
             let Some(s) = reply else { continue };
@@ -572,169 +544,6 @@ impl Inner {
             }
         }
         best.map_or(0, |(_, o)| o)
-    }
-
-    /// Write a pre-encoded record to one peer through its combining
-    /// writer. `false` when the link is terminal and the peer never
-    /// finished (caller decides whether that's a failure verdict).
-    fn write_to(&self, peer: usize, record: &[u8], sequenced: bool) -> bool {
-        let Some(writer) = &self.peers[peer] else {
-            return true;
-        };
-        writer.send(record, sequenced)
-    }
-
-    /// Send `frame` to every peer; peers whose link is terminal and who
-    /// never announced Finish are marked failed (local verdict — every
-    /// process discovers a dead peer through its own socket).
-    fn broadcast(&self, frame: &Frame) {
-        let record = encode_frame(frame);
-        let sequenced = frame.is_sequenced();
-        let mut dead = Vec::new();
-        for peer in 0..self.np {
-            if peer == self.me || self.peers[peer].is_none() {
-                continue;
-            }
-            if !self.write_to(peer, &record, sequenced)
-                && !self.finished[peer].load(Ordering::SeqCst)
-            {
-                dead.push(peer);
-            }
-        }
-        for peer in dead {
-            self.note_failed(peer);
-        }
-    }
-
-    /// Record a failure verdict locally and wake everything that must
-    /// re-examine membership. Does not gossip: each process reaches its
-    /// own verdict through its own connection to the dead peer.
-    fn note_failed(&self, rank: usize) {
-        if self.failed[rank].swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if let Some(writer) = &self.peers[rank] {
-            writer.terminal(true);
-        }
-        if let Some(hub) = &self.metrics {
-            hub.incr(rank, CounterId::NetRankFailures);
-        }
-        let _lock = self.agreements.lock();
-        self.agree_cv.notify_all();
-    }
-
-    fn handle_frame(&self, peer: usize, frame: Frame) {
-        self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
-        self.probed[peer].store(false, Ordering::Relaxed);
-        if let Some(hub) = &self.metrics {
-            // Any frame from a peer with a ping outstanding closes the
-            // RTT sample (ping-to-next-frame; see `pending_ping_ns`).
-            let sent = self.pending_ping_ns[peer].swap(0, Ordering::Relaxed);
-            if sent != 0 {
-                let now = self.start.elapsed().as_nanos() as u64;
-                hub.observe(self.me, HistId::HEARTBEAT_RTT_NS, now.saturating_sub(sent));
-            }
-        }
-        if frame.is_sequenced() {
-            self.recv_seq[peer].fetch_add(1, Ordering::SeqCst);
-        }
-        match frame {
-            Frame::Env {
-                comm_id,
-                src,
-                tag,
-                type_name,
-                count,
-                seq,
-                needs_ack,
-                overtake,
-                payload,
-            } => {
-                let env = Envelope {
-                    comm_id,
-                    src: src as usize,
-                    tag,
-                    type_name: intern_type_name(&type_name),
-                    count: count as usize,
-                    payload: Payload::Bytes(bytes::Bytes::from(payload)),
-                    seq,
-                    needs_ack,
-                };
-                self.mailbox.deliver_displaced(env, overtake as usize);
-            }
-            Frame::Finish { rank } => {
-                let rank = rank as usize;
-                if rank < self.np {
-                    self.finished[rank].store(true, Ordering::SeqCst);
-                    // The link is deliberately NOT marked terminal here:
-                    // our own Finish may not have gone out yet (both
-                    // sides announce concurrently), and muting the
-                    // writer would leave the peer draining against its
-                    // full FINISH_DRAIN budget waiting for it. The
-                    // `finished` flag alone keeps the heartbeat and
-                    // reconnect machinery away from this peer;
-                    // `half_close` makes the link terminal at teardown.
-                    let _lock = self.agreements.lock();
-                    self.agree_cv.notify_all();
-                }
-            }
-            Frame::Failed { rank } => {
-                let rank = rank as usize;
-                if rank < self.np {
-                    self.note_failed(rank);
-                }
-            }
-            Frame::Agree {
-                comm_id,
-                kind,
-                seq,
-                rank,
-                value,
-            } => {
-                let mut slots = self.agreements.lock();
-                slots
-                    .entry((comm_id, kind, seq))
-                    .or_default()
-                    .insert(rank as usize, value);
-                self.agree_cv.notify_all();
-            }
-            Frame::Ping { seen } => {
-                // The peer's delivery count: prune the send ring.
-                if let Some(writer) = &self.peers[peer] {
-                    writer.ack(seen);
-                }
-            }
-            Frame::ClockProbe { t0 } => {
-                // Answer with our wall clock; the prober turns the echo
-                // into an RTT-midpoint offset estimate.
-                let reply = encode_frame(&Frame::ClockReply {
-                    t0,
-                    server_ns: unix_now_ns(),
-                });
-                self.write_to(peer, &reply, false);
-            }
-            Frame::ClockReply { t0, server_ns } => {
-                *self.clock_reply.lock() = Some((t0, server_ns));
-                self.clock_cv.notify_all();
-            }
-            // A stray handshake, resume, metrics or job-control frame
-            // after setup carries nothing actionable (Resume is consumed
-            // during the handshake itself; metrics frames are interpreted
-            // by pmrun's collector; job-control frames belong on the
-            // daemon's worker control connections, never on a peer mesh).
-            Frame::Hello { .. }
-            | Frame::Resume { .. }
-            | Frame::Register { .. }
-            | Frame::Table { .. }
-            | Frame::Metrics { .. }
-            | Frame::WorkerHello { .. }
-            | Frame::JobAssign { .. }
-            | Frame::JobLine { .. }
-            | Frame::JobMetrics { .. }
-            | Frame::JobDone { .. }
-            | Frame::JobTrace { .. }
-            | Frame::Shutdown => {}
-        }
     }
 
     /// One peer link's read side, across reconnects: drain frames until
@@ -770,7 +579,7 @@ impl Inner {
             }
             // The stream is dead (EOF, read error, or corrupt frame).
             // Sync the write side before deciding what comes next.
-            if let Some(writer) = &self.peers[peer] {
+            if let Some(writer) = &self.link.writers[peer] {
                 writer.disconnect();
             }
             if self.closing.load(Ordering::SeqCst)
@@ -827,7 +636,7 @@ impl Inner {
     }
 
     fn try_dial(&self, peer: usize, attempt: u32) -> Option<TcpStream> {
-        let mut stream = TcpStream::connect(crate::shm::tcp_part(&self.addrs[peer])).ok()?;
+        let mut stream = TcpStream::connect(crate::shm::tcp_part(&self.link.addrs[peer])).ok()?;
         stream.set_read_timeout(Some(RESUME_REPLY_TIMEOUT)).ok()?;
         crate::frame::write_frame(
             &mut stream,
@@ -863,7 +672,7 @@ impl Inner {
             {
                 return None;
             }
-            let slot = self.pending.lock()[peer].take();
+            let slot = self.link.pending.lock()[peer].take();
             if let Some(PendingResume {
                 mut stream,
                 their_recv,
@@ -894,9 +703,9 @@ impl Inner {
                     return None;
                 }
                 let wait = (deadline - now).min(Duration::from_millis(50));
-                let mut pending = self.pending.lock();
+                let mut pending = self.link.pending.lock();
                 if pending[peer].is_none() {
-                    self.pending_cv.wait_for(&mut pending, wait);
+                    self.link.pending_cv.wait_for(&mut pending, wait);
                 }
             }
             if Instant::now() >= deadline {
@@ -914,7 +723,7 @@ impl Inner {
         their_recv: u64,
         attempt: u32,
     ) -> Option<TcpStream> {
-        let writer = self.peers[peer].as_ref()?;
+        let writer = self.link.writers[peer].as_ref()?;
         let write_half = stream.try_clone().ok()?;
         let replayed = writer.resume(write_half, their_recv).ok()?;
         self.probed[peer].store(false, Ordering::Relaxed);
@@ -935,12 +744,12 @@ impl Inner {
     /// connection for the matching reader thread to adopt. Non-blocking
     /// accept with a poll keeps teardown prompt.
     fn accept_loop(&self) {
-        let _ = self.listener.set_nonblocking(true);
+        let _ = self.link.listener.set_nonblocking(true);
         loop {
             if self.closing.load(Ordering::SeqCst) {
                 return;
             }
-            match self.listener.accept() {
+            match self.link.listener.accept() {
                 Ok((mut stream, _)) => {
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_read_timeout(Some(RESUME_REPLY_TIMEOUT));
@@ -955,13 +764,13 @@ impl Inner {
                         {
                             let _ = stream.set_read_timeout(Some(MID_FRAME_TIMEOUT));
                             let peer = rank as usize;
-                            let mut pending = self.pending.lock();
+                            let mut pending = self.link.pending.lock();
                             // A newer redial supersedes a stale one.
                             pending[peer] = Some(PendingResume {
                                 stream,
                                 their_recv: recv_seq,
                             });
-                            self.pending_cv.notify_all();
+                            self.link.pending_cv.notify_all();
                         }
                         // Anything else (wrong epoch, garbage, a timed-out
                         // probe) is dropped on the floor.
@@ -969,66 +778,6 @@ impl Inner {
                     }
                 }
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    }
-
-    /// Ping every peer on a cadence, carrying this side's delivery count
-    /// as the ack. A peer silent past the timeout gets one reconnect
-    /// probe (its connection is cut, forcing a resume round-trip);
-    /// still silent after that, it is declared failed.
-    fn heartbeat_loop(&self) {
-        loop {
-            std::thread::sleep(HEARTBEAT_EVERY);
-            if self.closing.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = self.elapsed_ms();
-            let mut dead = Vec::new();
-            for peer in 0..self.np {
-                if peer == self.me
-                    || self.peers[peer].is_none()
-                    || self.finished[peer].load(Ordering::SeqCst)
-                    || self.failed[peer].load(Ordering::SeqCst)
-                {
-                    continue;
-                }
-                let ping = encode_frame(&Frame::Ping {
-                    seen: self.recv_seq[peer].load(Ordering::SeqCst),
-                });
-                if self.write_to(peer, &ping, false) {
-                    if let Some(hub) = &self.metrics {
-                        hub.incr(self.me, CounterId::NetHeartbeats);
-                        let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
-                        // Only arm a new RTT sample if none is outstanding,
-                        // so a slow round isn't shortened by a later ping.
-                        let _ = self.pending_ping_ns[peer].compare_exchange(
-                            0,
-                            now_ns,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                    }
-                }
-                let heard = self.last_heard[peer].load(Ordering::Relaxed);
-                if now.saturating_sub(heard) > PEER_TIMEOUT.as_millis() as u64 {
-                    if !self.probed[peer].swap(true, Ordering::Relaxed) {
-                        // Probe: cut the (possibly half-open) connection
-                        // so the reader runs a reconnect round-trip, and
-                        // restart the silence clock for its verdict.
-                        if let Some(writer) = &self.peers[peer] {
-                            writer.disconnect();
-                        }
-                        self.last_heard[peer].store(now, Ordering::Relaxed);
-                    } else {
-                        dead.push(peer);
-                    }
-                }
-            }
-            for peer in dead {
-                if !self.closing.load(Ordering::SeqCst) {
-                    self.note_failed(peer);
-                }
             }
         }
     }
@@ -1041,13 +790,11 @@ fn unix_now_ns() -> u64 {
         .map_or(0, |d| d.as_nanos() as u64)
 }
 
-/// One process's handle on a TCP-meshed world: implements [`Fabric`] for
-/// the single rank this process hosts.
-pub struct TcpFabric {
-    inner: Arc<Inner>,
-}
+/// One process's handle on a TCP-meshed world: the [`PeerMesh`] over
+/// [`TcpLink`]s.
+pub type TcpFabric = PeerMesh<TcpLink>;
 
-impl TcpFabric {
+impl PeerMesh<TcpLink> {
     /// Join world `spec` as rank `me`: bind a listener, rendezvous through
     /// `server`, and establish the peer mesh. Blocks until every
     /// participating rank is connected.
@@ -1145,27 +892,10 @@ impl TcpFabric {
                     .map(|s| s.try_clone().expect("clone established stream"))
             })
             .collect();
-        let inner = Arc::new(Inner {
-            me,
-            np,
-            epoch: spec.epoch,
-            names: (0..np)
-                .map(|r| format!("node-{:02}", r / spec.ranks_per_node + 1))
-                .collect(),
+        let link = TcpLink {
             addrs: table,
             listener,
-            poll_interval: spec.poll_interval,
-            tracer: spec.tracer.clone(),
-            metrics: spec.metrics.clone(),
-            fault: spec.fault.clone().map(|plan| FaultState::new(plan, np)),
-            mailbox: match &spec.metrics {
-                Some(hub) => Mailbox::with_metrics(hub.clone(), me),
-                None => Mailbox::new(),
-            },
-            send_seq: AtomicU64::new(0),
-            finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            failed: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            peers: streams
+            writers: streams
                 .into_iter()
                 .enumerate()
                 .map(|(peer, s)| {
@@ -1178,70 +908,28 @@ impl TcpFabric {
                     })
                 })
                 .collect(),
-            recv_seq: (0..np).map(|_| AtomicU64::new(0)).collect(),
-            probed: (0..np).map(|_| AtomicBool::new(false)).collect(),
             pending: Mutex::new((0..np).map(|_| None).collect()),
             pending_cv: Condvar::new(),
-            last_heard: (0..np).map(|_| AtomicU64::new(0)).collect(),
-            pending_ping_ns: (0..np).map(|_| AtomicU64::new(0)).collect(),
-            start: Instant::now(),
-            agreements: Mutex::new(HashMap::new()),
-            agree_cv: Condvar::new(),
             clock_reply: Mutex::new(None),
             clock_cv: Condvar::new(),
-            closing: AtomicBool::new(false),
-        });
+        };
+        let mesh = PeerMesh::new(me, spec, link)?;
         for (peer, stream) in read_halves.into_iter().enumerate() {
             let Some(stream) = stream else { continue };
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("net-reader-{peer}"))
-                .spawn(move || inner.reader_cycle(peer, stream))
-                .map_err(sock_err("spawn reader"))?;
+            mesh.spawn(format!("net-reader-{peer}"), move |mesh| {
+                mesh.reader_cycle(peer, stream)
+            })?;
         }
-        {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("net-heartbeat".into())
-                .spawn(move || inner.heartbeat_loop())
-                .map_err(sock_err("spawn heartbeat"))?;
-        }
-        {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("net-accept".into())
-                .spawn(move || inner.accept_loop())
-                .map_err(sock_err("spawn acceptor"))?;
-        }
+        mesh.spawn("net-accept".into(), |mesh| mesh.accept_loop())?;
         // With tracing on, non-zero ranks estimate their wall-clock
         // offset to rank 0 over the fresh mesh (rank 0's reader answers
         // probes), so per-rank trace exports can carry an aligned
         // timebase anchor. Untraced worlds skip the probe round trips.
         if spec.tracer.is_some() && me != 0 && np > 1 {
-            crate::set_clock_offset_ns(inner.estimate_clock_offset());
+            crate::set_clock_offset_ns(mesh.inner.estimate_clock_offset());
         }
-        let fabric = TcpFabric { inner };
-        // Traced worlds also rendezvous on a start gate so every rank
-        // enters the program body together. Without it, launch-order
-        // stagger plus the serial clock-probe round put milliseconds of
-        // lane offset in the merged timeline — late arrival, not message
-        // latency, would gate the analyzer's critical path.
-        if spec.tracer.is_some() && np > 1 {
-            traced_start_gate(&fabric, me, np, spec.epoch);
-        }
-        Ok(fabric)
-    }
-
-    /// Abruptly close every peer connection without announcing Finish —
-    /// what a killed process looks like from the outside. Test/diagnostic
-    /// aid for exercising the failure-detection path in-process. Unlike
-    /// [`disrupt`](Self::disrupt), this also stops the reconnect
-    /// machinery, so peers exhaust their budgets and fail this rank.
-    pub fn sever(&self) {
-        self.inner.closing.store(true, Ordering::SeqCst);
-        for writer in self.inner.peers.iter().flatten() {
-            writer.terminal(true);
-        }
+        mesh.start_gate(spec);
+        Ok(mesh)
     }
 
     /// Cut the connection to one peer *without* giving up on it — a
@@ -1249,385 +937,22 @@ impl TcpFabric {
     /// and run the reconnect/resume protocol; queued sequenced frames
     /// are replayed. Test/diagnostic aid.
     pub fn disrupt(&self, peer: usize) {
-        if let Some(writer) = &self.inner.peers[peer] {
+        if let Some(writer) = &self.inner.link.writers[peer] {
             writer.disconnect();
         }
-    }
-}
-
-/// Line every rank up at a start gate before a traced world's body runs:
-/// one agreement round on a reserved key (no comm ever uses
-/// `comm_id == u64::MAX`), then a wait until a common wall-clock deadline.
-/// Each rank contributes its arrival time on rank 0's clock plus a margin
-/// and everyone waits out the max, so release skew is bounded by
-/// clock-offset error rather than frame-propagation and condvar-wakeup
-/// latency. The round is sequenced on the wire (chaos-safe) and a dead
-/// rank can't hang it; a rank arriving after the deadline simply doesn't
-/// wait.
-pub(crate) fn traced_start_gate(fabric: &dyn Fabric, me: usize, np: usize, epoch: u64) {
-    let wall = || {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as i128)
-            .unwrap_or(0)
-    };
-    // Covers the last arriver's Agree frame reaching every peer.
-    const GATE_MARGIN_NS: i128 = 2_000_000;
-    let offset = i128::from(crate::clock_offset_ns());
-    let group: Vec<usize> = (0..np).collect();
-    let value = (wall() + offset + GATE_MARGIN_NS).max(0) as u64;
-    let slot = fabric.agreement((u64::MAX, 0, epoch), me, value, &group);
-    let deadline = slot.values().copied().max().unwrap_or(0) as i128;
-    loop {
-        let left = deadline - (wall() + offset);
-        if left <= 0 {
-            break;
-        }
-        if left > 500_000 {
-            std::thread::sleep(std::time::Duration::from_nanos((left - 300_000) as u64));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-    if std::env::var("PMRUN_GATE_DEBUG").is_ok() {
-        eprintln!("[gate] rank {me} released at wall {}", wall());
-    }
-}
-
-impl Fabric for TcpFabric {
-    fn np(&self) -> usize {
-        self.inner.np
-    }
-
-    fn rank_name(&self, world_rank: usize) -> &str {
-        &self.inner.names[world_rank]
-    }
-
-    fn poll_interval(&self) -> Duration {
-        self.inner.poll_interval
-    }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        self.inner.tracer.as_ref()
-    }
-
-    fn metrics(&self) -> Option<&MetricsHub> {
-        self.inner.metrics.as_ref()
-    }
-
-    fn record_msg(&self, _event: MsgEvent) {
-        // The legacy message log backs `run_traced`, which is pinned to
-        // the thread backend; structured tracing covers the network path.
-    }
-
-    fn next_send_seq(&self, _me: usize) -> u64 {
-        self.inner.send_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn fault_op(&self, me: usize, op: &'static str) -> Result<()> {
-        if let Some(fault) = &self.inner.fault {
-            if let Err(e) = fault.record_op(me, op) {
-                self.mark_failed(me);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn chaos_decision(&self, me: usize) -> Option<ChaosDecision> {
-        self.inner.fault.as_ref().map(|fault| fault.decide(me))
-    }
-
-    fn shares_address_space(&self, me: usize, dest: usize) -> bool {
-        // Every peer is a separate process; only a rank's sends to itself
-        // stay in this address space (delivered into the local mailbox).
-        me == dest
-    }
-
-    fn inline_payloads(&self) -> bool {
-        // Payloads cross process boundaries as bytes anyway; small ones
-        // should skip the Arc round-trip and ride inline in the envelope.
-        true
-    }
-
-    fn rank_alive(&self, world_rank: usize) -> bool {
-        !self.inner.finished[world_rank].load(Ordering::SeqCst)
-            && !self.inner.failed[world_rank].load(Ordering::SeqCst)
-    }
-
-    fn rank_failed(&self, world_rank: usize) -> bool {
-        self.inner.failed[world_rank].load(Ordering::SeqCst)
-    }
-
-    fn mark_failed(&self, world_rank: usize) {
-        let first_verdict = !self.inner.failed[world_rank].swap(true, Ordering::SeqCst);
-        {
-            let _lock = self.inner.agreements.lock();
-            self.inner.agree_cv.notify_all();
-        }
-        // Own failures (fault-plan kill, panic) are announced so every
-        // peer converges without waiting for a timeout. Verdicts *about*
-        // peers stay local — each process discovers a dead peer through
-        // its own connection.
-        if world_rank == self.inner.me && first_verdict {
-            self.inner.broadcast(&Frame::Failed {
-                rank: world_rank as u64,
-            });
-        }
-    }
-
-    fn finish(&self, me: usize) {
-        self.inner.finished[me].store(true, Ordering::SeqCst);
-        {
-            let _lock = self.inner.agreements.lock();
-            self.inner.agree_cv.notify_all();
-        }
-        self.inner.broadcast(&Frame::Finish { rank: me as u64 });
-        // Bounded drain: give peers a chance to ack the frames still in
-        // flight (this Finish included) — their acks ride their
-        // heartbeats — and let a reconnect serve a chaos cut that ate
-        // the tail. Without this, a cut at the finish line would turn a
-        // clean exit into a spurious failure verdict on the peer.
-        let deadline = Instant::now() + FINISH_DRAIN;
-        while Instant::now() < deadline {
-            let drained = (0..self.inner.np).all(|p| {
-                p == me
-                    || self.inner.finished[p].load(Ordering::SeqCst)
-                    || self.inner.failed[p].load(Ordering::SeqCst)
-                    || self.inner.peers[p]
-                        .as_ref()
-                        .map(|w| w.retained() == 0)
-                        .unwrap_or(true)
-            });
-            if drained {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.inner.closing.store(true, Ordering::SeqCst);
-        // Half-close every connection: peers read our Finish, then a
-        // clean EOF, and their reader threads wind down; ours exit when
-        // the peers do the same. No sockets or threads outlive the world.
-        for writer in self.inner.peers.iter().flatten() {
-            writer.half_close();
-        }
-    }
-
-    fn deliver(
-        &self,
-        _me: usize,
-        dest: usize,
-        env: Envelope,
-        overtake: usize,
-        duplicate: bool,
-    ) -> bool {
-        if dest == self.inner.me {
-            let mailbox = &self.inner.mailbox;
-            if duplicate {
-                mailbox.deliver_displaced(env.clone(), overtake);
-                return !mailbox.deliver_displaced(env, 0);
-            }
-            mailbox.deliver_displaced(env, overtake);
-            return false;
-        }
-        let record = encode_frame(&Frame::Env {
-            comm_id: env.comm_id,
-            src: env.src as u64,
-            tag: env.tag,
-            type_name: env.type_name.to_string(),
-            count: env.count as u64,
-            seq: env.seq,
-            needs_ack: env.needs_ack,
-            overtake: overtake as u32,
-            payload: env.payload.to_wire().to_vec(),
-        });
-        let mut ok = self.inner.write_to(dest, &record, true);
-        if ok && duplicate {
-            // Transmit a second copy; the receiving mailbox dedups it, so
-            // the swallow isn't observable on this side.
-            ok = self.inner.write_to(dest, &record, true);
-        }
-        if !ok && !self.inner.finished[dest].load(Ordering::SeqCst) {
-            self.inner.note_failed(dest);
-        }
-        false
-    }
-
-    fn mailbox(&self, world_rank: usize) -> &Mailbox {
-        assert_eq!(
-            world_rank, self.inner.me,
-            "a TCP fabric only hosts its own rank's mailbox"
-        );
-        &self.inner.mailbox
-    }
-
-    fn publish_wait(&self, _me: usize, _record: WaitRecord) {
-        // No global view: wait records have no cross-process audience.
-    }
-
-    fn clear_wait(&self, _me: usize) {}
-
-    fn deadlocked(&self, _me: usize) -> Option<String> {
-        // A process can't prove a cross-process waits-for cycle; never
-        // report a false positive. Finished-sender deadlocks still
-        // resolve via `rank_alive` (Finish frames).
-        None
-    }
-
-    fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
-        {
-            let mut slots = self.inner.agreements.lock();
-            slots.entry(key).or_default().insert(me, value);
-        }
-        self.inner.broadcast(&Frame::Agree {
-            comm_id: key.0,
-            kind: key.1,
-            seq: key.2,
-            rank: me as u64,
-            value,
-        });
-        let mut slots = self.inner.agreements.lock();
-        loop {
-            let slot = slots.entry(key).or_default();
-            let done = group.iter().all(|&w| {
-                slot.contains_key(&w)
-                    || self.inner.failed[w].load(Ordering::SeqCst)
-                    || self.inner.finished[w].load(Ordering::SeqCst)
-            });
-            if done {
-                return slot.clone();
-            }
-            self.inner
-                .agree_cv
-                .wait_for(&mut slots, self.inner.poll_interval);
-        }
-    }
-
-    fn prune_comm(&self, _me: usize, comm_id: u64) {
-        self.inner.mailbox.prune_comm(comm_id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patternlets_mp::status::{SourceSel, TagSel};
-
-    fn spec(np: usize, epoch: u64) -> WorldSpec {
-        WorldSpec {
-            np,
-            ranks_per_node: 1,
-            fault: None,
-            poll_interval: Duration::from_millis(5),
-            tracer: None,
-            metrics: None,
-            epoch,
-        }
-    }
-
-    /// Establish a full mesh of `np` fabrics inside one test process —
-    /// each plays a different world rank, exactly as `np` processes would.
-    fn mesh(np: usize, epoch: u64) -> Vec<TcpFabric> {
-        mesh_with(np, epoch, None, false)
-    }
-
-    /// Like [`mesh`], but optionally armed with a chaos plan and a
-    /// per-rank metrics hub.
-    fn mesh_with(
-        np: usize,
-        epoch: u64,
-        chaos: Option<NetChaosPlan>,
-        metrics: bool,
-    ) -> Vec<TcpFabric> {
-        let server = rendezvous::serve().unwrap().to_string();
-        let handles: Vec<_> = (0..np)
-            .map(|me| {
-                let server = server.clone();
-                std::thread::spawn(move || {
-                    let mut spec = spec(np, epoch);
-                    if metrics {
-                        spec.metrics = Some(MetricsHub::with_lanes(np));
-                    }
-                    TcpFabric::establish_with_chaos(&server, me, &spec, chaos).unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
-
-    fn env(comm_id: u64, src: usize, tag: i32, seq: u64) -> Envelope {
-        Envelope {
-            comm_id,
-            src,
-            tag,
-            type_name: "i64",
-            count: 1,
-            payload: Payload::Bytes(bytes::Bytes::from(vec![7, 0, 0, 0, 0, 0, 0, 0])),
-            seq,
-            needs_ack: false,
-        }
-    }
-
-    fn recv_one(fabric: &TcpFabric, rank: usize, src: usize, tag: i32) -> Envelope {
-        fabric
-            .mailbox(rank)
-            .recv_match(
-                0,
-                SourceSel::Rank(src),
-                TagSel::Tag(tag),
-                Duration::from_millis(5),
-                || None,
-                || {},
-            )
-            .unwrap()
-    }
-
-    #[test]
-    fn envelope_crosses_the_socket_and_matches() {
-        let fabrics = mesh(2, 0);
-        fabrics[0].deliver(0, 1, env(0, 0, 5, 0), 0, false);
-        let got = recv_one(&fabrics[1], 1, 0, 5);
-        assert_eq!(got.tag, 5);
-        assert_eq!(got.type_name, "i64");
-        assert_eq!(got.payload.len(), 8);
-        for f in &fabrics {
-            f.finish(f.inner.me);
-        }
-    }
-
-    #[test]
-    fn duplicate_transmissions_dedup_on_the_receiver() {
-        let fabrics = mesh(2, 1);
-        fabrics[0].deliver(0, 1, env(0, 0, 9, 0), 0, true);
-        fabrics[0].deliver(0, 1, env(0, 0, 9, 1), 0, false);
-        // Both messages arrive exactly once, in order.
-        for want_seq in [0, 1] {
-            let got = recv_one(&fabrics[1], 1, 0, 9);
-            assert_eq!(got.seq, want_seq);
-        }
-        assert!(fabrics[1].mailbox(1).is_empty(), "duplicate was swallowed");
-        for f in &fabrics {
-            f.finish(f.inner.me);
-        }
-    }
-
-    #[test]
-    fn finish_reads_as_clean_exit_not_failure() {
-        let fabrics = mesh(2, 2);
-        fabrics[0].finish(0);
-        // Rank 1 sees rank 0 finished (not failed) within a poll or two.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fabrics[1].rank_alive(0) {
-            assert!(Instant::now() < deadline, "Finish frame never arrived");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(!fabrics[1].rank_failed(0), "clean exit must not be failure");
-        fabrics[1].finish(1);
-    }
+    use crate::mesh::tests::{env, recv_one, tcp_mesh_with};
+    use patternlets_mp::Fabric;
+    use std::sync::Arc;
 
     #[test]
     fn abrupt_disconnect_marks_the_peer_failed() {
-        let fabrics = mesh(3, 3);
+        let fabrics = tcp_mesh_with(3, None, false);
         fabrics[0].sever();
         // Reconnect attempts run their budget out first, then the
         // verdict lands; the deadline leaves room for both.
@@ -1639,54 +964,9 @@ mod tests {
             }
         }
         assert!(!fabrics[1].rank_failed(2), "survivors stay unfailed");
-        for f in &fabrics[1..] {
-            f.finish(f.inner.me);
+        for me in [1, 2] {
+            fabrics[me].finish(me);
         }
-    }
-
-    #[test]
-    fn agreement_completes_across_the_mesh() {
-        let fabrics = mesh(3, 4);
-        let group = [0, 1, 2];
-        let handles: Vec<_> = fabrics
-            .iter()
-            .enumerate()
-            .map(|(me, f)| {
-                std::thread::spawn({
-                    let inner = Arc::clone(&f.inner);
-                    move || {
-                        let f = TcpFabric { inner };
-                        f.agreement((0, 0, 0), me, me as u64 + 10, &group)
-                    }
-                })
-            })
-            .collect();
-        for (me, h) in handles.into_iter().enumerate() {
-            let slot = h.join().unwrap();
-            assert_eq!(slot.len(), 3, "rank {me} saw all contributions");
-            assert_eq!(slot[&2], 12);
-        }
-        for f in &fabrics {
-            f.finish(f.inner.me);
-        }
-    }
-
-    #[test]
-    fn agreement_excludes_a_dead_member() {
-        let fabrics = mesh(2, 5);
-        fabrics[1].sever(); // rank 1 "dies" without contributing
-        let slot = fabrics[0].agreement((0, 1, 0), 0, 42, &[0, 1]);
-        assert_eq!(slot.len(), 1, "only the survivor contributed");
-        assert_eq!(slot[&0], 42);
-        fabrics[0].finish(0);
-    }
-
-    #[test]
-    fn type_name_interning_reuses_known_statics() {
-        assert_eq!(intern_type_name("i64"), "i64");
-        let a = intern_type_name("custom::Type");
-        let b = intern_type_name("custom::Type");
-        assert!(std::ptr::eq(a, b), "unknown names leak exactly once");
     }
 
     /// A transient connection cut is invisible to the application: the
@@ -1694,7 +974,7 @@ mod tests {
     /// exactly once, and the reconnect shows up in the metrics.
     #[test]
     fn connection_cut_resumes_without_loss_or_duplication() {
-        let fabrics = mesh_with(2, 6, None, true);
+        let fabrics = tcp_mesh_with(2, None, true);
         for seq in 0..5u64 {
             fabrics[0].deliver(0, 1, env(0, 0, 7, seq), 0, false);
         }
@@ -1705,7 +985,7 @@ mod tests {
         }
         // Every message arrives, in order, exactly once.
         for want_seq in 0..10u64 {
-            let got = recv_one(&fabrics[1], 1, 0, 7);
+            let got = recv_one(&*fabrics[1], 1, 0, 7);
             assert_eq!(got.seq, want_seq, "sequence intact across the cut");
         }
         assert!(fabrics[1].mailbox(1).is_empty(), "no duplicates surfaced");
@@ -1724,9 +1004,56 @@ mod tests {
         assert!(reconnects >= 1, "the cut produced a metered reconnect");
         assert!(!fabrics[0].rank_failed(1), "a resumed cut is not a failure");
         assert!(!fabrics[1].rank_failed(0), "a resumed cut is not a failure");
-        for f in &fabrics {
-            f.finish(f.inner.me);
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
         }
+    }
+
+    /// Regression: a batch the flusher took for one connection must never
+    /// go out on the next. A resume landing while the flusher slept in a
+    /// chaos delay let the stale batch reach the fresh socket ahead of the
+    /// replay; the peer counted it as the frames it was owed, its resume
+    /// counts drifted, and the wire chaos soak lost a message for good.
+    #[test]
+    fn a_batch_taken_before_a_resume_never_reaches_the_new_socket() {
+        let pair = || {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            (near, listener.accept().unwrap().0)
+        };
+        // Delays only, the first one long enough to resume inside it.
+        let plan = (0..)
+            .map(|seed| NetChaosPlan {
+                cut_after: u64::MAX,
+                delay_up_to_ms: 200,
+                ..NetChaosPlan::seeded(seed)
+            })
+            .find(|plan| plan.connection(0, 1).decide(0, 1).delay_ms >= 100)
+            .unwrap();
+        let (old_near, _old_far) = pair();
+        let (new_near, mut new_far) = pair();
+        let writer = Arc::new(PeerWriter::new(old_near, None, Some(plan.connection(0, 1))));
+        let flusher = {
+            let writer = Arc::clone(&writer);
+            std::thread::spawn(move || writer.send(&encode_frame(&Frame::Finish { rank: 7 }), true))
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        // The peer redials having delivered nothing: frame 0 is owed once.
+        writer.disconnect();
+        writer.resume(new_near, 0).unwrap();
+        assert!(flusher.join().unwrap());
+        writer.send(&encode_frame(&Frame::Finish { rank: 8 }), true);
+        new_far
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut ranks = Vec::new();
+        while ranks.last() != Some(&8) {
+            match read_frame(&mut new_far).unwrap() {
+                Some(Frame::Finish { rank }) => ranks.push(rank),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(ranks, [7, 8], "replayed once, in order");
     }
 
     /// Regression: a peer that stalls *mid-frame* (header written, body
@@ -1774,12 +1101,11 @@ mod tests {
         plan.truncate_prob = 0.1;
         plan.corrupt_prob = 0.1;
         plan.delay_up_to_ms = 1;
-        let fabrics = mesh_with(2, 7, Some(plan), true);
+        let fabrics = tcp_mesh_with(2, Some(plan), true);
         const N: u64 = 60;
         let sender = {
-            let inner = Arc::clone(&fabrics[0].inner);
+            let f = Arc::clone(&fabrics[0]);
             std::thread::spawn(move || {
-                let f = TcpFabric { inner };
                 for seq in 0..N {
                     f.deliver(0, 1, env(0, 0, 11, seq), 0, false);
                     std::thread::sleep(Duration::from_millis(2));
@@ -1787,7 +1113,7 @@ mod tests {
             })
         };
         for want_seq in 0..N {
-            let got = recv_one(&fabrics[1], 1, 0, 11);
+            let got = recv_one(&*fabrics[1], 1, 0, 11);
             assert_eq!(got.seq, want_seq, "chaos must not reorder or drop");
         }
         sender.join().unwrap();
@@ -1809,8 +1135,8 @@ mod tests {
             !fabrics[1].rank_failed(0),
             "chaos never escalated to failure"
         );
-        for f in &fabrics {
-            f.finish(f.inner.me);
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
         }
     }
 }

@@ -1,30 +1,34 @@
-//! patternlets-net: the wire transport that turns the in-process `mp`
+//! patternlets-net: the process fabrics that turn the in-process `mp`
 //! runtime into a real multi-process one.
 //!
 //! The `mp` crate's [`Fabric`](patternlets_mp::Fabric) trait is the seam:
-//! everything a communicator needs from its transport — envelope
-//! delivery, liveness, failure marking, agreement. This crate provides
-//! the TCP implementation ([`fabric::TcpFabric`]): each rank is a
-//! separate OS process, peers form a full loopback socket mesh found
-//! through a tiny [`rendezvous`] server, and envelopes travel as
-//! length-prefixed [`frame::Frame`]s.
+//! what a communicator needs from its transport — envelope delivery,
+//! liveness, failure marking, finish, agreement. This crate implements it
+//! once, as the [`PeerMesh`]: each rank is a separate OS process, peers
+//! find each other through a tiny [`rendezvous`] server, and the mesh
+//! runs one frame protocol ([`frame::Frame`]) over a pluggable
+//! [`mesh::Link`] — a TCP socket per peer pair ([`fabric::TcpLink`]), or,
+//! when every rank shares a host, a pair of mmap'd rings
+//! ([`shm::ShmLink`]).
 //!
 //! Nothing in a patternlet changes. The `pmrun` launcher spawns N
 //! worker processes with `PMRUN_RANK`/`PMRUN_NP`/`PMRUN_RENDEZVOUS` set;
 //! each worker calls [`install_from_env`] once at startup, and every
-//! world the program builds after that runs over TCP instead of threads.
+//! world the program builds after that runs over the mesh instead of
+//! threads.
 //!
 //! ```text
 //! pmrun -np 4 patternlets mpi/broadcast
 //!   ├── worker rank 0 ── PMRUN_RANK=0 ─┐
 //!   ├── worker rank 1 ── PMRUN_RANK=1 ─┤   rendezvous per world epoch,
-//!   ├── worker rank 2 ── PMRUN_RANK=2 ─┤── then a full TCP mesh; each
+//!   ├── worker rank 2 ── PMRUN_RANK=2 ─┤── then a full peer mesh; each
 //!   └── worker rank 3 ── PMRUN_RANK=3 ─┘   process runs one rank's body
 //! ```
 
 pub mod chaos;
 pub mod fabric;
 pub mod frame;
+pub mod mesh;
 pub mod rendezvous;
 pub mod ring;
 pub mod shm;
@@ -35,6 +39,7 @@ use patternlets_core::{Error, Result};
 use patternlets_mp::{ProvidedWorld, WorldSpec};
 
 pub use fabric::TcpFabric;
+pub use mesh::PeerMesh;
 
 /// Environment variable carrying this worker's world rank.
 pub const ENV_RANK: &str = "PMRUN_RANK";
@@ -195,13 +200,13 @@ pub fn net_env() -> Result<Option<NetEnv>> {
     }
 }
 
-/// Install the TCP fabric provider from the `pmrun` environment, if
+/// Install the peer-mesh provider from the `pmrun` environment, if
 /// present. Call once at process start (the `patternlets` binary does);
-/// every world built afterwards runs over TCP. Returns the environment
-/// when installed, `None` when this isn't a `pmrun` worker.
+/// every world built afterwards runs over the mesh. Returns the
+/// environment when installed, `None` when this isn't a `pmrun` worker.
 ///
 /// Per world, the provider decides by world size:
-/// - `world np == job np`: this process plays its rank over TCP;
+/// - `world np == job np`: this process plays its rank over the mesh;
 /// - `world np < job np`: ranks inside the world play it, the rest
 ///   [skip](ProvidedWorld::Skip) it (empty result, no rendezvous wait
 ///   beyond registration — skippers don't register at all);

@@ -1,0 +1,789 @@
+//! The peer mesh: one process's rank of a world, over any [`Link`].
+//!
+//! Both process fabrics run the same protocol above their bytes.
+//! [`PeerMesh`] implements it once, for the rank this process hosts:
+//! frame dispatch (`Env` into the mailbox; `Finish`, `Failed`, `Agree`
+//! into the membership state; `Hello`, `Ping` and clock probes on to the
+//! link), the finished/failed verdicts and the wake-ups they owe blocked
+//! agreements, the announcement of this rank's own failure, `finish`,
+//! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
+//! frames to peers and brings its own reader threads: the TCP link
+//! ([`crate::fabric`]) with its reconnect machinery, the shared-memory
+//! link ([`crate::shm`]) with its mmap'd rings.
+//!
+//! ## Failure detection
+//!
+//! Ranks announce a normal exit with a `Finish` frame before closing
+//! their side of every link, so end-of-stream after `Finish` reads as a
+//! clean exit. A link that dies without one is the link's to judge: TCP
+//! tries to reconnect first, a ring has nothing to reconnect. Either way
+//! the verdict surfaces as the same `RankFailed` the fault-injection
+//! layer produces, so the ULFM-style `agree`/`shrink` recovery path works
+//! unchanged across processes. Own failures (fault-plan kill, panic) are
+//! broadcast as `Failed` so peers converge without waiting; verdicts
+//! *about* peers stay local — each process judges each peer through its
+//! own link.
+//!
+//! The heartbeat pings every live peer each [`HEARTBEAT_EVERY`],
+//! carrying this side's count of sequenced frames delivered as the ack.
+//! The link kind picks the liveness rule: a peer silent past
+//! [`Link::PEER_TIMEOUT`] — or, before its first frame, past
+//! [`Link::ESTABLISH_GRACE`] from this rank's establish — gets one
+//! [`probe`](Link::probe) if the link can reconnect, and is declared
+//! failed if it cannot or stays silent.
+//!
+//! ## What the thread backend has that this one doesn't
+//!
+//! The waits-for deadlock *detector* needs a global view of every rank's
+//! blocked receive; a process only sees its own, so the mesh keeps the
+//! [`Fabric`] defaults that never report a deadlock — a genuinely cyclic
+//! deadlock hangs under `pmrun` just as it would under real MPI, while
+//! the common classroom case (receiving from a rank that exited) still
+//! resolves, because `Finish` frames feed the same every-sender-finished
+//! check the thread backend uses.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
+use patternlets_core::{Error, Result};
+use patternlets_metrics::{CounterId, HistId, MetricsHub};
+use patternlets_mp::envelope::{Envelope, Payload};
+use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
+use patternlets_mp::mailbox::Mailbox;
+use patternlets_trace::Tracer;
+
+use crate::frame::{encode_frame, Frame};
+
+/// How often the heartbeat thread pings every live peer.
+pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
+
+/// On `finish`, how long to wait for peers to acknowledge the frames
+/// still in flight (the Finish itself included) before closing. Acks ride
+/// the peers' heartbeats, so the common case drains in one or two
+/// heartbeat intervals; a link that never loses a written frame has
+/// nothing to wait for.
+const FINISH_DRAIN: Duration = Duration::from_secs(1);
+
+/// `last_heard` sentinel: no frame from this peer yet.
+const NEVER_HEARD: u64 = u64::MAX;
+
+/// `TYPE_NAME`s of the built-in [`patternlets_mp::Datatype`] impls, used
+/// to intern wire type names back into `&'static str` without leaking.
+const KNOWN_TYPE_NAMES: &[&str] = &[
+    "i32",
+    "i64",
+    "u32",
+    "u64",
+    "f32",
+    "f64",
+    "u8",
+    "bool",
+    "usize",
+    "String",
+    "(T, usize)",
+];
+
+/// Intern a wire type name. Built-in names map to their static constants;
+/// unknown (user-defined `Datatype`) names are leaked once and cached, so
+/// repeated traffic of the same type allocates nothing.
+pub(crate) fn intern_type_name(name: &str) -> &'static str {
+    if let Some(known) = KNOWN_TYPE_NAMES.iter().find(|&&k| k == name) {
+        return known;
+    }
+    static EXTRA: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut extra = EXTRA.lock();
+    if let Some(cached) = extra.iter().find(|&&k| k == name) {
+        return cached;
+    }
+    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+    extra.push(leaked);
+    leaked
+}
+
+/// The byte transport under a [`PeerMesh`]: how encoded frames reach each
+/// peer, and how silence from one is judged. Implementations also start
+/// their own reader threads, which hand every decoded frame to the mesh's
+/// dispatch and report dead links as failure verdicts.
+pub trait Link: Sized + Send + Sync + 'static {
+    /// Silence after which a peer that has spoken is probed or failed.
+    const PEER_TIMEOUT: Duration;
+
+    /// Silence, counted from this rank's establish, allowed before a
+    /// peer's first frame.
+    const ESTABLISH_GRACE: Duration;
+
+    /// Write one encoded record to `peer`. A sequenced record must reach
+    /// the peer exactly once even across a reconnect; an unsequenced one
+    /// may be dropped. `false` once the link to `peer` is terminal.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], sequenced: bool) -> bool;
+
+    /// Sequenced records written to `peer` and not yet acknowledged.
+    fn unacked(&self, peer: usize) -> usize;
+
+    /// Tear the link down after this rank's `Finish` went out.
+    fn close(&self, mesh: &Mesh<Self>);
+
+    /// Stop writing to `peer` for good: a failure verdict, or `sever`.
+    fn cut(&self, peer: usize);
+
+    /// Push a silent `peer`'s link through a reconnect round-trip before
+    /// the verdict; `false` when the link has no reconnect.
+    fn probe(&self, peer: usize) -> bool;
+
+    /// A frame the mesh does not interpret (`Hello`, `Ping`, clock
+    /// probes, strays).
+    fn control(&self, mesh: &Mesh<Self>, peer: usize, frame: Frame);
+}
+
+/// The protocol state of one process's rank, shared by the application
+/// thread, the heartbeat, and the link's background threads.
+pub struct Mesh<L> {
+    pub(crate) me: usize,
+    pub(crate) np: usize,
+    pub(crate) epoch: u64,
+    /// Backstop for missed agreement wake-ups.
+    poll_interval: Duration,
+    pub(crate) metrics: Option<MetricsHub>,
+    pub(crate) tracer: Option<Tracer>,
+    /// This process's rank's mailbox — the only one a `Comm` here reads.
+    mailbox: Mailbox,
+    send_seq: AtomicU64,
+    pub(crate) finished: Vec<AtomicBool>,
+    pub(crate) failed: Vec<AtomicBool>,
+    /// Count of *sequenced* frames delivered from each peer — the number
+    /// this side reports in `Ping { seen }` acks (and TCP's `Resume`).
+    pub(crate) recv_seq: Vec<AtomicU64>,
+    /// Per-peer: a probe is outstanding (set on the first silence
+    /// timeout, cleared on any frame heard).
+    pub(crate) probed: Vec<AtomicBool>,
+    /// Milliseconds (since `start`) each peer was last heard from, or
+    /// [`NEVER_HEARD`].
+    pub(crate) last_heard: Vec<AtomicU64>,
+    /// Nanoseconds (since `start`, 0 = none pending) of the oldest
+    /// unanswered heartbeat ping per peer; the next frame heard from the
+    /// peer closes it into the RTT histogram. There is no dedicated pong
+    /// frame — peers talk at least every heartbeat interval, so this
+    /// measures ping-to-next-frame time.
+    pending_ping_ns: Vec<AtomicU64>,
+    start: Instant,
+    agreements: Mutex<HashMap<AgreeKey, AgreeSlot>>,
+    agree_cv: Condvar,
+    /// Raised by `finish`/`sever`: background threads wind down, no
+    /// reconnect is attempted or served, and ring readers stop.
+    pub(crate) closing: Arc<AtomicBool>,
+    pub(crate) link: L,
+}
+
+impl<L: Link> Mesh<L> {
+    pub(crate) fn elapsed_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
+
+    /// Has `peer` finished or failed?
+    pub(crate) fn gone(&self, peer: usize) -> bool {
+        self.finished[peer].load(Ordering::SeqCst) || self.failed[peer].load(Ordering::SeqCst)
+    }
+
+    /// Wake agreement waiters: membership changed.
+    fn wake(&self) {
+        let _lock = self.agreements.lock();
+        self.agree_cv.notify_all();
+    }
+
+    /// Send `frame` to every peer; peers whose link is terminal and who
+    /// never announced Finish are marked failed.
+    pub(crate) fn broadcast(&self, frame: &Frame) {
+        let record = encode_frame(frame);
+        let sequenced = frame.is_sequenced();
+        for peer in (0..self.np).filter(|&p| p != self.me) {
+            if !self.link.write(self, peer, &record, sequenced)
+                && !self.finished[peer].load(Ordering::SeqCst)
+            {
+                self.note_failed(peer);
+            }
+        }
+    }
+
+    /// Record a failure verdict about `rank` locally, cut its link, and
+    /// wake everything that must re-examine membership. Does not gossip.
+    pub(crate) fn note_failed(&self, rank: usize) {
+        if self.failed[rank].swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.link.cut(rank);
+        if let Some(hub) = &self.metrics {
+            hub.incr(rank, CounterId::NetRankFailures);
+        }
+        self.wake();
+    }
+
+    /// Dispatch one frame read from `peer`'s link.
+    pub(crate) fn handle_frame(&self, peer: usize, frame: Frame) {
+        self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
+        self.probed[peer].store(false, Ordering::Relaxed);
+        if let Some(hub) = &self.metrics {
+            // Any frame from a peer with a ping outstanding closes the
+            // RTT sample (ping-to-next-frame; see `pending_ping_ns`).
+            let sent = self.pending_ping_ns[peer].swap(0, Ordering::Relaxed);
+            if sent != 0 {
+                let now = self.start.elapsed().as_nanos() as u64;
+                hub.observe(self.me, HistId::HEARTBEAT_RTT_NS, now.saturating_sub(sent));
+            }
+        }
+        if frame.is_sequenced() {
+            self.recv_seq[peer].fetch_add(1, Ordering::SeqCst);
+        }
+        match frame {
+            Frame::Env {
+                comm_id,
+                src,
+                tag,
+                type_name,
+                count,
+                seq,
+                needs_ack,
+                overtake,
+                payload,
+            } => {
+                let env = Envelope {
+                    comm_id,
+                    src: src as usize,
+                    tag,
+                    type_name: intern_type_name(&type_name),
+                    count: count as usize,
+                    payload: Payload::Bytes(bytes::Bytes::from(payload)),
+                    seq,
+                    needs_ack,
+                };
+                self.mailbox.deliver_displaced(env, overtake as usize);
+            }
+            Frame::Finish { rank } if (rank as usize) < self.np => {
+                // The link is deliberately NOT cut here: our own Finish
+                // may not have gone out yet (both sides announce
+                // concurrently), and muting the writer would leave the
+                // peer draining against its full FINISH_DRAIN budget
+                // waiting for it. The `finished` flag alone keeps the
+                // heartbeat and reconnects away from this peer; `close`
+                // ends the link at teardown.
+                self.finished[rank as usize].store(true, Ordering::SeqCst);
+                self.wake();
+            }
+            Frame::Failed { rank } if (rank as usize) < self.np => self.note_failed(rank as usize),
+            Frame::Agree {
+                comm_id,
+                kind,
+                seq,
+                rank,
+                value,
+            } => {
+                let mut slots = self.agreements.lock();
+                slots
+                    .entry((comm_id, kind, seq))
+                    .or_default()
+                    .insert(rank as usize, value);
+                self.agree_cv.notify_all();
+            }
+            other => self.link.control(self, peer, other),
+        }
+    }
+
+    /// Ping every live peer on a cadence and apply the link's liveness
+    /// rule to the silent ones (see the module docs).
+    fn heartbeat_loop(&self) {
+        loop {
+            std::thread::sleep(HEARTBEAT_EVERY);
+            if self.closing.load(Ordering::SeqCst) {
+                return;
+            }
+            let now = self.elapsed_ms();
+            let mut dead = Vec::new();
+            for peer in (0..self.np).filter(|&p| p != self.me && !self.gone(p)) {
+                let ping = encode_frame(&Frame::Ping {
+                    seen: self.recv_seq[peer].load(Ordering::SeqCst),
+                });
+                if self.link.write(self, peer, &ping, false) {
+                    if let Some(hub) = &self.metrics {
+                        hub.incr(self.me, CounterId::NetHeartbeats);
+                        let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
+                        // Only arm a new RTT sample if none is outstanding,
+                        // so a slow round isn't shortened by a later ping.
+                        let _ = self.pending_ping_ns[peer].compare_exchange(
+                            0,
+                            now_ns,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        );
+                    }
+                }
+                let heard = self.last_heard[peer].load(Ordering::Relaxed);
+                let (since, limit) = match heard {
+                    NEVER_HEARD => (0, L::ESTABLISH_GRACE),
+                    heard => (heard, L::PEER_TIMEOUT),
+                };
+                if now.saturating_sub(since) > limit.as_millis() as u64 {
+                    if !self.probed[peer].swap(true, Ordering::Relaxed) && self.link.probe(peer) {
+                        // Restart the silence clock for the probe's verdict.
+                        self.last_heard[peer].store(now, Ordering::Relaxed);
+                    } else {
+                        dead.push(peer);
+                    }
+                }
+            }
+            for peer in dead {
+                if !self.closing.load(Ordering::SeqCst) {
+                    self.note_failed(peer);
+                }
+            }
+        }
+    }
+}
+
+/// One process's handle on a multi-process world: implements [`Fabric`]
+/// for the single rank this process hosts, over links of kind `L`.
+pub struct PeerMesh<L: Link> {
+    pub(crate) inner: Arc<Mesh<L>>,
+}
+
+impl<L: Link> PeerMesh<L> {
+    /// The mesh for rank `me` of `spec` over `link`, with its heartbeat
+    /// running. The caller starts the link's reader threads.
+    pub(crate) fn new(me: usize, spec: &WorldSpec, link: L) -> Result<Self> {
+        let np = spec.np;
+        let mesh = PeerMesh {
+            inner: Arc::new(Mesh {
+                me,
+                np,
+                epoch: spec.epoch,
+                poll_interval: spec.poll_interval,
+                metrics: spec.metrics.clone(),
+                tracer: spec.tracer.clone(),
+                mailbox: match &spec.metrics {
+                    Some(hub) => Mailbox::with_metrics(hub.clone(), me),
+                    None => Mailbox::new(),
+                },
+                send_seq: AtomicU64::new(0),
+                finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
+                failed: (0..np).map(|_| AtomicBool::new(false)).collect(),
+                recv_seq: (0..np).map(|_| AtomicU64::new(0)).collect(),
+                probed: (0..np).map(|_| AtomicBool::new(false)).collect(),
+                last_heard: (0..np).map(|_| AtomicU64::new(NEVER_HEARD)).collect(),
+                pending_ping_ns: (0..np).map(|_| AtomicU64::new(0)).collect(),
+                start: Instant::now(),
+                agreements: Mutex::new(HashMap::new()),
+                agree_cv: Condvar::new(),
+                closing: Arc::new(AtomicBool::new(false)),
+                link,
+            }),
+        };
+        mesh.spawn("mesh-heartbeat".into(), |mesh| mesh.heartbeat_loop())?;
+        Ok(mesh)
+    }
+
+    /// Run `body` on a named background thread over the mesh state.
+    pub(crate) fn spawn(
+        &self,
+        name: String,
+        body: impl FnOnce(&Mesh<L>) + Send + 'static,
+    ) -> Result<()> {
+        let inner = Arc::clone(&self.inner);
+        std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(move || body(&inner))
+            .map(drop)
+            .map_err(|e| Error::Codec(format!("spawn {name}: {e}")))
+    }
+
+    /// Line every rank up at a start gate before a traced world's body
+    /// runs: one agreement round on a reserved key (no comm ever uses
+    /// `comm_id == u64::MAX`), then a wait until a common wall-clock
+    /// deadline. Each rank contributes its arrival time on rank 0's clock
+    /// plus a margin and everyone waits out the max, so release skew is
+    /// bounded by clock-offset error rather than frame-propagation and
+    /// condvar-wakeup latency. Without it, launch-order stagger would put
+    /// milliseconds of lane offset in the merged timeline — late arrival,
+    /// not message latency, would gate the analyzer's critical path. The
+    /// round is sequenced on the wire (chaos-safe) and a dead rank can't
+    /// hang it; a rank arriving after the deadline simply doesn't wait.
+    pub(crate) fn start_gate(&self, spec: &WorldSpec) {
+        if spec.tracer.is_none() || spec.np < 2 {
+            return;
+        }
+        let wall = || {
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_nanos() as i128)
+                .unwrap_or(0)
+        };
+        // Covers the last arriver's Agree frame reaching every peer.
+        const GATE_MARGIN_NS: i128 = 2_000_000;
+        let offset = i128::from(crate::clock_offset_ns());
+        let group: Vec<usize> = (0..spec.np).collect();
+        let value = (wall() + offset + GATE_MARGIN_NS).max(0) as u64;
+        let slot = self.agreement((u64::MAX, 0, spec.epoch), self.inner.me, value, &group);
+        let deadline = slot.values().copied().max().unwrap_or(0) as i128;
+        loop {
+            let left = deadline - (wall() + offset);
+            if left <= 0 {
+                break;
+            }
+            if left > 500_000 {
+                std::thread::sleep(Duration::from_nanos((left - 300_000) as u64));
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// Abruptly stop talking without announcing Finish — what a killed
+    /// process looks like from the outside: peers must reach their own
+    /// failure verdict about this rank. Test/diagnostic aid.
+    pub fn sever(&self) {
+        self.inner.closing.store(true, Ordering::SeqCst);
+        for peer in (0..self.inner.np).filter(|&p| p != self.inner.me) {
+            self.inner.link.cut(peer);
+        }
+    }
+}
+
+impl<L: Link> Fabric for PeerMesh<L> {
+    fn np(&self) -> usize {
+        self.inner.np
+    }
+
+    fn next_send_seq(&self, _me: usize) -> u64 {
+        self.inner.send_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn deliver(
+        &self,
+        _me: usize,
+        dest: usize,
+        env: Envelope,
+        overtake: usize,
+        duplicate: bool,
+    ) -> bool {
+        let mesh = &*self.inner;
+        let record = encode_frame(&Frame::Env {
+            comm_id: env.comm_id,
+            src: env.src as u64,
+            tag: env.tag,
+            type_name: env.type_name.to_string(),
+            count: env.count as u64,
+            seq: env.seq,
+            needs_ack: env.needs_ack,
+            overtake: overtake as u32,
+            payload: env.payload.to_wire().to_vec(),
+        });
+        let mut ok = mesh.link.write(mesh, dest, &record, true);
+        if ok && duplicate {
+            // Transmit a second copy; the receiving mailbox dedups it, so
+            // the swallow isn't observable on this side.
+            ok = mesh.link.write(mesh, dest, &record, true);
+        }
+        if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
+            mesh.note_failed(dest);
+        }
+        false
+    }
+
+    fn mailbox(&self, world_rank: usize) -> &Mailbox {
+        assert_eq!(
+            world_rank, self.inner.me,
+            "a peer mesh only hosts its own rank's mailbox"
+        );
+        &self.inner.mailbox
+    }
+
+    fn rank_alive(&self, world_rank: usize) -> bool {
+        !self.inner.gone(world_rank)
+    }
+
+    fn rank_failed(&self, world_rank: usize) -> bool {
+        self.inner.failed[world_rank].load(Ordering::SeqCst)
+    }
+
+    fn mark_failed(&self, world_rank: usize) {
+        let first_verdict = !self.inner.failed[world_rank].swap(true, Ordering::SeqCst);
+        self.inner.wake();
+        // Own failures (fault-plan kill, panic) are announced so every
+        // peer converges without waiting for a timeout.
+        if world_rank == self.inner.me && first_verdict {
+            self.inner.broadcast(&Frame::Failed {
+                rank: world_rank as u64,
+            });
+        }
+    }
+
+    fn finish(&self, me: usize) {
+        let mesh = &*self.inner;
+        mesh.finished[me].store(true, Ordering::SeqCst);
+        mesh.wake();
+        mesh.broadcast(&Frame::Finish { rank: me as u64 });
+        // Bounded drain: give peers a chance to acknowledge the frames
+        // still in flight (this Finish included) and let a reconnect
+        // serve a cut that ate the tail. Without this, a cut at the finish
+        // line would turn a clean exit into a spurious failure verdict.
+        let deadline = Instant::now() + FINISH_DRAIN;
+        while Instant::now() < deadline
+            && (0..mesh.np).any(|p| !mesh.gone(p) && mesh.link.unacked(p) > 0)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        mesh.closing.store(true, Ordering::SeqCst);
+        mesh.link.close(mesh);
+    }
+
+    fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
+        let mesh = &*self.inner;
+        mesh.agreements
+            .lock()
+            .entry(key)
+            .or_default()
+            .insert(me, value);
+        mesh.broadcast(&Frame::Agree {
+            comm_id: key.0,
+            kind: key.1,
+            seq: key.2,
+            rank: me as u64,
+            value,
+        });
+        let mut slots = mesh.agreements.lock();
+        loop {
+            let slot = slots.entry(key).or_default();
+            if group.iter().all(|&w| slot.contains_key(&w) || mesh.gone(w)) {
+                return slot.clone();
+            }
+            mesh.agree_cv.wait_for(&mut slots, mesh.poll_interval);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::chaos::NetChaosPlan;
+    use crate::fabric::TcpFabric;
+    use crate::rendezvous;
+    use crate::shm::{try_establish_shm, ShmAttempt, ShmFabric};
+    use patternlets_mp::status::{SourceSel, TagSel};
+    use std::path::{Path, PathBuf};
+
+    pub(crate) fn spec(np: usize, epoch: u64) -> WorldSpec {
+        WorldSpec {
+            np,
+            ranks_per_node: 1,
+            fault: None,
+            poll_interval: Duration::from_millis(5),
+            tracer: None,
+            metrics: None,
+            epoch,
+        }
+    }
+
+    pub(crate) fn env(comm_id: u64, src: usize, tag: i32, seq: u64) -> Envelope {
+        Envelope {
+            comm_id,
+            src,
+            tag,
+            type_name: "i64",
+            count: 1,
+            payload: Payload::Bytes(bytes::Bytes::from(vec![7, 0, 0, 0, 0, 0, 0, 0])),
+            seq,
+            needs_ack: false,
+        }
+    }
+
+    pub(crate) fn recv_one(fabric: &dyn Fabric, rank: usize, src: usize, tag: i32) -> Envelope {
+        fabric
+            .mailbox(rank)
+            .recv_match(
+                0,
+                SourceSel::Rank(src),
+                TagSel::Tag(tag),
+                Duration::from_millis(5),
+                || None,
+                || {},
+            )
+            .unwrap()
+    }
+
+    /// A fresh directory for one test's ring segments.
+    pub(crate) fn scratch_dir() -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("shm-mesh-test-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Establish all `np` ranks of a world inside this test process, each
+    /// on its own thread, exactly as `np` processes would.
+    fn each_rank<T: Send>(np: usize, rank: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..np)
+                .map(|me| {
+                    let rank = &rank;
+                    scope.spawn(move || rank(me))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A TCP mesh, optionally armed with a chaos plan and a per-rank
+    /// metrics hub.
+    pub(crate) fn tcp_mesh_with(
+        np: usize,
+        chaos: Option<NetChaosPlan>,
+        metrics: bool,
+    ) -> Vec<Arc<TcpFabric>> {
+        let server = rendezvous::serve().unwrap().to_string();
+        each_rank(np, |me| {
+            let mut spec = spec(np, 0);
+            if metrics {
+                spec.metrics = Some(MetricsHub::with_lanes(np));
+            }
+            Arc::new(TcpFabric::establish_with_chaos(&server, me, &spec, chaos).unwrap())
+        })
+    }
+
+    /// A shm mesh whose segments live in `dir` (file-backed, so the
+    /// mappings are genuinely shared, not just shared Arcs).
+    pub(crate) fn shm_mesh_in(np: usize, dir: &Path) -> Vec<Arc<ShmFabric>> {
+        let server = rendezvous::serve().unwrap().to_string();
+        each_rank(np, |me| {
+            match try_establish_shm(&server, me, &spec(np, 0), dir, "testhost").unwrap() {
+                ShmAttempt::Shm(fabric) => Arc::new(fabric),
+                ShmAttempt::NotColocated(..) => panic!("one-host mesh decided not co-located"),
+            }
+        })
+    }
+
+    fn tcp_mesh(np: usize) -> Vec<Arc<TcpFabric>> {
+        tcp_mesh_with(np, None, false)
+    }
+
+    fn shm_mesh(np: usize) -> Vec<Arc<ShmFabric>> {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(np, &dir);
+        // Every producer has mapped its ring by now; the files can go.
+        let _ = std::fs::remove_dir_all(dir);
+        fabrics
+    }
+
+    fn finish_all<L: Link>(fabrics: &[Arc<PeerMesh<L>>]) {
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
+        }
+    }
+
+    fn wait_for(what: &str, within: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + within;
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what} within {within:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn envelope_crosses_and_matches<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        fabrics[0].deliver(0, 1, env(0, 0, 5, 0), 0, false);
+        let got = recv_one(&*fabrics[1], 1, 0, 5);
+        assert_eq!(got.tag, 5);
+        assert_eq!(got.type_name, "i64");
+        assert_eq!(got.payload.len(), 8);
+        finish_all(&fabrics);
+    }
+
+    fn duplicate_transmissions_dedup_on_the_receiver<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        fabrics[0].deliver(0, 1, env(0, 0, 9, 0), 0, true);
+        fabrics[0].deliver(0, 1, env(0, 0, 9, 1), 0, false);
+        // Both messages arrive exactly once, in order.
+        for want_seq in [0, 1] {
+            assert_eq!(recv_one(&*fabrics[1], 1, 0, 9).seq, want_seq);
+        }
+        assert!(fabrics[1].mailbox(1).is_empty(), "duplicate was swallowed");
+        finish_all(&fabrics);
+    }
+
+    fn finish_reads_as_clean_exit_not_failure<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        fabrics[0].finish(0);
+        wait_for("Finish frame arrives", Duration::from_secs(5), || {
+            !fabrics[1].rank_alive(0)
+        });
+        assert!(!fabrics[1].rank_failed(0), "clean exit must not be failure");
+        fabrics[1].finish(1);
+    }
+
+    fn agreement_completes_across_the_mesh<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        let slots = each_rank(3, |me| {
+            fabrics[me].agreement((0, 0, 0), me, me as u64 + 10, &[0, 1, 2])
+        });
+        for (me, slot) in slots.iter().enumerate() {
+            assert_eq!(slot.len(), 3, "rank {me} saw all contributions");
+            assert_eq!(slot[&2], 12);
+        }
+        finish_all(&fabrics);
+    }
+
+    fn agreement_excludes_a_dead_member<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        fabrics[1].sever(); // rank 1 "dies" without contributing
+        let slot = fabrics[0].agreement((0, 1, 0), 0, 42, &[0, 1]);
+        assert_eq!(slot.len(), 1, "only the survivor contributed");
+        assert_eq!(slot[&0], 42);
+        fabrics[0].finish(0);
+    }
+
+    /// Peers learn of a rank's own failure from its `Failed` frame, well
+    /// inside either link's silence timeout — nothing else could explain
+    /// a verdict this fast.
+    fn own_failure_reaches_peers_within_a_second<L: Link>(fabrics: Vec<Arc<PeerMesh<L>>>) {
+        let within = Duration::from_secs(1);
+        assert!(L::PEER_TIMEOUT > within && L::ESTABLISH_GRACE > within);
+        fabrics[0].mark_failed(0);
+        for peer in [1, 2] {
+            wait_for("the Failed frame lands", within, || {
+                fabrics[peer].rank_failed(0)
+            });
+        }
+        assert!(!fabrics[1].rank_failed(2), "survivors stay unfailed");
+        finish_all(&fabrics);
+    }
+
+    /// Each mesh behaviour, written once, runs over both links.
+    macro_rules! over_both_links {
+        ($($behaviour:ident($np:expr);)*) => {
+            mod over_tcp {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour(super::tcp_mesh($np));
+                })*
+            }
+            mod over_shm {
+                $(#[test]
+                fn $behaviour() {
+                    super::$behaviour(super::shm_mesh($np));
+                })*
+            }
+        };
+    }
+
+    over_both_links! {
+        envelope_crosses_and_matches(2);
+        duplicate_transmissions_dedup_on_the_receiver(2);
+        finish_reads_as_clean_exit_not_failure(2);
+        agreement_completes_across_the_mesh(3);
+        agreement_excludes_a_dead_member(2);
+        own_failure_reaches_peers_within_a_second(3);
+    }
+
+    #[test]
+    fn type_name_interning_reuses_known_statics() {
+        assert_eq!(intern_type_name("i64"), "i64");
+        let a = intern_type_name("custom::Type");
+        let b = intern_type_name("custom::Type");
+        assert!(std::ptr::eq(a, b), "unknown names leak exactly once");
+    }
+}

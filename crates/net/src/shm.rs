@@ -1,7 +1,7 @@
-//! The shared-memory fabric: same-host ranks over mmap'd SPSC rings.
+//! The shared-memory link: same-host ranks over mmap'd SPSC rings.
 //!
-//! The third `Fabric` provider (after in-process threads and the TCP
-//! mesh): every directed peer pair `i → j` gets one file-backed,
+//! The second [`Link`] under the [`PeerMesh`] (after the TCP mesh):
+//! every directed peer pair `i → j` gets one file-backed,
 //! memory-mapped segment holding a lock-free single-producer /
 //! single-consumer byte ring ([`patternlets_core::spsc`]). Whole wire
 //! frames — the *same* `[len][crc][body]` records the TCP codec ships,
@@ -39,37 +39,31 @@
 //! ## Liveness without EOF
 //!
 //! Shared memory has no connection to lose: a SIGKILL'd peer leaves its
-//! rings exactly as they were. Liveness is therefore purely heartbeat:
-//! every rank pushes `Ping` frames on a cadence and declares a peer
-//! failed after [`SHM_PEER_TIMEOUT`] of silence — there is no reconnect
-//! machinery because there is nothing to reconnect, and no resume
-//! protocol because ring bytes are never lost in flight. Control
-//! traffic (`Hello`/`Finish`/`Failed`/`Agree`) rides the same rings as
-//! envelopes, so the ULFM-style agree/shrink semantics are identical to
-//! the TCP provider's. A clean exit closes the outbound rings after a
+//! rings exactly as they were. Liveness is therefore purely the mesh's
+//! heartbeat: a peer silent for [`SHM_PEER_TIMEOUT`] is declared failed
+//! with no probe — there is no reconnect machinery because there is
+//! nothing to reconnect, and no resume protocol because ring bytes are
+//! never lost in flight. Control traffic (`Hello`/`Finish`/`Failed`/
+//! `Agree`) rides the same rings as envelopes, through the same mesh
+//! protocol as TCP's. A clean exit closes the outbound rings after a
 //! `Finish` frame; the data already written survives in the consumer's
 //! mapping even if this process exits immediately after.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use patternlets_core::spsc::{self, Consumer, Producer, SpscRing};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
-use patternlets_mp::envelope::{Envelope, Payload};
-use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
-use patternlets_mp::fault::{ChaosDecision, FaultState};
-use patternlets_mp::mailbox::Mailbox;
-use patternlets_mp::world::{MsgEvent, WaitRecord};
-use patternlets_trace::Tracer;
+use patternlets_mp::fabric::{Fabric, WorldSpec};
 
 use crate::chaos::NetChaosPlan;
-use crate::fabric::{intern_type_name, TcpFabric, HEARTBEAT_EVERY};
-use crate::frame::{encode_frame, read_frame, Frame, CRC_MISMATCH};
+use crate::fabric::TcpFabric;
+use crate::frame::{read_frame, Frame, CRC_MISMATCH};
+use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 
 /// Data bytes per directed ring. Big enough that a collective round of
@@ -88,9 +82,6 @@ pub const SHM_PEER_TIMEOUT: Duration = Duration::from_secs(2);
 /// can lag well past one [`SHM_PEER_TIMEOUT`] on a loaded host, and
 /// declaring it dead before it ever speaks is a false verdict.
 pub const SHM_ESTABLISH_GRACE: Duration = Duration::from_secs(10);
-
-/// `last_heard` sentinel: no frame from this peer yet.
-const NEVER_HEARD: u64 = u64::MAX;
 
 // ---------------------------------------------------------------------------
 // Raw mmap (no libc in the vendored dependency set)
@@ -344,121 +335,19 @@ pub fn all_colocated(table: &[String]) -> bool {
     !table.is_empty()
 }
 
-// ---------------------------------------------------------------------------
-// The fabric
-// ---------------------------------------------------------------------------
-
-/// One rank's outbound ring to a peer, behind a mutex because both the
-/// application thread (envelopes, agreement) and the heartbeat thread
-/// push to it. The blocking push aborts when the peer is declared dead
-/// or finished, so a full ring to a SIGKILL'd peer cannot wedge a send.
-struct ShmPeer {
-    producer: Mutex<Producer>,
-}
-
-struct Inner {
-    me: usize,
-    np: usize,
-    names: Vec<String>,
-    poll_interval: Duration,
-    tracer: Option<Tracer>,
-    metrics: Option<MetricsHub>,
-    fault: Option<FaultState>,
-    /// This process's rank's mailbox — the only one a `Comm` here reads.
-    mailbox: Mailbox,
-    send_seq: AtomicU64,
-    finished: Vec<AtomicBool>,
-    failed: Vec<AtomicBool>,
-    /// Outbound rings, indexed by peer world rank (`None` at `me`).
-    peers: Vec<Option<ShmPeer>>,
+/// The shared-memory side of a [`PeerMesh`]: one outbound ring per peer
+/// and the inbound segment files awaiting their producer's `Hello`.
+pub struct ShmLink {
+    /// Outbound rings, indexed by peer world rank (`None` at `me`), each
+    /// behind a mutex because both the application thread and the
+    /// heartbeat push to it.
+    rings: Vec<Option<Mutex<Producer>>>,
     /// Inbound segment files, unlinked when the producer's `Hello`
     /// confirms it has mapped them (slots are taken as that happens).
     inbound_paths: Mutex<Vec<Option<PathBuf>>>,
-    /// Milliseconds (since `start`) each peer was last heard from.
-    last_heard: Vec<AtomicU64>,
-    start: Instant,
-    agreements: Mutex<HashMap<AgreeKey, AgreeSlot>>,
-    agree_cv: Condvar,
-    /// Raised by `finish`/`sever`: the heartbeat stops and blocked
-    /// pushes abort.
-    closing: AtomicBool,
-    /// Raised with `closing`: reader threads return EOF at their next
-    /// park-timeout check even though dead peers never close their rings.
-    stop_readers: Arc<AtomicBool>,
 }
 
-impl Inner {
-    fn elapsed_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    /// Push one encoded record into a peer's ring. `false` when the peer
-    /// is already failed/finished or became so while the ring was full —
-    /// the shm analogue of a terminal link.
-    fn write_to(&self, peer: usize, record: &[u8]) -> bool {
-        let Some(shm_peer) = &self.peers[peer] else {
-            return true;
-        };
-        if self.failed[peer].load(Ordering::SeqCst) || self.finished[peer].load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut producer = shm_peer.producer.lock();
-        let ok = producer
-            .push_all(record, || {
-                self.failed[peer].load(Ordering::SeqCst)
-                    || self.finished[peer].load(Ordering::SeqCst)
-            })
-            .is_ok();
-        if let Some(hub) = &self.metrics {
-            let (spins, parks) = producer.take_stats();
-            let (spin_waits, park_waits) = producer.take_wait_stats();
-            if ok {
-                hub.incr(peer, CounterId::ShmSends);
-            }
-            if spins > 0 {
-                hub.add(self.me, CounterId::ShmFullSpins, spins);
-            }
-            if parks > 0 {
-                hub.add(self.me, CounterId::ShmDoorbellParks, parks);
-            }
-            if spin_waits > 0 {
-                hub.add(self.me, CounterId::SpscSpinWaits, spin_waits);
-            }
-            if park_waits > 0 {
-                hub.add(self.me, CounterId::SpscParkWaits, park_waits);
-            }
-        }
-        ok
-    }
-
-    /// Send `frame` to every peer; peers whose ring rejects it (already
-    /// failed/finished) need no further verdict — `write_to` only fails
-    /// for peers that already have one.
-    fn broadcast(&self, frame: &Frame) {
-        let record = encode_frame(frame);
-        for peer in 0..self.np {
-            if peer == self.me || self.peers[peer].is_none() {
-                continue;
-            }
-            let _ = self.write_to(peer, &record);
-        }
-    }
-
-    /// Record a failure verdict locally and wake everything that must
-    /// re-examine membership. Like the TCP provider, verdicts are not
-    /// gossiped: every co-located process runs the same heartbeat clock
-    /// and reaches the same verdict within one interval.
-    fn note_failed(&self, rank: usize) {
-        if self.failed[rank].swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if let Some(hub) = &self.metrics {
-            hub.incr(rank, CounterId::NetRankFailures);
-        }
-        let _lock = self.agreements.lock();
-        self.agree_cv.notify_all();
-    }
-
+impl ShmLink {
     /// Unlink peer `peer`'s inbound segment (its `Hello` confirmed the
     /// mapping exists on both sides; the directory entry is now noise).
     fn unlink_inbound(&self, peer: usize) {
@@ -467,105 +356,112 @@ impl Inner {
             let _ = std::fs::remove_file(path);
         }
     }
+}
 
-    fn handle_frame(&self, peer: usize, frame: Frame) {
-        self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
-        match frame {
-            Frame::Env {
-                comm_id,
-                src,
-                tag,
-                type_name,
-                count,
-                seq,
-                needs_ack,
-                overtake,
-                payload,
-            } => {
-                let env = Envelope {
-                    comm_id,
-                    src: src as usize,
-                    tag,
-                    type_name: intern_type_name(&type_name),
-                    count: count as usize,
-                    payload: Payload::Bytes(bytes::Bytes::from(payload)),
-                    seq,
-                    needs_ack,
-                };
-                self.mailbox.deliver_displaced(env, overtake as usize);
+/// Move a ring endpoint's blocking-wait counters into the hub.
+fn record_ring_stats(hub: &MetricsHub, lane: usize, stats: [(u64, u64); 2]) {
+    let [(spins, parks), (spin_waits, park_waits)] = stats;
+    for (id, n) in [
+        (CounterId::ShmFullSpins, spins),
+        (CounterId::ShmDoorbellParks, parks),
+        (CounterId::SpscSpinWaits, spin_waits),
+        (CounterId::SpscParkWaits, park_waits),
+    ] {
+        if n > 0 {
+            hub.add(lane, id, n);
+        }
+    }
+}
+
+impl Link for ShmLink {
+    const PEER_TIMEOUT: Duration = SHM_PEER_TIMEOUT;
+    const ESTABLISH_GRACE: Duration = SHM_ESTABLISH_GRACE;
+
+    /// Push one record into the peer's ring, blocking while it is full.
+    /// `false` when the peer is already failed/finished or became so
+    /// while the ring was full — so a full ring to a SIGKILL'd peer
+    /// cannot wedge a send. Every record is delivered exactly once, so
+    /// `sequenced` changes nothing.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], _sequenced: bool) -> bool {
+        let Some(ring) = &self.rings[peer] else {
+            return true;
+        };
+        if mesh.gone(peer) {
+            return false;
+        }
+        let mut producer = ring.lock();
+        let ok = producer.push_all(record, || mesh.gone(peer)).is_ok();
+        if let Some(hub) = &mesh.metrics {
+            if ok {
+                hub.incr(peer, CounterId::ShmSends);
             }
-            Frame::Hello { .. } => self.unlink_inbound(peer),
-            Frame::Finish { rank } => {
-                let rank = rank as usize;
-                if rank < self.np {
-                    self.finished[rank].store(true, Ordering::SeqCst);
-                    let _lock = self.agreements.lock();
-                    self.agree_cv.notify_all();
-                }
+            let stats = [producer.take_stats(), producer.take_wait_stats()];
+            record_ring_stats(hub, mesh.me, stats);
+        }
+        ok
+    }
+
+    fn unacked(&self, _peer: usize) -> usize {
+        0
+    }
+
+    fn close(&self, mesh: &Mesh<Self>) {
+        // No drain: a completed `push_all` *is* delivery — the bytes sit
+        // in the consumer's own mapping, which survives this process
+        // arbitrarily outliving or predeceasing it. Close the outbound
+        // rings (peers read Finish, then EOF); our readers stop on the
+        // mesh's closing flag, and anything peers send after our Finish
+        // is droppable.
+        for ring in self.rings.iter().flatten() {
+            ring.lock().close();
+        }
+        // Inbound segments whose producer never confirmed its mapping
+        // (a peer that died before Hello) would leak; sweep them now.
+        for peer in 0..mesh.np {
+            if mesh.failed[peer].load(Ordering::SeqCst) {
+                self.unlink_inbound(peer);
             }
-            Frame::Failed { rank } => {
-                let rank = rank as usize;
-                if rank < self.np {
-                    self.note_failed(rank);
-                }
-            }
-            Frame::Agree {
-                comm_id,
-                kind,
-                seq,
-                rank,
-                value,
-            } => {
-                let mut slots = self.agreements.lock();
-                slots
-                    .entry((comm_id, kind, seq))
-                    .or_default()
-                    .insert(rank as usize, value);
-                self.agree_cv.notify_all();
-            }
-            // Pings carry liveness only (no send ring to prune: nothing
-            // is ever replayed); everything else has no business on a
-            // ring and is ignored.
-            _ => {}
         }
     }
 
+    fn cut(&self, _peer: usize) {
+        // A verdict needs no ring action: `write` refuses failed peers.
+    }
+
+    fn probe(&self, _peer: usize) -> bool {
+        false
+    }
+
+    fn control(&self, _mesh: &Mesh<Self>, peer: usize, frame: Frame) {
+        // Pings carry liveness only (no send ring to prune: nothing is
+        // ever replayed); everything but Hello has no business on a ring.
+        if let Frame::Hello { .. } = frame {
+            self.unlink_inbound(peer);
+        }
+    }
+}
+
+impl Mesh<ShmLink> {
     /// One inbound ring's read side: the unmodified frame decoder over
     /// the ring's blocking `Read`. EOF means the producer closed after
-    /// `Finish` (clean) or our stop flag fired (teardown / peer declared
-    /// dead); a decode error means the segment itself is damaged, which
-    /// — like a CRC reject on a socket — fails the peer, except there is
-    /// no resume to heal it.
+    /// `Finish` (clean) or the mesh is closing; a decode error means the
+    /// segment itself is damaged, which — like a CRC reject on a socket —
+    /// fails the peer, except there is no resume to heal it.
     fn reader_loop(&self, peer: usize, mut consumer: Consumer) {
         loop {
             match read_frame(&mut consumer) {
                 Ok(Some(frame)) => {
                     self.handle_frame(peer, frame);
                     if let Some(hub) = &self.metrics {
-                        let (spins, parks) = consumer.take_stats();
-                        let (spin_waits, park_waits) = consumer.take_wait_stats();
-                        if spins > 0 {
-                            hub.add(self.me, CounterId::ShmFullSpins, spins);
-                        }
-                        if parks > 0 {
-                            hub.add(self.me, CounterId::ShmDoorbellParks, parks);
-                        }
-                        if spin_waits > 0 {
-                            hub.add(self.me, CounterId::SpscSpinWaits, spin_waits);
-                        }
-                        if park_waits > 0 {
-                            hub.add(self.me, CounterId::SpscParkWaits, park_waits);
-                        }
+                        let stats = [consumer.take_stats(), consumer.take_wait_stats()];
+                        record_ring_stats(hub, self.me, stats);
                     }
                 }
                 Ok(None) => {
                     // Clean EOF without a Finish frame would mean the
                     // producer closed its ring mid-protocol; only the
-                    // stop flag (teardown) excuses it.
-                    if !self.finished[peer].load(Ordering::SeqCst)
-                        && !self.closing.load(Ordering::SeqCst)
-                        && !self.failed[peer].load(Ordering::SeqCst)
-                    {
+                    // closing flag (teardown) excuses it.
+                    if !self.gone(peer) && !self.closing.load(Ordering::SeqCst) {
                         self.note_failed(peer);
                     }
                     return;
@@ -584,61 +480,13 @@ impl Inner {
             }
         }
     }
-
-    /// Ping every live peer on a cadence and declare the silent ones
-    /// failed. No probe step: there is no connection to cut and redial,
-    /// so silence past the timeout *is* the verdict.
-    fn heartbeat_loop(&self) {
-        loop {
-            std::thread::sleep(HEARTBEAT_EVERY);
-            if self.closing.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = self.elapsed_ms();
-            let ping = encode_frame(&Frame::Ping { seen: 0 });
-            let mut dead = Vec::new();
-            for peer in 0..self.np {
-                if peer == self.me
-                    || self.peers[peer].is_none()
-                    || self.finished[peer].load(Ordering::SeqCst)
-                    || self.failed[peer].load(Ordering::SeqCst)
-                {
-                    continue;
-                }
-                if self.write_to(peer, &ping) {
-                    if let Some(hub) = &self.metrics {
-                        hub.incr(self.me, CounterId::NetHeartbeats);
-                    }
-                }
-                let heard = self.last_heard[peer].load(Ordering::Relaxed);
-                let timed_out = if heard == NEVER_HEARD {
-                    // Not a word yet: measure from our own establish,
-                    // with the longer grace — the peer may still be
-                    // mapping segments.
-                    now > SHM_ESTABLISH_GRACE.as_millis() as u64
-                } else {
-                    now.saturating_sub(heard) > SHM_PEER_TIMEOUT.as_millis() as u64
-                };
-                if timed_out {
-                    dead.push(peer);
-                }
-            }
-            for peer in dead {
-                if !self.closing.load(Ordering::SeqCst) {
-                    self.note_failed(peer);
-                }
-            }
-        }
-    }
 }
 
-/// One process's handle on a shared-memory world: implements [`Fabric`]
-/// for the single rank this process hosts.
-pub struct ShmFabric {
-    inner: Arc<Inner>,
-}
+/// One process's handle on a shared-memory world: the [`PeerMesh`] over
+/// [`ShmLink`]s.
+pub type ShmFabric = PeerMesh<ShmLink>;
 
-impl ShmFabric {
+impl PeerMesh<ShmLink> {
     /// Join world `spec` as rank `me` over shared memory, using an
     /// already-released rendezvous `table` whose entries all carry shm
     /// advertisements, and the inbound rings this rank created before
@@ -650,14 +498,13 @@ impl ShmFabric {
         table: &[String],
         inbound: Vec<Option<(Arc<SpscRing>, PathBuf)>>,
     ) -> Result<ShmFabric> {
-        let np = spec.np;
         // Map every peer's inbound segment as our outbound ring. The
         // files exist: each rank creates its inbound segments before
         // registering, and the table only exists once everyone has.
-        let mut producers: Vec<Option<ShmPeer>> = Vec::with_capacity(np);
+        let mut rings = Vec::with_capacity(spec.np);
         for (peer, addr) in table.iter().enumerate() {
             if peer == me {
-                producers.push(None);
+                rings.push(None);
                 continue;
             }
             let (_, ad) = split_addr(addr);
@@ -669,277 +516,41 @@ impl ShmFabric {
             let (ptr, len) = (segment.ptr, segment.len);
             let ring = unsafe { SpscRing::attach_at(ptr, len, Some(Box::new(segment))) }
                 .map_err(|e| Error::Codec(format!("attach ring {}: {e}", path.display())))?;
-            producers.push(Some(ShmPeer {
-                producer: Mutex::new(ring.producer()),
-            }));
+            rings.push(Some(Mutex::new(ring.producer())));
         }
-
-        let stop_readers = Arc::new(AtomicBool::new(false));
-        let mut consumers: Vec<Option<Consumer>> = Vec::with_capacity(np);
-        let mut inbound_paths: Vec<Option<PathBuf>> = Vec::with_capacity(np);
-        for slot in inbound {
-            match slot {
-                Some((ring, path)) => {
-                    let mut consumer = ring.consumer();
-                    consumer.set_stop(Arc::clone(&stop_readers));
-                    consumers.push(Some(consumer));
-                    inbound_paths.push(Some(path));
-                }
-                None => {
-                    consumers.push(None);
-                    inbound_paths.push(None);
-                }
-            }
-        }
-
-        let inner = Arc::new(Inner {
-            me,
-            np,
-            names: (0..np)
-                .map(|r| format!("node-{:02}", r / spec.ranks_per_node + 1))
-                .collect(),
-            poll_interval: spec.poll_interval,
-            tracer: spec.tracer.clone(),
-            metrics: spec.metrics.clone(),
-            fault: spec.fault.clone().map(|plan| FaultState::new(plan, np)),
-            mailbox: match &spec.metrics {
-                Some(hub) => Mailbox::with_metrics(hub.clone(), me),
-                None => Mailbox::new(),
-            },
-            send_seq: AtomicU64::new(0),
-            finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            failed: (0..np).map(|_| AtomicBool::new(false)).collect(),
-            peers: producers,
+        let (consumers, inbound_paths): (Vec<_>, Vec<_>) = inbound
+            .into_iter()
+            .map(|slot| match slot {
+                Some((ring, path)) => (Some(ring.consumer()), Some(path)),
+                None => (None, None),
+            })
+            .unzip();
+        let link = ShmLink {
+            rings,
             inbound_paths: Mutex::new(inbound_paths),
-            last_heard: (0..np).map(|_| AtomicU64::new(NEVER_HEARD)).collect(),
-            start: Instant::now(),
-            agreements: Mutex::new(HashMap::new()),
-            agree_cv: Condvar::new(),
-            closing: AtomicBool::new(false),
-            stop_readers,
-        });
+        };
+        let mesh = PeerMesh::new(me, spec, link)?;
         for (peer, consumer) in consumers.into_iter().enumerate() {
-            let Some(consumer) = consumer else { continue };
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("shm-reader-{peer}"))
-                .spawn(move || inner.reader_loop(peer, consumer))
-                .map_err(|e| Error::Codec(format!("spawn shm reader: {e}")))?;
-        }
-        {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("shm-heartbeat".into())
-                .spawn(move || inner.heartbeat_loop())
-                .map_err(|e| Error::Codec(format!("spawn shm heartbeat: {e}")))?;
+            let Some(mut consumer) = consumer else {
+                continue;
+            };
+            // Readers return EOF at their next park-timeout check once the
+            // mesh closes, even though dead peers never close their rings.
+            consumer.set_stop(Arc::clone(&mesh.inner.closing));
+            mesh.spawn(format!("shm-reader-{peer}"), move |mesh| {
+                mesh.reader_loop(peer, consumer)
+            })?;
         }
         // Announce: the Hello confirms this producer's mapping, letting
         // each consumer unlink the segment file behind it.
-        inner.broadcast(&Frame::Hello {
+        mesh.inner.broadcast(&Frame::Hello {
             epoch: spec.epoch,
             rank: me as u64,
         });
-        Ok(ShmFabric { inner })
-    }
-
-    /// Abruptly stop all shm activity without announcing Finish or
-    /// closing the outbound rings — what a SIGKILL'd process looks like
-    /// from the outside (peers must detect it by heartbeat silence).
-    /// Test/diagnostic aid, the shm analogue of `TcpFabric::sever`.
-    pub fn sever(&self) {
-        self.inner.closing.store(true, Ordering::SeqCst);
-        self.inner.stop_readers.store(true, Ordering::SeqCst);
-    }
-}
-
-impl Fabric for ShmFabric {
-    fn np(&self) -> usize {
-        self.inner.np
-    }
-
-    fn rank_name(&self, world_rank: usize) -> &str {
-        &self.inner.names[world_rank]
-    }
-
-    fn poll_interval(&self) -> Duration {
-        self.inner.poll_interval
-    }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        self.inner.tracer.as_ref()
-    }
-
-    fn metrics(&self) -> Option<&MetricsHub> {
-        self.inner.metrics.as_ref()
-    }
-
-    fn record_msg(&self, _event: MsgEvent) {
-        // As on TCP: the legacy message log backs `run_traced`, pinned to
-        // the thread backend.
-    }
-
-    fn next_send_seq(&self, _me: usize) -> u64 {
-        self.inner.send_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn fault_op(&self, me: usize, op: &'static str) -> Result<()> {
-        if let Some(fault) = &self.inner.fault {
-            if let Err(e) = fault.record_op(me, op) {
-                self.mark_failed(me);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn chaos_decision(&self, me: usize) -> Option<ChaosDecision> {
-        self.inner.fault.as_ref().map(|fault| fault.decide(me))
-    }
-
-    fn shares_address_space(&self, me: usize, dest: usize) -> bool {
-        // Peers share *memory* but not an address space: payload Arcs
-        // cannot cross, so only self-sends stay in-process.
-        me == dest
-    }
-
-    fn inline_payloads(&self) -> bool {
-        true
-    }
-
-    fn rank_alive(&self, world_rank: usize) -> bool {
-        !self.inner.finished[world_rank].load(Ordering::SeqCst)
-            && !self.inner.failed[world_rank].load(Ordering::SeqCst)
-    }
-
-    fn rank_failed(&self, world_rank: usize) -> bool {
-        self.inner.failed[world_rank].load(Ordering::SeqCst)
-    }
-
-    fn mark_failed(&self, world_rank: usize) {
-        let first_verdict = !self.inner.failed[world_rank].swap(true, Ordering::SeqCst);
-        {
-            let _lock = self.inner.agreements.lock();
-            self.inner.agree_cv.notify_all();
-        }
-        if world_rank == self.inner.me && first_verdict {
-            self.inner.broadcast(&Frame::Failed {
-                rank: world_rank as u64,
-            });
-        }
-    }
-
-    fn finish(&self, me: usize) {
-        self.inner.finished[me].store(true, Ordering::SeqCst);
-        {
-            let _lock = self.inner.agreements.lock();
-            self.inner.agree_cv.notify_all();
-        }
-        self.inner.broadcast(&Frame::Finish { rank: me as u64 });
-        // No drain budget: a completed `push_all` *is* delivery — the
-        // bytes sit in the consumer's own mapping, which survives this
-        // process arbitrarily outliving or predeceasing it. Close the
-        // outbound rings (peers read Finish, then EOF) and stop our own
-        // readers; anything peers send after our Finish is droppable.
-        self.inner.closing.store(true, Ordering::SeqCst);
-        for peer in self.inner.peers.iter().flatten() {
-            peer.producer.lock().close();
-        }
-        self.inner.stop_readers.store(true, Ordering::SeqCst);
-        // Inbound segments whose producer never confirmed its mapping
-        // (a peer that died before Hello) would leak; sweep them now.
-        for peer in 0..self.inner.np {
-            if self.inner.failed[peer].load(Ordering::SeqCst) {
-                self.inner.unlink_inbound(peer);
-            }
-        }
-    }
-
-    fn deliver(
-        &self,
-        _me: usize,
-        dest: usize,
-        env: Envelope,
-        overtake: usize,
-        duplicate: bool,
-    ) -> bool {
-        if dest == self.inner.me {
-            let mailbox = &self.inner.mailbox;
-            if duplicate {
-                mailbox.deliver_displaced(env.clone(), overtake);
-                return !mailbox.deliver_displaced(env, 0);
-            }
-            mailbox.deliver_displaced(env, overtake);
-            return false;
-        }
-        let record = encode_frame(&Frame::Env {
-            comm_id: env.comm_id,
-            src: env.src as u64,
-            tag: env.tag,
-            type_name: env.type_name.to_string(),
-            count: env.count as u64,
-            seq: env.seq,
-            needs_ack: env.needs_ack,
-            overtake: overtake as u32,
-            payload: env.payload.to_wire().to_vec(),
-        });
-        let mut ok = self.inner.write_to(dest, &record);
-        if ok && duplicate {
-            // Transmit a second copy; the receiving mailbox dedups it.
-            ok = self.inner.write_to(dest, &record);
-        }
-        if !ok && !self.inner.finished[dest].load(Ordering::SeqCst) {
-            self.inner.note_failed(dest);
-        }
-        false
-    }
-
-    fn mailbox(&self, world_rank: usize) -> &Mailbox {
-        assert_eq!(
-            world_rank, self.inner.me,
-            "a shm fabric only hosts its own rank's mailbox"
-        );
-        &self.inner.mailbox
-    }
-
-    fn publish_wait(&self, _me: usize, _record: WaitRecord) {}
-
-    fn clear_wait(&self, _me: usize) {}
-
-    fn deadlocked(&self, _me: usize) -> Option<String> {
-        None
-    }
-
-    fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
-        {
-            let mut slots = self.inner.agreements.lock();
-            slots.entry(key).or_default().insert(me, value);
-        }
-        self.inner.broadcast(&Frame::Agree {
-            comm_id: key.0,
-            kind: key.1,
-            seq: key.2,
-            rank: me as u64,
-            value,
-        });
-        let mut slots = self.inner.agreements.lock();
-        loop {
-            let slot = slots.entry(key).or_default();
-            let done = group.iter().all(|&w| {
-                slot.contains_key(&w)
-                    || self.inner.failed[w].load(Ordering::SeqCst)
-                    || self.inner.finished[w].load(Ordering::SeqCst)
-            });
-            if done {
-                return slot.clone();
-            }
-            self.inner
-                .agree_cv
-                .wait_for(&mut slots, self.inner.poll_interval);
-        }
-    }
-
-    fn prune_comm(&self, _me: usize, comm_id: u64) {
-        self.inner.mailbox.prune_comm(comm_id);
+        // Co-located ranks share the host clock, so the traced start gate
+        // needs no offset correction here.
+        mesh.start_gate(spec);
+        Ok(mesh)
     }
 }
 
@@ -948,7 +559,7 @@ impl Fabric for ShmFabric {
 // ---------------------------------------------------------------------------
 
 /// Outcome of an shm attempt that got as far as the rendezvous.
-enum ShmAttempt {
+pub(crate) enum ShmAttempt {
     /// Every rank co-located: the ring mesh is up.
     Shm(ShmFabric),
     /// Not co-located. The listener and (suffixed) table are handed back
@@ -961,7 +572,7 @@ enum ShmAttempt {
 /// An `Err` means the attempt died *before* the verdict (unusable dir,
 /// mmap unsupported, rendezvous unreachable) with all created segment
 /// files already removed.
-fn try_establish_shm(
+pub(crate) fn try_establish_shm(
     server: &str,
     me: usize,
     spec: &WorldSpec,
@@ -1056,15 +667,7 @@ pub fn establish(
         return Ok(Arc::new(fabric));
     }
     match try_establish_shm(server, me, spec, shm_dir, host) {
-        Ok(ShmAttempt::Shm(fabric)) => {
-            // Same traced start gate the TCP mesh runs at the end of
-            // `from_table`: co-located ranks share the host clock, so the
-            // deadline needs no offset correction here.
-            if spec.tracer.is_some() && spec.np > 1 {
-                crate::fabric::traced_start_gate(&fabric, me, spec.np, spec.epoch);
-            }
-            Ok(Arc::new(fabric))
-        }
+        Ok(ShmAttempt::Shm(fabric)) => Ok(Arc::new(fabric)),
         Ok(ShmAttempt::NotColocated(listener, table)) => {
             if mode == FabricMode::Shm {
                 return Err(Error::InvalidConfig(
@@ -1092,80 +695,9 @@ pub fn establish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patternlets_mp::status::{SourceSel, TagSel};
-
-    fn spec(np: usize, epoch: u64) -> WorldSpec {
-        WorldSpec {
-            np,
-            ranks_per_node: 1,
-            fault: None,
-            poll_interval: Duration::from_millis(5),
-            tracer: None,
-            metrics: None,
-            epoch,
-        }
-    }
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("shm-fabric-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// Establish a full shm mesh of `np` fabrics inside one test process —
-    /// each plays a different world rank, exactly as `np` processes would
-    /// (the segments are file-backed, so the mappings are genuinely
-    /// shared, not just shared Arcs).
-    fn mesh(np: usize, epoch: u64, tag: &str) -> (Vec<Arc<ShmFabric>>, PathBuf) {
-        let server = rendezvous::serve().unwrap().to_string();
-        let dir = scratch_dir(tag);
-        let handles: Vec<_> = (0..np)
-            .map(|me| {
-                let server = server.clone();
-                let dir = dir.clone();
-                std::thread::spawn(move || {
-                    match try_establish_shm(&server, me, &spec(np, epoch), &dir, "testhost")
-                        .unwrap()
-                    {
-                        ShmAttempt::Shm(fabric) => Arc::new(fabric),
-                        ShmAttempt::NotColocated(..) => {
-                            panic!("one-host mesh decided not co-located")
-                        }
-                    }
-                })
-            })
-            .collect();
-        let fabrics = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (fabrics, dir)
-    }
-
-    fn env(comm_id: u64, src: usize, tag: i32, seq: u64) -> Envelope {
-        Envelope {
-            comm_id,
-            src,
-            tag,
-            type_name: "i64",
-            count: 1,
-            payload: Payload::Bytes(bytes::Bytes::from(vec![7, 0, 0, 0, 0, 0, 0, 0])),
-            seq,
-            needs_ack: false,
-        }
-    }
-
-    fn recv_one(fabric: &dyn Fabric, rank: usize, src: usize, tag: i32) -> Envelope {
-        fabric
-            .mailbox(rank)
-            .recv_match(
-                0,
-                SourceSel::Rank(src),
-                TagSel::Tag(tag),
-                Duration::from_millis(5),
-                || None,
-                || {},
-            )
-            .unwrap()
-    }
+    use crate::mesh::tests::{env, recv_one, scratch_dir, shm_mesh_in, spec};
+    use patternlets_mp::envelope::{Envelope, Payload};
+    use std::time::Instant;
 
     #[test]
     fn addresses_split_and_rejoin() {
@@ -1193,52 +725,9 @@ mod tests {
     }
 
     #[test]
-    fn envelope_crosses_the_ring_and_matches() {
-        let (fabrics, dir) = mesh(2, 0, "envelope");
-        fabrics[0].deliver(0, 1, env(0, 0, 5, 0), 0, false);
-        let got = recv_one(fabrics[1].as_ref(), 1, 0, 5);
-        assert_eq!(got.tag, 5);
-        assert_eq!(got.type_name, "i64");
-        assert_eq!(got.payload.len(), 8);
-        for (me, f) in fabrics.iter().enumerate() {
-            f.finish(me);
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn duplicate_transmissions_dedup_on_the_receiver() {
-        let (fabrics, dir) = mesh(2, 1, "dedup");
-        fabrics[0].deliver(0, 1, env(0, 0, 9, 0), 0, true);
-        fabrics[0].deliver(0, 1, env(0, 0, 9, 1), 0, false);
-        for want_seq in [0, 1] {
-            let got = recv_one(fabrics[1].as_ref(), 1, 0, 9);
-            assert_eq!(got.seq, want_seq);
-        }
-        assert!(fabrics[1].mailbox(1).is_empty(), "duplicate was swallowed");
-        for (me, f) in fabrics.iter().enumerate() {
-            f.finish(me);
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn finish_reads_as_clean_exit_not_failure() {
-        let (fabrics, dir) = mesh(2, 2, "finish");
-        fabrics[0].finish(0);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while fabrics[1].rank_alive(0) {
-            assert!(Instant::now() < deadline, "Finish frame never arrived");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(!fabrics[1].rank_failed(0), "clean exit must not be failure");
-        fabrics[1].finish(1);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn segment_files_are_unlinked_once_the_mesh_is_up() {
-        let (fabrics, dir) = mesh(2, 3, "unlink");
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(2, &dir);
         // Both sides exchange Hellos at establish; within a moment every
         // segment file should be gone while the rings keep working.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1255,7 +744,7 @@ mod tests {
         }
         // The unlinked rings still deliver.
         fabrics[0].deliver(0, 1, env(0, 0, 4, 0), 0, false);
-        assert_eq!(recv_one(fabrics[1].as_ref(), 1, 0, 4).tag, 4);
+        assert_eq!(recv_one(&*fabrics[1], 1, 0, 4).tag, 4);
         for (me, f) in fabrics.iter().enumerate() {
             f.finish(me);
         }
@@ -1264,7 +753,8 @@ mod tests {
 
     #[test]
     fn silent_peer_is_declared_failed_by_heartbeat() {
-        let (fabrics, dir) = mesh(3, 4, "silence");
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(3, &dir);
         // Rank 0 "dies": no Finish, no ring close — only heartbeat
         // silence, exactly the signature a SIGKILL leaves behind.
         fabrics[0].sever();
@@ -1283,32 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn agreement_completes_and_excludes_the_dead() {
-        let (fabrics, dir) = mesh(3, 5, "agree");
-        let group = [0, 1, 2];
-        let handles: Vec<_> = fabrics
-            .iter()
-            .enumerate()
-            .map(|(me, f)| {
-                let f = Arc::clone(f);
-                std::thread::spawn(move || f.agreement((0, 0, 0), me, me as u64 + 10, &group))
-            })
-            .collect();
-        for (me, h) in handles.into_iter().enumerate() {
-            let slot = h.join().unwrap();
-            assert_eq!(slot.len(), 3, "rank {me} saw all contributions");
-            assert_eq!(slot[&2], 12);
-        }
-        for (me, f) in fabrics.iter().enumerate() {
-            f.finish(me);
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn auto_falls_back_to_tcp_when_hosts_differ() {
         let server = rendezvous::serve().unwrap().to_string();
-        let dir = scratch_dir("fallback");
+        let dir = scratch_dir();
         let handles: Vec<_> = (0..2)
             .map(|me| {
                 let server = server.clone();
@@ -1346,7 +813,7 @@ mod tests {
     #[test]
     fn explicit_shm_mode_refuses_split_hosts() {
         let server = rendezvous::serve().unwrap().to_string();
-        let dir = scratch_dir("refuse");
+        let dir = scratch_dir();
         let handles: Vec<_> = (0..2)
             .map(|me| {
                 let server = server.clone();
@@ -1372,7 +839,8 @@ mod tests {
 
     #[test]
     fn large_payloads_stream_through_a_smaller_ring() {
-        let (fabrics, dir) = mesh(2, 8, "large");
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(2, &dir);
         // 4 MiB payload through 1 MiB rings: must stream, not wedge.
         let big = vec![0xABu8; 4 << 20];
         let payload = Payload::Bytes(bytes::Bytes::from(big.clone()));
@@ -1397,7 +865,7 @@ mod tests {
                 );
             })
         };
-        let got = recv_one(fabrics[1].as_ref(), 1, 0, 3);
+        let got = recv_one(&*fabrics[1], 1, 0, 3);
         assert_eq!(got.payload.len(), 4 << 20);
         sender.join().unwrap();
         for (me, f) in fabrics.iter().enumerate() {

@@ -39,8 +39,13 @@ impl Request {
 /// connection either way.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
+    // The request line and headers share one MAX_HEAD budget, enforced
+    // while reading: a line that never ends must not buffer without bound.
+    // A line cut short — by the budget or by EOF — is unparseable.
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    head.read_line(&mut line)?;
+    if !line.ends_with('\n') {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -49,14 +54,10 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
     };
     let (method, path) = (method.to_string(), path.to_string());
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(None);
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD {
+        head.read_line(&mut header)?;
+        if !header.ends_with('\n') {
             return Ok(None);
         }
         let header = header.trim_end();
@@ -257,6 +258,30 @@ mod tests {
         assert_eq!(status, 202);
         assert_eq!(body, "{\"job\": 1}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn an_unterminated_request_line_reads_at_most_the_head_cap() {
+        const SENT: usize = 1 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            // 1 MiB of request line with no newline, then EOF.
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(&vec![b'a'; SENT]).unwrap();
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        assert!(read_request(&mut conn).unwrap().is_none());
+        // What read_request left unread is still in the socket.
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).unwrap();
+        client.join().unwrap();
+        let consumed = SENT - rest.len();
+        // One BufReader buffer (8 KiB) may be read ahead of the cap.
+        assert!(
+            consumed <= MAX_HEAD + 8 * 1024,
+            "read {consumed} bytes of a line with no end"
+        );
     }
 
     #[test]

@@ -12,30 +12,22 @@
 //!
 //! The head/tail publication protocol and the spin-then-park doorbells
 //! are the same design as [`patternlets_core::spsc`] (the byte ring
-//! under the shm fabric); this ring is typed and in-process, so slots
-//! hold `T` directly instead of serialized frames — no encode, no copy,
-//! just a move into and out of the slot.
+//! under the shm fabric), and blocked ends climb the same
+//! [`wait`] ladder; this ring is typed and in-process, so slots hold `T`
+//! directly instead of serialized frames — no encode, no copy, just a
+//! move into and out of the slot.
 //!
 //! The farm keeps the MPMC channel: its work queue is 1:N and its
 //! result queue N:1, genuinely multi-consumer/multi-producer.
 
 use crate::Obs;
-use patternlets_core::spsc::{spin_budget, Doorbell, PARK_NS};
+use patternlets_core::spsc::{wait, Doorbell, Wait};
 use patternlets_metrics::{CounterId, GaugeId};
 use patternlets_trace::EventKind;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// `yield_now` calls between spinning and parking, mirroring
-/// [`patternlets_core::spsc`]: on one hardware thread a yield hands the
-/// core straight to the other stage, which is an order of magnitude
-/// cheaper than a futex park/wake round trip — the park is the backstop
-/// for a genuinely idle edge, not the busy-pipeline common case. The
-/// spin phase before it comes from [`spin_budget`] (zero on single-CPU
-/// hosts, where spinning can never observe peer progress).
-const YIELDS: u32 = 32;
 
 /// A cache-line-aligned position counter: head and tail each get their
 /// own line so the producer's stores never invalidate the consumer's.
@@ -86,14 +78,11 @@ impl<T> Ring<T> {
     /// Count one wait episode on this edge, attributed to the queue's
     /// lane and split by how it resolved — the same spin-vs-park
     /// vocabulary as the byte ring under the shm fabric.
-    fn record_wait(&self, waited: bool, parked: bool) {
-        if !waited {
-            return;
-        }
+    fn record_wait(&self, cost: Wait) {
         if let Some(m) = &self.obs.metrics {
             m.incr(
                 self.queue,
-                if parked {
+                if cost.parked() {
                     CounterId::SpscParkWaits
                 } else {
                     CounterId::SpscSpinWaits
@@ -174,40 +163,16 @@ impl<T> SpscSender<T> {
     fn wait_for_space(&self) -> Option<(usize, usize)> {
         let ring = &*self.ring;
         let tail = ring.tail.0.load(Ordering::Relaxed);
-        let mut spun = 0u32;
-        let mut parked = false;
-        loop {
-            if ring.closed.load(Ordering::Acquire) || ring.receiver_gone.load(Ordering::Acquire) {
-                ring.record_wait(spun > 0, parked);
-                return None;
-            }
-            let head = ring.head.0.load(Ordering::Acquire);
-            if tail - head < ring.capacity {
-                ring.record_wait(spun > 0, parked);
-                return Some((tail, head));
-            }
-            if spun < spin_budget() {
-                spun += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            if spun < spin_budget() + YIELDS {
-                spun += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            ring.producer_bell.prepare_park();
-            let head = ring.head.0.load(Ordering::Acquire);
-            if tail - head < ring.capacity
-                || ring.closed.load(Ordering::Acquire)
-                || ring.receiver_gone.load(Ordering::Acquire)
-            {
-                ring.producer_bell.cancel_park();
-                continue;
-            }
-            parked = true;
-            ring.producer_bell.park(PARK_NS);
+        let dead =
+            || ring.closed.load(Ordering::Acquire) || ring.receiver_gone.load(Ordering::Acquire);
+        let has_space = || tail - ring.head.0.load(Ordering::Acquire) < ring.capacity;
+        if !dead() && !has_space() {
+            ring.record_wait(wait(&ring.producer_bell, || dead() || has_space()));
         }
+        if dead() {
+            return None;
+        }
+        Some((tail, ring.head.0.load(Ordering::Acquire)))
     }
 
     /// Push an item, blocking while the ring is full. Returns `false` —
@@ -312,48 +277,23 @@ impl<T> SpscReceiver<T> {
     fn wait_for_items(&self) -> Option<(usize, usize)> {
         let ring = &*self.ring;
         let head = ring.head.0.load(Ordering::Relaxed);
-        let mut spun = 0u32;
-        let mut parked = false;
-        loop {
-            let tail = ring.tail.0.load(Ordering::Acquire);
-            if tail != head {
-                ring.record_wait(spun > 0, parked);
-                return Some((head, tail));
-            }
-            if ring.closed.load(Ordering::Acquire) {
-                // The producer publishes items (tail.store Release) and
-                // only then closes, so after observing `closed` the tail
-                // must be re-read: both stores can land between our two
-                // loads, and trusting the stale empty tail here would
-                // drop the final batch. Mirrors `spsc.rs` Consumer::read,
-                // which checks availability after `is_closed()`.
-                let tail = ring.tail.0.load(Ordering::Acquire);
-                if tail != head {
-                    ring.record_wait(spun > 0, parked);
-                    return Some((head, tail));
-                }
-                // Closed AND drained (tail == head): the stream is over.
-                self.ring.trace_eos_once(self.lane);
-                return None;
-            }
-            if spun < spin_budget() {
-                spun += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            if spun < spin_budget() + YIELDS {
-                spun += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            ring.consumer_bell.prepare_park();
-            if ring.tail.0.load(Ordering::Acquire) != head || ring.closed.load(Ordering::Acquire) {
-                ring.consumer_bell.cancel_park();
-                continue;
-            }
-            parked = true;
-            ring.consumer_bell.park(PARK_NS);
+        let ready =
+            || ring.tail.0.load(Ordering::Acquire) != head || ring.closed.load(Ordering::Acquire);
+        let cost = (!ready()).then(|| wait(&ring.consumer_bell, ready));
+        // The producer publishes items (tail.store Release) and only then
+        // closes, so the tail must be read after `closed` was observed:
+        // both stores can land between the two loads in `ready`, and
+        // trusting a stale empty tail would drop the final batch.
+        let tail = ring.tail.0.load(Ordering::Acquire);
+        if tail == head {
+            // Closed AND drained: the stream is over.
+            self.ring.trace_eos_once(self.lane);
+            return None;
         }
+        if let Some(cost) = cost {
+            ring.record_wait(cost);
+        }
+        Some((head, tail))
     }
 
     /// Pop an item, blocking while the ring is empty and the producer is
@@ -548,8 +488,7 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(rx.recv(), Some(2));
         let snap = hub.snapshot();
-        let episodes =
-            snap.total(CounterId::SpscSpinWaits) + snap.total(CounterId::SpscParkWaits);
+        let episodes = snap.total(CounterId::SpscSpinWaits) + snap.total(CounterId::SpscParkWaits);
         assert_eq!(episodes, 1, "one blocked send = one wait episode");
     }
 
