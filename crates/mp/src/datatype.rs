@@ -78,27 +78,56 @@ pub(crate) fn decode_payload<T: Datatype>(payload: Payload, count: usize) -> Res
     }
 }
 
+/// Check that a fixed-width payload holds exactly `count` elements of
+/// `size` bytes.
+fn check_len(name: &str, bytes: &[u8], count: usize, size: usize) -> Result<()> {
+    if count.checked_mul(size) != Some(bytes.len()) {
+        return Err(Error::Codec(format!(
+            "{name}: payload is {} bytes, expected {count} x {size}",
+            bytes.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Append `data` as `N`-byte little-endian elements: one resize of `out`,
+/// then one pass filling its exactly sized new tail.
+fn put_le<T: Copy, const N: usize>(data: &[T], out: &mut BytesMut, to_le: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + data.len() * N, 0);
+    for (slot, &v) in out[start..].chunks_exact_mut(N).zip(data) {
+        slot.copy_from_slice(&to_le(v));
+    }
+}
+
+/// The `N`-byte little-endian elements of a payload that must hold
+/// exactly `count` of them, read in one pass.
+fn le_elements<'a, const N: usize>(
+    name: &str,
+    bytes: &'a [u8],
+    count: usize,
+) -> Result<impl Iterator<Item = [u8; N]> + 'a> {
+    check_len(name, bytes, count, N)?;
+    Ok(bytes
+        .chunks_exact(N)
+        .map(|c| c.try_into().expect("chunks_exact yields N bytes")))
+}
+
+/// Fixed-width types: a closed-form `encoded_len` and the in-process
+/// zero-copy path; `$encode`/`$decode` are the bulk codec bodies.
 macro_rules! impl_fixed {
-    ($($t:ty => $name:literal, $size:expr, $put:ident, $get:ident;)*) => {$(
+    ($($t:ty => $name:literal, $size:literal,
+       |$data:ident, $out:ident| $encode:expr,
+       |$bytes:ident, $count:ident| $decode:expr;)*) => {$(
         impl Datatype for $t {
             const TYPE_NAME: &'static str = $name;
 
-            fn encode_slice(data: &[Self], out: &mut BytesMut) {
-                out.reserve(data.len() * $size);
-                for v in data {
-                    out.$put(*v);
-                }
+            fn encode_slice($data: &[Self], $out: &mut BytesMut) {
+                $encode
             }
 
-            fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-                if bytes.len() != count * $size {
-                    return Err(Error::Codec(format!(
-                        "{}: payload is {} bytes, expected {} x {}",
-                        $name, bytes.len(), count, $size
-                    )));
-                }
-                let mut buf = bytes.clone();
-                Ok((0..count).map(|_| buf.$get()).collect())
+            fn decode_slice($bytes: &Bytes, $count: usize) -> Result<Vec<Self>> {
+                $decode
             }
 
             fn encoded_len(data: &[Self]) -> usize {
@@ -116,86 +145,53 @@ macro_rules! impl_fixed {
     )*};
 }
 
+/// The wider numeric types: `to_le_bytes`/`from_le_bytes` per element
+/// in one `chunks_exact` pass.
+macro_rules! impl_le {
+    ($($t:ty => $name:literal, $size:literal;)*) => {
+        impl_fixed! {$(
+            $t => $name, $size,
+            |data, out| put_le(data, out, <$t>::to_le_bytes),
+            |bytes, count| Ok(le_elements::<$size>($name, bytes, count)?
+                .map(<$t>::from_le_bytes)
+                .collect());
+        )*}
+    };
+}
+
+impl_le! {
+    i32 => "i32", 4;
+    i64 => "i64", 8;
+    u32 => "u32", 4;
+    u64 => "u64", 8;
+    f32 => "f32", 4;
+    f64 => "f64", 8;
+}
+
 impl_fixed! {
-    i32 => "i32", 4, put_i32_le, get_i32_le;
-    i64 => "i64", 8, put_i64_le, get_i64_le;
-    u32 => "u32", 4, put_u32_le, get_u32_le;
-    u64 => "u64", 8, put_u64_le, get_u64_le;
-    f32 => "f32", 4, put_f32_le, get_f32_le;
-    f64 => "f64", 8, put_f64_le, get_f64_le;
-    u8  => "u8",  1, put_u8,     get_u8;
-}
-
-impl Datatype for bool {
-    const TYPE_NAME: &'static str = "bool";
-
-    fn encode_slice(data: &[Self], out: &mut BytesMut) {
-        out.reserve(data.len());
-        for v in data {
-            out.put_u8(*v as u8);
-        }
-    }
-
-    fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-        if bytes.len() != count {
-            return Err(Error::Codec(format!(
-                "bool: payload is {} bytes, expected {count}",
-                bytes.len()
-            )));
-        }
-        bytes
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                other => Err(Error::Codec(format!("bool: invalid byte {other}"))),
-            })
-            .collect()
-    }
-
-    fn encoded_len(data: &[Self]) -> usize {
-        data.len()
-    }
-
-    fn to_shared(data: &[Self]) -> Option<SharedPayload> {
-        Some(SharedPayload::for_slice(data))
-    }
-
-    fn from_shared(shared: SharedPayload) -> std::result::Result<Vec<Self>, SharedPayload> {
-        shared.try_take::<Self>()
-    }
-}
-
-impl Datatype for usize {
-    const TYPE_NAME: &'static str = "usize";
-
-    fn encode_slice(data: &[Self], out: &mut BytesMut) {
-        out.reserve(data.len() * 8);
-        for v in data {
-            out.put_u64_le(*v as u64);
-        }
-    }
-
-    fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-        let wide = u64::decode_slice(bytes, count)?;
-        wide.into_iter()
-            .map(|v| {
-                usize::try_from(v).map_err(|_| Error::Codec(format!("usize: value {v} too large")))
-            })
-            .collect()
-    }
-
-    fn encoded_len(data: &[Self]) -> usize {
-        data.len() * 8
-    }
-
-    fn to_shared(data: &[Self]) -> Option<SharedPayload> {
-        Some(SharedPayload::for_slice(data))
-    }
-
-    fn from_shared(shared: SharedPayload) -> std::result::Result<Vec<Self>, SharedPayload> {
-        shared.try_take::<Self>()
-    }
+    u8 => "u8", 1,
+    |data, out| out.put_slice(data),
+    |bytes, count| {
+        check_len("u8", bytes, count, 1)?;
+        Ok(bytes.to_vec())
+    };
+    bool => "bool", 1,
+    |data, out| put_le(data, out, |v| [u8::from(v)]),
+    |bytes, count| le_elements::<1>("bool", bytes, count)?
+        .map(|[b]| match b {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(Error::Codec(format!("bool: invalid byte {other}"))),
+        })
+        .collect();
+    usize => "usize", 8,
+    |data, out| put_le(data, out, |v| (v as u64).to_le_bytes()),
+    |bytes, count| le_elements::<8>("usize", bytes, count)?
+        .map(|b| {
+            let v = u64::from_le_bytes(b);
+            usize::try_from(v).map_err(|_| Error::Codec(format!("usize: value {v} too large")))
+        })
+        .collect();
 }
 
 impl Datatype for String {
@@ -209,23 +205,22 @@ impl Datatype for String {
     }
 
     fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-        let mut buf = bytes.clone();
-        let mut out = Vec::with_capacity(count);
+        let mut rest: &[u8] = bytes;
+        let mut out = Vec::with_capacity(count.min(rest.len() / 8));
         for _ in 0..count {
-            if buf.remaining() < 8 {
+            let Some((len, tail)) = rest.split_first_chunk::<8>() else {
                 return Err(Error::Codec("String: truncated length".into()));
-            }
-            let len = buf.get_u64_le() as usize;
-            if buf.remaining() < len {
+            };
+            let len = u64::from_le_bytes(*len);
+            let Some(body) = usize::try_from(len).ok().and_then(|len| tail.get(..len)) else {
                 return Err(Error::Codec("String: truncated body".into()));
-            }
-            let body = buf.copy_to_bytes(len);
-            out.push(
-                String::from_utf8(body.to_vec())
-                    .map_err(|e| Error::Codec(format!("String: {e}")))?,
-            );
+            };
+            let text =
+                std::str::from_utf8(body).map_err(|e| Error::Codec(format!("String: {e}")))?;
+            out.push(text.to_owned());
+            rest = &tail[body.len()..];
         }
-        if buf.has_remaining() {
+        if !rest.is_empty() {
             return Err(Error::Codec("String: trailing bytes".into()));
         }
         Ok(out)
@@ -252,10 +247,13 @@ impl<T: Datatype> Datatype for (T, usize) {
 
     fn encode_slice(data: &[Self], out: &mut BytesMut) {
         for (v, loc) in data {
-            let mut one = BytesMut::new();
-            T::encode_slice(std::slice::from_ref(v), &mut one);
-            out.put_u64_le(one.len() as u64);
-            out.put_slice(&one);
+            // Encode the value in place behind its length slot, then
+            // patch the slot with the length it turned out to have.
+            let slot = out.len();
+            out.put_u64_le(0);
+            T::encode_slice(std::slice::from_ref(v), out);
+            let vlen = (out.len() - slot - 8) as u64;
+            out[slot..slot + 8].copy_from_slice(&vlen.to_le_bytes());
             out.put_u64_le(*loc as u64);
         }
     }
@@ -268,7 +266,7 @@ impl<T: Datatype> Datatype for (T, usize) {
                 return Err(Error::Codec("(T, usize): truncated".into()));
             }
             let vlen = buf.get_u64_le() as usize;
-            if buf.remaining() < vlen + 8 {
+            if buf.remaining() < vlen.saturating_add(8) {
                 return Err(Error::Codec("(T, usize): truncated".into()));
             }
             let vbytes = buf.copy_to_bytes(vlen);
@@ -323,6 +321,85 @@ mod tests {
     fn loc_pairs_roundtrip() {
         roundtrip(&[(3i64, 0usize), (-5, 7), (i64::MAX, usize::MAX)]);
         roundtrip(&[(1.5f64, 2usize)]);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire encoding of every built-in type, byte for byte as the
+    /// element-at-a-time codec produced it: the bulk codec must not move
+    /// a single byte.
+    #[test]
+    fn golden_encodings_are_unchanged() {
+        let golden = [
+            (
+                hex(&encode(&[1i32, -2, i32::MAX, i32::MIN])),
+                "01000000feffffffffffff7f00000080",
+            ),
+            (
+                hex(&encode(&[1i64, -2, i64::MAX, i64::MIN])),
+                "0100000000000000feffffffffffffffffffffffffffff7f0000000000000080",
+            ),
+            (
+                hex(&encode(&[0u32, 0x0102_0304, u32::MAX])),
+                "0000000004030201ffffffff",
+            ),
+            (
+                hex(&encode(&[0u64, 0x0102_0304_0506_0708, u64::MAX])),
+                "00000000000000000807060504030201ffffffffffffffff",
+            ),
+            (
+                hex(&encode(&[0.5f32, -1.25, f32::INFINITY])),
+                "0000003f0000a0bf0000807f",
+            ),
+            (
+                hex(&encode(&[0.5f64, -1.25, f64::NEG_INFINITY])),
+                "000000000000e03f000000000000f4bf000000000000f0ff",
+            ),
+            (hex(&encode(&[0u8, 7, 255])), "0007ff"),
+            (hex(&encode(&[true, false, true])), "010001"),
+            (
+                hex(&encode(&[0usize, 42, usize::MAX])),
+                "00000000000000002a00000000000000ffffffffffffffff",
+            ),
+            (
+                hex(&encode(&["".to_string(), "hé".to_string()])),
+                "0000000000000000030000000000000068c3a9",
+            ),
+            (
+                hex(&encode(&[(3i64, 0usize), (-5, 7)])),
+                "0800000000000000030000000000000000000000000000000800000000000000\
+                 fbffffffffffffff0700000000000000",
+            ),
+            (
+                hex(&encode(&[("ab".to_string(), 1usize)])),
+                "0a00000000000000020000000000000061620100000000000000",
+            ),
+        ];
+        for (got, want) in golden {
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn encode_keeps_the_encoding_buffer() {
+        // `encode` freezes its builder: the payload is the buffer the
+        // elements were written into, not a copy of it.
+        let data = vec![3u8; 4096];
+        let mut out = BytesMut::new();
+        u8::encode_slice(&data, &mut out);
+        let ptr = out.as_ptr();
+        assert_eq!(out.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn encode_slice_appends_after_existing_bytes() {
+        let mut out = BytesMut::new();
+        out.put_u8(0xAA);
+        i32::encode_slice(&[1, 2], &mut out);
+        bool::encode_slice(&[true], &mut out);
+        assert_eq!(hex(&out), "aa010000000200000001");
     }
 
     #[test]

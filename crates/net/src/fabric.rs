@@ -56,9 +56,9 @@ use patternlets_mp::fabric::WorldSpec;
 use patternlets_trace::EventKind;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
-use crate::frame::{encode_frame, read_frame, Frame, CRC_MISMATCH, IDLE_TIMEOUT};
+use crate::frame::{encode_frame, is_timeout, read_frame, Frame, CRC_MISMATCH, IDLE_TIMEOUT};
 use crate::mesh::{Link, Mesh, PeerMesh};
-use crate::rendezvous;
+use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::SendRing;
 
 /// A peer silent this long (no frame, no ping) while not finished gets a
@@ -783,6 +783,119 @@ impl Mesh<TcpLink> {
     }
 }
 
+/// Accept one connection, and its `Hello`, from every rank above `me`.
+/// Each `accept` and each `Hello` read gives up after `timeout`: a
+/// registered peer that died before dialing (or right after) is an
+/// `Err`, not a hang. The bound costs no poll: it is the listener's
+/// `SO_RCVTIMEO` and the accepted stream's read timeout (which the
+/// caller replaces once the mesh is up).
+fn accept_higher_ranks(
+    listener: &TcpListener,
+    me: usize,
+    epoch: u64,
+    timeout: Duration,
+    streams: &mut [Option<TcpStream>],
+) -> Result<()> {
+    let np = streams.len();
+    if me + 1 < np {
+        set_accept_timeout(listener, timeout)
+            .map_err(|e| Error::Codec(format!("arm accept timeout: {e}")))?;
+    }
+    for _ in me + 1..np {
+        let (mut stream, _) = listener.accept().map_err(|e| {
+            Error::Codec(if is_timeout(&e) {
+                format!("accept peer: no peer dialed within {timeout:?}")
+            } else {
+                format!("accept peer: {e}")
+            })
+        })?;
+        // A connection queued before the listener was armed did not
+        // inherit its timeout: arm the stream itself.
+        stream
+            .set_read_timeout(Some(timeout))
+            .map_err(|e| Error::Codec(format!("arm Hello timeout: {e}")))?;
+        match read_frame(&mut stream)? {
+            Some(Frame::Hello { epoch: e, rank }) if e == epoch => {
+                let rank = rank as usize;
+                if rank <= me || rank >= np || streams[rank].is_some() {
+                    return Err(Error::Codec(format!("bad handshake from rank {rank}")));
+                }
+                streams[rank] = Some(stream);
+            }
+            other => {
+                return Err(Error::Codec(format!(
+                    "expected Hello for epoch {epoch}, got {other:?}"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Set `SO_RCVTIMEO` on a listening socket, which bounds a blocking
+/// `accept` (it then fails with `WouldBlock`). The standard library has
+/// no setter for listeners, so this declares `setsockopt(2)` directly
+/// (std already links libc), as `patternlets_core::signals` does for
+/// `signal(2)`.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn set_accept_timeout(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    use std::ffi::{c_int, c_long, c_void};
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct Timeval {
+        tv_sec: c_long,
+        tv_usec: c_long,
+    }
+    extern "C" {
+        fn setsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *const c_void,
+            len: u32,
+        ) -> c_int;
+    }
+    const SOL_SOCKET: c_int = 1;
+    const SO_RCVTIMEO: c_int = 20;
+
+    // A zero timeval means "no timeout": round up to a microsecond.
+    let micros = timeout.as_micros().max(1);
+    let tv = Timeval {
+        tv_sec: (micros / 1_000_000) as c_long,
+        tv_usec: (micros % 1_000_000) as c_long,
+    };
+    // SAFETY: `setsockopt` reads `len` bytes from `value`, which points
+    // at a live, properly laid out `timeval` on this stack frame; the fd
+    // is open for as long as `listener` is borrowed.
+    let rc = unsafe {
+        setsockopt(
+            listener.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVTIMEO,
+            (&tv as *const Timeval).cast(),
+            std::mem::size_of::<Timeval>() as u32,
+        )
+    };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(std::io::Error::last_os_error())
+    }
+}
+
+/// Elsewhere `accept` stays unbounded.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn set_accept_timeout(_listener: &TcpListener, _timeout: Duration) -> std::io::Result<()> {
+    Ok(())
+}
+
 /// Wall clock as Unix nanoseconds (0 on a pre-epoch clock).
 fn unix_now_ns() -> u64 {
     std::time::SystemTime::now()
@@ -859,24 +972,7 @@ impl PeerMesh<TcpLink> {
             .map_err(sock_err(&format!("handshake with rank {peer}")))?;
             streams[peer] = Some(stream);
         }
-        for _ in me + 1..np {
-            let (mut stream, _) = listener.accept().map_err(sock_err("accept peer"))?;
-            match read_frame(&mut stream)? {
-                Some(Frame::Hello { epoch, rank }) if epoch == spec.epoch => {
-                    let rank = rank as usize;
-                    if rank <= me || rank >= np || streams[rank].is_some() {
-                        return Err(Error::Codec(format!("bad handshake from rank {rank}")));
-                    }
-                    streams[rank] = Some(stream);
-                }
-                other => {
-                    return Err(Error::Codec(format!(
-                        "expected Hello for epoch {}, got {other:?}",
-                        spec.epoch
-                    )));
-                }
-            }
-        }
+        accept_higher_ranks(&listener, me, spec.epoch, REGISTER_TIMEOUT, &mut streams)?;
         for stream in streams.iter().flatten() {
             let _ = stream.set_nodelay(true);
             // Bound mid-frame reads: a peer that stalls inside a record
@@ -949,6 +1045,53 @@ mod tests {
     use crate::mesh::tests::{env, recv_one, tcp_mesh_with};
     use patternlets_mp::Fabric;
     use std::sync::Arc;
+
+    /// Run `accept_higher_ranks` as rank 0 of a two-rank world on its
+    /// own thread; `None` if it is still blocked after ten seconds.
+    fn accept_rank_1(listener: TcpListener, bound: Duration) -> Option<Result<()>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut streams = vec![None, None];
+            let _ = tx.send(accept_higher_ranks(&listener, 0, 0, bound, &mut streams));
+        });
+        rx.recv_timeout(Duration::from_secs(10)).ok()
+    }
+
+    /// A registered peer that is killed before it dials, or after it
+    /// dialed but before its `Hello`, fails establishment within the
+    /// bound instead of blocking it forever.
+    #[test]
+    #[cfg_attr(
+        not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )),
+        ignore = "accept is bounded only where set_accept_timeout is implemented"
+    )]
+    fn establishment_gives_up_on_a_peer_that_never_dials_or_greets() {
+        let bound = Duration::from_millis(300);
+        let never_dials = TcpListener::bind("127.0.0.1:0").unwrap();
+        let err = accept_rank_1(never_dials, bound)
+            .expect("accept returned")
+            .unwrap_err();
+        assert!(err.to_string().contains("no peer dialed"), "{err}");
+
+        let never_greets = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _silent = TcpStream::connect(never_greets.local_addr().unwrap()).unwrap();
+        let err = accept_rank_1(never_greets, bound)
+            .expect("Hello read returned")
+            .unwrap_err();
+        assert!(err.to_string().contains(IDLE_TIMEOUT), "{err}");
+    }
+
+    #[test]
+    fn establishment_accepts_a_peer_that_greets() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        crate::frame::write_frame(&mut peer, &Frame::Hello { epoch: 0, rank: 1 }).unwrap();
+        let got = accept_rank_1(listener, Duration::from_secs(5)).expect("accept returned");
+        assert!(got.is_ok(), "{got:?}");
+    }
 
     #[test]
     fn abrupt_disconnect_marks_the_peer_failed() {

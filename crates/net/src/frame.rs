@@ -303,9 +303,21 @@ const KIND_CLOCK_PROBE: u8 = 16;
 const KIND_CLOCK_REPLY: u8 = 17;
 const KIND_JOB_TRACE: u8 = 18;
 
-struct BodyWriter(Vec<u8>);
+/// Builds one wire record in a single buffer: an 8-byte header slot
+/// (length prefix, then a CRC placeholder), then the body. [`finish`]
+/// patches both header fields in place, so the record is never copied.
+///
+/// [`finish`]: RecordWriter::finish
+struct RecordWriter(Vec<u8>);
 
-impl BodyWriter {
+impl RecordWriter {
+    /// A writer whose buffer holds a `body_len`-byte body without
+    /// growing.
+    fn with_body_capacity(body_len: usize) -> Self {
+        let mut buf = Vec::with_capacity(8 + body_len);
+        buf.extend_from_slice(&[0; 8]);
+        RecordWriter(buf)
+    }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -324,6 +336,55 @@ impl BodyWriter {
     }
     fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+    /// Patch the length prefix and the CRC over `length ++ body`.
+    fn finish(self) -> Vec<u8> {
+        let mut record = self.0;
+        let len_bytes = ((record.len() - 8) as u32).to_le_bytes();
+        let crc = frame_crc(&len_bytes, &record[8..]);
+        record[..4].copy_from_slice(&len_bytes);
+        record[4..8].copy_from_slice(&crc.to_le_bytes());
+        record
+    }
+}
+
+/// The fields of a [`Frame::Env`] other than its payload, borrowed: the
+/// peer mesh encodes an outgoing envelope's record straight from the
+/// envelope, without first copying its payload into a `Frame`.
+pub(crate) struct EnvHeader<'a> {
+    pub comm_id: u64,
+    pub src: u64,
+    pub tag: i32,
+    pub type_name: &'a str,
+    pub count: u64,
+    pub seq: u64,
+    pub needs_ack: bool,
+    pub overtake: u32,
+}
+
+impl EnvHeader<'_> {
+    /// Body bytes besides the type name and the payload: kind, the
+    /// fixed-width fields, and the two length prefixes.
+    const FIXED_BODY: usize = 1 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4 + 4;
+
+    /// The wire record of this envelope carrying `payload`: written once
+    /// into an exactly sized buffer, the CRC patched in place.
+    pub(crate) fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        let mut w = RecordWriter::with_body_capacity(
+            Self::FIXED_BODY + self.type_name.len() + payload.len(),
+        );
+        w.u8(KIND_ENV);
+        w.u64(self.comm_id);
+        w.u64(self.src);
+        w.i32(self.tag);
+        w.string(self.type_name);
+        w.u64(self.count);
+        w.u64(self.seq);
+        w.u8(u8::from(self.needs_ack));
+        w.u32(self.overtake);
+        w.bytes(payload);
+        debug_assert_eq!(w.0.len(), w.0.capacity(), "Env records are exactly sized");
+        w.finish()
     }
 }
 
@@ -376,7 +437,7 @@ impl<'a> BodyReader<'a> {
 
 /// Encode `frame` as one length-prefixed wire record.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut w = BodyWriter(Vec::with_capacity(32));
+    let mut w = RecordWriter::with_body_capacity(32);
     match frame {
         Frame::Hello { epoch, rank } => {
             w.u8(KIND_HELLO);
@@ -394,16 +455,17 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             overtake,
             payload,
         } => {
-            w.u8(KIND_ENV);
-            w.u64(*comm_id);
-            w.u64(*src);
-            w.i32(*tag);
-            w.string(type_name);
-            w.u64(*count);
-            w.u64(*seq);
-            w.u8(u8::from(*needs_ack));
-            w.u32(*overtake);
-            w.bytes(payload);
+            return EnvHeader {
+                comm_id: *comm_id,
+                src: *src,
+                tag: *tag,
+                type_name,
+                count: *count,
+                seq: *seq,
+                needs_ack: *needs_ack,
+                overtake: *overtake,
+            }
+            .encode(payload)
         }
         Frame::Finish { rank } => {
             w.u8(KIND_FINISH);
@@ -533,13 +595,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.string(json);
         }
     }
-    let body = w.0;
-    let len_bytes = (body.len() as u32).to_le_bytes();
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(&frame_crc(&len_bytes, &body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    w.finish()
 }
 
 /// The frame checksum: CRC-32 over the length prefix, continued over the
@@ -699,7 +755,8 @@ pub fn decode_frame(record: &[u8]) -> Result<Frame> {
     decode_body(&record[8..])
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
+/// Did a read or accept on a socket with a timeout time out?
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -861,6 +918,185 @@ mod tests {
             rank: 1,
             json: "{\"traceEvents\":[]}".into(),
         });
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One record of every kind, byte for byte as the two-buffer encoder
+    /// wrote it (length, CRC, body): the one-buffer writer must not move
+    /// a byte, or records from older builds would stop verifying.
+    #[test]
+    fn golden_records_are_unchanged() {
+        let golden = [
+            (
+                Frame::Hello { epoch: 3, rank: 1 },
+                "1100000095e058700003000000000000000100000000000000",
+            ),
+            (
+                Frame::Env {
+                    comm_id: 7,
+                    src: 2,
+                    tag: -42,
+                    type_name: "i64".into(),
+                    count: 1,
+                    seq: 99,
+                    needs_ack: true,
+                    overtake: 2,
+                    payload: vec![1, 2, 3, 4, 5, 6, 7, 8],
+                },
+                "3d0000004b7823f40107000000000000000200000000000000d6ffffff030000006936340100\
+                 00000000000063000000000000000102000000080000000102030405060708",
+            ),
+            (
+                Frame::Finish { rank: 5 },
+                "09000000886af7ee020500000000000000",
+            ),
+            (
+                Frame::Failed { rank: 3 },
+                "090000004c77e33f030300000000000000",
+            ),
+            (
+                Frame::Agree {
+                    comm_id: 1,
+                    kind: 1,
+                    seq: 4,
+                    rank: 2,
+                    value: u64::MAX,
+                },
+                "22000000c1793d430401000000000000000104000000000000000200000000000000\
+                 ffffffffffffffff",
+            ),
+            (
+                Frame::Ping { seen: 12 },
+                "090000006a1cd995050c00000000000000",
+            ),
+            (
+                Frame::Register {
+                    epoch: 0,
+                    rank: 3,
+                    np: 4,
+                    addr: "127.0.0.1:4096".into(),
+                },
+                "2b0000002f5e9695060000000000000000030000000000000004000000000000000e000000\
+                 3132372e302e302e313a34303936",
+            ),
+            (
+                Frame::Table {
+                    addrs: vec!["a:1".into(), "b:2".into()],
+                },
+                "13000000eda2246d070200000003000000613a3103000000623a32",
+            ),
+            (
+                Frame::Metrics {
+                    rank: 2,
+                    payload: vec![1, 0, 0, 0, 0],
+                },
+                "120000001560149b080200000000000000050000000100000000",
+            ),
+            (
+                Frame::Resume {
+                    epoch: 2,
+                    rank: 1,
+                    recv_seq: 740,
+                },
+                "190000003030912e0902000000000000000100000000000000e402000000000000",
+            ),
+            (
+                Frame::WorkerHello {
+                    pid: 4242,
+                    host: "node-a".into(),
+                },
+                "1300000069542a2e0a9210000000000000060000006e6f64652d61",
+            ),
+            (
+                Frame::JobAssign {
+                    job: 17,
+                    patternlet: "mpi/broadcast".into(),
+                    np: 4,
+                    rank: 2,
+                    epoch_base: 17 << 20,
+                    on: true,
+                    chaos: "7".into(),
+                    trace: true,
+                },
+                "3900000034393b6f0b11000000000000000d0000006d70692f62726f616463617374040000\
+                 00000000000200000000000000000010010000000001010000003701",
+            ),
+            (
+                Frame::JobLine {
+                    job: 17,
+                    rank: 2,
+                    line: "2 of 4".into(),
+                },
+                "1b000000cd0c7a160c110000000000000002000000000000000600000032206f662034",
+            ),
+            (
+                Frame::JobMetrics {
+                    job: 17,
+                    rank: 0,
+                    payload: vec![1, 0, 0],
+                },
+                "18000000259585060d1100000000000000000000000000000003000000010000",
+            ),
+            (
+                Frame::JobDone {
+                    job: 17,
+                    rank: 3,
+                    ok: false,
+                    error: "rank 1 failed".into(),
+                },
+                "23000000e72ad3ba0e11000000000000000300000000000000000d00000072616e6b203120\
+                 6661696c6564",
+            ),
+            (Frame::Shutdown, "010000003cc3fd6b0f"),
+            (
+                Frame::ClockProbe { t0: 1_700_000_000 },
+                "0900000012bde03d1000f1536500000000",
+            ),
+            (
+                Frame::ClockReply {
+                    t0: 1_700_000_000,
+                    server_ns: 1_700_000_042,
+                },
+                "11000000a4bd2ccd1100f15365000000002af1536500000000",
+            ),
+            (
+                Frame::JobTrace {
+                    job: 17,
+                    rank: 1,
+                    json: "{}".into(),
+                },
+                "17000000852958f61211000000000000000100000000000000020000007b7d",
+            ),
+        ];
+        for (frame, want) in golden {
+            assert_eq!(hex(&encode_frame(&frame)), want, "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn a_64_kib_env_record_keeps_its_length_and_crc() {
+        let payload: Vec<u8> = (0..64usize << 10)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8)
+            .collect();
+        let frame = Frame::Env {
+            comm_id: 0,
+            src: 0,
+            tag: 1,
+            type_name: "u8".into(),
+            count: payload.len() as u64,
+            seq: 1,
+            needs_ack: false,
+            overtake: 0,
+            payload,
+        };
+        let wire = encode_frame(&frame);
+        assert_eq!(wire.len(), 65_596);
+        assert_eq!(hex(&wire[4..8]), "74406b1a");
+        assert_eq!(wire.capacity(), wire.len(), "written once, exactly sized");
+        assert_eq!(decode_frame(&wire).unwrap(), frame);
     }
 
     #[test]

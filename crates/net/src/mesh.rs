@@ -55,7 +55,7 @@ use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
 use patternlets_mp::mailbox::Mailbox;
 use patternlets_trace::Tracer;
 
-use crate::frame::{encode_frame, Frame};
+use crate::frame::{encode_frame, EnvHeader, Frame};
 
 /// How often the heartbeat thread pings every live peer.
 pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
@@ -466,17 +466,17 @@ impl<L: Link> Fabric for PeerMesh<L> {
         duplicate: bool,
     ) -> bool {
         let mesh = &*self.inner;
-        let record = encode_frame(&Frame::Env {
+        let record = EnvHeader {
             comm_id: env.comm_id,
             src: env.src as u64,
             tag: env.tag,
-            type_name: env.type_name.to_string(),
+            type_name: env.type_name,
             count: env.count as u64,
             seq: env.seq,
             needs_ack: env.needs_ack,
             overtake: overtake as u32,
-            payload: env.payload.to_wire().to_vec(),
-        });
+        }
+        .encode(&env.payload.to_wire());
         let mut ok = mesh.link.write(mesh, dest, &record, true);
         if ok && duplicate {
             // Transmit a second copy; the receiving mailbox dedups it, so
