@@ -736,7 +736,7 @@ impl WorldBuilder {
                         let mut spins = 0u32;
                         while gate.load(Ordering::SeqCst) < np {
                             spins += 1;
-                            if spins % 1024 == 0 {
+                            if spins.is_multiple_of(1024) {
                                 // More ranks than cores must not livelock
                                 // the unarrived ones off the CPU.
                                 std::thread::yield_now();

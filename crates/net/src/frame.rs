@@ -1150,7 +1150,11 @@ mod tests {
         // Clock probes are connection plumbing: regenerated per establish,
         // never replayed — replayed probes would poison offset estimates.
         assert!(!Frame::ClockProbe { t0: 1 }.is_sequenced());
-        assert!(!Frame::ClockReply { t0: 1, server_ns: 2 }.is_sequenced());
+        assert!(!Frame::ClockReply {
+            t0: 1,
+            server_ns: 2
+        }
+        .is_sequenced());
     }
 
     #[test]
@@ -1231,6 +1235,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An `Env` record carrying `len` payload bytes, long enough for its
+    /// CRC to take the carry-less-multiply fold in `patternlets_core::crc`.
+    fn env_record(len: usize) -> Vec<u8> {
+        encode_frame(&Frame::Env {
+            comm_id: 7,
+            src: 2,
+            tag: 5,
+            type_name: "u8".into(),
+            count: len as u64,
+            seq: 3,
+            needs_ack: false,
+            overtake: 0,
+            payload: (0..len)
+                .map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8)
+                .collect(),
+        })
+    }
+
+    /// Flip each `(byte, bit)` of `wire` in turn; every flip must be
+    /// rejected as a checksum error.
+    fn assert_flips_fail_the_crc(wire: &[u8], flips: impl IntoIterator<Item = (usize, u32)>) {
+        let mut corrupt = wire.to_vec();
+        for (byte, bit) in flips {
+            corrupt[byte] ^= 1 << bit;
+            let err = decode_frame(&corrupt).unwrap_err();
+            assert!(
+                err.to_string().contains(CRC_MISMATCH),
+                "flip at {byte}:{bit} of a {}-byte record gave {err}",
+                wire.len()
+            );
+            corrupt[byte] ^= 1 << bit;
+        }
+    }
+
+    fn every_bit(bytes: std::ops::Range<usize>) -> impl Iterator<Item = (usize, u32)> {
+        bytes.flat_map(|byte| (0..8).map(move |bit| (byte, bit)))
+    }
+
+    #[test]
+    fn every_bit_flip_in_a_4_kib_record_is_caught_by_the_crc() {
+        let wire = env_record(4 << 10);
+        // CRC and body; length-prefix flips are covered above.
+        assert_flips_fail_the_crc(&wire, every_bit(4..wire.len()));
+    }
+
+    #[test]
+    fn sampled_bit_flips_in_a_64_kib_record_are_caught_by_the_crc() {
+        let wire = env_record(64 << 10);
+        // One bit in every 64-byte block of the body (a different byte
+        // and bit in each), every bit of the CRC, and every bit of the
+        // last 15 bytes, which the tables finish after the fold.
+        let blocks = (8..wire.len())
+            .step_by(64)
+            .enumerate()
+            .map(|(i, start)| ((start + i * 13 % 64).min(wire.len() - 1), i as u32 % 8));
+        let flips = blocks
+            .chain(every_bit(4..8))
+            .chain(every_bit(wire.len() - 15..wire.len()));
+        assert_flips_fail_the_crc(&wire, flips);
     }
 
     /// A corrupted *length prefix* must be caught on the frame that was

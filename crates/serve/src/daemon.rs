@@ -462,7 +462,11 @@ fn job_trace(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io::Re
         return respond_json(conn, 404, &err_doc("no such job"));
     };
     if !job.spec.trace {
-        return respond_json(conn, 404, &err_doc("job was not submitted with \"trace\": true"));
+        return respond_json(
+            conn,
+            404,
+            &err_doc("job was not submitted with \"trace\": true"),
+        );
     }
     match job.merged_trace() {
         Some(json) => respond_json(conn, 200, &json),
@@ -477,7 +481,11 @@ fn job_analysis(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io:
         return respond_json(conn, 404, &err_doc("no such job"));
     };
     if !job.spec.trace {
-        return respond_json(conn, 404, &err_doc("job was not submitted with \"trace\": true"));
+        return respond_json(
+            conn,
+            404,
+            &err_doc("job was not submitted with \"trace\": true"),
+        );
     }
     let Some(json) = job.merged_trace() else {
         return respond_json(conn, 404, &err_doc("no trace captured yet"));

@@ -159,8 +159,12 @@ pub fn from_trace(trace: &Trace) -> Analysis {
                     seq: *seq,
                     user: *tag >= 0,
                 },
-                EventKind::CollBegin { op } => NodeKind::SpanBegin { op: (*op).to_string() },
-                EventKind::CollEnd { op } => NodeKind::SpanEnd { op: (*op).to_string() },
+                EventKind::CollBegin { op } => NodeKind::SpanBegin {
+                    op: (*op).to_string(),
+                },
+                EventKind::CollEnd { op } => NodeKind::SpanEnd {
+                    op: (*op).to_string(),
+                },
                 EventKind::BarrierWait => NodeKind::SpanBegin {
                     op: "barrier".to_string(),
                 },
@@ -238,7 +242,10 @@ fn field_str<'a>(rec: &'a str, key: &str) -> Option<&'a str> {
 fn field_u64(rec: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let start = rec.find(&pat)? + pat.len();
-    let digits: String = rec[start..].chars().take_while(char::is_ascii_digit).collect();
+    let digits: String = rec[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
     digits.parse().ok()
 }
 
@@ -432,7 +439,9 @@ fn build(mut nodes: Vec<Node>) -> Analysis {
         }
     }
     for (key, exits) in &ends {
-        let Some(entries) = begins.get(key) else { continue };
+        let Some(entries) = begins.get(key) else {
+            continue;
+        };
         for &e in exits {
             for &b in entries {
                 if b < e && nodes[b].lane != nodes[e].lane {
@@ -461,10 +470,7 @@ fn build(mut nodes: Vec<Node>) -> Analysis {
     let mut path = Vec::new();
     let mut cur = last;
     let (mut c_compute, mut c_blocked, mut c_barrier, mut hops) = (0u64, 0u64, 0u64, 0usize);
-    while let Some(&(pred, edge)) = preds[cur]
-        .iter()
-        .max_by_key(|&&(p, _)| (nodes[p].t_ns, p))
-    {
+    while let Some(&(pred, edge)) = preds[cur].iter().max_by_key(|&&(p, _)| (nodes[p].t_ns, p)) {
         let dur = nodes[cur].t_ns.saturating_sub(nodes[pred].t_ns);
         let class = match (edge, &nodes[cur].kind) {
             (Edge::Message | Edge::Queue, _) => {
@@ -775,12 +781,72 @@ mod tests {
         let h = 10_000u64;
         Trace {
             events: vec![
-                ev(0, 0, 0, EventKind::MsgSend { to: 1, tag: -3, bytes: 8, seq: 0 }),
-                ev(1, 1, h, EventKind::MsgRecv { from: 0, tag: -3, bytes: 8, seq: 0 }),
-                ev(0, 2, h, EventKind::MsgSend { to: 2, tag: -3, bytes: 8, seq: 0 }),
-                ev(1, 3, h, EventKind::MsgSend { to: 3, tag: -3, bytes: 8, seq: 0 }),
-                ev(2, 4, 2 * h, EventKind::MsgRecv { from: 0, tag: -3, bytes: 8, seq: 0 }),
-                ev(3, 5, 2 * h, EventKind::MsgRecv { from: 1, tag: -3, bytes: 8, seq: 0 }),
+                ev(
+                    0,
+                    0,
+                    0,
+                    EventKind::MsgSend {
+                        to: 1,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    1,
+                    1,
+                    h,
+                    EventKind::MsgRecv {
+                        from: 0,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    0,
+                    2,
+                    h,
+                    EventKind::MsgSend {
+                        to: 2,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    1,
+                    3,
+                    h,
+                    EventKind::MsgSend {
+                        to: 3,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    2,
+                    4,
+                    2 * h,
+                    EventKind::MsgRecv {
+                        from: 0,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    3,
+                    5,
+                    2 * h,
+                    EventKind::MsgRecv {
+                        from: 1,
+                        tag: -3,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
             ],
             dropped: 0,
         }
@@ -809,10 +875,50 @@ mod tests {
             events: vec![
                 ev(0, 0, 0, EventKind::CollBegin { op: "stage" }),
                 ev(0, 1, w, EventKind::CollEnd { op: "stage" }),
-                ev(0, 2, w, EventKind::MsgSend { to: 1, tag: 1, bytes: 8, seq: 0 }),
-                ev(1, 3, w, EventKind::MsgRecv { from: 0, tag: 1, bytes: 8, seq: 0 }),
-                ev(1, 4, 2 * w, EventKind::MsgSend { to: 2, tag: 1, bytes: 8, seq: 0 }),
-                ev(2, 5, 2 * w, EventKind::MsgRecv { from: 1, tag: 1, bytes: 8, seq: 0 }),
+                ev(
+                    0,
+                    2,
+                    w,
+                    EventKind::MsgSend {
+                        to: 1,
+                        tag: 1,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    1,
+                    3,
+                    w,
+                    EventKind::MsgRecv {
+                        from: 0,
+                        tag: 1,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    1,
+                    4,
+                    2 * w,
+                    EventKind::MsgSend {
+                        to: 2,
+                        tag: 1,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
+                ev(
+                    2,
+                    5,
+                    2 * w,
+                    EventKind::MsgRecv {
+                        from: 1,
+                        tag: 1,
+                        bytes: 8,
+                        seq: 0,
+                    },
+                ),
                 ev(2, 6, 3 * w, EventKind::ChunkClaim { start: 0, len: 1 }),
             ],
             dropped: 0,
@@ -851,7 +957,12 @@ mod tests {
                 1,
                 0,
                 5,
-                EventKind::MsgRecv { from: 0, tag: 3, bytes: 1, seq: 9 },
+                EventKind::MsgRecv {
+                    from: 0,
+                    tag: 3,
+                    bytes: 1,
+                    seq: 9,
+                },
             )],
             dropped: 0,
         };
@@ -878,11 +989,27 @@ mod tests {
         // Two single-lane ranks exported separately, then merged: the
         // message edge must stitch across the pid boundary.
         let t0 = Tracer::new();
-        t0.emit(0, EventKind::MsgSend { to: 1, tag: 4, bytes: 8, seq: 0 });
+        t0.emit(
+            0,
+            EventKind::MsgSend {
+                to: 1,
+                tag: 4,
+                bytes: 8,
+                seq: 0,
+            },
+        );
         let mut a = t0.drain();
         a.events[0].t_ns = 1_000;
         let t1 = Tracer::new();
-        t1.emit(1, EventKind::MsgRecv { from: 0, tag: 4, bytes: 8, seq: 0 });
+        t1.emit(
+            1,
+            EventKind::MsgRecv {
+                from: 0,
+                tag: 4,
+                bytes: 8,
+                seq: 0,
+            },
+        );
         let mut b = t1.drain();
         b.events[0].t_ns = 3_000;
         let json = crate::chrome::merge_chrome_json([

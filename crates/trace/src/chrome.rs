@@ -124,7 +124,8 @@ pub fn merge_chrome_json<'a>(ranks: impl IntoIterator<Item = (usize, &'a str)>) 
         if let Some(events) = events_slice(json) {
             if !events.is_empty() {
                 let shift = base_ns(json).map_or(0, |b| b.saturating_sub(min_base));
-                let rewritten = shift_ts(events, shift).replace("\"pid\":0,", &format!("\"pid\":{rank},"));
+                let rewritten =
+                    shift_ts(events, shift).replace("\"pid\":0,", &format!("\"pid\":{rank},"));
                 push_event(&mut out, &mut first, &rewritten);
             }
         }
@@ -377,7 +378,8 @@ mod tests {
         // by the sender's (rank, seq) id.
         assert_eq!(json.matches("\"ph\":\"s\",\"id\":\"0.0\"").count(), 1);
         assert_eq!(
-            json.matches("\"ph\":\"f\",\"bp\":\"e\",\"id\":\"0.0\"").count(),
+            json.matches("\"ph\":\"f\",\"bp\":\"e\",\"id\":\"0.0\"")
+                .count(),
             1
         );
         assert_eq!(json.matches("\"name\":\"flow\"").count(), 2);
