@@ -370,27 +370,9 @@ fn run_patternlet(p: &Patternlet, args: &[String], net: Option<&NetEnv>) -> Exit
     } else {
         None
     };
-    // `--metrics` asks for the end-of-run table; a collector address in the
-    // environment (set by `pmrun --metrics-port`/`--status`) turns the hub
-    // on even without the flag, mirroring how PMRUN_TRACE_DIR enables
-    // tracing, and streams snapshots to the launcher while the run is live.
+    // `--metrics` asks for the end-of-run table.
     let want_metrics = args.iter().any(|a| a == "--metrics");
-    let metrics_addr = std::env::var(patternlets_net::ENV_METRICS_ADDR).ok();
-    let metrics = if want_metrics || metrics_addr.is_some() {
-        let hub = MetricsHub::new();
-        cfg = cfg.with_metrics(hub.clone());
-        Some(hub)
-    } else {
-        None
-    };
-    let pusher = match (&metrics, &metrics_addr) {
-        (Some(hub), Some(addr)) => Some(MetricsPusher::spawn(
-            hub.clone(),
-            addr.clone(),
-            net.map_or(0, |e| e.rank),
-        )),
-        _ => None,
-    };
+    let (cfg, metrics) = LauncherMetrics::attach(cfg, want_metrics, net);
     (p.run)(&cfg);
     if chatty {
         println!();
@@ -435,15 +417,53 @@ fn run_patternlet(p: &Patternlet, args: &[String], net: Option<&NetEnv>) -> Exit
             print_counters(&trace);
         }
     }
-    if let Some(pusher) = pusher {
-        pusher.finish();
-    }
-    if let Some(hub) = &metrics {
+    if let Some(hub) = metrics.finish() {
         if want_metrics && chatty {
             println!("{}", render_summary(&hub.snapshot()));
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The launcher-metrics hookup every run body shares. A hub is attached
+/// when the caller wants the end-of-run table or when a collector address
+/// is in the environment (set by `pmrun --metrics-port`/`--status`,
+/// mirroring how PMRUN_TRACE_DIR enables tracing); with an address, a
+/// [`MetricsPusher`] streams the hub to the launcher while the run is live.
+struct LauncherMetrics {
+    hub: Option<MetricsHub>,
+    pusher: Option<MetricsPusher>,
+}
+
+impl LauncherMetrics {
+    /// Attach a hub to `cfg` if `want` or the environment asks for one.
+    fn attach(cfg: RunConfig, want: bool, net: Option<&NetEnv>) -> (RunConfig, Self) {
+        let addr = std::env::var(patternlets_net::ENV_METRICS_ADDR).ok();
+        if !want && addr.is_none() {
+            let off = LauncherMetrics {
+                hub: None,
+                pusher: None,
+            };
+            return (cfg, off);
+        }
+        let hub = MetricsHub::new();
+        let rank = net.map_or(0, |e| e.rank);
+        let pusher = addr.map(|addr| MetricsPusher::spawn(hub.clone(), addr, rank));
+        let cfg = cfg.with_metrics(hub.clone());
+        let on = LauncherMetrics {
+            hub: Some(hub),
+            pusher,
+        };
+        (cfg, on)
+    }
+
+    /// Send the final snapshot, when pushing; returns the hub.
+    fn finish(self) -> Option<MetricsHub> {
+        if let Some(pusher) = self.pusher {
+            pusher.finish();
+        }
+        self.hub
+    }
 }
 
 /// Streams cumulative metrics snapshots to `pmrun`'s collector on a
@@ -498,18 +518,10 @@ impl MetricsPusher {
 /// job status is attributable to the killed worker alone.
 fn net_stall(np: usize, victim: usize, stall_ms: u64, net: Option<&NetEnv>) -> ExitCode {
     use patternlets_core::Error;
-    let mut cfg = RunConfig::echoing(np, Mode::Off);
     // Honour the launcher's metrics environment like a real patternlet:
     // this harness is the one deliberately long-lived job, so it's what
     // `pmrun --status` tests watch live.
-    let metrics_addr = std::env::var(patternlets_net::ENV_METRICS_ADDR).ok();
-    let pusher = if let Some(addr) = metrics_addr {
-        let hub = MetricsHub::new();
-        cfg = cfg.with_metrics(hub.clone());
-        Some(MetricsPusher::spawn(hub, addr, net.map_or(0, |e| e.rank)))
-    } else {
-        None
-    };
+    let (cfg, metrics) = LauncherMetrics::attach(RunConfig::echoing(np, Mode::Off), false, net);
     cfg.world(np)
         .poll_interval(std::time::Duration::from_millis(2))
         .run(|comm| {
@@ -542,9 +554,7 @@ fn net_stall(np: usize, victim: usize, stall_ms: u64, net: Option<&NetEnv>) -> E
             }
         })
         .expect("world config is valid");
-    if let Some(pusher) = pusher {
-        pusher.finish();
-    }
+    metrics.finish();
     ExitCode::SUCCESS
 }
 
@@ -559,15 +569,7 @@ fn net_stall(np: usize, victim: usize, stall_ms: u64, net: Option<&NetEnv>) -> E
 fn net_soak(np: usize, rounds: u64, net: Option<&NetEnv>) -> ExitCode {
     use patternlets_core::reduce::ops;
     const ELEMS: u64 = 16;
-    let mut cfg = RunConfig::echoing(np, Mode::Off);
-    let metrics_addr = std::env::var(patternlets_net::ENV_METRICS_ADDR).ok();
-    let pusher = if let Some(addr) = metrics_addr {
-        let hub = MetricsHub::new();
-        cfg = cfg.with_metrics(hub.clone());
-        Some(MetricsPusher::spawn(hub, addr, net.map_or(0, |e| e.rank)))
-    } else {
-        None
-    };
+    let (cfg, metrics) = LauncherMetrics::attach(RunConfig::echoing(np, Mode::Off), false, net);
     cfg.world(np)
         .poll_interval(std::time::Duration::from_millis(2))
         .run(|comm| {
@@ -615,9 +617,7 @@ fn net_soak(np: usize, rounds: u64, net: Option<&NetEnv>) -> ExitCode {
             }
         })
         .expect("world config is valid");
-    if let Some(pusher) = pusher {
-        pusher.finish();
-    }
+    metrics.finish();
     ExitCode::SUCCESS
 }
 

@@ -18,9 +18,10 @@
 //! (`lane % shards`); the per-lane attribution degrades but no sample is
 //! ever dropped.
 //!
-//! Like the tracer, the hub is attached as an `Option<MetricsHub>`: when
-//! absent the instrumented code paths cost one `is_some` check and
-//! nothing else (see the `metrics_overhead` bench). Cloning a hub is an
+//! Runtimes hold the hub next to the tracer in one [`Obs`], whose methods
+//! are the instrumentation points: each records the point's trace event
+//! and its instruments together. When the hub is absent a point costs one
+//! `is_none` check (see the `metrics_overhead` bench). Cloning a hub is an
 //! `Arc` bump — all clones feed the same shards, which is how one hub
 //! spans every rank thread of an in-process world.
 //!
@@ -32,11 +33,13 @@
 
 mod export;
 mod fleet;
+mod obs;
 mod snapshot;
 pub mod wire;
 
 pub use export::{render_prometheus, render_summary};
 pub use fleet::FleetMetrics;
+pub use obs::{Obs, Phase};
 pub use snapshot::{HistData, LaneMetrics, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +77,8 @@ pub enum CounterId {
     RecvSpin,
     /// Receives that parked on the mailbox condvar at least once.
     RecvPark,
-    /// Chaos-transport retransmissions (extra transmissions, not messages).
+    /// Retransmissions (extra transmissions, not messages): chaos-lost
+    /// sends repeated by the sender, and TCP link resumes.
     Retransmits,
     /// Duplicate envelopes swallowed by mailbox dedup.
     DupDrops,

@@ -20,8 +20,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::ALLTOALL, "alltoall")?;
-        let _phase = self.trace_coll("alltoall");
-        let _lat = self.metric_coll("alltoall");
+        let _phase = self.coll_phase("alltoall");
         let chunk = sendbuf.len() / p;
         // Eager sends to everyone, including self (the self-send shortcut
         // delivers that block straight into our own mailbox).

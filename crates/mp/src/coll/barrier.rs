@@ -15,8 +15,7 @@ impl Comm {
     /// depends on every other.
     pub fn barrier(&self) -> Result<()> {
         let tags = self.start_collective(opcodes::BARRIER, "barrier")?;
-        let _phase = self.trace_coll("barrier");
-        let _lat = self.metric_coll("barrier");
+        let _phase = self.coll_phase("barrier");
         let p = self.size();
         let me = self.rank();
         let mut dist = 1;

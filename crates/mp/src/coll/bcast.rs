@@ -22,8 +22,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::BCAST, "bcast")?;
-        let _phase = self.trace_coll("bcast");
-        let _lat = self.metric_coll("bcast");
+        let _phase = self.coll_phase("bcast");
         let me = self.rank();
         let vrank = (me + p - root) % p;
 
@@ -81,8 +80,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::BCAST, "bcast")?;
-        let _phase = self.trace_coll("bcast");
-        let _lat = self.metric_coll("bcast");
+        let _phase = self.coll_phase("bcast");
         if self.rank() == root {
             // One payload, prepared once, cloned per destination.
             let mut outgoing: Option<Payload> = None;

@@ -25,8 +25,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::GATHER, "gather")?;
-        let _phase = self.trace_coll("gather");
-        let _lat = self.metric_coll("gather");
+        let _phase = self.coll_phase("gather");
         if self.rank() == root {
             let mut all: Vec<Vec<T>> = Vec::with_capacity(p);
             for r in 0..p {

@@ -32,8 +32,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::REDUCE, "reduce")?;
-        let _phase = self.trace_coll("reduce");
-        let _lat = self.metric_coll("reduce");
+        let _phase = self.coll_phase("reduce");
         let me = self.rank();
         let vrank = (me + p - root) % p;
         let mut acc: Vec<T> = local.to_vec();
@@ -105,8 +104,7 @@ impl Comm {
         let p = self.size();
         let me = self.rank();
         let tags = self.start_collective(opcodes::ALLREDUCE, "allreduce")?;
-        let _phase = self.trace_coll("allreduce");
-        let _lat = self.metric_coll("allreduce");
+        let _phase = self.coll_phase("allreduce");
         let mut acc: Vec<T> = local.to_vec();
 
         // Fold ranks beyond the largest power of two into low partners.

@@ -13,8 +13,7 @@ impl Comm {
     /// messages), preserving rank order for non-commutative ops.
     pub fn scan<T: Datatype + Clone>(&self, local: &[T], op: &dyn ReduceOp<T>) -> Result<Vec<T>> {
         let tags = self.start_collective(opcodes::SCAN, "scan")?;
-        let _phase = self.trace_coll("scan");
-        let _lat = self.metric_coll("scan");
+        let _phase = self.coll_phase("scan");
         let me = self.rank();
         let p = self.size();
         let mut acc: Vec<T> = local.to_vec();
@@ -44,8 +43,7 @@ impl Comm {
         op: &dyn ReduceOp<T>,
     ) -> Result<Option<Vec<T>>> {
         let tags = self.start_collective(opcodes::SCAN, "exscan")?;
-        let _phase = self.trace_coll("exscan");
-        let _lat = self.metric_coll("exscan");
+        let _phase = self.coll_phase("exscan");
         let me = self.rank();
         let p = self.size();
         let prefix: Option<Vec<T>> = if me > 0 {

@@ -24,8 +24,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::SCATTER, "scatter")?;
-        let _phase = self.trace_coll("scatter");
-        let _lat = self.metric_coll("scatter");
+        let _phase = self.coll_phase("scatter");
         if self.rank() == root {
             let data = sendbuf
                 .ok_or_else(|| Error::InvalidConfig("scatter: root must supply sendbuf".into()))?;

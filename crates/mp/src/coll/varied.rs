@@ -24,8 +24,7 @@ impl Comm {
             });
         }
         let tags = self.start_collective(opcodes::SCATTER, "scatterv")?;
-        let _phase = self.trace_coll("scatterv");
-        let _lat = self.metric_coll("scatterv");
+        let _phase = self.coll_phase("scatterv");
         if self.rank() == root {
             let bufs = sendbufs.ok_or_else(|| {
                 Error::InvalidConfig("scatter_varied: root must supply buffers".into())

@@ -6,8 +6,7 @@ use std::time::Instant;
 
 use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_core::{Error, OpContext, Result};
-use patternlets_metrics::{CounterId, HistId, MetricsHub, TimerGuard};
-use patternlets_trace::{CollSpan, EventKind};
+use patternlets_metrics::{CounterId, HistId, Phase};
 
 use crate::checkpoint::CheckpointStore;
 use crate::datatype::{decode_payload, encode, Datatype};
@@ -122,41 +121,11 @@ impl Comm {
         self.ctx.rank_name(self.world_rank())
     }
 
-    /// Emit a structured trace event on this rank's world lane, when a
-    /// tracer is attached. The disabled path is a single `Option` check.
-    #[inline]
-    pub(crate) fn trace_event(&self, kind: impl FnOnce() -> EventKind) {
-        if let Some(tracer) = &self.ctx.tracer {
-            tracer.emit(self.world_rank(), kind());
-        }
-    }
-
-    /// Open a collective-phase trace span (closed on drop, even on error
-    /// paths), or `None` when tracing is off.
-    pub(crate) fn trace_coll(&self, op: &'static str) -> Option<CollSpan> {
-        self.ctx
-            .tracer
-            .as_ref()
-            .map(|t| t.coll_span(self.world_rank(), op))
-    }
-
-    /// Record into the metrics hub on this rank's world lane, when one is
-    /// attached. Mirrors [`Comm::trace_event`]: the disabled path is a
-    /// single `Option` check.
-    #[inline]
-    pub(crate) fn metric(&self, record: impl FnOnce(&MetricsHub, usize)) {
-        if let Some(hub) = &self.ctx.metrics {
-            record(hub, self.world_rank());
-        }
-    }
-
-    /// Open a collective-latency timer (recorded into the per-op histogram
-    /// on drop, even on error paths), or `None` when metrics are off.
-    pub(crate) fn metric_coll(&self, op: &'static str) -> Option<TimerGuard<'_>> {
-        self.ctx
-            .metrics
-            .as_ref()
-            .map(|hub| hub.timer(self.world_rank(), HistId::coll(op)))
+    /// Open a collective phase on this rank's world lane: traced as
+    /// `CollBegin`/`CollEnd` and timed into the op's latency histogram,
+    /// closed when the guard drops, even on an error path.
+    pub(crate) fn coll_phase(&self, op: &'static str) -> Phase<'_> {
+        self.ctx.obs.coll(self.world_rank(), op)
     }
 
     /// Split this communicator — `MPI_Comm_split`: members calling with the
@@ -282,31 +251,14 @@ impl Comm {
             });
         }
         let seq = self.fabric.next_send_seq(me);
-        self.fabric.record_msg(crate::world::MsgEvent {
-            from: me,
-            to: self.group[dest],
-            comm_id: self.comm_id,
-            tag,
-            bytes: payload.len(),
-        });
-        self.trace_event(|| EventKind::MsgSend {
-            to: self.group[dest],
-            tag,
-            bytes: payload.len(),
-            seq,
-        });
-        self.metric(|hub, lane| {
-            hub.incr(
-                lane,
-                match &payload {
-                    Payload::InProc(_) => CounterId::MsgsSentInproc,
-                    Payload::Bytes(_) => CounterId::MsgsSentEncoded,
-                    Payload::Inline { .. } => CounterId::MsgsSentInline,
-                },
-            );
-            hub.add(lane, CounterId::BytesSent, payload.len() as u64);
-            hub.observe(lane, HistId::SEND_BYTES, payload.len() as u64);
-        });
+        let repr = match &payload {
+            Payload::InProc(_) => CounterId::MsgsSentInproc,
+            Payload::Bytes(_) => CounterId::MsgsSentEncoded,
+            Payload::Inline { .. } => CounterId::MsgsSentInline,
+        };
+        self.ctx
+            .obs
+            .send(me, self.group[dest], tag, payload.len(), seq, repr);
         let env = Envelope {
             comm_id: self.comm_id,
             src: self.local_rank,
@@ -328,51 +280,31 @@ impl Comm {
             if !decision.delay.is_zero() {
                 std::thread::sleep(decision.delay);
             }
-            if decision.lost_transmissions > 0 {
-                // Retransmissions are *extra transmissions* of the one
-                // logical message traced above: they count here (and as
-                // `Retransmit` events), never as additional sends.
-                self.metric(|hub, lane| {
-                    hub.add(
-                        lane,
-                        CounterId::Retransmits,
-                        decision.lost_transmissions as u64,
-                    )
-                });
-            }
+            // Retransmissions are *extra transmissions* of the one logical
+            // message recorded above, never additional sends.
             for attempt in 0..decision.lost_transmissions {
-                self.trace_event(|| EventKind::Retransmit { attempt });
+                self.ctx.obs.retransmit(me, attempt);
                 std::thread::sleep(retry_backoff(attempt));
             }
             overtake = decision.overtake;
             duplicate = decision.duplicate;
         }
-        let swallowed = if self.group[dest] == me {
+        if self.group[dest] == me {
             // Self-send shortcut: the destination mailbox is this rank's
             // own, so deliver straight into it instead of dispatching
             // through the fabric. Everything observable — fault ops,
-            // sequence numbers, chaos draws, traces, dedup — already
-            // happened above, identically to the fabric path. Skipping
-            // the fabric's progress bump is safe here: a self-send
-            // strictly precedes (in program order) any receive it could
-            // satisfy, so no deadlock verdict can be invalidated by it.
-            let mailbox = self.fabric.mailbox(me);
-            if duplicate {
-                mailbox.deliver_displaced(env.clone(), overtake);
-                // The second copy is swallowed by our own dedup.
-                !mailbox.deliver_displaced(env, 0)
-            } else {
-                mailbox.deliver_displaced(env, overtake);
-                false
-            }
+            // sequence numbers, chaos draws, traces — already happened
+            // above, and the mailbox dedups exactly as on the fabric path.
+            // Skipping the fabric's progress bump is safe here: a
+            // self-send strictly precedes (in program order) any receive
+            // it could satisfy, so no deadlock verdict can be invalidated
+            // by it.
+            self.fabric
+                .mailbox(me)
+                .deliver_copies(env, overtake, duplicate);
         } else {
             self.fabric
-                .deliver(me, self.group[dest], env, overtake, duplicate)
-        };
-        if swallowed {
-            // A duplicate copy was observably swallowed by the receiver's
-            // dedup on this call path (in-process backends only).
-            self.trace_event(|| EventKind::DupDropped);
+                .deliver(me, self.group[dest], env, overtake, duplicate);
         }
         Ok(seq)
     }
@@ -545,16 +477,13 @@ impl Comm {
             },
             || fabric.clear_wait(my_world),
         )?;
-        self.trace_event(|| EventKind::MsgRecv {
-            from: self.group[env.src],
-            tag: env.tag,
-            bytes: env.payload.len(),
-            seq: env.seq,
-        });
-        self.metric(|hub, lane| {
-            hub.incr(lane, CounterId::MsgsRecv);
-            hub.add(lane, CounterId::BytesRecv, env.payload.len() as u64);
-        });
+        self.ctx.obs.recv(
+            my_world,
+            self.group[env.src],
+            env.tag,
+            env.payload.len(),
+            env.seq,
+        );
         if env.needs_ack {
             // Complete the synchronous-send handshake: tell the sender its
             // message has been matched.
@@ -707,7 +636,8 @@ impl Comm {
     ) -> Result<()> {
         let started = Instant::now();
         let bytes = store.save(step, data)?;
-        self.metric(|hub, lane| {
+        if let Some(hub) = &self.ctx.obs.metrics {
+            let lane = self.world_rank();
             hub.incr(lane, CounterId::CheckpointsTaken);
             hub.add(lane, CounterId::CheckpointBytes, bytes);
             hub.observe(
@@ -715,7 +645,7 @@ impl Comm {
                 HistId::CHECKPOINT_NS,
                 started.elapsed().as_nanos() as u64,
             );
-        });
+        }
         Ok(())
     }
 

@@ -26,13 +26,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use patternlets_core::Result;
-use patternlets_metrics::MetricsHub;
+use patternlets_metrics::{MetricsHub, Obs};
 use patternlets_trace::Tracer;
 
 use crate::envelope::Envelope;
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
-use crate::world::{MsgEvent, WaitRecord};
+use crate::world::WaitRecord;
 
 /// Key of one agreement round: (communicator id, operation kind,
 /// agreement sequence number on that communicator).
@@ -61,18 +61,9 @@ pub trait Fabric: Send + Sync {
 
     /// Deliver `env` from `me` to `dest`'s mailbox (`dest != me`),
     /// displaced past up to `overtake` envelopes from other senders; when
-    /// `duplicate`, a second copy is transmitted (the receiving mailbox
-    /// deduplicates). Returns `true` if a duplicate copy was observably
-    /// swallowed *on this call path* (in-process backends only; network
-    /// receivers swallow duplicates on their own side).
-    fn deliver(
-        &self,
-        me: usize,
-        dest: usize,
-        env: Envelope,
-        overtake: usize,
-        duplicate: bool,
-    ) -> bool;
+    /// `duplicate`, a second copy is transmitted, which the receiving
+    /// mailbox deduplicates and records as a duplicate drop.
+    fn deliver(&self, me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool);
 
     /// The mailbox of `world_rank`. Backends hosting a single rank may
     /// panic for any other rank; `Comm` only reads its own.
@@ -100,12 +91,6 @@ pub trait Fabric: Send + Sync {
     /// `key`, then wait until every member of `group` has contributed,
     /// failed, or finished. Every caller observes the same final map.
     fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot;
-
-    /// Record a delivery in the legacy message log (kept by the thread
-    /// backend only).
-    fn record_msg(&self, event: MsgEvent) {
-        let _ = event;
-    }
 
     /// Do `me` and `dest` share an address space, so a send between them
     /// may ship a shared in-process payload
@@ -186,6 +171,16 @@ pub struct WorldSpec {
     /// the same program, so ordinals line up across processes and serve
     /// as the rendezvous epoch.
     pub epoch: u64,
+}
+
+impl WorldSpec {
+    /// The spec's tracer and metrics hub as one [`Obs`].
+    pub fn obs(&self) -> Obs {
+        Obs {
+            tracer: self.tracer.clone(),
+            metrics: self.metrics.clone(),
+        }
+    }
 }
 
 /// Decides, per world, whether to take over transport duties. Returning

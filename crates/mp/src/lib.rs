@@ -64,7 +64,7 @@ pub use fabric::{install_fabric_provider, Fabric, FabricProvider, ProvidedWorld,
 pub use fault::FaultPlan;
 pub use request::{RecvRequest, SendRequest};
 pub use status::{SourceSel, Status, TagSel, ANY_SOURCE, ANY_TAG};
-pub use world::{MsgEvent, World, WorldBuilder, DEFAULT_POLL_INTERVAL};
+pub use world::{World, WorldBuilder, DEFAULT_POLL_INTERVAL};
 
 /// The conventional root/master rank, mirroring the paper's `#define MASTER 0`.
 pub const MASTER: usize = 0;

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::{Error, Result};
-use patternlets_metrics::{CounterId, GaugeId, MetricsHub};
+use patternlets_metrics::{CounterId, GaugeId, Obs};
 
 use crate::envelope::Envelope;
 use crate::status::{SourceSel, TagSel};
@@ -220,11 +220,12 @@ impl Inner {
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    /// Metrics hub plus the owning rank's lane, when metrics are on. The
-    /// mailbox is where dedup and blocking happen, so dup-drops, queue
-    /// depth, and spin-vs-park resolution are counted here — uniformly
-    /// for the in-process and network backends.
-    metrics: Option<(MetricsHub, usize)>,
+    /// Tracer and metrics hub. The mailbox is where dedup and blocking
+    /// happen, so duplicate drops, queue depth, and spin-vs-park
+    /// resolution are recorded here — uniformly for the in-process and
+    /// network backends, on the owning rank's lane.
+    obs: Obs,
+    lane: usize,
 }
 
 impl Mailbox {
@@ -233,25 +234,39 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// Create an empty mailbox that records into `hub` on `lane` (the
+    /// Create an empty mailbox that records through `obs` on `lane` (the
     /// owning rank's world rank).
-    pub fn with_metrics(hub: MetricsHub, lane: usize) -> Self {
+    pub fn observed(obs: Obs, lane: usize) -> Self {
         Mailbox {
             inner: Mutex::default(),
-            metrics: Some((hub, lane)),
+            obs,
+            lane,
         }
     }
 
     #[inline]
     fn count(&self, id: CounterId) {
-        if let Some((hub, lane)) = &self.metrics {
-            hub.incr(*lane, id);
+        if let Some(hub) = &self.obs.metrics {
+            hub.incr(self.lane, id);
         }
     }
 
     /// Deliver an envelope (called by the sender's thread).
     pub fn deliver(&self, env: Envelope) {
         self.deliver_displaced(env, 0);
+    }
+
+    /// Deliver `env` displaced past up to `overtake` queued envelopes
+    /// and, when `duplicate`, a second copy for the dedup to swallow: a
+    /// chaos transmission as seen by a fabric that hands envelopes
+    /// straight to the destination's mailbox.
+    pub(crate) fn deliver_copies(&self, env: Envelope, overtake: usize, duplicate: bool) {
+        if duplicate {
+            self.deliver_displaced(env.clone(), overtake);
+            self.deliver_displaced(env, 0);
+        } else {
+            self.deliver_displaced(env, overtake);
+        }
     }
 
     /// Deliver an envelope ahead of up to `overtake` already-queued
@@ -264,7 +279,7 @@ impl Mailbox {
         let key = (env.comm_id, env.src);
         if let Some(&max) = inner.seen.get(&key) {
             if env.seq <= max {
-                self.count(CounterId::DupDrops);
+                self.obs.dup_dropped(self.lane);
                 return false; // duplicate transmission
             }
         }
@@ -282,8 +297,8 @@ impl Mailbox {
             .or_default()
             .push_back(Stamped { stamp, env });
         inner.queued += 1;
-        if let Some((hub, lane)) = &self.metrics {
-            hub.gauge_max(*lane, GaugeId::MailboxDepth, inner.queued as u64);
+        if let Some(hub) = &self.obs.metrics {
+            hub.gauge_max(self.lane, GaugeId::MailboxDepth, inner.queued as u64);
         }
         true
     }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::{Error, Result};
-use patternlets_metrics::MetricsHub;
+use patternlets_metrics::{MetricsHub, Obs};
 use patternlets_trace::Tracer;
 
 use parking_lot::Mutex as PlMutex;
@@ -51,8 +51,6 @@ pub(crate) struct Transport {
     /// Bumped on every publish/clear of a wait record; used to confirm a
     /// deadlock verdict against a quiescent snapshot.
     pub(crate) wait_epochs: Vec<AtomicU64>,
-    /// When tracing is on, every delivered message is recorded here.
-    pub(crate) trace: Option<PlMutex<Vec<MsgEvent>>>,
     /// Bumped on every message delivery. A deadlock verdict is only valid
     /// if no delivery happened while it was being computed — otherwise a
     /// just-delivered message could wake a rank the fixpoint still counts
@@ -69,30 +67,6 @@ pub(crate) struct Transport {
     /// they synchronise through shared runtime state instead).
     pub(crate) agreements: PlMutex<HashMap<AgreeKey, AgreeSlot>>,
     pub(crate) agree_cv: Condvar,
-}
-
-/// One observed message, for traffic tracing (teaching: count the
-/// messages each collective algorithm really sends).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MsgEvent {
-    /// Sending world rank.
-    pub from: usize,
-    /// Receiving world rank.
-    pub to: usize,
-    /// Communicator the message travelled on.
-    pub comm_id: u64,
-    /// Message tag (negative = runtime-internal).
-    pub tag: i32,
-    /// Payload size in bytes.
-    pub bytes: usize,
-}
-
-impl MsgEvent {
-    /// Was this a user message (non-negative tag) rather than runtime
-    /// (collective/ack) traffic?
-    pub fn is_user(&self) -> bool {
-        self.tag >= 0
-    }
 }
 
 /// A blocked receive, as seen by the deadlock detector. Published to the
@@ -123,14 +97,9 @@ pub(crate) struct WorldCtx {
     names: Vec<String>,
     /// How long blocked receives sleep between liveness re-checks.
     pub(crate) poll_interval: Duration,
-    /// Structured event tracing ([`patternlets_trace`]): sends, receives,
-    /// collective phases, and chaos-transport incidents, per world rank.
-    /// `None` (the default) keeps the hot paths event-free.
-    pub(crate) tracer: Option<Tracer>,
-    /// Quantitative instruments ([`patternlets_metrics`]): msg/byte
-    /// counters, wait counters, and latency histograms, per world rank.
-    /// `None` (the default) keeps the hot paths instrument-free.
-    pub(crate) metrics: Option<MetricsHub>,
+    /// Tracer and metrics hub: every instrumentation point of a rank
+    /// records through it on the rank's world lane.
+    pub(crate) obs: Obs,
     fault: Option<FaultState>,
 }
 
@@ -141,8 +110,7 @@ impl WorldCtx {
                 .map(|r| format!("node-{:02}", r / spec.ranks_per_node + 1))
                 .collect(),
             poll_interval: spec.poll_interval,
-            tracer: spec.tracer.clone(),
-            metrics: spec.metrics.clone(),
+            obs: spec.obs(),
             fault: spec
                 .fault
                 .clone()
@@ -176,17 +144,13 @@ impl WorldCtx {
 }
 
 impl Transport {
-    fn new(np: usize, traced: bool, ctx: &WorldCtx, encoded_only: bool) -> Self {
-        // Each mailbox records dedup/depth/wait metrics on its owner's lane.
+    fn new(np: usize, ctx: &WorldCtx, encoded_only: bool) -> Self {
+        // Each mailbox records on its owner's lane.
         let mailboxes = (0..np)
-            .map(|r| match &ctx.metrics {
-                Some(hub) => Mailbox::with_metrics(hub.clone(), r),
-                None => Mailbox::new(),
-            })
+            .map(|r| Mailbox::observed(ctx.obs.clone(), r))
             .collect();
         Transport {
             encoded_only,
-            trace: traced.then(|| PlMutex::new(Vec::new())),
             progress: AtomicU64::new(0),
             mailboxes,
             finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
@@ -197,13 +161,6 @@ impl Transport {
             poll_interval: ctx.poll_interval,
             agreements: PlMutex::new(HashMap::new()),
             agree_cv: Condvar::new(),
-        }
-    }
-
-    /// Record a delivery in the traffic trace, if tracing is on.
-    pub(crate) fn record_msg(&self, event: MsgEvent) {
-        if let Some(trace) = &self.trace {
-            trace.lock().push(event);
         }
     }
 
@@ -406,10 +363,6 @@ impl Fabric for Transport {
         self.mailboxes.len()
     }
 
-    fn record_msg(&self, event: MsgEvent) {
-        Transport::record_msg(self, event);
-    }
-
     fn next_send_seq(&self, me: usize) -> u64 {
         self.send_seqs[me].fetch_add(1, Ordering::Relaxed)
     }
@@ -438,27 +391,12 @@ impl Fabric for Transport {
         self.agree_cv.notify_all();
     }
 
-    fn deliver(
-        &self,
-        _me: usize,
-        dest: usize,
-        env: Envelope,
-        overtake: usize,
-        duplicate: bool,
-    ) -> bool {
+    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
         // Order matters: bump progress BEFORE the delivery becomes
         // matchable, so any deadlock verdict computed across this delivery
         // sees the progress change and rejects itself.
-        let mailbox = &self.mailboxes[dest];
         self.progress.fetch_add(1, Ordering::SeqCst);
-        if duplicate {
-            mailbox.deliver_displaced(env.clone(), overtake);
-            // The second copy is swallowed by the receiver's dedup.
-            !mailbox.deliver_displaced(env, 0)
-        } else {
-            mailbox.deliver_displaced(env, overtake);
-            false
-        }
+        self.mailboxes[dest].deliver_copies(env, overtake, duplicate);
     }
 
     fn mailbox(&self, world_rank: usize) -> &Mailbox {
@@ -497,9 +435,7 @@ fn next_world_epoch() -> u64 {
 pub struct WorldBuilder {
     np: usize,
     ranks_per_node: usize,
-    traced: bool,
-    tracer: Option<Tracer>,
-    metrics: Option<MetricsHub>,
+    obs: Obs,
     fault: Option<FaultPlan>,
     poll_interval: Duration,
     encoded_only: bool,
@@ -511,9 +447,7 @@ impl WorldBuilder {
         WorldBuilder {
             np,
             ranks_per_node: 1,
-            traced: false,
-            tracer: None,
-            metrics: None,
+            obs: Obs::none(),
             fault: None,
             poll_interval: DEFAULT_POLL_INTERVAL,
             encoded_only: false,
@@ -534,7 +468,7 @@ impl WorldBuilder {
     /// collective-phase, and chaos-incident events on its world-rank lane.
     /// Drain the tracer after the run to inspect or export the stream.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
+        self.obs.tracer = Some(tracer);
         self
     }
 
@@ -542,7 +476,7 @@ impl WorldBuilder {
     /// wait counters, and latency histograms on its world-rank lane.
     /// Snapshot the hub after the run (or during it, for live views).
     pub fn metrics(mut self, hub: MetricsHub) -> Self {
-        self.metrics = Some(hub);
+        self.obs.metrics = Some(hub);
         self
     }
 
@@ -563,34 +497,6 @@ impl WorldBuilder {
         assert!(interval > Duration::ZERO, "poll interval must be positive");
         self.poll_interval = interval;
         self
-    }
-
-    /// Record every delivered message; retrieve the log with
-    /// [`WorldBuilder::run_traced`].
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
-    }
-
-    /// Like [`WorldBuilder::run`], returning `(results, message_log)`.
-    /// The log is in delivery order and includes runtime (collective)
-    /// traffic, distinguishable via [`MsgEvent::is_user`].
-    pub fn run_traced<R, F>(&self, f: F) -> Result<(Vec<R>, Vec<MsgEvent>)>
-    where
-        R: Send,
-        F: Fn(Comm) -> R + Sync,
-    {
-        let builder = WorldBuilder {
-            traced: true,
-            ..self.clone()
-        };
-        let (results, transport) = builder.run_inner(f)?;
-        let trace = transport
-            .trace
-            .as_ref()
-            .map(|t| t.lock().clone())
-            .expect("tracing was enabled");
-        Ok((results, trace))
     }
 
     /// Place `k` consecutive ranks on each simulated node (they share a
@@ -624,7 +530,7 @@ impl WorldBuilder {
                 return self.run_provided(world, Arc::new(WorldCtx::new(&spec)), f);
             }
         }
-        self.run_inner(f).map(|(results, _)| results)
+        self.run_inner(f)
     }
 
     fn spec(&self, epoch: u64) -> WorldSpec {
@@ -633,8 +539,8 @@ impl WorldBuilder {
             ranks_per_node: self.ranks_per_node,
             fault: self.fault.clone(),
             poll_interval: self.poll_interval,
-            tracer: self.tracer.clone(),
-            metrics: self.metrics.clone(),
+            tracer: self.obs.tracer.clone(),
+            metrics: self.obs.metrics.clone(),
             epoch,
         }
     }
@@ -671,7 +577,7 @@ impl WorldBuilder {
         Ok(vec![f(comm)])
     }
 
-    fn run_inner<R, F>(&self, f: F) -> Result<(Vec<R>, Arc<Transport>)>
+    fn run_inner<R, F>(&self, f: F) -> Result<Vec<R>>
     where
         R: Send,
         F: Fn(Comm) -> R + Sync,
@@ -680,12 +586,7 @@ impl WorldBuilder {
             return Err(Error::InvalidConfig("world needs at least one rank".into()));
         }
         let ctx = Arc::new(WorldCtx::new(&self.spec(0)));
-        let transport = Arc::new(Transport::new(
-            self.np,
-            self.traced,
-            &ctx,
-            self.encoded_only,
-        ));
+        let transport = Arc::new(Transport::new(self.np, &ctx, self.encoded_only));
         let results: Vec<Mutex<Option<R>>> = (0..self.np).map(|_| Mutex::new(None)).collect();
 
         // Traced worlds line every rank up at a start gate before the
@@ -696,8 +597,11 @@ impl WorldBuilder {
         // condvar wakeup latency (tens of µs) would stagger the release
         // by more than an in-process message takes to deliver, hiding
         // real message edges from the critical path.
-        let start_gate =
-            (self.traced || self.tracer.is_some()).then(|| std::sync::atomic::AtomicUsize::new(0));
+        let start_gate = ctx
+            .obs
+            .tracer
+            .is_some()
+            .then(|| std::sync::atomic::AtomicUsize::new(0));
         let np = self.np;
 
         std::thread::scope(|scope| {
@@ -751,13 +655,10 @@ impl WorldBuilder {
             }
         });
 
-        Ok((
-            results
-                .into_iter()
-                .map(|m| m.into_inner().expect("every rank produced a result"))
-                .collect(),
-            transport,
-        ))
+        Ok(results
+            .into_iter()
+            .map(|m| m.into_inner().expect("every rank produced a result"))
+            .collect())
     }
 }
 
@@ -842,7 +743,7 @@ mod tests {
         // rank 1 alive, then rank 1 was killed and finished before rank 0
         // ran the detector. Its next poll reports RankFailed instead.
         let ctx = WorldCtx::new(&WorldBuilder::new(2).spec(0));
-        let transport = Transport::new(2, false, &ctx, false);
+        let transport = Transport::new(2, &ctx, false);
         transport.publish_wait(
             0,
             WaitRecord {

@@ -53,7 +53,6 @@ use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
-use patternlets_trace::EventKind;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
 use crate::frame::{encode_frame, is_timeout, read_frame, Frame, CRC_MISMATCH, IDLE_TIMEOUT};
@@ -569,7 +568,7 @@ impl Mesh<TcpLink> {
                             continue;
                         }
                         if msg.contains(CRC_MISMATCH) {
-                            if let Some(hub) = &self.metrics {
+                            if let Some(hub) = &self.obs.metrics {
                                 hub.incr(self.me, CounterId::NetCrcRejects);
                             }
                         }
@@ -728,15 +727,7 @@ impl Mesh<TcpLink> {
         let replayed = writer.resume(write_half, their_recv).ok()?;
         self.probed[peer].store(false, Ordering::Relaxed);
         self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
-        if let Some(hub) = &self.metrics {
-            hub.incr(self.me, CounterId::NetReconnects);
-            if replayed > 0 {
-                hub.add(self.me, CounterId::NetFramesReplayed, replayed);
-            }
-        }
-        if let Some(tracer) = &self.tracer {
-            tracer.emit(self.me, EventKind::Retransmit { attempt });
-        }
+        self.obs.link_resume(self.me, attempt, replayed);
         Some(stream)
     }
 
@@ -1137,6 +1128,7 @@ mod tests {
             .iter()
             .map(|f| {
                 f.inner
+                    .obs
                     .metrics
                     .as_ref()
                     .unwrap()
@@ -1263,7 +1255,7 @@ mod tests {
         let total = |id: CounterId| -> u64 {
             fabrics
                 .iter()
-                .map(|f| f.inner.metrics.as_ref().unwrap().snapshot().total(id))
+                .map(|f| f.inner.obs.metrics.as_ref().unwrap().snapshot().total(id))
                 .sum()
         };
         assert!(

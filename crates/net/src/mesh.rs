@@ -49,11 +49,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::{Error, Result};
-use patternlets_metrics::{CounterId, HistId, MetricsHub};
+use patternlets_metrics::{CounterId, HistId, Obs};
 use patternlets_mp::envelope::{Envelope, Payload};
 use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
 use patternlets_mp::mailbox::Mailbox;
-use patternlets_trace::Tracer;
 
 use crate::frame::{encode_frame, EnvHeader, Frame};
 
@@ -146,8 +145,8 @@ pub struct Mesh<L> {
     pub(crate) epoch: u64,
     /// Backstop for missed agreement wake-ups.
     poll_interval: Duration,
-    pub(crate) metrics: Option<MetricsHub>,
-    pub(crate) tracer: Option<Tracer>,
+    /// Tracer and metrics hub; this rank's points record on lane `me`.
+    pub(crate) obs: Obs,
     /// This process's rank's mailbox — the only one a `Comm` here reads.
     mailbox: Mailbox,
     send_seq: AtomicU64,
@@ -214,7 +213,7 @@ impl<L: Link> Mesh<L> {
             return;
         }
         self.link.cut(rank);
-        if let Some(hub) = &self.metrics {
+        if let Some(hub) = &self.obs.metrics {
             hub.incr(rank, CounterId::NetRankFailures);
         }
         self.wake();
@@ -224,7 +223,7 @@ impl<L: Link> Mesh<L> {
     pub(crate) fn handle_frame(&self, peer: usize, frame: Frame) {
         self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
         self.probed[peer].store(false, Ordering::Relaxed);
-        if let Some(hub) = &self.metrics {
+        if let Some(hub) = &self.obs.metrics {
             // Any frame from a peer with a ping outstanding closes the
             // RTT sample (ping-to-next-frame; see `pending_ping_ns`).
             let sent = self.pending_ping_ns[peer].swap(0, Ordering::Relaxed);
@@ -305,7 +304,7 @@ impl<L: Link> Mesh<L> {
                     seen: self.recv_seq[peer].load(Ordering::SeqCst),
                 });
                 if self.link.write(self, peer, &ping, false) {
-                    if let Some(hub) = &self.metrics {
+                    if let Some(hub) = &self.obs.metrics {
                         hub.incr(self.me, CounterId::NetHeartbeats);
                         let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
                         // Only arm a new RTT sample if none is outstanding,
@@ -358,12 +357,8 @@ impl<L: Link> PeerMesh<L> {
                 np,
                 epoch: spec.epoch,
                 poll_interval: spec.poll_interval,
-                metrics: spec.metrics.clone(),
-                tracer: spec.tracer.clone(),
-                mailbox: match &spec.metrics {
-                    Some(hub) => Mailbox::with_metrics(hub.clone(), me),
-                    None => Mailbox::new(),
-                },
+                obs: spec.obs(),
+                mailbox: Mailbox::observed(spec.obs(), me),
                 send_seq: AtomicU64::new(0),
                 finished: (0..np).map(|_| AtomicBool::new(false)).collect(),
                 failed: (0..np).map(|_| AtomicBool::new(false)).collect(),
@@ -457,14 +452,7 @@ impl<L: Link> Fabric for PeerMesh<L> {
         self.inner.send_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn deliver(
-        &self,
-        _me: usize,
-        dest: usize,
-        env: Envelope,
-        overtake: usize,
-        duplicate: bool,
-    ) -> bool {
+    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
         let mesh = &*self.inner;
         let record = EnvHeader {
             comm_id: env.comm_id,
@@ -479,14 +467,13 @@ impl<L: Link> Fabric for PeerMesh<L> {
         .encode(&env.payload.to_wire());
         let mut ok = mesh.link.write(mesh, dest, &record, true);
         if ok && duplicate {
-            // Transmit a second copy; the receiving mailbox dedups it, so
-            // the swallow isn't observable on this side.
+            // Transmit a second copy; the receiving mailbox dedups it and
+            // records the drop on its own side.
             ok = mesh.link.write(mesh, dest, &record, true);
         }
         if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
             mesh.note_failed(dest);
         }
-        false
     }
 
     fn mailbox(&self, world_rank: usize) -> &Mailbox {
@@ -568,6 +555,7 @@ pub(crate) mod tests {
     use crate::fabric::TcpFabric;
     use crate::rendezvous;
     use crate::shm::{try_establish_shm, ShmAttempt, ShmFabric};
+    use patternlets_metrics::MetricsHub;
     use patternlets_mp::status::{SourceSel, TagSel};
     use std::path::{Path, PathBuf};
 

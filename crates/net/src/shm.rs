@@ -391,7 +391,7 @@ impl Link for ShmLink {
         }
         let mut producer = ring.lock();
         let ok = producer.push_all(record, || mesh.gone(peer)).is_ok();
-        if let Some(hub) = &mesh.metrics {
+        if let Some(hub) = &mesh.obs.metrics {
             if ok {
                 hub.incr(peer, CounterId::ShmSends);
             }
@@ -452,7 +452,7 @@ impl Mesh<ShmLink> {
             match read_frame(&mut consumer) {
                 Ok(Some(frame)) => {
                     self.handle_frame(peer, frame);
-                    if let Some(hub) = &self.metrics {
+                    if let Some(hub) = &self.obs.metrics {
                         let stats = [consumer.take_stats(), consumer.take_wait_stats()];
                         record_ring_stats(hub, self.me, stats);
                     }
@@ -468,7 +468,7 @@ impl Mesh<ShmLink> {
                 }
                 Err(e) => {
                     if e.to_string().contains(CRC_MISMATCH) {
-                        if let Some(hub) = &self.metrics {
+                        if let Some(hub) = &self.obs.metrics {
                             hub.incr(self.me, CounterId::NetCrcRejects);
                         }
                     }

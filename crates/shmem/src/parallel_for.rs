@@ -8,7 +8,6 @@
 //! reduction clause (paper Fig. 20's `parallel for reduction(+:sum)`).
 
 use patternlets_metrics::CounterId;
-use patternlets_trace::EventKind;
 
 use crate::reduce::ReduceOp;
 use crate::sched::{Cursor, LoopScheduler, Schedule};
@@ -48,14 +47,13 @@ impl TeamCtx<'_> {
         let sched = self.shared_construct(|| LoopScheduler::new(schedule, len, n));
         let mut cursor = Cursor::new();
         while let Some(chunk) = sched.next_chunk(self.thread_num(), &mut cursor) {
-            self.trace(|| EventKind::ChunkClaim {
-                start: chunk.start,
-                len: chunk.len(),
-            });
-            self.metric(|hub, lane| {
-                hub.incr(lane, chunks_id);
-                hub.add(lane, iters_id, chunk.len() as u64);
-            });
+            self.obs().chunk_claim(
+                self.thread_num(),
+                chunk.start,
+                chunk.len(),
+                chunks_id,
+                iters_id,
+            );
             for i in chunk {
                 f(i);
             }
@@ -82,14 +80,13 @@ impl TeamCtx<'_> {
         let mut cursor = Cursor::new();
         let mut local = op.identity();
         while let Some(chunk) = sched.next_chunk(self.thread_num(), &mut cursor) {
-            self.trace(|| EventKind::ChunkClaim {
-                start: chunk.start,
-                len: chunk.len(),
-            });
-            self.metric(|hub, lane| {
-                hub.incr(lane, chunks_id);
-                hub.add(lane, iters_id, chunk.len() as u64);
-            });
+            self.obs().chunk_claim(
+                self.thread_num(),
+                chunk.start,
+                chunk.len(),
+                chunks_id,
+                iters_id,
+            );
             for i in chunk {
                 local = op.combine(local, f(i));
             }

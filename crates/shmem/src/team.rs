@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use patternlets_core::{Error, OpContext, Result};
-use patternlets_metrics::{HistId, MetricsHub};
-use patternlets_trace::{EventKind, Tracer};
+use patternlets_metrics::{MetricsHub, Obs};
+use patternlets_trace::Tracer;
 
 use crate::barrier::{AbortableBarrier, Barrier, BarrierKind};
 use crate::reduce::{tree_fold, ReduceOp};
@@ -61,8 +61,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 pub struct Team {
     n: usize,
     barrier_kind: BarrierKind,
-    tracer: Option<Tracer>,
-    metrics: Option<MetricsHub>,
+    obs: Obs,
 }
 
 impl Team {
@@ -72,8 +71,7 @@ impl Team {
         Team {
             n,
             barrier_kind: BarrierKind::Central,
-            tracer: None,
-            metrics: None,
+            obs: Obs::none(),
         }
     }
 
@@ -97,7 +95,7 @@ impl Team {
     /// on its thread-id lane. Drain the tracer after the region to inspect
     /// or export the stream.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
+        self.obs.tracer = Some(tracer);
         self
     }
 
@@ -106,7 +104,7 @@ impl Team {
     /// thread-id lane. Snapshot the hub after the region; the per-lane
     /// iteration counts give the load-imbalance ratio per schedule.
     pub fn with_metrics(mut self, hub: MetricsHub) -> Self {
-        self.metrics = Some(hub);
+        self.obs.metrics = Some(hub);
         self
     }
 
@@ -127,17 +125,12 @@ impl Team {
     where
         F: Fn(&TeamCtx) + Sync,
     {
-        let shared = RegionShared::new(
-            self.n,
-            self.barrier_kind,
-            self.tracer.clone(),
-            self.metrics.clone(),
-        );
+        let shared = RegionShared::new(self.n, self.barrier_kind, self.obs.clone());
         let run = |tid: usize| {
             let ctx = TeamCtx::new(tid, &shared);
-            ctx.trace(|| EventKind::RegionBegin { team: shared.n });
+            let region = shared.obs.region(tid, shared.n);
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-            ctx.trace(|| EventKind::RegionEnd);
+            drop(region);
             shared.record_departure(tid, &outcome);
             if let Err(payload) = outcome {
                 std::panic::resume_unwind(payload);
@@ -182,19 +175,14 @@ impl Team {
         R: Send,
         F: Fn(&TeamCtx) -> Result<R> + Sync,
     {
-        let shared = RegionShared::new(
-            self.n,
-            self.barrier_kind,
-            self.tracer.clone(),
-            self.metrics.clone(),
-        );
+        let shared = RegionShared::new(self.n, self.barrier_kind, self.obs.clone());
         let results: Vec<Mutex<Option<Result<R>>>> =
             (0..self.n).map(|_| Mutex::new(None)).collect();
         let run = |tid: usize| {
             let ctx = TeamCtx::new(tid, &shared);
-            ctx.trace(|| EventKind::RegionBegin { team: shared.n });
+            let region = shared.obs.region(tid, shared.n);
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-            ctx.trace(|| EventKind::RegionEnd);
+            drop(region);
             shared.record_departure(tid, &outcome);
             *results[tid].lock() = Some(match outcome {
                 Ok(r) => r,
@@ -241,21 +229,13 @@ pub(crate) struct RegionShared {
     departed: Vec<AtomicBool>,
     /// Panic messages by thread id, recorded before the panic propagates.
     panics: Mutex<HashMap<usize, String>>,
-    /// Structured event tracing, shared by every thread of the region.
-    /// `None` (the default) keeps the synchronization paths event-free.
-    tracer: Option<Tracer>,
-    /// Quantitative metrics, shared by every thread of the region. As
-    /// with the tracer, `None` keeps the hot paths instrument-free.
-    metrics: Option<MetricsHub>,
+    /// Tracer and metrics hub, shared by every thread of the region; each
+    /// thread records on its thread-id lane.
+    obs: Obs,
 }
 
 impl RegionShared {
-    fn new(
-        n: usize,
-        barrier_kind: BarrierKind,
-        tracer: Option<Tracer>,
-        metrics: Option<MetricsHub>,
-    ) -> Self {
+    fn new(n: usize, barrier_kind: BarrierKind, obs: Obs) -> Self {
         RegionShared {
             n,
             barrier: barrier_kind.build(n),
@@ -264,8 +244,7 @@ impl RegionShared {
             abortable: AbortableBarrier::new(n),
             departed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             panics: Mutex::new(HashMap::new()),
-            tracer,
-            metrics,
+            obs,
         }
     }
 
@@ -337,35 +316,15 @@ impl<'region> TeamCtx<'region> {
         self.tid == 0
     }
 
-    /// Emit a structured trace event on this thread's lane, when the team
-    /// has a tracer. The disabled path is a single `Option` check.
-    #[inline]
-    pub(crate) fn trace(&self, kind: impl FnOnce() -> EventKind) {
-        if let Some(tracer) = &self.shared.tracer {
-            tracer.emit(self.tid, kind());
-        }
-    }
-
-    /// Record into the metrics hub on this thread's lane, when the team
-    /// has one. Mirrors [`TeamCtx::trace`]: one `Option` check when off.
-    #[inline]
-    pub(crate) fn metric(&self, record: impl FnOnce(&MetricsHub, usize)) {
-        if let Some(hub) = &self.shared.metrics {
-            record(hub, self.tid);
-        }
+    /// The region's tracer and metrics hub.
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.shared.obs
     }
 
     /// `#pragma omp barrier`: block until every team thread arrives.
     pub fn barrier(&self) {
-        self.trace(|| EventKind::BarrierWait);
-        let wait = self
-            .shared
-            .metrics
-            .as_ref()
-            .map(|hub| hub.timer(self.tid, HistId::BARRIER_WAIT_NS));
+        let _phase = self.shared.obs.barrier(self.tid);
         self.shared.barrier.wait(self.tid);
-        drop(wait);
-        self.trace(|| EventKind::BarrierRelease);
     }
 
     /// Fault-aware barrier: like [`TeamCtx::barrier`], but if a team
@@ -374,19 +333,10 @@ impl<'region> TeamCtx<'region> {
     /// [`Error::Deadlock`]) instead of hanging forever. A phase that
     /// completes is never retroactively failed.
     pub fn try_barrier(&self) -> Result<()> {
-        self.trace(|| EventKind::BarrierWait);
-        let wait = self
-            .shared
-            .metrics
-            .as_ref()
-            .map(|hub| hub.timer(self.tid, HistId::BARRIER_WAIT_NS));
-        let outcome = self
-            .shared
+        let _phase = self.shared.obs.barrier(self.tid);
+        self.shared
             .abortable
-            .wait(|| self.shared.failure("barrier"));
-        drop(wait);
-        self.trace(|| EventKind::BarrierRelease);
-        outcome
+            .wait(|| self.shared.failure("barrier"))
     }
 
     /// `#pragma omp master`: run `f` on thread 0 only. No implied barrier,

@@ -29,8 +29,6 @@
 
 use crate::Obs;
 use parking_lot::{Condvar, Mutex};
-use patternlets_metrics::{CounterId, GaugeId};
-use patternlets_trace::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,14 +79,6 @@ struct Shared<T> {
     obs: Obs,
     senders: AtomicUsize,
     receivers: AtomicUsize,
-}
-
-impl<T> Shared<T> {
-    fn trace(&self, lane: usize, kind: EventKind) {
-        if let Some(t) = &self.obs.tracer {
-            t.emit(lane, kind);
-        }
-    }
 }
 
 /// The producing half. Cloneable; the channel reaches end-of-stream when
@@ -180,17 +170,9 @@ impl<T> Sender<T> {
         if wake {
             shared.not_empty.notify_one();
         }
-        if let Some(m) = &shared.obs.metrics {
-            m.incr(shared.queue, CounterId::StreamItemsIn);
-            m.gauge_max(shared.queue, GaugeId::StreamQueueDepth, depth as u64);
-        }
-        shared.trace(
-            self.lane,
-            EventKind::StagePush {
-                queue: shared.queue,
-                depth,
-            },
-        );
+        shared
+            .obs
+            .stage_push(self.lane, shared.queue, depth - 1, depth);
         true
     }
 
@@ -234,27 +216,11 @@ impl<T> Sender<T> {
                 // The batch may be enough for several parked consumers.
                 shared.not_empty.notify_all();
             }
-            if let Some(m) = &shared.obs.metrics {
-                m.add(
-                    shared.queue,
-                    CounterId::StreamItemsIn,
-                    (after - before) as u64,
-                );
-                m.gauge_max(shared.queue, GaugeId::StreamQueueDepth, after as u64);
-            }
-            if let Some(t) = &shared.obs.tracer {
-                // One push event per item, at the depth it was queued at —
-                // the timeline reads the same whether or not it was batched.
-                for depth in before + 1..=after {
-                    t.emit(
-                        self.lane,
-                        EventKind::StagePush {
-                            queue: shared.queue,
-                            depth,
-                        },
-                    );
-                }
-            }
+            // One push event per item: the timeline reads the same
+            // whether or not it was batched.
+            shared
+                .obs
+                .stage_push(self.lane, shared.queue, before, after);
         }
         true
     }
@@ -288,28 +254,14 @@ impl<T> Receiver<T> {
                 if wake {
                     shared.not_full.notify_one();
                 }
-                if let Some(m) = &shared.obs.metrics {
-                    m.incr(shared.queue, CounterId::StreamItemsOut);
-                }
-                shared.trace(
-                    self.lane,
-                    EventKind::StagePop {
-                        queue: shared.queue,
-                        depth,
-                    },
-                );
+                shared.obs.stage_pop(self.lane, shared.queue, depth + 1, 1);
                 return Some(item);
             }
             if inner.closed || shared.senders.load(Ordering::Acquire) == 0 {
                 if !inner.eos_traced {
                     inner.eos_traced = true;
                     drop(inner);
-                    shared.trace(
-                        self.lane,
-                        EventKind::StageEos {
-                            queue: shared.queue,
-                        },
-                    );
+                    shared.obs.stage_eos(self.lane, shared.queue);
                 }
                 return None;
             }
@@ -339,33 +291,14 @@ impl<T> Receiver<T> {
                     // producers.
                     shared.not_full.notify_all();
                 }
-                if let Some(m) = &shared.obs.metrics {
-                    m.add(shared.queue, CounterId::StreamItemsOut, take as u64);
-                }
-                if let Some(t) = &shared.obs.tracer {
-                    // One pop event per item, at the depth it left behind.
-                    for popped in 1..=take {
-                        t.emit(
-                            self.lane,
-                            EventKind::StagePop {
-                                queue: shared.queue,
-                                depth: before - popped,
-                            },
-                        );
-                    }
-                }
+                shared.obs.stage_pop(self.lane, shared.queue, before, take);
                 return Some(batch);
             }
             if inner.closed || shared.senders.load(Ordering::Acquire) == 0 {
                 if !inner.eos_traced {
                     inner.eos_traced = true;
                     drop(inner);
-                    shared.trace(
-                        self.lane,
-                        EventKind::StageEos {
-                            queue: shared.queue,
-                        },
-                    );
+                    shared.obs.stage_eos(self.lane, shared.queue);
                 }
                 return None;
             }
@@ -380,14 +313,13 @@ impl<T> Receiver<T> {
         let shared = &self.shared;
         let mut inner = shared.inner.lock();
         let item = inner.items.pop_front()?;
+        let depth = inner.items.len();
         let wake = inner.send_waiters > 0;
         drop(inner);
         if wake {
             shared.not_full.notify_one();
         }
-        if let Some(m) = &shared.obs.metrics {
-            m.incr(shared.queue, CounterId::StreamItemsOut);
-        }
+        shared.obs.stage_pop(self.lane, shared.queue, depth + 1, 1);
         Some(item)
     }
 }
@@ -453,6 +385,8 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patternlets_metrics::{CounterId, GaugeId};
+    use patternlets_trace::EventKind;
     use std::thread;
     use std::time::Duration;
 
@@ -689,5 +623,36 @@ mod tests {
             })
             .collect();
         assert_eq!(depths, vec![1, 2, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn try_recv_traces_and_counts_every_pop() {
+        // A traced consumer polling with `try_recv` must leave one pop per
+        // push, or the analyzer pairs pops with the wrong pushes.
+        let tracer = patternlets_trace::Tracer::new();
+        let hub = patternlets_metrics::MetricsHub::new();
+        let obs = Obs {
+            tracer: Some(tracer.clone()),
+            metrics: Some(hub.clone()),
+        };
+        let (tx, rx) = bounded(4, 0, &obs);
+        for i in 0..3 {
+            assert!(tx.send(i));
+        }
+        for i in 0..3 {
+            assert_eq!(rx.try_recv(), Some(i));
+        }
+        assert_eq!(rx.try_recv(), None);
+        let pops: Vec<usize> = tracer
+            .drain()
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::StagePop { depth, .. } => Some(depth),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pops, vec![2, 1, 0]);
+        assert_eq!(hub.snapshot().total(CounterId::StreamItemsOut), 3);
     }
 }

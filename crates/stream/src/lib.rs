@@ -48,22 +48,6 @@ pub use farm::{farm_feedback, run_farm, FarmConfig, Feedback};
 pub use pipeline::Pipeline;
 pub use spsc_edge::{spsc_edge, SpscReceiver, SpscSender};
 
-use patternlets_metrics::MetricsHub;
-use patternlets_trace::Tracer;
-
-/// Observability hooks threaded through every queue: both optional, both
-/// cheap to clone (`Arc` bumps), both a single `is_some` check when absent.
-#[derive(Clone, Default)]
-pub struct Obs {
-    /// Event tracer; stage lane = the pushing/popping stage's id.
-    pub tracer: Option<Tracer>,
-    /// Metrics hub; lane = the queue id.
-    pub metrics: Option<MetricsHub>,
-}
-
-impl Obs {
-    /// No observability: the zero-cost default.
-    pub fn none() -> Self {
-        Self::default()
-    }
-}
+/// Observability hooks threaded through every queue: the tracer's stage
+/// lane is the pushing or popping stage's id, the hub's lane the queue id.
+pub use patternlets_metrics::Obs;

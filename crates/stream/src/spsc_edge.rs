@@ -22,8 +22,7 @@
 
 use crate::Obs;
 use patternlets_core::spsc::{wait, Doorbell, Wait};
-use patternlets_metrics::{CounterId, GaugeId};
-use patternlets_trace::EventKind;
+use patternlets_metrics::CounterId;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,15 +62,9 @@ unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
-    fn trace(&self, lane: usize, kind: EventKind) {
-        if let Some(t) = &self.obs.tracer {
-            t.emit(lane, kind);
-        }
-    }
-
     fn trace_eos_once(&self, lane: usize) {
         if !self.eos_traced.swap(true, Ordering::SeqCst) {
-            self.trace(lane, EventKind::StageEos { queue: self.queue });
+            self.obs.stage_eos(lane, self.queue);
         }
     }
 
@@ -186,18 +179,8 @@ impl<T> SpscSender<T> {
         unsafe { (*ring.slots[tail % ring.capacity].get()).write(item) };
         ring.tail.0.store(tail + 1, Ordering::Release);
         ring.consumer_bell.ring();
-        let depth = tail + 1 - head;
-        if let Some(m) = &ring.obs.metrics {
-            m.incr(ring.queue, CounterId::StreamItemsIn);
-            m.gauge_max(ring.queue, GaugeId::StreamQueueDepth, depth as u64);
-        }
-        ring.trace(
-            self.lane,
-            EventKind::StagePush {
-                queue: ring.queue,
-                depth,
-            },
-        );
+        ring.obs
+            .stage_push(self.lane, ring.queue, tail - head, tail + 1 - head);
         true
     }
 
@@ -228,24 +211,8 @@ impl<T> SpscSender<T> {
             ring.tail.0.store(tail + pushed, Ordering::Release);
             ring.consumer_bell.ring();
             let before = tail - head;
-            let after = before + pushed;
-            if let Some(m) = &ring.obs.metrics {
-                m.add(ring.queue, CounterId::StreamItemsIn, pushed as u64);
-                m.gauge_max(ring.queue, GaugeId::StreamQueueDepth, after as u64);
-            }
-            if ring.obs.tracer.is_some() {
-                // One push event per item, at the depth it was queued at —
-                // the timeline reads the same as the MPMC channel's.
-                for depth in before + 1..=after {
-                    ring.trace(
-                        self.lane,
-                        EventKind::StagePush {
-                            queue: ring.queue,
-                            depth,
-                        },
-                    );
-                }
-            }
+            ring.obs
+                .stage_push(self.lane, ring.queue, before, before + pushed);
         }
         true
     }
@@ -305,16 +272,8 @@ impl<T> SpscReceiver<T> {
         let item = unsafe { (*ring.slots[head % ring.capacity].get()).assume_init_read() };
         ring.head.0.store(head + 1, Ordering::Release);
         ring.producer_bell.ring();
-        if let Some(m) = &ring.obs.metrics {
-            m.incr(ring.queue, CounterId::StreamItemsOut);
-        }
-        ring.trace(
-            self.lane,
-            EventKind::StagePop {
-                queue: ring.queue,
-                depth: ring.tail.0.load(Ordering::Relaxed) - (head + 1),
-            },
-        );
+        let before = ring.tail.0.load(Ordering::Relaxed) - head;
+        ring.obs.stage_pop(self.lane, ring.queue, before, 1);
         Some(item)
     }
 
@@ -332,22 +291,7 @@ impl<T> SpscReceiver<T> {
         }
         ring.head.0.store(head + take, Ordering::Release);
         ring.producer_bell.ring();
-        if let Some(m) = &ring.obs.metrics {
-            m.add(ring.queue, CounterId::StreamItemsOut, take as u64);
-        }
-        if ring.obs.tracer.is_some() {
-            let before = tail - head;
-            // One pop event per item, at the depth it left behind.
-            for popped in 1..=take {
-                ring.trace(
-                    self.lane,
-                    EventKind::StagePop {
-                        queue: ring.queue,
-                        depth: before - popped,
-                    },
-                );
-            }
-        }
+        ring.obs.stage_pop(self.lane, ring.queue, tail - head, take);
         Some(batch)
     }
 }
@@ -362,6 +306,8 @@ impl<T> Drop for SpscReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patternlets_metrics::GaugeId;
+    use patternlets_trace::EventKind;
     use std::thread;
     use std::time::Duration;
 

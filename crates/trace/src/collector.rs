@@ -127,16 +127,21 @@ impl Tracer {
         });
     }
 
-    /// Open a collective-phase span on `lane`: emits
-    /// [`EventKind::CollBegin`] now and [`EventKind::CollEnd`] when the
+    /// Open a span on `lane`: emits `begin` now and `end` when the
     /// returned guard drops — so a phase closes even on an error path.
-    pub fn coll_span(&self, lane: usize, op: &'static str) -> CollSpan {
-        self.emit(lane, EventKind::CollBegin { op });
-        CollSpan {
+    pub fn span(&self, lane: usize, begin: EventKind, end: EventKind) -> Span {
+        self.emit(lane, begin);
+        Span {
             tracer: self.clone(),
             lane,
-            op,
+            end,
         }
+    }
+
+    /// Open a collective-phase span on `lane`: [`EventKind::CollBegin`]
+    /// now and [`EventKind::CollEnd`] when the returned guard drops.
+    pub fn coll_span(&self, lane: usize, op: &'static str) -> Span {
+        self.span(lane, EventKind::CollBegin { op }, EventKind::CollEnd { op })
     }
 
     /// Drain every lane into one [`Trace`], merged in global emission
@@ -155,17 +160,16 @@ impl Tracer {
     }
 }
 
-/// Drop guard for one collective phase — see [`Tracer::coll_span`].
-pub struct CollSpan {
+/// Drop guard for one phase — see [`Tracer::span`].
+pub struct Span {
     tracer: Tracer,
     lane: usize,
-    op: &'static str,
+    end: EventKind,
 }
 
-impl Drop for CollSpan {
+impl Drop for Span {
     fn drop(&mut self) {
-        self.tracer
-            .emit(self.lane, EventKind::CollEnd { op: self.op });
+        self.tracer.emit(self.lane, self.end.clone());
     }
 }
 

@@ -56,8 +56,9 @@ pub enum EventKind {
         /// Collective name, matching the begin.
         op: &'static str,
     },
-    /// The chaos transport lost a transmission; the sender retransmitted
-    /// after a backoff.
+    /// A retransmission: the chaos transport lost a transmission and the
+    /// sender retransmitted after a backoff, or a TCP link resumed and
+    /// replayed its unacknowledged frames.
     Retransmit {
         /// Zero-based retry attempt number.
         attempt: u32,

@@ -10,9 +10,10 @@
 //! a Chrome-trace (`chrome://tracing` / Perfetto) JSON file or a plain
 //! text timeline.
 //!
-//! Tracing is always compiled but zero-cost when off: the runtimes hold an
-//! `Option<Tracer>` and every tap is a single `is-some` check on the
-//! disabled path — no locks, no allocation, no clock reads.
+//! Tracing is always compiled but zero-cost when off: the runtimes hold
+//! the tracer as an `Option` inside `patternlets_metrics::Obs`, and every
+//! tap is a single `is_none` check on the disabled path — no locks, no
+//! allocation, no clock reads.
 //!
 //! ```
 //! use patternlets_trace::{EventKind, Tracer};
@@ -31,5 +32,5 @@ pub mod collector;
 pub mod event;
 pub mod timeline;
 
-pub use collector::{CollSpan, Trace, Tracer, DEFAULT_LANES, DEFAULT_LANE_CAPACITY};
+pub use collector::{Span, Trace, Tracer, DEFAULT_LANES, DEFAULT_LANE_CAPACITY};
 pub use event::{EventKind, TraceEvent};

@@ -452,7 +452,7 @@ mod bytes_shim {
 mod tcp_failures {
     use std::time::{Duration, Instant};
 
-    use patternlets_mp::{Envelope, Fabric, WorldSpec};
+    use patternlets_mp::{Envelope, Fabric, WorldBuilder, WorldSpec};
     use patternlets_net::{rendezvous, TcpFabric};
 
     fn mesh(np: usize, epoch: u64) -> Vec<TcpFabric> {
@@ -575,5 +575,53 @@ mod tcp_failures {
         );
         fabrics[0].finish(0);
         fabrics[1].finish(1);
+    }
+
+    #[test]
+    fn duplicates_over_a_tcp_mesh_are_traced_where_they_are_counted() {
+        // A duplicate-heavy fault plan over real sockets: each duplicate
+        // crosses the wire and the receiving process's mailbox swallows
+        // it. The trace must show exactly the drops the hub counts.
+        use patternlets_metrics::{CounterId, MetricsHub};
+        use patternlets_mp::FaultPlan;
+        use patternlets_net::{install_job_fabric, with_job_ctx, JobCtx};
+        use patternlets_trace::{EventKind, Tracer};
+
+        const MSGS: u64 = 40;
+        assert!(install_job_fabric(), "no other provider in this binary");
+        let server = rendezvous::serve().unwrap().to_string();
+        let tracer = Tracer::new();
+        let hub = MetricsHub::new();
+        std::thread::scope(|scope| {
+            for me in 0..2 {
+                let (server, tracer, hub) = (server.clone(), tracer.clone(), hub.clone());
+                scope.spawn(move || {
+                    let job = JobCtx::new(me, 2, server, 200, None);
+                    with_job_ctx(job, || {
+                        WorldBuilder::new(2)
+                            .tracer(tracer)
+                            .metrics(hub)
+                            .fault_plan(FaultPlan::seeded(21).duplicate(0.5))
+                            .run(|comm| {
+                                for i in 0..MSGS {
+                                    if comm.rank() == 0 {
+                                        comm.send_one(i, 1, 0).unwrap();
+                                    } else {
+                                        assert_eq!(comm.recv_one::<u64>(0, 0).unwrap().0, i);
+                                    }
+                                }
+                                comm.barrier().unwrap();
+                            })
+                            .unwrap()
+                    });
+                });
+            }
+        });
+        let traced = tracer
+            .drain()
+            .count(|e| matches!(e.kind, EventKind::DupDropped)) as u64;
+        let counted = hub.snapshot().total(CounterId::DupDrops);
+        assert!(counted > 0, "a 50% duplicate rate must drop duplicates");
+        assert_eq!(traced, counted, "the trace misses duplicate drops");
     }
 }

@@ -192,16 +192,3 @@ fn ssend_costs_one_extra_ack_message() {
     assert_eq!(trace.sends(), 2);
     assert_eq!(trace.user_sends(), 1);
 }
-
-#[test]
-fn legacy_message_log_still_works() {
-    // The pre-tracer `run_traced` API is retained; both views agree on the
-    // message count.
-    let tracer = Tracer::new();
-    let (_, legacy) = World::builder(4)
-        .tracer(tracer.clone())
-        .run_traced(|comm| comm.barrier().unwrap())
-        .unwrap();
-    let trace = tracer.drain();
-    assert_eq!(legacy.len(), trace.sends());
-}
