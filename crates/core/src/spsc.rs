@@ -30,11 +30,11 @@
 //! bounded run of `yield_now` calls: on one CPU a yield hands the core
 //! straight to the peer (~0.7 µs round trip measured on the CI host)
 //! where a futex park/wake costs ~5 µs, so a busy peer is almost always
-//! caught here. Only then comes the **doorbell** — the waiter sets a
-//! parked word, re-checks the counters (closing the set-check race), and
-//! sleeps on a futex with a short timeout. The other side rings the bell
-//! only when it observes the parked word set, so the uncontended fast
-//! path stays two atomic loads and one store. Futexes work on shared
+//! caught here. Only then comes the **doorbell** — the waiter arms it,
+//! re-checks the counters (closing the arm-check race), and sleeps on a
+//! futex with a short timeout. The other side pays a wake syscall only
+//! when it finds the bell armed, so the uncontended fast path stays
+//! atomic loads, one store and one fence. Futexes work on shared
 //! mappings, so the same doorbell parks ranks in different processes;
 //! on platforms without the raw syscall the doorbell degrades to a
 //! bounded sleep-poll with identical semantics.
@@ -42,13 +42,21 @@
 //! The timeout matters: a blocked side wakes every [`PARK_NS`] even
 //! without a bell, which is what lets callers interleave liveness checks
 //! (is the peer SIGKILLed?) into an otherwise indefinite wait — the
-//! `abort` closure on [`Producer::push_all`] and the stop flag on
-//! [`Consumer`] are evaluated at least at that cadence.
+//! `abort` closure on [`Producer::push_all`] is evaluated at least at
+//! that cadence.
+//!
+//! A consumer that serves many rings parks on one [`Bell`] instead of
+//! each ring's own doorbell: every producer into it is pointed at the
+//! shared word with [`Producer::set_bell`], and the consumer polls its
+//! rings without blocking — [`Consumer::peek`] for a record's header,
+//! [`Consumer::try_pop_record`] for the whole record, handed over in
+//! place unless it wraps.
 
 use std::io;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Cache line size the header is padded to (x86_64; a safe overestimate
 /// elsewhere).
@@ -128,6 +136,18 @@ impl std::ops::AddAssign for Wait {
 /// change `ready` reads. Call it only once `ready()` has been seen false:
 /// the returned cost then always counts at least one spin or park.
 pub fn wait(bell: &Doorbell, ready: impl Fn() -> bool) -> Wait {
+    ladder(bell, ready, None)
+}
+
+/// [`wait`], but give up once the wait has been parked for `timeout`, so
+/// the caller can re-check, at that cadence, what `ready` does not read
+/// (has a peer died?). The caller tells the two outcomes apart by
+/// checking `ready`'s state again.
+pub fn wait_for(bell: &Doorbell, ready: impl Fn() -> bool, timeout: Duration) -> Wait {
+    ladder(bell, ready, Some(timeout))
+}
+
+fn ladder(bell: &Doorbell, ready: impl Fn() -> bool, timeout: Option<Duration>) -> Wait {
     let mut cost = Wait::default();
     let spin = spin_budget();
     for i in 0..spin + YIELDS {
@@ -141,14 +161,18 @@ pub fn wait(bell: &Doorbell, ready: impl Fn() -> bool) -> Wait {
             return cost;
         }
     }
+    // The clock is read only once the wait parks.
+    let give_up = timeout.map(|t| Instant::now() + t);
     loop {
-        bell.prepare_park();
+        let parking = bell.prepare_park();
         if ready() {
-            bell.cancel_park();
             return cost;
         }
         cost.parks += 1;
-        bell.park(PARK_NS);
+        bell.park(parking, PARK_NS);
+        if give_up.is_some_and(|at| Instant::now() >= at) {
+            return cost;
+        }
     }
 }
 
@@ -268,7 +292,7 @@ mod sys {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
 
-    /// Fallback: bounded sleep-poll. The parked-word protocol already
+    /// Fallback: bounded sleep-poll. The doorbell protocol already
     /// re-checks state after every return, so a missed wake costs at
     /// most one short sleep, never a hang.
     pub fn futex_wait(word: &AtomicU32, expected: u32, timeout_ns: u64) {
@@ -281,67 +305,134 @@ mod sys {
     pub fn futex_wake(_word: &AtomicU32, _n: u32) {}
 }
 
-/// One direction of the spin-then-park protocol: a 32-bit parked word a
-/// waiter publishes before sleeping, so the other side pays a futex
-/// syscall only when someone is actually asleep.
+/// One direction of the spin-then-park protocol, for any number of
+/// waiters sharing it: a futex word holding a ring sequence and an
+/// *armed* bit. A waiter arms the bell before its re-check and sleeps on
+/// the word it saw; a ring clears the bit and bumps the sequence, so
+/// every waiter armed before it wakes, and pays a futex syscall only when
+/// the bit was set — once per wake-up, however many rings follow before
+/// the waiter runs.
 ///
 /// Wait side: [`prepare_park`](Doorbell::prepare_park) → re-check the
-/// guarding condition → [`park`](Doorbell::park) (or
-/// [`cancel_park`](Doorbell::cancel_park) if the condition flipped).
-/// Wake side: [`ring`](Doorbell::ring) after every state change the
-/// waiter could be blocked on.
+/// guarding condition → [`park`](Doorbell::park), or nothing if the
+/// condition flipped. Wake side: [`ring`](Doorbell::ring) after every
+/// state change a waiter could be blocked on.
+///
+/// No waiter ever disarms the bell, which is what keeps one waiter from
+/// cancelling another's announcement: a waiter that stood down or timed
+/// out (or died parked, on a shared mapping) leaves it armed, and the next
+/// ring pays for one wake nobody needed.
 #[repr(C)]
 pub struct Doorbell {
-    parked: AtomicU32,
+    /// The ring sequence above [`ARMED`].
+    word: AtomicU32,
 }
 
+/// The [`Doorbell`] word's low bit: a waiter is, or may be, asleep.
+const ARMED: u32 = 1;
+
+/// What a waiter armed with [`Doorbell::prepare_park`] sleeps on: the
+/// word it saw.
+pub struct Parking(u32);
+
 impl Doorbell {
-    /// A fresh, un-parked doorbell.
+    /// A fresh, unarmed doorbell.
     pub const fn new() -> Doorbell {
         Doorbell {
-            parked: AtomicU32::new(0),
+            word: AtomicU32::new(0),
         }
     }
 
     /// Announce intent to sleep. Must be followed by a re-check of the
     /// condition being waited on, *then* [`park`](Doorbell::park): the
-    /// store-before-recheck order (SeqCst on both sides) closes the race
-    /// with a waker that changed state just before the announcement.
+    /// arm-before-recheck order (a full fence on both sides) closes the
+    /// race with a waker that changed state just before the announcement.
     #[inline]
-    pub fn prepare_park(&self) {
-        self.parked.store(1, Ordering::SeqCst);
+    pub fn prepare_park(&self) -> Parking {
+        Parking(self.word.fetch_or(ARMED, Ordering::SeqCst) | ARMED)
     }
 
-    /// The condition flipped during the re-check; stand down.
+    /// Sleep until rung or `timeout_ns` elapses — not at all if a ring
+    /// came since [`prepare_park`](Doorbell::prepare_park). Spurious
+    /// wakeups are expected.
     #[inline]
-    pub fn cancel_park(&self) {
-        self.parked.store(0, Ordering::SeqCst);
+    pub fn park(&self, parking: Parking, timeout_ns: u64) {
+        sys::futex_wait(&self.word, parking.0, timeout_ns);
     }
 
-    /// Sleep until rung or `timeout_ns` elapses. Returns with the parked
-    /// word cleared; spurious wakeups are expected.
-    #[inline]
-    pub fn park(&self, timeout_ns: u64) {
-        sys::futex_wait(&self.parked, 1, timeout_ns);
-        self.parked.store(0, Ordering::SeqCst);
-    }
-
-    /// Wake the waiter if (and only if) one announced itself. Returns
-    /// whether a wake syscall was issued.
+    /// Wake every waiter, if the bell is armed. Returns whether a wake
+    /// syscall was issued.
     #[inline]
     pub fn ring(&self) -> bool {
-        if self.parked.swap(0, Ordering::SeqCst) == 1 {
-            sys::futex_wake(&self.parked, 1);
-            true
-        } else {
-            false
+        // Order the caller's state change before reading the word: the
+        // other half of the waiter's arm-then-recheck.
+        std::sync::atomic::fence(Ordering::SeqCst);
+        let mut word = self.word.load(Ordering::Relaxed);
+        while word & ARMED != 0 {
+            // Adding one to an armed word clears the bit and carries into
+            // the sequence.
+            match self.word.compare_exchange_weak(
+                word,
+                word.wrapping_add(1),
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    sys::futex_wake(&self.word, i32::MAX as u32);
+                    return true;
+                }
+                Err(now) => word = now,
+            }
         }
+        false
     }
 }
 
 impl Default for Doorbell {
     fn default() -> Self {
         Doorbell::new()
+    }
+}
+
+/// A shared handle on a [`Doorbell`] that may live in memory this module
+/// does not own — one word of a shared mapping, rung by producers in
+/// other processes. Clones share the word.
+#[derive(Clone)]
+pub struct Bell {
+    bell: *const Doorbell,
+    /// Whatever owns the word (an mmap guard).
+    _keep: Arc<dyn std::any::Any + Send + Sync>,
+}
+
+// SAFETY: `bell` points into memory that `_keep` (itself `Send + Sync`)
+// keeps alive for as long as any clone exists, and the word is only ever
+// accessed through the doorbell's atomics.
+unsafe impl Send for Bell {}
+unsafe impl Sync for Bell {}
+
+impl Bell {
+    /// The doorbell at the start of `mem`.
+    ///
+    /// # Safety
+    /// `mem` must point to `size_of::<Doorbell>()` writable bytes, 4-aligned, that
+    /// stay valid for as long as `keep` is alive and are only ever
+    /// accessed as a doorbell.
+    pub unsafe fn at(mem: *mut u8, keep: Box<dyn std::any::Any + Send + Sync>) -> Bell {
+        assert_eq!(mem as usize % 4, 0, "doorbell must be 4-aligned");
+        Bell {
+            bell: mem as *const Doorbell,
+            _keep: Arc::from(keep),
+        }
+    }
+}
+
+impl std::ops::Deref for Bell {
+    type Target = Doorbell;
+
+    fn deref(&self) -> &Doorbell {
+        // SAFETY: `Bell::at`'s caller guaranteed a 4-aligned doorbell word
+        // valid while `_keep` lives, and `self` holds `_keep`.
+        unsafe { &*self.bell }
     }
 }
 
@@ -372,10 +463,10 @@ struct Header {
     _pad2: [u8; CACHE_LINE - 8],
     /// Rung by the producer when the consumer parked on "ring empty".
     consumer_bell: Doorbell,
-    _pad3: [u8; CACHE_LINE - 4],
+    _pad3: [u8; CACHE_LINE - size_of::<Doorbell>()],
     /// Rung by the consumer when the producer parked on "ring full".
     producer_bell: Doorbell,
-    _pad4: [u8; CACHE_LINE - 4],
+    _pad4: [u8; CACHE_LINE - size_of::<Doorbell>()],
 }
 
 /// Bytes of segment space the header occupies before ring data starts.
@@ -519,6 +610,7 @@ impl SpscRing {
     pub fn producer(self: &Arc<Self>) -> Producer {
         Producer {
             ring: Arc::clone(self),
+            bell: None,
             stats: WaitStats::default(),
         }
     }
@@ -527,7 +619,6 @@ impl SpscRing {
     pub fn consumer(self: &Arc<Self>) -> Consumer {
         Consumer {
             ring: Arc::clone(self),
-            stop: None,
             stats: WaitStats::default(),
         }
     }
@@ -545,11 +636,27 @@ pub enum PushError {
 /// [`close`](Producer::close) the ring.
 pub struct Producer {
     ring: Arc<SpscRing>,
+    /// Rung after publishing instead of the ring's consumer doorbell.
+    bell: Option<Bell>,
     /// Waits on a full ring.
     stats: WaitStats,
 }
 
 impl Producer {
+    /// Ring `bell` after publishing, instead of the ring's own consumer
+    /// doorbell: for a consumer that parks on one doorbell for all of its
+    /// rings (the shm fabric's per-rank inbound doorbell).
+    pub fn set_bell(&mut self, bell: Bell) {
+        self.bell = Some(bell);
+    }
+
+    /// The doorbell the consumer waits on.
+    fn consumer_bell(&self) -> &Doorbell {
+        self.bell
+            .as_deref()
+            .unwrap_or(&self.ring.hdr().consumer_bell)
+    }
+
     /// Bytes currently free.
     pub fn free(&self) -> usize {
         let hdr = self.ring.hdr();
@@ -583,7 +690,7 @@ impl Producer {
             }
         }
         hdr.tail.store(tail + n as u64, Ordering::Release);
-        hdr.consumer_bell.ring();
+        self.consumer_bell().ring();
         n
     }
 
@@ -615,9 +722,8 @@ impl Producer {
     /// Close the ring: no more bytes will be written. Wakes the consumer
     /// so it can observe EOF.
     pub fn close(&self) {
-        let hdr = self.ring.hdr();
-        hdr.closed.store(1, Ordering::SeqCst);
-        hdr.consumer_bell.ring();
+        self.ring.hdr().closed.store(1, Ordering::SeqCst);
+        self.consumer_bell().ring();
     }
 
     /// Drain and reset the (spins, parks) counters accumulated since the
@@ -639,26 +745,19 @@ impl Producer {
     }
 }
 
-/// The reading half. Owns `head`. Implements [`io::Read`] with blocking
-/// semantics (spin-then-park on empty), which is what lets the shm
-/// fabric run the *unmodified* frame decoder over a ring: EOF (`Ok(0)`)
-/// is "producer closed and ring drained" — or the stop flag, for reader
-/// threads that must exit when a peer is declared dead without ever
-/// closing its ring (SIGKILL leaves no close behind).
+/// The reading half. Owns `head`. Reads either without blocking —
+/// [`try_pop`](Consumer::try_pop), or a whole record with
+/// [`peek`](Consumer::peek) and
+/// [`try_pop_record`](Consumer::try_pop_record) — or through its
+/// [`io::Read`] impl, which blocks (spin-then-park on empty) and reads
+/// EOF (`Ok(0)`) once the producer closed and the ring is drained.
 pub struct Consumer {
     ring: Arc<SpscRing>,
-    stop: Option<Arc<AtomicBool>>,
     /// Waits on an empty ring.
     stats: WaitStats,
 }
 
 impl Consumer {
-    /// Install a stop flag: when it reads true, blocking reads return
-    /// EOF at the next park-timeout check.
-    pub fn set_stop(&mut self, stop: Arc<AtomicBool>) {
-        self.stop = Some(stop);
-    }
-
     /// Bytes currently readable.
     pub fn available(&self) -> usize {
         let hdr = self.ring.hdr();
@@ -667,22 +766,17 @@ impl Consumer {
         (tail - head) as usize
     }
 
-    /// Read up to `buf.len()` of whatever is queued; returns bytes read
-    /// (0 when the ring is empty — *not* EOF). Publishes the new head
-    /// (Release) and rings the producer doorbell once per call.
-    pub fn try_pop(&mut self, buf: &mut [u8]) -> usize {
-        if buf.is_empty() {
-            return 0;
-        }
+    /// Copy the first `buf.len()` queued bytes into `buf` without
+    /// consuming them (a record's header); `false` when fewer are queued.
+    pub fn peek(&self, buf: &mut [u8]) -> bool {
         let hdr = self.ring.hdr();
         let tail = hdr.tail.load(Ordering::Acquire);
         let head = hdr.head.load(Ordering::Relaxed);
-        let cap = self.ring.capacity;
-        let avail = (tail - head) as usize;
-        let n = avail.min(buf.len());
-        if n == 0 {
-            return 0;
+        let n = buf.len();
+        if ((tail - head) as usize) < n {
+            return false;
         }
+        let cap = self.ring.capacity;
         let pos = (head % cap as u64) as usize;
         let first = n.min(cap - pos);
         unsafe {
@@ -695,9 +789,59 @@ impl Consumer {
                 );
             }
         }
+        true
+    }
+
+    /// Free `n` consumed bytes: publish the new head (Release) and ring
+    /// the producer doorbell.
+    fn advance(&mut self, n: usize) {
+        let hdr = self.ring.hdr();
+        let head = hdr.head.load(Ordering::Relaxed);
         hdr.head.store(head + n as u64, Ordering::Release);
         hdr.producer_bell.ring();
+    }
+
+    /// Read up to `buf.len()` of whatever is queued; returns bytes read
+    /// (0 when the ring is empty — *not* EOF). Publishes the new head
+    /// (Release) and rings the producer doorbell once per call.
+    pub fn try_pop(&mut self, buf: &mut [u8]) -> usize {
+        let n = self.available().min(buf.len());
+        if n == 0 || !self.peek(&mut buf[..n]) {
+            return 0;
+        }
+        self.advance(n);
         n
+    }
+
+    /// Consume the next `n` bytes as one record, if that many are queued,
+    /// and return what `f` makes of them. `f` reads the record in place
+    /// in the ring when it is contiguous there, and from `scratch` (a
+    /// buffer the caller keeps for reuse) when it wraps; the bytes are
+    /// freed to the producer only after `f` returns. `None` — and `f`
+    /// not called — while fewer than `n` bytes are queued.
+    pub fn try_pop_record<R>(
+        &mut self,
+        n: usize,
+        scratch: &mut Vec<u8>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        if self.available() < n {
+            return None;
+        }
+        let cap = self.ring.capacity;
+        let pos = (self.ring.hdr().head.load(Ordering::Relaxed) % cap as u64) as usize;
+        let out = if pos + n <= cap {
+            // SAFETY: `pos + n <= cap`, so the slice lies in the data
+            // region; [head, head + n) is queued, so the producer will not
+            // write it until `advance` below publishes the new head.
+            f(unsafe { std::slice::from_raw_parts(self.ring.data().add(pos), n) })
+        } else {
+            scratch.resize(n, 0);
+            self.peek(scratch);
+            f(scratch)
+        };
+        self.advance(n);
+        Some(out)
     }
 
     /// Drain and reset the (spins, parks) counters accumulated since the
@@ -717,10 +861,6 @@ impl Consumer {
     pub fn ring(&self) -> &Arc<SpscRing> {
         &self.ring
     }
-
-    fn stopped(&self) -> bool {
-        self.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst))
-    }
 }
 
 impl io::Read for Consumer {
@@ -731,15 +871,14 @@ impl io::Read for Consumer {
             // Empty. Closed-and-drained is EOF; the close flag is read
             // AFTER the pop attempt so a close racing the last bytes
             // can't truncate them (close happens-after the final push).
-            let eof =
-                n == 0 && ((self.ring.is_closed() && self.available() == 0) || self.stopped());
+            let eof = n == 0 && self.ring.is_closed() && self.available() == 0;
             if n > 0 || eof {
                 // One blocked read = one wait episode; EOF counts none.
                 self.stats.record(cost, n > 0);
                 return Ok(n);
             }
             cost += wait(&self.ring.hdr().consumer_bell, || {
-                self.available() > 0 || self.ring.is_closed() || self.stopped()
+                self.available() > 0 || self.ring.is_closed()
             });
         }
     }
@@ -791,21 +930,6 @@ mod tests {
         let mut got = Vec::new();
         c.read_to_end(&mut got).unwrap();
         assert_eq!(got, b"tail bytes");
-    }
-
-    #[test]
-    fn stop_flag_unblocks_an_empty_read() {
-        let ring = SpscRing::heap(64);
-        let mut c = ring.consumer();
-        let stop = Arc::new(AtomicBool::new(false));
-        c.set_stop(Arc::clone(&stop));
-        let reader = std::thread::spawn(move || {
-            let mut buf = [0u8; 8];
-            c.read(&mut buf).unwrap()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        stop.store(true, Ordering::SeqCst);
-        assert_eq!(reader.join().unwrap(), 0);
     }
 
     #[test]
@@ -890,5 +1014,74 @@ mod tests {
         c.read_exact(&mut got).unwrap();
         assert_eq!(p.take_wait_stats(), (0, 0));
         assert_eq!(c.take_wait_stats(), (0, 0));
+    }
+
+    /// A ring pays for a wake only when the bell is armed, once per
+    /// arming however many rings follow, and a waiter armed before it
+    /// does not sleep.
+    #[test]
+    fn a_doorbell_wakes_once_per_arming() {
+        let bell = Doorbell::new();
+        assert!(!bell.ring());
+        let parking = bell.prepare_park();
+        assert!(bell.ring());
+        assert!(!bell.ring());
+        let start = Instant::now();
+        bell.park(parking, 10 * PARK_NS);
+        assert!(start.elapsed() < Duration::from_nanos(5 * PARK_NS));
+    }
+
+    /// Two waiters share one doorbell. Each wakes for its own condition
+    /// within a fraction of the park timeout, however the other's wake-ups
+    /// and a third waiter's brief park interleave with its sleep: none of
+    /// them may cancel its announcement.
+    #[test]
+    fn waiters_sharing_a_doorbell_each_wake_promptly() {
+        const ROUNDS: u64 = 40;
+        let settle = std::time::Duration::from_micros(300);
+        let bell = Doorbell::new();
+        let go = [AtomicU64::new(0), AtomicU64::new(0)];
+        let done = [AtomicU64::new(0), AtomicU64::new(0)];
+        let until = |cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "a waiter never woke");
+                std::thread::yield_now();
+            }
+        };
+        let mut latencies = Vec::new();
+        std::thread::scope(|scope| {
+            for (go, done) in go.iter().zip(&done) {
+                let bell = &bell;
+                scope.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        wait(bell, || go.load(Ordering::SeqCst) >= round);
+                        done.store(round, Ordering::SeqCst);
+                    }
+                });
+            }
+            for round in 1..=ROUNDS {
+                // Both parked; the first wakes, the second is woken too,
+                // finds nothing, and parks again.
+                std::thread::sleep(settle);
+                go[0].store(round, Ordering::SeqCst);
+                bell.ring();
+                until(&|| done[0].load(Ordering::SeqCst) == round);
+                // Both parked again; a third waiter comes and goes.
+                std::thread::sleep(settle);
+                bell.park(bell.prepare_park(), 1);
+                let rung = Instant::now();
+                go[1].store(round, Ordering::SeqCst);
+                bell.ring();
+                until(&|| done[1].load(Ordering::SeqCst) == round);
+                latencies.push(rung.elapsed());
+            }
+        });
+        latencies.sort();
+        let median = latencies[latencies.len() / 2];
+        assert!(
+            median < Duration::from_nanos(PARK_NS / 4),
+            "median wake-up {median:?}, park timeout {PARK_NS} ns"
+        );
     }
 }

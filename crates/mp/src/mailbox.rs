@@ -13,18 +13,26 @@
 //! if the runtime can prove no match can ever arrive (every possible
 //! sender has finished), it reports deadlock instead of hanging.
 //!
-//! Blocked receives register a *waiter* (selectors plus a private
-//! condvar); a delivery wakes exactly the waiters whose selectors match
-//! the new envelope, so unrelated receivers are never stampeded. Waiting
-//! is adaptive: a short unlocked spin-and-yield phase catches messages
-//! already in flight, then parked waits with capped exponential backoff
-//! bound how stale the liveness verdict can get.
+//! A blocked receive climbs the one wait ladder in the tree,
+//! [`patternlets_core::spsc::wait_for`]: spin, yield, then park on the
+//! mailbox's doorbell, which every delivery rings. Its re-checks read a
+//! count of deliveries and take the lock only once it moved, so a
+//! spinning receive does not contend with the threads delivering to it.
+//! A transport that is
+//! drained by the receiving rank itself rather than by threads of its own
+//! (the shm fabric) installs a progress hook with [`Mailbox::drive`]: the
+//! hook runs with the mailbox lock released before every re-check, and
+//! its doorbell — rung by every producer into the rank — replaces the
+//! mailbox's own, so a parked receive wakes for any peer.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use patternlets_core::spsc::{self, Bell, Doorbell, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, GaugeId, Obs};
 
@@ -36,32 +44,10 @@ use crate::status::{SourceSel, TagSel};
 /// numbering makes a full renumber vanishingly rare.
 const STAMP_STEP: u64 = 1 << 16;
 
-/// Unlocked yield re-checks a blocked receive performs before parking.
-const SPIN_RECHECKS: u32 = 24;
-
-/// First parked wait; doubled per miss, capped at the fabric's poll
-/// interval (so liveness is still re-checked at least that often).
-const INITIAL_PARK: Duration = Duration::from_micros(50);
-
 /// One queued envelope with its global arrival stamp.
 struct Stamped {
     stamp: u64,
     env: Envelope,
-}
-
-/// A blocked receive's registration: its selectors, so deliveries can
-/// wake exactly the receives they could satisfy, and a private condvar.
-struct Waiter {
-    comm_id: u64,
-    src: SourceSel,
-    tag: TagSel,
-    arrived: Condvar,
-}
-
-impl Waiter {
-    fn matches(&self, env: &Envelope) -> bool {
-        self.comm_id == env.comm_id && self.src.matches(env.src) && self.tag.matches(env.tag)
-    }
 }
 
 #[derive(Default)]
@@ -84,8 +70,6 @@ struct Inner {
     queued: usize,
     /// Last stamp handed out on the fast (non-displaced) path.
     next_stamp: u64,
-    /// Registered blocked receives, for targeted wakeups.
-    waiters: Vec<Arc<Waiter>>,
 }
 
 impl Inner {
@@ -210,16 +194,27 @@ impl Inner {
         }
         self.next_stamp = next.max(self.next_stamp);
     }
+}
 
-    fn remove_waiter(&mut self, waiter: &Arc<Waiter>) {
-        self.waiters.retain(|w| !Arc::ptr_eq(w, waiter));
-    }
+/// A transport the receiving rank drains itself (see [`Mailbox::drive`]).
+struct Driver {
+    /// Rung by every producer into the rank.
+    bell: Bell,
+    /// Moves whatever the transport has ready into the mailbox.
+    drain: Box<dyn Fn() + Send + Sync>,
 }
 
 /// A single rank's incoming message queue.
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Inner>,
+    /// Envelopes ever queued, bumped under the lock: a blocked receive
+    /// re-takes the lock only once this moved.
+    delivered: AtomicU64,
+    /// Rung by every delivery; blocked receives park on it unless a
+    /// driver brings its own.
+    bell: Doorbell,
+    driver: OnceLock<Driver>,
     /// Tracer and metrics hub. The mailbox is where dedup and blocking
     /// happen, so duplicate drops, queue depth, and spin-vs-park
     /// resolution are recorded here — uniformly for the in-process and
@@ -238,16 +233,39 @@ impl Mailbox {
     /// owning rank's world rank).
     pub fn observed(obs: Obs, lane: usize) -> Self {
         Mailbox {
-            inner: Mutex::default(),
             obs,
             lane,
+            ..Mailbox::default()
         }
     }
 
-    #[inline]
-    fn count(&self, id: CounterId) {
-        if let Some(hub) = &self.obs.metrics {
-            hub.incr(self.lane, id);
+    /// Let blocked receives and probes drive the transport themselves:
+    /// `drain` moves whatever has arrived into this mailbox and is called
+    /// with the mailbox lock released, and `bell` is the doorbell the
+    /// transport rings whenever something arrives; blocked receives park
+    /// on it instead of the mailbox's own. Installed once, before the
+    /// first receive; later calls are ignored.
+    pub fn drive(&self, bell: Bell, drain: impl Fn() + Send + Sync + 'static) {
+        let _ = self.driver.set(Driver {
+            bell,
+            drain: Box::new(drain),
+        });
+    }
+
+    /// The doorbell a blocked receive on this mailbox parks on. Whoever
+    /// changes state such a wait reads rings it.
+    pub fn bell(&self) -> &Doorbell {
+        match self.driver.get() {
+            Some(driver) => &driver.bell,
+            None => &self.bell,
+        }
+    }
+
+    /// Run the progress hook, if one is installed. The caller must not
+    /// hold this mailbox's lock.
+    pub fn progress(&self) {
+        if let Some(driver) = self.driver.get() {
+            (driver.drain)();
         }
     }
 
@@ -285,21 +303,20 @@ impl Mailbox {
         }
         inner.seen.insert(key, env.seq);
         let stamp = inner.place_stamp(key, overtake);
-        // Wake exactly the blocked receives this envelope could satisfy.
-        for waiter in &inner.waiters {
-            if waiter.matches(&env) {
-                waiter.arrived.notify_all();
-            }
-        }
         inner
             .streams
             .entry(key)
             .or_default()
             .push_back(Stamped { stamp, env });
         inner.queued += 1;
+        // Only lock holders write the count: no read-modify-write needed.
+        let delivered = self.delivered.load(Ordering::Relaxed);
+        self.delivered.store(delivered + 1, Ordering::Release);
         if let Some(hub) = &self.obs.metrics {
             hub.gauge_max(self.lane, GaugeId::MailboxDepth, inner.queued as u64);
         }
+        drop(inner);
+        self.bell().ring();
         true
     }
 
@@ -318,12 +335,12 @@ impl Mailbox {
     /// Only envelopes belonging to `comm_id` are considered — messages on
     /// one communicator are invisible to receives on another.
     ///
-    /// `senders_alive` is consulted when the queue holds no match: it
-    /// returns `None` while a matching send could still arrive, and
-    /// `Some(error)` when it provably cannot — [`Error::RankFailed`] when
-    /// a required peer died, [`Error::Deadlock`] when all senders finished
-    /// or a waits-for cycle was proven. `poll` bounds how long the receive
-    /// sleeps between liveness re-checks.
+    /// `senders_alive` is consulted, with the mailbox lock held, every
+    /// `poll` while the queue holds no match: it returns `None` while a
+    /// matching send could still arrive, and `Some(error)` when it
+    /// provably cannot — [`Error::RankFailed`] when a required peer died,
+    /// [`Error::Deadlock`] when all senders finished or a waits-for cycle
+    /// was proven.
     pub fn recv_match(
         &self,
         comm_id: u64,
@@ -333,62 +350,82 @@ impl Mailbox {
         senders_alive: impl Fn() -> Option<Error>,
         on_match: impl FnOnce(),
     ) -> Result<Envelope> {
-        let mut inner = self.inner.lock();
-        let mut waiter: Option<Arc<Waiter>> = None;
-        let mut spins = SPIN_RECHECKS;
-        let mut park = INITIAL_PARK;
-        loop {
-            if let Some(at) = inner.find_match(comm_id, src, tag) {
-                // Retire the caller's wait record while still holding the
-                // queue lock: the deadlock detector must never observe
-                // "wait posted" + "queue already drained" for a rank that
-                // in fact matched (it would look stuck).
-                on_match();
-                // A waiter registration means this receive parked at least
-                // once before resolving; otherwise the spin phase caught it.
-                self.count(if waiter.is_some() {
-                    CounterId::RecvPark
-                } else {
-                    CounterId::RecvSpin
-                });
-                if let Some(waiter) = &waiter {
-                    inner.remove_waiter(waiter);
+        // Take the first match, retiring the caller's wait record while
+        // still holding the queue lock: the deadlock detector must never
+        // observe "wait posted" + "queue already drained" for a rank that
+        // in fact matched (it would look stuck).
+        let on_match = Cell::new(Some(on_match));
+        let taken = Cell::new(None);
+        let take = |inner: &mut Inner| match inner.find_match(comm_id, src, tag) {
+            Some(at) => {
+                if let Some(on_match) = on_match.take() {
+                    on_match();
                 }
-                return Ok(inner.take(at));
+                taken.set(Some(inner.take(at)));
+                true
             }
-            if spins > 0 {
-                // Spin phase: drop the lock (spinning while holding it
-                // would block deliveries), yield, re-check. Catches the
-                // common case of a message already in flight without a
-                // park/unpark round trip — and without paying for the
-                // liveness check, which runs before every parked wait.
-                spins -= 1;
-                drop(inner);
-                std::thread::yield_now();
-                inner = self.inner.lock();
-                continue;
+            None => false,
+        };
+        let mut cost = Wait::default();
+        let env = loop {
+            self.progress();
+            let mut inner = self.inner.lock();
+            if take(&mut inner) {
+                break taken.take();
             }
-            if let Some(err) = senders_alive() {
-                if let Some(waiter) = &waiter {
-                    inner.remove_waiter(waiter);
+            // A wait that returned without a match was parked for `poll`:
+            // a sender may have finished (or failed) without ever
+            // touching this mailbox.
+            if cost.parked() {
+                if let Some(err) = senders_alive() {
+                    return Err(err);
                 }
-                return Err(err);
             }
-            let waiter = waiter.get_or_insert_with(|| {
-                let waiter = Arc::new(Waiter {
-                    comm_id,
-                    src,
-                    tag,
-                    arrived: Condvar::new(),
-                });
-                inner.waiters.push(Arc::clone(&waiter));
-                waiter
-            });
-            // Park until a matching delivery wakes us, with a capped
-            // exponential backoff as the liveness backstop: a sender may
-            // finish (or fail) without ever touching this mailbox.
-            waiter.arrived.wait_for(&mut inner, park);
-            park = (park * 2).min(poll);
+            // Only an envelope queued after this check can match.
+            let seen = Cell::new(self.delivered.load(Ordering::Relaxed));
+            drop(inner);
+            let ready = || {
+                self.progress();
+                let delivered = self.delivered.load(Ordering::Acquire);
+                delivered != seen.replace(delivered) && take(&mut self.inner.lock())
+            };
+            cost += spsc::wait_for(self.bell(), ready, poll);
+            if let Some(env) = taken.take() {
+                break Some(env);
+            }
+        };
+        self.record_wait(cost);
+        Ok(env.expect("a match was taken"))
+    }
+
+    /// Count how one receive resolved: `RecvSpin` or `RecvPark`, and on a
+    /// driven mailbox — where the rank itself waited on its rings — the
+    /// same wait as a ring wait on the `Spsc*`/`Shm*` counters.
+    fn record_wait(&self, cost: Wait) {
+        let Some(hub) = &self.obs.metrics else {
+            return;
+        };
+        let parked = cost.parked();
+        hub.incr(
+            self.lane,
+            if parked {
+                CounterId::RecvPark
+            } else {
+                CounterId::RecvSpin
+            },
+        );
+        if self.driver.get().is_none() || cost == Wait::default() {
+            return;
+        }
+        for (id, n) in [
+            (CounterId::ShmFullSpins, cost.spins),
+            (CounterId::ShmDoorbellParks, cost.parks),
+            (CounterId::SpscSpinWaits, u64::from(!parked)),
+            (CounterId::SpscParkWaits, u64::from(parked)),
+        ] {
+            if n > 0 {
+                hub.add(self.lane, id, n);
+            }
         }
     }
 
@@ -404,6 +441,7 @@ impl Mailbox {
 
     /// Non-blocking probe: metadata of the first matching envelope, if any.
     pub fn probe(&self, comm_id: u64, src: SourceSel, tag: TagSel) -> Option<(usize, i32, usize)> {
+        self.progress();
         let inner = self.inner.lock();
         inner.find_match(comm_id, src, tag).map(|at| {
             let env = inner.peek(at);

@@ -734,8 +734,8 @@ fn check_crc(expected: u32, len_bytes: &[u8; 4], body: &[u8]) -> Result<()> {
 }
 
 /// Decode one complete wire record (length prefix + CRC + body), as
-/// written by [`encode_frame`]. Used by the property tests; the streaming
-/// path is [`read_frame`].
+/// written by [`encode_frame`]: the shm link's path, in place in the
+/// ring. The blocking streaming path is [`read_frame`].
 pub fn decode_frame(record: &[u8]) -> Result<Frame> {
     if record.len() < 8 {
         return Err(Error::Codec("record shorter than its header".into()));
@@ -750,9 +750,15 @@ pub fn decode_frame(record: &[u8]) -> Result<Frame> {
             record.len() - 8
         )));
     }
-    let crc = u32::from_le_bytes(record[4..8].try_into().expect("4"));
-    check_crc(crc, record[..4].try_into().expect("4"), &record[8..])?;
-    decode_body(&record[8..])
+    decode_record(record[..8].try_into().expect("8"), &record[8..])
+}
+
+/// Check and decode one record whose 8-byte header (length prefix, CRC)
+/// and body have been read apart; the length is the caller's to match.
+pub(crate) fn decode_record(head: &[u8; 8], body: &[u8]) -> Result<Frame> {
+    let crc = u32::from_le_bytes(head[4..8].try_into().expect("4"));
+    check_crc(crc, head[..4].try_into().expect("4"), body)?;
+    decode_body(body)
 }
 
 /// Did a read or accept on a socket with a timeout time out?
@@ -812,9 +818,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
             Err(e) => return Err(Error::Codec(format!("read error: {e}"))),
         }
     }
-    let crc = u32::from_le_bytes(head[4..8].try_into().expect("4"));
-    check_crc(crc, head[..4].try_into().expect("4"), &body)?;
-    decode_body(&body).map(Some)
+    decode_record(&head, &body).map(Some)
 }
 
 /// Write one frame to `w` (single `write_all`, so concurrent writers

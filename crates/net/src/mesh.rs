@@ -7,9 +7,12 @@
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
 //! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! frames to peers and brings its own reader threads: the TCP link
-//! ([`crate::fabric`]) with its reconnect machinery, the shared-memory
-//! link ([`crate::shm`]) with its mmap'd rings.
+//! frames to peers and says how inbound frames reach the dispatch: the
+//! TCP link ([`crate::fabric`]) runs a reader thread per peer, with its
+//! reconnect machinery; the shared-memory link ([`crate::shm`]) runs no
+//! thread at all — the rank drains its own mmap'd rings whenever one of
+//! its threads waits (in a receive, a probe, an agreement, or on a full
+//! outbound ring), and the heartbeat tick drains them as a backstop.
 //!
 //! ## Failure detection
 //!
@@ -47,7 +50,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use patternlets_core::spsc::{self, Bell};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, Obs};
 use patternlets_mp::envelope::{Envelope, Payload};
@@ -103,9 +107,11 @@ pub(crate) fn intern_type_name(name: &str) -> &'static str {
 }
 
 /// The byte transport under a [`PeerMesh`]: how encoded frames reach each
-/// peer, and how silence from one is judged. Implementations also start
-/// their own reader threads, which hand every decoded frame to the mesh's
-/// dispatch and report dead links as failure verdicts.
+/// peer, how inbound frames reach the mesh's dispatch, and how silence
+/// from one is judged. A link either starts reader threads of its own,
+/// which hand every decoded frame to the dispatch, or is drained by the
+/// rank's threads through [`drain`](Link::drain); either way it reports
+/// dead links as failure verdicts.
 pub trait Link: Sized + Send + Sync + 'static {
     /// Silence after which a peer that has spoken is probed or failed.
     const PEER_TIMEOUT: Duration;
@@ -118,6 +124,13 @@ pub trait Link: Sized + Send + Sync + 'static {
     /// the peer exactly once even across a reconnect; an unsequenced one
     /// may be dropped. `false` once the link to `peer` is terminal.
     fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], sequenced: bool) -> bool;
+
+    /// Write a heartbeat `Ping`, an unsequenced record, from the heartbeat
+    /// thread; `true` if it went out. A plain [`write`](Link::write)
+    /// unless the link drops pings rather than wait.
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
+        self.write(mesh, peer, record, false)
+    }
 
     /// Sequenced records written to `peer` and not yet acknowledged.
     fn unacked(&self, peer: usize) -> usize;
@@ -135,6 +148,20 @@ pub trait Link: Sized + Send + Sync + 'static {
     /// A frame the mesh does not interpret (`Hello`, `Ping`, clock
     /// probes, strays).
     fn control(&self, mesh: &Mesh<Self>, peer: usize, frame: Frame);
+
+    /// The doorbell every peer rings after writing to this rank, for a
+    /// link the rank drains itself; `None` for a link with reader threads.
+    fn inbound_bell(&self) -> Option<Bell> {
+        None
+    }
+
+    /// Hand every inbound frame that has fully arrived to the mesh's
+    /// dispatch, without blocking. Called by whichever of the rank's
+    /// threads is waiting, and on every heartbeat tick; a no-op for a
+    /// link with reader threads.
+    fn drain(&self, mesh: &Mesh<Self>) {
+        let _ = mesh;
+    }
 }
 
 /// The protocol state of one process's rank, shared by the application
@@ -143,11 +170,10 @@ pub struct Mesh<L> {
     pub(crate) me: usize,
     pub(crate) np: usize,
     pub(crate) epoch: u64,
-    /// Backstop for missed agreement wake-ups.
-    poll_interval: Duration,
     /// Tracer and metrics hub; this rank's points record on lane `me`.
     pub(crate) obs: Obs,
     /// This process's rank's mailbox — the only one a `Comm` here reads.
+    /// Agreement waits park on its doorbell too.
     mailbox: Mailbox,
     send_seq: AtomicU64,
     pub(crate) finished: Vec<AtomicBool>,
@@ -169,10 +195,9 @@ pub struct Mesh<L> {
     pending_ping_ns: Vec<AtomicU64>,
     start: Instant,
     agreements: Mutex<HashMap<AgreeKey, AgreeSlot>>,
-    agree_cv: Condvar,
     /// Raised by `finish`/`sever`: background threads wind down, no
-    /// reconnect is attempted or served, and ring readers stop.
-    pub(crate) closing: Arc<AtomicBool>,
+    /// reconnect is attempted or served, and rings are no longer drained.
+    pub(crate) closing: AtomicBool,
     pub(crate) link: L,
 }
 
@@ -186,10 +211,9 @@ impl<L: Link> Mesh<L> {
         self.finished[peer].load(Ordering::SeqCst) || self.failed[peer].load(Ordering::SeqCst)
     }
 
-    /// Wake agreement waiters: membership changed.
+    /// Wake this rank's waiters: membership changed.
     fn wake(&self) {
-        let _lock = self.agreements.lock();
-        self.agree_cv.notify_all();
+        self.mailbox.bell().ring();
     }
 
     /// Send `frame` to every peer; peers whose link is terminal and who
@@ -278,32 +302,35 @@ impl<L: Link> Mesh<L> {
                 rank,
                 value,
             } => {
-                let mut slots = self.agreements.lock();
-                slots
+                self.agreements
+                    .lock()
                     .entry((comm_id, kind, seq))
                     .or_default()
                     .insert(rank as usize, value);
-                self.agree_cv.notify_all();
+                self.wake();
             }
             other => self.link.control(self, peer, other),
         }
     }
 
     /// Ping every live peer on a cadence and apply the link's liveness
-    /// rule to the silent ones (see the module docs).
+    /// rule to the silent ones (see the module docs). Each tick first
+    /// drains the link, so a rank that is computing still sees its peers'
+    /// pings, `Finish` and `Failed` before judging their silence.
     fn heartbeat_loop(&self) {
         loop {
             std::thread::sleep(HEARTBEAT_EVERY);
             if self.closing.load(Ordering::SeqCst) {
                 return;
             }
+            self.link.drain(self);
             let now = self.elapsed_ms();
             let mut dead = Vec::new();
             for peer in (0..self.np).filter(|&p| p != self.me && !self.gone(p)) {
                 let ping = encode_frame(&Frame::Ping {
                     seen: self.recv_seq[peer].load(Ordering::SeqCst),
                 });
-                if self.link.write(self, peer, &ping, false) {
+                if self.link.ping(self, peer, &ping) {
                     if let Some(hub) = &self.obs.metrics {
                         hub.incr(self.me, CounterId::NetHeartbeats);
                         let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
@@ -348,7 +375,8 @@ pub struct PeerMesh<L: Link> {
 
 impl<L: Link> PeerMesh<L> {
     /// The mesh for rank `me` of `spec` over `link`, with its heartbeat
-    /// running. The caller starts the link's reader threads.
+    /// running and, for a link the rank drains itself, the drain hooked
+    /// into the mailbox's waits. The caller starts any reader threads.
     pub(crate) fn new(me: usize, spec: &WorldSpec, link: L) -> Result<Self> {
         let np = spec.np;
         let mesh = PeerMesh {
@@ -356,7 +384,6 @@ impl<L: Link> PeerMesh<L> {
                 me,
                 np,
                 epoch: spec.epoch,
-                poll_interval: spec.poll_interval,
                 obs: spec.obs(),
                 mailbox: Mailbox::observed(spec.obs(), me),
                 send_seq: AtomicU64::new(0),
@@ -368,11 +395,19 @@ impl<L: Link> PeerMesh<L> {
                 pending_ping_ns: (0..np).map(|_| AtomicU64::new(0)).collect(),
                 start: Instant::now(),
                 agreements: Mutex::new(HashMap::new()),
-                agree_cv: Condvar::new(),
-                closing: Arc::new(AtomicBool::new(false)),
+                closing: AtomicBool::new(false),
                 link,
             }),
         };
+        if let Some(bell) = mesh.inner.link.inbound_bell() {
+            // Weak: the hook lives in the mesh's own mailbox.
+            let inner = Arc::downgrade(&mesh.inner);
+            mesh.inner.mailbox.drive(bell, move || {
+                if let Some(mesh) = inner.upgrade() {
+                    mesh.link.drain(&mesh);
+                }
+            });
+        }
         mesh.spawn("mesh-heartbeat".into(), |mesh| mesh.heartbeat_loop())?;
         Ok(mesh)
     }
@@ -537,14 +572,20 @@ impl<L: Link> Fabric for PeerMesh<L> {
             rank: me as u64,
             value,
         });
-        let mut slots = mesh.agreements.lock();
-        loop {
-            let slot = slots.entry(key).or_default();
-            if group.iter().all(|&w| slot.contains_key(&w) || mesh.gone(w)) {
-                return slot.clone();
-            }
-            mesh.agree_cv.wait_for(&mut slots, mesh.poll_interval);
+        // Contributions and verdicts both ring the mailbox's doorbell
+        // (`wake`), and a link the rank drains itself is drained here.
+        let complete = || {
+            mesh.link.drain(mesh);
+            let slots = mesh.agreements.lock();
+            group
+                .iter()
+                .all(|&w| slots[&key].contains_key(&w) || mesh.gone(w))
+        };
+        if !complete() {
+            spsc::wait(mesh.mailbox.bell(), complete);
         }
+        let slots = mesh.agreements.lock();
+        slots[&key].clone()
     }
 }
 

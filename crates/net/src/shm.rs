@@ -5,11 +5,23 @@
 //! memory-mapped segment holding a lock-free single-producer /
 //! single-consumer byte ring ([`patternlets_core::spsc`]). Whole wire
 //! frames — the *same* `[len][crc][body]` records the TCP codec ships,
-//! CRC included — stream through the ring, so the unmodified
-//! [`read_frame`] decoder runs on the consumer side and a corrupted
-//! segment is caught exactly like a corrupted socket. The hot path is
-//! two `memcpy`s and four atomic operations: no syscall, no kernel
-//! round-trip, no frame re-encode.
+//! CRC included — stream through the ring and are checked by the same
+//! CRC and body decoder, so a corrupted segment is caught exactly like a
+//! corrupted socket. The hot path is one `memcpy` into the ring and a
+//! handful of atomic operations: no syscall, no kernel round-trip, no
+//! frame re-encode, and no thread between the ring and the mailbox.
+//!
+//! ## Receiver-driven progress
+//!
+//! The shm link brings no reader threads. Each rank drains its own inbound
+//! rings, through [`RingFrames`], whenever one of its threads would
+//! otherwise wait: a blocked receive or a probe (the mailbox's progress
+//! hook), an agreement, a send into a full outbound ring, and — as the
+//! backstop while the rank computes — every heartbeat tick. Each inbound
+//! ring sits behind a try-lock, so exactly one thread reads it at a time
+//! and a busy ring is simply skipped. Every producer rings one per-rank
+//! **doorbell** word, mapped from its own small file, after publishing,
+//! so a rank parked on it wakes for whichever peer writes first.
 //!
 //! ## Rendezvous and co-location
 //!
@@ -27,14 +39,15 @@
 //!
 //! ## Segment lifecycle
 //!
-//! The consumer creates, sizes, and initializes its inbound segment,
-//! then advertises the directory. The producer maps the file after the
-//! table arrives and immediately pushes a `Hello` frame; when the
-//! consumer reads it, it **unlinks** the file — both mappings survive
-//! an unlink, so from that point the ring is an anonymous shared page
-//! range that vanishes with the last process. A SIGKILL'd producer
-//! never sends `Hello`, so its files linger until the launcher sweeps
-//! the per-job directory (`pmrun` removes it at exit).
+//! The consumer creates, sizes, and initializes its inbound segments and
+//! its doorbell file, then advertises the directory. The producer maps
+//! both after the table arrives and immediately pushes a `Hello` frame;
+//! when the consumer reads it, it **unlinks** the ring's file, and the
+//! doorbell's with the last one — both mappings survive an unlink, so
+//! from that point the ring is an anonymous shared page range that
+//! vanishes with the last process. A SIGKILL'd producer never sends
+//! `Hello`, so its files linger until the launcher sweeps the per-job
+//! directory (`pmrun` removes it at exit).
 //!
 //! ## Liveness without EOF
 //!
@@ -55,14 +68,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Consumer, Producer, SpscRing};
+use patternlets_core::spsc::{self, Bell, Consumer, Producer, SpscRing, CACHE_LINE};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
 use patternlets_mp::fabric::{Fabric, WorldSpec};
 
 use crate::chaos::NetChaosPlan;
 use crate::fabric::TcpFabric;
-use crate::frame::{read_frame, Frame, CRC_MISMATCH};
+use crate::frame::{decode_frame, decode_record, Frame, CRC_MISMATCH, MAX_FRAME_LEN};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 
@@ -281,6 +294,27 @@ fn segment_path(dir: &Path, epoch: u64, from: usize, to: usize) -> PathBuf {
     dir.join(format!("e{epoch}-r{from}-to-r{to}.ring"))
 }
 
+/// The file holding rank `rank`'s inbound doorbell in world `epoch`,
+/// beside its inbound segments.
+fn bell_path(dir: &Path, epoch: u64, rank: usize) -> PathBuf {
+    dir.join(format!("e{epoch}-r{rank}.bell"))
+}
+
+/// The doorbell in a mapped doorbell file.
+fn bell_at(segment: Segment) -> Result<Bell> {
+    if segment.len < CACHE_LINE {
+        return Err(Error::Codec(format!(
+            "doorbell segment of {} bytes is too small",
+            segment.len
+        )));
+    }
+    let ptr = segment.ptr;
+    // SAFETY: the mapping is page-aligned and at least `CACHE_LINE` bytes
+    // long, lives as long as the `Segment` handed over as its keeper, and
+    // is only ever used as a doorbell.
+    Ok(unsafe { Bell::at(ptr, Box::new(segment)) })
+}
+
 /// Which transport `provide` should establish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FabricMode {
@@ -335,24 +369,150 @@ pub fn all_colocated(table: &[String]) -> bool {
     !table.is_empty()
 }
 
-/// The shared-memory side of a [`PeerMesh`]: one outbound ring per peer
-/// and the inbound segment files awaiting their producer's `Hello`.
+/// The receive side of one ring: a non-blocking frame decoder over its
+/// [`Consumer`]. A record that sits whole in the ring is checked and
+/// decoded in place in the mapping, or from a scratch copy when it wraps
+/// past the ring's end; a record larger than the ring is copied out piece
+/// by piece as it arrives. The length prefix comes from another process,
+/// so it is checked against [`MAX_FRAME_LEN`] before anything is sized
+/// by it, and a large record's buffer grows with the bytes that actually
+/// arrived, not with the length it claims.
+pub struct RingFrames {
+    consumer: Consumer,
+    /// Reused for records that wrap.
+    scratch: Vec<u8>,
+    /// A record larger than the ring, being assembled: its header and
+    /// the body bytes so far.
+    large: Option<([u8; 8], Vec<u8>)>,
+}
+
+impl RingFrames {
+    /// Decode the frames that arrive through `consumer`.
+    pub fn new(consumer: Consumer) -> RingFrames {
+        RingFrames {
+            consumer,
+            scratch: Vec::new(),
+            large: None,
+        }
+    }
+
+    /// Bytes queued in the ring.
+    pub fn queued(&self) -> usize {
+        self.consumer.available()
+    }
+
+    /// The next frame, if the whole of it has arrived; `Ok(None)` if not
+    /// yet. An error means the ring cannot be trusted again: a checksum
+    /// mismatch (prefixed [`CRC_MISMATCH`]), a length over
+    /// [`MAX_FRAME_LEN`], a body that does not decode, or a ring its
+    /// producer closed in the middle of a record.
+    pub fn try_next(&mut self) -> Result<Option<Frame>> {
+        // A ring seen closed before looking holds every byte it ever will.
+        let closed = self.consumer.ring().is_closed();
+        if self.large.is_none() {
+            let mut head = [0u8; 8];
+            if !self.consumer.peek(&mut head) {
+                return if closed && self.consumer.available() > 0 {
+                    Err(Error::Codec("EOF inside frame header".into()))
+                } else {
+                    Ok(None)
+                };
+            }
+            let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
+            if len > MAX_FRAME_LEN {
+                return Err(Error::Codec(format!("frame length {len} exceeds cap")));
+            }
+            if 8 + len <= self.consumer.ring().capacity() {
+                return match self
+                    .consumer
+                    .try_pop_record(8 + len, &mut self.scratch, decode_frame)
+                {
+                    Some(frame) => frame.map(Some),
+                    None if closed => Err(Error::Codec("EOF inside frame body".into())),
+                    None => Ok(None),
+                };
+            }
+            // It can never sit whole in the ring: copy it out as it comes.
+            self.consumer.try_pop(&mut head);
+            self.large = Some((head, Vec::new()));
+        }
+        let (head, body) = self.large.as_mut().expect("assembling a large record");
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
+        let want = (len - body.len()).min(self.consumer.available());
+        if want > 0 {
+            let at = body.len();
+            if body.capacity() < at + want {
+                // Double, as `Vec` would, but never past the record.
+                let target = (at + want).max(2 * body.capacity()).min(len);
+                body.reserve_exact(target - at);
+            }
+            body.resize(at + want, 0);
+            self.consumer.try_pop(&mut body[at..]);
+        }
+        if body.len() < len {
+            return if closed {
+                Err(Error::Codec(format!(
+                    "EOF inside frame body: {}/{len} bytes arrived",
+                    body.len()
+                )))
+            } else {
+                Ok(None)
+            };
+        }
+        let (head, body) = self.large.take().expect("assembling a large record");
+        decode_record(&head, &body).map(Some)
+    }
+
+    /// Has the producer closed the ring, with every byte of it consumed?
+    pub fn at_eof(&self) -> bool {
+        self.large.is_none() && self.consumer.ring().is_closed() && self.consumer.available() == 0
+    }
+}
+
+/// The shared-memory side of a [`PeerMesh`]: one outbound ring per peer,
+/// the inbound rings this rank drains, and the files awaiting their
+/// producer's `Hello`.
 pub struct ShmLink {
     /// Outbound rings, indexed by peer world rank (`None` at `me`), each
     /// behind a mutex because both the application thread and the
     /// heartbeat push to it.
     rings: Vec<Option<Mutex<Producer>>>,
-    /// Inbound segment files, unlinked when the producer's `Hello`
-    /// confirms it has mapped them (slots are taken as that happens).
+    /// The inbound ring from each peer.
+    inbound: Vec<InboundRing>,
+    /// This rank's inbound doorbell, rung by every producer into it.
+    bell: Bell,
+    /// Files to unlink once their producer's `Hello` confirms it mapped
+    /// them: each peer's inbound segment, and at `me` the doorbell, which
+    /// goes with the last of them.
     inbound_paths: Mutex<Vec<Option<PathBuf>>>,
+}
+
+/// One peer's inbound ring, as the rank that drains it holds it.
+struct InboundRing {
+    peer: usize,
+    /// For a look at the fill level without taking the lock.
+    ring: Arc<SpscRing>,
+    /// Drained by whichever thread takes the lock; the others skip it.
+    /// `None` once the ring reached its end or was condemned.
+    frames: Mutex<Option<RingFrames>>,
 }
 
 impl ShmLink {
     /// Unlink peer `peer`'s inbound segment (its `Hello` confirmed the
-    /// mapping exists on both sides; the directory entry is now noise).
-    fn unlink_inbound(&self, peer: usize) {
-        let path = self.inbound_paths.lock()[peer].take();
-        if let Some(path) = path {
+    /// mapping exists on both sides; the directory entry is now noise),
+    /// and the doorbell file once every peer has mapped it.
+    fn unlink_inbound(&self, me: usize, peer: usize) {
+        let mut paths = self.inbound_paths.lock();
+        let mut unlink = vec![paths[peer].take()];
+        if paths
+            .iter()
+            .enumerate()
+            .all(|(p, path)| p == me || path.is_none())
+        {
+            unlink.push(paths[me].take());
+        }
+        drop(paths);
+        for path in unlink.into_iter().flatten() {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -373,15 +533,27 @@ fn record_ring_stats(hub: &MetricsHub, lane: usize, stats: [(u64, u64); 2]) {
     }
 }
 
+/// Count one push into `peer`'s ring and the waits it took.
+fn record_push(mesh: &Mesh<ShmLink>, peer: usize, producer: &mut Producer, ok: bool) {
+    if let Some(hub) = &mesh.obs.metrics {
+        if ok {
+            hub.incr(peer, CounterId::ShmSends);
+        }
+        let stats = [producer.take_stats(), producer.take_wait_stats()];
+        record_ring_stats(hub, mesh.me, stats);
+    }
+}
+
 impl Link for ShmLink {
     const PEER_TIMEOUT: Duration = SHM_PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = SHM_ESTABLISH_GRACE;
 
-    /// Push one record into the peer's ring, blocking while it is full.
-    /// `false` when the peer is already failed/finished or became so
-    /// while the ring was full — so a full ring to a SIGKILL'd peer
-    /// cannot wedge a send. Every record is delivered exactly once, so
-    /// `sequenced` changes nothing.
+    /// Push one record into the peer's ring, blocking while the ring is
+    /// full and draining this rank's own inbound rings meanwhile — two
+    /// ranks sending into each other's full rings would otherwise wait on
+    /// each other for ever. `false` when the peer is already
+    /// failed/finished or became so while the ring was full — so a full
+    /// ring to a SIGKILL'd peer cannot wedge a send.
     fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], _sequenced: bool) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
@@ -390,14 +562,33 @@ impl Link for ShmLink {
             return false;
         }
         let mut producer = ring.lock();
-        let ok = producer.push_all(record, || mesh.gone(peer)).is_ok();
-        if let Some(hub) = &mesh.obs.metrics {
-            if ok {
-                hub.incr(peer, CounterId::ShmSends);
-            }
-            let stats = [producer.take_stats(), producer.take_wait_stats()];
-            record_ring_stats(hub, mesh.me, stats);
+        let ok = producer
+            .push_all(record, || {
+                self.drain(mesh);
+                mesh.gone(peer)
+            })
+            .is_ok();
+        record_push(mesh, peer, &mut producer, ok);
+        ok
+    }
+
+    /// Dropped rather than wait on a ring that is busy (a rank thread
+    /// blocked in a send holds it) or full: the heartbeat thread is the
+    /// rank's drain of last resort and must keep ticking.
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
+        let Some(ring) = &self.rings[peer] else {
+            return true;
+        };
+        if mesh.gone(peer) {
+            return false;
         }
+        let Some(mut producer) = ring.try_lock() else {
+            return false;
+        };
+        // The record fits whole or not at all: the lock is held, so the
+        // free space can only grow.
+        let ok = producer.free() >= record.len() && producer.try_push(record) > 0;
+        record_push(mesh, peer, &mut producer, ok);
         ok
     }
 
@@ -409,17 +600,17 @@ impl Link for ShmLink {
         // No drain: a completed `push_all` *is* delivery — the bytes sit
         // in the consumer's own mapping, which survives this process
         // arbitrarily outliving or predeceasing it. Close the outbound
-        // rings (peers read Finish, then EOF); our readers stop on the
-        // mesh's closing flag, and anything peers send after our Finish
-        // is droppable.
+        // rings (peers read Finish, then EOF); this rank drains nothing
+        // once the mesh is closing, and anything peers send after our
+        // Finish is droppable.
         for ring in self.rings.iter().flatten() {
             ring.lock().close();
         }
         // Inbound segments whose producer never confirmed its mapping
         // (a peer that died before Hello) would leak; sweep them now.
-        for peer in 0..mesh.np {
+        for peer in (0..mesh.np).filter(|&p| p != mesh.me) {
             if mesh.failed[peer].load(Ordering::SeqCst) {
-                self.unlink_inbound(peer);
+                self.unlink_inbound(mesh.me, peer);
             }
         }
     }
@@ -432,51 +623,69 @@ impl Link for ShmLink {
         false
     }
 
-    fn control(&self, _mesh: &Mesh<Self>, peer: usize, frame: Frame) {
+    fn control(&self, mesh: &Mesh<Self>, peer: usize, frame: Frame) {
         // Pings carry liveness only (no send ring to prune: nothing is
         // ever replayed); everything but Hello has no business on a ring.
         if let Frame::Hello { .. } = frame {
-            self.unlink_inbound(peer);
+            self.unlink_inbound(mesh.me, peer);
         }
     }
-}
 
-impl Mesh<ShmLink> {
-    /// One inbound ring's read side: the unmodified frame decoder over
-    /// the ring's blocking `Read`. EOF means the producer closed after
-    /// `Finish` (clean) or the mesh is closing; a decode error means the
-    /// segment itself is damaged, which — like a CRC reject on a socket —
-    /// fails the peer, except there is no resume to heal it.
-    fn reader_loop(&self, peer: usize, mut consumer: Consumer) {
-        loop {
-            match read_frame(&mut consumer) {
-                Ok(Some(frame)) => {
-                    self.handle_frame(peer, frame);
-                    if let Some(hub) = &self.obs.metrics {
-                        let stats = [consumer.take_stats(), consumer.take_wait_stats()];
-                        record_ring_stats(hub, self.me, stats);
-                    }
+    fn inbound_bell(&self) -> Option<Bell> {
+        Some(self.bell.clone())
+    }
+
+    /// Decode and dispatch every frame that has fully arrived on each
+    /// inbound ring nobody else is draining. End of stream without a
+    /// `Finish` first means the producer closed its ring mid-protocol; a
+    /// decode error means the segment itself is damaged, which — like a
+    /// CRC reject on a socket — fails the peer, except there is no resume
+    /// to heal it. Either ends the ring. Once the mesh is closing, nothing
+    /// is drained.
+    fn drain(&self, mesh: &Mesh<Self>) {
+        for InboundRing { peer, ring, frames } in &self.inbound {
+            if mesh.closing.load(Ordering::SeqCst) {
+                return;
+            }
+            if ring.is_empty() && !ring.is_closed() {
+                continue;
+            }
+            let peer = *peer;
+            let Some(mut slot) = frames.try_lock() else {
+                continue;
+            };
+            let Some(frames) = slot.as_mut() else {
+                continue;
+            };
+            // Every frame is at least a header long: this bounds the
+            // drain by what was queued when it began, so a producer that
+            // keeps writing cannot hold this thread here.
+            let mut budget = frames.queued() / 8 + 1;
+            let ended = loop {
+                match frames.try_next() {
+                    Ok(Some(frame)) => mesh.handle_frame(peer, frame),
+                    Ok(None) if frames.at_eof() => break Some(None),
+                    Ok(None) => break None,
+                    Err(e) => break Some(Some(e)),
                 }
-                Ok(None) => {
-                    // Clean EOF without a Finish frame would mean the
-                    // producer closed its ring mid-protocol; only the
-                    // closing flag (teardown) excuses it.
-                    if !self.gone(peer) && !self.closing.load(Ordering::SeqCst) {
-                        self.note_failed(peer);
-                    }
-                    return;
+                budget -= 1;
+                if budget == 0 {
+                    break None;
                 }
-                Err(e) => {
-                    if e.to_string().contains(CRC_MISMATCH) {
-                        if let Some(hub) = &self.obs.metrics {
-                            hub.incr(self.me, CounterId::NetCrcRejects);
-                        }
-                    }
-                    if !self.closing.load(Ordering::SeqCst) {
-                        self.note_failed(peer);
-                    }
-                    return;
+            };
+            let Some(error) = ended else {
+                continue;
+            };
+            *slot = None;
+            drop(slot);
+            if let (Some(e), Some(hub)) = (&error, &mesh.obs.metrics) {
+                if e.to_string().contains(CRC_MISMATCH) {
+                    hub.incr(mesh.me, CounterId::NetCrcRejects);
                 }
+            }
+            let excused = error.is_none() && mesh.gone(peer);
+            if !excused && !mesh.closing.load(Ordering::SeqCst) {
+                mesh.note_failed(peer);
             }
         }
     }
@@ -489,18 +698,20 @@ pub type ShmFabric = PeerMesh<ShmLink>;
 impl PeerMesh<ShmLink> {
     /// Join world `spec` as rank `me` over shared memory, using an
     /// already-released rendezvous `table` whose entries all carry shm
-    /// advertisements, and the inbound rings this rank created before
-    /// registering (`inbound[peer]` = the ring peer writes into, paired
-    /// with its file path for the post-`Hello` unlink).
+    /// advertisements, and the inbound files this rank created before
+    /// registering: `inbound.rings[peer]` is the ring peer writes into,
+    /// and `inbound.bell` the doorbell every peer rings, each paired with
+    /// its file path for the post-`Hello` unlink.
     fn from_table(
         me: usize,
         spec: &WorldSpec,
         table: &[String],
-        inbound: Vec<Option<(Arc<SpscRing>, PathBuf)>>,
+        inbound: InboundFiles,
     ) -> Result<ShmFabric> {
-        // Map every peer's inbound segment as our outbound ring. The
-        // files exist: each rank creates its inbound segments before
-        // registering, and the table only exists once everyone has.
+        // Map every peer's inbound segment as our outbound ring, and its
+        // doorbell for the ring to ring. The files exist: each rank
+        // creates them before registering, and the table only exists
+        // once everyone has.
         let mut rings = Vec::with_capacity(spec.np);
         for (peer, addr) in table.iter().enumerate() {
             if peer == me {
@@ -516,31 +727,32 @@ impl PeerMesh<ShmLink> {
             let (ptr, len) = (segment.ptr, segment.len);
             let ring = unsafe { SpscRing::attach_at(ptr, len, Some(Box::new(segment))) }
                 .map_err(|e| Error::Codec(format!("attach ring {}: {e}", path.display())))?;
-            rings.push(Some(Mutex::new(ring.producer())));
+            let mut producer = ring.producer();
+            let bell = Segment::open(&bell_path(Path::new(ad.dir), spec.epoch, peer))?;
+            producer.set_bell(bell_at(bell)?);
+            rings.push(Some(Mutex::new(producer)));
         }
-        let (consumers, inbound_paths): (Vec<_>, Vec<_>) = inbound
-            .into_iter()
-            .map(|slot| match slot {
-                Some((ring, path)) => (Some(ring.consumer()), Some(path)),
-                None => (None, None),
-            })
-            .unzip();
+        let (bell, bell_file) = inbound.bell;
+        let mut inbound_paths = vec![None; spec.np];
+        inbound_paths[me] = Some(bell_file);
+        let mut inbound_rings = Vec::with_capacity(spec.np);
+        for (peer, slot) in inbound.rings.into_iter().enumerate() {
+            if let Some((ring, path)) = slot {
+                inbound_paths[peer] = Some(path);
+                inbound_rings.push(InboundRing {
+                    peer,
+                    frames: Mutex::new(Some(RingFrames::new(ring.consumer()))),
+                    ring,
+                });
+            }
+        }
         let link = ShmLink {
             rings,
+            inbound: inbound_rings,
+            bell,
             inbound_paths: Mutex::new(inbound_paths),
         };
         let mesh = PeerMesh::new(me, spec, link)?;
-        for (peer, consumer) in consumers.into_iter().enumerate() {
-            let Some(mut consumer) = consumer else {
-                continue;
-            };
-            // Readers return EOF at their next park-timeout check once the
-            // mesh closes, even though dead peers never close their rings.
-            consumer.set_stop(Arc::clone(&mesh.inner.closing));
-            mesh.spawn(format!("shm-reader-{peer}"), move |mesh| {
-                mesh.reader_loop(peer, consumer)
-            })?;
-        }
         // Announce: the Hello confirms this producer's mapping, letting
         // each consumer unlink the segment file behind it.
         mesh.inner.broadcast(&Frame::Hello {
@@ -568,6 +780,58 @@ pub(crate) enum ShmAttempt {
     NotColocated(std::net::TcpListener, Vec<String>),
 }
 
+/// The inbound side a rank creates before registering: one ring per
+/// peer (`None` at its own rank) and its doorbell, each with its file.
+struct InboundFiles {
+    rings: Vec<Option<(Arc<SpscRing>, PathBuf)>>,
+    bell: (Bell, PathBuf),
+}
+
+impl InboundFiles {
+    /// Remove every file this rank created.
+    fn cleanup(&self) {
+        for (_, path) in self.rings.iter().flatten() {
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = std::fs::remove_file(&self.bell.1);
+    }
+}
+
+/// Create rank `me`'s doorbell and inbound rings under `shm_dir`. On an
+/// error, every file already created is removed.
+fn create_inbound(shm_dir: &Path, me: usize, spec: &WorldSpec) -> Result<InboundFiles> {
+    std::fs::create_dir_all(shm_dir)
+        .map_err(|e| Error::Codec(format!("create shm dir {}: {e}", shm_dir.display())))?;
+    let bell_file = bell_path(shm_dir, spec.epoch, me);
+    let mut inbound = InboundFiles {
+        rings: Vec::with_capacity(spec.np),
+        bell: (
+            bell_at(Segment::create(&bell_file, CACHE_LINE)?)?,
+            bell_file,
+        ),
+    };
+    let seg_len = spsc::segment_len(SHM_RING_CAPACITY);
+    for peer in 0..spec.np {
+        if peer == me {
+            inbound.rings.push(None);
+            continue;
+        }
+        let path = segment_path(shm_dir, spec.epoch, peer, me);
+        match Segment::create(&path, seg_len) {
+            Ok(segment) => {
+                let (ptr, len) = (segment.ptr, segment.len);
+                let ring = unsafe { SpscRing::init_at(ptr, len, Some(Box::new(segment))) };
+                inbound.rings.push(Some((ring, path)));
+            }
+            Err(e) => {
+                inbound.cleanup();
+                return Err(e);
+            }
+        }
+    }
+    Ok(inbound)
+}
+
 /// Attempt the shm path: pre-create inbound rings, advertise, decide.
 /// An `Err` means the attempt died *before* the verdict (unusable dir,
 /// mmap unsupported, rendezvous unreachable) with all created segment
@@ -579,37 +843,10 @@ pub(crate) fn try_establish_shm(
     shm_dir: &Path,
     host: &str,
 ) -> Result<ShmAttempt> {
-    // Create this rank's inbound rings BEFORE registering, so the table's
+    // Create this rank's inbound files BEFORE registering, so the table's
     // existence implies every producer's target file exists.
-    std::fs::create_dir_all(shm_dir)
-        .map_err(|e| Error::Codec(format!("create shm dir {}: {e}", shm_dir.display())))?;
     let np = spec.np;
-    let mut inbound: Vec<Option<(Arc<SpscRing>, PathBuf)>> = Vec::with_capacity(np);
-    let seg_len = spsc::segment_len(SHM_RING_CAPACITY);
-    let cleanup = |inbound: &[Option<(Arc<SpscRing>, PathBuf)>]| {
-        for slot in inbound.iter().flatten() {
-            let _ = std::fs::remove_file(&slot.1);
-        }
-    };
-    for peer in 0..np {
-        if peer == me {
-            inbound.push(None);
-            continue;
-        }
-        let path = segment_path(shm_dir, spec.epoch, peer, me);
-        let result = Segment::create(&path, seg_len).map(|segment| {
-            let (ptr, len) = (segment.ptr, segment.len);
-            let ring = unsafe { SpscRing::init_at(ptr, len, Some(Box::new(segment))) };
-            (ring, path.clone())
-        });
-        match result {
-            Ok(pair) => inbound.push(Some(pair)),
-            Err(e) => {
-                cleanup(&inbound);
-                return Err(e);
-            }
-        }
-    }
+    let inbound = create_inbound(shm_dir, me, spec)?;
 
     // Register a TCP listener either way: it is the fallback transport,
     // and its address keeps the advertisement format uniform.
@@ -623,7 +860,7 @@ pub(crate) fn try_establish_shm(
     let table = match rendezvous::register(server, spec.epoch, me, np, &advertised) {
         Ok(table) => table,
         Err(e) => {
-            cleanup(&inbound);
+            inbound.cleanup();
             return Err(e);
         }
     };
@@ -635,7 +872,7 @@ pub(crate) fn try_establish_shm(
         )?));
     }
     // Not co-located: remove the segments nobody will map.
-    cleanup(&inbound);
+    inbound.cleanup();
     Ok(ShmAttempt::NotColocated(listener, table))
 }
 
@@ -695,9 +932,210 @@ pub fn establish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use crate::mesh::tests::{env, recv_one, scratch_dir, shm_mesh_in, spec};
     use patternlets_mp::envelope::{Envelope, Payload};
+    use patternlets_mp::status::{SourceSel, TagSel};
+    use proptest::prelude::*;
     use std::time::Instant;
+
+    /// An `n`-byte envelope from `src`, tagged `tag`.
+    fn bulk(src: usize, tag: i32, n: usize) -> Envelope {
+        Envelope {
+            comm_id: 0,
+            src,
+            tag,
+            type_name: "u8",
+            count: n,
+            payload: Payload::Bytes(bytes::Bytes::from(vec![src as u8; n])),
+            seq: 0,
+            needs_ack: false,
+        }
+    }
+
+    fn finish_all(fabrics: &[Arc<ShmFabric>]) {
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
+        }
+    }
+
+    /// The eager-send teaching point: both ranks send first and receive
+    /// second. Each 4 MiB send overflows the 1 MiB ring it goes into, so
+    /// it completes only because a producer blocked on a full ring drains
+    /// its own inbound rings meanwhile.
+    #[test]
+    fn crossing_sends_larger_than_the_rings_both_complete() {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(2, &dir);
+        let big = 4 << 20;
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for (me, fabric) in fabrics.iter().enumerate() {
+                scope.spawn(move || {
+                    fabric.deliver(me, 1 - me, bulk(me, 21, big), 0, false);
+                    let got = recv_one(&**fabric, me, 1 - me, 21);
+                    assert_eq!(got.payload.len(), big);
+                });
+            }
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "took {:?}",
+            start.elapsed()
+        );
+        finish_all(&fabrics);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A rank that makes no call for longer than the silence timeout is
+    /// not declared failed: the heartbeat tick drains its rings, so the
+    /// peers' pings are still heard — and what was queued for it is
+    /// still there afterwards.
+    #[test]
+    fn a_rank_that_computes_is_not_declared_failed() {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(2, &dir);
+        fabrics[1].deliver(1, 0, env(0, 1, 11, 0), 0, false);
+        std::thread::sleep(SHM_PEER_TIMEOUT + Duration::from_millis(500));
+        assert!(!fabrics[0].rank_failed(1) && !fabrics[1].rank_failed(0));
+        assert_eq!(recv_one(&*fabrics[0], 0, 1, 11).tag, 11);
+        finish_all(&fabrics);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Two threads of one rank park on its one doorbell; each wakes for
+    /// its own message, whichever of them drains it.
+    #[test]
+    fn two_blocked_receives_of_one_rank_both_wake() {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(3, &dir);
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = [1, 2]
+                .map(|src| {
+                    let fabric = &fabrics[0];
+                    scope.spawn(move || recv_one(&**fabric, 0, src, 30 + src as i32).src)
+                })
+                .into();
+            std::thread::sleep(Duration::from_millis(50));
+            for src in [1, 2] {
+                fabrics[src].deliver(src, 0, env(0, src, 30 + src as i32, 0), 0, false);
+            }
+            let got: Vec<usize> = waiters.into_iter().map(|h| h.join().unwrap()).collect();
+            assert_eq!(got, [1, 2]);
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "took {:?}",
+            start.elapsed()
+        );
+        finish_all(&fabrics);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A probe drains: an arrived message is visible to `Comm::iprobe`'s
+    /// mailbox probe at once, not at the next heartbeat tick.
+    #[test]
+    fn a_probe_sees_an_arrived_message_without_blocking() {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(2, &dir);
+        fabrics[0].deliver(0, 1, env(0, 0, 12, 0), 0, false);
+        let start = Instant::now();
+        while fabrics[1]
+            .mailbox(1)
+            .probe(0, SourceSel::Rank(0), TagSel::Tag(12))
+            .is_none()
+        {
+            assert!(
+                start.elapsed() < Duration::from_millis(50),
+                "probe never saw it"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        finish_all(&fabrics);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// No thread stands between a ring and its rank.
+    #[test]
+    fn no_reader_threads_run_after_establish() {
+        let dir = scratch_dir();
+        let fabrics = shm_mesh_in(3, &dir);
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let comm =
+                std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+            assert!(
+                !comm.starts_with("shm-reader"),
+                "a reader thread runs: {comm}"
+            );
+        }
+        finish_all(&fabrics);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Rank 0 writes `bytes` into its ring to rank 1 and closes it, as a
+    /// damaged or hostile producer would; rank 1 must condemn it. Returns
+    /// rank 1's CRC-reject count.
+    fn garbage_from_rank_0(bytes: &[u8]) -> u64 {
+        let dir = scratch_dir();
+        let server = rendezvous::serve().unwrap().to_string();
+        let hub = patternlets_metrics::MetricsHub::with_lanes(2);
+        let fabrics: Vec<ShmFabric> = std::thread::scope(|scope| {
+            let ranks: Vec<_> = (0..2)
+                .map(|me| {
+                    let (server, dir, hub) = (&server, &dir, hub.clone());
+                    scope.spawn(move || {
+                        let mut spec = spec(2, 0);
+                        spec.metrics = (me == 1).then_some(hub);
+                        match try_establish_shm(server, me, &spec, dir, "testhost").unwrap() {
+                            ShmAttempt::Shm(fabric) => fabric,
+                            ShmAttempt::NotColocated(..) => panic!("one host"),
+                        }
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        {
+            let ring = fabrics[0].inner.link.rings[1].as_ref().unwrap();
+            let mut producer = ring.lock();
+            producer.push_all(bytes, || false).unwrap();
+            producer.close();
+        }
+        let start = Instant::now();
+        while !fabrics[1].rank_failed(0) {
+            fabrics[1].mailbox(1).progress();
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "garbage went unnoticed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        fabrics[1].finish(1);
+        fabrics[0].sever();
+        let _ = std::fs::remove_dir_all(dir);
+        hub.snapshot().total(CounterId::NetCrcRejects)
+    }
+
+    #[test]
+    fn a_checksum_mismatch_condemns_the_peer_and_is_counted() {
+        let mut record = encode_frame(&Frame::Ping { seen: 3 });
+        record[4] ^= 0x40;
+        assert_eq!(garbage_from_rank_0(&record), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Whatever a producer leaves in the ring — any bytes, cut off
+        /// anywhere — the consumer condemns it and does not panic.
+        #[test]
+        fn arbitrary_ring_bytes_condemn_the_peer(
+            bytes in proptest::collection::vec(any::<u8>(), 1..600),
+        ) {
+            garbage_from_rank_0(&bytes);
+        }
+    }
 
     #[test]
     fn addresses_split_and_rejoin() {

@@ -13,15 +13,96 @@
 //!
 //! A final round pushes *wire frames* through a deliberately tiny ring
 //! from another thread — records larger than the ring, forced
-//! wraparound on every frame — and runs the unmodified TCP frame
-//! decoder over the consumer, which is exactly the shm fabric's hot
-//! path.
+//! wraparound on every frame — and decodes them with both the blocking
+//! TCP frame reader and the shm fabric's non-blocking drain decoder
+//! ([`RingFrames`]), whose in-place, wrapped and larger-than-the-ring
+//! paths must all yield the frames `read_frame` does. Hostile bytes in a
+//! ring — the length prefix comes from another process — must neither
+//! panic the decoder nor make it allocate by the length they claim.
 
 use patternlets_core::spsc::SpscRing;
-use patternlets_net::frame::{encode_frame, read_frame, Frame};
+use patternlets_net::frame::{encode_frame, read_frame, Frame, MAX_FRAME_LEN};
+use patternlets_net::shm::RingFrames;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::Read;
+
+thread_local! {
+    /// The largest single allocation this thread made since last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest allocation.
+struct Measured;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Measured {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOC: Measured = Measured;
+
+/// `JobLine` frames with `line`s of the given lengths.
+fn job_lines(sizes: &[usize]) -> Vec<Frame> {
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| Frame::JobLine {
+            job: i as u64,
+            rank: (i % 7) as u64,
+            line: "x".repeat(n),
+        })
+        .collect()
+}
+
+/// Push `bytes` through `ring` on this thread, draining `frames` each
+/// time the ring fills: every frame decoded, then the decoder's verdict
+/// once the bytes ran out and the producer closed (`Ok` at a clean end).
+fn feed(
+    ring: &std::sync::Arc<SpscRing>,
+    frames: &mut RingFrames,
+    mut bytes: &[u8],
+) -> (Vec<Frame>, Result<(), String>) {
+    let mut p = ring.producer();
+    let mut got = Vec::new();
+    let mut closed = false;
+    loop {
+        let n = p.try_push(bytes);
+        bytes = &bytes[n..];
+        if bytes.is_empty() && !closed {
+            p.close();
+            closed = true;
+        }
+        loop {
+            match frames.try_next() {
+                Ok(Some(frame)) => got.push(frame),
+                Ok(None) if closed && frames.at_eof() => return (got, Ok(())),
+                Ok(None) => break,
+                Err(e) => return (got, Err(e.to_string())),
+            }
+        }
+        assert!(!closed, "a closed ring left the decoder waiting");
+    }
+}
 
 /// One scripted step, decoded from a plain word so proptest shrinks to
 /// readable scripts: low bit picks the side, the rest sizes the record.
@@ -154,39 +235,101 @@ proptest! {
         prop_assert!(got.iter().enumerate().all(|(i, &b)| b == (i as u64 % 251) as u8));
     }
 
-    /// The shm fabric's actual hot path: whole wire frames through a
-    /// tiny ring, decoded by the unmodified TCP codec. Every frame must
-    /// come back intact and in order, ending in clean EOF.
+    /// Whole wire frames through tiny rings, each fed by its own writer
+    /// thread: one decoded by the unmodified TCP codec, the other by the
+    /// shm drain decoder. Every frame must come back intact and in order,
+    /// ending in clean EOF, from both.
     #[test]
     fn wire_frames_survive_a_ring_smaller_than_one_record(
         payload_sizes in proptest::collection::vec(0usize..300, 1..12),
     ) {
-        let ring = SpscRing::heap(32);
-        let mut p = ring.producer();
-        let mut c = ring.consumer();
-        let frames: Vec<Frame> = payload_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| Frame::JobLine {
-                job: i as u64,
-                rank: (i % 7) as u64,
-                line: "x".repeat(n),
-            })
-            .collect();
-        let writer = std::thread::spawn({
+        let frames = job_lines(&payload_sizes);
+        let writer = |ring: &std::sync::Arc<SpscRing>| {
+            let mut p = ring.producer();
             let frames = frames.clone();
-            move || {
+            std::thread::spawn(move || {
                 for frame in &frames {
                     p.push_all(&encode_frame(frame), || false).unwrap();
                 }
                 p.close();
-            }
-        });
+            })
+        };
+        let (read, drained) = (SpscRing::heap(32), SpscRing::heap(32));
+        let writers = [writer(&read), writer(&drained)];
+        let mut c = read.consumer();
         for expected in &frames {
             let got = read_frame(&mut c).unwrap().expect("a frame before EOF");
             prop_assert_eq!(&got, expected);
         }
         prop_assert!(read_frame(&mut c).unwrap().is_none(), "clean EOF after the last frame");
-        writer.join().unwrap();
+        // Every record is larger than the ring: the drain decoder's
+        // copy-out path.
+        let mut frames_in = RingFrames::new(drained.consumer());
+        let mut got = Vec::new();
+        while !frames_in.at_eof() {
+            match frames_in.try_next().unwrap() {
+                Some(frame) => got.push(frame),
+                None => std::thread::yield_now(),
+            }
+        }
+        prop_assert_eq!(&got, &frames);
+        for writer in writers {
+            writer.join().unwrap();
+        }
+    }
+
+    /// Records that fit the ring, so each is decoded in place or — when
+    /// it wraps past the ring's end — from a copy, mixed with records
+    /// larger than the ring: the drain decoder yields exactly the frames
+    /// `read_frame` reads from the same bytes.
+    #[test]
+    fn drain_decoder_matches_read_frame_in_place_wrapped_and_large(
+        capacity in 64usize..512,
+        payload_sizes in proptest::collection::vec(0usize..600, 1..24),
+    ) {
+        let frames = job_lines(&payload_sizes);
+        let bytes: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        let mut reference = Vec::new();
+        let mut cursor = &bytes[..];
+        while let Some(frame) = read_frame(&mut cursor).unwrap() {
+            reference.push(frame);
+        }
+        let ring = SpscRing::heap(capacity);
+        let mut frames_in = RingFrames::new(ring.consumer());
+        let (got, end) = feed(&ring, &mut frames_in, &bytes);
+        prop_assert_eq!(end, Ok(()));
+        prop_assert_eq!(&got, &reference);
+        prop_assert_eq!(&got, &frames);
+    }
+
+    /// Hostile bytes: any content, cut off anywhere. The decoder never
+    /// panics, reads no frame past the first bad one, ends in an error
+    /// unless the bytes were whole frames, and never allocates beyond
+    /// what arrived — a length prefix alone sizes nothing.
+    #[test]
+    fn hostile_ring_bytes_are_rejected_without_a_claimed_allocation(
+        capacity in 16usize..256,
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        claim in 0u8..3,
+        small in 0usize..2048,
+        large in 0usize..=MAX_FRAME_LEN + 9,
+    ) {
+        // Raw bytes, or a header claiming a small or a large body length
+        // (up to just past the cap) followed by whatever comes.
+        if let Some(len) = [None, Some(small), Some(large)][claim as usize] {
+            bytes.splice(0..0, (len as u32).to_le_bytes().into_iter().chain([0; 4]));
+        }
+        let ring = SpscRing::heap(capacity);
+        let mut frames_in = RingFrames::new(ring.consumer());
+        LARGEST.with(|l| l.set(0));
+        let (_, end) = feed(&ring, &mut frames_in, &bytes);
+        let largest = LARGEST.with(|l| l.get());
+        prop_assert!(largest <= MAX_FRAME_LEN);
+        // The frames decoded, the error strings, the decoder's buffers:
+        // all sized by the bytes that arrived.
+        prop_assert!(largest <= 4 * (bytes.len() + capacity) + 4096, "allocated {largest}");
+        if bytes.is_empty() {
+            prop_assert_eq!(end, Ok(()));
+        }
     }
 }
