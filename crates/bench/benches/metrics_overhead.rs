@@ -8,28 +8,24 @@
 //! (a handful of relaxed atomic adds per message). `team_loop_*` does
 //! the same for the shmem schedule counters.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
+use patternlets_bench::workloads::pingpong;
 use patternlets_metrics::MetricsHub;
 use patternlets_mp::World;
 use patternlets_shmem::{Schedule, Team};
 
-/// Round trips per world spawn (amortises thread-spawn cost, same as
-/// `transport_latency`).
-const ROUNDS: usize = 32;
-
-fn pingpong(comm: &patternlets_mp::Comm) {
-    let buf = vec![7u8; 64];
-    for _ in 0..ROUNDS {
-        if comm.rank() == 0 {
-            comm.send(&buf, 1, 1).unwrap();
-            std::hint::black_box(comm.recv::<u8>(1, 2).unwrap());
-        } else {
-            let (data, _) = comm.recv::<u8>(0, 1).unwrap();
-            comm.send(&data, 0, 2).unwrap();
-        }
-    }
+/// Sum `0..1024` over the team on a dynamic schedule.
+fn team_loop(team: Team) -> u64 {
+    let total = AtomicU64::new(0);
+    team.parallel(|ctx| {
+        ctx.for_each(1024, Schedule::Dynamic(8), |i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
+        });
+    });
+    total.into_inner()
 }
 
 fn bench(c: &mut Criterion) {
@@ -39,17 +35,17 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(400));
 
     g.bench_function("pingpong_baseline", |b| {
-        b.iter(|| World::run(2, |comm| pingpong(&comm)))
+        b.iter(|| World::run(2, |comm| pingpong(&comm, 64)))
     });
     g.bench_function("pingpong_metrics_off", |b| {
-        b.iter(|| World::builder(2).run(|comm| pingpong(&comm)).unwrap())
+        b.iter(|| World::builder(2).run(|comm| pingpong(&comm, 64)).unwrap())
     });
     g.bench_function("pingpong_metrics_on", |b| {
         b.iter(|| {
             let hub = MetricsHub::new();
             World::builder(2)
                 .metrics(hub.clone())
-                .run(|comm| pingpong(&comm))
+                .run(|comm| pingpong(&comm, 64))
                 .unwrap();
             hub.snapshot().msgs_sent()
         })
@@ -57,27 +53,10 @@ fn bench(c: &mut Criterion) {
 
     for np in [2usize, 4] {
         g.bench_with_input(BenchmarkId::new("team_loop_off", np), &np, |b, &n| {
-            b.iter(|| {
-                let total = std::sync::atomic::AtomicU64::new(0);
-                Team::new(n).parallel(|ctx| {
-                    ctx.for_each(1024, Schedule::Dynamic(8), |i| {
-                        total.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-                    });
-                });
-                total.into_inner()
-            })
+            b.iter(|| team_loop(Team::new(n)))
         });
         g.bench_with_input(BenchmarkId::new("team_loop_on", np), &np, |b, &n| {
-            b.iter(|| {
-                let hub = MetricsHub::new();
-                let total = std::sync::atomic::AtomicU64::new(0);
-                Team::new(n).with_metrics(hub.clone()).parallel(|ctx| {
-                    ctx.for_each(1024, Schedule::Dynamic(8), |i| {
-                        total.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-                    });
-                });
-                total.into_inner()
-            })
+            b.iter(|| team_loop(Team::new(n).with_metrics(MetricsHub::new())))
         });
     }
 

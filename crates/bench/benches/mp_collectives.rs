@@ -1,14 +1,24 @@
 //! Ablation: the message-passing collectives behind the MPI patternlets
 //! (Figures 10–12, 23–28), including the linear-vs-tree and
-//! reduce+bcast-vs-recursive-doubling algorithm comparisons.
+//! reduce+bcast-vs-recursive-doubling algorithm comparisons, and the
+//! zero-copy payload path against the encoded baseline.
 
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
 use patternlets_core::reduce::ops;
-use patternlets_mp::World;
+use patternlets_mp::{Comm, World};
 
 const PAYLOAD: usize = 256; // i64 elements per rank
+
+/// `0..n` at the root, empty elsewhere: a broadcast's input.
+fn root_buf(comm: &Comm, n: usize) -> Vec<i64> {
+    if comm.is_master() {
+        (0..n as i64).collect()
+    } else {
+        Vec::new()
+    }
+}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("mp_collectives");
@@ -30,32 +40,21 @@ fn bench(c: &mut Criterion) {
                 })
             })
         });
-        g.bench_with_input(BenchmarkId::new("bcast_linear", np), &np, |b, &np| {
-            b.iter(|| {
-                World::run(np, |comm| {
-                    let mut buf: Vec<i64> = if comm.is_master() {
-                        (0..PAYLOAD as i64).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    comm.bcast_linear(0, &mut buf).unwrap();
-                    buf.len()
+        for (id, linear) in [("bcast_linear", true), ("bcast", false)] {
+            g.bench_with_input(BenchmarkId::new(id, np), &np, |b, &np| {
+                b.iter(|| {
+                    World::run(np, move |comm| {
+                        let mut buf = root_buf(&comm, PAYLOAD);
+                        match linear {
+                            true => comm.bcast_linear(0, &mut buf),
+                            false => comm.bcast(0, &mut buf),
+                        }
+                        .unwrap();
+                        buf.len()
+                    })
                 })
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("bcast", np), &np, |b, &np| {
-            b.iter(|| {
-                World::run(np, |comm| {
-                    let mut buf: Vec<i64> = if comm.is_master() {
-                        (0..PAYLOAD as i64).collect()
-                    } else {
-                        Vec::new()
-                    };
-                    comm.bcast(0, &mut buf).unwrap();
-                    buf.len()
-                })
-            })
-        });
+            });
+        }
         g.bench_with_input(BenchmarkId::new("reduce", np), &np, |b, &np| {
             b.iter(|| {
                 World::run(np, |comm| {
@@ -72,30 +71,46 @@ fn bench(c: &mut Criterion) {
                 })
             })
         });
-        g.bench_with_input(
-            BenchmarkId::new("allreduce_reduce_bcast", np),
-            &np,
-            |b, &np| {
+        for (id, rd) in [
+            ("allreduce_reduce_bcast", false),
+            ("allreduce_recursive_doubling", true),
+        ] {
+            g.bench_with_input(BenchmarkId::new(id, np), &np, |b, &np| {
                 b.iter(|| {
-                    World::run(np, |comm| {
+                    World::run(np, move |comm| {
                         let local: Vec<i64> = vec![1; PAYLOAD];
-                        comm.allreduce(&local, &ops::Sum).unwrap()[0]
+                        match rd {
+                            false => comm.allreduce(&local, &ops::Sum),
+                            true => comm.allreduce_rd(&local, &ops::Sum),
+                        }
+                        .unwrap()[0]
                     })
                 })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("allreduce_recursive_doubling", np),
-            &np,
-            |b, &np| {
-                b.iter(|| {
-                    World::run(np, |comm| {
-                        let local: Vec<i64> = vec![1; PAYLOAD];
-                        comm.allreduce_rd(&local, &ops::Sum).unwrap()[0]
+            });
+        }
+    }
+    // The zero-copy fast path against the encoded baseline at p = 8
+    // (EXPERIMENTS.md, "Zero-copy fast path"): 8192 and 256 i64s.
+    for (id, encoded) in [("zerocopy", false), ("encoded", true)] {
+        let world = || World::builder(8).encoded_payloads(encoded);
+        g.bench_function(BenchmarkId::new("bcast_p8_64KiB", id), |b| {
+            b.iter(|| {
+                world()
+                    .run(|comm| {
+                        let mut buf = root_buf(&comm, 8192);
+                        comm.bcast(0, &mut buf).unwrap();
                     })
-                })
-            },
-        );
+                    .unwrap()
+            })
+        });
+        g.bench_function(BenchmarkId::new("reduce_p8_2KiB", id), |b| {
+            let local = [1i64; PAYLOAD];
+            b.iter(|| {
+                world()
+                    .run(|comm| comm.reduce(0, &local, &ops::Sum).unwrap())
+                    .unwrap()
+            })
+        });
     }
     g.finish();
 }

@@ -9,7 +9,8 @@
 //! - `pingpong_8B`: round-trip latency of a minimal message — the pure
 //!   per-message overhead students' "why is my cluster slower than my
 //!   laptop" question is made of;
-//! - `pingpong_64KiB`: the same round trip at a bandwidth-relevant size;
+//! - `pingpong_64KiB`: the same round trip at a bandwidth-relevant size
+//!   (in process also at 64 B, 256 B and 4 KiB, across the inline cutover);
 //! - `bcast_fanout_64KiB`: root pushes one 64 KiB buffer to 3 receivers
 //!   and waits for their acks — the linear-broadcast building block.
 //!
@@ -21,13 +22,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use patternlets_bench::workloads::{pingpong, ROUNDS};
 use patternlets_mp::envelope::{Envelope, Payload};
 use patternlets_mp::{Fabric, SourceSel, TagSel, World, WorldSpec};
 use patternlets_net::{rendezvous, TcpFabric};
 
 const SMALL: usize = 8; // bytes
 const LARGE: usize = 64 << 10; // bytes
-const ROUNDS: usize = 32; // ping-pongs per world spawn (in-process side)
 
 fn spec(np: usize, epoch: u64) -> WorldSpec {
     WorldSpec {
@@ -67,13 +68,13 @@ fn env(src: usize, tag: i32, seq: u64, payload: &[u8]) -> Envelope {
     }
 }
 
-fn recv(fabric: &TcpFabric, me: usize, tag: i32) -> Envelope {
+fn recv(fabric: &TcpFabric, me: usize, tag: TagSel) -> Envelope {
     fabric
         .mailbox(me)
         .recv_match(
             0,
             SourceSel::Any,
-            TagSel::Tag(tag),
+            tag,
             Duration::from_micros(200),
             || None,
             || {},
@@ -87,17 +88,7 @@ fn spawn_echo(fabric: Arc<TcpFabric>, me: usize) -> std::thread::JoinHandle<()> 
     std::thread::spawn(move || {
         let mut seq = 0;
         loop {
-            let got = fabric
-                .mailbox(me)
-                .recv_match(
-                    0,
-                    SourceSel::Any,
-                    TagSel::Any,
-                    Duration::from_micros(200),
-                    || None,
-                    || {},
-                )
-                .unwrap();
+            let got = recv(&fabric, me, TagSel::Any);
             if got.tag == 9 {
                 fabric.finish(me);
                 return;
@@ -120,7 +111,14 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(400));
 
-    for (label, size) in [("pingpong_8B", SMALL), ("pingpong_64KiB", LARGE)] {
+    let sizes = [
+        ("pingpong_8B", SMALL),
+        ("pingpong_64B", 64),
+        ("pingpong_256B", 256),
+        ("pingpong_4KiB", 4 << 10),
+        ("pingpong_64KiB", LARGE),
+    ];
+    for (label, size) in sizes {
         // In-process: a real two-rank world, ROUNDS round trips per spawn.
         // `inproc` rides the zero-copy shared-payload fast path; the
         // `inproc_encoded` variant forces the pre-zero-copy behaviour
@@ -131,18 +129,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     World::builder(2)
                         .encoded_payloads(encoded)
-                        .run(move |comm| {
-                            let buf = vec![7u8; size];
-                            for _ in 0..ROUNDS {
-                                if comm.rank() == 0 {
-                                    comm.send(&buf, 1, 1).unwrap();
-                                    black_box(comm.recv::<u8>(1, 2).unwrap());
-                                } else {
-                                    let (data, _) = comm.recv::<u8>(0, 1).unwrap();
-                                    comm.send(&data, 0, 2).unwrap();
-                                }
-                            }
-                        })
+                        .run(move |comm| pingpong(&comm, size))
                         .unwrap()
                 })
             });
@@ -162,7 +149,7 @@ fn bench(c: &mut Criterion) {
                 for _ in 0..ROUNDS {
                     fabrics[0].deliver(0, 1, env(0, 1, seq, &payload), 0, false);
                     seq += 1;
-                    black_box(recv(&fabrics[0], 0, 2));
+                    black_box(recv(&fabrics[0], 0, TagSel::Tag(2)));
                 }
             })
         });
@@ -204,7 +191,7 @@ fn bench(c: &mut Criterion) {
                 }
                 fseq += 1;
                 for _ in 1..np {
-                    black_box(recv(&fanout[0], 0, 2));
+                    black_box(recv(&fanout[0], 0, TagSel::Tag(2)));
                 }
             })
         },

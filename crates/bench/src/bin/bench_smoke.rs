@@ -1,861 +1,17 @@
-//! First point on the perf trajectory: a small, self-timing benchmark
-//! that pits the zero-copy shared-payload fast path against the
-//! encode-everything baseline **in the same build** (the baseline worlds
-//! are built with `WorldBuilder::encoded_payloads(true)`), then writes a
-//! machine-readable summary to `BENCH_9.json` and prints the deltas.
-//! Alongside the timings, a metrics-instrumented pingpong world records
-//! the zero-copy *hit rate* under both configs, so the summary states
-//! not just how fast the fast path is but that it actually engaged.
-//!
-//! A second section, `stream_throughput`, measures the streaming
-//! executor: farm items/sec across worker counts, queue capacities, and
-//! per-item work costs, plus a three-stage pipeline. The headline number
-//! is the trivial-work farm — it must clear 1M items/sec, which is what
-//! the channel's batched `send_many`/`recv_many` transfers buy (one
-//! park/notify syscall per batch instead of per item).
-//!
-//! A third section, `job_throughput`, measures the pmserve gateway: an
-//! in-process daemon with four protocol-faithful worker threads serves
-//! np=2 `mpi/broadcast` jobs to 1/4/8 concurrent HTTP clients, each
-//! submitting and polling to completion. The sweep shows how submission
-//! concurrency amortises per-job scheduling overhead until the
-//! two-jobs-at-a-time worker pool saturates.
-//!
-//! A fourth section, `shm_vs_tcp`, compares the two fabric providers at
-//! two tiers. The `pingpong_*` rows time the transport conduit alone —
-//! the shm provider's SPSC ring (`push_all`/`read_exact`, the exact
-//! primitives every wire frame crosses) against the TCP provider's
-//! nodelay loopback socket. This is the number the shm fabric exists
-//! for: no syscall on the data path. The `fabric_pingpong_*` rows then
-//! establish real two-rank meshes over each provider and ping-pong full
-//! envelopes (deliver → reader thread → codec → mailbox → reply); on a
-//! 1-CPU host the mailbox wake — a scheduler handoff both providers pay
-//! identically — compresses that end-to-end ratio, so both tiers are
-//! reported.
-//!
-//! A fifth section, `spsc_edge`, isolates what the lock-free 1:1 edge
-//! buys the stream executor: the pipeline (whose edges are now SPSC
-//! rings) against a hand-rolled three-stage graph wired with the public
-//! MPMC `bounded()` channel at the same capacity and batch size.
-//!
-//! The pingpong shapes sweep payload sizes across the inline-payload
-//! crossover (`INLINE_MAX` = 64 B): at and below it both configs use the
-//! same stack-inline representation (speedup ≈ 1.0 by construction —
-//! this is the fix for the old BENCH_5 8-byte regression, where the
-//! shared path's two allocations *lost* to plain encoding), and above it
-//! the zero-copy path must win on its own.
-//!
-//! Run directly (`cargo run --release --bin bench_smoke`) or from the CI
-//! `bench-smoke` job. `BENCH_SMOKE_ITERS` scales the sample count (CI
-//! uses a small value; the defaults are sized for a laptop-minute).
-//! The output path is the first argument, else `PATTERNLETS_BENCH_OUT`,
-//! else `BENCH_9.json`.
+//! `bench_smoke [OUT]`: summarise the pbench result files under
+//! `.pbench/results/` into `OUT`, by default the next free
+//! `BENCH_N.json` in the current directory (the repository root). It runs
+//! no workload of its own; see `patternlets_bench::record`.
 
-use std::time::Instant;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use patternlets_core::reduce::ops;
-use patternlets_metrics::MetricsHub;
-use patternlets_mp::World;
-use patternlets_stream::{run_farm, FarmConfig, Obs, Pipeline};
-
-use patternlets::harness::{Mode, RunConfig};
-use patternlets::registry::find;
-use patternlets_serve::client::{self, SubmitSpec};
-use patternlets_serve::daemon::{self, DaemonConfig};
-use patternlets_serve::worker::{run_worker, Assignment, JobLineSink};
-
-/// Round trips per world spawn in the pingpong shapes (amortises the
-/// thread-spawn cost exactly like the criterion bench does).
-const ROUNDS: usize = 32;
-
-struct Sample {
-    name: String,
-    /// Nanoseconds per logical operation (round trip / bcast), baseline.
-    encoded_ns: f64,
-    /// Same, over the zero-copy fast path.
-    zerocopy_ns: f64,
-}
-
-impl Sample {
-    fn speedup(&self) -> f64 {
-        self.encoded_ns / self.zerocopy_ns
+fn main() -> ExitCode {
+    let out = std::env::args().nth(1).map(PathBuf::from);
+    let written = patternlets_bench::record::write(Path::new("."), out);
+    match &written {
+        Ok(summary) => println!("{summary}"),
+        Err(e) => eprintln!("bench_smoke: {e}"),
     }
-}
-
-/// Median-of-runs timer: each run executes `f` once and is timed whole;
-/// the median damps scheduler noise without criterion's machinery.
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: first world spawn pays lazy-init costs
-    let mut runs: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    runs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    runs[runs.len() / 2]
-}
-
-fn pingpong_ns(size: usize, encoded: bool, iters: usize) -> f64 {
-    time_ns(iters, || {
-        World::builder(2)
-            .encoded_payloads(encoded)
-            .run(move |comm| {
-                let buf = vec![7u8; size];
-                for _ in 0..ROUNDS {
-                    if comm.rank() == 0 {
-                        comm.send(&buf, 1, 1).unwrap();
-                        std::hint::black_box(comm.recv::<u8>(1, 2).unwrap());
-                    } else {
-                        let (data, _) = comm.recv::<u8>(0, 1).unwrap();
-                        comm.send(&data, 0, 2).unwrap();
-                    }
-                }
-            })
-            .unwrap();
-    }) / ROUNDS as f64
-}
-
-fn bcast_ns(np: usize, elems: usize, encoded: bool, iters: usize) -> f64 {
-    time_ns(iters, || {
-        World::builder(np)
-            .encoded_payloads(encoded)
-            .run(move |comm| {
-                let mut buf: Vec<i64> = if comm.is_master() {
-                    (0..elems as i64).collect()
-                } else {
-                    Vec::new()
-                };
-                comm.bcast(0, &mut buf).unwrap();
-                std::hint::black_box(buf.len())
-            })
-            .unwrap();
-    })
-}
-
-fn reduce_ns(np: usize, elems: usize, encoded: bool, iters: usize) -> f64 {
-    time_ns(iters, || {
-        World::builder(np)
-            .encoded_payloads(encoded)
-            .run(move |comm| {
-                let local: Vec<i64> = vec![comm.rank() as i64; elems];
-                std::hint::black_box(comm.reduce(0, &local, &ops::Sum).unwrap().map(|v| v[0]))
-            })
-            .unwrap();
-    })
-}
-
-/// Fraction of pingpong sends that took the zero-copy path under this
-/// payload config, measured by an attached metrics hub (1.0 when the
-/// fast path engages, 0.0 under the encoded baseline). The probe buffer
-/// sits deliberately ABOVE `INLINE_MAX` (64 B): at or under it both
-/// configs inline and both rates read 1.0, which would say nothing about
-/// the shared-payload path this probe exists to verify.
-fn pingpong_hit_rate(encoded: bool) -> f64 {
-    let hub = MetricsHub::new();
-    World::builder(2)
-        .encoded_payloads(encoded)
-        .metrics(hub.clone())
-        .run(move |comm| {
-            let buf = vec![7u8; 256];
-            for _ in 0..ROUNDS {
-                if comm.rank() == 0 {
-                    comm.send(&buf, 1, 1).unwrap();
-                    std::hint::black_box(comm.recv::<u8>(1, 2).unwrap());
-                } else {
-                    let (data, _) = comm.recv::<u8>(0, 1).unwrap();
-                    comm.send(&data, 0, 2).unwrap();
-                }
-            }
-        })
-        .unwrap();
-    hub.snapshot().zerocopy_hit_rate().unwrap_or(0.0)
-}
-
-/// Items pushed through each stream shape per timed run: enough that the
-/// thread spawns amortise away, small enough for a CI-minute.
-const STREAM_ITEMS: usize = 200_000;
-
-/// A stream shape's throughput measurement.
-struct StreamSample {
-    name: String,
-    items_per_sec: f64,
-}
-
-/// Per-item work dial: `cost` rounds of integer mixing, so the sweep can
-/// separate channel overhead (cost 0) from compute-bound scaling.
-fn spin_work(x: u64, cost: u32) -> u64 {
-    let mut v = x;
-    for _ in 0..cost {
-        v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-    }
-    v
-}
-
-fn farm_items_per_sec(
-    workers: usize,
-    capacity: usize,
-    ordered: bool,
-    cost: u32,
-    iters: usize,
-) -> f64 {
-    let cfg = FarmConfig {
-        workers,
-        capacity,
-        ordered,
-        ..FarmConfig::default()
-    };
-    let ns = time_ns(iters, || {
-        let mut acc = 0u64;
-        run_farm(
-            &cfg,
-            0..STREAM_ITEMS as u64,
-            |x| spin_work(x, cost),
-            |r| acc = acc.wrapping_add(r),
-        );
-        std::hint::black_box(acc);
-    });
-    STREAM_ITEMS as f64 / (ns * 1e-9)
-}
-
-fn pipeline_items_per_sec(capacity: usize, cost: u32, iters: usize) -> f64 {
-    let ns = time_ns(iters, || {
-        let mut acc = 0u64;
-        Pipeline::source(0..STREAM_ITEMS as u64)
-            .stage(move |x| spin_work(x, cost))
-            .stage(move |x| spin_work(x, cost))
-            .run(capacity, &Obs::none(), |r| acc = acc.wrapping_add(r));
-        std::hint::black_box(acc);
-    });
-    STREAM_ITEMS as f64 / (ns * 1e-9)
-}
-
-/// Concurrent clients swept by the gateway section; the pool holds two
-/// np=2 jobs at a time, so the tail of the sweep measures queueing.
-const JOB_CLIENTS: [usize; 3] = [1, 4, 8];
-
-/// Jobs each client submits per timed run.
-const JOBS_PER_CLIENT: usize = 10;
-
-/// A gateway sweep point.
-struct JobSample {
-    name: String,
-    jobs_per_sec: f64,
-}
-
-/// The worker loop's runner, same shape as `patternlets worker`: run the
-/// assigned patternlet out of the registry with output echoed to the
-/// daemon. (Banner chrome skipped — the bench measures jobs, not bytes.)
-fn bench_runner(
-    assign: &Assignment,
-    lines: &JobLineSink,
-) -> Result<patternlets_metrics::MetricsSnapshot, String> {
-    let p = find(&assign.patternlet).ok_or("unknown patternlet")?;
-    let hub = MetricsHub::new();
-    let mut cfg = RunConfig::new(assign.np, Mode::Off).with_metrics(hub.clone());
-    cfg.output = patternlets_core::capture::Output::echoing_to(lines.clone().into_line_writer());
-    (p.run)(&cfg);
-    Ok(hub.snapshot())
-}
-
-/// Wall-clock jobs/sec for `clients` concurrent submitters against a
-/// live gateway, each driving `JOBS_PER_CLIENT` np=2 jobs to completion.
-fn gateway_jobs_per_sec(http: &str, clients: usize, iters: usize) -> f64 {
-    let ns = time_ns(iters, || {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let http = http.to_string();
-                std::thread::spawn(move || {
-                    for _ in 0..JOBS_PER_CLIENT {
-                        let job = client::submit(
-                            &http,
-                            &SubmitSpec {
-                                patternlet: "mpi/broadcast".to_string(),
-                                np: 2,
-                                on: false,
-                                chaos: String::new(),
-                                retries: None,
-                                trace: false,
-                            },
-                        )
-                        .expect("gateway admits");
-                        loop {
-                            let status = client::status(&http, job).expect("status poll");
-                            if status.is_terminal() {
-                                assert_eq!(status.status, "completed");
-                                break;
-                            }
-                            std::thread::sleep(std::time::Duration::from_micros(500));
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
-    });
-    (clients * JOBS_PER_CLIENT) as f64 / (ns * 1e-9)
-}
-
-/// Run the gateway sweep against a fresh in-process daemon + 4 workers.
-fn job_throughput(iters: usize) -> Vec<JobSample> {
-    let d = daemon::start(DaemonConfig {
-        quiet: true,
-        ..DaemonConfig::default()
-    })
-    .expect("daemon starts");
-    let cluster = d.cluster_addr.to_string();
-    let workers: Vec<_> = (0..4)
-        .map(|_| {
-            let addr = cluster.clone();
-            std::thread::spawn(move || run_worker(&addr, bench_runner))
-        })
-        .collect();
-    while d.pool.live() < 4 {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    let http = d.http_addr.to_string();
-    let samples = JOB_CLIENTS
-        .iter()
-        .map(|&clients| JobSample {
-            name: format!("gateway_np2_clients{clients}"),
-            jobs_per_sec: gateway_jobs_per_sec(&http, clients, iters),
-        })
-        .collect();
-    d.drain();
-    d.wait();
-    for w in workers {
-        let _ = w.join();
-    }
-    samples
-}
-
-/// Round trips per timed run in the fabric comparison (the mesh is
-/// established once per transport; only the envelope traffic is timed).
-const FABRIC_ROUNDS: usize = 256;
-
-/// A transport comparison point: one envelope shape, both fabrics.
-struct FabricSample {
-    name: String,
-    tcp_ns: f64,
-    shm_ns: f64,
-}
-
-impl FabricSample {
-    fn speedup(&self) -> f64 {
-        self.tcp_ns / self.shm_ns
-    }
-}
-
-/// Establish a two-rank mesh over the requested fabric mode. Both ranks
-/// live in this process (each end holds its own `Arc<dyn Fabric>`), so
-/// the measurement drives real reader threads and — for shm — real mmap
-/// ring segments, without spawning worker processes.
-fn two_rank_mesh(mode: patternlets_net::shm::FabricMode, epoch: u64) -> Vec<SharedFabric> {
-    use patternlets_mp::fabric::WorldSpec;
-    let server = patternlets_net::rendezvous::serve()
-        .expect("rendezvous serves")
-        .to_string();
-    let dir = std::env::temp_dir().join(format!("bench-shm-{}-{epoch}", std::process::id()));
-    let host = patternlets_net::shm::host_id();
-    let handles: Vec<_> = (0..2)
-        .map(|me| {
-            let server = server.clone();
-            let dir = dir.clone();
-            let host = host.clone();
-            std::thread::spawn(move || {
-                let spec = WorldSpec {
-                    np: 2,
-                    ranks_per_node: 1,
-                    fault: None,
-                    poll_interval: std::time::Duration::from_millis(5),
-                    tracer: None,
-                    metrics: None,
-                    epoch,
-                };
-                patternlets_net::shm::establish(&server, me, &spec, None, mode, &dir, &host)
-                    .expect("fabric establishes")
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("establish thread"))
-        .collect()
-}
-
-type SharedFabric = std::sync::Arc<dyn patternlets_mp::fabric::Fabric>;
-
-/// One full round trip per iteration, driven from a single thread so
-/// scheduler placement noise (this is a 1-CPU CI host) hits both
-/// transports identically: rank 0 delivers to rank 1, rank 1's reader
-/// thread lands it in the mailbox, then the reply makes the same journey
-/// back. Returns ns per round trip.
-fn fabric_pingpong_ns(fabrics: &[SharedFabric], payload: usize, iters: usize) -> f64 {
-    use patternlets_mp::envelope::{Envelope, Payload};
-    use patternlets_mp::status::{SourceSel, TagSel};
-    let env = |fabric: &SharedFabric, me: usize, tag: i32| Envelope {
-        comm_id: 0,
-        src: me,
-        tag,
-        type_name: "u8",
-        count: payload,
-        payload: Payload::Bytes(bytes::Bytes::from(vec![7u8; payload])),
-        seq: fabric.next_send_seq(me),
-        needs_ack: false,
-    };
-    let recv = |fabric: &SharedFabric, me: usize, src: usize, tag: i32| {
-        fabric
-            .mailbox(me)
-            .recv_match(
-                0,
-                SourceSel::Rank(src),
-                TagSel::Tag(tag),
-                std::time::Duration::from_millis(5),
-                || None,
-                || {},
-            )
-            .expect("pingpong envelope arrives")
-    };
-    time_ns(iters, || {
-        for _ in 0..FABRIC_ROUNDS {
-            fabrics[0].deliver(0, 1, env(&fabrics[0], 0, 1), 0, false);
-            std::hint::black_box(recv(&fabrics[1], 1, 0, 1));
-            fabrics[1].deliver(1, 0, env(&fabrics[1], 1, 2), 0, false);
-            std::hint::black_box(recv(&fabrics[0], 0, 1, 2));
-        }
-    }) / FABRIC_ROUNDS as f64
-}
-
-/// Transport-level round trip over the shm fabric's data path: the same
-/// `push_all`/`read_exact` primitives every wire frame crosses, over two
-/// rings sized exactly like the fabric's mmap segments. An echo thread
-/// plays the peer rank's reader. This isolates what the transport swap
-/// actually changed — the byte conduit — from the mailbox handoff that
-/// both providers share (and that dominates end-to-end round trips on a
-/// single-CPU host, compressing the fabric-level ratio).
-fn ring_pingpong_ns(payload: usize, iters: usize) -> f64 {
-    use std::io::Read;
-    let fwd = patternlets_core::spsc::SpscRing::heap(patternlets_net::shm::SHM_RING_CAPACITY);
-    let rev = patternlets_core::spsc::SpscRing::heap(patternlets_net::shm::SHM_RING_CAPACITY);
-    let mut p_fwd = fwd.producer();
-    let mut c_fwd = fwd.consumer();
-    let mut p_rev = rev.producer();
-    let mut c_rev = rev.consumer();
-    // time_ns runs the closure once as warm-up plus `iters` timed runs.
-    let rounds = (iters + 1) * FABRIC_ROUNDS;
-    let echo = std::thread::spawn(move || {
-        let mut buf = vec![0u8; payload];
-        for _ in 0..rounds {
-            c_fwd.read_exact(&mut buf).expect("ring stays open");
-            p_rev.push_all(&buf, || false).expect("peer keeps reading");
-        }
-    });
-    let buf = vec![7u8; payload];
-    let mut back = vec![0u8; payload];
-    let ns = time_ns(iters, || {
-        for _ in 0..FABRIC_ROUNDS {
-            p_fwd.push_all(&buf, || false).expect("echo keeps reading");
-            c_rev.read_exact(&mut back).expect("echo answers");
-        }
-    }) / FABRIC_ROUNDS as f64;
-    echo.join().expect("echo thread");
-    ns
-}
-
-/// The same round trip over the TCP provider's conduit: a loopback
-/// socket with `TCP_NODELAY`, exactly how the tcp fabric dials peers.
-fn tcp_pingpong_ns(payload: usize, iters: usize) -> f64 {
-    use std::io::{Read, Write};
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback listener");
-    let addr = listener.local_addr().expect("listener addr");
-    let rounds = (iters + 1) * FABRIC_ROUNDS;
-    let echo = std::thread::spawn(move || {
-        let (mut sock, _) = listener.accept().expect("bench peer connects");
-        sock.set_nodelay(true).expect("nodelay");
-        let mut buf = vec![0u8; payload];
-        for _ in 0..rounds {
-            sock.read_exact(&mut buf).expect("socket stays open");
-            sock.write_all(&buf).expect("peer keeps reading");
-        }
-    });
-    let mut sock = std::net::TcpStream::connect(addr).expect("echo accepts");
-    sock.set_nodelay(true).expect("nodelay");
-    let buf = vec![7u8; payload];
-    let mut back = vec![0u8; payload];
-    let ns = time_ns(iters, || {
-        for _ in 0..FABRIC_ROUNDS {
-            sock.write_all(&buf).expect("echo keeps reading");
-            sock.read_exact(&mut back).expect("echo answers");
-        }
-    }) / FABRIC_ROUNDS as f64;
-    echo.join().expect("echo thread");
-    ns
-}
-
-/// The `shm_vs_tcp` sweep. Two tiers per payload shape:
-///
-/// * `pingpong_*` — the transport conduit alone (ring vs socket), the
-///   layer the shm provider replaced. This is where the speedup claim
-///   lives.
-/// * `fabric_pingpong_*` — full envelope round trips through real
-///   established fabrics (reader threads, codec, mailbox). Reported for
-///   honesty: on a 1-CPU host the mailbox wake is a scheduler handoff
-///   both providers pay identically, so the end-to-end ratio is
-///   compressed relative to the conduit ratio.
-fn shm_vs_tcp(iters: usize) -> Vec<FabricSample> {
-    use patternlets_net::shm::FabricMode;
-    let mut samples: Vec<FabricSample> = [(8usize, "pingpong_8B"), (4 << 10, "pingpong_4KiB")]
-        .iter()
-        .map(|&(size, name)| FabricSample {
-            name: name.to_string(),
-            tcp_ns: tcp_pingpong_ns(size, iters),
-            shm_ns: ring_pingpong_ns(size, iters),
-        })
-        .collect();
-    let shapes = [
-        (8usize, "fabric_pingpong_8B"),
-        (4 << 10, "fabric_pingpong_4KiB"),
-    ];
-    let tcp = two_rank_mesh(FabricMode::Tcp, 90_000);
-    let tcp_ns: Vec<f64> = shapes
-        .iter()
-        .map(|&(size, _)| fabric_pingpong_ns(&tcp, size, iters))
-        .collect();
-    for (rank, fabric) in tcp.iter().enumerate() {
-        fabric.finish(rank);
-    }
-    let shm = two_rank_mesh(FabricMode::Shm, 90_002);
-    let shm_ns: Vec<f64> = shapes
-        .iter()
-        .map(|&(size, _)| fabric_pingpong_ns(&shm, size, iters))
-        .collect();
-    for (rank, fabric) in shm.iter().enumerate() {
-        fabric.finish(rank);
-    }
-    samples.extend(shapes.iter().zip(tcp_ns.iter().zip(&shm_ns)).map(
-        |(&(_, name), (&tcp_ns, &shm_ns))| FabricSample {
-            name: name.to_string(),
-            tcp_ns,
-            shm_ns,
-        },
-    ));
-    samples
-}
-
-/// An `spsc_edge` comparison point: the same three-stage graph over
-/// lock-free SPSC edges (the pipeline's wiring) and MPMC channels.
-struct EdgeSample {
-    name: String,
-    spsc_items_per_sec: f64,
-    mpmc_items_per_sec: f64,
-}
-
-impl EdgeSample {
-    fn speedup(&self) -> f64 {
-        self.spsc_items_per_sec / self.mpmc_items_per_sec
-    }
-}
-
-/// The MPMC control: the pipeline's exact shape (source thread, two
-/// stage threads, sink on the caller) hand-wired with the public
-/// `bounded()` channel, batching with the same capacity-clamped chunk
-/// the executor uses — so the only variable is the edge itself.
-fn mpmc_pipeline3_items_per_sec(capacity: usize, cost: u32, iters: usize) -> f64 {
-    use patternlets_stream::bounded;
-    let chunk = 32usize.min(capacity.max(1));
-    let ns = time_ns(iters, || {
-        let obs = Obs::none();
-        let (tx0, rx0) = bounded::<u64>(capacity, 0, &obs);
-        let (tx1, rx1) = bounded::<u64>(capacity, 1, &obs);
-        let (tx2, rx2) = bounded::<u64>(capacity, 2, &obs);
-        let mut acc = 0u64;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut batch = Vec::with_capacity(chunk);
-                for x in 0..STREAM_ITEMS as u64 {
-                    batch.push(x);
-                    if batch.len() == chunk && !tx0.send_many(batch.drain(..)) {
-                        return;
-                    }
-                }
-                tx0.send_many(batch);
-            });
-            for (rx, tx) in [(rx0, tx1), (rx1, tx2)] {
-                s.spawn(move || {
-                    while let Some(batch) = rx.recv_many(chunk) {
-                        if !tx.send_many(batch.into_iter().map(|x| spin_work(x, cost))) {
-                            break;
-                        }
-                    }
-                });
-            }
-            while let Some(batch) = rx2.recv_many(chunk) {
-                for r in batch {
-                    acc = acc.wrapping_add(r);
-                }
-            }
-        });
-        std::hint::black_box(acc);
-    });
-    STREAM_ITEMS as f64 / (ns * 1e-9)
-}
-
-fn spsc_edge_sweep(iters: usize) -> Vec<EdgeSample> {
-    [
-        ("pipeline3_cap64_trivial", 64usize),
-        ("pipeline3_cap8_trivial", 8),
-    ]
-    .into_iter()
-    .map(|(name, capacity)| EdgeSample {
-        name: name.to_string(),
-        spsc_items_per_sec: pipeline_items_per_sec(capacity, 0, iters),
-        mpmc_items_per_sec: mpmc_pipeline3_items_per_sec(capacity, 0, iters),
-    })
-    .collect()
-}
-
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
-
-fn main() {
-    let iters: usize = std::env::var("BENCH_SMOKE_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15);
-    let out_path = std::env::args()
-        .nth(1)
-        .or_else(|| std::env::var("PATTERNLETS_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
-
-    // Pingpong size sweep spanning the inline crossover: the first two
-    // sizes inline in BOTH configs (8 B was BENCH_5's regression case),
-    // the rest must earn their speedup on the shared path.
-    let mut samples: Vec<Sample> = [
-        (8usize, "pingpong_8B"),
-        (64, "pingpong_64B"),
-        (256, "pingpong_256B"),
-        (4 << 10, "pingpong_4KiB"),
-        (64 << 10, "pingpong_64KiB"),
-    ]
-    .into_iter()
-    .map(|(size, name)| Sample {
-        name: name.to_string(),
-        encoded_ns: pingpong_ns(size, true, iters),
-        zerocopy_ns: pingpong_ns(size, false, iters),
-    })
-    .collect();
-    samples.push(Sample {
-        name: "bcast_p8_64KiB".to_string(),
-        encoded_ns: bcast_ns(8, 8192, true, iters),
-        zerocopy_ns: bcast_ns(8, 8192, false, iters),
-    });
-    samples.push(Sample {
-        name: "reduce_p8_2KiB".to_string(),
-        encoded_ns: reduce_ns(8, 256, true, iters),
-        zerocopy_ns: reduce_ns(8, 256, false, iters),
-    });
-
-    let hit_fast = pingpong_hit_rate(false);
-    let hit_encoded = pingpong_hit_rate(true);
-
-    // Stream executor sweep: worker counts × queue capacities × per-item
-    // cost. The trivial-cost rows measure pure channel overhead; the
-    // cost-200 row shows where the farm becomes compute-bound.
-    let stream_samples: Vec<StreamSample> = [
-        (
-            "farm_w1_cap64_trivial",
-            farm_items_per_sec(1, 64, false, 0, iters),
-        ),
-        (
-            "farm_w2_cap64_trivial",
-            farm_items_per_sec(2, 64, false, 0, iters),
-        ),
-        (
-            "farm_w4_cap64_trivial",
-            farm_items_per_sec(4, 64, false, 0, iters),
-        ),
-        (
-            "farm_w4_cap8_trivial",
-            farm_items_per_sec(4, 8, false, 0, iters),
-        ),
-        (
-            "farm_w4_cap64_ordered",
-            farm_items_per_sec(4, 64, true, 0, iters),
-        ),
-        (
-            "farm_w4_cap64_cost200",
-            farm_items_per_sec(4, 64, false, 200, iters),
-        ),
-        (
-            "pipeline3_cap64_trivial",
-            pipeline_items_per_sec(64, 0, iters),
-        ),
-        (
-            "pipeline3_cap64_cost200",
-            pipeline_items_per_sec(64, 200, iters),
-        ),
-    ]
-    .into_iter()
-    .map(|(name, items_per_sec)| StreamSample {
-        name: name.to_string(),
-        items_per_sec,
-    })
-    .collect();
-
-    println!("== bench_smoke: zero-copy fast path vs encoded baseline ==");
-    println!(
-        "{:>16} {:>14} {:>14} {:>9}",
-        "shape", "encoded ns", "zero-copy ns", "speedup"
-    );
-    for s in &samples {
-        println!(
-            "{:>16} {:>14.0} {:>14.0} {:>8.2}x",
-            s.name,
-            s.encoded_ns,
-            s.zerocopy_ns,
-            s.speedup()
-        );
-    }
-    println!(
-        "zero-copy hit rate: fast path {:.0}%, encoded baseline {:.0}%",
-        hit_fast * 100.0,
-        hit_encoded * 100.0
-    );
-
-    println!("\n== stream_throughput: {STREAM_ITEMS} items per run ==");
-    println!("{:>24} {:>14}", "shape", "items/sec");
-    for s in &stream_samples {
-        println!("{:>24} {:>13.2}M", s.name, s.items_per_sec / 1e6);
-    }
-
-    // Gateway sweep: np=2 jobs through a live pmserve daemon.
-    let job_samples = job_throughput(iters);
-    println!("\n== job_throughput: pmserve gateway, {JOBS_PER_CLIENT} np=2 jobs per client ==");
-    println!("{:>24} {:>14}", "shape", "jobs/sec");
-    for s in &job_samples {
-        println!("{:>24} {:>14.1}", s.name, s.jobs_per_sec);
-    }
-
-    // Transport comparison: the same envelope mesh over TCP and shm rings.
-    let fabric_samples = shm_vs_tcp(iters);
-    println!(
-        "\n== shm_vs_tcp: conduit (pingpong_*) and full-fabric (fabric_pingpong_*) round trips, {FABRIC_ROUNDS} per run =="
-    );
-    println!(
-        "{:>24} {:>14} {:>14} {:>9}",
-        "shape", "tcp ns", "shm ns", "speedup"
-    );
-    for s in &fabric_samples {
-        println!(
-            "{:>24} {:>14.0} {:>14.0} {:>8.2}x",
-            s.name,
-            s.tcp_ns,
-            s.shm_ns,
-            s.speedup()
-        );
-    }
-
-    // Edge comparison: SPSC pipeline wiring vs the MPMC channel control.
-    let edge_samples = spsc_edge_sweep(iters);
-    println!("\n== spsc_edge: pipeline3 over SPSC rings vs MPMC channels ==");
-    println!(
-        "{:>24} {:>14} {:>14} {:>9}",
-        "shape", "spsc items/s", "mpmc items/s", "speedup"
-    );
-    for s in &edge_samples {
-        println!(
-            "{:>24} {:>13.2}M {:>13.2}M {:>8.2}x",
-            s.name,
-            s.spsc_items_per_sec / 1e6,
-            s.mpmc_items_per_sec / 1e6,
-            s.speedup()
-        );
-    }
-
-    // Hand-rolled JSON: flat, no escaping needed (names are identifiers).
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"BENCH_9\",\n");
-    json.push_str(&format!("  \"unix_time\": {unix_secs},\n"));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!(
-        "  \"zerocopy_hit_rate\": {{\"fast_path\": {hit_fast:.3}, \"encoded_baseline\": {hit_encoded:.3}}},\n"
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"encoded_ns\": {:.0}, \"zerocopy_ns\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            json_escape_free(&s.name),
-            s.encoded_ns,
-            s.zerocopy_ns,
-            s.speedup(),
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"stream_throughput\": {{\"items_per_run\": {STREAM_ITEMS}, \"results\": [\n"
-    ));
-    for (i, s) in stream_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"items_per_sec\": {:.0}}}{}\n",
-            json_escape_free(&s.name),
-            s.items_per_sec,
-            if i + 1 < stream_samples.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("  ]},\n");
-    json.push_str(&format!(
-        "  \"job_throughput\": {{\"np\": 2, \"jobs_per_client\": {JOBS_PER_CLIENT}, \"results\": [\n"
-    ));
-    for (i, s) in job_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"jobs_per_sec\": {:.1}}}{}\n",
-            json_escape_free(&s.name),
-            s.jobs_per_sec,
-            if i + 1 < job_samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    json.push_str(&format!(
-        "  \"shm_vs_tcp\": {{\"rounds\": {FABRIC_ROUNDS}, \"results\": [\n"
-    ));
-    for (i, s) in fabric_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"tcp_ns\": {:.0}, \"shm_ns\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            json_escape_free(&s.name),
-            s.tcp_ns,
-            s.shm_ns,
-            s.speedup(),
-            if i + 1 < fabric_samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    json.push_str("  \"spsc_edge\": {\"results\": [\n");
-    for (i, s) in edge_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"spsc_items_per_sec\": {:.0}, \"mpmc_items_per_sec\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            json_escape_free(&s.name),
-            s.spsc_items_per_sec,
-            s.mpmc_items_per_sec,
-            s.speedup(),
-            if i + 1 < edge_samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]}\n}\n");
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("wrote {out_path}");
+    ExitCode::from(u8::from(written.is_err()))
 }

@@ -67,6 +67,7 @@ use patternlets_net::{
     rendezvous, ENV_CKPT_DIR, ENV_EPOCH_BASE, ENV_FABRIC, ENV_METRICS_ADDR, ENV_NET_CHAOS, ENV_NP,
     ENV_RANK, ENV_RENDEZVOUS, ENV_SHM_DIR, ENV_TRACE_DIR,
 };
+use patternlets_serve::http;
 use patternlets_trace::chrome;
 
 struct Opts {
@@ -236,7 +237,8 @@ impl MetricsCollector {
     }
 
     /// Serve `GET /metrics` (any path, really) with Prometheus text
-    /// exposition format 0.0.4. Returns the actually-bound port.
+    /// exposition format 0.0.4, read by `serve::http`'s bounded request
+    /// parser. Returns the actually-bound port.
     fn serve_http(&self, port: u16) -> std::io::Result<u16> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let bound = listener.local_addr()?.port();
@@ -244,20 +246,19 @@ impl MetricsCollector {
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
-                // Drain the request head; the response is the same for
-                // every path, so parsing it buys nothing.
+                // Every well-formed request gets the same body, whatever
+                // its path; a malformed one is dropped unanswered.
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                let mut buf = [0u8; 1024];
-                let _ = stream.read(&mut buf);
+                let Ok(Some(_)) = http::read_request(&mut stream) else {
+                    continue;
+                };
                 let body = render_prometheus(&collector.merged());
-                let response = format!(
-                    "HTTP/1.1 200 OK\r\n\
-                     Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-                     Content-Length: {}\r\n\
-                     Connection: close\r\n\r\n{body}",
-                    body.len()
+                let _ = http::respond(
+                    &mut stream,
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    body.as_bytes(),
                 );
-                let _ = stream.write_all(response.as_bytes());
             }
         });
         Ok(bound)
