@@ -15,6 +15,7 @@
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
+use patternlets_bench::workloads::skewed_costs;
 use patternlets_shmem::sched::static_map;
 use patternlets_shmem::{Schedule, Team};
 use patternlets_vtime::models::{dynamic_loop_makespan, static_loop_makespan};
@@ -62,7 +63,7 @@ fn bench(c: &mut Criterion) {
 fn print_balance_table() {
     println!("=== load balance under skew (virtual time, 4 processors) ===");
     println!("iteration i costs i ticks; 1024 iterations; lower makespan is better");
-    let costs: Vec<u64> = (0..1024u64).collect();
+    let costs = skewed_costs(1024);
     let n = 4;
     let total: u64 = costs.iter().sum();
     println!(

@@ -18,34 +18,44 @@
 //! `chrome://tracing` or Perfetto), `--timeline` prints a per-rank text
 //! timeline, and `--counters` prints per-rank message/worksharing totals.
 //! `--metrics` records quantitative counters/histograms and prints the
-//! end-of-run summary table; under `pmrun`, `PMRUN_METRICS_ADDR` turns
-//! metrics on automatically and streams snapshots to the launcher.
+//! end-of-run summary table; under `pmrun --metrics-port`, the job
+//! context's collector address turns metrics on automatically and
+//! streams snapshots to the launcher.
 //!
 //! `analyze` rebuilds the happened-before DAG from a trace file (a
 //! single rank's export or a `pmrun --trace` merge) and reports the
 //! critical path, per-rank compute/blocked/barrier breakdown, and the
 //! run's causal message depth.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use patternlets::harness::{Mode, Patternlet, RunConfig, Technology};
 use patternlets::registry::{by_technology, census, find, registry};
-use patternlets_metrics::{render_summary, CounterId, MetricsHub};
-use patternlets_net::NetEnv;
-use patternlets_trace::{chrome, timeline, Tracer};
+use patternlets_core::capture::Output;
+use patternlets_metrics::{render_summary, CounterId, MetricsHub, MetricsSnapshot};
+use patternlets_mp::Comm;
+use patternlets_net::JobCtx;
+use patternlets_serve::{Assignment, JobLineSink};
+use patternlets_trace::{chrome, timeline, Trace, Tracer};
 use patternlets_vtime::{rank_counters, total_counters, RankCounters};
 
 fn main() -> ExitCode {
     // Under `pmrun` this process is one rank of a multi-process world:
-    // install the TCP fabric before any patternlet builds a world.
-    let net = match patternlets_net::install_from_env() {
-        Ok(net) => net,
+    // install the fabric provider before any patternlet builds a world.
+    let job = match patternlets_net::install_from_env() {
+        Ok(job) => job,
         Err(e) => {
             eprintln!("pmrun environment rejected: {e}");
             return ExitCode::FAILURE;
         }
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A hidden harness's positional numbers.
+    let arg = |i: usize, default| args.get(i).and_then(|v| v.parse().ok()).unwrap_or(default);
     match args.first().map(String::as_str) {
         Some("list") => {
             let tech = args.iter().position(|a| a == "--tech").and_then(|i| {
@@ -73,7 +83,7 @@ fn main() -> ExitCode {
             }
         },
         Some("run") => match args.get(1).and_then(|n| find(n)) {
-            Some(p) => run_patternlet(p, &args, net.as_ref()),
+            Some(p) => run_patternlet(p, &args, job.as_ref()),
             None => {
                 eprintln!("unknown patternlet; try `patternlets list`");
                 ExitCode::FAILURE
@@ -112,24 +122,16 @@ fn main() -> ExitCode {
         // `--kill-worker`) while the survivors block on a receive from
         // it, then recover: the death surfaces as RankFailed, and the
         // survivors agree and shrink around the hole.
-        Some("__net-stall") => {
-            let arg =
-                |i: usize, default| args.get(i).and_then(|v| v.parse().ok()).unwrap_or(default);
-            net_stall(arg(1, 4), arg(2, 0), arg(3, 30_000) as u64, net.as_ref())
-        }
+        Some("__net-stall") => net_stall(arg(1, 4), arg(2, 0), arg(3, 30_000) as u64, job.as_ref()),
         // Hidden harness for the wire-chaos soak: sustained ring traffic
         // so a `--net-chaos` plan gets past its grace period and actually
         // cuts/corrupts connections, while the checksum proves the
         // reconnect/resume machinery delivered everything exactly once.
-        Some("__net-soak") => {
-            let arg =
-                |i: usize, default| args.get(i).and_then(|v| v.parse().ok()).unwrap_or(default);
-            net_soak(arg(1, 4), arg(2, 200) as u64, net.as_ref())
-        }
+        Some("__net-soak") => net_soak(arg(1, 4), arg(2, 200) as u64, job.as_ref()),
         // A bare patternlet name is an implicit `run`, so launcher lines
         // read like real mpirun: `pmrun -np 4 patternlets mpi/broadcast`.
         Some(name) if find(name).is_some() => {
-            run_patternlet(find(name).expect("just found"), &args, net.as_ref())
+            run_patternlet(find(name).expect("just found"), &args, job.as_ref())
         }
         _ => {
             eprintln!(
@@ -172,65 +174,92 @@ fn analyze_cmd(path: &str, json: bool) -> ExitCode {
     }
 }
 
-/// The tracer origin as a wall-clock anchor, corrected by this rank's
-/// estimated clock offset to rank 0 — what
-/// [`chrome::to_chrome_json_with_base`] stamps into the export so a
-/// multi-process merge can align independently started processes.
-fn trace_base_ns(tracer: &Tracer) -> u64 {
-    tracer
-        .origin_unix_ns()
-        .saturating_add_signed(patternlets_net::clock_offset_ns())
+/// One rank's run of a patternlet: the body the CLI, `pmrun` and
+/// `pmserve` share. It prints the rank-0 banner, builds the
+/// [`RunConfig`] with the caller's output and hub (and a tracer when
+/// asked), runs the patternlet, and makes the clock-anchored Chrome
+/// export. Only the sinks differ by launcher: stdout, a trace file and
+/// the [`LauncherMetrics`] pusher for `run_patternlet`; the job's line
+/// sink, its trace frame and the returned snapshot for `worker_mode`.
+struct RankRun<'a> {
+    p: &'a Patternlet,
+    tasks: usize,
+    mode: Mode,
+    kill: Option<usize>,
+    /// Whether this rank prints the per-run chrome (banner, trailing
+    /// blank line): rank 0 of a launched job, or an unlaunched run.
+    chatty: bool,
+    output: Output,
+    hub: Option<MetricsHub>,
+    traced: bool,
+}
+
+impl RankRun<'_> {
+    /// Run the patternlet, printing the per-run chrome through `say`.
+    /// Returns the drained trace and its Chrome export, when traced.
+    fn run(self, say: impl Fn(&str)) -> Option<(Trace, String)> {
+        if self.chatty {
+            let directive = if self.mode.is_on() {
+                "ON"
+            } else {
+                "OFF (initial)"
+            };
+            let (name, tasks) = (self.p.name, self.tasks);
+            say(&format!(
+                "=== {name} ({tasks} tasks, directive {directive}) ==="
+            ));
+            say("");
+        }
+        let mut cfg = RunConfig::new(self.tasks, self.mode).with_kill(self.kill);
+        cfg.output = self.output;
+        cfg.metrics = self.hub;
+        let tracer = self.traced.then(Tracer::new);
+        if let Some(t) = &tracer {
+            cfg = cfg.with_tracer(t.clone());
+        }
+        (self.p.run)(&cfg);
+        if self.chatty {
+            say("");
+        }
+        let tracer = tracer?;
+        let trace = tracer.drain();
+        // The tracer origin as a wall-clock anchor, corrected by this
+        // rank's estimated clock offset to rank 0, so a multi-process
+        // merge can align independently started processes.
+        let base = tracer
+            .origin_unix_ns()
+            .saturating_add_signed(patternlets_net::clock_offset_ns());
+        let json = chrome::to_chrome_json_with_base(&trace, base);
+        Some((trace, json))
+    }
 }
 
 /// The registry-backed job runner for `patternlets worker`: each
-/// assignment runs the named patternlet exactly the way the CLI's `run`
-/// does — same banner chrome on rank 0, same directive toggle, metrics
-/// always on so the daemon's fleet totals are complete — with output
-/// echoed line-wise to the daemon instead of stdout.
+/// assignment is a [`RankRun`], like the CLI's `run`, with metrics always
+/// on so the daemon's fleet totals are complete. Output goes line-wise
+/// to the daemon instead of stdout; a traced assignment ships its export
+/// back, and the daemon merges all ranks at `/jobs/:id/trace`.
 fn worker_mode(addr: &str) -> ExitCode {
-    use patternlets_core::capture::Output;
-    let runner = move |assign: &patternlets_serve::Assignment,
-                       lines: &patternlets_serve::JobLineSink|
-          -> Result<patternlets_metrics::MetricsSnapshot, String> {
+    let runner = |assign: &Assignment, lines: &JobLineSink| -> Result<MetricsSnapshot, String> {
         let Some(p) = find(&assign.patternlet) else {
             return Err(format!(
                 "unknown patternlet {:?}; try `patternlets list`",
                 assign.patternlet
             ));
         };
-        let mode = if assign.on { Mode::On } else { Mode::Off };
-        if assign.rank == 0 {
-            lines.line(&format!(
-                "=== {} ({} tasks, directive {}) ===",
-                p.name,
-                assign.np,
-                if mode.is_on() { "ON" } else { "OFF (initial)" }
-            ));
-            lines.line("");
-        }
         let hub = MetricsHub::new();
-        let mut cfg = RunConfig::new(assign.np, mode).with_metrics(hub.clone());
-        cfg.output = Output::echoing_to(lines.clone().into_line_writer());
-        // A traced assignment runs under a tracer and ships this rank's
-        // clock-anchored Chrome export back; the daemon merges all ranks
-        // and serves the result at /jobs/:id/trace.
-        let tracer = if assign.trace {
-            let t = Tracer::new();
-            cfg = cfg.with_tracer(t.clone());
-            Some(t)
-        } else {
-            None
+        let rank = RankRun {
+            p,
+            tasks: assign.np,
+            mode: if assign.on { Mode::On } else { Mode::Off },
+            kill: None,
+            chatty: assign.rank == 0,
+            output: Output::echoing_to(lines.clone().into_line_writer()),
+            hub: Some(hub.clone()),
+            traced: assign.trace,
         };
-        (p.run)(&cfg);
-        if let Some(tracer) = tracer {
-            let trace = tracer.drain();
-            lines.trace(&chrome::to_chrome_json_with_base(
-                &trace,
-                trace_base_ns(&tracer),
-            ));
-        }
-        if assign.rank == 0 {
-            lines.line("");
+        if let Some((_, json)) = rank.run(|line| lines.line(line)) {
+            lines.trace(&json);
         }
         Ok(hub.snapshot())
     };
@@ -325,87 +354,56 @@ fn submit_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_patternlet(p: &Patternlet, args: &[String], net: Option<&NetEnv>) -> ExitCode {
-    let tasks = args
-        .iter()
-        .position(|a| a == "-n" || a == "--tasks")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| net.map_or(4, |e| e.np));
-    let mode = if args.iter().any(|a| a == "--on") {
-        Mode::On
-    } else {
-        Mode::Off
+fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> ExitCode {
+    let value = |flags: &[&str]| {
+        let i = args.iter().position(|a| flags.contains(&a.as_str()))?;
+        args.get(i + 1)
     };
-    let kill = args
-        .iter()
-        .position(|a| a == "--kill")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let trace_file = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let trace_dir = std::env::var(patternlets_net::ENV_TRACE_DIR).ok();
-    let want_timeline = args.iter().any(|a| a == "--timeline");
-    let want_counters = args.iter().any(|a| a == "--counters");
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let trace_file = value(&["--trace"]);
+    let trace_dir = job.and_then(|j| j.trace_dir.as_ref());
+    // `--metrics` asks for the end-of-run table.
+    let (want_timeline, want_counters, want_metrics) =
+        (flag("--timeline"), flag("--counters"), flag("--metrics"));
     // Under pmrun every rank runs this same code; per-run chrome (the
     // banner, trailing blank line, trace summaries) comes from rank 0
     // alone so the launcher's aggregate output stays readable.
-    let chatty = net.is_none_or(|e| e.rank == 0);
-    if chatty {
-        println!(
-            "=== {} ({} tasks, directive {}) ===\n",
-            p.name,
-            tasks,
-            if mode.is_on() { "ON" } else { "OFF (initial)" }
-        );
-    }
-    let mut cfg = RunConfig::echoing(tasks, mode).with_kill(kill);
-    let tracer = if trace_file.is_some() || trace_dir.is_some() || want_timeline || want_counters {
-        let t = Tracer::new();
-        cfg = cfg.with_tracer(t.clone());
-        Some(t)
-    } else {
-        None
+    let rank = job.map_or(0, |j| j.rank);
+    let chatty = rank == 0;
+    let metrics = LauncherMetrics::start(want_metrics, job);
+    let run = RankRun {
+        p,
+        tasks: value(&["-n", "--tasks"])
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| job.map_or(4, |j| j.np)),
+        mode: if flag("--on") { Mode::On } else { Mode::Off },
+        kill: value(&["--kill"]).and_then(|v| v.parse().ok()),
+        chatty,
+        output: Output::echoing(),
+        hub: metrics.hub.clone(),
+        traced: trace_file.is_some() || trace_dir.is_some() || want_timeline || want_counters,
     };
-    // `--metrics` asks for the end-of-run table.
-    let want_metrics = args.iter().any(|a| a == "--metrics");
-    let (cfg, metrics) = LauncherMetrics::attach(cfg, want_metrics, net);
-    (p.run)(&cfg);
-    if chatty {
-        println!();
-    }
-    if let Some(tracer) = tracer {
-        let trace = tracer.drain();
-        let base = trace_base_ns(&tracer);
-        if let (Some(dir), Some(env)) = (&trace_dir, net) {
-            // One file per rank, each stamped with its clock-corrected
-            // wall anchor; pmrun merges them into one aligned timeline.
-            let path = format!("{dir}/rank-{}.json", env.rank);
-            if let Err(e) = std::fs::write(&path, chrome::to_chrome_json_with_base(&trace, base)) {
-                eprintln!("failed to write trace to {path}: {e}");
+    if let Some((trace, json)) = run.run(|line| println!("{line}")) {
+        // One file per rank in pmrun's trace directory; pmrun merges
+        // them into one aligned timeline.
+        let rank_file = trace_dir.map(|dir| dir.join(format!("rank-{rank}.json")));
+        for path in rank_file.into_iter().chain(trace_file.map(PathBuf::from)) {
+            if let Err(e) = std::fs::write(&path, &json) {
+                eprintln!("failed to write trace to {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
         }
-        if let Some(path) = trace_file {
-            if let Err(e) = std::fs::write(&path, chrome::to_chrome_json_with_base(&trace, base)) {
-                eprintln!("failed to write trace to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            if chatty {
-                println!(
-                    "wrote {} trace events to {path} (open in chrome://tracing or Perfetto)",
-                    trace.events.len()
-                );
-            }
+        if let Some(path) = trace_file.filter(|_| chatty) {
+            println!(
+                "wrote {} trace events to {path} (open in chrome://tracing or Perfetto)",
+                trace.events.len()
+            );
         }
         if want_timeline && chatty {
             // Under a launcher each lane is a world rank of a
             // multi-process run, not an anonymous local lane — label it
             // with that identity.
-            match net {
+            match job {
                 Some(_) => println!(
                     "{}",
                     timeline::render_with_labels(&trace, |lane| format!("rank {lane}"))
@@ -425,136 +423,111 @@ fn run_patternlet(p: &Patternlet, args: &[String], net: Option<&NetEnv>) -> Exit
     ExitCode::SUCCESS
 }
 
-/// The launcher-metrics hookup every run body shares. A hub is attached
-/// when the caller wants the end-of-run table or when a collector address
-/// is in the environment (set by `pmrun --metrics-port`/`--status`,
-/// mirroring how PMRUN_TRACE_DIR enables tracing); with an address, a
-/// [`MetricsPusher`] streams the hub to the launcher while the run is live.
+/// The launcher-metrics hookup every run body shares. A hub is on when
+/// the caller wants the end-of-run table or when the job context names a
+/// collector (`pmrun --metrics-port`/`--status`). With a collector, a
+/// thread streams cumulative snapshots there on a cadence, then once more
+/// at [`LauncherMetrics::finish`], so the collector always ends with the
+/// final totals. Lost pushes are harmless (snapshots are cumulative); a
+/// successful push after a failed one counts as a collector reconnect.
 struct LauncherMetrics {
     hub: Option<MetricsHub>,
-    pusher: Option<MetricsPusher>,
+    /// The pusher's stop flag and thread.
+    pusher: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
 
 impl LauncherMetrics {
-    /// Attach a hub to `cfg` if `want` or the environment asks for one.
-    fn attach(cfg: RunConfig, want: bool, net: Option<&NetEnv>) -> (RunConfig, Self) {
-        let addr = std::env::var(patternlets_net::ENV_METRICS_ADDR).ok();
-        if !want && addr.is_none() {
-            let off = LauncherMetrics {
-                hub: None,
-                pusher: None,
-            };
-            return (cfg, off);
-        }
-        let hub = MetricsHub::new();
-        let rank = net.map_or(0, |e| e.rank);
-        let pusher = addr.map(|addr| MetricsPusher::spawn(hub.clone(), addr, rank));
-        let cfg = cfg.with_metrics(hub.clone());
-        let on = LauncherMetrics {
-            hub: Some(hub),
-            pusher,
-        };
-        (cfg, on)
+    const TICK: Duration = Duration::from_millis(25);
+    const TICKS_PER_PUSH: u32 = 8; // ~200ms between pushes
+
+    fn start(want: bool, job: Option<&JobCtx>) -> Self {
+        let collector = job.and_then(|j| Some((j.metrics_addr.clone()?, j.rank)));
+        let hub = (want || collector.is_some()).then(MetricsHub::new);
+        let pusher = collector.zip(hub.clone()).map(|((addr, rank), hub)| {
+            let stop = Arc::new(AtomicBool::new(false));
+            let stopped = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                let mut was_down = false;
+                let mut push = || {
+                    let ok = patternlets_net::push_metrics(&addr, rank, &hub);
+                    if ok && was_down {
+                        hub.incr(rank, CounterId::NetReconnects);
+                    }
+                    was_down = !ok;
+                };
+                let mut ticks = 0;
+                while !stopped.load(Ordering::SeqCst) {
+                    std::thread::sleep(Self::TICK);
+                    ticks += 1;
+                    if ticks % Self::TICKS_PER_PUSH == 0 {
+                        push();
+                    }
+                }
+                push();
+            });
+            (stop, thread)
+        });
+        LauncherMetrics { hub, pusher }
     }
 
     /// Send the final snapshot, when pushing; returns the hub.
     fn finish(self) -> Option<MetricsHub> {
-        if let Some(pusher) = self.pusher {
-            pusher.finish();
+        if let Some((stop, thread)) = self.pusher {
+            stop.store(true, Ordering::SeqCst);
+            let _ = thread.join();
         }
         self.hub
     }
 }
 
-/// Streams cumulative metrics snapshots to `pmrun`'s collector on a
-/// cadence, then once more at shutdown so the collector always ends with
-/// the final totals. Lost pushes are harmless (snapshots are cumulative);
-/// a successful push after a failed one counts as a collector reconnect.
-struct MetricsPusher {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl MetricsPusher {
-    const TICK: std::time::Duration = std::time::Duration::from_millis(25);
-    const TICKS_PER_PUSH: u32 = 8; // ~200ms between pushes
-
-    fn spawn(hub: MetricsHub, addr: String, rank: usize) -> Self {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop_flag = std::sync::Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut was_down = false;
-            let mut push = |hub: &MetricsHub| {
-                let ok = patternlets_net::push_metrics(&addr, rank, hub);
-                if ok && was_down {
-                    hub.incr(rank, CounterId::NetReconnects);
-                }
-                was_down = !ok;
-            };
-            let mut ticks = 0;
-            while !stop_flag.load(Ordering::SeqCst) {
-                std::thread::sleep(Self::TICK);
-                ticks += 1;
-                if ticks >= Self::TICKS_PER_PUSH {
-                    ticks = 0;
-                    push(&hub);
-                }
-            }
-            push(&hub);
-        });
-        MetricsPusher { stop, handle }
-    }
-
-    /// Stop the cadence and send the final snapshot.
-    fn finish(self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        let _ = self.handle.join();
-    }
+/// The world of a hidden harness: `np` ranks re-checking liveness every
+/// 2 ms, recording into the launcher's metrics collector like a real
+/// patternlet.
+fn harness_world(np: usize, job: Option<&JobCtx>, body: impl Fn(&RunConfig, Comm) + Sync) {
+    let metrics = LauncherMetrics::start(false, job);
+    let mut cfg = RunConfig::echoing(np, Mode::Off);
+    cfg.metrics = metrics.hub.clone();
+    cfg.world(np)
+        .poll_interval(Duration::from_millis(2))
+        .run(|comm| body(&cfg, comm))
+        .expect("world config is valid");
+    metrics.finish();
 }
 
 /// Body of the hidden `__net-stall` subcommand (see `main`). Survivor
 /// output is asserted by `tests/pmrun.rs`; exit is clean so any non-zero
 /// job status is attributable to the killed worker alone.
-fn net_stall(np: usize, victim: usize, stall_ms: u64, net: Option<&NetEnv>) -> ExitCode {
+fn net_stall(np: usize, victim: usize, stall_ms: u64, job: Option<&JobCtx>) -> ExitCode {
     use patternlets_core::Error;
-    // Honour the launcher's metrics environment like a real patternlet:
-    // this harness is the one deliberately long-lived job, so it's what
+    // This harness is the one deliberately long-lived job, so it's what
     // `pmrun --status` tests watch live.
-    let (cfg, metrics) = LauncherMetrics::attach(RunConfig::echoing(np, Mode::Off), false, net);
-    cfg.world(np)
-        .poll_interval(std::time::Duration::from_millis(2))
-        .run(|comm| {
-            let sink = cfg.sink(comm.rank());
-            if comm.rank() == victim {
-                sink.println(format!("rank {victim}: stalling, ready to be killed"));
-                std::thread::sleep(std::time::Duration::from_millis(stall_ms));
-                let _ = comm.send_one(1u64, (victim + 1) % np, 7);
-            } else {
-                match comm.recv_one::<u64>(victim, 7) {
-                    Err(Error::RankFailed { rank, .. }) => sink.println(format!(
-                        "rank {}: death of rank {rank} surfaced as RankFailed",
-                        comm.rank()
-                    )),
-                    Ok(_) => {
-                        sink.println(format!("rank {}: victim outlived the stall", comm.rank()))
+    harness_world(np, job, |cfg, comm| {
+        let sink = cfg.sink(comm.rank());
+        if comm.rank() == victim {
+            sink.println(format!("rank {victim}: stalling, ready to be killed"));
+            std::thread::sleep(Duration::from_millis(stall_ms));
+            let _ = comm.send_one(1u64, (victim + 1) % np, 7);
+        } else {
+            match comm.recv_one::<u64>(victim, 7) {
+                Err(Error::RankFailed { rank, .. }) => sink.println(format!(
+                    "rank {}: death of rank {rank} surfaced as RankFailed",
+                    comm.rank()
+                )),
+                Ok(_) => sink.println(format!("rank {}: victim outlived the stall", comm.rank())),
+                Err(e) => sink.println(format!("rank {}: unexpected error: {e}", comm.rank())),
+            }
+            match comm.shrink() {
+                Ok(sub) => {
+                    if sub.is_master() {
+                        sink.println(format!("shrink: {} of {np} ranks survive", sub.size()));
                     }
-                    Err(e) => sink.println(format!("rank {}: unexpected error: {e}", comm.rank())),
                 }
-                match comm.shrink() {
-                    Ok(sub) => {
-                        if sub.is_master() {
-                            sink.println(format!("shrink: {} of {np} ranks survive", sub.size()));
-                        }
-                    }
-                    Err(_) => {
-                        sink.println(format!("rank {}: excluded from shrink", comm.rank()));
-                    }
+                Err(_) => {
+                    sink.println(format!("rank {}: excluded from shrink", comm.rank()));
                 }
             }
-        })
-        .expect("world config is valid");
-    metrics.finish();
+        }
+    });
     ExitCode::SUCCESS
 }
 
@@ -566,58 +539,52 @@ fn net_stall(np: usize, victim: usize, stall_ms: u64, net: Option<&NetEnv>) -> E
 /// is computed twice (once from what arrived, once from first
 /// principles), so the "ok" line certifies exactly-once delivery through
 /// every cut, truncation, and corruption along the way.
-fn net_soak(np: usize, rounds: u64, net: Option<&NetEnv>) -> ExitCode {
+fn net_soak(np: usize, rounds: u64, job: Option<&JobCtx>) -> ExitCode {
     use patternlets_core::reduce::ops;
     const ELEMS: u64 = 16;
-    let (cfg, metrics) = LauncherMetrics::attach(RunConfig::echoing(np, Mode::Off), false, net);
-    cfg.world(np)
-        .poll_interval(std::time::Duration::from_millis(2))
-        .run(|comm| {
-            let sink = cfg.sink(comm.rank());
-            let np = comm.size() as u64;
-            let rank = comm.rank() as u64;
-            let next = ((rank + 1) % np) as usize;
-            let prev = ((rank + np - 1) % np) as usize;
-            let mut sum: u64 = 0;
+    harness_world(np, job, |cfg, comm| {
+        let sink = cfg.sink(comm.rank());
+        let np = comm.size() as u64;
+        let rank = comm.rank() as u64;
+        let next = ((rank + 1) % np) as usize;
+        let prev = ((rank + np - 1) % np) as usize;
+        let mut sum: u64 = 0;
+        for round in 0..rounds {
+            let payload: Vec<u64> = (0..ELEMS).map(|i| round * 31 + rank * 7 + i).collect();
+            comm.send(&payload, next, 11).expect("soak send");
+            let (data, _) = comm.recv::<u64>(prev, 11).expect("soak recv");
+            sum += data.iter().sum::<u64>();
+            if round % 64 == 63 {
+                sum = comm.allreduce(&[sum], &ops::Max).expect("soak allreduce")[0];
+            }
+        }
+        let total = comm.allreduce(&[sum], &ops::Sum).expect("soak total")[0];
+        if comm.is_master() {
+            // What rank r received is rank r-1's stream; summed over
+            // all ranks that is every rank's own stream once, so the
+            // expected grand total needs no knowledge of routing —
+            // modulo the periodic Max folds, which replace each
+            // rank's partial sum with the round's maximum. Replaying
+            // the same folds over per-rank reference sums gives the
+            // exact expectation.
+            let mut expect: Vec<u64> = vec![0; np as usize];
             for round in 0..rounds {
-                let payload: Vec<u64> =
-                    (0..ELEMS).map(|i| round * 31 + rank * 7 + i).collect();
-                comm.send(&payload, next, 11).expect("soak send");
-                let (data, _) = comm.recv::<u64>(prev, 11).expect("soak recv");
-                sum += data.iter().sum::<u64>();
+                for (r, e) in expect.iter_mut().enumerate() {
+                    let from = (r as u64 + np - 1) % np;
+                    *e += (0..ELEMS).map(|i| round * 31 + from * 7 + i).sum::<u64>();
+                }
                 if round % 64 == 63 {
-                    sum = comm.allreduce(&[sum], &ops::Max).expect("soak allreduce")[0];
+                    let max = *expect.iter().max().expect("np >= 1");
+                    expect.iter_mut().for_each(|e| *e = max);
                 }
             }
-            let total = comm.allreduce(&[sum], &ops::Sum).expect("soak total")[0];
-            if comm.is_master() {
-                // What rank r received is rank r-1's stream; summed over
-                // all ranks that is every rank's own stream once, so the
-                // expected grand total needs no knowledge of routing —
-                // modulo the periodic Max folds, which replace each
-                // rank's partial sum with the round's maximum. Replaying
-                // the same folds over per-rank reference sums gives the
-                // exact expectation.
-                let mut expect: Vec<u64> = vec![0; np as usize];
-                for round in 0..rounds {
-                    for (r, e) in expect.iter_mut().enumerate() {
-                        let from = (r as u64 + np - 1) % np;
-                        *e += (0..ELEMS).map(|i| round * 31 + from * 7 + i).sum::<u64>();
-                    }
-                    if round % 64 == 63 {
-                        let max = *expect.iter().max().expect("np >= 1");
-                        expect.iter_mut().for_each(|e| *e = max);
-                    }
-                }
-                let expect: u64 = expect.iter().sum();
-                let verdict = if total == expect { "ok" } else { "MISMATCH" };
-                sink.println(format!(
-                    "net soak: {rounds} rounds x {np} ranks {verdict} (sum {total}, expected {expect})"
-                ));
-            }
-        })
-        .expect("world config is valid");
-    metrics.finish();
+            let expect: u64 = expect.iter().sum();
+            let verdict = if total == expect { "ok" } else { "MISMATCH" };
+            sink.println(format!(
+                "net soak: {rounds} rounds x {np} ranks {verdict} (sum {total}, expected {expect})"
+            ));
+        }
+    });
     ExitCode::SUCCESS
 }
 

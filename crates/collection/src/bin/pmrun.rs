@@ -51,7 +51,6 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,12 +60,10 @@ use parking_lot::Mutex;
 use patternlets_core::capture::Output;
 use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_metrics::{render_prometheus, render_summary, wire, MetricsSnapshot};
+use patternlets_net::chaos::NetChaosPlan;
 use patternlets_net::frame::{read_frame, Frame};
 use patternlets_net::shm::FabricMode;
-use patternlets_net::{
-    rendezvous, ENV_CKPT_DIR, ENV_EPOCH_BASE, ENV_FABRIC, ENV_METRICS_ADDR, ENV_NET_CHAOS, ENV_NP,
-    ENV_RANK, ENV_RENDEZVOUS, ENV_SHM_DIR, ENV_TRACE_DIR,
-};
+use patternlets_net::{rendezvous, JobCtx};
 use patternlets_serve::http;
 use patternlets_trace::chrome;
 
@@ -321,14 +318,8 @@ fn resolve_program(name: &str) -> String {
 struct SpawnCtx {
     program: String,
     args: Vec<String>,
-    np: usize,
-    rendezvous: String,
-    trace_dir: Option<PathBuf>,
-    metrics_addr: Option<String>,
-    net_chaos: Option<u64>,
-    ckpt_dir: Option<PathBuf>,
-    fabric: FabricMode,
-    shm_dir: PathBuf,
+    /// Every rank's job; `spawn` fills in the rank and epoch base.
+    job: JobCtx,
     stdout_log: Output,
     stderr_log: Output,
 }
@@ -343,31 +334,14 @@ impl SpawnCtx {
         epoch_base: u64,
         forwarders: &mut Vec<std::thread::JoinHandle<()>>,
     ) -> std::io::Result<Child> {
+        let mut job = self.job.clone();
+        (job.rank, job.epoch_base) = (rank, epoch_base);
         let mut cmd = Command::new(&self.program);
         cmd.args(&self.args)
-            .env(ENV_RANK, rank.to_string())
-            .env(ENV_NP, self.np.to_string())
-            .env(ENV_RENDEZVOUS, &self.rendezvous)
+            .envs(job.env_vars())
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        if epoch_base > 0 {
-            cmd.env(ENV_EPOCH_BASE, epoch_base.to_string());
-        }
-        if let Some(seed) = self.net_chaos {
-            cmd.env(ENV_NET_CHAOS, seed.to_string());
-        }
-        if let Some(dir) = &self.ckpt_dir {
-            cmd.env(ENV_CKPT_DIR, dir);
-        }
-        cmd.env(ENV_FABRIC, self.fabric.as_str());
-        cmd.env(ENV_SHM_DIR, &self.shm_dir);
-        if let Some(dir) = &self.trace_dir {
-            cmd.env(ENV_TRACE_DIR, dir);
-        }
-        if let Some(addr) = &self.metrics_addr {
-            cmd.env(ENV_METRICS_ADDR, addr);
-        }
         let mut child = cmd.spawn()?;
         // Forward each worker stream line-wise through the capture layer:
         // one locked write per line, so ranks interleave but never tear.
@@ -431,14 +405,17 @@ fn main() -> ExitCode {
         }
     };
 
+    let chaos = opts.net_chaos.map(NetChaosPlan::seeded);
+    let mut job = JobCtx::new(0, opts.np, rendezvous, 0, chaos);
+    job.fabric = opts.fabric;
     // Per-rank trace files go into a scratch directory next to the merged
     // output (or the temp dir), keyed by pmrun's pid so concurrent jobs
     // don't collide.
-    let trace_dir: Option<PathBuf> = opts
+    job.trace_dir = opts
         .trace
         .as_ref()
         .map(|_| std::env::temp_dir().join(format!("pmrun-trace-{}", std::process::id())));
-    if let Some(dir) = &trace_dir {
+    if let Some(dir) = &job.trace_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!(
                 "pmrun: cannot create trace directory {}: {e}",
@@ -474,11 +451,13 @@ fn main() -> ExitCode {
         }
     }
 
+    job.metrics_addr = collector.as_ref().map(|c| c.push_addr.clone());
+
     // `--respawn` needs somewhere for restarted ranks to find their last
     // checkpoint; one per-job scratch directory, removed after the run.
-    let ckpt_dir: Option<PathBuf> = (opts.respawn > 0)
+    job.ckpt_dir = (opts.respawn > 0)
         .then(|| std::env::temp_dir().join(format!("pmrun-ckpt-{}", std::process::id())));
-    if let Some(dir) = &ckpt_dir {
+    if let Some(dir) = &job.ckpt_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!(
                 "pmrun: cannot create checkpoint directory {}: {e}",
@@ -492,19 +471,11 @@ fn main() -> ExitCode {
     // auto|shm`. Per-job and launcher-owned: removing it at exit is the
     // backstop that reclaims segments a SIGKILL'd worker never got to
     // hand over (segments are normally unlinked moments after establish).
-    let shm_dir = std::env::temp_dir().join(format!("pmrun-shm-{}", std::process::id()));
-
+    job.shm_dir = std::env::temp_dir().join(format!("pmrun-shm-{}", std::process::id()));
     let ctx = SpawnCtx {
         program: resolve_program(&opts.program),
         args: opts.program_args.clone(),
-        np: opts.np,
-        rendezvous,
-        trace_dir: trace_dir.clone(),
-        metrics_addr: collector.as_ref().map(|c| c.push_addr.clone()),
-        net_chaos: opts.net_chaos,
-        ckpt_dir: ckpt_dir.clone(),
-        fabric: opts.fabric,
-        shm_dir: shm_dir.clone(),
+        job,
         stdout_log: Output::echoing(),
         stderr_log: Output::echoing_to(std::io::stderr()),
     };
@@ -663,7 +634,7 @@ fn main() -> ExitCode {
         let _ = handle.join();
     }
 
-    if let (Some(merged_path), Some(dir)) = (&opts.trace, &trace_dir) {
+    if let (Some(merged_path), Some(dir)) = (&opts.trace, &ctx.job.trace_dir) {
         let per_rank: Vec<(usize, String)> = (0..opts.np)
             .map(|rank| {
                 let path = dir.join(format!("rank-{rank}.json"));
@@ -718,10 +689,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(dir) = &ckpt_dir {
+    if let Some(dir) = &ctx.job.ckpt_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-    let _ = std::fs::remove_dir_all(&shm_dir);
+    let _ = std::fs::remove_dir_all(&ctx.job.shm_dir);
 
     if timed_out.load(Ordering::SeqCst) {
         eprintln!(

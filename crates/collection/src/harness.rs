@@ -3,6 +3,7 @@
 use patternlets_core::capture::{Output, Sink};
 use patternlets_metrics::MetricsHub;
 use patternlets_mp::{CheckpointStore, World, WorldBuilder};
+use patternlets_net::JobCtx;
 use patternlets_shmem::Team;
 use patternlets_trace::{Trace, Tracer};
 
@@ -79,9 +80,10 @@ pub struct RunConfig {
     /// and team built through [`RunConfig::world`] and [`RunConfig::team`]
     /// records counters/histograms into it; `None` costs one branch.
     pub metrics: Option<MetricsHub>,
-    /// Directory for per-rank checkpoint files (`pmrun --respawn` sets it
-    /// via `PMRUN_CKPT_DIR`; tests set it directly). `None` means the
-    /// resilience patternlets that checkpoint pick their own scratch dir.
+    /// Directory for per-rank checkpoint files (tests set it directly;
+    /// `pmrun --respawn` shares one through the job context). `None`
+    /// means the resilience patternlets that checkpoint pick their own
+    /// scratch dir.
     pub ckpt_dir: Option<std::path::PathBuf>,
 }
 
@@ -144,14 +146,14 @@ impl RunConfig {
     }
 
     /// A [`CheckpointStore`] for `rank`, resolved in priority order: the
-    /// configured directory, then the launcher's `PMRUN_CKPT_DIR` (set by
-    /// `pmrun --respawn`), then `None` — the caller runs checkpoint-free
-    /// or picks a scratch dir of its own.
+    /// configured directory, then the job context's (set by `pmrun
+    /// --respawn`), then `None` — the caller runs checkpoint-free or picks
+    /// a scratch dir of its own.
     pub fn checkpoint_store(&self, rank: usize) -> Option<CheckpointStore> {
         let dir = self
             .ckpt_dir
             .clone()
-            .or_else(|| std::env::var("PMRUN_CKPT_DIR").ok().map(Into::into))?;
+            .or_else(|| JobCtx::current()?.ckpt_dir)?;
         CheckpointStore::new(dir, rank).ok()
     }
 

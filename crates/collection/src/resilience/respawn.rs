@@ -11,6 +11,9 @@
 //! worker *process*, respawns it with `PMRUN_EPOCH_BASE` so its first
 //! world joins the survivors' retry world, and the restarted rank picks
 //! up from the checkpoint directory `pmrun` shared via `PMRUN_CKPT_DIR`.
+//! Under either launcher (a `pmrun` job or a `pmserve` one) the seeded
+//! in-process kill is off: only the launcher kills processes, so an
+//! unkilled job prints the same transcript whichever launcher ran it.
 //!
 //! The restart protocol handles the classic divergence window (a rank
 //! that died after the collective but before its checkpoint is one step
@@ -24,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use patternlets_core::reduce::ops;
 use patternlets_core::Error;
 use patternlets_mp::{CheckpointStore, Comm, FaultPlan};
+use patternlets_net::JobCtx;
 
 use crate::harness::{Patternlet, RunConfig, Technology};
 
@@ -78,9 +82,11 @@ fn run(cfg: &RunConfig) {
             true,
         ),
     };
-    // Under pmrun each step dawdles, so `--kill-worker RANK:MS` reliably
-    // lands mid-computation instead of after the job already finished.
-    let launched = std::env::var("PMRUN_RANK").is_ok();
+    // Under a launcher (pmrun or pmserve) each rank is a process and a
+    // kill is the launcher's business. Each step dawdles, so
+    // `--kill-worker RANK:MS` reliably lands mid-computation instead of
+    // after the job already finished.
+    let launched = JobCtx::current().is_some();
 
     let mut attempt = 0u32;
     loop {

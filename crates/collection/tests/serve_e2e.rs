@@ -497,3 +497,51 @@ fn soak_survives_chaos_and_a_mid_run_worker_kill() {
     let exit = daemon.sigterm_and_wait();
     assert_eq!(exit, 0, "graceful drain exits 0");
 }
+
+/// A launched rank is a launched rank, whichever launcher started it:
+/// `resilience/respawn` under a self-managed daemon must not take the
+/// in-process kill-and-restart path, so its job output equals a
+/// single-shot `pmrun -np 3` transcript (as a line multiset, with the
+/// soak's blank-line and `pmrun:` filtering).
+#[test]
+fn respawn_under_pmserve_prints_the_pmrun_transcript() {
+    let reference = {
+        let out = Command::new(PMRUN)
+            .args([
+                "-np",
+                "3",
+                "--timeout",
+                "120",
+                PATTERNLETS,
+                "resilience/respawn",
+            ])
+            .stderr(Stdio::null())
+            .output()
+            .expect("pmrun runs");
+        assert!(out.status.success(), "reference pmrun failed");
+        let text = String::from_utf8(out.stdout).expect("utf-8");
+        let mut lines: Vec<String> = text
+            .trim_end_matches('\n')
+            .lines()
+            .filter(|l| !l.starts_with("pmrun:") && !l.is_empty())
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        lines
+    };
+
+    let daemon = DaemonProc::start(&["--workers", "3", "--quiet"]);
+    daemon.wait_live(3);
+    let job = client::submit(&daemon.http, &spec("resilience/respawn", 3, None)).unwrap();
+    let status = wait_terminal(&daemon.http, job);
+    assert_eq!(status.status, "completed", "{:?}", status.error);
+    let lines: Vec<String> = sorted_output(&daemon.http, job)
+        .into_iter()
+        .filter(|l| !l.is_empty())
+        .collect();
+    assert_eq!(
+        lines, reference,
+        "resilience/respawn under pmserve differs from single-shot pmrun"
+    );
+    assert_eq!(daemon.sigterm_and_wait(), 0, "graceful drain exits 0");
+}

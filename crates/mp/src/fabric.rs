@@ -15,11 +15,12 @@
 //! [`WorldSpec`] and every `Comm` holds.
 //!
 //! A process that wants worlds built on a different backend installs a
-//! [`FabricProvider`] via [`install_fabric_provider`] (the `pmrun`
-//! launcher's workers do this at startup, keyed off environment
-//! variables). Every subsequent [`crate::WorldBuilder::run`] consults the
-//! provider; when it returns a fabric, the builder runs *this process's
-//! rank only* over that fabric instead of spawning rank threads.
+//! [`FabricProvider`] via [`install_fabric_provider`] (the net crate's
+//! one provider does, for `pmrun` and `pmserve` workers alike, keyed off
+//! the rank's job context). Every subsequent
+//! [`crate::WorldBuilder::run`] consults the provider; when it returns a
+//! fabric, the builder runs *this process's rank only* over that fabric
+//! instead of spawning rank threads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

@@ -21,7 +21,13 @@
 //!   `POST /jobs`, `GET /jobs/:id`, chunked-streaming
 //!   `GET /jobs/:id/output`, fleet-wide Prometheus `GET /metrics`
 //!   (per-job snapshots merged via [`patternlets_metrics::FleetMetrics`]),
-//!   and `GET /workers`.
+//!   and `GET /workers`;
+//! * **workers** ([`worker::run_worker`]) that run each assigned rank
+//!   inside [`patternlets_net::with_job_ctx`]: the same
+//!   [`patternlets_net::JobCtx`] and fabric provider a `pmrun` worker
+//!   process gets from its environment, with the same epoch rule, so a
+//!   patternlet cannot tell the launchers apart and a job's output is a
+//!   single-shot `pmrun` transcript.
 //!
 //! Fault behavior inherits the net crate's machinery: a worker SIGKILLed
 //! mid-job takes down exactly that job (its peers observe the rank
