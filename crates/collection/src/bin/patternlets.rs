@@ -19,15 +19,14 @@
 //! timeline, and `--counters` prints per-rank message/worksharing totals.
 //! `--metrics` records quantitative counters/histograms and prints the
 //! end-of-run summary table; under `pmrun --metrics-port`, the job
-//! context's collector address turns metrics on automatically and
-//! streams snapshots to the launcher.
+//! context turns metrics on automatically and streams snapshots to the
+//! launcher.
 //!
 //! `analyze` rebuilds the happened-before DAG from a trace file (a
 //! single rank's export or a `pmrun --trace` merge) and reports the
 //! critical path, per-rank compute/blocked/barrier breakdown, and the
 //! run's causal message depth.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +35,7 @@ use std::time::Duration;
 use patternlets::harness::{Mode, Patternlet, RunConfig, Technology};
 use patternlets::registry::{by_technology, census, find, registry};
 use patternlets_core::capture::Output;
-use patternlets_metrics::{render_summary, CounterId, MetricsHub, MetricsSnapshot};
+use patternlets_metrics::{render_summary, MetricsHub, MetricsSnapshot};
 use patternlets_mp::Comm;
 use patternlets_net::JobCtx;
 use patternlets_serve::{Assignment, JobLineSink};
@@ -179,8 +178,9 @@ fn analyze_cmd(path: &str, json: bool) -> ExitCode {
 /// [`RunConfig`] with the caller's output and hub (and a tracer when
 /// asked), runs the patternlet, and makes the clock-anchored Chrome
 /// export. Only the sinks differ by launcher: stdout, a trace file and
-/// the [`LauncherMetrics`] pusher for `run_patternlet`; the job's line
-/// sink, its trace frame and the returned snapshot for `worker_mode`.
+/// the [`LauncherMetrics`] report connection for `run_patternlet`; the
+/// worker's control connection and the returned snapshot for
+/// `worker_mode`. Either way the trace goes out as `sink.trace(json)`.
 struct RankRun<'a> {
     p: &'a Patternlet,
     tasks: usize,
@@ -361,15 +361,14 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
     };
     let flag = |name: &str| args.iter().any(|a| a == name);
     let trace_file = value(&["--trace"]);
-    let trace_dir = job.and_then(|j| j.trace_dir.as_ref());
+    let report_trace = job.filter(|j| j.report_trace);
     // `--metrics` asks for the end-of-run table.
     let (want_timeline, want_counters, want_metrics) =
         (flag("--timeline"), flag("--counters"), flag("--metrics"));
     // Under pmrun every rank runs this same code; per-run chrome (the
     // banner, trailing blank line, trace summaries) comes from rank 0
     // alone so the launcher's aggregate output stays readable.
-    let rank = job.map_or(0, |j| j.rank);
-    let chatty = rank == 0;
+    let chatty = job.is_none_or(|j| j.rank == 0);
     let metrics = LauncherMetrics::start(want_metrics, job);
     let run = RankRun {
         p,
@@ -381,23 +380,26 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
         chatty,
         output: Output::echoing(),
         hub: metrics.hub.clone(),
-        traced: trace_file.is_some() || trace_dir.is_some() || want_timeline || want_counters,
+        traced: trace_file.is_some() || report_trace.is_some() || want_timeline || want_counters,
     };
     if let Some((trace, json)) = run.run(|line| println!("{line}")) {
-        // One file per rank in pmrun's trace directory; pmrun merges
-        // them into one aligned timeline.
-        let rank_file = trace_dir.map(|dir| dir.join(format!("rank-{rank}.json")));
-        for path in rank_file.into_iter().chain(trace_file.map(PathBuf::from)) {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write trace to {}: {e}", path.display());
+        // The launcher merges every rank's export into one aligned
+        // timeline.
+        if let Some(sink) = report_trace.and_then(|j| metrics.sink.clone().or_else(|| report_to(j)))
+        {
+            sink.trace(&json);
+        }
+        if let Some(path) = trace_file {
+            if let Err(e) = std::fs::write(path, &json) {
+                eprintln!("failed to write trace to {path}: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-        if let Some(path) = trace_file.filter(|_| chatty) {
-            println!(
-                "wrote {} trace events to {path} (open in chrome://tracing or Perfetto)",
-                trace.events.len()
-            );
+            if chatty {
+                println!(
+                    "wrote {} trace events to {path} (open in chrome://tracing or Perfetto)",
+                    trace.events.len()
+                );
+            }
         }
         if want_timeline && chatty {
             // Under a launcher each lane is a world rank of a
@@ -423,15 +425,25 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
     ExitCode::SUCCESS
 }
 
+/// This rank's report connection to its launcher's rendezvous listener
+/// (job 0: a `pmrun` job is its launcher's only one).
+fn report_to(job: &JobCtx) -> Option<JobLineSink> {
+    JobLineSink::connect(&job.rendezvous, 0, job.rank)
+        .map_err(|e| eprintln!("rank {}: cannot report to the launcher: {e}", job.rank))
+        .ok()
+}
+
 /// The launcher-metrics hookup every run body shares. A hub is on when
-/// the caller wants the end-of-run table or when the job context names a
-/// collector (`pmrun --metrics-port`/`--status`). With a collector, a
-/// thread streams cumulative snapshots there on a cadence, then once more
-/// at [`LauncherMetrics::finish`], so the collector always ends with the
-/// final totals. Lost pushes are harmless (snapshots are cumulative); a
-/// successful push after a failed one counts as a collector reconnect.
+/// the caller wants the end-of-run table or when the job asks for metrics
+/// (`pmrun --metrics-port`/`--status`). Then the rank opens its report
+/// connection, sends a first snapshot at once, and a thread sends
+/// cumulative snapshots on a cadence, then once more at
+/// [`LauncherMetrics::finish`], so the launcher ends with the final
+/// totals.
 struct LauncherMetrics {
     hub: Option<MetricsHub>,
+    /// The report connection, when the job asks for metrics.
+    sink: Option<JobLineSink>,
     /// The pusher's stop flag and thread.
     pusher: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
@@ -441,33 +453,29 @@ impl LauncherMetrics {
     const TICKS_PER_PUSH: u32 = 8; // ~200ms between pushes
 
     fn start(want: bool, job: Option<&JobCtx>) -> Self {
-        let collector = job.and_then(|j| Some((j.metrics_addr.clone()?, j.rank)));
-        let hub = (want || collector.is_some()).then(MetricsHub::new);
-        let pusher = collector.zip(hub.clone()).map(|((addr, rank), hub)| {
+        let job = job.filter(|j| j.report_metrics);
+        let hub = (want || job.is_some()).then(MetricsHub::new);
+        let sink = job.and_then(report_to);
+        let pusher = sink.clone().zip(hub.clone()).map(|(sink, hub)| {
+            // The listener reads a new connection's first frame before it
+            // accepts the next one, so the first report goes now.
+            sink.metrics(&hub.snapshot());
             let stop = Arc::new(AtomicBool::new(false));
             let stopped = Arc::clone(&stop);
             let thread = std::thread::spawn(move || {
-                let mut was_down = false;
-                let mut push = || {
-                    let ok = patternlets_net::push_metrics(&addr, rank, &hub);
-                    if ok && was_down {
-                        hub.incr(rank, CounterId::NetReconnects);
-                    }
-                    was_down = !ok;
-                };
                 let mut ticks = 0;
                 while !stopped.load(Ordering::SeqCst) {
                     std::thread::sleep(Self::TICK);
                     ticks += 1;
                     if ticks % Self::TICKS_PER_PUSH == 0 {
-                        push();
+                        sink.metrics(&hub.snapshot());
                     }
                 }
-                push();
+                sink.metrics(&hub.snapshot());
             });
             (stop, thread)
         });
-        LauncherMetrics { hub, pusher }
+        LauncherMetrics { hub, sink, pusher }
     }
 
     /// Send the final snapshot, when pushing; returns the hub.

@@ -17,7 +17,7 @@
 //! capture layer, so concurrent ranks can interleave *lines* but never
 //! tear one mid-text — the honest cross-process analogue of the paper's
 //! "run it again, the order changed" demos. `--trace FILE` has every
-//! rank export its own Chrome-trace JSON, then merges them into one
+//! rank send its own Chrome-trace JSON back, then merges them into one
 //! timeline with a process lane per rank.
 //!
 //! `--kill-worker RANK:MS` SIGKILLs one worker mid-run: the survivors
@@ -41,16 +41,17 @@
 //!
 //! `--metrics-port P` turns every worker's metrics hub on and serves the
 //! merged counters as Prometheus text on `http://127.0.0.1:P/metrics`
-//! (`P = 0` picks an ephemeral port and prints it); workers stream
-//! cumulative snapshots to an internal collector while the job runs, so
-//! a scrape mid-run sees live numbers. `--metrics-linger MS` keeps the
+//! (`P = 0` picks an ephemeral port and prints it); workers send
+//! cumulative snapshots while the job runs, so a scrape mid-run sees
+//! live numbers. Reports reach the rendezvous listener as pmserve's
+//! `JobMetrics`/`JobTrace` frames, and every last one is read before the
+//! job is judged. `--metrics-linger MS` keeps the
 //! endpoint up that long after the job ends (for post-run scrapes);
 //! `--status` redraws a live per-rank metrics table on stderr instead
 //! of (or alongside) the HTTP endpoint.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -59,12 +60,13 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use patternlets_core::capture::Output;
 use patternlets_core::rng::{Rng, SplitMix64};
-use patternlets_metrics::{render_prometheus, render_summary, wire, MetricsSnapshot};
+use patternlets_metrics::{render_prometheus, render_summary};
 use patternlets_net::chaos::NetChaosPlan;
-use patternlets_net::frame::{read_frame, Frame};
+use patternlets_net::frame::{read_frame, write_frame, Frame};
 use patternlets_net::shm::FabricMode;
 use patternlets_net::{rendezvous, JobCtx};
 use patternlets_serve::http;
+use patternlets_serve::job::Reports;
 use patternlets_trace::chrome;
 
 struct Opts {
@@ -180,117 +182,82 @@ fn parse(args: &[String]) -> Option<Opts> {
     })
 }
 
-/// The launcher-side metrics collector: workers push cumulative
-/// [`Frame::Metrics`] snapshots to `push_addr`; the latest per rank is
-/// kept and merged on demand for the HTTP endpoint, the live status
-/// view, and the end-of-job summary.
-#[derive(Clone)]
-struct MetricsCollector {
-    snaps: Arc<Mutex<HashMap<usize, MetricsSnapshot>>>,
-    push_addr: String,
+/// Keep the reports of a rank's report connection, whose first frame the
+/// rendezvous listener read, until the rank exits: on a thread in `readers`.
+fn take_reports(
+    reports: &Arc<Reports>,
+    readers: &Mutex<Vec<std::thread::JoinHandle<()>>>,
+    first: Frame,
+    mut conn: TcpStream,
+) {
+    if !reports.store(first) {
+        return;
+    }
+    let reports = Arc::clone(reports);
+    readers.lock().push(std::thread::spawn(move || {
+        // A rank reports until it exits, and its exit is the EOF.
+        let _ = conn.set_read_timeout(None);
+        while let Ok(Some(frame)) = read_frame(&mut conn) {
+            reports.store(frame);
+        }
+    }));
 }
 
-impl MetricsCollector {
-    /// Bind the push listener and start accepting worker connections.
-    fn start() -> std::io::Result<MetricsCollector> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let push_addr = listener.local_addr()?.to_string();
-        let snaps: Arc<Mutex<HashMap<usize, MetricsSnapshot>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let store = Arc::clone(&snaps);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { continue };
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    // Snapshots are cumulative, so "latest wins" per rank;
-                    // a malformed payload is dropped, not fatal.
-                    while let Ok(Some(frame)) = read_frame(&mut stream) {
-                        if let Frame::Metrics { rank, payload } = frame {
-                            if let Ok(snap) = wire::decode(&payload) {
-                                store.lock().insert(rank as usize, snap);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        Ok(MetricsCollector { snaps, push_addr })
-    }
-
-    /// How many ranks have pushed at least one snapshot.
-    fn ranks_reporting(&self) -> usize {
-        self.snaps.lock().len()
-    }
-
-    /// All ranks' latest snapshots, lane-merged into one.
-    fn merged(&self) -> MetricsSnapshot {
-        let snaps = self.snaps.lock();
-        let mut merged = MetricsSnapshot::default();
-        for snap in snaps.values() {
-            merged.merge(snap);
-        }
-        merged
-    }
-
-    /// Serve `GET /metrics` (any path, really) with Prometheus text
-    /// exposition format 0.0.4, read by `serve::http`'s bounded request
-    /// parser. Returns the actually-bound port.
-    fn serve_http(&self, port: u16) -> std::io::Result<u16> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let bound = listener.local_addr()?.port();
-        let collector = self.clone();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { continue };
-                // Every well-formed request gets the same body, whatever
-                // its path; a malformed one is dropped unanswered.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                let Ok(Some(_)) = http::read_request(&mut stream) else {
-                    continue;
-                };
-                let body = render_prometheus(&collector.merged());
-                let _ = http::respond(
-                    &mut stream,
-                    200,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    body.as_bytes(),
-                );
-            }
-        });
-        Ok(bound)
-    }
-
-    /// Redraw a per-rank metrics table on stderr every `every` until
-    /// `done`. On a TTY the previous frame is erased first; elsewhere a
-    /// frame is printed only when the numbers changed.
-    fn status_loop(&self, done: Arc<AtomicBool>, every: Duration) {
-        let tty = std::io::stderr().is_terminal();
-        let mut last = String::new();
-        let mut last_lines = 0usize;
-        while !done.load(Ordering::SeqCst) {
-            std::thread::sleep(every);
-            let merged = self.merged();
-            if merged.lanes.is_empty() {
+/// Serve `GET /metrics` (any path, really) with Prometheus text
+/// exposition format 0.0.4, read by `serve::http`'s bounded request
+/// parser. Returns the actually-bound port.
+fn serve_http(reports: Arc<Reports>, port: u16) -> std::io::Result<u16> {
+    let listener = TcpListener::bind(("127.0.0.1", port))?;
+    let bound = listener.local_addr()?.port();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            // Every well-formed request gets the same body, whatever
+            // its path; a malformed one is dropped unanswered.
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+            let Ok(Some(_)) = http::read_request(&mut stream) else {
                 continue;
-            }
-            let text = format!(
-                "-- pmrun live metrics ({} ranks reporting) --\n{}",
-                self.ranks_reporting(),
-                render_summary(&merged)
+            };
+            let body = render_prometheus(&reports.metrics().1);
+            let _ = http::respond(
+                &mut stream,
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                body.as_bytes(),
             );
-            if text == last {
-                continue;
-            }
-            let mut err = std::io::stderr().lock();
-            if tty && last_lines > 0 {
-                // Cursor up over the previous frame, then erase below.
-                let _ = write!(err, "\x1b[{last_lines}A\x1b[J");
-            }
-            let _ = writeln!(err, "{text}");
-            last_lines = text.lines().count() + 1;
-            last = text;
         }
+    });
+    Ok(bound)
+}
+
+/// Redraw a per-rank metrics table on stderr every `every` until
+/// `done`. On a TTY the previous frame is erased first; elsewhere a
+/// frame is printed only when the numbers changed.
+fn status_loop(reports: &Reports, done: &AtomicBool, every: Duration) {
+    let tty = std::io::stderr().is_terminal();
+    let mut last = String::new();
+    let mut last_lines = 0usize;
+    while !done.load(Ordering::SeqCst) {
+        std::thread::sleep(every);
+        let (reporting, merged) = reports.metrics();
+        if merged.lanes.is_empty() {
+            continue;
+        }
+        let text = format!(
+            "-- pmrun live metrics ({reporting} ranks reporting) --\n{}",
+            render_summary(&merged)
+        );
+        if text == last {
+            continue;
+        }
+        let mut err = std::io::stderr().lock();
+        if tty && last_lines > 0 {
+            // Cursor up over the previous frame, then erase below.
+            let _ = write!(err, "\x1b[{last_lines}A\x1b[J");
+        }
+        let _ = writeln!(err, "{text}");
+        last_lines = text.lines().count() + 1;
+        last = text;
     }
 }
 
@@ -397,50 +364,29 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let rendezvous = match rendezvous::serve() {
-        Ok(addr) => addr.to_string(),
-        Err(e) => {
-            eprintln!("pmrun: cannot start rendezvous server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let chaos = opts.net_chaos.map(NetChaosPlan::seeded);
-    let mut job = JobCtx::new(0, opts.np, rendezvous, 0, chaos);
-    job.fabric = opts.fabric;
-    // Per-rank trace files go into a scratch directory next to the merged
-    // output (or the temp dir), keyed by pmrun's pid so concurrent jobs
-    // don't collide.
-    job.trace_dir = opts
-        .trace
-        .as_ref()
-        .map(|_| std::env::temp_dir().join(format!("pmrun-trace-{}", std::process::id())));
-    if let Some(dir) = &job.trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!(
-                "pmrun: cannot create trace directory {}: {e}",
-                dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // The metrics collector exists whenever anything will read it; its
-    // push address in the environment is also what switches the workers'
-    // hubs on.
-    let collector = if opts.metrics_port.is_some() || opts.status {
-        match MetricsCollector::start() {
-            Ok(c) => Some(c),
+    // Ranks report to the listener they rendezvous at. pmrun's own
+    // `Shutdown`, sent once every rank has exited, is the last connection
+    // it takes reports from.
+    let reports = Arc::new(Reports::new(0, opts.np));
+    let readers = Arc::new(Mutex::new(Vec::new()));
+    let (closed, reports_closed) = std::sync::mpsc::channel();
+    let rendezvous = {
+        let (reports, readers) = (Arc::clone(&reports), Arc::clone(&readers));
+        match rendezvous::serve_with(move |first, conn| match first {
+            Frame::Shutdown => {
+                let _ = closed.send(());
+            }
+            first => take_reports(&reports, &readers, first, conn),
+        }) {
+            Ok(addr) => addr.to_string(),
             Err(e) => {
-                eprintln!("pmrun: cannot start metrics collector: {e}");
+                eprintln!("pmrun: cannot start rendezvous server: {e}");
                 return ExitCode::FAILURE;
             }
         }
-    } else {
-        None
     };
-    if let (Some(collector), Some(port)) = (&collector, opts.metrics_port) {
-        match collector.serve_http(port) {
+    if let Some(port) = opts.metrics_port {
+        match serve_http(Arc::clone(&reports), port) {
             Ok(bound) => {
                 println!("pmrun: serving metrics on http://127.0.0.1:{bound}/metrics");
             }
@@ -451,7 +397,11 @@ fn main() -> ExitCode {
         }
     }
 
-    job.metrics_addr = collector.as_ref().map(|c| c.push_addr.clone());
+    let chaos = opts.net_chaos.map(NetChaosPlan::seeded);
+    let mut job = JobCtx::new(0, opts.np, rendezvous, 0, chaos);
+    job.fabric = opts.fabric;
+    job.report_trace = opts.trace.is_some();
+    job.report_metrics = opts.metrics_port.is_some() || opts.status;
 
     // `--respawn` needs somewhere for restarted ranks to find their last
     // checkpoint; one per-job scratch directory, removed after the run.
@@ -539,10 +489,8 @@ fn main() -> ExitCode {
     }
 
     if opts.status {
-        if let Some(collector) = collector.clone() {
-            let done = Arc::clone(&all_done);
-            std::thread::spawn(move || collector.status_loop(done, Duration::from_millis(400)));
-        }
+        let (reports, done) = (Arc::clone(&reports), Arc::clone(&all_done));
+        std::thread::spawn(move || status_loop(&reports, &done, Duration::from_millis(400)));
     }
 
     // Supervise EVERY worker — deliberately including jobs where one was
@@ -634,18 +582,23 @@ fn main() -> ExitCode {
         let _ = handle.join();
     }
 
-    if let (Some(merged_path), Some(dir)) = (&opts.trace, &ctx.job.trace_dir) {
-        let per_rank: Vec<(usize, String)> = (0..opts.np)
-            .map(|rank| {
-                let path = dir.join(format!("rank-{rank}.json"));
-                // A killed worker leaves no (or a partial) file; the merge
-                // tolerates both and still names the rank's lane.
-                (rank, std::fs::read_to_string(path).unwrap_or_default())
-            })
-            .collect();
-        let merged =
-            chrome::merge_chrome_json(per_rank.iter().map(|(rank, json)| (*rank, json.as_str())));
-        let _ = std::fs::remove_dir_all(dir);
+    // Judge the job on every rank's last report. The listener accepts in
+    // arrival order, so once it has taken this frame it has taken every
+    // report connection, and those of exited ranks all end.
+    let closing = TcpStream::connect(&ctx.job.rendezvous)
+        .and_then(|mut conn| write_frame(&mut conn, &Frame::Shutdown));
+    if closing.is_ok() {
+        let _ = reports_closed.recv();
+    }
+    for reader in std::mem::take(&mut *readers.lock()) {
+        let _ = reader.join();
+    }
+
+    if let Some(merged_path) = &opts.trace {
+        // Every rank gets its lane, even when none sent a trace.
+        let merged = reports
+            .merged_trace()
+            .unwrap_or_else(|| chrome::merge_chrome_json((0..opts.np).map(|rank| (rank, ""))));
         if let Err(e) = std::fs::write(merged_path, merged) {
             eprintln!("pmrun: cannot write merged trace to {merged_path}: {e}");
             return ExitCode::FAILURE;
@@ -657,12 +610,11 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(collector) = &collector {
-        let merged = collector.merged();
+    if ctx.job.report_metrics {
+        let (reporting, merged) = reports.metrics();
         if !merged.lanes.is_empty() {
             println!(
-                "pmrun: metrics summary ({} of {} ranks reported)\n{}",
-                collector.ranks_reporting(),
+                "pmrun: metrics summary ({reporting} of {} ranks reported)\n{}",
                 opts.np,
                 render_summary(&merged)
             );

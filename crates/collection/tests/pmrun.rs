@@ -275,6 +275,66 @@ fn merged_trace_has_one_process_lane_per_rank() {
     assert_eq!(merged.matches('[').count(), merged.matches(']').count());
 }
 
+/// pmrun judges a job only after every rank's last report: each launch
+/// counts all four ranks and broadcast's three messages.
+#[test]
+fn the_metrics_summary_counts_every_rank_of_every_launch() {
+    for launch in 0..10 {
+        let job = pmrun_with(
+            &["-np", "4", "--timeout", "120", "--metrics-port", "0"],
+            &["mpi/broadcast"],
+        );
+        assert!(
+            job.success,
+            "launch {launch} stdout: {}\nstderr: {}",
+            job.stdout, job.stderr
+        );
+        assert!(
+            job.stdout
+                .contains("pmrun: metrics summary (4 of 4 ranks reported)"),
+            "launch {launch}: {}",
+            job.stdout
+        );
+        let all: Vec<&str> = job
+            .stdout
+            .lines()
+            .map(str::split_whitespace)
+            .map(Iterator::collect)
+            .find(|cols: &Vec<&str>| cols.first() == Some(&"all"))
+            .unwrap_or_else(|| panic!("launch {launch}: no `all` row in {}", job.stdout));
+        assert_eq!(
+            (all[1], all[3]),
+            ("3", "3"),
+            "launch {launch}: sent and received of {all:?}"
+        );
+    }
+}
+
+#[test]
+fn status_draws_live_metrics_before_the_job_ends() {
+    // Rank 1 stalls until it is killed, so the job runs long enough for
+    // the status view to draw.
+    let job = pmrun_with(
+        &[
+            "-np",
+            "4",
+            "--timeout",
+            "120",
+            "--status",
+            "--kill-worker",
+            "1:2500",
+        ],
+        &["__net-stall", "4", "1"],
+    );
+    let live = job.stderr.find("-- pmrun live metrics (");
+    let end = job.stderr.find("pmrun: job failed");
+    assert!(
+        matches!((live, end), (Some(live), Some(end)) if live < end),
+        "stderr: {}",
+        job.stderr
+    );
+}
+
 #[test]
 fn oversized_world_is_refused_with_np_guidance() {
     // A 4-rank world under a 2-process job cannot run; the worker must say

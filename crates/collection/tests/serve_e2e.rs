@@ -17,7 +17,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use patternlets_net::frame::{write_frame, Frame};
+use patternlets_metrics::{wire, CounterId, MetricsHub};
+use patternlets_net::frame::{read_frame, write_frame, Frame};
 use patternlets_serve::client::{self, SubmitSpec};
 use patternlets_serve::http::http_exchange;
 use patternlets_serve::json::Json;
@@ -351,6 +352,65 @@ fn worker_death_retry_recovers_on_replacement_member() {
     let (_, body) = http_exchange(&daemon.http, "GET", "/metrics", None).unwrap();
     assert_eq!(prom_total(&body, "pmserve_jobs_retried_total"), 1);
     assert_eq!(prom_total(&body, "pmserve_jobs_completed_total"), 1);
+
+    for mut w in workers {
+        let _ = w.kill();
+        let _ = w.wait();
+    }
+    assert_eq!(daemon.sigterm_and_wait(), 0);
+}
+
+/// `msgs_sent` of a job's `GET /jobs/:id` document.
+fn msgs_sent(http: &str, job: u64) -> u64 {
+    let (code, body) = http_exchange(http, "GET", &format!("/jobs/{job}"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
+    Json::parse(&body)
+        .and_then(|j| j.get("msgs_sent").and_then(Json::as_u64))
+        .unwrap_or_else(|| panic!("no msgs_sent in {body}"))
+}
+
+/// A retried job's metrics come from its final attempt, like its output:
+/// a pool member that reports sends for its rank and then dies must not
+/// add them to the counts of the attempt that completes.
+#[test]
+fn a_retried_jobs_metrics_count_its_final_attempt_only() {
+    let daemon = DaemonProc::start(&["--workers", "0", "--quiet"]);
+    let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.cluster)).collect();
+    daemon.wait_live(2);
+    let mut fake = fake_worker(&daemon.cluster);
+    daemon.wait_live(3);
+
+    let retried = client::submit(&daemon.http, &spec("mpi/broadcast", 3, Some(1))).unwrap();
+    fake.set_read_timeout(Some(DEADLINE)).unwrap();
+    let Some(Frame::JobAssign { job, rank, .. }) = read_frame(&mut fake).unwrap() else {
+        panic!("the fake member was not assigned a rank");
+    };
+    assert_eq!(job, retried);
+    let hub = MetricsHub::new();
+    hub.add(rank as usize, CounterId::MsgsSentEncoded, 5);
+    write_frame(
+        &mut fake,
+        &Frame::JobMetrics {
+            job,
+            rank,
+            payload: wire::encode(&hub.snapshot()),
+        },
+    )
+    .expect("metrics sent");
+    // The replacement joins first, so the retry finds a full-width pool.
+    workers.push(spawn_worker(&daemon.cluster));
+    daemon.wait_live(4);
+    drop(fake);
+    let status = wait_terminal(&daemon.http, retried);
+    assert_eq!(status.status, "completed", "{:?}", status.error);
+
+    let clean = client::submit(&daemon.http, &spec("mpi/broadcast", 3, None)).unwrap();
+    assert_eq!(wait_terminal(&daemon.http, clean).status, "completed");
+    assert_eq!(
+        msgs_sent(&daemon.http, retried),
+        msgs_sent(&daemon.http, clean),
+        "the failed attempt's report must not count"
+    );
 
     for mut w in workers {
         let _ = w.kill();

@@ -29,16 +29,16 @@
 //! from N ranks (or N processes, via the wire codec in [`wire`]) combine
 //! lane-by-lane in any order to the same totals — counters and histogram
 //! buckets add, gauges take the max. `tests` and the repo-level proptest
-//! pin this order-independence.
+//! pin this order-independence. Both launchers keep each rank's latest
+//! snapshot per job and merge on demand (`patternlets_serve::job::Reports`);
+//! a fleet total is the merge of every job's merge.
 
 mod export;
-mod fleet;
 mod obs;
 mod snapshot;
 pub mod wire;
 
 pub use export::{render_prometheus, render_summary};
-pub use fleet::FleetMetrics;
 pub use obs::{Obs, Phase};
 pub use snapshot::{HistData, LaneMetrics, MetricsSnapshot};
 

@@ -1,7 +1,8 @@
 //! Byte codec for shipping a [`MetricsSnapshot`] between processes.
 //!
-//! `pmrun` workers push snapshots to the launcher inside a `Metrics` wire
-//! frame; the payload of that frame is exactly this encoding. The format
+//! Launched ranks, under `pmrun` or `pmserve`, send snapshots to their
+//! launcher inside a `JobMetrics` wire frame; the payload of that frame is
+//! exactly this encoding. The format
 //! is self-describing in its vector lengths, so a launcher and a worker
 //! built with slightly different instrument vocabularies still interop
 //! (missing trailing instruments read as zero — see

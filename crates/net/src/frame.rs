@@ -137,16 +137,6 @@ pub enum Frame {
         /// Listener addresses indexed by world rank.
         addrs: Vec<String>,
     },
-    /// Worker → launcher: one rank's metrics snapshot, in the
-    /// `patternlets_metrics::wire` encoding. Pushed periodically (and at
-    /// exit) to the launcher's aggregation listener, which merges the
-    /// snapshots across processes for the Prometheus/status views.
-    Metrics {
-        /// The reporting world rank.
-        rank: u64,
-        /// `patternlets_metrics::wire::encode` output.
-        payload: Vec<u8>,
-    },
     /// Reconnect handshake, both directions: "this is rank `rank`
     /// re-dialing for `epoch`; I have received `recv_seq` sequenced frames
     /// from you — replay everything after that." The acceptor answers
@@ -206,9 +196,9 @@ pub enum Frame {
         /// The text, without a trailing newline.
         line: String,
     },
-    /// Worker → daemon: one rank's job-scoped metrics snapshot
-    /// (cumulative over the job; latest wins), for the fleet-wide
-    /// `/metrics` aggregation keyed by job id.
+    /// Rank → launcher: one rank's metrics snapshot, cumulative over the
+    /// job (the launcher keeps the latest): from a `pmserve` worker when
+    /// the rank ends, from a `pmrun` rank (job 0) on a cadence.
     JobMetrics {
         /// The job the snapshot belongs to.
         job: u64,
@@ -230,6 +220,8 @@ pub enum Frame {
         error: String,
     },
     /// Daemon → worker: the daemon is draining; finish up and exit.
+    /// Also `pmrun` → its own rendezvous listener, once every rank has
+    /// exited: the last connection the listener will take reports from.
     Shutdown,
     /// Clock-offset probe, sent to rank 0 right after the peer mesh is
     /// established: `t0` is the prober's wall clock (Unix ns) at send.
@@ -249,11 +241,11 @@ pub enum Frame {
         /// The replier's wall clock (Unix ns) when it saw the probe.
         server_ns: u64,
     },
-    /// Worker → daemon: one rank's Chrome-trace export for a traced job,
-    /// sent after the rank body finishes and before `JobDone`. The daemon
-    /// merges all ranks' exports with
-    /// `patternlets_trace::chrome::merge_chrome_json` and serves the
-    /// result at `GET /jobs/:id/trace`.
+    /// Rank → launcher: one rank's Chrome-trace export for a traced job,
+    /// sent after the rank body finishes (under `pmserve`, before
+    /// `JobDone`). The launcher merges all ranks' exports with
+    /// `patternlets_trace::chrome::merge_chrome_json`: `pmserve` serves
+    /// the result at `GET /jobs/:id/trace`, `pmrun --trace` writes it.
     JobTrace {
         /// The job the trace belongs to.
         job: u64,
@@ -291,7 +283,7 @@ const KIND_AGREE: u8 = 4;
 const KIND_PING: u8 = 5;
 const KIND_REGISTER: u8 = 6;
 const KIND_TABLE: u8 = 7;
-const KIND_METRICS: u8 = 8;
+// Kind 8 is retired: a new kind reusing it would misread older builds' frames.
 const KIND_RESUME: u8 = 9;
 const KIND_WORKER_HELLO: u8 = 10;
 const KIND_JOB_ASSIGN: u8 = 11;
@@ -512,11 +504,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 w.string(addr);
             }
         }
-        Frame::Metrics { rank, payload } => {
-            w.u8(KIND_METRICS);
-            w.u64(*rank);
-            w.bytes(payload);
-        }
         Frame::Resume {
             epoch,
             rank,
@@ -655,10 +642,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame> {
             }
             Frame::Table { addrs }
         }
-        KIND_METRICS => Frame::Metrics {
-            rank: r.u64()?,
-            payload: r.bytes()?,
-        },
         KIND_RESUME => Frame::Resume {
             epoch: r.u64()?,
             rank: r.u64()?,
@@ -877,10 +860,6 @@ mod tests {
         roundtrip(Frame::Table {
             addrs: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
         });
-        roundtrip(Frame::Metrics {
-            rank: 2,
-            payload: vec![1, 0, 0, 0, 0],
-        });
         roundtrip(Frame::WorkerHello {
             pid: 4242,
             host: "node-a.example".into(),
@@ -991,13 +970,6 @@ mod tests {
                     addrs: vec!["a:1".into(), "b:2".into()],
                 },
                 "13000000eda2246d070200000003000000613a3103000000623a32",
-            ),
-            (
-                Frame::Metrics {
-                    rank: 2,
-                    payload: vec![1, 0, 0, 0, 0],
-                },
-                "120000001560149b080200000000000000050000000100000000",
             ),
             (
                 Frame::Resume {
@@ -1163,15 +1135,26 @@ mod tests {
 
     #[test]
     fn truncated_metrics_frames_are_rejected() {
-        let wire = encode_frame(&Frame::Metrics {
-            rank: 1,
-            payload: vec![9; 12],
-        });
-        for cut in 0..wire.len() {
-            assert!(
-                decode_frame(&wire[..cut]).is_err(),
-                "cut at {cut} must be rejected"
-            );
+        let reports = [
+            Frame::JobMetrics {
+                job: 3,
+                rank: 1,
+                payload: vec![9; 12],
+            },
+            Frame::JobTrace {
+                job: 3,
+                rank: 1,
+                json: "{\"traceEvents\":[]}".into(),
+            },
+        ];
+        for frame in reports {
+            let wire = encode_frame(&frame);
+            for cut in 0..wire.len() {
+                assert!(
+                    decode_frame(&wire[..cut]).is_err(),
+                    "cut at {cut} of {frame:?} must be rejected"
+                );
+            }
         }
     }
 

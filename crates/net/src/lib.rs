@@ -67,10 +67,10 @@ pub const ENV_NET_CHAOS: &str = "PMRUN_NET_CHAOS";
 pub const ENV_FABRIC: &str = "PMRUN_FABRIC";
 /// [`JobCtx::shm_dir`].
 pub const ENV_SHM_DIR: &str = "PMRUN_SHM_DIR";
-/// [`JobCtx::trace_dir`].
-pub const ENV_TRACE_DIR: &str = "PMRUN_TRACE_DIR";
-/// [`JobCtx::metrics_addr`].
-pub const ENV_METRICS_ADDR: &str = "PMRUN_METRICS_ADDR";
+/// [`JobCtx::report_trace`]: `1` or `0`.
+pub const ENV_REPORT_TRACE: &str = "PMRUN_REPORT_TRACE";
+/// [`JobCtx::report_metrics`]: `1` or `0`.
+pub const ENV_REPORT_METRICS: &str = "PMRUN_REPORT_METRICS";
 /// [`JobCtx::ckpt_dir`].
 pub const ENV_CKPT_DIR: &str = "PMRUN_CKPT_DIR";
 
@@ -91,24 +91,6 @@ pub fn clock_offset_ns() -> i64 {
 
 pub(crate) fn set_clock_offset_ns(offset: i64) {
     CLOCK_OFFSET_NS.store(offset, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Push one metrics snapshot to the collector at `addr`.
-///
-/// Each push is a short-lived connection carrying a single
-/// [`frame::Frame::Metrics`]; snapshots are cumulative, so the collector
-/// keeps only the latest per rank and a lost push is healed by the next
-/// one. Returns whether the push reached the collector.
-pub fn push_metrics(addr: &str, rank: usize, hub: &patternlets_metrics::MetricsHub) -> bool {
-    let payload = patternlets_metrics::wire::encode(&hub.snapshot());
-    let frame = frame::Frame::Metrics {
-        rank: rank as u64,
-        payload,
-    };
-    match std::net::TcpStream::connect(addr) {
-        Ok(mut stream) => frame::write_frame(&mut stream, &frame).is_ok(),
-        Err(_) => false,
-    }
 }
 
 /// This rank's job, whichever launcher started it. `pmrun` hands it to
@@ -140,12 +122,11 @@ pub struct JobCtx {
     /// Where the job's ring segments live: a per-job directory `pmrun`
     /// sweeps at exit, else derived from the rendezvous address.
     pub shm_dir: std::path::PathBuf,
-    /// Directory for the per-rank trace files `pmrun --trace` merges.
-    pub trace_dir: Option<std::path::PathBuf>,
-    /// Address of `pmrun`'s metrics collector (`--metrics-port`,
-    /// `--status`): workers enable a [`patternlets_metrics::MetricsHub`]
-    /// and push snapshots there with [`push_metrics`].
-    pub metrics_addr: Option<String>,
+    /// Send this rank's trace export to `rendezvous` (`pmrun --trace`).
+    pub report_trace: bool,
+    /// Record metrics and send snapshots to `rendezvous` while the rank
+    /// runs (`pmrun --metrics-port`, `--status`).
+    pub report_metrics: bool,
     /// Checkpoint directory shared by a `pmrun --respawn` job; read by
     /// the harness's `RunConfig::checkpoint_store`.
     pub ckpt_dir: Option<std::path::PathBuf>,
@@ -185,8 +166,8 @@ impl JobCtx {
             chaos,
             fabric: shm::FabricMode::Tcp,
             shm_dir: std::env::temp_dir().join(format!("pmrun-shm-{sanitized}")),
-            trace_dir: None,
-            metrics_addr: None,
+            report_trace: false,
+            report_metrics: false,
             ckpt_dir: None,
             epoch_zero: Arc::new(std::sync::OnceLock::new()),
         }
@@ -215,6 +196,11 @@ impl JobCtx {
             v.parse()
                 .map_err(|_| Error::InvalidConfig(format!("{name}={v} is not a number")))
         }
+        let flag = |name: &str| match var(name).as_deref() {
+            None | Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(v) => Err(Error::InvalidConfig(format!("{name}={v} is not 0 or 1"))),
+        };
         let (rank, np) = (number(ENV_RANK, &rank)?, number(ENV_NP, &np)?);
         if rank >= np {
             return Err(Error::InvalidConfig(format!(
@@ -236,8 +222,8 @@ impl JobCtx {
         if let Some(dir) = var(ENV_SHM_DIR).filter(|d| !d.is_empty()) {
             ctx.shm_dir = dir.into();
         }
-        ctx.trace_dir = var(ENV_TRACE_DIR).map(Into::into);
-        ctx.metrics_addr = var(ENV_METRICS_ADDR);
+        ctx.report_trace = flag(ENV_REPORT_TRACE)?;
+        ctx.report_metrics = flag(ENV_REPORT_METRICS)?;
         ctx.ckpt_dir = var(ENV_CKPT_DIR).map(Into::into);
         Ok(Some(ctx))
     }
@@ -255,8 +241,8 @@ impl JobCtx {
         ];
         let optional = [
             (ENV_NET_CHAOS, self.chaos.map(|c| c.seed.to_string().into())),
-            (ENV_TRACE_DIR, self.trace_dir.clone().map(Into::into)),
-            (ENV_METRICS_ADDR, self.metrics_addr.clone().map(Into::into)),
+            (ENV_REPORT_TRACE, self.report_trace.then(|| "1".into())),
+            (ENV_REPORT_METRICS, self.report_metrics.then(|| "1".into())),
             (ENV_CKPT_DIR, self.ckpt_dir.clone().map(Into::into)),
         ];
         vars.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
@@ -435,8 +421,8 @@ mod tests {
             (ENV_NET_CHAOS, "42"),
             (ENV_FABRIC, "shm"),
             (ENV_SHM_DIR, "/scratch/rings"),
-            (ENV_TRACE_DIR, "/scratch/trace"),
-            (ENV_METRICS_ADDR, "127.0.0.1:9100"),
+            (ENV_REPORT_TRACE, "1"),
+            (ENV_REPORT_METRICS, "1"),
             (ENV_CKPT_DIR, "/scratch/ckpt"),
         ]))
         .unwrap()
@@ -448,8 +434,8 @@ mod tests {
         assert!(ctx.chaos.is_some());
         assert_eq!(ctx.fabric, shm::FabricMode::Shm);
         assert_eq!(ctx.shm_dir, std::path::PathBuf::from("/scratch/rings"));
-        assert_eq!(ctx.trace_dir, Some("/scratch/trace".into()));
-        assert_eq!(ctx.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
+        assert!(ctx.report_trace);
+        assert!(ctx.report_metrics);
         assert_eq!(ctx.ckpt_dir, Some("/scratch/ckpt".into()));
     }
 
@@ -469,14 +455,14 @@ mod tests {
         let bare = read_back(&job);
         assert_eq!(bare.chaos, None);
         assert_eq!(
-            (bare.trace_dir, bare.metrics_addr, bare.ckpt_dir),
-            (None, None, None)
+            (bare.report_trace, bare.report_metrics, bare.ckpt_dir),
+            (false, false, None)
         );
         job.chaos = Some(chaos::NetChaosPlan::seeded(7));
         job.fabric = shm::FabricMode::Shm;
         job.shm_dir = "/scratch/rings".into();
-        job.trace_dir = Some("/scratch/trace".into());
-        job.metrics_addr = Some("127.0.0.1:9100".into());
+        job.report_trace = true;
+        job.report_metrics = true;
         job.ckpt_dir = Some("/scratch/ckpt".into());
         let full = read_back(&job);
         assert_eq!((full.rank, full.np, full.epoch_base), (2, 3, 9));
@@ -484,8 +470,8 @@ mod tests {
         assert_eq!(full.chaos, job.chaos);
         assert_eq!(full.fabric, job.fabric);
         assert_eq!(full.shm_dir, job.shm_dir);
-        assert_eq!(full.trace_dir, job.trace_dir);
-        assert_eq!(full.metrics_addr, job.metrics_addr);
+        assert_eq!(full.report_trace, job.report_trace);
+        assert_eq!(full.report_metrics, job.report_metrics);
         assert_eq!(full.ckpt_dir, job.ckpt_dir);
     }
 
@@ -495,8 +481,8 @@ mod tests {
         assert_eq!(ctx.epoch_base, 0);
         assert!(ctx.chaos.is_none());
         assert_eq!(ctx.fabric, shm::FabricMode::Auto);
-        assert_eq!(ctx.trace_dir, None);
-        assert_eq!(ctx.metrics_addr, None);
+        assert!(!ctx.report_trace);
+        assert!(!ctx.report_metrics);
         assert_eq!(ctx.ckpt_dir, None);
     }
 
@@ -542,6 +528,16 @@ mod tests {
     }
 
     #[test]
+    fn a_report_flag_other_than_0_or_1_is_refused() {
+        let e = err(&launched_with(&[(ENV_REPORT_TRACE, "yes")]));
+        assert!(e.contains("PMRUN_REPORT_TRACE=yes is not 0 or 1"), "{e}");
+        let off = parse(&launched_with(&[(ENV_REPORT_METRICS, "0")]))
+            .unwrap()
+            .expect("launched");
+        assert!(!off.report_metrics);
+    }
+
+    #[test]
     fn the_shm_dir_is_derived_from_the_rendezvous_address_when_unset() {
         let derived = std::env::temp_dir().join("pmrun-shm-127-0-0-1-4000");
         let unset = parse(&LAUNCHED).unwrap().expect("launched");
@@ -557,8 +553,8 @@ mod tests {
         let ctx = JobCtx::new(0, 2, "127.0.0.1:1".into(), 64 << 20, None);
         assert_eq!(ctx.fabric, shm::FabricMode::Tcp);
         assert_eq!(
-            (ctx.trace_dir, ctx.metrics_addr, ctx.ckpt_dir),
-            (None, None, None)
+            (ctx.report_trace, ctx.report_metrics, ctx.ckpt_dir),
+            (false, false, None)
         );
     }
 

@@ -3,8 +3,9 @@
 //! The membership state machine lives in [`RendezvousCore`], shared by
 //! two front doors:
 //!
-//! * `pmrun` starts the classic one-shot [`serve`] loop before spawning
-//!   workers and passes its address down via `PMRUN_RENDEZVOUS`;
+//! * `pmrun` starts the classic one-shot [`serve_with`] loop before
+//!   spawning workers and passes its address down via `PMRUN_RENDEZVOUS`;
+//!   the same listener takes the ranks' report connections;
 //! * `pmserve` (the long-lived cluster daemon in `patternlets-serve`)
 //!   folds the same core into its cluster listener, dispatching
 //!   [`Frame::Register`] connections into [`RendezvousCore::admit`] while
@@ -151,35 +152,45 @@ impl RendezvousCore {
 
 /// Bind a rendezvous server on loopback and serve registrations on a
 /// detached daemon thread for the life of the process. Returns the bound
-/// address to hand to workers. (`pmrun`'s front door; `pmserve` embeds
-/// [`RendezvousCore`] in its own listener instead.)
+/// address to hand to workers. (`pmserve` embeds [`RendezvousCore`] in
+/// its own listener instead.)
 pub fn serve() -> std::io::Result<SocketAddr> {
+    serve_with(|_, _| {})
+}
+
+/// [`serve`], handing every connection whose first frame is not a
+/// [`Frame::Register`] to `other`, with that frame: `pmrun`'s ranks send
+/// their reports to the listener they rendezvous at. `other` runs on the
+/// accept thread, in arrival order, so it must not block.
+pub fn serve_with(
+    other: impl Fn(Frame, TcpStream) + Send + 'static,
+) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     std::thread::Builder::new()
         .name("pmrun-rendezvous".into())
-        .spawn(move || serve_loop(listener))?;
+        .spawn(move || serve_loop(listener, other))?;
     Ok(addr)
 }
 
-fn serve_loop(listener: TcpListener) {
+fn serve_loop(listener: TcpListener, other: impl Fn(Frame, TcpStream)) {
     let core = RendezvousCore::new();
     for conn in listener.incoming() {
         let Ok(mut conn) = conn else { continue };
-        // A worker registers immediately after connecting, so a short
-        // sequential read here cannot stall the loop for long; the
-        // timeout protects against a half-dead client.
+        // Whoever connects speaks first, promptly, so a short sequential
+        // read here cannot stall the loop for long; the timeout protects
+        // against a half-dead client.
         let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
-        let Ok(Some(Frame::Register {
-            epoch,
-            rank,
-            np,
-            addr,
-        })) = read_frame(&mut conn)
-        else {
-            continue;
-        };
-        core.admit(epoch, rank as usize, np as usize, addr, conn);
+        match read_frame(&mut conn) {
+            Ok(Some(Frame::Register {
+                epoch,
+                rank,
+                np,
+                addr,
+            })) => core.admit(epoch, rank as usize, np as usize, addr, conn),
+            Ok(Some(frame)) => other(frame, conn),
+            _ => {}
+        }
     }
 }
 
@@ -260,6 +271,25 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap().len(), 2);
         }
+    }
+
+    #[test]
+    fn other_first_frames_go_to_the_handler_and_registrations_still_complete() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = serve_with(move |frame, _conn| tx.send(frame).unwrap())
+            .unwrap()
+            .to_string();
+        let mut other = TcpStream::connect(&server).unwrap();
+        write_frame(&mut other, &Frame::Shutdown).unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Frame::Shutdown
+        );
+        assert_eq!(
+            register(&server, 0, 0, 1, "127.0.0.1:9000").unwrap(),
+            vec!["127.0.0.1:9000"]
+        );
+        assert!(rx.try_recv().is_err(), "a Register is not handed over");
     }
 
     /// The shared core, driven directly (the way `pmserve` drives it):

@@ -31,7 +31,7 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use patternlets_metrics::{render_prometheus, FleetMetrics};
+use patternlets_metrics::render_prometheus;
 use patternlets_net::frame::{read_frame, Frame};
 use patternlets_net::rendezvous::RendezvousCore;
 
@@ -80,8 +80,6 @@ pub struct Daemon {
     pub table: Arc<JobTable>,
     /// The worker census.
     pub pool: Arc<WorkerPool>,
-    /// Fleet-wide metrics.
-    pub fleet: Arc<FleetMetrics>,
     /// Gateway counters.
     pub stats: Arc<GatewayStats>,
     draining: Arc<AtomicBool>,
@@ -117,7 +115,6 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
 
     let table = Arc::new(JobTable::new());
     let pool = Arc::new(WorkerPool::new());
-    let fleet = Arc::new(FleetMetrics::new());
     let stats = Arc::new(GatewayStats::default());
     let core = Arc::new(RendezvousCore::new());
     let draining = Arc::new(AtomicBool::new(false));
@@ -127,7 +124,6 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
         let sched = Scheduler::new(
             table.clone(),
             pool.clone(),
-            fleet.clone(),
             stats.clone(),
             core.clone(),
             config.quiet,
@@ -138,28 +134,17 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
     };
 
     {
-        let (table, pool, fleet, core, tx) = (
-            table.clone(),
-            pool.clone(),
-            fleet.clone(),
-            core.clone(),
-            tx.clone(),
-        );
+        let (table, pool, core, tx) = (table.clone(), pool.clone(), core.clone(), tx.clone());
         std::thread::Builder::new()
             .name("pmserve-cluster".into())
             .spawn(move || {
                 for conn in cluster.incoming() {
                     let Ok(conn) = conn else { continue };
-                    let (table, pool, fleet, core, tx) = (
-                        table.clone(),
-                        pool.clone(),
-                        fleet.clone(),
-                        core.clone(),
-                        tx.clone(),
-                    );
+                    let (table, pool, core, tx) =
+                        (table.clone(), pool.clone(), core.clone(), tx.clone());
                     let _ = std::thread::Builder::new()
                         .name("pmserve-conn".into())
-                        .spawn(move || cluster_conn(conn, &table, &pool, &fleet, &core, &tx));
+                        .spawn(move || cluster_conn(conn, &table, &pool, &core, &tx));
                 }
             })?;
     }
@@ -168,7 +153,6 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
         let shared = HttpShared {
             table: table.clone(),
             pool: pool.clone(),
-            fleet: fleet.clone(),
             stats: stats.clone(),
             draining: draining.clone(),
             events: tx.clone(),
@@ -193,7 +177,6 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
         http_addr,
         table,
         pool,
-        fleet,
         stats,
         draining,
         events: tx,
@@ -207,7 +190,6 @@ fn cluster_conn(
     mut conn: TcpStream,
     table: &JobTable,
     pool: &WorkerPool,
-    fleet: &FleetMetrics,
     core: &RendezvousCore,
     tx: &Sender<Event>,
 ) {
@@ -240,13 +222,11 @@ fn cluster_conn(
                             job.output.push(line);
                         }
                     }
-                    Ok(Some(Frame::JobMetrics {
-                        job,
-                        rank: _,
-                        payload,
-                    })) => {
-                        if let Ok(snapshot) = patternlets_metrics::wire::decode(&payload) {
-                            fleet.record(job, &snapshot);
+                    Ok(Some(
+                        report @ (Frame::JobMetrics { job, .. } | Frame::JobTrace { job, .. }),
+                    )) => {
+                        if let Some(job) = table.get(job) {
+                            job.reports.store(report);
                         }
                     }
                     Ok(Some(Frame::JobDone {
@@ -262,11 +242,6 @@ fn cluster_conn(
                             ok,
                             error,
                         });
-                    }
-                    Ok(Some(Frame::JobTrace { job, rank, json })) => {
-                        if let Some(job) = table.get(job) {
-                            job.store_trace(rank as usize, json);
-                        }
                     }
                     Ok(Some(_)) => {}
                     // EOF or a mangled stream: the worker is gone.
@@ -285,7 +260,6 @@ fn cluster_conn(
 struct HttpShared {
     table: Arc<JobTable>,
     pool: Arc<WorkerPool>,
-    fleet: Arc<FleetMetrics>,
     stats: Arc<GatewayStats>,
     draining: Arc<AtomicBool>,
     events: Sender<Event>,
@@ -388,23 +362,20 @@ fn submit(conn: &mut TcpStream, req: &Request, shared: &HttpShared) -> std::io::
     )
 }
 
-fn job_doc(job: &crate::job::Job, shared: &HttpShared) -> String {
+fn job_doc(job: &crate::job::Job) -> String {
     let phase = job.phase();
     let error = match &phase {
         JobPhase::Failed(e) => format!(", \"error\": \"{}\"", escape(e)),
         _ => String::new(),
     };
-    let metrics = shared
-        .fleet
-        .job(job.id)
-        .map(|snap| {
-            format!(
-                ", \"msgs_sent\": {}, \"msgs_recv\": {}",
-                snap.msgs_sent(),
-                snap.total(patternlets_metrics::CounterId::MsgsRecv)
-            )
-        })
-        .unwrap_or_default();
+    let metrics = match job.reports.metrics() {
+        (0, _) => String::new(),
+        (_, snap) => format!(
+            ", \"msgs_sent\": {}, \"msgs_recv\": {}",
+            snap.msgs_sent(),
+            snap.total(patternlets_metrics::CounterId::MsgsRecv)
+        ),
+    };
     format!(
         "{{\"job\": {}, \"patternlet\": \"{}\", \"np\": {}, \"status\": \"{}\", \"lines\": {}{error}{metrics}}}",
         job.id,
@@ -418,18 +389,13 @@ fn job_doc(job: &crate::job::Job, shared: &HttpShared) -> String {
 fn job_status(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io::Result<()> {
     let job = id.parse::<u64>().ok().and_then(|id| shared.table.get(id));
     match job {
-        Some(job) => respond_json(conn, 200, &job_doc(&job, shared)),
+        Some(job) => respond_json(conn, 200, &job_doc(&job)),
         None => respond_json(conn, 404, &err_doc("no such job")),
     }
 }
 
 fn list_jobs(conn: &mut TcpStream, shared: &HttpShared) -> std::io::Result<()> {
-    let docs: Vec<String> = shared
-        .table
-        .all()
-        .iter()
-        .map(|j| job_doc(j, shared))
-        .collect();
+    let docs: Vec<String> = shared.table.all().iter().map(|j| job_doc(j)).collect();
     respond_json(conn, 200, &format!("{{\"jobs\": [{}]}}", docs.join(", ")))
 }
 
@@ -468,7 +434,7 @@ fn job_trace(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io::Re
             &err_doc("job was not submitted with \"trace\": true"),
         );
     }
-    match job.merged_trace() {
+    match job.reports.merged_trace() {
         Some(json) => respond_json(conn, 200, &json),
         None => respond_json(conn, 404, &err_doc("no trace captured yet")),
     }
@@ -487,7 +453,7 @@ fn job_analysis(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io:
             &err_doc("job was not submitted with \"trace\": true"),
         );
     }
-    let Some(json) = job.merged_trace() else {
+    let Some(json) = job.reports.merged_trace() else {
         return respond_json(conn, 404, &err_doc("no trace captured yet"));
     };
     match patternlets_trace::analyze::from_chrome_json(&json) {
@@ -497,8 +463,7 @@ fn job_analysis(conn: &mut TcpStream, id: &str, shared: &HttpShared) -> std::io:
 }
 
 fn metrics(conn: &mut TcpStream, shared: &HttpShared) -> std::io::Result<()> {
-    let fleet = shared.fleet.fleet();
-    let mut page = render_prometheus(&fleet);
+    let mut page = render_prometheus(&shared.table.metrics());
     let (mut queued, mut running) = (0usize, 0usize);
     for job in shared.table.all() {
         match job.phase() {

@@ -20,6 +20,9 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use patternlets_metrics::{wire, MetricsSnapshot};
+use patternlets_net::frame::Frame;
+
 /// What a client asked for in `POST /jobs`.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -158,8 +161,85 @@ impl OutputBuf {
     }
 }
 
-/// One job: spec, phase, output. Shared between the scheduler (writer)
-/// and HTTP handlers (readers) behind an `Arc`.
+/// One job's reports from its ranks, under either launcher: per rank, the
+/// latest (cumulative) metrics snapshot and one Chrome-trace export.
+/// `pmserve` keeps one per [`Job`]; `pmrun` one for its job 0.
+pub struct Reports {
+    job: u64,
+    /// Per rank: its latest snapshot and its trace export.
+    ranks: Mutex<Vec<(Option<MetricsSnapshot>, Option<String>)>>,
+}
+
+impl Reports {
+    /// No reports yet from the `np` ranks of job `job`.
+    pub fn new(job: u64, np: usize) -> Self {
+        Reports {
+            job,
+            ranks: Mutex::new(vec![(None, None); np]),
+        }
+    }
+
+    /// Keep a [`Frame::JobMetrics`] snapshot or a [`Frame::JobTrace`]
+    /// export. Drops anything else, returning `false`: another frame kind
+    /// or job, a rank outside the job, a payload `wire::decode` rejects.
+    pub fn store(&self, frame: Frame) -> bool {
+        let (job, rank, snapshot, trace) = match frame {
+            Frame::JobMetrics { job, rank, payload } => match wire::decode(&payload) {
+                Ok(snapshot) => (job, rank, Some(snapshot), None),
+                Err(_) => return false,
+            },
+            Frame::JobTrace { job, rank, json } => (job, rank, None, Some(json)),
+            _ => return false,
+        };
+        let mut ranks = self.ranks.lock().expect("reports lock");
+        let slot = usize::try_from(rank)
+            .ok()
+            .and_then(|rank| ranks.get_mut(rank))
+            .filter(|_| job == self.job);
+        let Some(slot) = slot else {
+            return false;
+        };
+        slot.0 = snapshot.or(slot.0.take());
+        slot.1 = trace.or(slot.1.take());
+        true
+    }
+
+    /// How many ranks have reported metrics, and their snapshots merged
+    /// into one (a lane per rank).
+    pub fn metrics(&self) -> (usize, MetricsSnapshot) {
+        let ranks = self.ranks.lock().expect("reports lock");
+        let mut merged = MetricsSnapshot::default();
+        let mut reporting = 0;
+        for snapshot in ranks.iter().filter_map(|(snapshot, _)| snapshot.as_ref()) {
+            merged.merge(snapshot);
+            reporting += 1;
+        }
+        (reporting, merged)
+    }
+
+    /// The ranks' trace exports merged into one Chrome trace, with a
+    /// named lane for every rank. `None` when no rank has sent one.
+    pub fn merged_trace(&self) -> Option<String> {
+        let ranks = self.ranks.lock().expect("reports lock");
+        ranks.iter().any(|(_, trace)| trace.is_some()).then(|| {
+            patternlets_trace::chrome::merge_chrome_json(
+                ranks
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, (_, trace))| (rank, trace.as_deref().unwrap_or_default())),
+            )
+        })
+    }
+
+    /// Drop every report, for a retry attempt.
+    pub fn reset(&self) {
+        let mut ranks = self.ranks.lock().expect("reports lock");
+        ranks.iter_mut().for_each(|slot| *slot = (None, None));
+    }
+}
+
+/// One job: spec, phase, output and reports. Shared between the
+/// scheduler (writer) and HTTP handlers (readers) behind an `Arc`.
 pub struct Job {
     /// Gateway-assigned id (1-based, dense).
     pub id: u64,
@@ -168,8 +248,8 @@ pub struct Job {
     phase: Mutex<JobPhase>,
     /// Captured output lines.
     pub output: OutputBuf,
-    /// Per-rank Chrome-trace exports for a traced job, keyed by rank.
-    traces: Mutex<HashMap<usize, String>>,
+    /// The ranks' metrics snapshots and trace exports.
+    pub reports: Reports,
 }
 
 impl Job {
@@ -177,10 +257,10 @@ impl Job {
     pub fn new(id: u64, spec: JobSpec) -> Self {
         Job {
             id,
-            spec,
             phase: Mutex::new(JobPhase::Queued),
             output: OutputBuf::default(),
-            traces: Mutex::new(HashMap::new()),
+            reports: Reports::new(id, spec.np),
+            spec,
         }
     }
 
@@ -196,30 +276,6 @@ impl Job {
         if terminal {
             self.output.close();
         }
-    }
-
-    /// Store one rank's Chrome-trace export (latest attempt wins).
-    pub fn store_trace(&self, rank: usize, json: String) {
-        self.traces.lock().expect("trace lock").insert(rank, json);
-    }
-
-    /// Drop captured traces for a retry attempt.
-    pub fn reset_traces(&self) {
-        self.traces.lock().expect("trace lock").clear();
-    }
-
-    /// The captured per-rank exports merged into one Chrome trace
-    /// (rank-sorted). `None` when no rank has reported a trace.
-    pub fn merged_trace(&self) -> Option<String> {
-        let traces = self.traces.lock().expect("trace lock");
-        if traces.is_empty() {
-            return None;
-        }
-        let mut ranks: Vec<(&usize, &String)> = traces.iter().collect();
-        ranks.sort_by_key(|(rank, _)| **rank);
-        Some(patternlets_trace::chrome::merge_chrome_json(
-            ranks.into_iter().map(|(rank, json)| (*rank, json.as_str())),
-        ))
     }
 }
 
@@ -272,11 +328,22 @@ impl JobTable {
             .filter_map(|id| t.jobs.get(id).cloned())
             .collect()
     }
+
+    /// Every job's metrics merged into one fleet-wide snapshot: rank r of
+    /// every job adds into lane r.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut fleet = MetricsSnapshot::default();
+        for job in self.all() {
+            fleet.merge(&job.reports.metrics().1);
+        }
+        fleet
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patternlets_metrics::CounterId;
     use std::sync::Arc;
 
     #[test]
@@ -361,5 +428,108 @@ mod tests {
         let (lines, cursor) = job.output.wait_past((0, 0)).unwrap();
         assert_eq!(lines, vec!["hello"]);
         assert!(job.output.wait_past(cursor).is_none());
+    }
+
+    fn spec(np: usize) -> JobSpec {
+        JobSpec {
+            patternlet: "mpi/broadcast".into(),
+            np,
+            on: false,
+            chaos: String::new(),
+            retries: 0,
+            trace: false,
+        }
+    }
+
+    fn sent(lane: usize, msgs: u64) -> MetricsSnapshot {
+        let mut l = patternlets_metrics::LaneMetrics::empty(lane);
+        l.counters[CounterId::MsgsSentEncoded.index()] = msgs;
+        MetricsSnapshot { lanes: vec![l] }
+    }
+
+    fn metrics_frame(job: u64, rank: u64, snapshot: &MetricsSnapshot) -> Frame {
+        Frame::JobMetrics {
+            job,
+            rank,
+            payload: wire::encode(snapshot),
+        }
+    }
+
+    fn trace_frame(job: u64, rank: u64) -> Frame {
+        Frame::JobTrace {
+            job,
+            rank,
+            json: "{\"traceEvents\":[]}".into(),
+        }
+    }
+
+    #[test]
+    fn the_latest_snapshot_per_rank_wins_and_ranks_merge_per_job() {
+        let reports = Reports::new(4, 3);
+        assert!(reports.store(metrics_frame(4, 0, &sent(0, 1))));
+        // Cumulative: rank 0's second snapshot replaces its first.
+        assert!(reports.store(metrics_frame(4, 0, &sent(0, 3))));
+        assert!(reports.store(metrics_frame(4, 1, &sent(1, 4))));
+        let (reporting, merged) = reports.metrics();
+        assert_eq!(reporting, 2);
+        assert_eq!(merged.msgs_sent(), 7);
+        assert_eq!(merged.lanes.len(), 2, "one lane per rank");
+    }
+
+    #[test]
+    fn the_fleet_merges_every_jobs_reports_lane_by_lane() {
+        let table = JobTable::new();
+        let a = table.create(spec(2));
+        let b = table.create(spec(1));
+        a.reports.store(metrics_frame(a.id, 0, &sent(0, 3)));
+        a.reports.store(metrics_frame(a.id, 1, &sent(1, 4)));
+        b.reports.store(metrics_frame(b.id, 0, &sent(0, 10)));
+        assert_eq!(a.reports.metrics().1.msgs_sent(), 7);
+        assert_eq!(b.reports.metrics().1.msgs_sent(), 10);
+        let fleet = table.metrics();
+        assert_eq!(fleet.msgs_sent(), 17);
+        // Rank 0 of both jobs is one fleet lane.
+        assert_eq!(fleet.lanes.len(), 2);
+    }
+
+    #[test]
+    fn hostile_reports_are_dropped_without_growing_the_store() {
+        let reports = Reports::new(1, 2);
+        let hostile = [
+            metrics_frame(1, 2, &sent(2, 5)),
+            trace_frame(1, u64::MAX),
+            metrics_frame(9, 0, &sent(0, 5)),
+            trace_frame(9, 0),
+            Frame::JobMetrics {
+                job: 1,
+                rank: 0,
+                payload: vec![0xFF; 7],
+            },
+            Frame::Ping { seen: 0 },
+        ];
+        for frame in hostile {
+            assert!(!reports.store(frame.clone()), "{frame:?} was kept");
+        }
+        assert_eq!(reports.ranks.lock().unwrap().len(), 2);
+        assert_eq!(reports.metrics().0, 0);
+        assert!(reports.merged_trace().is_none());
+    }
+
+    #[test]
+    fn the_merged_trace_names_every_rank_and_reset_drops_all() {
+        let reports = Reports::new(0, 3);
+        assert!(reports.merged_trace().is_none());
+        assert!(reports.store(trace_frame(0, 1)));
+        assert!(reports.store(metrics_frame(0, 2, &sent(2, 1))));
+        let merged = reports.merged_trace().expect("rank 1 sent a trace");
+        for rank in 0..3 {
+            assert!(
+                merged.contains(&format!("\"name\":\"rank {rank}\"")),
+                "{merged}"
+            );
+        }
+        reports.reset();
+        assert!(reports.merged_trace().is_none());
+        assert_eq!(reports.metrics().0, 0);
     }
 }

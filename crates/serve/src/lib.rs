@@ -20,14 +20,17 @@
 //! * a **hand-rolled HTTP/1.1 gateway** ([`http`], [`daemon`]):
 //!   `POST /jobs`, `GET /jobs/:id`, chunked-streaming
 //!   `GET /jobs/:id/output`, fleet-wide Prometheus `GET /metrics`
-//!   (per-job snapshots merged via [`patternlets_metrics::FleetMetrics`]),
-//!   and `GET /workers`;
+//!   (every job's [`job::Reports`] merged), and `GET /workers`;
 //! * **workers** ([`worker::run_worker`]) that run each assigned rank
 //!   inside [`patternlets_net::with_job_ctx`]: the same
 //!   [`patternlets_net::JobCtx`] and fabric provider a `pmrun` worker
 //!   process gets from its environment, with the same epoch rule, so a
 //!   patternlet cannot tell the launchers apart and a job's output is a
-//!   single-shot `pmrun` transcript.
+//!   single-shot `pmrun` transcript;
+//! * **one report path** for both launchers: a rank sends its metrics
+//!   and trace as `JobMetrics`/`JobTrace` frames through a
+//!   [`JobLineSink`], and the launcher keeps them in a [`job::Reports`]
+//!   (one per job here; `pmrun` keeps one for its one job).
 //!
 //! Fault behavior inherits the net crate's machinery: a worker SIGKILLed
 //! mid-job takes down exactly that job (its peers observe the rank

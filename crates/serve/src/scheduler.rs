@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use patternlets_metrics::FleetMetrics;
 use patternlets_net::frame::Frame;
 use patternlets_net::rendezvous::RendezvousCore;
 
@@ -99,7 +98,6 @@ struct RunningJob {
 pub(crate) struct Scheduler {
     pub table: Arc<JobTable>,
     pub pool: Arc<WorkerPool>,
-    pub fleet: Arc<FleetMetrics>,
     pub stats: Arc<GatewayStats>,
     pub core: Arc<RendezvousCore>,
     pub quiet: bool,
@@ -112,7 +110,6 @@ impl Scheduler {
     pub fn new(
         table: Arc<JobTable>,
         pool: Arc<WorkerPool>,
-        fleet: Arc<FleetMetrics>,
         stats: Arc<GatewayStats>,
         core: Arc<RendezvousCore>,
         quiet: bool,
@@ -120,7 +117,6 @@ impl Scheduler {
         Scheduler {
             table,
             pool,
-            fleet,
             stats,
             core,
             quiet,
@@ -348,8 +344,10 @@ impl Scheduler {
                     job.spec.retries + 1
                 ));
                 self.stats.retried.fetch_add(1, Ordering::Relaxed);
+                // The job's output and reports come from its final
+                // attempt alone.
                 job.output.reset();
-                job.reset_traces();
+                job.reports.reset();
                 job.set_phase(JobPhase::Queued);
                 self.queue.push_front((id, record.attempt + 1));
             } else {
@@ -378,7 +376,7 @@ pub(crate) fn run_scheduler(mut sched: Scheduler, events: Receiver<Event>) {
     }
     sched.pool.broadcast_shutdown();
     if !sched.quiet {
-        let fleet = sched.fleet.fleet();
+        let fleet = sched.table.metrics();
         println!(
             "pmserve: drained; {} jobs completed, {} failed, {} retried",
             sched.stats.completed.load(Ordering::Relaxed),

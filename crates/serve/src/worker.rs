@@ -60,10 +60,11 @@ where
     }
 }
 
-/// A handle for streaming one job's output lines back to the daemon.
-/// Clone-cheap; writes are frame-atomic (one [`Frame::JobLine`] per
-/// line), so lines from concurrent rank threads never interleave
-/// mid-line.
+/// A handle for sending one rank's output lines and reports back to its
+/// launcher: a `pmserve` worker's control connection, or a `pmrun`
+/// rank's report connection ([`JobLineSink::connect`]). Clone-cheap;
+/// writes are frame-atomic (one frame per line or report), so frames
+/// from concurrent rank threads never interleave.
 #[derive(Clone)]
 pub struct JobLineSink {
     conn: Arc<Mutex<TcpStream>>,
@@ -72,35 +73,54 @@ pub struct JobLineSink {
 }
 
 impl JobLineSink {
+    /// Open a report connection to `addr` for `rank` of `job`. Send the
+    /// first report right away: the listener reads it before the next.
+    pub fn connect(addr: &str, job: u64, rank: usize) -> std::io::Result<JobLineSink> {
+        let conn = TcpStream::connect(addr)?;
+        conn.set_nodelay(true)?;
+        Ok(JobLineSink {
+            conn: Arc::new(Mutex::new(conn)),
+            job,
+            rank: rank as u64,
+        })
+    }
+
+    fn send(&self, frame: &Frame) {
+        let _ = write_frame(&mut *self.conn.lock().expect("worker conn lock"), frame);
+    }
+
     /// Send one output line (pass it without a trailing newline).
     /// Send failures are swallowed: if the daemon is gone the job is
     /// already lost, and the run loop will notice on its next read.
     pub fn line(&self, text: &str) {
-        let mut conn = self.conn.lock().expect("worker conn lock");
-        let _ = write_frame(
-            &mut *conn,
-            &Frame::JobLine {
-                job: self.job,
-                rank: self.rank,
-                line: text.to_string(),
-            },
-        );
+        self.send(&Frame::JobLine {
+            job: self.job,
+            rank: self.rank,
+            line: text.to_string(),
+        });
     }
 
-    /// Ship this rank's Chrome-trace export back to the daemon (one
-    /// [`Frame::JobTrace`]; the daemon merges all ranks' exports and
-    /// serves the result at `GET /jobs/:id/trace`). Send failures are
-    /// swallowed like line sends: a gone daemon already lost the job.
+    /// Send this rank's metrics snapshot (one [`Frame::JobMetrics`];
+    /// snapshots are cumulative, so the launcher keeps the latest).
+    /// Send failures are swallowed like line sends.
+    pub fn metrics(&self, snapshot: &MetricsSnapshot) {
+        self.send(&Frame::JobMetrics {
+            job: self.job,
+            rank: self.rank,
+            payload: wire::encode(snapshot),
+        });
+    }
+
+    /// Ship this rank's Chrome-trace export back to the launcher (one
+    /// [`Frame::JobTrace`]; the launcher merges all ranks' exports).
+    /// Send failures are swallowed like line sends: a gone launcher
+    /// already lost the job.
     pub fn trace(&self, json: &str) {
-        let mut conn = self.conn.lock().expect("worker conn lock");
-        let _ = write_frame(
-            &mut *conn,
-            &Frame::JobTrace {
-                job: self.job,
-                rank: self.rank,
-                json: json.to_string(),
-            },
-        );
+        self.send(&Frame::JobTrace {
+            job: self.job,
+            rank: self.rank,
+            json: json.to_string(),
+        });
     }
 
     /// An `io::Write` adapter that splits a byte stream on `\n` and
@@ -223,15 +243,7 @@ pub fn run_worker(cluster_addr: &str, runner: impl JobRunner) -> std::io::Result
                 }));
                 let (ok, error) = match verdict {
                     Ok(Ok(snapshot)) => {
-                        let mut c = conn.lock().expect("worker conn lock");
-                        let _ = write_frame(
-                            &mut *c,
-                            &Frame::JobMetrics {
-                                job,
-                                rank,
-                                payload: wire::encode(&snapshot),
-                            },
-                        );
+                        sink.metrics(&snapshot);
                         (true, String::new())
                     }
                     Ok(Err(e)) => (false, e),

@@ -151,6 +151,8 @@ pub fn total_counters(rows: &[RankCounters]) -> RankCounters {
         total.iterations += r.iterations;
         total.retransmits += r.retransmits;
         total.dup_drops += r.dup_drops;
+        total.stream_pushes += r.stream_pushes;
+        total.stream_pops += r.stream_pops;
     }
     total
 }
@@ -210,6 +212,26 @@ mod tests {
         assert_eq!(total.rank, 3);
         assert_eq!(total.sends, 2);
         assert_eq!(total.iterations, 8);
+    }
+
+    #[test]
+    fn the_total_row_sums_stream_counts() {
+        let rows = [
+            RankCounters {
+                rank: 0,
+                stream_pushes: 5,
+                stream_pops: 2,
+                ..RankCounters::default()
+            },
+            RankCounters {
+                rank: 1,
+                stream_pushes: 1,
+                stream_pops: 4,
+                ..RankCounters::default()
+            },
+        ];
+        let total = total_counters(&rows);
+        assert_eq!((total.stream_pushes, total.stream_pops), (6, 6));
     }
 
     #[test]
