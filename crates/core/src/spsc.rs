@@ -50,7 +50,10 @@
 //! shared word with [`Producer::set_bell`], and the consumer polls its
 //! rings without blocking — [`Consumer::peek`] for a record's header,
 //! [`Consumer::try_pop_record`] for the whole record, handed over in
-//! place unless it wraps.
+//! place unless it wraps. [`Park`] names that choice for a waiter that
+//! drains its transport itself: the ladder on such a shared [`Bell`], or,
+//! for a transport whose every re-check is a syscall (sockets), a sleep in
+//! the transport's own poll with no spin or yield first.
 
 use std::io;
 use std::mem::size_of;
@@ -145,6 +148,41 @@ pub fn wait(bell: &Doorbell, ready: impl Fn() -> bool) -> Wait {
 /// checking `ready`'s state again.
 pub fn wait_for(bell: &Doorbell, ready: impl Fn() -> bool, timeout: Duration) -> Wait {
     ladder(bell, ready, Some(timeout))
+}
+
+/// How a waiter that drains its transport itself sleeps between drains.
+pub enum Park {
+    /// Climb the spin → yield → park ladder on this doorbell, which every
+    /// producer into the waiter rings (shared-memory rings: a re-check is
+    /// a few loads).
+    Bell(Bell),
+    /// Sleep once in the transport's own poll, until it has something to
+    /// drain or for the transport's park interval at most, with no spin or
+    /// yield first: every re-check is a syscall (sockets, parked in
+    /// `poll(2)`). Nothing but the transport wakes it early, so a state
+    /// change that no bytes announce is seen within one park interval.
+    Poll(Box<dyn Fn() + Send + Sync>),
+}
+
+impl Park {
+    /// Block until `ready()` holds, or — with a `timeout` — until the wait
+    /// has been parked that long. Call it only once `ready()` has been seen
+    /// false, as with [`wait`].
+    pub fn wait(&self, ready: impl Fn() -> bool, timeout: Option<Duration>) -> Wait {
+        let sleep = match self {
+            Park::Bell(bell) => return ladder(bell, ready, timeout),
+            Park::Poll(sleep) => sleep,
+        };
+        let mut cost = Wait::default();
+        let give_up = timeout.map(|t| Instant::now() + t);
+        loop {
+            cost.parks += 1;
+            sleep();
+            if ready() || give_up.is_some_and(|at| Instant::now() >= at) {
+                return cost;
+            }
+        }
+    }
 }
 
 fn ladder(bell: &Doorbell, ready: impl Fn() -> bool, timeout: Option<Duration>) -> Wait {
@@ -888,6 +926,23 @@ impl io::Read for Consumer {
 mod tests {
     use super::*;
     use std::io::Read;
+
+    #[test]
+    fn a_poll_park_sleeps_in_the_transport_between_checks() {
+        let sleeps = Arc::new(AtomicU64::new(0));
+        let park = {
+            let sleeps = Arc::clone(&sleeps);
+            Park::Poll(Box::new(move || {
+                sleeps.fetch_add(1, Ordering::SeqCst);
+            }))
+        };
+        // No spin or yield: one sleep per re-check.
+        let cost = park.wait(|| sleeps.load(Ordering::SeqCst) == 3, None);
+        assert_eq!(cost, Wait { spins: 0, parks: 3 });
+        // A timeout ends a wait that never turns ready.
+        let cost = park.wait(|| false, Some(Duration::from_millis(1)));
+        assert!(cost.parked());
+    }
 
     #[test]
     fn roundtrips_across_the_wrap_boundary() {

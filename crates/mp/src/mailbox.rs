@@ -20,10 +20,13 @@
 //! spinning receive does not contend with the threads delivering to it.
 //! A transport that is
 //! drained by the receiving rank itself rather than by threads of its own
-//! (the shm fabric) installs a progress hook with [`Mailbox::drive`]: the
-//! hook runs with the mailbox lock released before every re-check, and
-//! its doorbell — rung by every producer into the rank — replaces the
-//! mailbox's own, so a parked receive wakes for any peer.
+//! (both process fabrics) installs a progress hook with
+//! [`Mailbox::drive`]: the hook runs with the mailbox lock released before
+//! every re-check, and the transport's [`Park`] says how the wait sleeps
+//! between re-checks — the ladder on a doorbell every producer into the
+//! rank rings (shared-memory rings), or `poll(2)` on the rank's sockets
+//! with no spin or yield first (TCP) — so a parked receive wakes for any
+//! peer.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -32,7 +35,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell, Doorbell, Wait};
+use patternlets_core::spsc::{self, Doorbell, Park, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, GaugeId, Obs};
 
@@ -198,8 +201,8 @@ impl Inner {
 
 /// A transport the receiving rank drains itself (see [`Mailbox::drive`]).
 struct Driver {
-    /// Rung by every producer into the rank.
-    bell: Bell,
+    /// How a blocked receive sleeps between drains.
+    park: Park,
     /// Moves whatever the transport has ready into the mailbox.
     drain: Box<dyn Fn() + Send + Sync>,
 }
@@ -212,7 +215,7 @@ pub struct Mailbox {
     /// re-takes the lock only once this moved.
     delivered: AtomicU64,
     /// Rung by every delivery; blocked receives park on it unless a
-    /// driver brings its own.
+    /// driver brings its own way to park.
     bell: Doorbell,
     driver: OnceLock<Driver>,
     /// Tracer and metrics hub. The mailbox is where dedup and blocking
@@ -241,23 +244,44 @@ impl Mailbox {
 
     /// Let blocked receives and probes drive the transport themselves:
     /// `drain` moves whatever has arrived into this mailbox and is called
-    /// with the mailbox lock released, and `bell` is the doorbell the
-    /// transport rings whenever something arrives; blocked receives park
-    /// on it instead of the mailbox's own. Installed once, before the
-    /// first receive; later calls are ignored.
-    pub fn drive(&self, bell: Bell, drain: impl Fn() + Send + Sync + 'static) {
+    /// with the mailbox lock released, and `park` is how a blocked receive
+    /// sleeps until the transport may have more — on a doorbell the
+    /// transport rings whenever something arrives, instead of the
+    /// mailbox's own, or in the transport's own poll. Installed once,
+    /// before the first receive; later calls are ignored.
+    pub fn drive(&self, park: Park, drain: impl Fn() + Send + Sync + 'static) {
         let _ = self.driver.set(Driver {
-            bell,
+            park,
             drain: Box::new(drain),
         });
     }
 
-    /// The doorbell a blocked receive on this mailbox parks on. Whoever
-    /// changes state such a wait reads rings it.
+    /// The doorbell to ring after a state change a blocked wait on this
+    /// mailbox reads. A driver that parks in a poll wakes on its own
+    /// transport instead, so such a change reaches its waiters within the
+    /// driver's park interval.
     pub fn bell(&self) -> &Doorbell {
-        match self.driver.get() {
-            Some(driver) => &driver.bell,
-            None => &self.bell,
+        match self.park() {
+            Some(Park::Bell(bell)) => bell,
+            _ => &self.bell,
+        }
+    }
+
+    /// How the driver, if any, parks.
+    fn park(&self) -> Option<&Park> {
+        self.driver.get().map(|driver| &driver.park)
+    }
+
+    /// Block until `ready()` holds, or — with a `timeout` — until the wait
+    /// has been parked that long, parking the way the driver does (see
+    /// [`drive`](Mailbox::drive)), or on this mailbox's doorbell without
+    /// one. Call it only once `ready()` has been seen false; `ready` does
+    /// its own draining.
+    pub fn wait_until(&self, ready: impl Fn() -> bool, timeout: Option<Duration>) -> Wait {
+        match (self.park(), timeout) {
+            (Some(park), _) => park.wait(ready, timeout),
+            (None, Some(timeout)) => spsc::wait_for(&self.bell, ready, timeout),
+            (None, None) => spsc::wait(&self.bell, ready),
         }
     }
 
@@ -366,9 +390,16 @@ impl Mailbox {
             }
             None => false,
         };
+        // A driver that parks in a poll returns from it at once for bytes
+        // already waiting, and drains after every park: draining before
+        // the first would cost a syscall that finds nothing in the common
+        // case, where the match is still in flight.
+        let polls = matches!(self.park(), Some(Park::Poll(_)));
         let mut cost = Wait::default();
         let env = loop {
-            self.progress();
+            if !polls {
+                self.progress();
+            }
             let mut inner = self.inner.lock();
             if take(&mut inner) {
                 break taken.take();
@@ -389,7 +420,7 @@ impl Mailbox {
                 let delivered = self.delivered.load(Ordering::Acquire);
                 delivered != seen.replace(delivered) && take(&mut self.inner.lock())
             };
-            cost += spsc::wait_for(self.bell(), ready, poll);
+            cost += self.wait_until(ready, Some(poll));
             if let Some(env) = taken.take() {
                 break Some(env);
             }
@@ -399,7 +430,7 @@ impl Mailbox {
     }
 
     /// Count how one receive resolved: `RecvSpin` or `RecvPark`, and on a
-    /// driven mailbox — where the rank itself waited on its rings — the
+    /// mailbox driven by rings — where the rank itself waited on them — the
     /// same wait as a ring wait on the `Spsc*`/`Shm*` counters.
     fn record_wait(&self, cost: Wait) {
         let Some(hub) = &self.obs.metrics else {
@@ -414,7 +445,7 @@ impl Mailbox {
                 CounterId::RecvSpin
             },
         );
-        if self.driver.get().is_none() || cost == Wait::default() {
+        if !matches!(self.park(), Some(Park::Bell(_))) || cost == Wait::default() {
             return;
         }
         for (id, n) in [

@@ -8,21 +8,42 @@
 //! per-stream ordering carries MPI's non-overtaking guarantee across the
 //! process boundary exactly as the in-process queue order does.
 //!
+//! ## Receiver-driven progress
+//!
+//! No thread stands between a socket and its rank. The sockets are
+//! non-blocking, and the rank drains them itself, as it drains its rings
+//! on shared memory: whichever of its threads would otherwise wait — a
+//! blocked receive or a probe (the mailbox's progress hook), an
+//! agreement, `finish`'s wait for acks, the traced clock-offset probe, a
+//! write into a full socket — reads what each peer's socket holds into
+//! that peer's [`StreamFrames`] buffer and dispatches every complete
+//! record, decoded in place. Each peer's read side sits behind a try-lock,
+//! so one thread reads it at a time and a busy one is skipped. Between
+//! drains a waiter parks in `poll(2)` on the peer sockets for at most
+//! [`POLL_PARK`], with no spin or yield first, since every drain is a
+//! syscall; a write that hits `WouldBlock` drains and then polls for
+//! `POLLOUT` too, so two ranks writing into each other's full buffers both
+//! progress. The heartbeat tick drains as the backstop while the rank
+//! computes. A rank runs three threads: its own, `mesh-heartbeat` and
+//! `net-accept`.
+//!
 //! ## Self-healing connections
 //!
 //! A lost connection is not a lost peer. Every *sequenced* frame (see
 //! [`Frame::is_sequenced`]) is retained in a per-peer [`SendRing`] until
 //! the peer acknowledges it — acks piggyback on the heartbeat as
 //! `Ping { seen }` — and each end counts the sequenced frames it has
-//! delivered. When a socket dies (EOF, write error, or a frame whose CRC
-//! doesn't check out), the higher-ranked side redials the lower side's
-//! listener with exponential backoff and exchanges `Resume` frames
-//! carrying those delivery counts; both send rings rewind to the peer's
-//! count and replay the unacknowledged tail. The counts are exact, so
-//! resumption is exactly-once by construction — no frame is lost (the
-//! ring still holds it) and none is duplicated (nothing below the peer's
-//! count is resent); the mailbox's sequence dedup stands behind it as a
-//! second line of defense. Only when the reconnect budget
+//! delivered. When a drain finds a socket dead (EOF, read error, a frame
+//! whose CRC doesn't check out, or a record stalled mid-way for
+//! [`MID_FRAME_TIMEOUT`]), a short-lived `net-redial-{peer}` thread (at
+//! most one per peer) re-establishes it: the higher-ranked side redials
+//! the lower side's listener with exponential backoff, and both exchange
+//! `Resume` frames carrying those delivery counts; both send rings rewind
+//! to the peer's count and replay the unacknowledged tail. The counts are
+//! exact, so resumption is exactly-once by construction — no frame is lost
+//! (the ring still holds it) and none is duplicated (nothing below the
+//! peer's count is resent); the mailbox's sequence dedup stands behind it
+//! as a second line of defense. Only when the reconnect budget
 //! ([`RECONNECT_BUDGET`]) is exhausted does the verdict escalate to
 //! [`Error::RankFailed`](patternlets_core::Error::RankFailed).
 //!
@@ -32,7 +53,8 @@
 //! [`PeerMesh`] heartbeat backstops half-open connections: a peer silent
 //! past [`PEER_TIMEOUT`] gets a *probe* — its connection is cut, forcing
 //! a reconnect round-trip — and is declared failed only if still silent
-//! after that.
+//! after that. A verdict reached by another thread reaches a waiter
+//! parked in `poll` within one [`POLL_PARK`]: no bytes announce it.
 //!
 //! ## Wire chaos
 //!
@@ -43,19 +65,25 @@
 //! funnel into the same reconnect/resume machinery, so a chaos soak
 //! exercises exactly the code paths a flaky network would.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::rng::{Rng, SplitMix64};
+use patternlets_core::spsc::Park;
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
-use crate::frame::{encode_frame, is_timeout, read_frame, Frame, CRC_MISMATCH, IDLE_TIMEOUT};
+use crate::frame::{
+    encode_frame, is_timeout, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL,
+};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::SendRing;
@@ -76,14 +104,14 @@ pub const RECONNECT_BUDGET: Duration = Duration::from_secs(2);
 /// frame before abandoning that attempt (the budget may allow retries).
 const RESUME_REPLY_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Read timeout armed on every established peer connection. A peer that
-/// goes silent *inside* a frame for this long has stalled: the reader
-/// gets a [`MID_FRAME_STALL`](crate::frame::MID_FRAME_STALL) error and
-/// enters the ordinary teardown→reconnect path instead of blocking in
-/// `read` past the reconnect budget. Timeouts *between* frames are
-/// ignored by the reader (an idle link is the heartbeat layer's problem),
-/// so this must merely be comfortably above one heartbeat interval,
-/// and below [`RECONNECT_BUDGET`] so a stall still leaves dial time.
+/// A record that stops arriving part-way for this long has stalled: the
+/// drain that sees it (the heartbeat tick, at the latest) treats the
+/// socket as dead and the ordinary teardown→reconnect path takes over,
+/// rather than waiting past the reconnect budget for bytes that may never
+/// come. Silence *between* records is the heartbeat's business, not this
+/// rule's, so this must merely be comfortably above one heartbeat
+/// interval, and below [`RECONNECT_BUDGET`] so a stall still leaves dial
+/// time.
 const MID_FRAME_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// Poll cadence of the (non-blocking) accept thread that fields
@@ -94,6 +122,20 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Bounds both the `IoSlice` array and how long one sender can be stuck
 /// flushing other senders' traffic.
 const MAX_COALESCED: usize = 64;
+
+/// Longest one wait parks in `poll(2)` before it re-checks what no bytes
+/// announce: a verdict reached by another thread, or a frame another
+/// thread drained for it. Bytes on a peer socket end the park at once, so
+/// this bounds only those. Shorter parks cost CPU on every wait, not only
+/// on the ones that time out: on a 2-CPU VM with every rank pinned to one
+/// CPU, a 1 ms park put ~8 µs on a pbench `msg_tcp` operation that a
+/// 10 ms one does not.
+const POLL_PARK: Duration = Duration::from_millis(10);
+
+/// Most `read` calls one drain makes on one socket, so a peer that keeps
+/// writing cannot hold the draining thread. A short read ends the drain
+/// earlier: the socket had no more.
+const MAX_READS_PER_DRAIN: usize = 8;
 
 /// The write side's connection lifecycle. `Down` is transient — a
 /// reconnect may bring the link back; `Terminal` is forever (the peer
@@ -111,7 +153,7 @@ enum ConnState {
 /// state.
 struct Ring {
     seq: SendRing,
-    unseq: VecDeque<Vec<u8>>,
+    unseq: VecDeque<Bytes>,
     flushing: bool,
     state: ConnState,
 }
@@ -120,12 +162,12 @@ struct Ring {
 /// *replaceable* socket. A sender enqueues its record and, if nobody is
 /// flushing, becomes the flusher — draining the queue in batches of up
 /// to [`MAX_COALESCED`] records per vectored write. Records enqueued
-/// while a flush is in progress ride along in the flusher's next batch,
-/// so under contention many small frames (heartbeats, acks, collective
-/// rounds) coalesce into one syscall; an uncontended sender writes
-/// immediately, so nothing ever waits on a timer. `set_nodelay(true)`
-/// stays on — batching happens here, above the socket, not in Nagle's
-/// algorithm.
+/// while a flush is in progress ride along in the flusher's next batch;
+/// a rank has one sending thread and its sends flush synchronously, so
+/// in practice only a concurrent heartbeat ping ever joins a batch. An
+/// uncontended sender writes immediately, so nothing ever waits on a
+/// timer. `set_nodelay(true)` stays on — batching happens here, above the
+/// socket, not in Nagle's algorithm.
 ///
 /// Sequenced records outlive the socket: they stay in the [`SendRing`]
 /// until acked, and [`PeerWriter::resume`] swaps in a fresh socket and
@@ -134,10 +176,12 @@ struct Ring {
 /// dropped.
 ///
 /// Lock order: `stream` → `ring` → `breaker`. `breaker` holds a clone of
-/// the socket used only for `shutdown`, so a blocked writer can be
-/// kicked loose without waiting for its write to return.
+/// the socket used only for `shutdown`, so a writer waiting on a full
+/// socket can be kicked loose without its lock. Nothing but a flush and a
+/// resume takes `stream`: a flusher waiting on a full socket drains, and a
+/// drain may cut this very link.
 struct PeerWriter {
-    stream: Mutex<Option<TcpStream>>,
+    stream: Mutex<TcpStream>,
     breaker: Mutex<Option<TcpStream>>,
     ring: Mutex<Ring>,
     /// Seeded per-connection chaos stream, when `--net-chaos` is armed.
@@ -147,6 +191,10 @@ struct PeerWriter {
     metrics: Option<(MetricsHub, usize, usize)>,
 }
 
+/// What a writer does while its socket is full: the link drains the
+/// rank's inbound sockets and polls until this one can take more.
+type WaitWritable<'a> = &'a dyn Fn(&TcpStream);
+
 impl PeerWriter {
     fn new(
         stream: TcpStream,
@@ -155,7 +203,7 @@ impl PeerWriter {
     ) -> Self {
         let breaker = stream.try_clone().ok();
         PeerWriter {
-            stream: Mutex::new(Some(stream)),
+            stream: Mutex::new(stream),
             breaker: Mutex::new(breaker),
             ring: Mutex::new(Ring {
                 seq: SendRing::new(),
@@ -168,27 +216,28 @@ impl PeerWriter {
         }
     }
 
-    /// Enqueue one encoded record and make sure it gets flushed. Returns
-    /// `false` only when the link is terminal (peer finished/failed or
-    /// fabric closing) — a transiently-down link accepts sequenced
-    /// records for replay and silently drops unsequenced ones.
-    fn send(&self, record: &[u8], sequenced: bool) -> bool {
+    /// Enqueue one encoded record and make sure it gets flushed, calling
+    /// `wait` whenever the socket is full. Returns `false` only when the
+    /// link is terminal (peer finished/failed or fabric closing) — a
+    /// transiently-down link accepts sequenced records for replay and
+    /// silently drops unsequenced ones.
+    fn push(&self, record: Bytes, sequenced: bool, wait: WaitWritable) -> bool {
         {
             let mut ring = self.ring.lock();
             match ring.state {
                 ConnState::Terminal => return false,
                 ConnState::Down => {
                     if sequenced {
-                        ring.seq.push(record.to_vec());
+                        ring.seq.push(record);
                     }
                     return sequenced;
                 }
                 ConnState::Connected => {}
             }
             if sequenced {
-                ring.seq.push(record.to_vec());
+                ring.seq.push(record);
             } else {
-                ring.unseq.push_back(record.to_vec());
+                ring.unseq.push_back(record);
             }
             if ring.flushing {
                 // The active flusher will pick this record up before it
@@ -197,13 +246,13 @@ impl PeerWriter {
             }
             ring.flushing = true;
         }
-        self.flush_loop();
+        self.flush_loop(wait);
         true
     }
 
     /// Drain the ring in batches until empty or the link drops. Caller
     /// must have set `flushing`; this clears it on exit.
-    fn flush_loop(&self) {
+    fn flush_loop(&self, wait: WaitWritable) {
         loop {
             // Hold the stream from taking a batch until it is written: a
             // resume swaps the socket and rewinds the ring under this same
@@ -211,7 +260,7 @@ impl PeerWriter {
             // the next one ahead of the replay (the peer would count it as
             // the frames it expects, then drop the real ones as duplicates).
             let mut stream = self.stream.lock();
-            let batch: Vec<Vec<u8>> = {
+            let batch: Vec<Bytes> = {
                 let mut ring = self.ring.lock();
                 if ring.state != ConnState::Connected
                     || (ring.unseq.is_empty() && ring.seq.unsent() == 0)
@@ -219,7 +268,7 @@ impl PeerWriter {
                     ring.flushing = false;
                     return;
                 }
-                let mut batch: Vec<Vec<u8>> = Vec::new();
+                let mut batch: Vec<Bytes> = Vec::new();
                 while batch.len() < MAX_COALESCED {
                     match ring.unseq.pop_front() {
                         Some(r) => batch.push(r),
@@ -230,7 +279,7 @@ impl PeerWriter {
                 batch.extend(ring.seq.next_batch(room));
                 batch
             };
-            if !self.write_batch(stream.as_mut(), &batch) {
+            if !self.write_batch(&mut stream, &batch, wait) {
                 drop(stream);
                 self.disconnect();
                 // Loop back: the state check above clears `flushing`.
@@ -238,16 +287,10 @@ impl PeerWriter {
         }
     }
 
-    /// Write a batch of records — through the chaos plan when armed —
-    /// with vectored writes, advancing across short writes manually
-    /// (`write_all_vectored` is not yet stable). `false` drops the
-    /// connection (sequenced frames in the batch stay in the ring and
-    /// are replayed after resume).
-    fn write_batch(&self, stream: Option<&mut TcpStream>, batch: &[Vec<u8>]) -> bool {
-        use std::io::Write;
-        let Some(stream) = stream else {
-            return false;
-        };
+    /// Write a batch of records — through the chaos plan when armed.
+    /// `false` drops the connection (sequenced frames in the batch stay in
+    /// the ring and are replayed after resume).
+    fn write_batch(&self, stream: &mut TcpStream, batch: &[Bytes], wait: WaitWritable) -> bool {
         if let Some(chaos) = &self.chaos {
             let total: usize = batch.iter().map(|r| r.len()).sum();
             let decision = chaos.lock().decide(total, batch.len());
@@ -258,9 +301,9 @@ impl PeerWriter {
                 ChaosAction::Pass => {}
                 ChaosAction::Cut => return false,
                 ChaosAction::Truncate { bytes } => {
-                    let flat: Vec<u8> = batch.concat();
+                    let flat = Bytes::from(batch.concat());
                     let cut = bytes.min(flat.len());
-                    let _ = stream.write_all(&flat[..cut]);
+                    write_all(stream, &[flat.slice(0..cut)], wait);
                     return false;
                 }
                 ChaosAction::Corrupt { byte, bit } => {
@@ -270,7 +313,7 @@ impl PeerWriter {
                     if let Some(b) = flat.get_mut(byte) {
                         *b ^= 1 << bit;
                     }
-                    let ok = stream.write_all(&flat).is_ok();
+                    let ok = write_all(stream, &[Bytes::from(flat)], wait);
                     if ok {
                         self.record_batch(batch);
                     }
@@ -278,45 +321,14 @@ impl PeerWriter {
                 }
             }
         }
-        if !Self::write_batch_vectored(stream, batch) {
+        if !write_all(stream, batch, wait) {
             return false;
         }
         self.record_batch(batch);
         true
     }
 
-    fn write_batch_vectored(stream: &mut TcpStream, batch: &[Vec<u8>]) -> bool {
-        use std::io::{ErrorKind, IoSlice, Write};
-        let mut idx = 0; // first record not fully written
-        let mut off = 0; // bytes of batch[idx] already written
-        while idx < batch.len() {
-            let mut slices = Vec::with_capacity(batch.len() - idx);
-            slices.push(IoSlice::new(&batch[idx][off..]));
-            for record in &batch[idx + 1..] {
-                slices.push(IoSlice::new(record));
-            }
-            let mut n = match stream.write_vectored(&slices) {
-                Ok(0) => return false,
-                Ok(n) => n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            };
-            while n > 0 {
-                let remaining = batch[idx].len() - off;
-                if n >= remaining {
-                    n -= remaining;
-                    idx += 1;
-                    off = 0;
-                } else {
-                    off += n;
-                    n = 0;
-                }
-            }
-        }
-        true
-    }
-
-    fn record_batch(&self, batch: &[Vec<u8>]) {
+    fn record_batch(&self, batch: &[Bytes]) {
         if let Some((hub, me, peer)) = &self.metrics {
             hub.observe(*me, HistId::WRITEV_BATCH_FRAMES, batch.len() as u64);
             hub.add(*me, CounterId::NetFramesSent, batch.len() as u64);
@@ -336,10 +348,10 @@ impl PeerWriter {
         self.ring.lock().seq.retained()
     }
 
-    /// Drop the current socket and mark the link down (unless already
-    /// terminal). Safe from any thread: the breaker clone shuts the
-    /// socket down without waiting for an in-flight write, which then
-    /// errors out and releases the stream lock.
+    /// Mark the link down (unless already terminal) and shut the socket
+    /// down. Safe from any thread, a flusher's own included: the breaker
+    /// clone shuts the socket without the stream lock, and a flusher
+    /// waiting on it errors out and retires.
     fn disconnect(&self) {
         {
             let mut ring = self.ring.lock();
@@ -351,13 +363,12 @@ impl PeerWriter {
         if let Some(s) = self.breaker.lock().take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        *self.stream.lock() = None;
     }
 
     /// Install a fresh socket and rewind the ring to the peer's delivery
     /// count; returns how many retained frames will be replayed. The
     /// frames go out with the next flush (a heartbeat at the latest), so
-    /// the calling reader thread never blocks on a socket write here.
+    /// the calling redial thread never blocks on a socket write here.
     fn resume(&self, stream: TcpStream, peer_recv: u64) -> Result<u64> {
         let mut current = self.stream.lock();
         let mut ring = self.ring.lock();
@@ -366,7 +377,7 @@ impl PeerWriter {
         }
         let replayed = ring.seq.resume(peer_recv)?;
         *self.breaker.lock() = stream.try_clone().ok();
-        *current = Some(stream);
+        *current = stream;
         ring.state = ConnState::Connected;
         Ok(replayed)
     }
@@ -384,7 +395,6 @@ impl PeerWriter {
             if let Some(s) = self.breaker.lock().take() {
                 let _ = s.shutdown(Shutdown::Both);
             }
-            *self.stream.lock() = None;
         }
     }
 
@@ -402,7 +412,148 @@ impl PeerWriter {
     }
 }
 
-/// A redial fielded by the accept thread, parked until the peer's reader
+/// Write every byte of `batch` with vectored writes, advancing across
+/// short writes manually (`write_all_vectored` is not yet stable) and
+/// calling `wait` whenever the socket is full. `false` on a write error
+/// or a socket that accepts nothing.
+fn write_all(stream: &mut TcpStream, batch: &[Bytes], wait: WaitWritable) -> bool {
+    use std::io::{IoSlice, Write};
+    let mut idx = 0; // first record not fully written
+    let mut off = 0; // bytes of batch[idx] already written
+    while idx < batch.len() {
+        let mut slices = Vec::with_capacity(batch.len() - idx);
+        slices.push(IoSlice::new(&batch[idx][off..]));
+        for record in &batch[idx + 1..] {
+            slices.push(IoSlice::new(record));
+        }
+        let mut n = match stream.write_vectored(&slices) {
+            Ok(0) => return false,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                wait(stream);
+                continue;
+            }
+            Err(_) => return false,
+        };
+        while n > 0 {
+            let remaining = batch[idx].len() - off;
+            if n >= remaining {
+                n -= remaining;
+                idx += 1;
+                off = 0;
+            } else {
+                off += n;
+                n = 0;
+            }
+        }
+    }
+    true
+}
+
+/// One peer connection's read side, drained by whichever of the rank's
+/// threads gets its lock.
+struct PeerReader {
+    /// The socket's descriptor for `poll`, or -1 while there is none.
+    fd: AtomicI32,
+    /// A `net-redial-{peer}` thread is re-establishing the connection.
+    redialing: AtomicBool,
+    side: Mutex<ReadSide>,
+}
+
+/// What the draining thread holds.
+struct ReadSide {
+    /// The non-blocking socket; `None` once it died, until a redial
+    /// installs the next.
+    stream: Option<TcpStream>,
+    /// Bytes read and not yet decoded.
+    frames: StreamFrames,
+    /// Since when part of a record has waited for the rest, as of the
+    /// last drain that read some of it.
+    stalled_since: Option<Instant>,
+}
+
+impl PeerReader {
+    fn new(stream: TcpStream) -> PeerReader {
+        let reader = PeerReader {
+            fd: AtomicI32::new(-1),
+            redialing: AtomicBool::new(false),
+            side: Mutex::new(ReadSide {
+                stream: None,
+                frames: StreamFrames::new(),
+                stalled_since: None,
+            }),
+        };
+        reader.install(&mut reader.side.lock(), stream);
+        reader
+    }
+
+    /// Make `stream` the socket this side drains, from a clean buffer.
+    fn install(&self, side: &mut ReadSide, stream: TcpStream) {
+        self.fd.store(raw_fd(&stream), Ordering::Relaxed);
+        side.stream = Some(stream);
+        side.frames = StreamFrames::new();
+        side.stalled_since = None;
+    }
+
+    /// Forget a dead socket.
+    fn remove(&self, side: &mut ReadSide) {
+        self.fd.store(-1, Ordering::Relaxed);
+        side.stream = None;
+    }
+}
+
+impl ReadSide {
+    /// Read what the socket holds, up to [`MAX_READS_PER_DRAIN`] reads,
+    /// and hand each complete frame to `deliver`. `None` while the stream
+    /// lives; `Some` once it ended — `Ok` for an end between records, an
+    /// error for a broken, damaged, torn or stalled one.
+    fn pump(&mut self, mut deliver: impl FnMut(Frame)) -> Option<Result<()>> {
+        let stream = self.stream.as_mut()?;
+        let mut progressed = false;
+        let mut reads = 0;
+        loop {
+            loop {
+                match self.frames.next_frame() {
+                    Ok(Some(frame)) => deliver(frame),
+                    Ok(None) => break,
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+            if reads == MAX_READS_PER_DRAIN {
+                break;
+            }
+            reads += 1;
+            match self.frames.fill(stream) {
+                Ok(0) => return Some(self.frames.at_eof()),
+                Ok(_) => progressed = true,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(Error::Codec(format!("read error: {e}")))),
+            }
+            if self.frames.room() > 0 {
+                // A short read: the socket had no more. Decode, then stop.
+                reads = MAX_READS_PER_DRAIN;
+            }
+        }
+        if self.frames.buffered() == 0 {
+            self.stalled_since = None;
+        } else if progressed || self.stalled_since.is_none() {
+            self.stalled_since = Some(Instant::now());
+        } else if self
+            .stalled_since
+            .is_some_and(|since| since.elapsed() > MID_FRAME_TIMEOUT)
+        {
+            return Some(Err(Error::Codec(format!(
+                "{MID_FRAME_STALL}: {} bytes of a record, then {MID_FRAME_TIMEOUT:?} of silence",
+                self.frames.buffered()
+            ))));
+        }
+        None
+    }
+}
+
+/// A redial fielded by the accept thread, parked until the peer's redial
 /// thread adopts it: the fresh socket plus the recv count the dialer
 /// reported in its `Resume`.
 struct PendingResume {
@@ -410,9 +561,9 @@ struct PendingResume {
     their_recv: u64,
 }
 
-/// The TCP side of a [`PeerMesh`]: one combining writer per peer over a
-/// replaceable socket, the listener that fields redials, and the
-/// clock-probe reply slot.
+/// The TCP side of a [`PeerMesh`]: per peer a combining writer and a
+/// drained read side over a replaceable socket, the listener that fields
+/// redials, and the clock-probe reply slot.
 pub struct TcpLink {
     /// Rendezvous address table, kept for redials.
     addrs: Vec<String>,
@@ -421,24 +572,46 @@ pub struct TcpLink {
     listener: TcpListener,
     /// Write sides, indexed by peer world rank (`None` at `me`).
     writers: Vec<Option<PeerWriter>>,
+    /// Read sides, indexed by peer world rank (`None` at `me`).
+    readers: Vec<Option<PeerReader>>,
     /// Per-peer handoff slot for redialed connections (accept thread
-    /// produces, the peer's reader thread consumes).
+    /// produces, the peer's redial thread consumes).
     pending: Mutex<Vec<Option<PendingResume>>>,
     pending_cv: Condvar,
-    /// Clock-probe replies from rank 0 land here (a reader thread
-    /// produces, the establish-time offset estimator consumes; see
+    /// Clock-probe replies from rank 0 land here (a drain produces, the
+    /// establish-time offset estimator consumes; see
     /// [`Mesh::estimate_clock_offset`]).
     clock_reply: Mutex<Option<(u64, u64)>>,
-    clock_cv: Condvar,
+}
+
+impl TcpLink {
+    /// Sleep until a peer socket has bytes (or, with `out`, until `out`
+    /// can take more), or for [`POLL_PARK`] at most.
+    fn poll(&self, out: Option<&TcpStream>) {
+        let mut fds: Vec<PollFd> = self
+            .readers
+            .iter()
+            .flatten()
+            .map(|reader| reader.fd.load(Ordering::Relaxed))
+            .filter(|&fd| fd >= 0)
+            .map(PollFd::readable)
+            .collect();
+        fds.extend(out.map(PollFd::writable));
+        poll_fds(&mut fds, POLL_PARK);
+    }
 }
 
 impl Link for TcpLink {
     const PEER_TIMEOUT: Duration = PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = PEER_TIMEOUT;
 
-    fn write(&self, _mesh: &Mesh<Self>, peer: usize, record: &[u8], sequenced: bool) -> bool {
+    /// Enqueue and flush, draining and polling while the socket is full.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, sequenced: bool) -> bool {
         match &self.writers[peer] {
-            Some(writer) => writer.send(record, sequenced),
+            Some(writer) => writer.push(record, sequenced, &|stream| {
+                self.drain(mesh);
+                self.poll(Some(stream));
+            }),
             None => true,
         }
     }
@@ -449,8 +622,8 @@ impl Link for TcpLink {
 
     fn close(&self, _mesh: &Mesh<Self>) {
         // Half-close every connection: peers read our Finish, then a
-        // clean EOF, and their reader threads wind down; ours exit when
-        // the peers do the same. No sockets or threads outlive the world.
+        // clean EOF. Nothing is drained once the mesh is closing, and the
+        // sockets close with the mesh.
         for writer in self.writers.iter().flatten() {
             writer.half_close();
         }
@@ -463,8 +636,8 @@ impl Link for TcpLink {
     }
 
     fn probe(&self, peer: usize) -> bool {
-        // Cut the (possibly half-open) connection so the reader runs a
-        // reconnect round-trip.
+        // Cut the (possibly half-open) connection so the next drain sees
+        // it dead and a reconnect round-trip runs.
         if let Some(writer) = &self.writers[peer] {
             writer.disconnect();
         }
@@ -486,15 +659,50 @@ impl Link for TcpLink {
                     t0,
                     server_ns: unix_now_ns(),
                 });
-                self.write(mesh, peer, &reply, false);
+                self.write(mesh, peer, Bytes::from(reply), false);
             }
             Frame::ClockReply { t0, server_ns } => {
                 *self.clock_reply.lock() = Some((t0, server_ns));
-                self.clock_cv.notify_all();
             }
             // Hello and Resume are consumed by the handshakes themselves;
             // anything else has no business on a peer connection.
             _ => {}
+        }
+    }
+
+    fn park(&self, mesh: &Mesh<Self>) -> Park {
+        // Weak: the parking hook lives in the mesh's own mailbox.
+        let mesh = mesh.this.clone();
+        Park::Poll(Box::new(move || {
+            if let Some(mesh) = mesh.upgrade() {
+                mesh.link.poll(None);
+            }
+        }))
+    }
+
+    /// Decode and dispatch every frame that has fully arrived on each
+    /// peer socket nobody else is draining. A socket found ended, broken,
+    /// damaged or stalled mid-record is dropped and handed to the
+    /// reconnect machinery (see the module docs). Once the mesh is
+    /// closing, nothing is drained.
+    fn drain(&self, mesh: &Mesh<Self>) {
+        for (peer, reader) in self.readers.iter().enumerate() {
+            let Some(reader) = reader else { continue };
+            if mesh.closing.load(Ordering::SeqCst) {
+                return;
+            }
+            if reader.fd.load(Ordering::Relaxed) < 0 {
+                continue;
+            }
+            let Some(mut side) = reader.side.try_lock() else {
+                continue;
+            };
+            let Some(ended) = side.pump(|frame| mesh.handle_frame(peer, frame)) else {
+                continue;
+            };
+            reader.remove(&mut side);
+            drop(side);
+            mesh.stream_died(peer, ended.err());
         }
     }
 }
@@ -514,27 +722,26 @@ impl Mesh<TcpLink> {
         for _ in 0..PROBES {
             let t0 = unix_now_ns();
             let probe = encode_frame(&Frame::ClockProbe { t0 });
-            if !self.link.write(self, 0, &probe, false) {
+            if !self.link.write(self, 0, Bytes::from(probe), false) {
                 break;
             }
-            let deadline = Instant::now() + REPLY_TIMEOUT;
-            let mut slot = self.link.clock_reply.lock();
-            let reply = loop {
-                match slot.take() {
-                    Some((echo, s)) if echo == t0 => break Some(s),
-                    // A stale reply to an expired probe: discard, keep
-                    // waiting for ours.
-                    Some(_) => continue,
-                    None => {}
+            let reply = Cell::new(None);
+            let replied = || {
+                self.link.drain(self);
+                match self.link.clock_reply.lock().take() {
+                    Some((echo, s)) if echo == t0 => {
+                        reply.set(Some(s));
+                        true
+                    }
+                    // None yet, or a stale reply to an expired probe:
+                    // discard it and keep waiting for ours.
+                    _ => false,
                 }
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                if timeout.is_zero() {
-                    break None;
-                }
-                self.link.clock_cv.wait_for(&mut slot, timeout);
             };
-            drop(slot);
-            let Some(s) = reply else { continue };
+            if !replied() {
+                self.wait_until(replied, Some(REPLY_TIMEOUT));
+            }
+            let Some(s) = reply.get() else { continue };
             let t1 = unix_now_ns();
             let rtt = t1.saturating_sub(t0);
             let offset = s as i64 - t0.midpoint(t1) as i64;
@@ -545,62 +752,62 @@ impl Mesh<TcpLink> {
         best.map_or(0, |(_, o)| o)
     }
 
-    /// One peer link's read side, across reconnects: drain frames until
-    /// the stream dies, then try to re-establish it; only when that
-    /// fails (budget exhausted, or teardown) does the loop end, with a
-    /// failure verdict iff the peer neither finished nor are we closing.
-    fn reader_cycle(&self, peer: usize, mut stream: TcpStream) {
-        loop {
-            loop {
-                match read_frame(&mut stream) {
-                    Ok(Some(frame)) => self.handle_frame(peer, frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        let msg = e.to_string();
-                        // A timeout with no frame underway is just an idle
-                        // link; keep reading (heartbeats own liveness). A
-                        // mid-frame stall or CRC reject falls through to
-                        // the teardown→reconnect path below.
-                        if msg.contains(IDLE_TIMEOUT) {
-                            if self.closing.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            continue;
-                        }
-                        if msg.contains(CRC_MISMATCH) {
-                            if let Some(hub) = &self.obs.metrics {
-                                hub.incr(self.me, CounterId::NetCrcRejects);
-                            }
-                        }
-                        break;
-                    }
-                }
+    /// A drain found `peer`'s socket dead (`error` says why, `None` for a
+    /// clean EOF). Sync the write side, then — unless the peer finished or
+    /// failed or this rank is closing — start the one redial thread.
+    fn stream_died(&self, peer: usize, error: Option<Error>) {
+        if let (Some(e), Some(hub)) = (&error, &self.obs.metrics) {
+            if e.to_string().contains(CRC_MISMATCH) {
+                hub.incr(self.me, CounterId::NetCrcRejects);
             }
-            // The stream is dead (EOF, read error, or corrupt frame).
-            // Sync the write side before deciding what comes next.
-            if let Some(writer) = &self.link.writers[peer] {
-                writer.disconnect();
+        }
+        if let Some(writer) = &self.link.writers[peer] {
+            writer.disconnect();
+        }
+        if self.closing.load(Ordering::SeqCst) || self.gone(peer) {
+            return;
+        }
+        let Some(reader) = &self.link.readers[peer] else {
+            return;
+        };
+        if reader.redialing.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if self
+            .spawn(format!("net-redial-{peer}"), move |mesh| mesh.redial(peer))
+            .is_err()
+        {
+            reader.redialing.store(false, Ordering::SeqCst);
+            self.note_failed(peer);
+        }
+    }
+
+    /// Re-establish `peer`'s connection and install its read side; only
+    /// when that fails (budget exhausted, or teardown) is the peer failed,
+    /// and then only if it neither finished nor is this rank closing.
+    fn redial(&self, peer: usize) {
+        let fresh = if self.me > peer {
+            self.reconnect_dial(peer)
+        } else {
+            self.reconnect_accept(peer)
+        };
+        let reader = self.link.readers[peer]
+            .as_ref()
+            .expect("a redialed peer has a read side");
+        match fresh {
+            Some(stream) => {
+                let mut side = reader.side.lock();
+                reader.install(&mut side, stream);
+                // Cleared under the lock: a drain that finds the new socket
+                // dead may start the next redial.
+                reader.redialing.store(false, Ordering::SeqCst);
             }
-            if self.closing.load(Ordering::SeqCst)
-                || self.finished[peer].load(Ordering::SeqCst)
-                || self.failed[peer].load(Ordering::SeqCst)
-            {
-                return;
-            }
-            let next = if self.me > peer {
-                self.reconnect_dial(peer)
-            } else {
-                self.reconnect_accept(peer)
-            };
-            match next {
-                Some(fresh) => stream = fresh,
-                None => {
-                    if !self.finished[peer].load(Ordering::SeqCst)
-                        && !self.closing.load(Ordering::SeqCst)
-                    {
-                        self.note_failed(peer);
-                    }
-                    return;
+            None => {
+                reader.redialing.store(false, Ordering::SeqCst);
+                if !self.finished[peer].load(Ordering::SeqCst)
+                    && !self.closing.load(Ordering::SeqCst)
+                {
+                    self.note_failed(peer);
                 }
             }
         }
@@ -614,10 +821,7 @@ impl Mesh<TcpLink> {
         let mut jitter = SplitMix64::new((self.me as u64) << 32 ^ (peer as u64) << 16 ^ self.epoch);
         let mut attempt = 0u32;
         loop {
-            if self.closing.load(Ordering::SeqCst)
-                || self.failed[peer].load(Ordering::SeqCst)
-                || self.finished[peer].load(Ordering::SeqCst)
-            {
+            if self.closing.load(Ordering::SeqCst) || self.gone(peer) {
                 return None;
             }
             if let Some(stream) = self.try_dial(peer, attempt) {
@@ -652,7 +856,6 @@ impl Mesh<TcpLink> {
                 rank,
                 recv_seq: theirs,
             })) if epoch == self.epoch && rank as usize == peer => {
-                stream.set_read_timeout(Some(MID_FRAME_TIMEOUT)).ok()?;
                 let _ = stream.set_nodelay(true);
                 self.adopt(peer, stream, theirs, attempt)
             }
@@ -665,10 +868,7 @@ impl Mesh<TcpLink> {
     fn reconnect_accept(&self, peer: usize) -> Option<TcpStream> {
         let deadline = Instant::now() + RECONNECT_BUDGET;
         loop {
-            if self.closing.load(Ordering::SeqCst)
-                || self.failed[peer].load(Ordering::SeqCst)
-                || self.finished[peer].load(Ordering::SeqCst)
-            {
+            if self.closing.load(Ordering::SeqCst) || self.gone(peer) {
                 return None;
             }
             let slot = self.link.pending.lock()[peer].take();
@@ -713,8 +913,9 @@ impl Mesh<TcpLink> {
         }
     }
 
-    /// Common tail of both reconnect sides: rewind the send ring to the
-    /// peer's count, install the fresh socket, and meter the recovery.
+    /// Common tail of both reconnect sides: make the fresh socket
+    /// non-blocking, rewind the send ring to the peer's count, install the
+    /// socket's write side, and meter the recovery. Returns the read side.
     fn adopt(
         &self,
         peer: usize,
@@ -723,6 +924,7 @@ impl Mesh<TcpLink> {
         attempt: u32,
     ) -> Option<TcpStream> {
         let writer = self.link.writers[peer].as_ref()?;
+        stream.set_nonblocking(true).ok()?;
         let write_half = stream.try_clone().ok()?;
         let replayed = writer.resume(write_half, their_recv).ok()?;
         self.probed[peer].store(false, Ordering::Relaxed);
@@ -732,7 +934,7 @@ impl Mesh<TcpLink> {
     }
 
     /// Field redials: accept, read the dialer's `Resume`, and park the
-    /// connection for the matching reader thread to adopt. Non-blocking
+    /// connection for the matching redial thread to adopt. Non-blocking
     /// accept with a poll keeps teardown prompt.
     fn accept_loop(&self) {
         let _ = self.link.listener.set_nonblocking(true);
@@ -753,7 +955,6 @@ impl Mesh<TcpLink> {
                             && (rank as usize) > self.me
                             && (rank as usize) < self.np =>
                         {
-                            let _ = stream.set_read_timeout(Some(MID_FRAME_TIMEOUT));
                             let peer = rank as usize;
                             let mut pending = self.link.pending.lock();
                             // A newer redial supersedes a stale one.
@@ -887,6 +1088,69 @@ fn set_accept_timeout(_listener: &TcpListener, _timeout: Duration) -> std::io::R
     Ok(())
 }
 
+/// One entry of a `poll(2)` set.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    const IN: i16 = 0x1;
+    const OUT: i16 = 0x4;
+
+    fn readable(fd: i32) -> PollFd {
+        PollFd {
+            fd,
+            events: Self::IN,
+            revents: 0,
+        }
+    }
+
+    fn writable(stream: &TcpStream) -> PollFd {
+        PollFd {
+            fd: raw_fd(stream),
+            events: Self::OUT,
+            revents: 0,
+        }
+    }
+}
+
+/// Sleep until one of `fds` is ready (or in error), or for `timeout` at
+/// most. `poll(2)` is declared directly (std already links libc), as
+/// [`set_accept_timeout`] does for `setsockopt(2)`.
+#[cfg(target_os = "linux")]
+fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
+    use std::ffi::{c_int, c_ulong};
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    let timeout_ms = timeout.as_millis().clamp(1, c_int::MAX as u128) as c_int;
+    // SAFETY: `fds` is a live, exclusively borrowed array of `pollfd`-laid
+    // out entries, and `nfds` is its length.
+    unsafe {
+        poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms);
+    }
+}
+
+/// Elsewhere a wait sleeps briefly and the drains that follow find out.
+#[cfg(not(target_os = "linux"))]
+fn poll_fds(_fds: &mut [PollFd], timeout: Duration) {
+    std::thread::sleep(timeout.min(Duration::from_micros(200)));
+}
+
+#[cfg(unix)]
+fn raw_fd(stream: &TcpStream) -> i32 {
+    use std::os::fd::AsRawFd;
+    stream.as_raw_fd()
+}
+
+#[cfg(not(unix))]
+fn raw_fd(_stream: &TcpStream) -> i32 {
+    0
+}
+
 /// Wall clock as Unix nanoseconds (0 on a pre-epoch clock).
 fn unix_now_ns() -> u64 {
     std::time::SystemTime::now()
@@ -964,21 +1228,24 @@ impl PeerMesh<TcpLink> {
             streams[peer] = Some(stream);
         }
         accept_higher_ranks(&listener, me, spec.epoch, REGISTER_TIMEOUT, &mut streams)?;
-        for stream in streams.iter().flatten() {
-            let _ = stream.set_nodelay(true);
-            // Bound mid-frame reads: a peer that stalls inside a record
-            // must hand the reader back to the reconnect machinery, not
-            // pin it in `read` forever.
-            let _ = stream.set_read_timeout(Some(MID_FRAME_TIMEOUT));
+        let mut readers = Vec::with_capacity(np);
+        for stream in &streams {
+            readers.push(match stream {
+                Some(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    // The rank drains its sockets itself and must never
+                    // block in a read or a write (see the module docs).
+                    stream
+                        .set_nonblocking(true)
+                        .map_err(sock_err("make a peer socket non-blocking"))?;
+                    let read_half = stream
+                        .try_clone()
+                        .map_err(sock_err("clone a peer socket"))?;
+                    Some(PeerReader::new(read_half))
+                }
+                None => None,
+            });
         }
-
-        let read_halves: Vec<Option<TcpStream>> = streams
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|s| s.try_clone().expect("clone established stream"))
-            })
-            .collect();
         let link = TcpLink {
             addrs: table,
             listener,
@@ -995,23 +1262,19 @@ impl PeerMesh<TcpLink> {
                     })
                 })
                 .collect(),
+            readers,
             pending: Mutex::new((0..np).map(|_| None).collect()),
             pending_cv: Condvar::new(),
             clock_reply: Mutex::new(None),
-            clock_cv: Condvar::new(),
         };
         let mesh = PeerMesh::new(me, spec, link)?;
-        for (peer, stream) in read_halves.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            mesh.spawn(format!("net-reader-{peer}"), move |mesh| {
-                mesh.reader_cycle(peer, stream)
-            })?;
-        }
-        mesh.spawn("net-accept".into(), |mesh| mesh.accept_loop())?;
+        mesh.inner
+            .spawn("net-accept".into(), |mesh| mesh.accept_loop())?;
         // With tracing on, non-zero ranks estimate their wall-clock
-        // offset to rank 0 over the fresh mesh (rank 0's reader answers
-        // probes), so per-rank trace exports can carry an aligned
-        // timebase anchor. Untraced worlds skip the probe round trips.
+        // offset to rank 0 over the fresh mesh (rank 0 answers probes as
+        // it drains, waiting at the start gate), so per-rank trace exports
+        // can carry an aligned timebase anchor. Untraced worlds skip the
+        // probe round trips.
         if spec.tracer.is_some() && me != 0 && np > 1 {
             crate::set_clock_offset_ns(mesh.inner.estimate_clock_offset());
         }
@@ -1020,9 +1283,9 @@ impl PeerMesh<TcpLink> {
     }
 
     /// Cut the connection to one peer *without* giving up on it — a
-    /// transient network fault. Both sides' readers see the socket die
-    /// and run the reconnect/resume protocol; queued sequenced frames
-    /// are replayed. Test/diagnostic aid.
+    /// transient network fault. Both sides' drains see the socket die and
+    /// run the reconnect/resume protocol; queued sequenced frames are
+    /// replayed. Test/diagnostic aid.
     pub fn disrupt(&self, peer: usize) {
         if let Some(writer) = &self.inner.link.writers[peer] {
             writer.disconnect();
@@ -1033,9 +1296,22 @@ impl PeerMesh<TcpLink> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::IDLE_TIMEOUT;
     use crate::mesh::tests::{env, recv_one, tcp_mesh_with};
+    use crate::mesh::FINISH_DRAIN;
+    use patternlets_mp::envelope::{Envelope, Payload};
     use patternlets_mp::Fabric;
     use std::sync::Arc;
+
+    impl PeerWriter {
+        /// [`push`](Self::push) a copy of `record`, with nothing to drain
+        /// while the socket is full.
+        fn send(&self, record: &[u8], sequenced: bool) -> bool {
+            self.push(Bytes::copy_from_slice(record), sequenced, &|stream| {
+                poll_fds(&mut [PollFd::writable(stream)], POLL_PARK)
+            })
+        }
+    }
 
     /// Run `accept_higher_ranks` as rank 0 of a two-rank world on its
     /// own thread; `None` if it is still blocked after ten seconds.
@@ -1225,6 +1501,38 @@ mod tests {
         drop(writer.join().unwrap());
     }
 
+    /// The link's own stall rule: a drain that finds part of a record
+    /// waiting, with no byte of it arriving for `MID_FRAME_TIMEOUT`, ends
+    /// the stream as stalled, so the reconnect path takes over.
+    #[test]
+    fn a_drain_ends_a_stream_stalled_mid_record() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let near = listener.accept().unwrap().0;
+        near.set_nonblocking(true).unwrap();
+        let reader = PeerReader::new(near);
+        let record = encode_frame(&Frame::Ping { seen: 1 });
+        use std::io::Write;
+        far.write_all(&record).unwrap();
+        far.write_all(&record[..10]).unwrap();
+        let started = Instant::now();
+        let mut delivered = 0;
+        let ended = loop {
+            if let Some(ended) = reader.side.lock().pump(|_| delivered += 1) {
+                break ended;
+            }
+            assert!(
+                started.elapsed() < RECONNECT_BUDGET,
+                "the stall went unseen"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(delivered, 1, "the whole record ahead of the stall");
+        let err = ended.unwrap_err().to_string();
+        assert!(err.contains(MID_FRAME_STALL), "{err}");
+        assert!(started.elapsed() >= MID_FRAME_TIMEOUT);
+    }
+
     /// Under a seeded chaos plan that cuts, truncates and corrupts
     /// batches, a message stream still arrives complete and ordered —
     /// the CRC catches damage and the resume protocol replays losses.
@@ -1273,5 +1581,78 @@ mod tests {
         for (me, f) in fabrics.iter().enumerate() {
             f.finish(me);
         }
+    }
+
+    /// Two ranks each send the other 8 MiB before either receives: far
+    /// more than the sockets buffer, so each send completes only because a
+    /// writer blocked on a full socket drains its own rank's sockets
+    /// meanwhile.
+    #[test]
+    fn crossing_sends_of_8_mib_both_complete() {
+        const BIG: usize = 8 << 20;
+        let fabrics = tcp_mesh_with(2, None, false);
+        let (done, finished) = std::sync::mpsc::channel();
+        for (me, fabric) in fabrics.iter().enumerate() {
+            let (fabric, done) = (Arc::clone(fabric), done.clone());
+            std::thread::spawn(move || {
+                let bulk = Envelope {
+                    comm_id: 0,
+                    src: me,
+                    tag: 21,
+                    type_name: "u8",
+                    count: BIG,
+                    payload: Payload::Bytes(Bytes::from(vec![me as u8; BIG])),
+                    seq: 0,
+                    needs_ack: false,
+                };
+                fabric.deliver(me, 1 - me, bulk, 0, false);
+                let got = recv_one(&*fabric, me, 1 - me, 21);
+                let _ = done.send((me, got.payload.len()));
+            });
+        }
+        for _ in 0..2 {
+            let (me, len) = finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("both crossing sends complete");
+            assert_eq!(len, BIG, "rank {me} got the whole payload");
+        }
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
+        }
+    }
+
+    /// A rank that makes no call for 500 ms while its peer finishes still
+    /// sees the peer's `Finish` — its heartbeat tick drains — and neither
+    /// teardown waits out `FINISH_DRAIN`. The finishing rank is done
+    /// before the idle one even starts to finish: the drain that reads a
+    /// `Finish` acks it at once, where the heartbeat, which pings only
+    /// peers that have not finished, never would.
+    #[test]
+    fn an_idle_rank_sees_its_peers_finish_and_neither_teardown_stalls() {
+        const IDLE: Duration = Duration::from_millis(500);
+        let fabrics = tcp_mesh_with(2, None, false);
+        let finisher = {
+            let f = Arc::clone(&fabrics[1]);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                f.finish(1);
+                started.elapsed()
+            })
+        };
+        std::thread::sleep(IDLE);
+        assert!(!fabrics[0].rank_alive(1), "the Finish was drained");
+        assert!(!fabrics[0].rank_failed(1), "a clean exit is not a failure");
+        let finisher_took = finisher.join().unwrap();
+        assert!(
+            finisher_took < IDLE,
+            "the finisher waited {finisher_took:?} for its ack"
+        );
+        let started = Instant::now();
+        fabrics[0].finish(0);
+        let idle_took = started.elapsed();
+        assert!(
+            idle_took < FINISH_DRAIN,
+            "the idle rank's teardown took {idle_took:?}"
+        );
     }
 }

@@ -22,13 +22,21 @@
 //! guessed at. A CRC mismatch (error message prefixed [`CRC_MISMATCH`])
 //! means the *stream* is untrustworthy, not just the frame: the fabric
 //! reacts by tearing the connection down and resuming from the send ring
-//! rather than decoding garbage. [`read_frame`] is also timeout-aware:
-//! on a socket armed with a read timeout, silence *between* frames is
-//! reported as [`IDLE_TIMEOUT`] (the caller decides whether to keep
-//! waiting) while silence *inside* a frame is [`MID_FRAME_STALL`] — a
-//! stalled peer can no longer pin the reader thread on a `read_exact`
-//! that never returns. The property tests in `tests/wire_codec.rs` fuzz
-//! both directions.
+//! rather than decoding garbage.
+//!
+//! Two readers take frames off a stream. [`StreamFrames`] is the peer
+//! link's: a non-blocking parser that buffers whatever a socket holds and
+//! decodes each complete record in place with [`decode_frame`], the shm
+//! link's decoder. [`read_frame`] is the blocking one the handshakes
+//! (`Hello`, `Resume`, rendezvous, `pmserve`'s worker connections) use,
+//! and it is timeout-aware: on a socket armed with a read timeout,
+//! silence *between* frames is reported as [`IDLE_TIMEOUT`] (the caller
+//! decides whether to keep waiting) while silence *inside* a frame is
+//! [`MID_FRAME_STALL`], so a stalled peer cannot pin a handshake on a
+//! `read_exact` that never returns. The property tests in
+//! `tests/wire_codec.rs` fuzz both directions, and
+//! `crates/net/tests/stream_frames.rs` holds the parser to `read_frame`'s
+//! answers on hostile input.
 
 use std::io::{Read, Write};
 
@@ -802,6 +810,141 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
         }
     }
     decode_record(&head, &body).map(Some)
+}
+
+/// Bytes a [`StreamFrames`] buffer starts with, and returns to once it
+/// empties after a record larger than [`StreamFrames::SHRINK_ABOVE`].
+const STREAM_BUF_BASE: usize = 64 << 10;
+
+/// A non-blocking frame parser over a byte stream: the TCP link's read
+/// side. [`fill`](StreamFrames::fill) reads whatever one `read` call
+/// yields into a buffer, and [`next_frame`](StreamFrames::next_frame)
+/// checks and decodes each complete record in place with
+/// [`decode_frame`] — the frames and errors are exactly those
+/// [`read_frame`] gives for the same bytes. The length prefix comes from
+/// the peer, so it is checked against [`MAX_FRAME_LEN`] before anything is
+/// sized by it, and the buffer grows past its 64 KiB start only when it is
+/// full of bytes that arrived: it never holds more than twice what
+/// arrived, whatever length a record claims.
+pub struct StreamFrames {
+    /// Received bytes live in `buf[start..end]`; the rest is room.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for StreamFrames {
+    fn default() -> Self {
+        StreamFrames::new()
+    }
+}
+
+impl StreamFrames {
+    /// A buffer grown past this is given back once it empties.
+    pub const SHRINK_ABOVE: usize = 16 * STREAM_BUF_BASE;
+
+    /// An empty parser; it allocates on its first [`fill`](Self::fill).
+    pub fn new() -> StreamFrames {
+        StreamFrames {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Received bytes not yet decoded: part of a record, when
+    /// [`next_frame`](Self::next_frame) has run dry.
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Bytes of buffer held.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Free buffer after the received bytes. Nonzero right after a
+    /// [`fill`](Self::fill) means the read came up short: the source had
+    /// no more for now.
+    pub fn room(&self) -> usize {
+        self.buf.len() - self.end
+    }
+
+    /// One `read` from `src` into the buffer: `Ok(0)` is end of stream,
+    /// and a `WouldBlock` error an empty non-blocking socket. Call it once
+    /// [`next_frame`](Self::next_frame) has run dry.
+    pub fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > Self::SHRINK_ABOVE || self.buf.is_empty() {
+                self.buf = vec![0; STREAM_BUF_BASE];
+            }
+        }
+        if self.end == self.buf.len() {
+            self.make_room();
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The buffer is full: slide the undecoded bytes to its front, and if
+    /// they fill it still, grow it towards the record they begin — by
+    /// doubling, never past the record's end.
+    fn make_room(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end < self.buf.len() {
+            return;
+        }
+        // `next_frame` ran dry on a full buffer, so its header is whole,
+        // within the cap, and claims more than the buffer holds.
+        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4")) as usize;
+        let target = (2 * self.buf.len()).min(8 + len);
+        self.buf.resize(target, 0);
+    }
+
+    /// The next frame whose every byte has arrived, or `Ok(None)` until
+    /// more do. An error means the stream cannot be trusted again: a
+    /// checksum mismatch (prefixed [`CRC_MISMATCH`]), a length over
+    /// [`MAX_FRAME_LEN`], or a body that does not decode.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+        let queued = &self.buf[self.start..self.end];
+        if queued.len() < 8 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(queued[..4].try_into().expect("4")) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(Error::Codec(format!("frame length {len} exceeds cap")));
+        }
+        if queued.len() < 8 + len {
+            return Ok(None);
+        }
+        let frame = decode_frame(&queued[..8 + len])?;
+        self.start += 8 + len;
+        Ok(Some(frame))
+    }
+
+    /// What an end of stream here means: `Ok` between records, else the
+    /// error [`read_frame`] reports for a stream torn mid-record.
+    pub fn at_eof(&self) -> Result<()> {
+        let queued = &self.buf[self.start..self.end];
+        match queued.len() {
+            0 => Ok(()),
+            1..=7 => Err(Error::Codec("EOF inside frame header".into())),
+            n => {
+                let len = u32::from_le_bytes(queued[..4].try_into().expect("4"));
+                Err(Error::Codec(format!(
+                    "EOF inside frame body: {}/{len} bytes arrived",
+                    n - 8
+                )))
+            }
+        }
+    }
 }
 
 /// Write one frame to `w` (single `write_all`, so concurrent writers

@@ -9,7 +9,10 @@
 //! runs one frame protocol ([`frame::Frame`]) over a pluggable
 //! [`mesh::Link`] — a TCP socket per peer pair ([`fabric::TcpLink`]), or,
 //! when every rank shares a host, a pair of mmap'd rings
-//! ([`shm::ShmLink`]).
+//! ([`shm::ShmLink`]). Either way the rank drains its own link whenever
+//! one of its threads waits: no thread stands between a socket or a ring
+//! and the rank's mailbox, and a rank runs its own thread, the mesh's
+//! heartbeat and, over TCP, the accept thread that fields redials.
 //!
 //! Nothing in a patternlet changes, whichever launcher runs it. A rank
 //! learns its job from one type, [`JobCtx`], and one provider turns it

@@ -7,12 +7,15 @@
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
 //! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! frames to peers and says how inbound frames reach the dispatch: the
-//! TCP link ([`crate::fabric`]) runs a reader thread per peer, with its
-//! reconnect machinery; the shared-memory link ([`crate::shm`]) runs no
-//! thread at all — the rank drains its own mmap'd rings whenever one of
-//! its threads waits (in a receive, a probe, an agreement, or on a full
-//! outbound ring), and the heartbeat tick drains them as a backstop.
+//! frames to peers, and the rank drains it itself: no thread stands
+//! between a link and the dispatch. Whenever one of the rank's threads
+//! waits — in a receive, a probe, an agreement, `finish`'s wait for acks,
+//! or on a full outbound ring or socket — it drains every inbound ring or
+//! socket, and the heartbeat tick drains them as a backstop. Between
+//! drains the wait parks the link's way ([`Link::park`]): on the futex
+//! doorbell every producer rings, for the shared-memory link
+//! ([`crate::shm`]); in `poll(2)` on the peer sockets, for the TCP link
+//! ([`crate::fabric`]), which also brings the reconnect machinery.
 //!
 //! ## Failure detection
 //!
@@ -47,11 +50,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell};
+use patternlets_core::spsc::{Park, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, Obs};
 use patternlets_mp::envelope::{Envelope, Payload};
@@ -68,7 +72,7 @@ pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
 /// the peers' heartbeats, so the common case drains in one or two
 /// heartbeat intervals; a link that never loses a written frame has
 /// nothing to wait for.
-const FINISH_DRAIN: Duration = Duration::from_secs(1);
+pub(crate) const FINISH_DRAIN: Duration = Duration::from_secs(1);
 
 /// `last_heard` sentinel: no frame from this peer yet.
 const NEVER_HEARD: u64 = u64::MAX;
@@ -107,11 +111,10 @@ pub(crate) fn intern_type_name(name: &str) -> &'static str {
 }
 
 /// The byte transport under a [`PeerMesh`]: how encoded frames reach each
-/// peer, how inbound frames reach the mesh's dispatch, and how silence
-/// from one is judged. A link either starts reader threads of its own,
-/// which hand every decoded frame to the dispatch, or is drained by the
-/// rank's threads through [`drain`](Link::drain); either way it reports
-/// dead links as failure verdicts.
+/// peer, how the rank's threads drain inbound frames into the mesh's
+/// dispatch ([`drain`](Link::drain)) and sleep between drains
+/// ([`park`](Link::park)), and how silence from a peer is judged. A link
+/// reports dead links as failure verdicts.
 pub trait Link: Sized + Send + Sync + 'static {
     /// Silence after which a peer that has spoken is probed or failed.
     const PEER_TIMEOUT: Duration;
@@ -120,15 +123,17 @@ pub trait Link: Sized + Send + Sync + 'static {
     /// peer's first frame.
     const ESTABLISH_GRACE: Duration;
 
-    /// Write one encoded record to `peer`. A sequenced record must reach
+    /// Write one encoded record to `peer`, draining this rank's inbound
+    /// side while the way to `peer` is full. A sequenced record must reach
     /// the peer exactly once even across a reconnect; an unsequenced one
     /// may be dropped. `false` once the link to `peer` is terminal.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], sequenced: bool) -> bool;
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, sequenced: bool) -> bool;
 
-    /// Write a heartbeat `Ping`, an unsequenced record, from the heartbeat
-    /// thread; `true` if it went out. A plain [`write`](Link::write)
-    /// unless the link drops pings rather than wait.
-    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
+    /// Write a `Ping`, an unsequenced record — the heartbeat's, or the
+    /// ack of a peer's `Finish` — and say whether it went out. A plain
+    /// [`write`](Link::write) unless the link drops pings rather than
+    /// wait.
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes) -> bool {
         self.write(mesh, peer, record, false)
     }
 
@@ -149,24 +154,23 @@ pub trait Link: Sized + Send + Sync + 'static {
     /// probes, strays).
     fn control(&self, mesh: &Mesh<Self>, peer: usize, frame: Frame);
 
-    /// The doorbell every peer rings after writing to this rank, for a
-    /// link the rank drains itself; `None` for a link with reader threads.
-    fn inbound_bell(&self) -> Option<Bell> {
-        None
-    }
+    /// How the rank's waits sleep between drains: on a doorbell every
+    /// peer rings after writing to this rank, or in a poll of the link's
+    /// inbound side.
+    fn park(&self, mesh: &Mesh<Self>) -> Park;
 
     /// Hand every inbound frame that has fully arrived to the mesh's
     /// dispatch, without blocking. Called by whichever of the rank's
-    /// threads is waiting, and on every heartbeat tick; a no-op for a
-    /// link with reader threads.
-    fn drain(&self, mesh: &Mesh<Self>) {
-        let _ = mesh;
-    }
+    /// threads is waiting, and on every heartbeat tick.
+    fn drain(&self, mesh: &Mesh<Self>);
 }
 
 /// The protocol state of one process's rank, shared by the application
 /// thread, the heartbeat, and the link's background threads.
 pub struct Mesh<L> {
+    /// The `Arc` this mesh lives in, for threads the mesh starts and
+    /// hooks it installs.
+    pub(crate) this: Weak<Mesh<L>>,
     pub(crate) me: usize,
     pub(crate) np: usize,
     pub(crate) epoch: u64,
@@ -196,7 +200,7 @@ pub struct Mesh<L> {
     start: Instant,
     agreements: Mutex<HashMap<AgreeKey, AgreeSlot>>,
     /// Raised by `finish`/`sever`: background threads wind down, no
-    /// reconnect is attempted or served, and rings are no longer drained.
+    /// reconnect is attempted or served, and links are no longer drained.
     pub(crate) closing: AtomicBool,
     pub(crate) link: L,
 }
@@ -211,18 +215,43 @@ impl<L: Link> Mesh<L> {
         self.finished[peer].load(Ordering::SeqCst) || self.failed[peer].load(Ordering::SeqCst)
     }
 
-    /// Wake this rank's waiters: membership changed.
+    /// Wake this rank's waiters: membership changed. A waiter parked in
+    /// a poll sees it within the link's park interval.
     fn wake(&self) {
         self.mailbox.bell().ring();
+    }
+
+    /// Block until `ready()` holds (`ready` drains the link itself), or —
+    /// with a `timeout` — until the wait has been parked that long,
+    /// parking the link's way. Call it only once `ready()` was false.
+    pub(crate) fn wait_until(&self, ready: impl Fn() -> bool, timeout: Option<Duration>) -> Wait {
+        self.mailbox.wait_until(ready, timeout)
+    }
+
+    /// Run `body` on a named background thread over the mesh state.
+    pub(crate) fn spawn(
+        &self,
+        name: String,
+        body: impl FnOnce(&Mesh<L>) + Send + 'static,
+    ) -> Result<()> {
+        let mesh = self
+            .this
+            .upgrade()
+            .ok_or_else(|| Error::Codec(format!("spawn {name}: the mesh is gone")))?;
+        std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(move || body(&mesh))
+            .map(drop)
+            .map_err(|e| Error::Codec(format!("spawn {name}: {e}")))
     }
 
     /// Send `frame` to every peer; peers whose link is terminal and who
     /// never announced Finish are marked failed.
     pub(crate) fn broadcast(&self, frame: &Frame) {
-        let record = encode_frame(frame);
+        let record = Bytes::from(encode_frame(frame));
         let sequenced = frame.is_sequenced();
         for peer in (0..self.np).filter(|&p| p != self.me) {
-            if !self.link.write(self, peer, &record, sequenced)
+            if !self.link.write(self, peer, record.clone(), sequenced)
                 && !self.finished[peer].load(Ordering::SeqCst)
             {
                 self.note_failed(peer);
@@ -293,6 +322,13 @@ impl<L: Link> Mesh<L> {
                 // ends the link at teardown.
                 self.finished[rank as usize].store(true, Ordering::SeqCst);
                 self.wake();
+                // Acknowledge at once: the peer's `finish` waits for its
+                // frames, this Finish included, to be acked, and the
+                // heartbeat no longer pings a peer that is gone.
+                let ack = encode_frame(&Frame::Ping {
+                    seen: self.recv_seq[peer].load(Ordering::SeqCst),
+                });
+                self.link.ping(self, peer, Bytes::from(ack));
             }
             Frame::Failed { rank } if (rank as usize) < self.np => self.note_failed(rank as usize),
             Frame::Agree {
@@ -330,7 +366,7 @@ impl<L: Link> Mesh<L> {
                 let ping = encode_frame(&Frame::Ping {
                     seen: self.recv_seq[peer].load(Ordering::SeqCst),
                 });
-                if self.link.ping(self, peer, &ping) {
+                if self.link.ping(self, peer, Bytes::from(ping)) {
                     if let Some(hub) = &self.obs.metrics {
                         hub.incr(self.me, CounterId::NetHeartbeats);
                         let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
@@ -375,12 +411,13 @@ pub struct PeerMesh<L: Link> {
 
 impl<L: Link> PeerMesh<L> {
     /// The mesh for rank `me` of `spec` over `link`, with its heartbeat
-    /// running and, for a link the rank drains itself, the drain hooked
-    /// into the mailbox's waits. The caller starts any reader threads.
+    /// running and the link's drain and park hooked into the mailbox's
+    /// waits.
     pub(crate) fn new(me: usize, spec: &WorldSpec, link: L) -> Result<Self> {
         let np = spec.np;
         let mesh = PeerMesh {
-            inner: Arc::new(Mesh {
+            inner: Arc::new_cyclic(|this| Mesh {
+                this: this.clone(),
                 me,
                 np,
                 epoch: spec.epoch,
@@ -399,31 +436,16 @@ impl<L: Link> PeerMesh<L> {
                 link,
             }),
         };
-        if let Some(bell) = mesh.inner.link.inbound_bell() {
-            // Weak: the hook lives in the mesh's own mailbox.
-            let inner = Arc::downgrade(&mesh.inner);
-            mesh.inner.mailbox.drive(bell, move || {
-                if let Some(mesh) = inner.upgrade() {
-                    mesh.link.drain(&mesh);
-                }
-            });
-        }
-        mesh.spawn("mesh-heartbeat".into(), |mesh| mesh.heartbeat_loop())?;
+        let inner = &mesh.inner;
+        // Weak: the hook lives in the mesh's own mailbox.
+        let this = inner.this.clone();
+        inner.mailbox.drive(inner.link.park(inner), move || {
+            if let Some(mesh) = this.upgrade() {
+                mesh.link.drain(&mesh);
+            }
+        });
+        inner.spawn("mesh-heartbeat".into(), |mesh| mesh.heartbeat_loop())?;
         Ok(mesh)
-    }
-
-    /// Run `body` on a named background thread over the mesh state.
-    pub(crate) fn spawn(
-        &self,
-        name: String,
-        body: impl FnOnce(&Mesh<L>) + Send + 'static,
-    ) -> Result<()> {
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(move || body(&inner))
-            .map(drop)
-            .map_err(|e| Error::Codec(format!("spawn {name}: {e}")))
     }
 
     /// Line every rank up at a start gate before a traced world's body
@@ -489,23 +511,23 @@ impl<L: Link> Fabric for PeerMesh<L> {
 
     fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
         let mesh = &*self.inner;
-        let record = EnvHeader {
-            comm_id: env.comm_id,
-            src: env.src as u64,
-            tag: env.tag,
-            type_name: env.type_name,
-            count: env.count as u64,
-            seq: env.seq,
-            needs_ack: env.needs_ack,
-            overtake: overtake as u32,
-        }
-        .encode(&env.payload.to_wire());
-        let mut ok = mesh.link.write(mesh, dest, &record, true);
-        if ok && duplicate {
-            // Transmit a second copy; the receiving mailbox dedups it and
-            // records the drop on its own side.
-            ok = mesh.link.write(mesh, dest, &record, true);
-        }
+        let record = Bytes::from(
+            EnvHeader {
+                comm_id: env.comm_id,
+                src: env.src as u64,
+                tag: env.tag,
+                type_name: env.type_name,
+                count: env.count as u64,
+                seq: env.seq,
+                needs_ack: env.needs_ack,
+                overtake: overtake as u32,
+            }
+            .encode(&env.payload.to_wire()),
+        );
+        // With `duplicate`, transmit a second copy; the receiving mailbox
+        // dedups it and records the drop on its own side.
+        let ok = (!duplicate || mesh.link.write(mesh, dest, record.clone(), true))
+            && mesh.link.write(mesh, dest, record, true);
         if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
             mesh.note_failed(dest);
         }
@@ -548,11 +570,13 @@ impl<L: Link> Fabric for PeerMesh<L> {
         // still in flight (this Finish included) and let a reconnect
         // serve a cut that ate the tail. Without this, a cut at the finish
         // line would turn a clean exit into a spurious failure verdict.
-        let deadline = Instant::now() + FINISH_DRAIN;
-        while Instant::now() < deadline
-            && (0..mesh.np).any(|p| !mesh.gone(p) && mesh.link.unacked(p) > 0)
-        {
-            std::thread::sleep(Duration::from_millis(1));
+        // The acks arrive on the link, so the wait drains it.
+        let settled = || {
+            mesh.link.drain(mesh);
+            (0..mesh.np).all(|p| mesh.gone(p) || mesh.link.unacked(p) == 0)
+        };
+        if !settled() {
+            mesh.wait_until(settled, Some(FINISH_DRAIN));
         }
         mesh.closing.store(true, Ordering::SeqCst);
         mesh.link.close(mesh);
@@ -572,8 +596,8 @@ impl<L: Link> Fabric for PeerMesh<L> {
             rank: me as u64,
             value,
         });
-        // Contributions and verdicts both ring the mailbox's doorbell
-        // (`wake`), and a link the rank drains itself is drained here.
+        // Contributions arrive on the link, which is drained here;
+        // verdicts reached elsewhere ring the mailbox's doorbell (`wake`).
         let complete = || {
             mesh.link.drain(mesh);
             let slots = mesh.agreements.lock();
@@ -582,7 +606,7 @@ impl<L: Link> Fabric for PeerMesh<L> {
                 .all(|&w| slots[&key].contains_key(&w) || mesh.gone(w))
         };
         if !complete() {
-            spsc::wait(mesh.mailbox.bell(), complete);
+            mesh.wait_until(complete, None);
         }
         let slots = mesh.agreements.lock();
         slots[&key].clone()

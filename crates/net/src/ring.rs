@@ -18,14 +18,17 @@
 
 use std::collections::VecDeque;
 
+use bytes::Bytes;
 use patternlets_core::{Error, Result};
 
 /// Retained encoded frames awaiting acknowledgement, plus the replay
-/// cursor for the current connection incarnation.
+/// cursor for the current connection incarnation. Records are shared
+/// [`Bytes`]: retaining one and handing it to a batch are refcount bumps,
+/// not copies.
 #[derive(Debug, Default)]
 pub struct SendRing {
     /// Encoded records, `frames[0]` having absolute sequence `base`.
-    frames: VecDeque<Vec<u8>>,
+    frames: VecDeque<Bytes>,
     /// Absolute sequence number of the oldest retained frame.
     base: u64,
     /// Absolute sequence number of the next frame to hand to the wire.
@@ -57,9 +60,10 @@ impl SendRing {
     }
 
     /// Retain one encoded record; returns its absolute sequence number.
-    pub fn push(&mut self, record: Vec<u8>) -> u64 {
+    /// A `Vec` is adopted, not copied.
+    pub fn push(&mut self, record: impl Into<Bytes>) -> u64 {
         let seq = self.next();
-        self.frames.push_back(record);
+        self.frames.push_back(record.into());
         seq
     }
 
@@ -102,13 +106,13 @@ impl SendRing {
         Ok(self.next() - peer_recv)
     }
 
-    /// Clone up to `max` records starting at the cursor and advance the
-    /// cursor past them. The clones are what goes on the wire; the ring
-    /// keeps the originals until acknowledged.
-    pub fn next_batch(&mut self, max: usize) -> Vec<Vec<u8>> {
+    /// Share up to `max` records starting at the cursor and advance the
+    /// cursor past them. The shares are what goes on the wire; the ring
+    /// keeps its own until acknowledged.
+    pub fn next_batch(&mut self, max: usize) -> Vec<Bytes> {
         let start = (self.cursor - self.base) as usize;
         let take = self.frames.len().saturating_sub(start).min(max);
-        let out: Vec<Vec<u8>> = self.frames.iter().skip(start).take(take).cloned().collect();
+        let out: Vec<Bytes> = self.frames.iter().skip(start).take(take).cloned().collect();
         self.cursor += out.len() as u64;
         out
     }
@@ -118,8 +122,8 @@ impl SendRing {
 mod tests {
     use super::*;
 
-    fn rec(n: u8) -> Vec<u8> {
-        vec![n; 4]
+    fn rec(n: u8) -> Bytes {
+        Bytes::from(vec![n; 4])
     }
 
     #[test]
@@ -150,6 +154,23 @@ mod tests {
         assert_eq!(r.retained(), 5);
         r.ack(3);
         assert_eq!(r.retained(), 2);
+    }
+
+    #[test]
+    fn retaining_and_batching_copy_no_record() {
+        let mut r = SendRing::new();
+        let record = vec![9u8; 64];
+        let at = record.as_ptr();
+        r.push(record);
+        let first = r.next_batch(1);
+        r.resume(0).unwrap();
+        let replay = r.next_batch(1);
+        assert_eq!(
+            first[0].as_ptr(),
+            at,
+            "the pushed Vec is adopted and shared"
+        );
+        assert_eq!(replay[0].as_ptr(), at, "a replay shares it too");
     }
 
     #[test]

@@ -67,8 +67,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell, Consumer, Producer, SpscRing, CACHE_LINE};
+use patternlets_core::spsc::{self, Bell, Consumer, Park, Producer, SpscRing, CACHE_LINE};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
 use patternlets_mp::fabric::{Fabric, WorldSpec};
@@ -554,7 +555,7 @@ impl Link for ShmLink {
     /// each other for ever. `false` when the peer is already
     /// failed/finished or became so while the ring was full — so a full
     /// ring to a SIGKILL'd peer cannot wedge a send.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8], _sequenced: bool) -> bool {
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, _sequenced: bool) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -563,7 +564,7 @@ impl Link for ShmLink {
         }
         let mut producer = ring.lock();
         let ok = producer
-            .push_all(record, || {
+            .push_all(&record, || {
                 self.drain(mesh);
                 mesh.gone(peer)
             })
@@ -575,7 +576,7 @@ impl Link for ShmLink {
     /// Dropped rather than wait on a ring that is busy (a rank thread
     /// blocked in a send holds it) or full: the heartbeat thread is the
     /// rank's drain of last resort and must keep ticking.
-    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -587,7 +588,7 @@ impl Link for ShmLink {
         };
         // The record fits whole or not at all: the lock is held, so the
         // free space can only grow.
-        let ok = producer.free() >= record.len() && producer.try_push(record) > 0;
+        let ok = producer.free() >= record.len() && producer.try_push(&record) > 0;
         record_push(mesh, peer, &mut producer, ok);
         ok
     }
@@ -631,8 +632,8 @@ impl Link for ShmLink {
         }
     }
 
-    fn inbound_bell(&self) -> Option<Bell> {
-        Some(self.bell.clone())
+    fn park(&self, _mesh: &Mesh<Self>) -> Park {
+        Park::Bell(self.bell.clone())
     }
 
     /// Decode and dispatch every frame that has fully arrived on each
