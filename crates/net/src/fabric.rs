@@ -24,8 +24,8 @@
 //! syscall; a write that hits `WouldBlock` drains and then polls for
 //! `POLLOUT` too, so two ranks writing into each other's full buffers both
 //! progress. The heartbeat tick drains as the backstop while the rank
-//! computes. A rank runs three threads: its own, `mesh-heartbeat` and
-//! `net-accept`.
+//! computes. A rank runs two threads, as a shm rank does: its own and
+//! `mesh-heartbeat`. Nothing waits on the listener between redials.
 //!
 //! ## Self-healing connections
 //!
@@ -37,8 +37,9 @@
 //! whose CRC doesn't check out, or a record stalled mid-way for
 //! [`MID_FRAME_TIMEOUT`]), a short-lived `net-redial-{peer}` thread (at
 //! most one per peer) re-establishes it: the higher-ranked side redials
-//! the lower side's listener with exponential backoff, and both exchange
-//! `Resume` frames carrying those delivery counts; both send rings rewind
+//! the lower side's listener with exponential backoff, the lower side's
+//! redial thread accepts on it for itself, and both exchange `Resume`
+//! frames carrying those delivery counts; both send rings rewind
 //! to the peer's count and replay the unacknowledged tail. The counts are
 //! exact, so resumption is exactly-once by construction — no frame is lost
 //! (the ring still holds it) and none is duplicated (nothing below the
@@ -73,7 +74,7 @@ use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_core::spsc::Park;
 use patternlets_core::{Error, Result};
@@ -81,9 +82,7 @@ use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
-use crate::frame::{
-    encode_frame, is_timeout, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL,
-};
+use crate::frame::{encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::SendRing;
@@ -113,10 +112,6 @@ const RESUME_REPLY_TIMEOUT: Duration = Duration::from_millis(500);
 /// interval, and below [`RECONNECT_BUDGET`] so a stall still leaves dial
 /// time.
 const MID_FRAME_TIMEOUT: Duration = Duration::from_millis(1000);
-
-/// Poll cadence of the (non-blocking) accept thread that fields
-/// reconnect dials.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Most frames one flush pass will hand to a single vectored write.
 /// Bounds both the `IoSlice` array and how long one sender can be stuck
@@ -382,32 +377,17 @@ impl PeerWriter {
         Ok(replayed)
     }
 
-    /// Permanently stop writing (peer finished/failed, or `sever`). With
-    /// `cut`, the socket is shut down both ways; without, it is left for
-    /// `half_close` to handle.
-    fn terminal(&self, cut: bool) {
-        {
-            let mut ring = self.ring.lock();
-            ring.state = ConnState::Terminal;
-            ring.unseq.clear();
-        }
-        if cut {
-            if let Some(s) = self.breaker.lock().take() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
-    }
-
-    /// Half-close for teardown: peers read our `Finish`, then a clean
-    /// EOF. No further writes.
-    fn half_close(&self) {
+    /// Permanently stop writing and shut the socket down `how`: both ways
+    /// for a peer that finished or failed, or for `sever`; the write side
+    /// only at teardown, so peers read our `Finish`, then a clean EOF.
+    fn terminal(&self, how: Shutdown) {
         {
             let mut ring = self.ring.lock();
             ring.state = ConnState::Terminal;
             ring.unseq.clear();
         }
         if let Some(s) = &*self.breaker.lock() {
-            let _ = s.shutdown(Shutdown::Write);
+            let _ = s.shutdown(how);
         }
     }
 }
@@ -553,31 +533,24 @@ impl ReadSide {
     }
 }
 
-/// A redial fielded by the accept thread, parked until the peer's redial
-/// thread adopts it: the fresh socket plus the recv count the dialer
-/// reported in its `Resume`.
-struct PendingResume {
-    stream: TcpStream,
-    their_recv: u64,
-}
-
 /// The TCP side of a [`PeerMesh`]: per peer a combining writer and a
 /// drained read side over a replaceable socket, the listener that fields
 /// redials, and the clock-probe reply slot.
 pub struct TcpLink {
     /// Rendezvous address table, kept for redials.
     addrs: Vec<String>,
-    /// This rank's listener, kept open for redials (serviced by the
-    /// accept thread).
+    /// This rank's listener, kept open for redials: non-blocking, and
+    /// accepted on only by the redial threads of peers above this rank.
     listener: TcpListener,
     /// Write sides, indexed by peer world rank (`None` at `me`).
     writers: Vec<Option<PeerWriter>>,
     /// Read sides, indexed by peer world rank (`None` at `me`).
     readers: Vec<Option<PeerReader>>,
-    /// Per-peer handoff slot for redialed connections (accept thread
-    /// produces, the peer's redial thread consumes).
-    pending: Mutex<Vec<Option<PendingResume>>>,
-    pending_cv: Condvar,
+    /// Per-peer slot for a redial whose `Resume` named that peer but was
+    /// accepted by another peer's redial thread: the fresh socket and the
+    /// recv count the dialer reported. The named peer's redial thread
+    /// looks here between its waits on the listener.
+    pending: Mutex<Vec<Option<(TcpStream, u64)>>>,
     /// Clock-probe replies from rank 0 land here (a drain produces, the
     /// establish-time offset estimator consumes; see
     /// [`Mesh::estimate_clock_offset`]).
@@ -625,13 +598,13 @@ impl Link for TcpLink {
         // clean EOF. Nothing is drained once the mesh is closing, and the
         // sockets close with the mesh.
         for writer in self.writers.iter().flatten() {
-            writer.half_close();
+            writer.terminal(Shutdown::Write);
         }
     }
 
     fn cut(&self, peer: usize) {
         if let Some(writer) = &self.writers[peer] {
-            writer.terminal(true);
+            writer.terminal(Shutdown::Both);
         }
     }
 
@@ -863,8 +836,11 @@ impl Mesh<TcpLink> {
         }
     }
 
-    /// Accept side of a reconnect (the peer outranks this rank): wait
-    /// for the accept thread to hand over a redialed connection.
+    /// Accept side of a reconnect (the peer outranks this rank): accept
+    /// redials and read each dialer's `Resume` until `peer`'s arrives, on
+    /// this thread or parked by another peer's redial thread, then answer
+    /// it. Each wait on the listener lasts [`POLL_PARK`] at most, so a
+    /// `Resume` parked for `peer` is taken up within one.
     fn reconnect_accept(&self, peer: usize) -> Option<TcpStream> {
         let deadline = Instant::now() + RECONNECT_BUDGET;
         loop {
@@ -872,11 +848,7 @@ impl Mesh<TcpLink> {
                 return None;
             }
             let slot = self.link.pending.lock()[peer].take();
-            if let Some(PendingResume {
-                mut stream,
-                their_recv,
-            }) = slot
-            {
+            if let Some((mut stream, their_recv)) = slot {
                 // Reply with our count *before* installing the write
                 // side, so our Resume is the first frame on the wire and
                 // the dialer's handshake read sees exactly it.
@@ -896,19 +868,34 @@ impl Mesh<TcpLink> {
                     }
                 }
                 // Stale or broken redial; keep waiting for another.
-            } else {
-                let now = Instant::now();
-                if now >= deadline {
-                    return None;
-                }
-                let wait = (deadline - now).min(Duration::from_millis(50));
-                let mut pending = self.link.pending.lock();
-                if pending[peer].is_none() {
-                    self.link.pending_cv.wait_for(&mut pending, wait);
-                }
+                continue;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return None;
+            }
+            let accepted = accept_within(&self.link.listener, deadline.min(now + POLL_PARK));
+            let Some(mut stream) = accepted.unwrap_or_else(|_| {
+                // Out of descriptors, say: back off as an idle wait would.
+                std::thread::sleep(POLL_PARK);
+                None
+            }) else {
+                continue;
+            };
+            let _ = stream.set_read_timeout(Some(RESUME_REPLY_TIMEOUT));
+            // Park it for the redial thread of the rank it names (a newer
+            // redial supersedes a stale one). Anything else — a wrong
+            // epoch, garbage, a timed-out probe — is dropped.
+            if let Ok(Some(Frame::Resume {
+                epoch,
+                rank,
+                recv_seq,
+            })) = read_frame(&mut stream)
+            {
+                let rank = rank as usize;
+                if epoch == self.epoch && rank > self.me && rank < self.np {
+                    self.link.pending.lock()[rank] = Some((stream, recv_seq));
+                }
             }
         }
     }
@@ -932,55 +919,13 @@ impl Mesh<TcpLink> {
         self.obs.link_resume(self.me, attempt, replayed);
         Some(stream)
     }
-
-    /// Field redials: accept, read the dialer's `Resume`, and park the
-    /// connection for the matching redial thread to adopt. Non-blocking
-    /// accept with a poll keeps teardown prompt.
-    fn accept_loop(&self) {
-        let _ = self.link.listener.set_nonblocking(true);
-        loop {
-            if self.closing.load(Ordering::SeqCst) {
-                return;
-            }
-            match self.link.listener.accept() {
-                Ok((mut stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(RESUME_REPLY_TIMEOUT));
-                    match read_frame(&mut stream) {
-                        Ok(Some(Frame::Resume {
-                            epoch,
-                            rank,
-                            recv_seq,
-                        })) if epoch == self.epoch
-                            && (rank as usize) > self.me
-                            && (rank as usize) < self.np =>
-                        {
-                            let peer = rank as usize;
-                            let mut pending = self.link.pending.lock();
-                            // A newer redial supersedes a stale one.
-                            pending[peer] = Some(PendingResume {
-                                stream,
-                                their_recv: recv_seq,
-                            });
-                            self.link.pending_cv.notify_all();
-                        }
-                        // Anything else (wrong epoch, garbage, a timed-out
-                        // probe) is dropped on the floor.
-                        _ => {}
-                    }
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-    }
 }
 
 /// Accept one connection, and its `Hello`, from every rank above `me`.
-/// Each `accept` and each `Hello` read gives up after `timeout`: a
-/// registered peer that died before dialing (or right after) is an
-/// `Err`, not a hang. The bound costs no poll: it is the listener's
-/// `SO_RCVTIMEO` and the accepted stream's read timeout (which the
-/// caller replaces once the mesh is up).
+/// Each accept ([`accept_within`]) and each `Hello` read gives up after
+/// `timeout`: a registered peer that died before dialing (or right after)
+/// is an `Err`, not a hang. The read is bounded by the accepted stream's
+/// read timeout, which the caller replaces once the mesh is up.
 fn accept_higher_ranks(
     listener: &TcpListener,
     me: usize,
@@ -989,23 +934,17 @@ fn accept_higher_ranks(
     streams: &mut [Option<TcpStream>],
 ) -> Result<()> {
     let np = streams.len();
-    if me + 1 < np {
-        set_accept_timeout(listener, timeout)
-            .map_err(|e| Error::Codec(format!("arm accept timeout: {e}")))?;
-    }
     for _ in me + 1..np {
-        let (mut stream, _) = listener.accept().map_err(|e| {
-            Error::Codec(if is_timeout(&e) {
-                format!("accept peer: no peer dialed within {timeout:?}")
-            } else {
-                format!("accept peer: {e}")
-            })
-        })?;
-        // A connection queued before the listener was armed did not
-        // inherit its timeout: arm the stream itself.
+        let accepted =
+            accept_within(listener, Instant::now() + timeout).map_err(sock_err("accept peer"))?;
+        let Some(mut stream) = accepted else {
+            return Err(Error::Codec(format!(
+                "accept peer: no peer dialed within {timeout:?}"
+            )));
+        };
         stream
             .set_read_timeout(Some(timeout))
-            .map_err(|e| Error::Codec(format!("arm Hello timeout: {e}")))?;
+            .map_err(sock_err("arm Hello timeout"))?;
         match read_frame(&mut stream)? {
             Some(Frame::Hello { epoch: e, rank }) if e == epoch => {
                 let rank = rank as usize;
@@ -1024,68 +963,33 @@ fn accept_higher_ranks(
     Ok(())
 }
 
-/// Set `SO_RCVTIMEO` on a listening socket, which bounds a blocking
-/// `accept` (it then fails with `WouldBlock`). The standard library has
-/// no setter for listeners, so this declares `setsockopt(2)` directly
-/// (std already links libc), as `patternlets_core::signals` does for
-/// `signal(2)`.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-fn set_accept_timeout(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
-    use std::ffi::{c_int, c_long, c_void};
-    use std::os::fd::AsRawFd;
-
-    #[repr(C)]
-    struct Timeval {
-        tv_sec: c_long,
-        tv_usec: c_long,
-    }
-    extern "C" {
-        fn setsockopt(
-            fd: c_int,
-            level: c_int,
-            name: c_int,
-            value: *const c_void,
-            len: u32,
-        ) -> c_int;
-    }
-    const SOL_SOCKET: c_int = 1;
-    const SO_RCVTIMEO: c_int = 20;
-
-    // A zero timeval means "no timeout": round up to a microsecond.
-    let micros = timeout.as_micros().max(1);
-    let tv = Timeval {
-        tv_sec: (micros / 1_000_000) as c_long,
-        tv_usec: (micros % 1_000_000) as c_long,
-    };
-    // SAFETY: `setsockopt` reads `len` bytes from `value`, which points
-    // at a live, properly laid out `timeval` on this stack frame; the fd
-    // is open for as long as `listener` is borrowed.
-    let rc = unsafe {
-        setsockopt(
-            listener.as_raw_fd(),
-            SOL_SOCKET,
-            SO_RCVTIMEO,
-            (&tv as *const Timeval).cast(),
-            std::mem::size_of::<Timeval>() as u32,
-        )
-    };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(std::io::Error::last_os_error())
+/// Accept one connection on `listener`, or `Ok(None)` once `deadline`
+/// passes with none: the listener is made non-blocking and the wait parks
+/// in `poll(2)` on its descriptor, so the bound holds on every platform.
+/// The stream comes back blocking.
+fn accept_within(listener: &TcpListener, deadline: Instant) -> std::io::Result<Option<TcpStream>> {
+    listener.set_nonblocking(true)?;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false)?;
+                return Ok(Some(stream));
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        poll_fds(&mut [PollFd::readable(raw_fd(listener))], left);
     }
 }
 
-/// Elsewhere `accept` stays unbounded.
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-fn set_accept_timeout(_listener: &TcpListener, _timeout: Duration) -> std::io::Result<()> {
-    Ok(())
+/// A socket error, said of `what`.
+fn sock_err(what: impl std::fmt::Display) -> impl FnOnce(std::io::Error) -> Error {
+    move |e| Error::Codec(format!("{what}: {e}"))
 }
 
 /// One entry of a `poll(2)` set.
@@ -1119,7 +1023,7 @@ impl PollFd {
 
 /// Sleep until one of `fds` is ready (or in error), or for `timeout` at
 /// most. `poll(2)` is declared directly (std already links libc), as
-/// [`set_accept_timeout`] does for `setsockopt(2)`.
+/// `patternlets_core::signals` does for `signal(2)`.
 #[cfg(target_os = "linux")]
 fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
     use std::ffi::{c_int, c_ulong};
@@ -1141,13 +1045,12 @@ fn poll_fds(_fds: &mut [PollFd], timeout: Duration) {
 }
 
 #[cfg(unix)]
-fn raw_fd(stream: &TcpStream) -> i32 {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
+fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
+    socket.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn raw_fd(_stream: &TcpStream) -> i32 {
+fn raw_fd<T>(_socket: &T) -> i32 {
     0
 }
 
@@ -1178,10 +1081,6 @@ impl PeerMesh<TcpLink> {
         spec: &WorldSpec,
         chaos: Option<NetChaosPlan>,
     ) -> Result<TcpFabric> {
-        let sock_err = |what: &str| {
-            let what = what.to_string();
-            move |e: std::io::Error| Error::Codec(format!("{what}: {e}"))
-        };
         let listener = TcpListener::bind("127.0.0.1:0").map_err(sock_err("bind listener"))?;
         let my_addr = listener
             .local_addr()
@@ -1203,10 +1102,6 @@ impl PeerMesh<TcpLink> {
         chaos: Option<NetChaosPlan>,
     ) -> Result<TcpFabric> {
         let np = spec.np;
-        let sock_err = |what: &str| {
-            let what = what.to_string();
-            move |e: std::io::Error| Error::Codec(format!("{what}: {e}"))
-        };
 
         // One connection per peer: dial every lower rank, accept every
         // higher one. Dials can't race the listeners — every rank bound
@@ -1216,7 +1111,7 @@ impl PeerMesh<TcpLink> {
         for (peer, addr) in table.iter().enumerate().take(me) {
             let addr = crate::shm::tcp_part(addr);
             let mut stream = TcpStream::connect(addr)
-                .map_err(sock_err(&format!("dial rank {peer} at {addr}")))?;
+                .map_err(sock_err(format!("dial rank {peer} at {addr}")))?;
             crate::frame::write_frame(
                 &mut stream,
                 &Frame::Hello {
@@ -1224,7 +1119,7 @@ impl PeerMesh<TcpLink> {
                     rank: me as u64,
                 },
             )
-            .map_err(sock_err(&format!("handshake with rank {peer}")))?;
+            .map_err(sock_err(format!("handshake with rank {peer}")))?;
             streams[peer] = Some(stream);
         }
         accept_higher_ranks(&listener, me, spec.epoch, REGISTER_TIMEOUT, &mut streams)?;
@@ -1264,12 +1159,9 @@ impl PeerMesh<TcpLink> {
                 .collect(),
             readers,
             pending: Mutex::new((0..np).map(|_| None).collect()),
-            pending_cv: Condvar::new(),
             clock_reply: Mutex::new(None),
         };
         let mesh = PeerMesh::new(me, spec, link)?;
-        mesh.inner
-            .spawn("net-accept".into(), |mesh| mesh.accept_loop())?;
         // With tracing on, non-zero ranks estimate their wall-clock
         // offset to rank 0 over the fresh mesh (rank 0 answers probes as
         // it drains, waiting at the start gate), so per-rank trace exports
@@ -1328,13 +1220,6 @@ mod tests {
     /// dialed but before its `Hello`, fails establishment within the
     /// bound instead of blocking it forever.
     #[test]
-    #[cfg_attr(
-        not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )),
-        ignore = "accept is bounded only where set_accept_timeout is implemented"
-    )]
     fn establishment_gives_up_on_a_peer_that_never_dials_or_greets() {
         let bound = Duration::from_millis(300);
         let never_dials = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1376,6 +1261,82 @@ mod tests {
         assert!(!fabrics[1].rank_failed(2), "survivors stay unfailed");
         for me in [1, 2] {
             fabrics[me].finish(me);
+        }
+    }
+
+    /// A rank that failed itself — the fault-plan victim — does not wait
+    /// for acks when it finishes: its survivors cut its links on reading
+    /// its `Failed`, so none will come, and waiting held its teardown for
+    /// all of `FINISH_DRAIN`.
+    #[test]
+    fn a_rank_that_failed_itself_finishes_without_waiting_for_acks() {
+        let fabrics = tcp_mesh_with(3, None, false);
+        fabrics[1].mark_failed(1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for survivor in [0, 2] {
+            while !fabrics[survivor].rank_failed(1) {
+                assert!(Instant::now() < deadline, "the Failed frame never landed");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let started = Instant::now();
+        fabrics[1].finish(1);
+        let took = started.elapsed();
+        assert!(
+            took < FINISH_DRAIN / 4,
+            "the victim's teardown took {took:?}"
+        );
+        for me in [0, 2] {
+            fabrics[me].finish(me);
+        }
+    }
+
+    /// Two peers redial one lower rank at once. Its two redial threads
+    /// accept on one listener, so either may read the other's `Resume`,
+    /// which it parks for the thread of the peer it names. Every message
+    /// sent across both cuts still arrives exactly once, in order.
+    #[test]
+    fn two_peers_redialing_one_rank_at_once_both_resume() {
+        let fabrics = tcp_mesh_with(3, None, true);
+        let mut sent = [0u64; 3];
+        let mut send_both = || {
+            for src in [1, 2] {
+                fabrics[src].deliver(src, 0, env(0, src, 7, sent[src]), 0, false);
+                sent[src] += 1;
+            }
+        };
+        let mut got = [0u64; 3];
+        for _round in 0..4 {
+            send_both();
+            fabrics[1].disrupt(0);
+            fabrics[2].disrupt(0);
+            send_both();
+            for src in [1, 2] {
+                for _ in 0..2 {
+                    let env = recv_one(&*fabrics[0], 0, src, 7);
+                    assert_eq!(env.seq, got[src], "rank {src}'s messages in order");
+                    got[src] += 1;
+                }
+            }
+        }
+        assert!(fabrics[0].mailbox(0).is_empty(), "no duplicates surfaced");
+        for peer in [1, 2] {
+            assert!(
+                !fabrics[0].rank_failed(peer),
+                "a resumed cut is not a failure"
+            );
+        }
+        let reconnects = fabrics[0]
+            .inner
+            .obs
+            .metrics
+            .as_ref()
+            .unwrap()
+            .snapshot()
+            .total(CounterId::NetReconnects);
+        assert!(reconnects >= 8, "every cut was resumed, got {reconnects}");
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
         }
     }
 

@@ -33,10 +33,14 @@
 //! silence *between* frames is reported as [`IDLE_TIMEOUT`] (the caller
 //! decides whether to keep waiting) while silence *inside* a frame is
 //! [`MID_FRAME_STALL`], so a stalled peer cannot pin a handshake on a
-//! `read_exact` that never returns. The property tests in
+//! `read_exact` that never returns. Every reader, the shm link's
+//! `RingFrames` too, checks a record's header with one function
+//! (`body_len`) and grows its buffer by one rule (`grow`), so none sizes
+//! anything by a length a peer claims: each holds at most its first
+//! buffer, or twice the bytes that arrived. The property tests in
 //! `tests/wire_codec.rs` fuzz both directions, and
 //! `crates/net/tests/stream_frames.rs` holds the parser to `read_frame`'s
-//! answers on hostile input.
+//! answers, and both to that bound, on hostile input.
 
 use std::io::{Read, Write};
 
@@ -640,8 +644,10 @@ pub fn decode_body(body: &[u8]) -> Result<Frame> {
             addr: r.string()?,
         },
         KIND_TABLE => {
+            // Each address takes its 4-byte length prefix at least: a
+            // count the body cannot hold sizes nothing.
             let n = r.u32()? as usize;
-            if n > MAX_FRAME_LEN / 4 {
+            if n > body.len() / 4 {
                 return Err(Error::Codec(format!("absurd table length {n}")));
             }
             let mut addrs = Vec::with_capacity(n);
@@ -728,20 +734,39 @@ fn check_crc(expected: u32, len_bytes: &[u8; 4], body: &[u8]) -> Result<()> {
 /// written by [`encode_frame`]: the shm link's path, in place in the
 /// ring. The blocking streaming path is [`read_frame`].
 pub fn decode_frame(record: &[u8]) -> Result<Frame> {
-    if record.len() < 8 {
+    let Some(head) = record.first_chunk() else {
         return Err(Error::Codec("record shorter than its header".into()));
-    }
-    let len = u32::from_le_bytes(record[..4].try_into().expect("4")) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Codec(format!("frame length {len} exceeds cap")));
-    }
+    };
+    let len = body_len(head)?;
     if record.len() - 8 != len {
         return Err(Error::Codec(format!(
             "length prefix says {len} but {} body bytes present",
             record.len() - 8
         )));
     }
-    decode_record(record[..8].try_into().expect("8"), &record[8..])
+    decode_record(head, &record[8..])
+}
+
+/// The body length a record's header claims: the one check every frame
+/// reader makes before anything is sized by a length that came from a
+/// peer. Over [`MAX_FRAME_LEN`] is an error.
+pub(crate) fn body_len(head: &[u8; 8]) -> Result<usize> {
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(Error::Codec(format!("frame length {len} exceeds cap")));
+    }
+    Ok(len)
+}
+
+/// The one growth rule of every frame reader. `buf` is room for a record
+/// of `want` bytes, of which `filled` have arrived; once they fill it, it
+/// doubles — to `first` bytes at least — but never past `want`. A claimed
+/// length thus sizes nothing: a reader holds at most `first` bytes, or
+/// twice the bytes that arrived.
+pub(crate) fn grow(buf: &mut Vec<u8>, filled: usize, first: usize, want: usize) {
+    if filled == buf.len() && filled < want {
+        buf.resize((2 * filled).max(first).min(want), 0);
+    }
 }
 
 /// Check and decode one record whose 8-byte header (length prefix, CRC)
@@ -752,8 +777,8 @@ pub(crate) fn decode_record(head: &[u8; 8], body: &[u8]) -> Result<Frame> {
     decode_body(body)
 }
 
-/// Did a read or accept on a socket with a timeout time out?
-pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
+/// Did a read on a socket with a timeout time out?
+fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -765,7 +790,10 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
 /// [`Error::Codec`]. On a reader armed with a read timeout, a timeout
 /// before any byte of the next frame is an [`IDLE_TIMEOUT`] error and a
 /// timeout after one is a [`MID_FRAME_STALL`] error — the caller picks
-/// which of those tears the stream down.
+/// which of those tears the stream down. It never reads past its own
+/// frame, so a handshake's socket can be handed on afterwards. Its body
+/// buffer obeys the bound every reader does (`body_len`, `grow`): at most
+/// 64 KiB, or twice the bytes that arrived, whatever the header claims.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     let mut head = [0u8; 8];
     let mut got = 0;
@@ -786,13 +814,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
             Err(e) => return Err(Error::Codec(format!("read error: {e}"))),
         }
     }
-    let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(Error::Codec(format!("frame length {len} exceeds cap")));
-    }
-    let mut body = vec![0u8; len];
+    let len = body_len(&head)?;
+    let mut body = Vec::new();
     let mut at = 0;
     while at < len {
+        grow(&mut body, at, STREAM_BUF_BASE, len);
         match r.read(&mut body[at..]) {
             Ok(0) => {
                 return Err(Error::Codec(format!(
@@ -812,8 +838,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     decode_record(&head, &body).map(Some)
 }
 
-/// Bytes a [`StreamFrames`] buffer starts with, and returns to once it
-/// empties after a record larger than [`StreamFrames::SHRINK_ABOVE`].
+/// Bytes a frame reader's buffer starts with: a [`StreamFrames`] buffer's
+/// size, to which it returns once it empties after a record larger than
+/// [`StreamFrames::SHRINK_ABOVE`], and the most [`read_frame`] holds
+/// before the bytes that arrived say more.
 const STREAM_BUF_BASE: usize = 64 << 10;
 
 /// A non-blocking frame parser over a byte stream: the TCP link's read
@@ -821,22 +849,17 @@ const STREAM_BUF_BASE: usize = 64 << 10;
 /// yields into a buffer, and [`next_frame`](StreamFrames::next_frame)
 /// checks and decodes each complete record in place with
 /// [`decode_frame`] — the frames and errors are exactly those
-/// [`read_frame`] gives for the same bytes. The length prefix comes from
-/// the peer, so it is checked against [`MAX_FRAME_LEN`] before anything is
-/// sized by it, and the buffer grows past its 64 KiB start only when it is
-/// full of bytes that arrived: it never holds more than twice what
+/// [`read_frame`] gives for the same bytes. Like every frame reader, it
+/// checks the peer's length prefix with `body_len` before anything is
+/// sized by it and grows by `grow`: past its 64 KiB start, only when it
+/// is full of bytes that arrived, so it never holds more than twice what
 /// arrived, whatever length a record claims.
+#[derive(Default)]
 pub struct StreamFrames {
     /// Received bytes live in `buf[start..end]`; the rest is room.
     buf: Vec<u8>,
     start: usize,
     end: usize,
-}
-
-impl Default for StreamFrames {
-    fn default() -> Self {
-        StreamFrames::new()
-    }
 }
 
 impl StreamFrames {
@@ -845,11 +868,7 @@ impl StreamFrames {
 
     /// An empty parser; it allocates on its first [`fill`](Self::fill).
     pub fn new() -> StreamFrames {
-        StreamFrames {
-            buf: Vec::new(),
-            start: 0,
-            end: 0,
-        }
+        StreamFrames::default()
     }
 
     /// Received bytes not yet decoded: part of a record, when
@@ -877,35 +896,25 @@ impl StreamFrames {
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
-            if self.buf.len() > Self::SHRINK_ABOVE || self.buf.is_empty() {
-                self.buf = vec![0; STREAM_BUF_BASE];
+            if self.buf.len() > Self::SHRINK_ABOVE {
+                self.buf = Vec::new();
             }
         }
         if self.end == self.buf.len() {
-            self.make_room();
+            // Full: slide the undecoded bytes to the front, and if they
+            // fill it still, grow it towards the record they begin, whose
+            // header `next_frame` found whole and within the cap.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            let want = self.buf.first_chunk().and_then(|head| body_len(head).ok());
+            let want = want.map_or(STREAM_BUF_BASE, |len| 8 + len);
+            grow(&mut self.buf, self.end, STREAM_BUF_BASE, want);
         }
         let n = src.read(&mut self.buf[self.end..])?;
         self.end += n;
         Ok(n)
-    }
-
-    /// The buffer is full: slide the undecoded bytes to its front, and if
-    /// they fill it still, grow it towards the record they begin — by
-    /// doubling, never past the record's end.
-    fn make_room(&mut self) {
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.end < self.buf.len() {
-            return;
-        }
-        // `next_frame` ran dry on a full buffer, so its header is whole,
-        // within the cap, and claims more than the buffer holds.
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4")) as usize;
-        let target = (2 * self.buf.len()).min(8 + len);
-        self.buf.resize(target, 0);
     }
 
     /// The next frame whose every byte has arrived, or `Ok(None)` until
@@ -914,13 +923,10 @@ impl StreamFrames {
     /// [`MAX_FRAME_LEN`], or a body that does not decode.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
         let queued = &self.buf[self.start..self.end];
-        if queued.len() < 8 {
+        let Some(head) = queued.first_chunk() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(queued[..4].try_into().expect("4")) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(Error::Codec(format!("frame length {len} exceeds cap")));
-        }
+        };
+        let len = body_len(head)?;
         if queued.len() < 8 + len {
             return Ok(None);
         }

@@ -11,8 +11,8 @@
 //! when every rank shares a host, a pair of mmap'd rings
 //! ([`shm::ShmLink`]). Either way the rank drains its own link whenever
 //! one of its threads waits: no thread stands between a socket or a ring
-//! and the rank's mailbox, and a rank runs its own thread, the mesh's
-//! heartbeat and, over TCP, the accept thread that fields redials.
+//! and the rank's mailbox, and on either link a rank runs two threads,
+//! its own and the mesh's heartbeat.
 //!
 //! Nothing in a patternlet changes, whichever launcher runs it. A rank
 //! learns its job from one type, [`JobCtx`], and one provider turns it

@@ -570,12 +570,14 @@ impl<L: Link> Fabric for PeerMesh<L> {
         // still in flight (this Finish included) and let a reconnect
         // serve a cut that ate the tail. Without this, a cut at the finish
         // line would turn a clean exit into a spurious failure verdict.
-        // The acks arrive on the link, so the wait drains it.
+        // The acks arrive on the link, so the wait drains it. A rank that
+        // failed itself skips it: its survivors cut its links, and no ack
+        // will ever come.
         let settled = || {
             mesh.link.drain(mesh);
             (0..mesh.np).all(|p| mesh.gone(p) || mesh.link.unacked(p) == 0)
         };
-        if !settled() {
+        if !mesh.failed[me].load(Ordering::SeqCst) && !settled() {
             mesh.wait_until(settled, Some(FINISH_DRAIN));
         }
         mesh.closing.store(true, Ordering::SeqCst);

@@ -76,7 +76,7 @@ use patternlets_mp::fabric::{Fabric, WorldSpec};
 
 use crate::chaos::NetChaosPlan;
 use crate::fabric::TcpFabric;
-use crate::frame::{decode_frame, decode_record, Frame, CRC_MISMATCH, MAX_FRAME_LEN};
+use crate::frame::{body_len, decode_frame, decode_record, grow, Frame, CRC_MISMATCH};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 
@@ -375,16 +375,17 @@ pub fn all_colocated(table: &[String]) -> bool {
 /// decoded in place in the mapping, or from a scratch copy when it wraps
 /// past the ring's end; a record larger than the ring is copied out piece
 /// by piece as it arrives. The length prefix comes from another process,
-/// so it is checked against [`MAX_FRAME_LEN`] before anything is sized
-/// by it, and a large record's buffer grows with the bytes that actually
-/// arrived, not with the length it claims.
+/// so it is checked as every frame reader checks it, before anything is
+/// sized by it, and a large record's buffer grows by the readers' one
+/// rule: with the bytes that actually arrived, not with the length it
+/// claims.
 pub struct RingFrames {
     consumer: Consumer,
     /// Reused for records that wrap.
     scratch: Vec<u8>,
-    /// A record larger than the ring, being assembled: its header and
-    /// the body bytes so far.
-    large: Option<([u8; 8], Vec<u8>)>,
+    /// A record larger than the ring, being assembled: its header, room
+    /// for its body, and the body bytes that arrived.
+    large: Option<([u8; 8], Vec<u8>, usize)>,
 }
 
 impl RingFrames {
@@ -405,8 +406,8 @@ impl RingFrames {
     /// The next frame, if the whole of it has arrived; `Ok(None)` if not
     /// yet. An error means the ring cannot be trusted again: a checksum
     /// mismatch (prefixed [`CRC_MISMATCH`]), a length over
-    /// [`MAX_FRAME_LEN`], a body that does not decode, or a ring its
-    /// producer closed in the middle of a record.
+    /// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN), a body that does
+    /// not decode, or a ring its producer closed in the middle of a record.
     pub fn try_next(&mut self) -> Result<Option<Frame>> {
         // A ring seen closed before looking holds every byte it ever will.
         let closed = self.consumer.ring().is_closed();
@@ -419,10 +420,7 @@ impl RingFrames {
                     Ok(None)
                 };
             }
-            let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(Error::Codec(format!("frame length {len} exceeds cap")));
-            }
+            let len = body_len(&head)?;
             if 8 + len <= self.consumer.ring().capacity() {
                 return match self
                     .consumer
@@ -435,32 +433,24 @@ impl RingFrames {
             }
             // It can never sit whole in the ring: copy it out as it comes.
             self.consumer.try_pop(&mut head);
-            self.large = Some((head, Vec::new()));
+            self.large = Some((head, Vec::new(), 0));
         }
-        let (head, body) = self.large.as_mut().expect("assembling a large record");
-        let len = u32::from_le_bytes(head[..4].try_into().expect("4")) as usize;
-        let want = (len - body.len()).min(self.consumer.available());
-        if want > 0 {
-            let at = body.len();
-            if body.capacity() < at + want {
-                // Double, as `Vec` would, but never past the record.
-                let target = (at + want).max(2 * body.capacity()).min(len);
-                body.reserve_exact(target - at);
-            }
-            body.resize(at + want, 0);
-            self.consumer.try_pop(&mut body[at..]);
+        let (head, body, at) = self.large.as_mut().expect("assembling a large record");
+        let len = body_len(head)?;
+        while *at < len && self.consumer.available() > 0 {
+            grow(body, *at, self.consumer.available(), len);
+            *at += self.consumer.try_pop(&mut body[*at..]);
         }
-        if body.len() < len {
+        if *at < len {
             return if closed {
                 Err(Error::Codec(format!(
-                    "EOF inside frame body: {}/{len} bytes arrived",
-                    body.len()
+                    "EOF inside frame body: {at}/{len} bytes arrived"
                 )))
             } else {
                 Ok(None)
             };
         }
-        let (head, body) = self.large.take().expect("assembling a large record");
+        let (head, body, _) = self.large.take().expect("assembling a large record");
         decode_record(&head, &body).map(Some)
     }
 

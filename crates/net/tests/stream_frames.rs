@@ -4,7 +4,12 @@
 //! yields from the same bytes, then the same error or the same clean end;
 //! it never panics, and it never holds buffer on the strength of a length
 //! prefix: past its 64 KiB start, at most twice the bytes that arrived.
+//! `read_frame` itself obeys the same bound: no allocation it makes for a
+//! frame exceeds 64 KiB or twice the bytes it read, whatever the header
+//! claims, so hostile bytes on a handshake socket buy nothing.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{ErrorKind, Read};
 
 use patternlets_net::frame::{encode_frame, read_frame, Frame, StreamFrames, MAX_FRAME_LEN};
@@ -13,6 +18,84 @@ use proptest::test_runner::TestRng;
 
 /// The buffer a parser starts with.
 const BASE: usize = 64 << 10;
+
+thread_local! {
+    /// The largest single allocation this thread made since last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest allocation.
+struct Measured;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Measured {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOC: Measured = Measured;
+
+/// A blocking socket that hands `bytes` over in the given pieces, one per
+/// read, cut shorter when the reader offers less room, then end of stream.
+struct Trickle {
+    bytes: Vec<u8>,
+    cuts: Vec<usize>,
+    at: usize,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let piece = self.cuts.pop().unwrap_or(usize::MAX).max(1);
+        let n = piece.min(buf.len()).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// What `read_frame` makes of `bytes` handed over in pieces — the same as
+/// from one buffer — checking that no allocation a call made outgrew the
+/// bound: 64 KiB, or twice the bytes that call read.
+fn read_bounded(bytes: &[u8], cuts: Vec<usize>) -> (Vec<Frame>, Result<(), String>) {
+    let mut src = Trickle {
+        bytes: bytes.to_vec(),
+        cuts,
+        at: 0,
+    };
+    let mut frames = Vec::new();
+    loop {
+        let before = src.at;
+        LARGEST.with(|l| l.set(0));
+        let got = read_frame(&mut src);
+        let largest = LARGEST.with(|l| l.get());
+        let read = src.at - before;
+        assert!(
+            largest <= BASE.max(2 * read),
+            "allocated {largest} bytes for a frame of {read} bytes read"
+        );
+        match got {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => return (frames, Ok(())),
+            Err(e) => return (frames, Err(e.to_string())),
+        }
+    }
+}
 
 /// A socket that hands `bytes` over in the given pieces — one per read,
 /// cut shorter when the reader offers less room — with an empty
@@ -166,6 +249,33 @@ proptest! {
         let (bytes, cuts) = wire;
         prop_assert_eq!(parse(&bytes, cuts), oracle(&bytes));
     }
+
+    /// `read_frame` over any bytes, valid or not, arriving in any pieces:
+    /// the same answers, and no allocation past the bound.
+    #[test]
+    fn read_frame_allocates_only_by_the_bytes_it_read(
+        wire in Wire { valid: false },
+        valid in Wire { valid: true },
+    ) {
+        for (bytes, cuts) in [wire, valid] {
+            prop_assert_eq!(read_bounded(&bytes, cuts), oracle(&bytes));
+        }
+    }
+}
+
+/// A header claiming the most a frame may hold, followed by 1,000 bytes,
+/// costs `read_frame` no more than its first 64 KiB of body buffer.
+#[test]
+fn a_claimed_length_reserves_nothing_in_read_frame() {
+    let mut bytes = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+    bytes.extend([0; 4]);
+    bytes.extend([7; 1000]);
+    let (frames, end) = read_bounded(&bytes, vec![]);
+    assert!(frames.is_empty());
+    assert_eq!(
+        end,
+        Err("codec error: EOF inside frame body: 1000/67108864 bytes arrived".into())
+    );
 }
 
 /// A length prefix claiming the most a frame may hold reserves nothing

@@ -73,8 +73,13 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
     if content_length > MAX_BODY {
         return Ok(None);
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // The body grows as its bytes arrive, so a claimed length alone sizes
+    // nothing; a body shorter than its claim is still an error.
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some(Request { method, path, body }))
 }
 

@@ -1,0 +1,115 @@
+//! Hostile input for the gateway's request reader: whatever bytes a client
+//! sends — arbitrary, or a request whose body is cut short of the length
+//! its `Content-Length` claims — `http::read_request` never panics and
+//! never allocates on the strength of a claim: no allocation it makes
+//! exceeds 64 KiB or twice the bytes the client sent.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
+
+use patternlets_serve::http::{read_request, Request};
+use proptest::prelude::*;
+
+thread_local! {
+    /// The largest single allocation this thread made since last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest allocation.
+struct Measured;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Measured {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOC: Measured = Measured;
+
+/// Send `bytes` over a loopback connection and end it, then read one
+/// request from the far side, checking the reader's largest allocation.
+fn serve_one(bytes: &[u8]) -> std::io::Result<Option<Request>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut conn, _) = listener.accept().unwrap();
+    // Small enough for the socket buffer: no second thread needed.
+    client.write_all(bytes).unwrap();
+    client.shutdown(Shutdown::Write).unwrap();
+    LARGEST.with(|l| l.set(0));
+    let got = read_request(&mut conn);
+    let largest = LARGEST.with(|l| l.get());
+    assert!(
+        largest <= (64 << 10).max(2 * bytes.len()),
+        "allocated {largest} bytes for a request of {} bytes",
+        bytes.len()
+    );
+    got
+}
+
+/// A `POST` whose head claims `claim` body bytes, followed by `body`.
+fn post(claim: usize, body: &[u8]) -> Vec<u8> {
+    let mut bytes = format!("POST /jobs HTTP/1.1\r\nContent-Length: {claim}\r\n\r\n").into_bytes();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any bytes at all.
+    #[test]
+    fn arbitrary_bytes_are_read_within_the_bound(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let _ = serve_one(&bytes);
+    }
+
+    /// A request cut off anywhere, its body claiming up to twice the cap:
+    /// a whole body is read back as sent, a short one is an error.
+    #[test]
+    fn truncated_requests_are_read_within_the_bound(
+        claim in 0usize..=2 << 20,
+        body in proptest::collection::vec(any::<u8>(), 0..4096),
+        cut in 0.0f64..1.0,
+    ) {
+        let sent = &body[..body.len().min(claim)];
+        let mut bytes = post(claim, sent);
+        if cut < 0.5 {
+            bytes.truncate((bytes.len() as f64 * cut * 2.0) as usize);
+        }
+        let whole = bytes.len() == post(claim, sent).len();
+        match serve_one(&bytes) {
+            Ok(Some(req)) => {
+                prop_assert!(whole && sent.len() == claim);
+                prop_assert_eq!(req.body, sent.to_vec());
+            }
+            Ok(None) => prop_assert!(!whole || claim > 1 << 20),
+            Err(_) => prop_assert!(sent.len() < claim || !whole),
+        }
+    }
+}
+
+/// The largest body the gateway takes, claimed by eight bytes.
+#[test]
+fn a_claimed_body_reserves_nothing() {
+    let err = serve_one(&post(1 << 20, b"8 bytes!")).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
