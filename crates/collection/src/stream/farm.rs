@@ -1,6 +1,6 @@
 //! `stream/farm` — the *Master-Worker* pattern on a stream: an emitter
-//! fans work out to replicated workers, an ordered collector restores
-//! emission order.
+//! deals work round-robin to replicated workers, and a collector reads
+//! their results back in the same rotation, so output keeps emission order.
 
 use crate::harness::{Patternlet, RunConfig, Technology};
 use patternlets_stream::{run_farm, FarmConfig};
@@ -11,13 +11,14 @@ pub const PATTERNLET: Patternlet = Patternlet {
     technology: Technology::Stream,
     patterns: &["Master-Worker"],
     figures: &[],
-    summary: "emitter → N workers → ordered collector over one work queue",
-    exercise: "Workers race for items, so completion order scrambles — yet \
-               the output is in emission order, on or off. Find the reorder \
-               buffer in patternlets-stream and explain what bounds its \
-               size. What happens to throughput if you make the collector \
-               unordered? (The stream_throughput bench measures exactly \
-               this farm.)",
+    summary: "emitter → N workers → ordered collector over per-worker SPSC edges",
+    exercise: "Workers run concurrently and finish items in any order — yet \
+               the output is in emission order, on or off, and the farm \
+               keeps no reorder buffer. Read run_farm in patternlets-stream: \
+               how does dealing blocks round-robin let the collector restore \
+               order, and why can it never wait on a block that is stuck \
+               behind a later one? What would a worker with slow items do to \
+               the others? (The stream_farm bench measures exactly this farm.)",
     run,
 };
 

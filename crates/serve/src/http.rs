@@ -73,14 +73,18 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
     if content_length > MAX_BODY {
         return Ok(None);
     }
-    // The body grows as its bytes arrive, so a claimed length alone sizes
-    // nothing; a body shorter than its claim is still an error.
     let mut body = Vec::new();
-    reader.take(content_length as u64).read_to_end(&mut body)?;
-    if body.len() < content_length {
+    read_claimed(&mut reader, content_length, &mut body)?;
+    Ok(Some(Request { method, path, body }))
+}
+
+/// Append the `n` bytes a message claims to `body`, which grows as they
+/// arrive, so a claim alone sizes nothing; fewer bytes are an error.
+fn read_claimed(reader: &mut impl Read, n: usize, body: &mut Vec<u8>) -> std::io::Result<()> {
+    if reader.take(n as u64).read_to_end(body)? < n {
         return Err(std::io::ErrorKind::UnexpectedEof.into());
     }
-    Ok(Some(Request { method, path, body }))
+    Ok(())
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -227,15 +231,12 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
             if size == 0 {
                 break;
             }
-            let mut chunk = vec![0u8; size];
-            reader.read_exact(&mut chunk)?;
-            body.extend_from_slice(&chunk);
+            read_claimed(&mut reader, size, &mut body)?;
             let mut crlf = [0u8; 2];
             reader.read_exact(&mut crlf)?;
         }
     } else if let Some(n) = content_length {
-        body.resize(n, 0);
-        reader.read_exact(&mut body)?;
+        read_claimed(&mut reader, n, &mut body)?;
     } else {
         reader.read_to_end(&mut body)?;
     }

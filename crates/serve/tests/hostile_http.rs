@@ -1,15 +1,17 @@
-//! Hostile input for the gateway's request reader: whatever bytes a client
-//! sends — arbitrary, or a request whose body is cut short of the length
-//! its `Content-Length` claims — `http::read_request` never panics and
-//! never allocates on the strength of a claim: no allocation it makes
-//! exceeds 64 KiB or twice the bytes the client sent.
+//! Hostile input for both HTTP readers. Whatever bytes a client sends —
+//! arbitrary, or a request whose body is cut short of the length its
+//! `Content-Length` claims — `http::read_request` never panics; and
+//! whatever body size a server's response claims, by `Content-Length` or
+//! by chunk size, `http::read_response` reads only the bytes that come.
+//! Neither allocates on the strength of a claim: no allocation exceeds
+//! 64 KiB or twice the bytes the peer sent.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 
-use patternlets_serve::http::{read_request, Request};
+use patternlets_serve::http::{read_request, read_response, Request};
 use proptest::prelude::*;
 
 thread_local! {
@@ -44,24 +46,29 @@ fn note(size: usize) {
 #[global_allocator]
 static ALLOC: Measured = Measured;
 
-/// Send `bytes` over a loopback connection and end it, then read one
-/// request from the far side, checking the reader's largest allocation.
-fn serve_one(bytes: &[u8]) -> std::io::Result<Option<Request>> {
+/// Send `bytes` over a loopback connection and end it, then `read` from
+/// the far side, checking the reader's largest allocation.
+fn read_sent<R>(bytes: &[u8], read: impl FnOnce(&mut TcpStream) -> R) -> R {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (mut conn, _) = listener.accept().unwrap();
     // Small enough for the socket buffer: no second thread needed.
-    client.write_all(bytes).unwrap();
-    client.shutdown(Shutdown::Write).unwrap();
+    sender.write_all(bytes).unwrap();
+    sender.shutdown(Shutdown::Write).unwrap();
     LARGEST.with(|l| l.set(0));
-    let got = read_request(&mut conn);
+    let got = read(&mut conn);
     let largest = LARGEST.with(|l| l.get());
     assert!(
         largest <= (64 << 10).max(2 * bytes.len()),
-        "allocated {largest} bytes for a request of {} bytes",
+        "allocated {largest} bytes for a message of {} bytes",
         bytes.len()
     );
     got
+}
+
+/// Read one request from `bytes` sent by a client.
+fn serve_one(bytes: &[u8]) -> std::io::Result<Option<Request>> {
+    read_sent(bytes, read_request)
 }
 
 /// A `POST` whose head claims `claim` body bytes, followed by `body`.
@@ -112,4 +119,32 @@ proptest! {
 fn a_claimed_body_reserves_nothing() {
     let err = serve_one(&post(1 << 20, b"8 bytes!")).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// A 100 MiB `Content-Length` claimed by a 51-byte response.
+#[test]
+fn a_claimed_response_body_reserves_nothing() {
+    let bytes = b"HTTP/1.1 200 OK\r\nContent-Length: 104857600\r\n\r\nshort";
+    let err = read_sent(bytes, read_response).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// A 100 MiB chunk claimed by a chunked response of a few bytes.
+#[test]
+fn a_claimed_response_chunk_reserves_nothing() {
+    let bytes = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6400000\r\nshort";
+    let err = read_sent(bytes, read_response).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// Whole bodies in both framings read back as sent.
+#[test]
+fn whole_response_bodies_read_back() {
+    let fixed = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello";
+    let got = read_sent(fixed, read_response).unwrap();
+    assert_eq!(got, (200, "hello".to_string()));
+    let chunked =
+        b"HTTP/1.1 202 Accepted\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nhel\r\n2\r\nlo\r\n0\r\n\r\n";
+    let got = read_sent(chunked, read_response).unwrap();
+    assert_eq!(got, (202, "hello".to_string()));
 }

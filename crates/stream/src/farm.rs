@@ -1,13 +1,24 @@
 //! The task farm: one input stream fanned out to N replicated workers.
 //!
-//! The farm is the streaming form of master-worker: an **emitter** stamps
-//! each input item with its emission index and pushes it into a shared
-//! work queue, **workers** race to pop and apply the same function, and a
-//! **collector** (the calling thread) gathers results — either in
-//! completion order (`ordered: false`) or with emission order restored by
-//! sequence-number reordering (`ordered: true`, FastFlow's
-//! `ff_ofarm`). All threads are scoped, so the worker closure may borrow
-//! from the caller's stack.
+//! The farm is the streaming form of master-worker, built the FastFlow
+//! way from 1:1 [`spsc_edge`](crate::spsc_edge)s only: each worker owns
+//! a work edge from the **emitter** and a result edge to the
+//! **collector** (the calling thread). The emitter deals blocks of
+//! `batch_for(capacity)` items round-robin, FastFlow's default: block `b`
+//! goes to worker `b % N`. The collector reads block `b` back from result
+//! edge `b % N`, in full, and then moves to the next edge. A worker's
+//! output is FIFO, so that is emission order without sequence numbers or
+//! a reorder buffer: the farm never reorders. Only the last block can be
+//! short, so end-of-stream on the edge being read ends the pass. All
+//! threads are scoped, so the worker closure may borrow from the
+//! caller's stack.
+//!
+//! The farm cannot deadlock. The collector only ever waits for the
+//! oldest block it has not delivered, `b`, and the emitter queued `b` in
+//! full before any later block. Every earlier block of worker `b % N` is
+//! delivered, so `b`'s items head that worker's work edge and its results
+//! head the result edge: the worker pops what the emitter pushes, and
+//! the collector pops what the worker pushes.
 //!
 //! [`farm_feedback`] adds the feedback edge: workers receive a
 //! [`Feedback`] handle and may inject *new* work items into their own
@@ -19,8 +30,8 @@
 //! last one closes the queue for everyone.
 
 use crate::channel::{batch_for, bounded, unbounded, Sender};
+use crate::spsc_edge::spsc_edge;
 use crate::Obs;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shape of a farm run.
@@ -28,14 +39,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct FarmConfig {
     /// Replicated worker count (minimum 1).
     pub workers: usize,
-    /// Capacity of the work and result queues.
+    /// Capacity of each work and result queue.
     pub capacity: usize,
-    /// Restore emission order at the collector (`run_farm` only).
+    /// Kept for callers that state their intent: `run_farm` delivers in
+    /// emission order either way, and `farm_feedback` in completion order.
     pub ordered: bool,
     /// Observability hooks for every queue.
     pub obs: Obs,
-    /// First queue id: the work queue gets `queue_base`, the result queue
-    /// `queue_base + 1` (so two farms can share one metrics hub).
+    /// First queue id: work queues report on `queue_base`, result queues
+    /// on `queue_base + 1` (so two farms can share one metrics hub).
     pub queue_base: usize,
 }
 
@@ -52,9 +64,8 @@ impl Default for FarmConfig {
 }
 
 /// Run `worker` over every item of `input` on `cfg.workers` threads,
-/// feeding each result to `collect` on the calling thread. With
-/// `cfg.ordered`, results arrive in emission order; otherwise in
-/// completion order.
+/// feeding each result to `collect` on the calling thread, in emission
+/// order whatever `cfg.ordered` says.
 ///
 /// Trace lanes: emitter 0, workers `1..=N`, collector `N + 1`.
 pub fn run_farm<T, U, I, W, C>(cfg: &FarmConfig, input: I, worker: W, mut collect: C)
@@ -68,64 +79,52 @@ where
 {
     let workers = cfg.workers.max(1);
     let capacity = cfg.capacity.max(1);
-    let (work_tx, work_rx) = bounded::<(u64, T)>(capacity, cfg.queue_base, &cfg.obs);
-    let (res_tx, res_rx) = bounded::<(u64, U)>(capacity, cfg.queue_base + 1, &cfg.obs);
+    let (work_txs, work_rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| spsc_edge(capacity, cfg.queue_base, &cfg.obs))
+        .unzip();
+    let (res_txs, res_rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| spsc_edge(capacity, cfg.queue_base + 1, &cfg.obs))
+        .unzip();
     let chunk = batch_for(capacity);
-    let input = input.into_iter();
+    // Fused: after a short block the emitter asks once more, and a
+    // resumed iterator would deal items the collector never reads.
+    let mut input = input.into_iter().fuse();
     std::thread::scope(|s| {
-        let emitter_tx = work_tx.for_lane(0);
-        drop(work_tx);
+        // The work senders are on lane 0, the emitter's, from birth.
         s.spawn(move || {
-            let mut batch = Vec::with_capacity(chunk);
-            for pair in (0..).zip(input) {
-                batch.push(pair);
-                if batch.len() == chunk && !emitter_tx.send_many(batch.drain(..)) {
+            let mut block = Vec::with_capacity(chunk);
+            for tx in work_txs.iter().cycle() {
+                block.extend(input.by_ref().take(chunk));
+                if block.is_empty() || !tx.send_many(block.drain(..)) {
                     return;
                 }
             }
-            emitter_tx.send_many(batch);
         });
-        for w in 0..workers {
-            let rx = work_rx.for_lane(w + 1);
-            let tx = res_tx.for_lane(w + 1);
+        for (w, (rx, tx)) in work_rxs.into_iter().zip(res_txs).enumerate() {
+            let (rx, tx) = (rx.for_lane(w + 1), tx.for_lane(w + 1));
             let worker = &worker;
             s.spawn(move || {
                 let mut out = Vec::with_capacity(chunk);
                 while let Some(batch) = rx.recv_many(chunk) {
-                    out.extend(batch.into_iter().map(|(seq, item)| (seq, worker(item))));
+                    out.extend(batch.into_iter().map(worker));
                     if !tx.send_many(out.drain(..)) {
                         break;
                     }
                 }
             });
         }
-        drop(work_rx);
-        drop(res_tx);
-        let res_rx = res_rx.for_lane(workers + 1);
-        if cfg.ordered {
-            // The reorder buffer: completion order in, emission order out.
-            let mut next = 0u64;
-            let mut pending: HashMap<u64, U> = HashMap::new();
-            while let Some(batch) = res_rx.recv_many(chunk) {
-                for (seq, result) in batch {
-                    if seq == next {
-                        collect(result);
-                        next += 1;
-                        while let Some(r) = pending.remove(&next) {
-                            collect(r);
-                            next += 1;
-                        }
-                    } else {
-                        pending.insert(seq, result);
-                    }
-                }
-            }
-            assert!(pending.is_empty(), "every buffered result was released");
-        } else {
-            while let Some(batch) = res_rx.recv_many(chunk) {
-                for (_, result) in batch {
-                    collect(result);
-                }
+        let res_rxs: Vec<_> = res_rxs
+            .into_iter()
+            .map(|rx| rx.for_lane(workers + 1))
+            .collect();
+        'pass: for rx in res_rxs.iter().cycle() {
+            let mut left = chunk;
+            while left > 0 {
+                let Some(batch) = rx.recv_many(left) else {
+                    break 'pass;
+                };
+                left -= batch.len();
+                batch.into_iter().for_each(&mut collect);
             }
         }
     });
@@ -214,6 +213,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patternlets_metrics::{CounterId, GaugeId, MetricsHub};
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn an_ordered_farm_restores_emission_order() {
@@ -275,6 +278,106 @@ mod tests {
             |r| out.push(r),
         );
         assert_eq!(out, table);
+    }
+
+    #[test]
+    fn output_is_in_emission_order_at_every_shape() {
+        for capacity in [1, 4, 64] {
+            let block = batch_for(capacity);
+            for workers in 1..=8 {
+                for items in [0, 1, block - 1, block, workers * block + 1] {
+                    for ordered in [true, false] {
+                        let cfg = FarmConfig {
+                            workers,
+                            capacity,
+                            ordered,
+                            ..FarmConfig::default()
+                        };
+                        let mut out = Vec::new();
+                        let jittered = |x: usize| {
+                            if x.is_multiple_of(7) {
+                                std::thread::yield_now();
+                            }
+                            x * 3
+                        };
+                        run_farm(&cfg, 0..items, jittered, |r| out.push(r));
+                        assert_eq!(
+                            out,
+                            (0..items).map(|x| x * 3).collect::<Vec<_>>(),
+                            "{workers} workers, capacity {capacity}, {items} items, \
+                             ordered {ordered}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_ends_the_pass_and_every_item_drops_once() {
+        struct Counted(usize, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let made = Arc::new(AtomicUsize::new(0));
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let (m, d) = (Arc::clone(&made), Arc::clone(&dropped));
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = FarmConfig {
+                workers: 3,
+                capacity: 4,
+                ..FarmConfig::default()
+            };
+            let input = (0..1000).map(move |i| {
+                m.fetch_add(1, Ordering::SeqCst);
+                Counted(i, Arc::clone(&d))
+            });
+            let fail_midway = |c: Counted| {
+                assert_ne!(c.0, 500, "the worker fails on item 500");
+                c
+            };
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_farm(&cfg, input, fail_midway, drop)
+            }));
+            done_tx.send(outcome.is_err()).unwrap();
+        });
+        let panicked = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("run_farm returns within the deadline");
+        assert!(panicked, "the worker's panic reaches the caller");
+        assert!(made.load(Ordering::SeqCst) > 500);
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            made.load(Ordering::SeqCst),
+            "every item made was dropped exactly once"
+        );
+    }
+
+    #[test]
+    fn every_item_crosses_one_work_and_one_result_edge() {
+        let hub = MetricsHub::new();
+        let cfg = FarmConfig {
+            workers: 3,
+            capacity: 8,
+            obs: Obs {
+                tracer: None,
+                metrics: Some(hub.clone()),
+            },
+            queue_base: 5,
+            ..FarmConfig::default()
+        };
+        run_farm(&cfg, 0..1000u32, |x| x, drop);
+        let snap = hub.snapshot();
+        let items_in = |q| {
+            snap.lane(q)
+                .map_or(0, |l| l.counter(CounterId::StreamItemsIn))
+        };
+        assert_eq!((items_in(5), items_in(6)), (1000, 1000));
+        assert_eq!(snap.total(CounterId::StreamItemsIn), 2000);
+        assert!(snap.total_max(GaugeId::StreamQueueDepth) <= 8, "bound held");
     }
 
     #[test]

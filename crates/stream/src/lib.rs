@@ -6,24 +6,25 @@
 //! unbounded sequence of items flowing through a graph of stages connected
 //! by bounded queues — the FastFlow/TBB-flow-graph model, in safe Rust.
 //!
-//! Three layers:
+//! Four layers:
 //!
-//! * [`channel`] — the one concurrency primitive everything else is built
-//!   from: a bounded MPMC [`channel::Sender`]/[`channel::Receiver`] pair
-//!   with **blocking backpressure** (a full queue blocks the producer — the
-//!   queue depth never exceeds its capacity) and a counted-sender
-//!   **end-of-stream protocol** (when every `Sender` is dropped or the
-//!   channel is closed, `recv` drains what is queued and then returns
-//!   `None` to every consumer, exactly once each).
+//! * [`channel`] — a bounded MPMC [`channel::Sender`]/[`channel::Receiver`]
+//!   pair with **blocking backpressure** (a full queue blocks the
+//!   producer — the queue depth never exceeds its capacity) and a
+//!   counted-sender **end-of-stream protocol** (when every `Sender` is
+//!   dropped or the channel is closed, `recv` drains what is queued and
+//!   then returns `None` to every consumer, exactly once each).
+//! * [`spsc_edge`] — the same contract on a lock-free 1:1 ring: the edge
+//!   every pipeline and farm queue is built from.
 //! * [`pipeline`] — a linear stage graph: `source → stage → … → sink`,
 //!   one thread per stage, order-preserving, EOS propagating stage to
 //!   stage by `Sender` drop.
 //! * [`farm`] — the emitter/worker/collector shape: one input stream
-//!   fanned out to N replicated workers, results collected **ordered**
-//!   (emission order restored by sequence-number reordering) or
-//!   **unordered** (completion order); plus [`farm::farm_feedback`], a
-//!   farm whose workers can inject new work items back into their own
-//!   input — the feedback edge that turns a farm into a dynamic task pool
+//!   dealt round-robin to N replicated workers, each with its own work
+//!   and result edge, results collected in emission order; plus
+//!   [`farm::farm_feedback`], a farm whose workers can inject new work
+//!   items back into their own input over the MPMC channel — the
+//!   feedback edge that turns a farm into a dynamic task pool
 //!   (divide-and-conquer, wavefronts).
 //!
 //! Every queue carries an id that doubles as its *metrics lane*:

@@ -10,13 +10,13 @@
 //! Order preservation falls out of the topology: every queue is FIFO and
 //! every stage is a single thread, so items leave the sink in exactly the
 //! order the source produced them — no sequence numbers needed (the farm
-//! is where those live).
+//! keeps order the same way, reading its workers' edges in dealing order).
 //!
 //! That same topology fact — every queue is statically 1:1 — is why the
 //! edges here are the lock-free [`spsc_edge`](crate::spsc_edge) rings
-//! rather than the mutex-guarded MPMC channel the farm uses: a pipeline
-//! edge never has a second producer or consumer to synchronize with, so
-//! it pays two atomics per batch instead of a lock acquisition.
+//! rather than the mutex-guarded MPMC channel: a pipeline edge never has
+//! a second producer or consumer to synchronize with, so it pays two
+//! atomics per batch instead of a lock acquisition.
 
 use crate::channel::batch_for;
 use crate::spsc_edge::{spsc_edge, SpscReceiver};

@@ -1,4 +1,4 @@
-//! The lock-free 1:1 edge: a typed SPSC ring for pipeline queues.
+//! The lock-free 1:1 edge: a typed SPSC ring for pipeline and farm queues.
 //!
 //! Every [`Pipeline`](crate::Pipeline) queue is statically 1:1 — one
 //! stage thread produces, the next consumes — so the MPMC channel's
@@ -17,8 +17,8 @@
 //! directly instead of serialized frames — no encode, no copy, just a
 //! move into and out of the slot.
 //!
-//! The farm keeps the MPMC channel: its work queue is 1:N and its
-//! result queue N:1, genuinely multi-consumer/multi-producer.
+//! The farm is built from these edges too, one work and one result edge
+//! per worker; only `farm_feedback`'s cycle keeps the MPMC channel.
 
 use crate::Obs;
 use patternlets_core::spsc::{wait, Doorbell, Wait};
