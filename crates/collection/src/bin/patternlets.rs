@@ -16,11 +16,11 @@
 //! picks the victim rank for the `resilience/` family. `--trace FILE`
 //! writes the run's event stream as Chrome-trace JSON (open in
 //! `chrome://tracing` or Perfetto), `--timeline` prints a per-rank text
-//! timeline, and `--counters` prints per-rank message/worksharing totals.
-//! `--metrics` records quantitative counters/histograms and prints the
-//! end-of-run summary table; under `pmrun --metrics-port`, the job
-//! context turns metrics on automatically and streams snapshots to the
-//! launcher.
+//! timeline, and `--counters` prints per-rank message/worksharing totals
+//! from the run's metrics hub. `--metrics` records quantitative
+//! counters/histograms and prints the end-of-run summary table; under
+//! `pmrun --metrics-port`, the job context turns metrics on automatically
+//! and streams snapshots to the launcher.
 //!
 //! `analyze` rebuilds the happened-before DAG from a trace file (a
 //! single rank's export or a `pmrun --trace` merge) and reports the
@@ -35,12 +35,13 @@ use std::time::Duration;
 use patternlets::harness::{Mode, Patternlet, RunConfig, Technology};
 use patternlets::registry::{by_technology, census, find, registry};
 use patternlets_core::capture::Output;
-use patternlets_metrics::{render_summary, MetricsHub, MetricsSnapshot};
+use patternlets_metrics::{
+    render_summary, CounterId, HistId, MetricsHub, MetricsSnapshot, COLL_OPS, SCHEDULES,
+};
 use patternlets_mp::Comm;
 use patternlets_net::JobCtx;
 use patternlets_serve::{Assignment, JobLineSink};
 use patternlets_trace::{chrome, timeline, Trace, Tracer};
-use patternlets_vtime::{rank_counters, total_counters, RankCounters};
 
 fn main() -> ExitCode {
     // Under `pmrun` this process is one rank of a multi-process world:
@@ -362,14 +363,14 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
     let flag = |name: &str| args.iter().any(|a| a == name);
     let trace_file = value(&["--trace"]);
     let report_trace = job.filter(|j| j.report_trace);
-    // `--metrics` asks for the end-of-run table.
+    // `--counters` and `--metrics` each ask for an end-of-run table.
     let (want_timeline, want_counters, want_metrics) =
         (flag("--timeline"), flag("--counters"), flag("--metrics"));
     // Under pmrun every rank runs this same code; per-run chrome (the
     // banner, trailing blank line, trace summaries) comes from rank 0
     // alone so the launcher's aggregate output stays readable.
     let chatty = job.is_none_or(|j| j.rank == 0);
-    let metrics = LauncherMetrics::start(want_metrics, job);
+    let metrics = LauncherMetrics::start(want_counters || want_metrics, job);
     let run = RankRun {
         p,
         tasks: value(&["-n", "--tasks"])
@@ -380,7 +381,7 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
         chatty,
         output: Output::echoing(),
         hub: metrics.hub.clone(),
-        traced: trace_file.is_some() || report_trace.is_some() || want_timeline || want_counters,
+        traced: trace_file.is_some() || report_trace.is_some() || want_timeline,
     };
     if let Some((trace, json)) = run.run(|line| println!("{line}")) {
         // The launcher merges every rank's export into one aligned
@@ -413,13 +414,14 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
                 None => println!("{}", timeline::render(&trace)),
             }
         }
-        if want_counters && chatty {
-            print_counters(&trace);
-        }
     }
-    if let Some(hub) = metrics.finish() {
-        if want_metrics && chatty {
-            println!("{}", render_summary(&hub.snapshot()));
+    if let Some(hub) = metrics.finish().filter(|_| chatty) {
+        let snap = hub.snapshot();
+        if want_counters {
+            print_counters(&snap);
+        }
+        if want_metrics {
+            println!("{}", render_summary(&snap));
         }
     }
     ExitCode::SUCCESS
@@ -596,39 +598,39 @@ fn net_soak(np: usize, rounds: u64, job: Option<&JobCtx>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn print_counters(trace: &patternlets_trace::Trace) {
-    let rows = rank_counters(trace);
-    if rows.is_empty() {
-        println!("no trace events recorded");
-        return;
-    }
+/// The `--counters` table: per-rank sends, receives, bytes each way,
+/// collective phases, barrier episodes, loop chunks and iterations, read
+/// from the hub the run recorded into. Lanes with none of these are left
+/// out.
+fn print_counters(snap: &MetricsSnapshot) {
+    use CounterId::*;
     println!("rank   sends   recvs  bytes→  bytes←   colls   barrs  chunks   iters");
-    let print_row = |label: &str, c: &RankCounters| {
-        println!(
-            "{label:>4}  {:>6}  {:>6}  {:>6}  {:>6}  {:>6}  {:>6}  {:>6}  {:>6}",
-            c.sends,
-            c.recvs,
-            c.bytes_sent,
-            c.bytes_recv,
-            c.collectives,
-            c.barriers,
-            c.chunks,
-            c.iterations
-        );
+    let print_row = |label: &str, row: &[u64; 8]| {
+        let cells: String = row.iter().map(|n| format!("  {n:>6}")).collect();
+        println!("{label:>4}{cells}");
     };
-    for c in &rows {
-        print_row(&c.rank.to_string(), c);
+    let mut total = [0; 8];
+    for l in &snap.lanes {
+        let sum = |ns: &[u64]| ns.iter().sum();
+        let row = [
+            sum(&[MsgsSentInproc, MsgsSentEncoded, MsgsSentInline].map(|id| l.counter(id))),
+            l.counter(MsgsRecv),
+            l.counter(BytesSent),
+            l.counter(BytesRecv),
+            sum(&COLL_OPS.map(|op| l.hist(HistId::coll(op)).count())),
+            l.hist(HistId::BARRIER_WAIT_NS).count(),
+            sum(&SCHEDULES.map(|(_, chunks, _)| l.counter(chunks))),
+            sum(&SCHEDULES.map(|(_, _, iters)| l.counter(iters))),
+        ];
+        if row.iter().any(|&n| n > 0) {
+            print_row(&l.lane.to_string(), &row);
+            total.iter_mut().zip(row).for_each(|(t, n)| *t += n);
+        }
     }
-    let total = total_counters(&rows);
     print_row("all", &total);
-    if total.retransmits > 0 || total.dup_drops > 0 {
-        println!(
-            "chaos: {} retransmissions, {} duplicates dropped",
-            total.retransmits, total.dup_drops
-        );
-    }
-    if trace.dropped > 0 {
-        println!("({} events dropped from full ring buffers)", trace.dropped);
+    let (retransmits, dup_drops) = (snap.total(Retransmits), snap.total(DupDrops));
+    if retransmits > 0 || dup_drops > 0 {
+        println!("chaos: {retransmits} retransmissions, {dup_drops} duplicates dropped");
     }
 }
 

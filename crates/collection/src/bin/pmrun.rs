@@ -204,29 +204,20 @@ fn take_reports(
 }
 
 /// Serve `GET /metrics` (any path, really) with Prometheus text
-/// exposition format 0.0.4, read by `serve::http`'s bounded request
-/// parser. Returns the actually-bound port.
+/// exposition format 0.0.4, on `serve::http`'s server loop. Returns the
+/// actually-bound port.
 fn serve_http(reports: Arc<Reports>, port: u16) -> std::io::Result<u16> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let bound = listener.local_addr()?.port();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            // Every well-formed request gets the same body, whatever
-            // its path; a malformed one is dropped unanswered.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            let Ok(Some(_)) = http::read_request(&mut stream) else {
-                continue;
-            };
-            let body = render_prometheus(&reports.metrics().1);
-            let _ = http::respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.as_bytes(),
-            );
-        }
-    });
+    http::serve(listener, "pmrun-metrics", move |stream, _| {
+        let body = render_prometheus(&reports.metrics().1);
+        http::respond(
+            stream,
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            body.as_bytes(),
+        )
+    })?;
     Ok(bound)
 }
 

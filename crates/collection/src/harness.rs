@@ -72,13 +72,14 @@ pub struct RunConfig {
     /// `None` lets each resilience patternlet pick its default victim;
     /// non-resilience patternlets ignore it.
     pub kill: Option<usize>,
-    /// Structured-event tracer (CLI `--trace`/`--counters`). When set,
+    /// Structured-event tracer (CLI `--trace`/`--timeline`). When set,
     /// every world and team a patternlet builds through [`RunConfig::world`]
     /// and [`RunConfig::team`] emits events into it.
     pub tracer: Option<Tracer>,
-    /// Quantitative instruments (CLI `--metrics`). When set, every world
-    /// and team built through [`RunConfig::world`] and [`RunConfig::team`]
-    /// records counters/histograms into it; `None` costs one branch.
+    /// Quantitative instruments (CLI `--metrics`/`--counters`). When set,
+    /// every world and team built through [`RunConfig::world`] and
+    /// [`RunConfig::team`] records counters/histograms into it; `None`
+    /// costs one branch.
     pub metrics: Option<MetricsHub>,
     /// Directory for per-rank checkpoint files (tests set it directly;
     /// `pmrun --respawn` shares one through the job context). `None`

@@ -106,3 +106,41 @@ fn no_arguments_prints_usage() {
     assert!(!ok);
     assert!(stderr.contains("usage:"));
 }
+
+#[test]
+fn counters_read_the_hub_and_need_no_trace() {
+    // mpi/broadcast at np 4: np − 1 sends and receives, np bcast phases.
+    let (stdout, _, ok) = run(&["run", "mpi/broadcast", "-n", "4", "--counters"]);
+    assert!(ok);
+    let all: Vec<&str> = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("all "))
+        .unwrap_or_else(|| panic!("no `all` row:\n{stdout}"))
+        .split_whitespace()
+        .collect();
+    assert_eq!((all[1], all[2], all[5]), ("3", "3", "4"), "{stdout}");
+    for rank in 0..4 {
+        let row = format!("{rank:>4} ");
+        assert!(stdout.lines().any(|l| l.starts_with(&row)), "{stdout}");
+    }
+    assert!(!stdout.contains("trace events"), "{stdout}");
+
+    // With --trace too, the trace file is still written.
+    let path = std::env::temp_dir().join(format!("counters-{}.json", std::process::id()));
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let (stdout, _, ok) = run(&[
+        "run",
+        "mpi/broadcast",
+        "-n",
+        "4",
+        "--counters",
+        "--trace",
+        path_arg,
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("trace events"), "{stdout}");
+    assert!(std::fs::read_to_string(&path)
+        .unwrap()
+        .contains("traceEvents"));
+    let _ = std::fs::remove_file(&path);
+}

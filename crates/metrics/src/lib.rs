@@ -38,7 +38,7 @@ mod obs;
 mod snapshot;
 pub mod wire;
 
-pub use export::{render_prometheus, render_summary};
+pub use export::{render_prometheus, render_summary, SCHEDULES};
 pub use obs::{Obs, Phase};
 pub use snapshot::{HistData, LaneMetrics, MetricsSnapshot};
 

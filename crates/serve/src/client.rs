@@ -4,11 +4,11 @@
 //! these surface directly on a CLI, so they are written for humans, not
 //! for matching.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::http::http_exchange;
+use crate::http::{http_exchange, read_response_with};
 use crate::json::{escape, Json};
 
 /// Environment variable the CLI consults for the gateway address when
@@ -134,54 +134,20 @@ pub fn stream_output(addr: &str, job: u64, out: &mut impl Write) -> Result<(), S
         "GET /jobs/{job}/output HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
     )
     .map_err(|e| format!("request write: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("response read: {e}"))?;
-    let code: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("response read: {e}"))?;
-        if n == 0 || header.trim_end().is_empty() {
-            break;
-        }
-    }
-    if code != 200 {
-        let mut body = String::new();
-        let _ = reader.read_to_string(&mut body);
-        return Err(gateway_error(code, &body));
-    }
-    loop {
-        let mut size_line = String::new();
-        let n = reader
-            .read_line(&mut size_line)
-            .map_err(|e| format!("stream read: {e}"))?;
-        if n == 0 {
+    let mut refusal = Vec::new();
+    let status = read_response_with(&mut stream, |status, piece| {
+        if status != 200 {
+            refusal.extend_from_slice(piece);
             return Ok(());
         }
-        let size = usize::from_str_radix(size_line.trim(), 16).unwrap_or(0);
-        if size == 0 {
-            return Ok(());
-        }
-        let mut chunk = vec![0u8; size];
-        reader
-            .read_exact(&mut chunk)
-            .map_err(|e| format!("stream read: {e}"))?;
-        out.write_all(&chunk)
-            .map_err(|e| format!("output write: {e}"))?;
-        out.flush().ok();
-        let mut crlf = [0u8; 2];
-        reader
-            .read_exact(&mut crlf)
-            .map_err(|e| format!("stream read: {e}"))?;
+        out.write_all(piece)?;
+        out.flush()
+    })
+    .map_err(|e| format!("stream read: {e}"))?;
+    if status != 200 {
+        return Err(gateway_error(status, &String::from_utf8_lossy(&refusal)));
     }
+    Ok(())
 }
 
 /// Ask the daemon to drain and exit.

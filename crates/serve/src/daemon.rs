@@ -35,7 +35,7 @@ use patternlets_metrics::render_prometheus;
 use patternlets_net::frame::{read_frame, Frame};
 use patternlets_net::rendezvous::RendezvousCore;
 
-use crate::http::{read_request, respond, respond_json, ChunkedWriter, Request};
+use crate::http::{respond, respond_json, ChunkedWriter, Request};
 use crate::job::{JobPhase, JobSpec, JobTable};
 use crate::json::{escape, Json};
 use crate::pool::WorkerPool;
@@ -159,17 +159,9 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
             default_chaos: config.default_chaos.clone(),
             default_retries: config.default_retries,
         };
-        std::thread::Builder::new()
-            .name("pmserve-http".into())
-            .spawn(move || {
-                for conn in http.incoming() {
-                    let Ok(conn) = conn else { continue };
-                    let shared = shared.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("pmserve-http-conn".into())
-                        .spawn(move || handle_http(conn, &shared));
-                }
-            })?;
+        crate::http::serve(http, "pmserve-http", move |conn, req| {
+            handle_http(conn, req, &shared)
+        })?;
     }
 
     Ok(Daemon {
@@ -256,7 +248,6 @@ fn cluster_conn(
     }
 }
 
-#[derive(Clone)]
 struct HttpShared {
     table: Arc<JobTable>,
     pool: Arc<WorkerPool>,
@@ -271,29 +262,26 @@ fn err_doc(msg: &str) -> String {
     format!("{{\"error\": \"{}\"}}", escape(msg))
 }
 
-fn handle_http(mut conn: TcpStream, shared: &HttpShared) {
-    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
-    let Ok(Some(req)) = read_request(&mut conn) else {
-        return;
-    };
+/// The gateway's router: one request, one response.
+fn handle_http(conn: &mut TcpStream, req: &Request, shared: &HttpShared) -> std::io::Result<()> {
     let path = req.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let result = match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => submit(&mut conn, &req, shared),
-        ("GET", ["jobs"]) => list_jobs(&mut conn, shared),
-        ("GET", ["jobs", id]) => job_status(&mut conn, id, shared),
-        ("GET", ["jobs", id, "output"]) => job_output(&mut conn, id, shared),
-        ("GET", ["jobs", id, "trace"]) => job_trace(&mut conn, id, shared),
-        ("GET", ["jobs", id, "analysis"]) => job_analysis(&mut conn, id, shared),
-        ("GET", ["metrics"]) => metrics(&mut conn, shared),
-        ("GET", ["workers"]) => workers(&mut conn, shared),
+    match (req.method.as_str(), segments.as_slice()) {
+        ("POST", ["jobs"]) => submit(conn, req, shared),
+        ("GET", ["jobs"]) => list_jobs(conn, shared),
+        ("GET", ["jobs", id]) => job_status(conn, id, shared),
+        ("GET", ["jobs", id, "output"]) => job_output(conn, id, shared),
+        ("GET", ["jobs", id, "trace"]) => job_trace(conn, id, shared),
+        ("GET", ["jobs", id, "analysis"]) => job_analysis(conn, id, shared),
+        ("GET", ["metrics"]) => metrics(conn, shared),
+        ("GET", ["workers"]) => workers(conn, shared),
         ("POST", ["shutdown"]) => {
             shared.draining.store(true, Ordering::SeqCst);
             let _ = shared.events.send(Event::Drain);
-            respond_json(&mut conn, 200, "{\"status\": \"draining\"}")
+            respond_json(conn, 200, "{\"status\": \"draining\"}")
         }
         ("GET", []) => respond(
-            &mut conn,
+            conn,
             200,
             "text/plain",
             b"pmserve: POST /jobs, GET /jobs, GET /jobs/:id, GET /jobs/:id/output, \
@@ -301,11 +289,10 @@ fn handle_http(mut conn: TcpStream, shared: &HttpShared) {
               GET /metrics, GET /workers, POST /shutdown\n",
         ),
         (method, _) if method != "GET" && method != "POST" => {
-            respond_json(&mut conn, 405, &err_doc("use GET or POST"))
+            respond_json(conn, 405, &err_doc("use GET or POST"))
         }
-        _ => respond_json(&mut conn, 404, &err_doc("no such endpoint")),
-    };
-    let _ = result;
+        _ => respond_json(conn, 404, &err_doc("no such endpoint")),
+    }
 }
 
 fn submit(conn: &mut TcpStream, req: &Request, shared: &HttpShared) -> std::io::Result<()> {

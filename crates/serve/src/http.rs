@@ -4,17 +4,48 @@
 //! submit` client: request-line + headers + `Content-Length` bodies on
 //! the way in; fixed-length or `chunked` responses on the way out. Every
 //! exchange is one connection (`Connection: close`), which keeps the
-//! server loop a plain thread-per-connection accept loop with no keep-
-//! alive bookkeeping — the right trade for a teaching daemon whose
-//! request rate is human-scale.
+//! server loop ([`serve`]) a plain thread-per-connection accept loop with
+//! no keep-alive bookkeeping — the right trade for a teaching daemon
+//! whose request rate is human-scale.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Cap on header block + body size: the gateway's documents are tiny, so
 /// anything larger is a confused (or hostile) client.
 const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 1024 * 1024;
+
+/// Serve `listener` from a thread of its own, one thread per connection:
+/// each reads one request, sent within 10 s, and passes it to `handler`,
+/// which writes the response. A connection whose request is unparseable
+/// is dropped unanswered.
+pub fn serve<H>(listener: TcpListener, name: &str, handler: H) -> std::io::Result<()>
+where
+    H: Fn(&mut TcpStream, &Request) -> std::io::Result<()> + Send + Sync + 'static,
+{
+    let handler = Arc::new(handler);
+    let conn_name = format!("{name}-conn");
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut conn) = conn else { continue };
+                let handler = Arc::clone(&handler);
+                let _ = std::thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || {
+                        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+                        if let Ok(Some(req)) = read_request(&mut conn) {
+                            let _ = handler(&mut conn, &req);
+                        }
+                    });
+            }
+        })?;
+    Ok(())
+}
 
 /// One parsed request.
 #[derive(Debug)]
@@ -188,12 +219,29 @@ pub fn http_exchange(
     read_response(&mut stream)
 }
 
-/// Read a full response from a connected stream: status line, headers,
-/// then a fixed-length, chunked, or read-to-EOF body.
+/// Read a full response from a connected stream, returning `(status,
+/// body)`; see [`read_response_with`].
 pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
+    let mut body = Vec::new();
+    let status = read_response_with(stream, |_, piece| {
+        body.extend_from_slice(piece);
+        Ok(())
+    })?;
+    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+}
+
+/// Read a response from a connected stream: status line, headers, then a
+/// fixed-length, chunked, or read-to-EOF body, handed to `sink` with the
+/// status as it arrives, a chunk at a time; returns the status. The head,
+/// and each chunk-size line, is held to [`MAX_HEAD`] bytes: a line that
+/// runs past its budget is an error.
+pub fn read_response_with(
+    stream: &mut TcpStream,
+    mut sink: impl FnMut(u16, &[u8]) -> std::io::Result<()>,
+) -> std::io::Result<u16> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
+    let line = response_line(&mut head)?;
     let status: u16 = line
         .split_whitespace()
         .nth(1)
@@ -202,9 +250,9 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
     let mut content_length: Option<usize> = None;
     let mut chunked = false;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok((status, String::new()));
+        let header = response_line(&mut head)?;
+        if header.is_empty() {
+            return Ok(status);
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -220,27 +268,39 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
             }
         }
     }
-    let mut body = Vec::new();
-    if chunked {
-        loop {
-            let mut size_line = String::new();
-            if reader.read_line(&mut size_line)? == 0 {
-                break;
-            }
+    let mut piece = Vec::new();
+    match content_length {
+        _ if chunked => loop {
+            let size_line = response_line(&mut (&mut reader).take(MAX_HEAD as u64))?;
             let size = usize::from_str_radix(size_line.trim(), 16).unwrap_or(0);
             if size == 0 {
-                break;
+                return Ok(status);
             }
-            read_claimed(&mut reader, size, &mut body)?;
+            piece.clear();
+            read_claimed(&mut reader, size, &mut piece)?;
+            sink(status, &piece)?;
             let mut crlf = [0u8; 2];
             reader.read_exact(&mut crlf)?;
-        }
-    } else if let Some(n) = content_length {
-        read_claimed(&mut reader, n, &mut body)?;
-    } else {
-        reader.read_to_end(&mut body)?;
+        },
+        Some(n) => read_claimed(&mut reader, n, &mut piece)?,
+        None => drop(reader.read_to_end(&mut piece)?),
     }
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+    sink(status, &piece)?;
+    Ok(status)
+}
+
+/// One response line, read through `head`, a reader limited to what is
+/// left of the line's budget: empty at EOF, an error past the budget.
+fn response_line<R: BufRead>(head: &mut std::io::Take<R>) -> std::io::Result<String> {
+    let mut text = String::new();
+    head.read_line(&mut text)?;
+    if head.limit() == 0 && !text.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("response head line longer than {MAX_HEAD} bytes"),
+        ));
+    }
+    Ok(text)
 }
 
 #[cfg(test)]

@@ -3,12 +3,18 @@
 //! The job API exchanges small, flat documents; pulling in a real JSON
 //! crate is not an option in this workspace (vendored deps only), so this
 //! module implements just enough of RFC 8259 for the gateway: parsing of
-//! arbitrary nested values (objects, arrays, strings with escapes,
-//! integers/floats, booleans, null) and escaping for the writer side.
+//! nested values (objects, arrays, strings with escapes, integers/floats,
+//! booleans, null) up to [`MAX_DEPTH`] levels deep, and escaping for the
+//! writer side.
 //! Writers build documents with `format!` + [`escape`] — the documents
 //! are flat enough that a serializer would be ceremony.
 
 use std::collections::BTreeMap;
+
+/// The deepest nesting of arrays and objects a document may have: the
+/// parser recurses once per level, and gateway documents are flat, so a
+/// few KiB of `[` must not run a gateway thread off its stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +38,7 @@ impl Json {
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         (pos == bytes.len()).then_some(v)
     }
@@ -86,11 +92,13 @@ fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// A value inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_object(b, pos, depth + 1),
+        b'[' => parse_array(b, pos, depth + 1),
         b'"' => parse_string(b, pos).map(Json::Str),
         b't' => parse_lit(b, pos, b"true", Json::Bool(true)),
         b'f' => parse_lit(b, pos, b"false", Json::Bool(false)),
@@ -108,7 +116,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8], v: Json) -> Option<Json> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(b, pos, b'{')?;
     let mut m = BTreeMap::new();
     skip_ws(b, pos);
@@ -120,7 +128,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Option<Json> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         eat(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         m.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos)? {
@@ -134,7 +142,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Option<Json> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -143,7 +151,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Option<Json> {
         return Some(Json::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos)? {
             b',' => *pos += 1,
@@ -193,12 +201,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let s = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash whole.
+                // Both are ASCII, so the run ends on a character boundary
+                // (multi-byte sequences pass through untouched).
+                let run = &b[*pos..];
+                let n = run
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..n]).ok()?);
+                *pos += n;
             }
         }
     }

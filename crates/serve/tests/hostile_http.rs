@@ -2,15 +2,17 @@
 //! arbitrary, or a request whose body is cut short of the length its
 //! `Content-Length` claims — `http::read_request` never panics; and
 //! whatever body size a server's response claims, by `Content-Length` or
-//! by chunk size, `http::read_response` reads only the bytes that come.
-//! Neither allocates on the strength of a claim: no allocation exceeds
-//! 64 KiB or twice the bytes the peer sent.
+//! by chunk size, `http::read_response` reads only the bytes that come,
+//! and a response line that never ends is an error. Neither allocates on
+//! the strength of a claim: no allocation exceeds 64 KiB or twice the
+//! bytes the peer sent.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 
+use patternlets_serve::client::stream_output;
 use patternlets_serve::http::{read_request, read_response, Request};
 use proptest::prelude::*;
 
@@ -52,12 +54,18 @@ fn read_sent<R>(bytes: &[u8], read: impl FnOnce(&mut TcpStream) -> R) -> R {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (mut conn, _) = listener.accept().unwrap();
-    // Small enough for the socket buffer: no second thread needed.
-    sender.write_all(bytes).unwrap();
-    sender.shutdown(Shutdown::Write).unwrap();
+    // A sender thread of its own, as `bytes` may outgrow the socket
+    // buffer; a reader that stops early makes its writes fail.
+    let sent = bytes.to_vec();
+    let sender = std::thread::spawn(move || {
+        let _ = sender.write_all(&sent);
+        let _ = sender.shutdown(Shutdown::Write);
+    });
     LARGEST.with(|l| l.set(0));
     let got = read(&mut conn);
     let largest = LARGEST.with(|l| l.get());
+    drop(conn);
+    sender.join().unwrap();
     assert!(
         largest <= (64 << 10).max(2 * bytes.len()),
         "allocated {largest} bytes for a message of {} bytes",
@@ -135,6 +143,48 @@ fn a_claimed_response_chunk_reserves_nothing() {
     let bytes = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6400000\r\nshort";
     let err = read_sent(bytes, read_response).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// A response head that never ends: a 4 MiB header line.
+#[test]
+fn an_endless_response_header_is_an_error() {
+    let mut bytes = b"HTTP/1.1 200 OK\r\nX-Filler: ".to_vec();
+    bytes.resize(bytes.len() + (4 << 20), b'a');
+    bytes.extend_from_slice(b"\r\nContent-Length: 5\r\n\r\nhello");
+    let err = read_sent(&bytes, read_response).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+/// A chunk-size line that never ends: 4 MiB of leading zeros.
+#[test]
+fn an_endless_chunk_size_line_is_an_error() {
+    let mut bytes = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    bytes.resize(bytes.len() + (4 << 20), b'0');
+    bytes.extend_from_slice(b"5\r\nhello\r\n0\r\n\r\n");
+    let err = read_sent(&bytes, read_response).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+/// `patternlets submit`'s output stream, whose chunks go to the terminal
+/// as they come, is read the same way: a 100 MiB chunk claimed by a few
+/// bytes is an error, and reserves nothing.
+#[test]
+fn a_claimed_output_chunk_reserves_nothing() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        read_request(&mut conn).unwrap().expect("a whole request");
+        conn.write_all(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6400000\r\nshort")
+            .unwrap();
+    });
+    let mut out = Vec::new();
+    LARGEST.with(|l| l.set(0));
+    let err = stream_output(&addr, 1, &mut out).unwrap_err();
+    let largest = LARGEST.with(|l| l.get());
+    server.join().unwrap();
+    assert!(err.contains("stream read"), "{err}");
+    assert!(largest <= 64 << 10, "allocated {largest} bytes");
 }
 
 /// Whole bodies in both framings read back as sent.

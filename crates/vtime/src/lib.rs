@@ -38,4 +38,3 @@ pub mod models;
 pub use comm_model::CommModel;
 pub use dag::{TaskGraph, TaskIdx};
 pub use engine::{simulate, SimResult};
-pub use metrics::{rank_counters, total_counters, RankCounters};

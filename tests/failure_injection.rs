@@ -315,8 +315,7 @@ fn dropped_transmissions_are_retransmitted_and_delivered_exactly_once() {
     // envelope needed on the way — those are counted separately and must
     // never inflate the send/recv totals.
     use patternlets_metrics::{CounterId, MetricsHub};
-    use patternlets_trace::Tracer;
-    use patternlets_vtime::{rank_counters, total_counters};
+    use patternlets_trace::{EventKind, Tracer};
 
     const MSGS: u64 = 20;
     let tracer = Tracer::new();
@@ -342,11 +341,13 @@ fn dropped_transmissions_are_retransmitted_and_delivered_exactly_once() {
         .unwrap();
     assert_eq!(out[0], (0..MSGS).collect::<Vec<_>>());
 
-    // Trace counters: one MsgSend and one MsgRecv per logical message.
-    let totals = total_counters(&rank_counters(&tracer.drain()));
-    assert_eq!(totals.sends, MSGS, "trace sends inflated by chaos");
-    assert_eq!(totals.recvs, MSGS, "trace recvs inflated by chaos");
-    assert!(totals.retransmits > 0, "a 50% drop rate must retransmit");
+    // Trace counts: one MsgSend and one MsgRecv per logical message.
+    let trace = tracer.drain();
+    let retransmits = trace.count(|e| matches!(e.kind, EventKind::Retransmit { .. })) as u64;
+    let dup_drops = trace.count(|e| matches!(e.kind, EventKind::DupDropped)) as u64;
+    assert_eq!(trace.sends() as u64, MSGS, "trace sends inflated by chaos");
+    assert_eq!(trace.recvs() as u64, MSGS, "trace recvs inflated by chaos");
+    assert!(retransmits > 0, "a 50% drop rate must retransmit");
 
     // Metrics counters: same definition, same numbers.
     let snap = hub.snapshot();
@@ -356,12 +357,12 @@ fn dropped_transmissions_are_retransmitted_and_delivered_exactly_once() {
     assert_eq!(delivered, MSGS, "metrics recvs inflated by chaos");
     assert_eq!(
         snap.total(CounterId::Retransmits),
-        totals.retransmits,
+        retransmits,
         "tracer and metrics disagree on retransmissions"
     );
     assert_eq!(
         snap.total(CounterId::DupDrops),
-        totals.dup_drops,
+        dup_drops,
         "tracer and metrics disagree on duplicates dropped"
     );
 }
