@@ -35,9 +35,7 @@ use std::time::Duration;
 use patternlets::harness::{Mode, Patternlet, RunConfig, Technology};
 use patternlets::registry::{by_technology, census, find, registry};
 use patternlets_core::capture::Output;
-use patternlets_metrics::{
-    render_summary, CounterId, HistId, MetricsHub, MetricsSnapshot, COLL_OPS, SCHEDULES,
-};
+use patternlets_metrics::{render_counters, render_summary, MetricsHub, MetricsSnapshot};
 use patternlets_mp::Comm;
 use patternlets_net::JobCtx;
 use patternlets_serve::{Assignment, JobLineSink};
@@ -415,10 +413,12 @@ fn run_patternlet(p: &Patternlet, args: &[String], job: Option<&JobCtx>) -> Exit
             }
         }
     }
-    if let Some(hub) = metrics.finish().filter(|_| chatty) {
+    // A launched rank's hub holds its own lanes only: pmrun prints the
+    // tables from every rank's merged reports.
+    if let Some(hub) = metrics.finish().filter(|_| job.is_none()) {
         let snap = hub.snapshot();
         if want_counters {
-            print_counters(&snap);
+            print!("{}", render_counters(&snap));
         }
         if want_metrics {
             println!("{}", render_summary(&snap));
@@ -596,42 +596,6 @@ fn net_soak(np: usize, rounds: u64, job: Option<&JobCtx>) -> ExitCode {
         }
     });
     ExitCode::SUCCESS
-}
-
-/// The `--counters` table: per-rank sends, receives, bytes each way,
-/// collective phases, barrier episodes, loop chunks and iterations, read
-/// from the hub the run recorded into. Lanes with none of these are left
-/// out.
-fn print_counters(snap: &MetricsSnapshot) {
-    use CounterId::*;
-    println!("rank   sends   recvs  bytes→  bytes←   colls   barrs  chunks   iters");
-    let print_row = |label: &str, row: &[u64; 8]| {
-        let cells: String = row.iter().map(|n| format!("  {n:>6}")).collect();
-        println!("{label:>4}{cells}");
-    };
-    let mut total = [0; 8];
-    for l in &snap.lanes {
-        let sum = |ns: &[u64]| ns.iter().sum();
-        let row = [
-            sum(&[MsgsSentInproc, MsgsSentEncoded, MsgsSentInline].map(|id| l.counter(id))),
-            l.counter(MsgsRecv),
-            l.counter(BytesSent),
-            l.counter(BytesRecv),
-            sum(&COLL_OPS.map(|op| l.hist(HistId::coll(op)).count())),
-            l.hist(HistId::BARRIER_WAIT_NS).count(),
-            sum(&SCHEDULES.map(|(_, chunks, _)| l.counter(chunks))),
-            sum(&SCHEDULES.map(|(_, _, iters)| l.counter(iters))),
-        ];
-        if row.iter().any(|&n| n > 0) {
-            print_row(&l.lane.to_string(), &row);
-            total.iter_mut().zip(row).for_each(|(t, n)| *t += n);
-        }
-    }
-    print_row("all", &total);
-    let (retransmits, dup_drops) = (snap.total(Retransmits), snap.total(DupDrops));
-    if retransmits > 0 || dup_drops > 0 {
-        println!("chaos: {retransmits} retransmissions, {dup_drops} duplicates dropped");
-    }
 }
 
 fn list(tech: Option<Technology>) {

@@ -48,7 +48,10 @@
 //! job is judged. `--metrics-linger MS` keeps the
 //! endpoint up that long after the job ends (for post-run scrapes);
 //! `--status` redraws a live per-rank metrics table on stderr instead
-//! of (or alongside) the HTTP endpoint.
+//! of (or alongside) the HTTP endpoint. When the program's own arguments
+//! ask for `--counters` or `--metrics`, the ranks report too and `pmrun`
+//! prints that table once, from every rank's merged reports, after the
+//! last report connection closes.
 
 use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -60,7 +63,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use patternlets_core::capture::Output;
 use patternlets_core::rng::{Rng, SplitMix64};
-use patternlets_metrics::{render_prometheus, render_summary};
+use patternlets_metrics::{render_counters, render_prometheus, render_summary};
 use patternlets_net::chaos::NetChaosPlan;
 use patternlets_net::frame::{read_frame, write_frame, Frame};
 use patternlets_net::shm::FabricMode;
@@ -392,7 +395,14 @@ fn main() -> ExitCode {
     let mut job = JobCtx::new(0, opts.np, rendezvous, 0, chaos);
     job.fabric = opts.fabric;
     job.report_trace = opts.trace.is_some();
-    job.report_metrics = opts.metrics_port.is_some() || opts.status;
+    // A table the program is asked for is the world's, so pmrun prints
+    // it from the reports.
+    let program_flag = |flag: &str| opts.program_args.iter().any(|a| a == flag);
+    let (want_counters, want_summary) = (
+        program_flag("--counters"),
+        program_flag("--metrics") || opts.metrics_port.is_some() || opts.status,
+    );
+    job.report_metrics = want_counters || want_summary;
 
     // `--respawn` needs somewhere for restarted ranks to find their last
     // checkpoint; one per-job scratch directory, removed after the run.
@@ -603,7 +613,10 @@ fn main() -> ExitCode {
 
     if ctx.job.report_metrics {
         let (reporting, merged) = reports.metrics();
-        if !merged.lanes.is_empty() {
+        if want_counters {
+            print!("{}", render_counters(&merged));
+        }
+        if want_summary && !merged.lanes.is_empty() {
             println!(
                 "pmrun: metrics summary ({reporting} of {} ranks reported)\n{}",
                 opts.np,

@@ -275,6 +275,44 @@ fn merged_trace_has_one_process_lane_per_rank() {
     assert_eq!(merged.matches('[').count(), merged.matches(']').count());
 }
 
+/// The `--counters` table under pmrun is the world's, merged from every
+/// rank's report: broadcast at np 4 makes 3 sends, 3 receives and 4
+/// bcast phases, and the table is printed once.
+#[test]
+fn counters_under_pmrun_count_every_rank() {
+    let job = pmrun_with(
+        &["-np", "4", "--timeout", "120"],
+        &["mpi/broadcast", "--counters"],
+    );
+    assert!(
+        job.success,
+        "stdout: {}\nstderr: {}",
+        job.stdout, job.stderr
+    );
+    let rows: Vec<Vec<&str>> = job
+        .stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .filter(|cols: &Vec<&str>| cols.first() == Some(&"all"))
+        .collect();
+    assert_eq!(rows.len(), 1, "one table: {}", job.stdout);
+    assert_eq!(
+        (rows[0][1], rows[0][2], rows[0][5]),
+        ("3", "3", "4"),
+        "{}",
+        job.stdout
+    );
+    for rank in 0..4 {
+        let row = format!("{rank:>4} ");
+        assert!(
+            job.stdout.lines().any(|l| l.starts_with(&row)),
+            "{}",
+            job.stdout
+        );
+    }
+    assert!(!job.stdout.contains("metrics summary"), "{}", job.stdout);
+}
+
 /// pmrun judges a job only after every rank's last report: each launch
 /// counts all four ranks and broadcast's three messages.
 #[test]

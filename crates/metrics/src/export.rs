@@ -4,7 +4,9 @@
 //! (version 0.0.4) by hand — `# HELP` / `# TYPE` headers, one series per
 //! lane, cumulative `le` buckets with a closing `+Inf` — so `pmrun
 //! --metrics-port` needs no client library. [`render_summary`] is the
-//! end-of-run table behind `patternlets run --metrics`.
+//! end-of-run table behind `patternlets run --metrics`, and
+//! [`render_counters`] the one behind `--counters`; `pmrun` renders both
+//! from its ranks' merged reports.
 
 use crate::{CounterId, GaugeId, HistData, HistId, MetricsSnapshot, COLL_OPS};
 
@@ -21,7 +23,7 @@ struct CounterGroup {
 
 /// `(schedule name, chunks counter, iterations counter)` — the shmem loop
 /// instruments, one pair per `Schedule` kind.
-pub const SCHEDULES: [(&str, CounterId, CounterId); 5] = [
+const SCHEDULES: [(&str, CounterId, CounterId); 5] = [
     (
         "static-block",
         CounterId::ChunksStaticBlock,
@@ -565,6 +567,45 @@ pub fn render_summary(snap: &MetricsSnapshot) -> String {
     out
 }
 
+/// Render the `--counters` table: per-lane sends, receives, bytes each
+/// way, collective phases, barrier episodes, loop chunks and iterations,
+/// then an `all` row. Lanes with none of these are left out.
+pub fn render_counters(snap: &MetricsSnapshot) -> String {
+    use CounterId::*;
+    let mut out =
+        String::from("rank   sends   recvs  bytes→  bytes←   colls   barrs  chunks   iters\n");
+    let mut push_row = |label: &str, row: &[u64; 8]| {
+        let cells: String = row.iter().map(|n| format!("  {n:>6}")).collect();
+        out.push_str(&format!("{label:>4}{cells}\n"));
+    };
+    let mut total = [0; 8];
+    for l in &snap.lanes {
+        let sum = |ns: &[u64]| ns.iter().sum();
+        let row = [
+            sum(&[MsgsSentInproc, MsgsSentEncoded, MsgsSentInline].map(|id| l.counter(id))),
+            l.counter(MsgsRecv),
+            l.counter(BytesSent),
+            l.counter(BytesRecv),
+            sum(&COLL_OPS.map(|op| l.hist(HistId::coll(op)).count())),
+            l.hist(HistId::BARRIER_WAIT_NS).count(),
+            sum(&SCHEDULES.map(|(_, chunks, _)| l.counter(chunks))),
+            sum(&SCHEDULES.map(|(_, _, iters)| l.counter(iters))),
+        ];
+        if row.iter().any(|&n| n > 0) {
+            push_row(&l.lane.to_string(), &row);
+            total.iter_mut().zip(row).for_each(|(t, n)| *t += n);
+        }
+    }
+    push_row("all", &total);
+    let (retransmits, dup_drops) = (snap.total(Retransmits), snap.total(DupDrops));
+    if retransmits > 0 || dup_drops > 0 {
+        out.push_str(&format!(
+            "chaos: {retransmits} retransmissions, {dup_drops} duplicates dropped\n"
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,6 +671,18 @@ mod tests {
         let text = render_summary(&hub.snapshot());
         assert!(text.contains("loop[dynamic]"), "{text}");
         assert!(text.contains("imbalance="));
+    }
+
+    #[test]
+    fn counters_table_has_active_rows_and_an_all_row() {
+        let text = render_counters(&mp_snapshot());
+        let all = text.lines().last().unwrap();
+        let cells: Vec<&str> = all.split_whitespace().collect();
+        // 5 sends (one encoded on lane 2), 4 recvs, 256 B each way, 2 bcasts.
+        assert_eq!(cells[..6], ["all", "5", "4", "256", "256", "2"], "{text}");
+        assert_eq!(text.lines().count(), 6, "header, 4 lanes, all: {text}");
+        let empty = render_counters(&MetricsSnapshot::default());
+        assert_eq!(empty.lines().count(), 2, "{empty}");
     }
 
     #[test]

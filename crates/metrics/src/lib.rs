@@ -14,9 +14,11 @@
 //! or a team-thread index (shmem), exactly the lane convention the tracer
 //! uses. Each lane owns a private shard of plain atomics, so recording is
 //! a relaxed `fetch_add` with no locks, no allocation, and no cross-lane
-//! cache-line traffic on the hot path. Lanes beyond the shard count wrap
-//! (`lane % shards`); the per-lane attribution degrades but no sample is
-//! ever dropped.
+//! cache-line traffic on the hot path. A shard is allocated the first
+//! time its lane is touched, so a hub costs what its world uses: a
+//! launched rank touches one or two of the 64 lanes, and a fresh hub
+//! holds none. Lanes beyond the shard count wrap (`lane % shards`); the
+//! per-lane attribution degrades but no sample is ever dropped.
 //!
 //! Runtimes hold the hub next to the tracer in one [`Obs`], whose methods
 //! are the instrumentation points: each records the point's trace event
@@ -38,12 +40,12 @@ mod obs;
 mod snapshot;
 pub mod wire;
 
-pub use export::{render_prometheus, render_summary, SCHEDULES};
+pub use export::{render_counters, render_prometheus, render_summary};
 pub use obs::{Obs, Phase};
 pub use snapshot::{HistData, LaneMetrics, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default number of lane shards (covers any classroom-sized world; larger
@@ -297,10 +299,10 @@ pub fn bucket_bound(i: usize) -> u64 {
 // The hub
 // ---------------------------------------------------------------------------
 
-/// One lane's shard: plain atomics, padded out by the containing Vec's
-/// allocation granularity. All updates are `Relaxed` — cross-lane ordering
-/// is meaningless for totals, and snapshots are read after the world joins
-/// (or tolerate being mid-flight, for the live status view).
+/// One lane's shard: plain atomics in an allocation of its own. All
+/// updates are `Relaxed` — cross-lane ordering is meaningless for totals,
+/// and snapshots are read after the world joins (or tolerate being
+/// mid-flight, for the live status view).
 struct LaneShard {
     counters: [AtomicU64; COUNTER_COUNT],
     gauges: [AtomicU64; GAUGE_COUNT],
@@ -335,7 +337,9 @@ impl LaneShard {
 }
 
 struct Inner {
-    lanes: Vec<LaneShard>,
+    /// One slot per lane, filled on the lane's first touch. An empty slot
+    /// reads as an all-zero shard, which a snapshot leaves out anyway.
+    lanes: Box<[OnceLock<Box<LaneShard>>]>,
 }
 
 /// Cloneable handle to the sharded instrument store. See the crate docs.
@@ -364,18 +368,23 @@ impl MetricsHub {
         Self::with_lanes(DEFAULT_LANES)
     }
 
-    /// A hub with a custom shard count (minimum 1).
+    /// A hub with a custom shard count (minimum 1). No shard is allocated
+    /// until its lane is first touched.
     pub fn with_lanes(lanes: usize) -> Self {
         MetricsHub {
             inner: Arc::new(Inner {
-                lanes: (0..lanes.max(1)).map(|_| LaneShard::new()).collect(),
+                lanes: (0..lanes.max(1)).map(|_| OnceLock::new()).collect(),
             }),
         }
     }
 
     #[inline]
     fn shard(&self, lane: usize) -> &LaneShard {
-        &self.inner.lanes[lane % self.inner.lanes.len()]
+        let slot = &self.inner.lanes[lane % self.inner.lanes.len()];
+        match slot.get() {
+            Some(shard) => shard,
+            None => first_touch(slot),
+        }
     }
 
     /// Add `n` to a counter on `lane`.
@@ -421,6 +430,7 @@ impl MetricsHub {
             .lanes
             .iter()
             .enumerate()
+            .filter_map(|(lane, s)| Some((lane, s.get()?)))
             .filter(|(_, s)| !s.is_empty())
             .map(|(lane, s)| LaneMetrics {
                 lane,
@@ -450,6 +460,15 @@ impl MetricsHub {
             .collect();
         MetricsSnapshot { lanes }
     }
+}
+
+/// Allocate a lane's shard, or take the one a racing thread allocated.
+/// Out of line, so that every inlined recording site keeps only the
+/// load and branch of [`MetricsHub::shard`].
+#[cold]
+#[inline(never)]
+fn first_touch(slot: &OnceLock<Box<LaneShard>>) -> &LaneShard {
+    slot.get_or_init(|| Box::new(LaneShard::new()))
 }
 
 /// Records elapsed wall time into a histogram when dropped.
@@ -523,6 +542,50 @@ mod tests {
         assert_eq!(HistId::BARRIER_WAIT_NS.coll_op(), None);
     }
 
+    /// How many of `hub`'s lanes have a shard.
+    fn allocated_lanes(hub: &MetricsHub) -> usize {
+        hub.inner.lanes.iter().filter(|l| l.get().is_some()).count()
+    }
+
+    #[test]
+    fn a_fresh_hub_allocates_no_shard() {
+        let hub = MetricsHub::new();
+        assert_eq!(allocated_lanes(&hub), 0);
+        assert!(hub.snapshot().lanes.is_empty());
+        hub.incr(DEFAULT_LANES + 3, CounterId::MsgsRecv);
+        hub.observe(3, HistId::SEND_BYTES, 8);
+        assert_eq!(
+            allocated_lanes(&hub),
+            1,
+            "lane 3 and its wrap share a shard"
+        );
+    }
+
+    #[test]
+    fn racing_first_touches_lose_no_count() {
+        const THREADS: usize = 8;
+        const ADDS: u64 = 1000;
+        let hub = MetricsHub::new();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..ADDS {
+                        hub.incr(5, CounterId::MsgsRecv);
+                    }
+                    hub.gauge_max(5, GaugeId::MailboxDepth, 7);
+                    hub.observe(5, HistId::SEND_BYTES, 64);
+                });
+            }
+        });
+        assert_eq!(allocated_lanes(&hub), 1);
+        let snap = hub.snapshot();
+        assert_eq!(snap.total(CounterId::MsgsRecv), THREADS as u64 * ADDS);
+        assert_eq!(snap.total_max(GaugeId::MailboxDepth), 7);
+        assert_eq!(snap.hist_total(HistId::SEND_BYTES).count(), THREADS as u64);
+    }
+
     #[test]
     fn timer_records_into_the_histogram() {
         let hub = MetricsHub::new();
@@ -531,5 +594,104 @@ mod tests {
         }
         let snap = hub.snapshot();
         assert_eq!(snap.hist_total(HistId::coll("bcast")).count(), 1);
+    }
+
+    /// Every lane's instruments as plain numbers, all allocated up front:
+    /// the hub as it was before lanes were allocated on first touch.
+    #[derive(Clone)]
+    struct EagerLane {
+        counters: [u64; COUNTER_COUNT],
+        gauges: [u64; GAUGE_COUNT],
+        buckets: [[u64; BUCKETS]; HIST_COUNT],
+        sums: [u64; HIST_COUNT],
+    }
+
+    /// One generated update: `(lane, kind, value)`. Kinds index counters,
+    /// then gauges, then histograms.
+    type Op = (usize, usize, u64);
+
+    const KINDS: usize = COUNTER_COUNT + GAUGE_COUNT + HIST_COUNT;
+
+    fn apply(hub: &MetricsHub, model: &mut [EagerLane], &(lane, kind, value): &Op) {
+        let m = &mut model[lane % DEFAULT_LANES];
+        if kind < COUNTER_COUNT {
+            hub.add(lane, CounterId::ALL[kind], value);
+            m.counters[kind] = m.counters[kind].wrapping_add(value);
+        } else if kind < COUNTER_COUNT + GAUGE_COUNT {
+            let g = kind - COUNTER_COUNT;
+            hub.gauge_max(lane, GaugeId::ALL[g], value);
+            m.gauges[g] = m.gauges[g].max(value);
+        } else {
+            let h = kind - COUNTER_COUNT - GAUGE_COUNT;
+            hub.observe(lane, HistId(h), value);
+            m.buckets[h][bucket_of(value)] += 1;
+            m.sums[h] = m.sums[h].wrapping_add(value);
+        }
+    }
+
+    fn eager_snapshot(model: &[EagerLane]) -> MetricsSnapshot {
+        let lanes = model
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| {
+                m.counters
+                    .iter()
+                    .chain(&m.gauges)
+                    .chain(m.buckets.iter().flatten())
+                    .any(|&v| v > 0)
+            })
+            .map(|(lane, m)| LaneMetrics {
+                lane,
+                counters: m.counters.to_vec(),
+                maxes: m.gauges.to_vec(),
+                hists: m
+                    .buckets
+                    .iter()
+                    .zip(m.sums)
+                    .map(|(b, sum)| {
+                        let used = b.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+                        HistData {
+                            buckets: b[..used].to_vec(),
+                            sum,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        MetricsSnapshot { lanes }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn lazy_lanes_snapshot_like_eager_ones(
+            ops in proptest::collection::vec(
+                ((0usize..2 * DEFAULT_LANES + 8, 0usize..KINDS), (0u64..4, 0u64..(1u64 << 45))),
+                0..200,
+            ),
+        ) {
+            let ops: Vec<Op> = ops
+                .into_iter()
+                // A quarter of the values are 0: touched lanes that stay empty.
+                .map(|((lane, kind), (zero, v))| (lane, kind, if zero == 0 { 0 } else { v }))
+                .collect();
+            let hub = MetricsHub::new();
+            let mut model = vec![
+                EagerLane {
+                    counters: [0; COUNTER_COUNT],
+                    gauges: [0; GAUGE_COUNT],
+                    buckets: [[0; BUCKETS]; HIST_COUNT],
+                    sums: [0; HIST_COUNT],
+                };
+                DEFAULT_LANES
+            ];
+            for op in &ops {
+                apply(&hub, &mut model, op);
+            }
+            let (lazy, eager) = (hub.snapshot(), eager_snapshot(&model));
+            prop_assert_eq!(wire::encode(&lazy), wire::encode(&eager));
+            prop_assert_eq!(lazy, eager);
+        }
     }
 }

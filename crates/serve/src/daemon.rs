@@ -2,7 +2,7 @@
 //!
 //! ```text
 //!                    ┌──────────────────────────────────────────┐
-//!   curl / submit ──▶│ HTTP gateway (thread per connection)     │
+//!   curl / submit ──▶│ HTTP gateway (pooled connection threads) │
 //!                    │   POST /jobs   GET /jobs/:id[/output]    │
 //!                    │   GET /metrics GET /workers POST /shutdown│
 //!                    └───────┬──────────────────────────────────┘
@@ -14,11 +14,20 @@
 //!                            ▲   RankDone / WorkerDead / lines
 //!                            │
 //!                    ┌───────┴──────────────────────────────────┐
-//!   workers ────────▶│ cluster listener (first-frame dispatch): │
-//!   rank worlds ────▶│   WorkerHello → pool + reader thread     │
+//!   workers ────────▶│ cluster listener (pooled connection      │
+//!   rank worlds ────▶│ threads, first-frame dispatch):          │
+//!                    │   WorkerHello → pool + its reader thread │
 //!                    │   Register    → RendezvousCore::admit    │
 //!                    └──────────────────────────────────────────┘
 //! ```
+//!
+//! Both listeners run the shared connection loop of [`crate::conns`]:
+//! its threads outlive their connections and are capped at
+//! [`crate::conns::CONN_THREADS`] per listener. A connection holds a
+//! pool thread only for one request or first frame: a joining worker's
+//! lifelong control stream gets a reader thread of its own, spawned
+//! once per join, and a registration parks its connection in the core.
+//! So in steady state a job spawns no daemon thread.
 //!
 //! The cluster port doubles as the job worlds' rendezvous server: the
 //! same [`RendezvousCore`] that backs `pmrun` is embedded here, and
@@ -29,16 +38,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 use patternlets_metrics::render_prometheus;
 use patternlets_net::frame::{read_frame, Frame};
 use patternlets_net::rendezvous::RendezvousCore;
 
+use crate::conns::{self, Limits};
 use crate::http::{respond, respond_json, ChunkedWriter, Request};
 use crate::job::{JobPhase, JobSpec, JobTable};
 use crate::json::{escape, Json};
-use crate::pool::WorkerPool;
+use crate::pool::{WorkerId, WorkerPool};
 use crate::scheduler::{run_scheduler, Event, GatewayStats, Scheduler};
 
 /// Daemon construction parameters.
@@ -108,6 +117,12 @@ impl Daemon {
 
 /// Bind both listeners, start the scheduler, and return the handle.
 pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
+    start_with(config, Limits::default())
+}
+
+/// [`start`] with both listeners' connection loops held to `limits`
+/// (the tests' small cap and short first read).
+pub fn start_with(config: DaemonConfig, limits: Limits) -> std::io::Result<Daemon> {
     let cluster = TcpListener::bind(&config.cluster_addr)?;
     let http = TcpListener::bind(&config.http_addr)?;
     let cluster_addr = cluster.local_addr()?;
@@ -135,18 +150,9 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
 
     {
         let (table, pool, core, tx) = (table.clone(), pool.clone(), core.clone(), tx.clone());
-        std::thread::Builder::new()
-            .name("pmserve-cluster".into())
-            .spawn(move || {
-                for conn in cluster.incoming() {
-                    let Ok(conn) = conn else { continue };
-                    let (table, pool, core, tx) =
-                        (table.clone(), pool.clone(), core.clone(), tx.clone());
-                    let _ = std::thread::Builder::new()
-                        .name("pmserve-conn".into())
-                        .spawn(move || cluster_conn(conn, &table, &pool, &core, &tx));
-                }
-            })?;
+        conns::serve(cluster, "pmserve-cl", limits, move |conn| {
+            cluster_conn(conn, &table, &pool, &core, &tx)
+        })?;
     }
 
     {
@@ -159,7 +165,7 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
             default_chaos: config.default_chaos.clone(),
             default_retries: config.default_retries,
         };
-        crate::http::serve(http, "pmserve-http", move |conn, req| {
+        crate::http::serve_with(http, "pmserve-gw", limits, move |conn, req| {
             handle_http(conn, req, &shared)
         })?;
     }
@@ -176,17 +182,15 @@ pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
     })
 }
 
-/// First-frame dispatch on a cluster connection, then (for workers) the
-/// connection's read loop for the worker's whole life.
+/// First-frame dispatch on a cluster connection. Whoever connects speaks
+/// first, within the loop's first-read timeout; a silent peer is dropped.
 fn cluster_conn(
     mut conn: TcpStream,
-    table: &JobTable,
+    table: &Arc<JobTable>,
     pool: &WorkerPool,
     core: &RendezvousCore,
     tx: &Sender<Event>,
 ) {
-    // Whoever connects speaks first, promptly; a silent peer is dropped.
-    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
     match read_frame(&mut conn) {
         Ok(Some(Frame::Register {
             epoch,
@@ -199,7 +203,9 @@ fn cluster_conn(
             core.admit(epoch, rank as usize, np as usize, addr, conn);
         }
         Ok(Some(Frame::WorkerHello { pid, host })) => {
-            // A worker joining the pool: this thread becomes its reader.
+            // A worker joining the pool: its control stream lasts the
+            // worker's life, so it gets a reader thread of its own and
+            // this one goes back to the loop.
             let _ = conn.set_read_timeout(None);
             conn.set_nodelay(true).ok();
             let Ok(write_half) = conn.try_clone() else {
@@ -207,44 +213,56 @@ fn cluster_conn(
             };
             let id = pool.join(pid, host, write_half);
             let _ = tx.send(Event::WorkerJoined(id));
-            loop {
-                match read_frame(&mut conn) {
-                    Ok(Some(Frame::JobLine { job, rank: _, line })) => {
-                        if let Some(job) = table.get(job) {
-                            job.output.push(line);
-                        }
-                    }
-                    Ok(Some(
-                        report @ (Frame::JobMetrics { job, .. } | Frame::JobTrace { job, .. }),
-                    )) => {
-                        if let Some(job) = table.get(job) {
-                            job.reports.store(report);
-                        }
-                    }
-                    Ok(Some(Frame::JobDone {
-                        job,
-                        rank,
-                        ok,
-                        error,
-                    })) => {
-                        let _ = tx.send(Event::RankDone {
-                            worker: id,
-                            job,
-                            rank,
-                            ok,
-                            error,
-                        });
-                    }
-                    Ok(Some(_)) => {}
-                    // EOF or a mangled stream: the worker is gone.
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send(Event::WorkerDead(id));
-                        return;
-                    }
-                }
+            let (table, reader_tx) = (Arc::clone(table), tx.clone());
+            let reader = std::thread::Builder::new()
+                .name("pmserve-worker".into())
+                .spawn(move || worker_reader(conn, id, &table, &reader_tx));
+            // Without a reader the worker is as good as gone.
+            if reader.is_err() {
+                let _ = tx.send(Event::WorkerDead(id));
             }
         }
         _ => {}
+    }
+}
+
+/// A worker's control stream, read for the worker's whole life: output
+/// lines and reports go to their job, verdicts to the scheduler, and EOF
+/// means the worker is gone.
+fn worker_reader(mut conn: TcpStream, id: WorkerId, table: &JobTable, tx: &Sender<Event>) {
+    loop {
+        match read_frame(&mut conn) {
+            Ok(Some(Frame::JobLine { job, rank: _, line })) => {
+                if let Some(job) = table.get(job) {
+                    job.output.push(line);
+                }
+            }
+            Ok(Some(report @ (Frame::JobMetrics { job, .. } | Frame::JobTrace { job, .. }))) => {
+                if let Some(job) = table.get(job) {
+                    job.reports.store(report);
+                }
+            }
+            Ok(Some(Frame::JobDone {
+                job,
+                rank,
+                ok,
+                error,
+            })) => {
+                let _ = tx.send(Event::RankDone {
+                    worker: id,
+                    job,
+                    rank,
+                    ok,
+                    error,
+                });
+            }
+            Ok(Some(_)) => {}
+            // EOF or a mangled stream: the worker is gone.
+            Ok(None) | Err(_) => {
+                let _ = tx.send(Event::WorkerDead(id));
+                return;
+            }
+        }
     }
 }
 

@@ -4,47 +4,48 @@
 //! submit` client: request-line + headers + `Content-Length` bodies on
 //! the way in; fixed-length or `chunked` responses on the way out. Every
 //! exchange is one connection (`Connection: close`), which keeps the
-//! server loop ([`serve`]) a plain thread-per-connection accept loop with
-//! no keep-alive bookkeeping — the right trade for a teaching daemon
-//! whose request rate is human-scale.
+//! server loop ([`serve`]) free of keep-alive bookkeeping: it is the
+//! shared connection loop of [`crate::conns`], whose pooled threads each
+//! read one request and answer it, then take the next connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+
+use crate::conns::{self, Limits};
 
 /// Cap on header block + body size: the gateway's documents are tiny, so
 /// anything larger is a confused (or hostile) client.
 const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 1024 * 1024;
 
-/// Serve `listener` from a thread of its own, one thread per connection:
-/// each reads one request, sent within 10 s, and passes it to `handler`,
-/// which writes the response. A connection whose request is unparseable
-/// is dropped unanswered.
+/// Serve `listener` on the shared connection loop ([`crate::conns`],
+/// default [`Limits`]): a pool thread reads each connection's request,
+/// sent within 10 s, and passes it to `handler`, which writes the
+/// response. A connection whose request is unparseable is dropped
+/// unanswered.
 pub fn serve<H>(listener: TcpListener, name: &str, handler: H) -> std::io::Result<()>
 where
     H: Fn(&mut TcpStream, &Request) -> std::io::Result<()> + Send + Sync + 'static,
 {
-    let handler = Arc::new(handler);
-    let conn_name = format!("{name}-conn");
-    std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(mut conn) = conn else { continue };
-                let handler = Arc::clone(&handler);
-                let _ = std::thread::Builder::new()
-                    .name(conn_name.clone())
-                    .spawn(move || {
-                        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
-                        if let Ok(Some(req)) = read_request(&mut conn) {
-                            let _ = handler(&mut conn, &req);
-                        }
-                    });
-            }
-        })?;
-    Ok(())
+    serve_with(listener, name, Limits::default(), handler)
+}
+
+/// [`serve`] within explicit `limits` (the tests' small cap and short
+/// first read).
+pub fn serve_with<H>(
+    listener: TcpListener,
+    name: &str,
+    limits: Limits,
+    handler: H,
+) -> std::io::Result<()>
+where
+    H: Fn(&mut TcpStream, &Request) -> std::io::Result<()> + Send + Sync + 'static,
+{
+    conns::serve(listener, name, limits, move |mut conn| {
+        if let Ok(Some(req)) = read_request(&mut conn) {
+            let _ = handler(&mut conn, &req);
+        }
+    })
 }
 
 /// One parsed request.

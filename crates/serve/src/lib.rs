@@ -21,6 +21,10 @@
 //!   `POST /jobs`, `GET /jobs/:id`, chunked-streaming
 //!   `GET /jobs/:id/output`, fleet-wide Prometheus `GET /metrics`
 //!   (every job's [`job::Reports`] merged), and `GET /workers`;
+//! * **one connection loop** ([`conns`]) under both listeners: pooled
+//!   threads that outlive their connections, capped at
+//!   [`conns::CONN_THREADS`], so a job in steady state spawns no daemon
+//!   thread;
 //! * **workers** ([`worker::run_worker`]) that run each assigned rank
 //!   inside [`patternlets_net::with_job_ctx`]: the same
 //!   [`patternlets_net::JobCtx`] and fabric provider a `pmrun` worker
@@ -39,6 +43,7 @@
 //! membership.
 
 pub mod client;
+pub mod conns;
 pub mod daemon;
 pub mod http;
 pub mod job;

@@ -5,7 +5,8 @@
 //! by chunk size, `http::read_response` reads only the bytes that come,
 //! and a response line that never ends is an error. Neither allocates on
 //! the strength of a claim: no allocation exceeds 64 KiB or twice the
-//! bytes the peer sent.
+//! bytes the peer sent. And clients that connect and say nothing hold at
+//! most the server loop's cap of threads, and only until they time out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,8 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 
 use patternlets_serve::client::stream_output;
 use patternlets_serve::http::{read_request, read_response, Request};
+#[cfg(target_os = "linux")]
+use patternlets_serve::{conns::Limits, http};
 use proptest::prelude::*;
 
 thread_local! {
@@ -197,4 +200,58 @@ fn whole_response_bodies_read_back() {
         b"HTTP/1.1 202 Accepted\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nhel\r\n2\r\nlo\r\n0\r\n\r\n";
     let got = read_sent(chunked, read_response).unwrap();
     assert_eq!(got, (202, "hello".to_string()));
+}
+
+/// How many live threads of this process have a name starting `prefix`.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists this process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
+}
+
+/// The cap plus 8 clients connect and say nothing: the server loop keeps
+/// at most the cap of threads for them, and a well-formed request behind
+/// them is answered once they have timed out, a cap's worth at a time.
+#[cfg(target_os = "linux")]
+#[test]
+fn silent_connections_hold_at_most_the_cap() {
+    use std::time::{Duration, Instant};
+    const CAP: usize = 2;
+    const FIRST_READ: Duration = Duration::from_millis(300);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let limits = Limits {
+        threads: CAP,
+        first_read: FIRST_READ,
+    };
+    http::serve_with(listener, "capped", limits, |conn, _| {
+        http::respond(conn, 200, "text/plain", b"ok")
+    })
+    .unwrap();
+    let silent: Vec<TcpStream> = (0..CAP + 8)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let start = Instant::now();
+    let request = std::thread::spawn(move || http::http_exchange(&addr, "GET", "/", None));
+    let mut most = 0;
+    while !request.is_finished() {
+        most = most.max(threads_named("capped-conn"));
+        assert!(start.elapsed() < Duration::from_secs(30), "never answered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let answered = start.elapsed();
+    let (status, body) = request.join().unwrap().expect("the request is answered");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    assert!(most <= CAP, "{most} connection threads for a cap of {CAP}");
+    assert!(threads_named("capped-conn") <= CAP);
+    // Five rounds of two silent connections came first.
+    let rounds = ((CAP + 8) / CAP) as u32;
+    assert!(
+        answered >= FIRST_READ * rounds - FIRST_READ / 2,
+        "answered after {answered:?}, before the silent connections timed out"
+    );
+    drop(silent);
 }
