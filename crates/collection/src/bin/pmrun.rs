@@ -25,6 +25,12 @@
 //! family — agree/shrink around it, while `pmrun` exits non-zero with a
 //! per-rank report. `--timeout SECS` bounds the whole job for CI.
 //!
+//! One supervision loop on the main thread owns every worker's `Child`.
+//! Each 10 ms tick reaps the workers that exited and checks the loop's
+//! deadlines: the `--kill-worker` time, the `--timeout` deadline, the
+//! next `--status` draw and each pending respawn's backoff. No other
+//! thread touches a worker.
+//!
 //! `--net-chaos SEED` arms the wire-level fault injector in every
 //! worker: outgoing socket batches are deterministically cut, truncated
 //! and bit-flipped (see `patternlets_net::chaos`), exercising the
@@ -55,8 +61,7 @@
 
 use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,35 +229,28 @@ fn serve_http(reports: Arc<Reports>, port: u16) -> std::io::Result<u16> {
     Ok(bound)
 }
 
-/// Redraw a per-rank metrics table on stderr every `every` until
-/// `done`. On a TTY the previous frame is erased first; elsewhere a
-/// frame is printed only when the numbers changed.
-fn status_loop(reports: &Reports, done: &AtomicBool, every: Duration) {
-    let tty = std::io::stderr().is_terminal();
-    let mut last = String::new();
-    let mut last_lines = 0usize;
-    while !done.load(Ordering::SeqCst) {
-        std::thread::sleep(every);
-        let (reporting, merged) = reports.metrics();
-        if merged.lanes.is_empty() {
-            continue;
-        }
-        let text = format!(
-            "-- pmrun live metrics ({reporting} ranks reporting) --\n{}",
-            render_summary(&merged)
-        );
-        if text == last {
-            continue;
-        }
-        let mut err = std::io::stderr().lock();
-        if tty && last_lines > 0 {
-            // Cursor up over the previous frame, then erase below.
-            let _ = write!(err, "\x1b[{last_lines}A\x1b[J");
-        }
-        let _ = writeln!(err, "{text}");
-        last_lines = text.lines().count() + 1;
-        last = text;
+/// Draw `--status`'s live per-rank metrics table on stderr, `last` being
+/// the frame drawn before. On a TTY the previous frame is erased first;
+/// elsewhere a frame is printed only when the numbers changed.
+fn draw_status(reports: &Reports, last: &mut String) {
+    let (reporting, merged) = reports.metrics();
+    if merged.lanes.is_empty() {
+        return;
     }
+    let text = format!(
+        "-- pmrun live metrics ({reporting} ranks reporting) --\n{}",
+        render_summary(&merged)
+    );
+    if text == *last {
+        return;
+    }
+    let mut err = std::io::stderr().lock();
+    if !last.is_empty() && err.is_terminal() {
+        // Cursor up over the previous frame, then erase below.
+        let _ = write!(err, "\x1b[{}A\x1b[J", last.lines().count() + 1);
+    }
+    let _ = writeln!(err, "{text}");
+    *last = text;
 }
 
 /// A bare program name resolves to a sibling of this executable first —
@@ -322,15 +320,7 @@ impl SpawnCtx {
     }
 }
 
-/// How one worker ended, for the final report.
-struct WorkerOutcome {
-    rank: usize,
-    /// Human-readable status: "exit 0", "exit 101", "killed by signal 9".
-    status: String,
-    success: bool,
-}
-
-fn describe_status(status: std::process::ExitStatus) -> String {
+fn describe_status(status: ExitStatus) -> String {
     #[cfg(unix)]
     {
         use std::os::unix::process::ExitStatusExt;
@@ -430,134 +420,112 @@ fn main() -> ExitCode {
         stdout_log: Output::echoing(),
         stderr_log: Output::echoing_to(std::io::stderr()),
     };
-    let mut children: Vec<Arc<Mutex<Child>>> = Vec::with_capacity(opts.np);
+    if let Some((victim, _)) = opts.kill_worker.filter(|&(victim, _)| victim >= opts.np) {
+        eprintln!(
+            "pmrun: --kill-worker rank {victim} out of range for -np {}",
+            opts.np
+        );
+        return ExitCode::FAILURE;
+    }
+    let mut children: Vec<Child> = Vec::with_capacity(opts.np);
     let mut forwarders = Vec::new();
     for rank in 0..opts.np {
         match ctx.spawn(rank, 0, &mut forwarders) {
-            Ok(child) => children.push(Arc::new(Mutex::new(child))),
+            Ok(child) => children.push(child),
             Err(e) => {
                 eprintln!("pmrun: cannot spawn {} for rank {rank}: {e}", ctx.program);
-                for child in &children {
-                    let _ = child.lock().kill();
-                }
+                kill_all(&mut children);
                 return ExitCode::FAILURE;
             }
         }
     }
 
-    // The fault injector: SIGKILL one worker mid-run. Survivors see the
-    // death through their sockets as Error::RankFailed.
-    if let Some((victim, after_ms)) = opts.kill_worker {
-        if victim >= opts.np {
-            eprintln!(
-                "pmrun: --kill-worker rank {victim} out of range for -np {}",
-                opts.np
-            );
-            for child in &children {
-                let _ = child.lock().kill();
-            }
-            return ExitCode::FAILURE;
-        }
-        let child = Arc::clone(&children[victim]);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(after_ms));
-            let _ = child.lock().kill();
-        });
-    }
-
-    // The watchdog: a job past its deadline is killed whole, so a
-    // cross-process deadlock (undetectable from inside one process —
-    // see DESIGN.md §7) can't wedge CI.
-    let timed_out = Arc::new(AtomicBool::new(false));
-    let all_done = Arc::new(AtomicBool::new(false));
-    if let Some(secs) = opts.timeout {
-        let children: Vec<_> = children.iter().map(Arc::clone).collect();
-        let timed_out = Arc::clone(&timed_out);
-        let all_done = Arc::clone(&all_done);
-        std::thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(secs);
-            while Instant::now() < deadline {
-                if all_done.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            timed_out.store(true, Ordering::SeqCst);
-            for child in &children {
-                let _ = child.lock().kill();
-            }
-        });
-    }
-
-    if opts.status {
-        let (reports, done) = (Arc::clone(&reports), Arc::clone(&all_done));
-        std::thread::spawn(move || status_loop(&reports, &done, Duration::from_millis(400)));
-    }
-
     // Supervise EVERY worker — deliberately including jobs where one was
     // killed: the survivors must get to finish their recovery (shrink,
-    // reformed collectives) before the job is judged. With `--respawn`,
-    // a worker that dies while budget remains is restarted in place (the
-    // `Child` inside its mutex is replaced, so the kill and timeout
-    // threads' handles stay valid) and the job is judged by each rank's
-    // final incarnation.
-    let mut results: Vec<Option<WorkerOutcome>> = (0..opts.np).map(|_| None).collect();
+    // reformed collectives) before the job is judged. The `--timeout`
+    // kill is there for cross-process deadlocks, which no one process can
+    // detect (DESIGN.md §7). With `--respawn`, a worker that dies while
+    // budget remains is restarted in place once its backoff is due, and
+    // the job is judged by each rank's final incarnation; a respawn due
+    // after the deadline is not started.
+    let start = Instant::now();
+    let mut kill_at = opts
+        .kill_worker
+        .map(|(victim, ms)| (victim, start + Duration::from_millis(ms)));
+    let deadline = opts.timeout.map(|secs| start + Duration::from_secs(secs));
+    let mut status = opts.status.then(|| (String::new(), start));
+    // How each rank ended, for the final report: "exit 0", "killed by
+    // signal 9", ..., and whether that is a success.
+    let mut results: Vec<Option<(String, bool)>> = vec![None; opts.np];
+    // A rank waiting out its backoff: when it is due, its epoch base, and
+    // how it died.
+    let mut backoff: Vec<Option<(Instant, u64, ExitStatus)>> = vec![None; opts.np];
+    let mut timed_out = false;
     let mut drain_notified = false;
     let mut respawns_left = opts.respawn;
     let mut respawn_ordinal: u64 = 0;
     let mut respawned: Vec<usize> = vec![0; opts.np];
     loop {
+        let now = Instant::now();
+        if let Some((victim, _)) = kill_at.filter(|&(_, at)| now >= at) {
+            let _ = children[victim].kill();
+            kill_at = None;
+        }
+        if !timed_out && deadline.is_some_and(|at| now >= at) {
+            timed_out = true;
+            kill_all(&mut children);
+        }
+        if let Some((last, next)) = status.as_mut().filter(|(_, next)| now >= *next) {
+            draw_status(&reports, last);
+            *next = now + Duration::from_millis(400);
+        }
         for rank in 0..opts.np {
             if results[rank].is_some() {
                 continue;
             }
-            let waited = children[rank].lock().try_wait();
-            match waited {
-                Ok(Some(status)) => {
-                    if !status.success() && respawns_left > 0 && !timed_out.load(Ordering::SeqCst) {
-                        respawns_left -= 1;
-                        respawn_ordinal += 1;
-                        respawned[rank] += 1;
-                        eprintln!(
-                            "pmrun: rank {rank} {} — respawning \
-                             (epoch base {respawn_ordinal}, {respawns_left} respawns left)",
-                            describe_status(status)
-                        );
-                        // Back off before restarting, so a crash-looping
-                        // worker can't hot-spin the supervisor and ranks
-                        // that died together don't redial in lockstep.
-                        std::thread::sleep(respawn_backoff(rank, respawned[rank], respawn_ordinal));
-                        match ctx.spawn(rank, respawn_ordinal, &mut forwarders) {
-                            Ok(child) => *children[rank].lock() = child,
-                            Err(e) => {
-                                results[rank] = Some(WorkerOutcome {
-                                    rank,
-                                    status: format!("respawn failed: {e}"),
-                                    success: false,
-                                });
-                            }
-                        }
-                    } else {
-                        let base = describe_status(status);
-                        results[rank] = Some(WorkerOutcome {
-                            rank,
-                            status: match respawned[rank] {
-                                0 => base,
-                                1 => format!("{base} (after 1 respawn)"),
-                                n => format!("{base} (after {n} respawns)"),
-                            },
-                            success: status.success(),
-                        });
+            let died = match backoff[rank] {
+                Some((due, ..)) if now < due && !timed_out => continue,
+                // Due after the deadline: the job is over, and the rank
+                // is judged by the death that started its wait.
+                Some((.., died)) if timed_out => {
+                    respawned[rank] -= 1;
+                    died
+                }
+                Some((_, ordinal, _)) => {
+                    backoff[rank] = None;
+                    match ctx.spawn(rank, ordinal, &mut forwarders) {
+                        Ok(child) => children[rank] = child,
+                        Err(e) => results[rank] = Some((format!("respawn failed: {e}"), false)),
                     }
+                    continue;
                 }
-                Ok(None) => {}
-                Err(e) => {
-                    results[rank] = Some(WorkerOutcome {
-                        rank,
-                        status: format!("wait failed: {e}"),
-                        success: false,
-                    });
-                }
+                None => match children[rank].try_wait() {
+                    Ok(Some(died)) => died,
+                    Ok(None) => continue,
+                    Err(e) => {
+                        results[rank] = Some((format!("wait failed: {e}"), false));
+                        continue;
+                    }
+                },
+            };
+            if !died.success() && respawns_left > 0 && !timed_out {
+                respawns_left -= 1;
+                respawn_ordinal += 1;
+                respawned[rank] += 1;
+                eprintln!(
+                    "pmrun: rank {rank} {} — respawning \
+                     (epoch base {respawn_ordinal}, {respawns_left} respawns left)",
+                    describe_status(died)
+                );
+                let wait = respawn_backoff(rank, respawned[rank], respawn_ordinal);
+                backoff[rank] = Some((now + wait, respawn_ordinal, died));
+            } else {
+                let after = match respawned[rank] {
+                    0 => String::new(),
+                    1 => " (after 1 respawn)".to_string(),
+                    n => format!(" (after {n} respawns)"),
+                };
+                results[rank] = Some((describe_status(died) + &after, died.success()));
             }
         }
         if results.iter().all(|r| r.is_some()) {
@@ -565,9 +533,7 @@ fn main() -> ExitCode {
         }
         if patternlets_core::signals::termination_count() > 1 {
             eprintln!("pmrun: second signal; killing the job");
-            for child in &children {
-                let _ = child.lock().kill();
-            }
+            kill_all(&mut children);
         } else if patternlets_core::signals::termination_requested() && !drain_notified {
             drain_notified = true;
             eprintln!(
@@ -577,8 +543,7 @@ fn main() -> ExitCode {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    let outcomes: Vec<WorkerOutcome> = results.into_iter().flatten().collect();
-    all_done.store(true, Ordering::SeqCst);
+    let outcomes: Vec<(String, bool)> = results.into_iter().flatten().collect();
     for handle in forwarders {
         let _ = handle.join();
     }
@@ -650,7 +615,7 @@ fn main() -> ExitCode {
     }
     let _ = std::fs::remove_dir_all(&ctx.job.shm_dir);
 
-    if timed_out.load(Ordering::SeqCst) {
+    if timed_out {
         eprintln!(
             "pmrun: job exceeded --timeout {}s and was killed",
             opts.timeout.unwrap_or(0)
@@ -659,25 +624,21 @@ fn main() -> ExitCode {
     // An operator-initiated drain is a clean shutdown, not a job
     // failure: whatever the workers' outcomes, the contract is "drain,
     // summarize, exit 0". (Timeouts still fail: those are CI's call.)
-    if patternlets_core::signals::termination_requested() && !timed_out.load(Ordering::SeqCst) {
+    if patternlets_core::signals::termination_requested() && !timed_out {
         println!("pmrun: drained after termination request");
         return ExitCode::SUCCESS;
     }
-    if outcomes.iter().all(|o| o.success) && !timed_out.load(Ordering::SeqCst) {
+    if outcomes.iter().all(|&(_, ok)| ok) && !timed_out {
         return ExitCode::SUCCESS;
     }
     eprintln!(
         "pmrun: job failed ({} of {} workers unsuccessful)",
-        outcomes.iter().filter(|o| !o.success).count(),
+        outcomes.iter().filter(|&(_, ok)| !ok).count(),
         opts.np
     );
-    for outcome in &outcomes {
-        eprintln!(
-            "  rank {}: {}{}",
-            outcome.rank,
-            outcome.status,
-            if outcome.success { "" } else { "  <-- failed" }
-        );
+    for (rank, (status, ok)) in outcomes.iter().enumerate() {
+        let mark = if *ok { "" } else { "  <-- failed" };
+        eprintln!("  rank {rank}: {status}{mark}");
     }
     ExitCode::FAILURE
 }
@@ -699,6 +660,13 @@ fn respawn_backoff(rank: usize, nth: usize, ordinal: u64) -> Duration {
     let mut rng = SplitMix64::new(((rank as u64) << 32) ^ ordinal ^ 0x5EED_BACC);
     // Half fixed, half jittered: never less than exp/2, never more than exp.
     Duration::from_millis(exp / 2 + rng.gen_range(exp / 2 + 1))
+}
+
+/// SIGKILL every worker; one that already exited is left as it is.
+fn kill_all(children: &mut [Child]) {
+    for child in children {
+        let _ = child.kill();
+    }
 }
 
 /// Forward one child stream line-by-line until EOF (the child exited).

@@ -4,6 +4,7 @@
 //! them), so these tests exercise exactly what a student types.
 
 use std::process::Command;
+use std::time::{Duration, Instant};
 
 const PMRUN: &str = env!("CARGO_BIN_EXE_pmrun");
 const PATTERNLETS: &str = env!("CARGO_BIN_EXE_patternlets");
@@ -370,6 +371,44 @@ fn status_draws_live_metrics_before_the_job_ends() {
         matches!((live, end), (Some(live), Some(end)) if live < end),
         "stderr: {}",
         job.stderr
+    );
+}
+
+#[test]
+fn a_job_past_its_timeout_is_killed_whole() {
+    // Rank 1 stalls for 30 s inside an established world; the 2 s
+    // deadline must end the job long before that.
+    let start = Instant::now();
+    let job = pmrun_with(&["-np", "2", "--timeout", "2"], &["__net-stall", "2", "1"]);
+    let took = start.elapsed();
+    assert!(!job.success, "a timed-out job fails");
+    assert!(took < Duration::from_secs(10), "took {took:?}");
+    assert!(
+        job.stderr.contains("pmrun: job exceeded --timeout 2s"),
+        "stderr: {}",
+        job.stderr
+    );
+}
+
+#[test]
+fn a_respawn_due_after_the_timeout_is_not_started() {
+    // The worker fails at once in its first five incarnations and would
+    // sleep 30 s in the sixth. Rank 0's fifth respawn backoff is seeded:
+    // it waits from ~1.2 s to ~2.4 s, across the 2 s deadline, so the
+    // sixth incarnation must never start.
+    let start = Instant::now();
+    let out = Command::new(PMRUN)
+        .args(["-np", "1", "--timeout", "2", "--respawn", "10", "sh", "-c"])
+        .arg("test \"$PMRUN_EPOCH_BASE\" -lt 5 && exit 1; exec sleep 30")
+        .output()
+        .expect("pmrun spawns");
+    let took = start.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert!(took < Duration::from_secs(10), "took {took:?}: {stderr}");
+    assert!(
+        stderr.contains("rank 0: exit 1 (after 4 respawns)"),
+        "stderr: {stderr}"
     );
 }
 

@@ -163,15 +163,66 @@ impl Transport {
             agree_cv: Condvar::new(),
         }
     }
+}
+
+impl Fabric for Transport {
+    fn np(&self) -> usize {
+        self.mailboxes.len()
+    }
+
+    fn next_send_seq(&self, me: usize) -> u64 {
+        self.send_seqs[me].fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn shares_address_space(&self, _me: usize, _dest: usize) -> bool {
+        // Every rank is a thread of this process, so all pairs qualify
+        // for the shared in-process payload path — unless the world was
+        // built with the encode-everything benchmark baseline.
+        !self.encoded_only
+    }
+
+    /// Is rank `r` still running?
+    fn rank_alive(&self, r: usize) -> bool {
+        !self.finished[r].load(Ordering::SeqCst)
+    }
+
+    /// Has rank `r` failed (fault-plan kill or panic)?
+    fn rank_failed(&self, r: usize) -> bool {
+        self.failed[r].load(Ordering::SeqCst)
+    }
+
+    /// Raise rank `r`'s failed flag and wake any agreement waiters (they
+    /// must re-examine membership when a participant dies).
+    fn mark_failed(&self, r: usize) {
+        self.failed[r].store(true, Ordering::SeqCst);
+        self.agree_cv.notify_all();
+    }
+
+    fn finish(&self, me: usize) {
+        self.finished[me].store(true, Ordering::SeqCst);
+        self.agree_cv.notify_all();
+    }
+
+    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
+        // Order matters: bump progress BEFORE the delivery becomes
+        // matchable, so any deadlock verdict computed across this delivery
+        // sees the progress change and rejects itself.
+        self.progress.fetch_add(1, Ordering::SeqCst);
+        self.mailboxes[dest].deliver_copies(env, overtake, duplicate);
+    }
+
+    fn mailbox(&self, world_rank: usize) -> &Mailbox {
+        &self.mailboxes[world_rank]
+    }
 
     /// Record that `world_rank` is blocked on `record`.
-    pub(crate) fn publish_wait(&self, world_rank: usize, record: WaitRecord) {
+    fn publish_wait(&self, world_rank: usize, record: WaitRecord) {
         *self.waits[world_rank].lock() = Some(record);
         self.wait_epochs[world_rank].fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record that `world_rank` is no longer blocked.
-    pub(crate) fn clear_wait(&self, world_rank: usize) {
+    fn clear_wait(&self, world_rank: usize) {
         *self.waits[world_rank].lock() = None;
         self.wait_epochs[world_rank].fetch_add(1, Ordering::SeqCst);
     }
@@ -190,7 +241,7 @@ impl Transport {
     /// epoch is identical before and after the computation — i.e. nobody
     /// published, woke, or cleared a wait while we looked. Otherwise we
     /// report "no deadlock" and let the caller retry on its next timeout.
-    pub(crate) fn deadlocked(&self, me: usize) -> Option<String> {
+    fn deadlocked(&self, me: usize) -> Option<String> {
         let np = self.mailboxes.len();
         let progress_before = self.progress.load(Ordering::SeqCst);
         let epochs_before: Vec<u64> = self
@@ -311,32 +362,8 @@ impl Transport {
         Some(graph.trim_end().to_string())
     }
 
-    /// Is rank `r` still running?
-    pub(crate) fn rank_alive(&self, r: usize) -> bool {
-        !self.finished[r].load(Ordering::SeqCst)
-    }
-
-    /// Has rank `r` failed (fault-plan kill or panic)?
-    pub(crate) fn rank_failed(&self, r: usize) -> bool {
-        self.failed[r].load(Ordering::SeqCst)
-    }
-
-    /// Raise rank `r`'s failed flag and wake any agreement waiters (they
-    /// must re-examine membership when a participant dies).
-    pub(crate) fn mark_failed(&self, r: usize) {
-        self.failed[r].store(true, Ordering::SeqCst);
-        self.agree_cv.notify_all();
-    }
-
-    /// One blocking agreement round through shared runtime state (the
-    /// in-process realisation of [`Fabric::agreement`]).
-    pub(crate) fn agreement(
-        &self,
-        key: AgreeKey,
-        me: usize,
-        value: u64,
-        group: &[usize],
-    ) -> AgreeSlot {
+    /// One blocking agreement round through shared runtime state.
+    fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
         let mut slots = self.agreements.lock();
         slots.entry(key).or_default().insert(me, value);
         self.agree_cv.notify_all();
@@ -355,68 +382,6 @@ impl Transport {
             // timeout is a backstop against missed wake-ups.
             self.agree_cv.wait_for(&mut slots, self.poll_interval);
         }
-    }
-}
-
-impl Fabric for Transport {
-    fn np(&self) -> usize {
-        self.mailboxes.len()
-    }
-
-    fn next_send_seq(&self, me: usize) -> u64 {
-        self.send_seqs[me].fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn shares_address_space(&self, _me: usize, _dest: usize) -> bool {
-        // Every rank is a thread of this process, so all pairs qualify
-        // for the shared in-process payload path — unless the world was
-        // built with the encode-everything benchmark baseline.
-        !self.encoded_only
-    }
-
-    fn rank_alive(&self, world_rank: usize) -> bool {
-        Transport::rank_alive(self, world_rank)
-    }
-
-    fn rank_failed(&self, world_rank: usize) -> bool {
-        Transport::rank_failed(self, world_rank)
-    }
-
-    fn mark_failed(&self, world_rank: usize) {
-        Transport::mark_failed(self, world_rank);
-    }
-
-    fn finish(&self, me: usize) {
-        self.finished[me].store(true, Ordering::SeqCst);
-        self.agree_cv.notify_all();
-    }
-
-    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
-        // Order matters: bump progress BEFORE the delivery becomes
-        // matchable, so any deadlock verdict computed across this delivery
-        // sees the progress change and rejects itself.
-        self.progress.fetch_add(1, Ordering::SeqCst);
-        self.mailboxes[dest].deliver_copies(env, overtake, duplicate);
-    }
-
-    fn mailbox(&self, world_rank: usize) -> &Mailbox {
-        &self.mailboxes[world_rank]
-    }
-
-    fn publish_wait(&self, me: usize, record: WaitRecord) {
-        Transport::publish_wait(self, me, record);
-    }
-
-    fn clear_wait(&self, me: usize) {
-        Transport::clear_wait(self, me);
-    }
-
-    fn deadlocked(&self, me: usize) -> Option<String> {
-        Transport::deadlocked(self, me)
-    }
-
-    fn agreement(&self, key: AgreeKey, me: usize, value: u64, group: &[usize]) -> AgreeSlot {
-        Transport::agreement(self, key, me, value, group)
     }
 }
 

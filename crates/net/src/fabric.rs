@@ -1070,30 +1070,14 @@ impl PeerMesh<TcpLink> {
     /// `server`, and establish the peer mesh. Blocks until every
     /// participating rank is connected.
     pub fn establish(server: &str, me: usize, spec: &WorldSpec) -> Result<TcpFabric> {
-        Self::establish_with_chaos(server, me, spec, None)
+        let (listener, table) = rendezvous::bind_and_register(server, me, spec, None)?;
+        Self::from_table(listener, table, me, spec, None)
     }
 
-    /// [`establish`](Self::establish), with an optional wire-chaos plan
-    /// whose per-connection streams damage this rank's outgoing batches.
-    pub fn establish_with_chaos(
-        server: &str,
-        me: usize,
-        spec: &WorldSpec,
-        chaos: Option<NetChaosPlan>,
-    ) -> Result<TcpFabric> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(sock_err("bind listener"))?;
-        let my_addr = listener
-            .local_addr()
-            .map_err(sock_err("listener address"))?
-            .to_string();
-        let table = rendezvous::register(server, spec.epoch, me, spec.np, &my_addr)?;
-        Self::from_table(listener, table, me, spec, chaos)
-    }
-
-    /// Build the peer mesh from an already-released rendezvous table (the
-    /// shm provider registers once — with a `#shm:` advertisement — and
-    /// hands the table here when the world turns out not to be
-    /// co-located; the suffix is stripped before dialing).
+    /// Build the peer mesh from the listener this rank registered and the
+    /// table the rendezvous released (a world that advertised shm but is
+    /// not co-located lands here too; the `#shm:` suffixes are stripped
+    /// before dialing).
     pub fn from_table(
         listener: TcpListener,
         table: Vec<String>,

@@ -621,7 +621,8 @@ pub(crate) mod tests {
     use crate::chaos::NetChaosPlan;
     use crate::fabric::TcpFabric;
     use crate::rendezvous;
-    use crate::shm::{try_establish_shm, ShmAttempt, ShmFabric};
+    use crate::shm::tests::shm_rank;
+    use crate::shm::ShmFabric;
     use patternlets_metrics::MetricsHub;
     use patternlets_mp::status::{SourceSel, TagSel};
     use std::path::{Path, PathBuf};
@@ -701,7 +702,9 @@ pub(crate) mod tests {
             if metrics {
                 spec.metrics = Some(MetricsHub::with_lanes(np));
             }
-            Arc::new(TcpFabric::establish_with_chaos(&server, me, &spec, chaos).unwrap())
+            let (listener, table) =
+                rendezvous::bind_and_register(&server, me, &spec, None).unwrap();
+            Arc::new(TcpFabric::from_table(listener, table, me, &spec, chaos).unwrap())
         })
     }
 
@@ -709,12 +712,7 @@ pub(crate) mod tests {
     /// mappings are genuinely shared, not just shared Arcs).
     pub(crate) fn shm_mesh_in(np: usize, dir: &Path) -> Vec<Arc<ShmFabric>> {
         let server = rendezvous::serve().unwrap().to_string();
-        each_rank(np, |me| {
-            match try_establish_shm(&server, me, &spec(np, 0), dir, "testhost").unwrap() {
-                ShmAttempt::Shm(fabric) => Arc::new(fabric),
-                ShmAttempt::NotColocated(..) => panic!("one-host mesh decided not co-located"),
-            }
-        })
+        each_rank(np, |me| Arc::new(shm_rank(&server, me, &spec(np, 0), dir)))
     }
 
     fn tcp_mesh(np: usize) -> Vec<Arc<TcpFabric>> {

@@ -12,9 +12,9 @@
 //!   other first-frames (worker hellos) take the pool path.
 //!
 //! Each worker, per world it builds, binds a fresh listener and
-//! [`register`]s `(epoch, rank, np, addr)`; once `np` distinct ranks have
-//! registered for an epoch the core replies to each with the full address
-//! table and forgets the epoch. Epochs are independent, so ranks that
+//! [`register`]s `(epoch, rank, np, addr)` exactly once; when `np`
+//! distinct ranks have registered for an epoch the core replies to each
+//! with the full address table and forgets the epoch. Epochs are independent, so ranks that
 //! skip a small world (their rank is outside it) can already be
 //! registering for the next one while slower ranks are still inside the
 //! current one — and, under `pmserve`, concurrent *jobs* rendezvous
@@ -28,6 +28,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use patternlets_core::{Error, Result};
+use patternlets_mp::fabric::WorldSpec;
 
 use crate::frame::{encode_frame, read_frame, write_frame, Frame};
 
@@ -192,6 +193,28 @@ fn serve_loop(listener: TcpListener, other: impl Fn(Frame, TcpStream)) {
             _ => {}
         }
     }
+}
+
+/// A rank's one registration for world `spec`: bind its loopback
+/// listener, register the listener's address, with the shm
+/// advertisement `ad` appended when given, and block until the table
+/// arrives. Every fabric is built from the listener and table this
+/// returns.
+pub(crate) fn bind_and_register(
+    server: &str,
+    me: usize,
+    spec: &WorldSpec,
+    ad: Option<&str>,
+) -> Result<(TcpListener, Vec<String>)> {
+    let bound = |e| Error::Codec(format!("bind listener: {e}"));
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(bound)?;
+    let addr = format!(
+        "{}{}",
+        listener.local_addr().map_err(bound)?,
+        ad.unwrap_or("")
+    );
+    let table = register(server, spec.epoch, me, spec.np, &addr)?;
+    Ok((listener, table))
 }
 
 /// Register this rank's listener for `epoch` and block until the full

@@ -30,12 +30,15 @@
 //! with a `#shm:<host>:<dir>` suffix advertising its host identity and
 //! the directory where it created its **inbound** segments (one per
 //! peer, created *before* registering — so when the table comes back,
-//! every producer's target file already exists). Each rank then makes
-//! the same decision from the same table: if every rank advertised shm
-//! on the same host, the world runs over rings; otherwise everyone
-//! falls back to the TCP mesh built from the same table (the suffix is
-//! stripped before dialing). `FabricMode::Shm` makes a fallback an
-//! error instead; `FabricMode::Tcp` skips the advertisement entirely.
+//! every producer's target file already exists). A rank registers once
+//! per world, whatever happens next. Each rank then makes the same
+//! decision from the same table: if every rank advertised shm on the
+//! same host, the world runs over rings; otherwise everyone falls back
+//! to the TCP mesh built from the same listener and table (the suffix is
+//! stripped before dialing). An `Auto` rank whose rings cannot be made
+//! advertises plain TCP, so its world falls back with it.
+//! `FabricMode::Shm` makes a fallback an error instead; `FabricMode::Tcp`
+//! skips the advertisement entirely.
 //!
 //! ## Segment lifecycle
 //!
@@ -153,8 +156,6 @@ mod sys {
             );
         }
     }
-
-    pub const SUPPORTED: bool = true;
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
@@ -166,13 +167,11 @@ mod sys {
     }
 
     pub fn munmap(_ptr: *mut u8, _len: usize) {}
-
-    pub const SUPPORTED: bool = true; // resolved at runtime by mmap_shared
 }
 
 /// Whether this build can even attempt the shm fast path.
 pub fn shm_supported() -> bool {
-    sys::SUPPORTED && cfg!(all(target_os = "linux", target_arch = "x86_64"))
+    cfg!(all(target_os = "linux", target_arch = "x86_64"))
 }
 
 /// One file-backed shared mapping; unmapped on drop. The file descriptor
@@ -758,18 +757,8 @@ impl PeerMesh<ShmLink> {
 }
 
 // ---------------------------------------------------------------------------
-// Establishment: advertise, decide, build (or fall back)
+// Establishment: advertise, register once, decide, build
 // ---------------------------------------------------------------------------
-
-/// Outcome of an shm attempt that got as far as the rendezvous.
-pub(crate) enum ShmAttempt {
-    /// Every rank co-located: the ring mesh is up.
-    Shm(ShmFabric),
-    /// Not co-located. The listener and (suffixed) table are handed back
-    /// so the TCP fallback can reuse them — a rank registers only once
-    /// per epoch, so the fallback must not re-register.
-    NotColocated(std::net::TcpListener, Vec<String>),
-}
 
 /// The inbound side a rank creates before registering: one ring per
 /// peer (`None` at its own rank) and its doorbell, each with its file.
@@ -823,59 +812,27 @@ fn create_inbound(shm_dir: &Path, me: usize, spec: &WorldSpec) -> Result<Inbound
     Ok(inbound)
 }
 
-/// Attempt the shm path: pre-create inbound rings, advertise, decide.
-/// An `Err` means the attempt died *before* the verdict (unusable dir,
-/// mmap unsupported, rendezvous unreachable) with all created segment
-/// files already removed.
-pub(crate) fn try_establish_shm(
-    server: &str,
-    me: usize,
-    spec: &WorldSpec,
-    shm_dir: &Path,
-    host: &str,
-) -> Result<ShmAttempt> {
-    // Create this rank's inbound files BEFORE registering, so the table's
-    // existence implies every producer's target file exists.
-    let np = spec.np;
-    let inbound = create_inbound(shm_dir, me, spec)?;
-
-    // Register a TCP listener either way: it is the fallback transport,
-    // and its address keeps the advertisement format uniform.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| Error::Codec(format!("bind listener: {e}")))?;
-    let tcp_addr = listener
-        .local_addr()
-        .map_err(|e| Error::Codec(format!("listener address: {e}")))?
-        .to_string();
-    let advertised = format!("{tcp_addr}#shm:{host}:{}", shm_dir.display());
-    let table = match rendezvous::register(server, spec.epoch, me, np, &advertised) {
-        Ok(table) => table,
-        Err(e) => {
-            inbound.cleanup();
-            return Err(e);
-        }
-    };
-
-    if all_colocated(&table) {
-        drop(listener); // rings won; nobody will dial
-        return Ok(ShmAttempt::Shm(ShmFabric::from_table(
-            me, spec, &table, inbound,
-        )?));
-    }
-    // Not co-located: remove the segments nobody will map.
-    inbound.cleanup();
-    Ok(ShmAttempt::NotColocated(listener, table))
+/// The suffix a rank with inbound rings under `shm_dir` appends to its
+/// registered address.
+fn advertisement(host: &str, shm_dir: &Path) -> String {
+    format!("#shm:{host}:{}", shm_dir.display())
 }
 
 /// Join world `spec` as rank `me` through the mode's preferred
 /// transport. This is the one entry point `provide` uses for every
-/// `pmrun` worker world:
+/// launched world, and it registers with the rendezvous exactly once:
 ///
-/// * [`FabricMode::Tcp`] — the classic TCP mesh, no advertisement;
+/// * [`FabricMode::Tcp`] — the TCP mesh, no advertisement;
 /// * [`FabricMode::Shm`] — rings or an error;
 /// * [`FabricMode::Auto`] — rings when every rank is co-located and no
 ///   wire chaos is armed (chaos exercises reconnect/resume machinery
-///   that shared memory, having no wire, does not possess), else TCP.
+///   that shared memory, having no wire, does not possess), else TCP. A
+///   rank whose rings cannot be made advertises plain TCP, which turns
+///   the whole world to TCP.
+///
+/// Any error after registering is returned as it is: the epoch is
+/// spent, and a second registration for it would wait out
+/// [`REGISTER_TIMEOUT`](rendezvous::REGISTER_TIMEOUT) a second time.
 pub fn establish(
     server: &str,
     me: usize,
@@ -890,13 +847,26 @@ pub fn establish(
         FabricMode::Shm => true,
         FabricMode::Auto => chaos.is_none() && shm_supported(),
     };
-    if !want_shm {
-        let fabric = TcpFabric::establish_with_chaos(server, me, spec, chaos)?;
-        return Ok(Arc::new(fabric));
-    }
-    match try_establish_shm(server, me, spec, shm_dir, host) {
-        Ok(ShmAttempt::Shm(fabric)) => Ok(Arc::new(fabric)),
-        Ok(ShmAttempt::NotColocated(listener, table)) => {
+    // Created before registering, so the table's existence implies every
+    // producer's target file exists.
+    let inbound = match want_shm.then(|| create_inbound(shm_dir, me, spec)) {
+        Some(Err(e)) if mode == FabricMode::Shm => return Err(e),
+        // An Auto rank whose rings cannot be made advertises plain TCP.
+        made => made.and_then(Result::ok),
+    };
+    let ad = inbound.as_ref().map(|_| advertisement(host, shm_dir));
+    let registered = rendezvous::bind_and_register(server, me, spec, ad.as_deref());
+    match (registered, inbound) {
+        (Ok((listener, table)), Some(inbound)) if all_colocated(&table) => {
+            drop(listener); // rings won; nobody will dial
+            Ok(Arc::new(ShmFabric::from_table(me, spec, &table, inbound)?))
+        }
+        (registered, inbound) => {
+            // No rings for this world: remove the segments nobody will map.
+            if let Some(inbound) = inbound {
+                inbound.cleanup();
+            }
+            let (listener, table) = registered?;
             if mode == FabricMode::Shm {
                 return Err(Error::InvalidConfig(
                     "--fabric shm but the world's ranks are not all co-located \
@@ -907,21 +877,11 @@ pub fn establish(
             let fabric = TcpFabric::from_table(listener, table, me, spec, chaos)?;
             Ok(Arc::new(fabric))
         }
-        Err(e) => {
-            // The attempt failed before the co-location verdict (dir or
-            // mmap trouble); it never registered, so a plain TCP
-            // establishment is still possible in auto mode.
-            if mode == FabricMode::Shm {
-                return Err(e);
-            }
-            let fabric = TcpFabric::establish_with_chaos(server, me, spec, chaos)?;
-            Ok(Arc::new(fabric))
-        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::frame::encode_frame;
     use crate::mesh::tests::{env, recv_one, scratch_dir, shm_mesh_in, spec};
@@ -942,6 +902,20 @@ mod tests {
             seq: 0,
             needs_ack: false,
         }
+    }
+
+    /// Rank `me` of a one-host shm world whose segments live in `dir`:
+    /// the rings, one registration and the ring mesh, as `establish`
+    /// builds them.
+    pub(crate) fn shm_rank(server: &str, me: usize, spec: &WorldSpec, dir: &Path) -> ShmFabric {
+        let inbound = create_inbound(dir, me, spec).unwrap();
+        let ad = advertisement("testhost", dir);
+        let (_, table) = rendezvous::bind_and_register(server, me, spec, Some(&ad)).unwrap();
+        assert!(
+            all_colocated(&table),
+            "one-host mesh decided not co-located"
+        );
+        ShmFabric::from_table(me, spec, &table, inbound).unwrap()
     }
 
     fn finish_all(fabrics: &[Arc<ShmFabric>]) {
@@ -1078,10 +1052,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut spec = spec(2, 0);
                         spec.metrics = (me == 1).then_some(hub);
-                        match try_establish_shm(server, me, &spec, dir, "testhost").unwrap() {
-                            ShmAttempt::Shm(fabric) => fabric,
-                            ShmAttempt::NotColocated(..) => panic!("one host"),
-                        }
+                        shm_rank(server, me, &spec, dir)
                     })
                 })
                 .collect();

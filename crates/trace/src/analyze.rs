@@ -265,16 +265,7 @@ fn ts_ns(rec: &str) -> Option<u64> {
     let end = rec[start..]
         .find(|c: char| !c.is_ascii_digit() && c != '.')
         .unwrap_or(rec.len() - start);
-    let num = &rec[start..start + end];
-    let (us, frac) = num.split_once('.').unwrap_or((num, ""));
-    let us: u64 = us.parse().ok()?;
-    let mut frac_ns = 0u64;
-    let mut scale = 100;
-    for c in frac.bytes().take_while(u8::is_ascii_digit).take(3) {
-        frac_ns += u64::from(c - b'0') * scale;
-        scale /= 10;
-    }
-    Some(us * 1_000 + frac_ns)
+    crate::chrome::parse_ts_ns(&rec[start..start + end])
 }
 
 fn parse_record(rec: &str, merged: bool) -> Option<Node> {

@@ -168,7 +168,7 @@ fn shift_ts(events: &str, delta_ns: u64) -> String {
         let end = rest
             .find(|c: char| !c.is_ascii_digit() && c != '.')
             .unwrap_or(rest.len());
-        out.push_str(&ts(parse_ts_ns(&rest[..end]) + delta_ns));
+        out.push_str(&ts(parse_ts_ns(&rest[..end]).unwrap_or(0) + delta_ns));
         rest = &rest[end..];
     }
     out.push_str(rest);
@@ -176,17 +176,18 @@ fn shift_ts(events: &str, delta_ns: u64) -> String {
 }
 
 /// Parse one [`ts`]-formatted timestamp (`{µs}.{3-digit ns}`) back to
-/// nanoseconds. Tolerates a missing or short fraction.
-fn parse_ts_ns(num: &str) -> u64 {
+/// nanoseconds. Tolerates a missing or short fraction; `None` when the
+/// microseconds do not parse.
+pub(crate) fn parse_ts_ns(num: &str) -> Option<u64> {
     let (us, frac) = num.split_once('.').unwrap_or((num, ""));
-    let us: u64 = us.parse().unwrap_or(0);
+    let us: u64 = us.parse().ok()?;
     let mut frac_ns = 0u64;
     let mut scale = 100;
     for c in frac.bytes().take_while(u8::is_ascii_digit).take(3) {
         frac_ns += u64::from(c - b'0') * scale;
         scale /= 10;
     }
-    us * 1_000 + frac_ns
+    Some(us * 1_000 + frac_ns)
 }
 
 /// The comma-joined event list inside a [`to_chrome_json`] export. The
@@ -395,9 +396,10 @@ mod tests {
 
     #[test]
     fn ts_shift_round_trips_exactly() {
-        assert_eq!(parse_ts_ns("1234.567"), 1_234_567);
-        assert_eq!(parse_ts_ns("0.999"), 999);
-        assert_eq!(parse_ts_ns("7"), 7_000);
+        assert_eq!(parse_ts_ns("1234.567"), Some(1_234_567));
+        assert_eq!(parse_ts_ns("0.999"), Some(999));
+        assert_eq!(parse_ts_ns("7"), Some(7_000));
+        assert_eq!(parse_ts_ns(".5"), None);
         let events = "{\"ts\":1.500,\"x\":1},{\"ts\":0.001}";
         assert_eq!(
             shift_ts(events, 2_500),
