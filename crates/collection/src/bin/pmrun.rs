@@ -337,7 +337,8 @@ fn describe_status(status: ExitStatus) -> String {
 fn main() -> ExitCode {
     // Graceful shutdown: the first SIGINT/SIGTERM flips a flag the
     // supervision loop reads (drain: let the in-flight job finish, then
-    // summarize and exit 0); a second one kills the job immediately.
+    // summarize and exit 0); a second one kills the job immediately, as
+    // the deadline does: no respawn starts after it, and the job fails.
     patternlets_core::signals::install_termination_handler();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(opts) = parse(&args) else {
@@ -446,8 +447,9 @@ fn main() -> ExitCode {
     // kill is there for cross-process deadlocks, which no one process can
     // detect (DESIGN.md §7). With `--respawn`, a worker that dies while
     // budget remains is restarted in place once its backoff is due, and
-    // the job is judged by each rank's final incarnation; a respawn due
-    // after the deadline is not started.
+    // the job is judged by each rank's final incarnation. Once the job is
+    // killed — past the deadline, or on a second SIGINT/SIGTERM — no
+    // respawn starts.
     let start = Instant::now();
     let mut kill_at = opts
         .kill_worker
@@ -460,7 +462,7 @@ fn main() -> ExitCode {
     // A rank waiting out its backoff: when it is due, its epoch base, and
     // how it died.
     let mut backoff: Vec<Option<(Instant, u64, ExitStatus)>> = vec![None; opts.np];
-    let mut timed_out = false;
+    let mut killed: Option<Killed> = None;
     let mut drain_notified = false;
     let mut respawns_left = opts.respawn;
     let mut respawn_ordinal: u64 = 0;
@@ -471,9 +473,16 @@ fn main() -> ExitCode {
             let _ = children[victim].kill();
             kill_at = None;
         }
-        if !timed_out && deadline.is_some_and(|at| now >= at) {
-            timed_out = true;
-            kill_all(&mut children);
+        if killed.is_none() {
+            if deadline.is_some_and(|at| now >= at) {
+                killed = Some(Killed::Timeout);
+            } else if patternlets_core::signals::termination_count() > 1 {
+                eprintln!("pmrun: second signal; killing the job");
+                killed = Some(Killed::Signal);
+            }
+            if killed.is_some() {
+                kill_all(&mut children);
+            }
         }
         if let Some((last, next)) = status.as_mut().filter(|(_, next)| now >= *next) {
             draw_status(&reports, last);
@@ -484,10 +493,10 @@ fn main() -> ExitCode {
                 continue;
             }
             let died = match backoff[rank] {
-                Some((due, ..)) if now < due && !timed_out => continue,
-                // Due after the deadline: the job is over, and the rank
+                Some((due, ..)) if now < due && killed.is_none() => continue,
+                // Due after the job was killed: it is over, and the rank
                 // is judged by the death that started its wait.
-                Some((.., died)) if timed_out => {
+                Some((.., died)) if killed.is_some() => {
                     respawned[rank] -= 1;
                     died
                 }
@@ -508,7 +517,7 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            if !died.success() && respawns_left > 0 && !timed_out {
+            if !died.success() && respawns_left > 0 && killed.is_none() {
                 respawns_left -= 1;
                 respawn_ordinal += 1;
                 respawned[rank] += 1;
@@ -531,10 +540,8 @@ fn main() -> ExitCode {
         if results.iter().all(|r| r.is_some()) {
             break;
         }
-        if patternlets_core::signals::termination_count() > 1 {
-            eprintln!("pmrun: second signal; killing the job");
-            kill_all(&mut children);
-        } else if patternlets_core::signals::termination_requested() && !drain_notified {
+        if patternlets_core::signals::termination_requested() && !drain_notified && killed.is_none()
+        {
             drain_notified = true;
             eprintln!(
                 "pmrun: termination requested; draining the in-flight job \
@@ -615,7 +622,7 @@ fn main() -> ExitCode {
     }
     let _ = std::fs::remove_dir_all(&ctx.job.shm_dir);
 
-    if timed_out {
+    if killed == Some(Killed::Timeout) {
         eprintln!(
             "pmrun: job exceeded --timeout {}s and was killed",
             opts.timeout.unwrap_or(0)
@@ -623,12 +630,13 @@ fn main() -> ExitCode {
     }
     // An operator-initiated drain is a clean shutdown, not a job
     // failure: whatever the workers' outcomes, the contract is "drain,
-    // summarize, exit 0". (Timeouts still fail: those are CI's call.)
-    if patternlets_core::signals::termination_requested() && !timed_out {
+    // summarize, exit 0". (A kill — past the timeout, or on a second
+    // signal — still fails.)
+    if patternlets_core::signals::termination_requested() && killed.is_none() {
         println!("pmrun: drained after termination request");
         return ExitCode::SUCCESS;
     }
-    if outcomes.iter().all(|&(_, ok)| ok) && !timed_out {
+    if outcomes.iter().all(|&(_, ok)| ok) && killed.is_none() {
         return ExitCode::SUCCESS;
     }
     eprintln!(
@@ -641,6 +649,16 @@ fn main() -> ExitCode {
         eprintln!("  rank {rank}: {status}{mark}");
     }
     ExitCode::FAILURE
+}
+
+/// Why pmrun killed the whole job. Either way no respawn starts after
+/// the kill, and the job fails.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Killed {
+    /// The `--timeout` deadline passed.
+    Timeout,
+    /// A second SIGINT/SIGTERM arrived.
+    Signal,
 }
 
 /// Supervisor sleep before the `nth` respawn of `rank` (`nth` ≥ 1):

@@ -3,7 +3,7 @@
 //! `pmrun`/`patternlets` binaries (Cargo points `CARGO_BIN_EXE_*` at
 //! them), so these tests exercise exactly what a student types.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const PMRUN: &str = env!("CARGO_BIN_EXE_pmrun");
@@ -410,6 +410,41 @@ fn a_respawn_due_after_the_timeout_is_not_started() {
         stderr.contains("rank 0: exit 1 (after 4 respawns)"),
         "stderr: {stderr}"
     );
+}
+
+#[test]
+fn a_second_signal_ends_a_respawning_job() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGINT: i32 = 2;
+    // Rank 1 stalls for 30 s, so the first SIGINT's drain cannot finish;
+    // the second must kill the job for good, with respawns left.
+    let pmrun = Command::new(PMRUN)
+        .args(["-np", "2", "--respawn", "3", "--timeout", "20", PATTERNLETS])
+        .args(["__net-stall", "2", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pmrun spawns");
+    let pid = pmrun.id() as i32;
+    std::thread::sleep(Duration::from_millis(1000));
+    assert_eq!(unsafe { kill(pid, SIGINT) }, 0);
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(unsafe { kill(pid, SIGINT) }, 0);
+    let second = Instant::now();
+    let out = pmrun.wait_with_output().expect("pmrun runs");
+    let took = second.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a killed job fails: {stderr}");
+    assert!(took < Duration::from_secs(10), "took {took:?}: {stderr}");
+    assert_eq!(
+        stderr.matches("second signal").count(),
+        1,
+        "stderr: {stderr}"
+    );
+    let after = &stderr[stderr.find("second signal").unwrap_or(0)..];
+    assert!(!after.contains("respawning"), "stderr: {stderr}");
 }
 
 #[test]

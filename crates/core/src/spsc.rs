@@ -627,6 +627,22 @@ impl SpscRing {
         unsafe { self.base.add(HEADER_BYTES) }
     }
 
+    /// Copy `src` into the data region from byte count `at` on, wrapping
+    /// past the end. Only the producer calls it, for room it saw free.
+    #[inline]
+    fn copy_in(&self, at: u64, src: &[u8]) {
+        let pos = (at % self.capacity as u64) as usize;
+        let first = src.len().min(self.capacity - pos);
+        // SAFETY: `pos + first <= capacity` and `src.len() - first <=
+        // pos`, so both copies stay in the data region, and the caller
+        // has seen `src.len()` bytes from `at` free: the consumer reads
+        // none of them until a tail store covers them.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(pos), first);
+            std::ptr::copy_nonoverlapping(src.as_ptr().add(first), self.data(), src.len() - first);
+        }
+    }
+
     /// Bytes currently queued (a racy snapshot; exact only from an
     /// endpoint's own thread).
     pub fn len(&self) -> usize {
@@ -659,6 +675,49 @@ impl SpscRing {
             ring: Arc::clone(self),
             stats: WaitStats::default(),
         }
+    }
+}
+
+/// One record as two pieces, written back to back: its head and its
+/// payload. [`Producer::push_all`] copies both into the ring, so the
+/// record is never joined into one buffer on its way; [`to_vec`] joins
+/// them for a transport that keeps records whole. Any single byte slice
+/// converts to a head with an empty payload.
+///
+/// [`to_vec`]: Pieces::to_vec
+#[derive(Debug, Clone, Copy)]
+pub struct Pieces<'a> {
+    head: &'a [u8],
+    payload: &'a [u8],
+}
+
+impl<'a> Pieces<'a> {
+    /// `head`, then `payload`.
+    pub fn new(head: &'a [u8], payload: &'a [u8]) -> Self {
+        Pieces { head, payload }
+    }
+
+    /// Bytes in both pieces.
+    fn len(&self) -> usize {
+        self.head.len() + self.payload.len()
+    }
+
+    /// The record as one buffer: both pieces, copied.
+    pub fn to_vec(&self) -> Vec<u8> {
+        [self.head, self.payload].concat()
+    }
+
+    /// Drop the first `n` bytes, crossing from the head into the payload.
+    fn advance(&mut self, n: usize) {
+        let from_head = n.min(self.head.len());
+        self.head = &self.head[from_head..];
+        self.payload = &self.payload[n - from_head..];
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Pieces<'a> {
+    fn from(bytes: &'a T) -> Self {
+        Pieces::new(bytes.as_ref(), &[])
     }
 }
 
@@ -707,42 +766,49 @@ impl Producer {
     /// Publishes the new tail (Release) and rings the consumer doorbell
     /// once per call, so batch writers pay one bell per batch.
     pub fn try_push(&mut self, buf: &[u8]) -> usize {
-        if buf.is_empty() {
-            return 0;
-        }
+        self.write_some(&mut Pieces::from(buf))
+    }
+
+    /// Write as much of `pieces` as currently fits, both pieces in one
+    /// step, and drop what was written from them; returns bytes written.
+    /// One tail store and one bell, whether the bytes came from one piece
+    /// or two.
+    fn write_some(&mut self, pieces: &mut Pieces) -> usize {
         let hdr = self.ring.hdr();
         let head = hdr.head.load(Ordering::Acquire);
         let tail = hdr.tail.load(Ordering::Relaxed);
-        let cap = self.ring.capacity;
-        let free = cap - (tail - head) as usize;
-        let n = free.min(buf.len());
+        let free = self.ring.capacity - (tail - head) as usize;
+        let n = free.min(pieces.len());
         if n == 0 {
             return 0;
         }
-        let pos = (tail % cap as u64) as usize;
-        let first = n.min(cap - pos);
-        unsafe {
-            std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ring.data().add(pos), first);
-            if n > first {
-                std::ptr::copy_nonoverlapping(buf.as_ptr().add(first), self.ring.data(), n - first);
-            }
-        }
+        let split = n.min(pieces.head.len());
+        self.ring.copy_in(tail, &pieces.head[..split]);
+        self.ring
+            .copy_in(tail + split as u64, &pieces.payload[..n - split]);
+        pieces.advance(n);
         hdr.tail.store(tail + n as u64, Ordering::Release);
         self.consumer_bell().ring();
         n
     }
 
-    /// Write all of `buf`, spin-then-parking whenever the ring is full.
+    /// Write all of `pieces` — one slice, or a record's head and payload
+    /// back to back — spin-then-parking whenever the ring is full. A
+    /// record that fits is published with one tail store and one bell.
     /// `abort` is polled while waiting, at least once per park timeout
     /// (≈ every [`PARK_NS`]); a true return on a still-full ring abandons
     /// the write mid-record — only do that when the consumer is gone for
     /// good.
-    pub fn push_all(&mut self, mut buf: &[u8], abort: impl Fn() -> bool) -> Result<(), PushError> {
+    pub fn push_all<'a>(
+        &mut self,
+        pieces: impl Into<Pieces<'a>>,
+        abort: impl Fn() -> bool,
+    ) -> Result<(), PushError> {
+        let mut rest = pieces.into();
         let mut cost = Wait::default();
         let result = loop {
-            let n = self.try_push(buf);
-            buf = &buf[n..];
-            if buf.is_empty() {
+            self.write_some(&mut rest);
+            if rest.len() == 0 {
                 break Ok(());
             }
             cost += wait(&self.ring.hdr().producer_bell, || {
@@ -1057,6 +1123,48 @@ mod tests {
         // blocked push must be classified as exactly one wait episode.
         assert!(spins > 0 || parks > 0);
         assert_eq!(spin_waits + park_waits, 1);
+    }
+
+    /// A head and a payload go in as one record: every head/payload split
+    /// of 12 bytes, written across the end of a 16-byte ring, reads back
+    /// as the 12 bytes in order, published whole by the one push.
+    #[test]
+    fn a_head_and_payload_wrap_as_one_record() {
+        let record: Vec<u8> = (1..=12).collect();
+        for split in 0..=record.len() {
+            let ring = SpscRing::heap(16);
+            let mut p = ring.producer();
+            let mut c = ring.consumer();
+            p.push_all(&[0u8; 10], || false).unwrap();
+            c.read_exact(&mut [0u8; 10]).unwrap();
+            let (head, payload) = record.split_at(split);
+            p.push_all(Pieces::new(head, payload), || false).unwrap();
+            assert_eq!(ring.len(), record.len(), "split {split}");
+            let mut got = [0u8; 12];
+            c.read_exact(&mut got).unwrap();
+            assert_eq!(got[..], record[..], "split {split}");
+        }
+    }
+
+    /// A two-piece record that outgrows the ring blocks as one wait
+    /// episode, like a one-piece record.
+    #[test]
+    fn a_blocked_two_piece_push_is_one_wait_episode() {
+        let ring = SpscRing::heap(4);
+        let mut p = ring.producer();
+        let mut c = ring.consumer();
+        let writer = std::thread::spawn(move || {
+            p.push_all(Pieces::new(&[1u8; 6], &[2u8; 58]), || false)
+                .unwrap();
+            p.take_wait_stats()
+        });
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let mut got = vec![0u8; 64];
+        c.read_exact(&mut got).unwrap();
+        let (spin_waits, park_waits) = writer.join().unwrap();
+        assert_eq!(spin_waits + park_waits, 1);
+        assert_eq!(got[..6], [1u8; 6]);
+        assert_eq!(got[6..], [2u8; 58]);
     }
 
     #[test]

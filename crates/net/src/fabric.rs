@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use patternlets_core::rng::{Rng, SplitMix64};
-use patternlets_core::spsc::Park;
+use patternlets_core::spsc::{Park, Pieces};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
@@ -578,15 +578,17 @@ impl Link for TcpLink {
     const PEER_TIMEOUT: Duration = PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = PEER_TIMEOUT;
 
-    /// Enqueue and flush, draining and polling while the socket is full.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, sequenced: bool) -> bool {
-        match &self.writers[peer] {
-            Some(writer) => writer.push(record, sequenced, &|stream| {
-                self.drain(mesh);
-                self.poll(Some(stream));
-            }),
-            None => true,
-        }
+    /// Join the record's pieces into the one buffer the send ring keeps,
+    /// then enqueue and flush it, draining and polling while the socket is
+    /// full.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, sequenced: bool) -> bool {
+        let Some(writer) = &self.writers[peer] else {
+            return true;
+        };
+        writer.push(Bytes::from(record.to_vec()), sequenced, &|stream| {
+            self.drain(mesh);
+            self.poll(Some(stream));
+        })
     }
 
     fn unacked(&self, peer: usize) -> usize {
@@ -632,7 +634,7 @@ impl Link for TcpLink {
                     t0,
                     server_ns: unix_now_ns(),
                 });
-                self.write(mesh, peer, Bytes::from(reply), false);
+                self.write(mesh, peer, Pieces::from(&reply), false);
             }
             Frame::ClockReply { t0, server_ns } => {
                 *self.clock_reply.lock() = Some((t0, server_ns));
@@ -695,7 +697,7 @@ impl Mesh<TcpLink> {
         for _ in 0..PROBES {
             let t0 = unix_now_ns();
             let probe = encode_frame(&Frame::ClockProbe { t0 });
-            if !self.link.write(self, 0, Bytes::from(probe), false) {
+            if !self.link.write(self, 0, Pieces::from(&probe), false) {
                 break;
             }
             let reply = Cell::new(None);

@@ -309,9 +309,12 @@ const KIND_JOB_TRACE: u8 = 18;
 
 /// Builds one wire record in a single buffer: an 8-byte header slot
 /// (length prefix, then a CRC placeholder), then the body. [`finish`]
-/// patches both header fields in place, so the record is never copied.
+/// patches both header fields in place, so the record is never copied;
+/// [`finish_head`] does the same for the head of a record whose body
+/// ends in a payload that stays where it is.
 ///
 /// [`finish`]: RecordWriter::finish
+/// [`finish_head`]: RecordWriter::finish_head
 struct RecordWriter(Vec<u8>);
 
 impl RecordWriter {
@@ -343,18 +346,27 @@ impl RecordWriter {
     }
     /// Patch the length prefix and the CRC over `length ++ body`.
     fn finish(self) -> Vec<u8> {
-        let mut record = self.0;
-        let len_bytes = ((record.len() - 8) as u32).to_le_bytes();
-        let crc = frame_crc(&len_bytes, &record[8..]);
-        record[..4].copy_from_slice(&len_bytes);
-        record[4..8].copy_from_slice(&crc.to_le_bytes());
-        record
+        self.finish_head(&[])
+    }
+
+    /// Patch the header of a record whose body is these bytes followed by
+    /// `payload`, and return these bytes, the record's head: the length
+    /// counts both, and the CRC covers `length ++ body ++ payload`. The
+    /// payload is read, not copied.
+    fn finish_head(self, payload: &[u8]) -> Vec<u8> {
+        let mut head = self.0;
+        let len_bytes = ((head.len() - 8 + payload.len()) as u32).to_le_bytes();
+        let crc = crc32_extend(frame_crc(&len_bytes, &head[8..]), payload);
+        head[..4].copy_from_slice(&len_bytes);
+        head[4..8].copy_from_slice(&crc.to_le_bytes());
+        head
     }
 }
 
 /// The fields of a [`Frame::Env`] other than its payload, borrowed: the
-/// peer mesh encodes an outgoing envelope's record straight from the
-/// envelope, without first copying its payload into a `Frame`.
+/// peer mesh writes an outgoing envelope's record straight from the
+/// envelope, as the [`head`](EnvHeader::head) followed by the payload,
+/// without first copying the payload into a `Frame` or a record buffer.
 pub(crate) struct EnvHeader<'a> {
     pub comm_id: u64,
     pub src: u64,
@@ -371,12 +383,16 @@ impl EnvHeader<'_> {
     /// fixed-width fields, and the two length prefixes.
     const FIXED_BODY: usize = 1 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 4 + 4;
 
-    /// The wire record of this envelope carrying `payload`: written once
-    /// into an exactly sized buffer, the CRC patched in place.
-    pub(crate) fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut w = RecordWriter::with_body_capacity(
-            Self::FIXED_BODY + self.type_name.len() + payload.len(),
-        );
+    /// The head of this envelope's wire record carrying `payload`: the
+    /// length prefix, the CRC, and the body up to and including the
+    /// payload's length. `head ++ payload` is the whole record, byte for
+    /// byte what [`encode_frame`] writes; the CRC is computed over the
+    /// payload where it lies. The buffer has `room` bytes of capacity to
+    /// spare: `encode_frame` appends the payload there, and the peer mesh,
+    /// which hands head and payload to the link apart, asks for none.
+    pub(crate) fn head(&self, payload: &[u8], room: usize) -> Vec<u8> {
+        let mut w =
+            RecordWriter::with_body_capacity(Self::FIXED_BODY + self.type_name.len() + room);
         w.u8(KIND_ENV);
         w.u64(self.comm_id);
         w.u64(self.src);
@@ -386,9 +402,13 @@ impl EnvHeader<'_> {
         w.u64(self.seq);
         w.u8(u8::from(self.needs_ack));
         w.u32(self.overtake);
-        w.bytes(payload);
-        debug_assert_eq!(w.0.len(), w.0.capacity(), "Env records are exactly sized");
-        w.finish()
+        w.u32(payload.len() as u32);
+        debug_assert_eq!(
+            w.0.len() + room,
+            w.0.capacity(),
+            "Env heads are exactly sized"
+        );
+        w.finish_head(payload)
     }
 }
 
@@ -459,7 +479,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             overtake,
             payload,
         } => {
-            return EnvHeader {
+            let mut record = EnvHeader {
                 comm_id: *comm_id,
                 src: *src,
                 tag: *tag,
@@ -469,7 +489,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 needs_ack: *needs_ack,
                 overtake: *overtake,
             }
-            .encode(payload)
+            .head(payload, payload.len());
+            record.extend_from_slice(payload);
+            return record;
         }
         Frame::Finish { rank } => {
             w.u8(KIND_FINISH);
@@ -1222,6 +1244,64 @@ mod tests {
         assert_eq!(hex(&wire[4..8]), "74406b1a");
         assert_eq!(wire.capacity(), wire.len(), "written once, exactly sized");
         assert_eq!(decode_frame(&wire).unwrap(), frame);
+    }
+
+    /// The reference an `Env` head and its payload must match: the record
+    /// as one buffer, its body written whole and its CRC taken over it in
+    /// one pass, as `RecordWriter` writes every other kind.
+    fn one_buffer_env(h: &EnvHeader, payload: &[u8]) -> Vec<u8> {
+        let mut w = RecordWriter::with_body_capacity(
+            EnvHeader::FIXED_BODY + h.type_name.len() + payload.len(),
+        );
+        w.u8(KIND_ENV);
+        w.u64(h.comm_id);
+        w.u64(h.src);
+        w.i32(h.tag);
+        w.string(h.type_name);
+        w.u64(h.count);
+        w.u64(h.seq);
+        w.u8(u8::from(h.needs_ack));
+        w.u32(h.overtake);
+        w.bytes(payload);
+        w.finish()
+    }
+
+    #[test]
+    fn an_env_head_and_its_payload_are_the_one_buffer_record() {
+        for type_name in ["u8", "custom::Matrix<f64>"] {
+            for len in [0, 1, 8, 4 << 10, 64 << 10] {
+                let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                let h = EnvHeader {
+                    comm_id: 3,
+                    src: 1,
+                    tag: -7,
+                    type_name,
+                    count: len as u64,
+                    seq: 41,
+                    needs_ack: len % 2 == 1,
+                    overtake: 2,
+                };
+                let record = [h.head(&payload, 0), payload.clone()].concat();
+                assert_eq!(record, one_buffer_env(&h, &payload), "{type_name}, {len} B");
+                let frame = Frame::Env {
+                    comm_id: 3,
+                    src: 1,
+                    tag: -7,
+                    type_name: type_name.into(),
+                    count: len as u64,
+                    seq: 41,
+                    needs_ack: len % 2 == 1,
+                    overtake: 2,
+                    payload,
+                };
+                assert_eq!(encode_frame(&frame), record, "{type_name}, {len} B");
+                assert_eq!(
+                    decode_frame(&record).unwrap(),
+                    frame,
+                    "{type_name}, {len} B"
+                );
+            }
+        }
     }
 
     #[test]

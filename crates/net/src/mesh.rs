@@ -7,8 +7,10 @@
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
 //! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! frames to peers, and the rank drains it itself: no thread stands
-//! between a link and the dispatch. Whenever one of the rank's threads
+//! records to peers, each handed over as a head and a payload, so the
+//! shared-memory link copies an envelope's payload straight into its
+//! ring. The rank drains the link itself: no thread stands between a
+//! link and the dispatch. Whenever one of the rank's threads
 //! waits — in a receive, a probe, an agreement, `finish`'s wait for acks,
 //! or on a full outbound ring or socket — it drains every inbound ring or
 //! socket, and the heartbeat tick drains them as a backstop. Between
@@ -53,9 +55,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use parking_lot::Mutex;
-use patternlets_core::spsc::{Park, Wait};
+use patternlets_core::spsc::{Park, Pieces, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, Obs};
 use patternlets_mp::envelope::{Envelope, Payload};
@@ -124,17 +125,20 @@ pub trait Link: Sized + Send + Sync + 'static {
     const ESTABLISH_GRACE: Duration;
 
     /// Write one encoded record to `peer`, draining this rank's inbound
-    /// side while the way to `peer` is full. A sequenced record must reach
-    /// the peer exactly once even across a reconnect; an unsequenced one
-    /// may be dropped. `false` once the link to `peer` is terminal.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, sequenced: bool) -> bool;
+    /// side while the way to `peer` is full. The record comes in two
+    /// pieces: an `Env` record's head (`EnvHeader::head`) and the
+    /// envelope's payload bytes, or any other frame's whole record and an
+    /// empty payload. A sequenced record must reach the peer exactly once
+    /// even across a reconnect; an unsequenced one may be dropped. `false`
+    /// once the link to `peer` is terminal.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, sequenced: bool) -> bool;
 
     /// Write a `Ping`, an unsequenced record — the heartbeat's, or the
     /// ack of a peer's `Finish` — and say whether it went out. A plain
     /// [`write`](Link::write) unless the link drops pings rather than
     /// wait.
-    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes) -> bool {
-        self.write(mesh, peer, record, false)
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
+        self.write(mesh, peer, Pieces::from(record), false)
     }
 
     /// Sequenced records written to `peer` and not yet acknowledged.
@@ -248,10 +252,12 @@ impl<L: Link> Mesh<L> {
     /// Send `frame` to every peer; peers whose link is terminal and who
     /// never announced Finish are marked failed.
     pub(crate) fn broadcast(&self, frame: &Frame) {
-        let record = Bytes::from(encode_frame(frame));
+        let record = encode_frame(frame);
         let sequenced = frame.is_sequenced();
         for peer in (0..self.np).filter(|&p| p != self.me) {
-            if !self.link.write(self, peer, record.clone(), sequenced)
+            if !self
+                .link
+                .write(self, peer, Pieces::from(&record), sequenced)
                 && !self.finished[peer].load(Ordering::SeqCst)
             {
                 self.note_failed(peer);
@@ -328,7 +334,7 @@ impl<L: Link> Mesh<L> {
                 let ack = encode_frame(&Frame::Ping {
                     seen: self.recv_seq[peer].load(Ordering::SeqCst),
                 });
-                self.link.ping(self, peer, Bytes::from(ack));
+                self.link.ping(self, peer, &ack);
             }
             Frame::Failed { rank } if (rank as usize) < self.np => self.note_failed(rank as usize),
             Frame::Agree {
@@ -366,7 +372,7 @@ impl<L: Link> Mesh<L> {
                 let ping = encode_frame(&Frame::Ping {
                     seen: self.recv_seq[peer].load(Ordering::SeqCst),
                 });
-                if self.link.ping(self, peer, Bytes::from(ping)) {
+                if self.link.ping(self, peer, &ping) {
                     if let Some(hub) = &self.obs.metrics {
                         hub.incr(self.me, CounterId::NetHeartbeats);
                         let now_ns = (self.start.elapsed().as_nanos() as u64).max(1);
@@ -511,22 +517,22 @@ impl<L: Link> Fabric for PeerMesh<L> {
 
     fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
         let mesh = &*self.inner;
-        let record = Bytes::from(
-            EnvHeader {
-                comm_id: env.comm_id,
-                src: env.src as u64,
-                tag: env.tag,
-                type_name: env.type_name,
-                count: env.count as u64,
-                seq: env.seq,
-                needs_ack: env.needs_ack,
-                overtake: overtake as u32,
-            }
-            .encode(&env.payload.to_wire()),
-        );
+        let payload = env.payload.to_wire();
+        let head = EnvHeader {
+            comm_id: env.comm_id,
+            src: env.src as u64,
+            tag: env.tag,
+            type_name: env.type_name,
+            count: env.count as u64,
+            seq: env.seq,
+            needs_ack: env.needs_ack,
+            overtake: overtake as u32,
+        }
+        .head(&payload, 0);
         // With `duplicate`, transmit a second copy; the receiving mailbox
         // dedups it and records the drop on its own side.
-        let ok = (!duplicate || mesh.link.write(mesh, dest, record.clone(), true))
+        let record = Pieces::new(&head, &payload);
+        let ok = (!duplicate || mesh.link.write(mesh, dest, record, true))
             && mesh.link.write(mesh, dest, record, true);
         if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
             mesh.note_failed(dest);

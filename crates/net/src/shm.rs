@@ -7,9 +7,11 @@
 //! frames — the *same* `[len][crc][body]` records the TCP codec ships,
 //! CRC included — stream through the ring and are checked by the same
 //! CRC and body decoder, so a corrupted segment is caught exactly like a
-//! corrupted socket. The hot path is one `memcpy` into the ring and a
-//! handful of atomic operations: no syscall, no kernel round-trip, no
-//! frame re-encode, and no thread between the ring and the mailbox.
+//! corrupted socket. The hot path copies a record's head and then an
+//! envelope's payload straight into the ring and publishes them with a
+//! handful of atomic operations: no record buffer, no syscall, no kernel
+//! round-trip, no frame re-encode, and no thread between the ring and
+//! the mailbox.
 //!
 //! ## Receiver-driven progress
 //!
@@ -70,9 +72,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell, Consumer, Park, Producer, SpscRing, CACHE_LINE};
+use patternlets_core::spsc::{self, Bell, Consumer, Park, Pieces, Producer, SpscRing, CACHE_LINE};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
 use patternlets_mp::fabric::{Fabric, WorldSpec};
@@ -538,13 +539,14 @@ impl Link for ShmLink {
     const PEER_TIMEOUT: Duration = SHM_PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = SHM_ESTABLISH_GRACE;
 
-    /// Push one record into the peer's ring, blocking while the ring is
+    /// Push one record into the peer's ring, its head and payload copied
+    /// straight in under the one producer lock, blocking while the ring is
     /// full and draining this rank's own inbound rings meanwhile — two
     /// ranks sending into each other's full rings would otherwise wait on
     /// each other for ever. `false` when the peer is already
     /// failed/finished or became so while the ring was full — so a full
     /// ring to a SIGKILL'd peer cannot wedge a send.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes, _sequenced: bool) -> bool {
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, _sequenced: bool) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -553,7 +555,7 @@ impl Link for ShmLink {
         }
         let mut producer = ring.lock();
         let ok = producer
-            .push_all(&record, || {
+            .push_all(record, || {
                 self.drain(mesh);
                 mesh.gone(peer)
             })
@@ -565,7 +567,7 @@ impl Link for ShmLink {
     /// Dropped rather than wait on a ring that is busy (a rank thread
     /// blocked in a send holds it) or full: the heartbeat thread is the
     /// rank's drain of last resort and must keep ticking.
-    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: Bytes) -> bool {
+    fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -577,7 +579,7 @@ impl Link for ShmLink {
         };
         // The record fits whole or not at all: the lock is held, so the
         // free space can only grow.
-        let ok = producer.free() >= record.len() && producer.try_push(&record) > 0;
+        let ok = producer.free() >= record.len() && producer.try_push(record) > 0;
         record_push(mesh, peer, &mut producer, ok);
         ok
     }

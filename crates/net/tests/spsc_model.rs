@@ -16,13 +16,18 @@
 //! wraparound on every frame — and decodes them with both the blocking
 //! TCP frame reader and the shm fabric's non-blocking drain decoder
 //! ([`RingFrames`]), whose in-place, wrapped and larger-than-the-ring
-//! paths must all yield the frames `read_frame` does. Hostile bytes in a
-//! ring — the length prefix comes from another process — must neither
-//! panic the decoder nor make it allocate by the length they claim.
+//! paths must all yield the frames `read_frame` does, whether each record
+//! went in whole or as a head and a payload. Hostile bytes in a ring —
+//! the length prefix comes from another process — must neither panic the
+//! decoder nor make it allocate by the length they claim. And a shm send
+//! writes its record into the ring from the payload's own buffer: the
+//! sending thread allocates no second, record-sized one.
 
-use patternlets_core::spsc::SpscRing;
+use patternlets_core::spsc::{Pieces, SpscRing};
+use patternlets_mp::World;
 use patternlets_net::frame::{encode_frame, read_frame, Frame, MAX_FRAME_LEN};
-use patternlets_net::shm::RingFrames;
+use patternlets_net::shm::{FabricMode, RingFrames};
+use patternlets_net::{install_job_fabric, rendezvous, with_job_ctx, JobCtx};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,6 +37,9 @@ use std::io::Read;
 thread_local! {
     /// The largest single allocation this thread made since last reset.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Allocations of at least `.0` bytes this thread made while `.0` was
+    /// set, in `.1`.
+    static AT_LEAST: Cell<(usize, usize)> = const { Cell::new((usize::MAX, 0)) };
 }
 
 /// The system allocator, noting each thread's largest allocation.
@@ -56,6 +64,19 @@ unsafe impl GlobalAlloc for Measured {
 
 fn note(size: usize) {
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    let _ = AT_LEAST.try_with(|a| {
+        let (min, n) = a.get();
+        a.set((min, n + usize::from(size >= min)));
+    });
+}
+
+/// Run `f` and count the allocations of at least `min` bytes it made on
+/// this thread.
+fn allocations_of_at_least<R>(min: usize, f: impl FnOnce() -> R) -> (R, usize) {
+    AT_LEAST.with(|a| a.set((min, 0)));
+    let out = f();
+    let (_, n) = AT_LEAST.with(|a| a.replace((usize::MAX, 0)));
+    (out, n)
 }
 
 #[global_allocator]
@@ -237,19 +258,31 @@ proptest! {
 
     /// Whole wire frames through tiny rings, each fed by its own writer
     /// thread: one decoded by the unmodified TCP codec, the other by the
-    /// shm drain decoder. Every frame must come back intact and in order,
-    /// ending in clean EOF, from both.
+    /// shm drain decoder. Each record goes in whole or, cut at a scripted
+    /// point, as a head and a payload in one push; in a 32-byte ring both
+    /// pieces wrap its end. Every frame must come back intact and in
+    /// order, ending in clean EOF, from both.
     #[test]
     fn wire_frames_survive_a_ring_smaller_than_one_record(
         payload_sizes in proptest::collection::vec(0usize..300, 1..12),
+        cuts in proptest::collection::vec(any::<u32>(), 12),
     ) {
         let frames = job_lines(&payload_sizes);
         let writer = |ring: &std::sync::Arc<SpscRing>| {
             let mut p = ring.producer();
-            let frames = frames.clone();
+            let (frames, cuts) = (frames.clone(), cuts.clone());
             std::thread::spawn(move || {
-                for frame in &frames {
-                    p.push_all(&encode_frame(frame), || false).unwrap();
+                // A cut's low bit picks whole or two pieces, the rest
+                // where the head ends.
+                for (frame, cut) in frames.iter().zip(cuts) {
+                    let record = encode_frame(frame);
+                    if cut & 1 == 0 {
+                        p.push_all(&record, || false).unwrap();
+                    } else {
+                        let at = (cut >> 1) as usize % (record.len() + 1);
+                        let (head, payload) = record.split_at(at);
+                        p.push_all(Pieces::new(head, payload), || false).unwrap();
+                    }
                 }
                 p.close();
             })
@@ -332,4 +365,51 @@ proptest! {
             prop_assert_eq!(end, Ok(()));
         }
     }
+}
+
+/// A 64 KiB `Comm::send` over a two-rank shared-memory world whose ranks
+/// are threads of this process. The sending thread allocates one
+/// payload-sized buffer, the payload's encoding; the ring takes the
+/// record from a small head and that buffer, with no record buffer
+/// joining them.
+#[test]
+fn a_64_kib_shm_send_allocates_one_payload_sized_buffer() {
+    const LEN: usize = 64 << 10;
+    assert!(install_job_fabric(), "no other provider in this binary");
+    let server = rendezvous::serve().unwrap().to_string();
+    let dir = std::env::temp_dir().join(format!("spsc-model-send-{}", std::process::id()));
+    let counts: Vec<usize> = std::thread::scope(|scope| {
+        let ranks: Vec<_> = (0..2)
+            .map(|rank| {
+                let mut ctx = JobCtx::new(rank, 2, server.clone(), 0, None);
+                ctx.fabric = FabricMode::Shm;
+                ctx.shm_dir = dir.clone();
+                scope.spawn(move || {
+                    with_job_ctx(ctx, || {
+                        let out = World::builder(2).run(|comm| {
+                            let data = vec![7u8; LEN];
+                            let mut counts = Vec::new();
+                            // The first message of each rank warms up.
+                            for round in 0..2 {
+                                if comm.rank() == 0 {
+                                    let ((), n) = allocations_of_at_least(LEN, || {
+                                        comm.send(&data, 1, round).unwrap()
+                                    });
+                                    counts.push(n);
+                                } else {
+                                    let (got, _) = comm.recv::<u8>(0, round).unwrap();
+                                    assert_eq!(got, data);
+                                }
+                            }
+                            counts.last().copied().unwrap_or(0)
+                        });
+                        out.unwrap()[0]
+                    })
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(counts[0], 1, "allocations of at least {LEN} B in one send");
 }
