@@ -25,11 +25,15 @@
 //! family — agree/shrink around it, while `pmrun` exits non-zero with a
 //! per-rank report. `--timeout SECS` bounds the whole job for CI.
 //!
-//! One supervision loop on the main thread owns every worker's `Child`.
-//! Each 10 ms tick reaps the workers that exited and checks the loop's
-//! deadlines: the `--kill-worker` time, the `--timeout` deadline, the
-//! next `--status` draw and each pending respawn's backoff. No other
-//! thread touches a worker.
+//! The workers are run by `patternlets_serve::supervise::Supervisor`,
+//! the one supervisor `pmserve` runs its local workers with: it owns
+//! every worker's `Child`, and each 10 ms tick reaps the workers that
+//! exited, starts the respawns that are due and applies the signal
+//! policy. `--timeout` is its deadline. pmrun checks its own due times,
+//! the `--kill-worker` time and the next `--status` draw, on the same
+//! tick. The first SIGINT/SIGTERM drains: no respawn starts, the job
+//! runs out, and pmrun exits 0. A second one kills the job, as the
+//! deadline does, and the job fails.
 //!
 //! `--net-chaos SEED` arms the wire-level fault injector in every
 //! worker: outgoing socket batches are deterministically cut, truncated
@@ -37,9 +41,10 @@
 //! fabric's reconnect/resume machinery while the job still must produce
 //! its normal output.
 //!
-//! `--respawn N` turns `pmrun` into a supervisor: up to N times per job,
-//! a worker that dies (crash, SIGKILL) is restarted in place. The
-//! respawned process gets `PMRUN_EPOCH_BASE` set to the respawn ordinal,
+//! `--respawn N` is the supervisor's budget: up to N times per job, a
+//! worker that dies (crash, SIGKILL) is restarted in place, after a
+//! backoff that doubles with each restart of its rank. The respawned
+//! process gets `PMRUN_EPOCH_BASE` set to the respawn ordinal,
 //! so its first world rendezvouses at the same epoch as the retry world
 //! the survivors build after the failure, and `PMRUN_CKPT_DIR` points at
 //! a per-job checkpoint directory so the restarted rank can resume from
@@ -61,13 +66,12 @@
 
 use std::io::{BufRead, BufReader, IsTerminal, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, ExitCode, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use patternlets_core::capture::Output;
-use patternlets_core::rng::{Rng, SplitMix64};
 use patternlets_metrics::{render_counters, render_prometheus, render_summary};
 use patternlets_net::chaos::NetChaosPlan;
 use patternlets_net::frame::{read_frame, write_frame, Frame};
@@ -75,6 +79,7 @@ use patternlets_net::shm::FabricMode;
 use patternlets_net::{rendezvous, JobCtx};
 use patternlets_serve::http;
 use patternlets_serve::job::Reports;
+use patternlets_serve::supervise::{sibling_program, Event, Kill, Supervisor};
 use patternlets_trace::chrome;
 
 struct Opts {
@@ -253,24 +258,6 @@ fn draw_status(reports: &Reports, last: &mut String) {
     *last = text;
 }
 
-/// A bare program name resolves to a sibling of this executable first —
-/// `pmrun` and `patternlets` are built into the same target directory, so
-/// `pmrun -np 4 patternlets ...` works without touching PATH.
-fn resolve_program(name: &str) -> String {
-    if name.contains(std::path::MAIN_SEPARATOR) {
-        return name.to_string();
-    }
-    if let Ok(me) = std::env::current_exe() {
-        if let Some(dir) = me.parent() {
-            let sibling = dir.join(name);
-            if sibling.is_file() {
-                return sibling.to_string_lossy().into_owned();
-            }
-        }
-    }
-    name.to_string()
-}
-
 /// Everything needed to (re)spawn one worker process — shared by the
 /// initial launch and `--respawn` restarts so both build the identical
 /// environment.
@@ -320,25 +307,8 @@ impl SpawnCtx {
     }
 }
 
-fn describe_status(status: ExitStatus) -> String {
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        if let Some(sig) = status.signal() {
-            return format!("killed by signal {sig}");
-        }
-    }
-    match status.code() {
-        Some(code) => format!("exit {code}"),
-        None => "ended without an exit code".to_string(),
-    }
-}
-
 fn main() -> ExitCode {
-    // Graceful shutdown: the first SIGINT/SIGTERM flips a flag the
-    // supervision loop reads (drain: let the in-flight job finish, then
-    // summarize and exit 0); a second one kills the job immediately, as
-    // the deadline does: no respawn starts after it, and the job fails.
+    // SIGINT/SIGTERM only count; the supervisor applies the policy.
     patternlets_core::signals::install_termination_handler();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(opts) = parse(&args) else {
@@ -415,7 +385,7 @@ fn main() -> ExitCode {
     // hand over (segments are normally unlinked moments after establish).
     job.shm_dir = std::env::temp_dir().join(format!("pmrun-shm-{}", std::process::id()));
     let ctx = SpawnCtx {
-        program: resolve_program(&opts.program),
+        program: sibling_program(&opts.program),
         args: opts.program_args.clone(),
         job,
         stdout_log: Output::echoing(),
@@ -428,129 +398,62 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let mut children: Vec<Child> = Vec::with_capacity(opts.np);
-    let mut forwarders = Vec::new();
-    for rank in 0..opts.np {
-        match ctx.spawn(rank, 0, &mut forwarders) {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("pmrun: cannot spawn {} for rank {rank}: {e}", ctx.program);
-                kill_all(&mut children);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     // Supervise EVERY worker — deliberately including jobs where one was
     // killed: the survivors must get to finish their recovery (shrink,
     // reformed collectives) before the job is judged. The `--timeout`
     // kill is there for cross-process deadlocks, which no one process can
-    // detect (DESIGN.md §7). With `--respawn`, a worker that dies while
-    // budget remains is restarted in place once its backoff is due, and
-    // the job is judged by each rank's final incarnation. Once the job is
-    // killed — past the deadline, or on a second SIGINT/SIGTERM — no
-    // respawn starts.
+    // detect (DESIGN.md §7). With `--respawn`, the job is judged by each
+    // rank's final incarnation.
+    let mut forwarders = Vec::new();
+    let spawn = |rank, epoch_base| ctx.spawn(rank, epoch_base, &mut forwarders);
+    let mut workers = match Supervisor::launch(opts.np, opts.respawn, spawn) {
+        Ok(workers) => workers,
+        Err((rank, e)) => {
+            eprintln!("pmrun: cannot spawn {} for rank {rank}: {e}", ctx.program);
+            return ExitCode::FAILURE;
+        }
+    };
     let start = Instant::now();
+    workers.deadline = opts.timeout.map(|secs| start + Duration::from_secs(secs));
     let mut kill_at = opts
         .kill_worker
         .map(|(victim, ms)| (victim, start + Duration::from_millis(ms)));
-    let deadline = opts.timeout.map(|secs| start + Duration::from_secs(secs));
     let mut status = opts.status.then(|| (String::new(), start));
-    // How each rank ended, for the final report: "exit 0", "killed by
-    // signal 9", ..., and whether that is a success.
-    let mut results: Vec<Option<(String, bool)>> = vec![None; opts.np];
-    // A rank waiting out its backoff: when it is due, its epoch base, and
-    // how it died.
-    let mut backoff: Vec<Option<(Instant, u64, ExitStatus)>> = vec![None; opts.np];
-    let mut killed: Option<Killed> = None;
-    let mut drain_notified = false;
-    let mut respawns_left = opts.respawn;
-    let mut respawn_ordinal: u64 = 0;
-    let mut respawned: Vec<usize> = vec![0; opts.np];
-    loop {
+    let (mut drained, mut killed) = (false, None);
+    while !workers.settled() {
+        for event in workers.tick() {
+            match event {
+                Event::Ended(rank, how, Some((epoch_base, left))) => eprintln!(
+                    "pmrun: rank {rank} {how} — respawning \
+                     (epoch base {epoch_base}, {left} respawns left)"
+                ),
+                Event::Ended(..) => {}
+                Event::Draining => {
+                    drained = true;
+                    eprintln!(
+                        "pmrun: termination requested; draining the in-flight job \
+                         (signal again to kill it)"
+                    );
+                }
+                Event::Killed(kill) => {
+                    if kill == Kill::Signal {
+                        eprintln!("pmrun: second signal; killing the job");
+                    }
+                    killed = Some(kill);
+                }
+            }
+        }
         let now = Instant::now();
         if let Some((victim, _)) = kill_at.filter(|&(_, at)| now >= at) {
-            let _ = children[victim].kill();
+            workers.kill(victim);
             kill_at = None;
-        }
-        if killed.is_none() {
-            if deadline.is_some_and(|at| now >= at) {
-                killed = Some(Killed::Timeout);
-            } else if patternlets_core::signals::termination_count() > 1 {
-                eprintln!("pmrun: second signal; killing the job");
-                killed = Some(Killed::Signal);
-            }
-            if killed.is_some() {
-                kill_all(&mut children);
-            }
         }
         if let Some((last, next)) = status.as_mut().filter(|(_, next)| now >= *next) {
             draw_status(&reports, last);
             *next = now + Duration::from_millis(400);
         }
-        for rank in 0..opts.np {
-            if results[rank].is_some() {
-                continue;
-            }
-            let died = match backoff[rank] {
-                Some((due, ..)) if now < due && killed.is_none() => continue,
-                // Due after the job was killed: it is over, and the rank
-                // is judged by the death that started its wait.
-                Some((.., died)) if killed.is_some() => {
-                    respawned[rank] -= 1;
-                    died
-                }
-                Some((_, ordinal, _)) => {
-                    backoff[rank] = None;
-                    match ctx.spawn(rank, ordinal, &mut forwarders) {
-                        Ok(child) => children[rank] = child,
-                        Err(e) => results[rank] = Some((format!("respawn failed: {e}"), false)),
-                    }
-                    continue;
-                }
-                None => match children[rank].try_wait() {
-                    Ok(Some(died)) => died,
-                    Ok(None) => continue,
-                    Err(e) => {
-                        results[rank] = Some((format!("wait failed: {e}"), false));
-                        continue;
-                    }
-                },
-            };
-            if !died.success() && respawns_left > 0 && killed.is_none() {
-                respawns_left -= 1;
-                respawn_ordinal += 1;
-                respawned[rank] += 1;
-                eprintln!(
-                    "pmrun: rank {rank} {} — respawning \
-                     (epoch base {respawn_ordinal}, {respawns_left} respawns left)",
-                    describe_status(died)
-                );
-                let wait = respawn_backoff(rank, respawned[rank], respawn_ordinal);
-                backoff[rank] = Some((now + wait, respawn_ordinal, died));
-            } else {
-                let after = match respawned[rank] {
-                    0 => String::new(),
-                    1 => " (after 1 respawn)".to_string(),
-                    n => format!(" (after {n} respawns)"),
-                };
-                results[rank] = Some((describe_status(died) + &after, died.success()));
-            }
-        }
-        if results.iter().all(|r| r.is_some()) {
-            break;
-        }
-        if patternlets_core::signals::termination_requested() && !drain_notified && killed.is_none()
-        {
-            drain_notified = true;
-            eprintln!(
-                "pmrun: termination requested; draining the in-flight job \
-                 (signal again to kill it)"
-            );
-        }
-        std::thread::sleep(Duration::from_millis(10));
     }
-    let outcomes: Vec<(String, bool)> = results.into_iter().flatten().collect();
+    let outcomes = workers.outcomes();
     for handle in forwarders {
         let _ = handle.join();
     }
@@ -594,15 +497,13 @@ fn main() -> ExitCode {
                 opts.np,
                 render_summary(&merged)
             );
-            let total_respawns: usize = respawned.iter().sum();
+            let total_respawns: usize = outcomes.iter().map(|o| o.respawns).sum();
             if total_respawns > 0 {
-                let per_rank = respawned
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &n)| n > 0)
-                    .map(|(rank, n)| format!("rank {rank}: {n}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let per_rank: Vec<String> = (outcomes.iter().enumerate())
+                    .filter(|(_, o)| o.respawns > 0)
+                    .map(|(rank, o)| format!("rank {rank}: {}", o.respawns))
+                    .collect();
+                let per_rank = per_rank.join(", ");
                 println!("  respawns: total={total_respawns} ({per_rank})");
             }
         }
@@ -622,7 +523,7 @@ fn main() -> ExitCode {
     }
     let _ = std::fs::remove_dir_all(&ctx.job.shm_dir);
 
-    if killed == Some(Killed::Timeout) {
+    if killed == Some(Kill::Deadline) {
         eprintln!(
             "pmrun: job exceeded --timeout {}s and was killed",
             opts.timeout.unwrap_or(0)
@@ -630,60 +531,28 @@ fn main() -> ExitCode {
     }
     // An operator-initiated drain is a clean shutdown, not a job
     // failure: whatever the workers' outcomes, the contract is "drain,
-    // summarize, exit 0". (A kill — past the timeout, or on a second
-    // signal — still fails.)
-    if patternlets_core::signals::termination_requested() && killed.is_none() {
+    // summarize, exit 0", with the ranks that failed listed. (A kill —
+    // past the timeout, or on a second signal — still fails.)
+    let failed = outcomes.iter().filter(|o| !o.ok).count();
+    let drained = drained && killed.is_none();
+    if drained {
         println!("pmrun: drained after termination request");
-        return ExitCode::SUCCESS;
+    } else if failed > 0 || killed.is_some() {
+        eprintln!(
+            "pmrun: job failed ({failed} of {} workers unsuccessful)",
+            opts.np
+        );
     }
-    if outcomes.iter().all(|&(_, ok)| ok) && killed.is_none() {
-        return ExitCode::SUCCESS;
+    if failed > 0 || killed.is_some() {
+        for (rank, outcome) in outcomes.iter().enumerate() {
+            let mark = if outcome.ok { "" } else { "  <-- failed" };
+            eprintln!("  rank {rank}: {}{mark}", outcome.how);
+        }
     }
-    eprintln!(
-        "pmrun: job failed ({} of {} workers unsuccessful)",
-        outcomes.iter().filter(|&(_, ok)| !ok).count(),
-        opts.np
-    );
-    for (rank, (status, ok)) in outcomes.iter().enumerate() {
-        let mark = if *ok { "" } else { "  <-- failed" };
-        eprintln!("  rank {rank}: {status}{mark}");
-    }
-    ExitCode::FAILURE
-}
-
-/// Why pmrun killed the whole job. Either way no respawn starts after
-/// the kill, and the job fails.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Killed {
-    /// The `--timeout` deadline passed.
-    Timeout,
-    /// A second SIGINT/SIGTERM arrived.
-    Signal,
-}
-
-/// Supervisor sleep before the `nth` respawn of `rank` (`nth` ≥ 1):
-/// exponential in the rank's prior restarts so a crash loop cools down
-/// instead of hammering the rendezvous, jittered so sibling ranks that
-/// died together (one bad node, one shared bug) spread their redials
-/// instead of stampeding in lockstep, and capped so a long-lived crash
-/// loop settles on a steady retry cadence rather than backing off
-/// forever. The jitter is seeded from `(rank, ordinal)`, so a given
-/// spawn history replays identically.
-fn respawn_backoff(rank: usize, nth: usize, ordinal: u64) -> Duration {
-    const BASE_MS: u64 = 100;
-    const CAP_MS: u64 = 5_000;
-    let exp = BASE_MS
-        .saturating_mul(1u64 << (nth.saturating_sub(1) as u32).min(10))
-        .min(CAP_MS);
-    let mut rng = SplitMix64::new(((rank as u64) << 32) ^ ordinal ^ 0x5EED_BACC);
-    // Half fixed, half jittered: never less than exp/2, never more than exp.
-    Duration::from_millis(exp / 2 + rng.gen_range(exp / 2 + 1))
-}
-
-/// SIGKILL every worker; one that already exited is left as it is.
-fn kill_all(children: &mut [Child]) {
-    for child in children {
-        let _ = child.kill();
+    if drained || failed == 0 && killed.is_none() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

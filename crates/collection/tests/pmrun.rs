@@ -448,6 +448,40 @@ fn a_second_signal_ends_a_respawning_job() {
 }
 
 #[test]
+fn a_signal_drains_a_respawning_job_without_respawning() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGINT: i32 = 2;
+    // The worker fails 0.5 s in, 0.3 s after the SIGINT that asks pmrun
+    // to drain: its failure must end the job, with respawns left.
+    let start = Instant::now();
+    let pmrun = Command::new(PMRUN)
+        .args(["-np", "1", "--respawn", "10", "--timeout", "20"])
+        .args(["sh", "-c", "sleep 0.5; exit 1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("pmrun spawns");
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(unsafe { kill(pmrun.id() as i32, SIGINT) }, 0);
+    let out = pmrun.wait_with_output().expect("pmrun runs");
+    let took = start.elapsed();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "a drain exits 0: {stderr}");
+    assert!(took < Duration::from_secs(10), "took {took:?}: {stderr}");
+    assert!(
+        stdout.contains("pmrun: drained after termination request"),
+        "stdout: {stdout}"
+    );
+    assert!(stderr.contains("rank 0: exit 1"), "stderr: {stderr}");
+    let drain = stderr.find("termination requested");
+    let after = &stderr[drain.expect("the drain is announced")..];
+    assert!(!after.contains("respawning"), "stderr: {stderr}");
+}
+
+#[test]
 fn oversized_world_is_refused_with_np_guidance() {
     // A 4-rank world under a 2-process job cannot run; the worker must say
     // exactly how to fix the invocation rather than duplicate output.

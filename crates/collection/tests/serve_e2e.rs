@@ -558,6 +558,19 @@ fn soak_survives_chaos_and_a_mid_run_worker_kill() {
     assert_eq!(exit, 0, "graceful drain exits 0");
 }
 
+/// A worker command that fails at once is respawned after a growing
+/// backoff, not on every poll: over 3 s a crash loop spawns a handful of
+/// workers, and one SIGTERM still drains the daemon to exit 0.
+#[test]
+fn a_crash_looping_worker_is_backed_off() {
+    let daemon = DaemonProc::start(&["--workers", "1", "--worker-cmd", "/bin/false"]);
+    std::thread::sleep(Duration::from_secs(3));
+    let text = daemon.stdout_text();
+    let spawns = text.matches("pmserve: spawned worker pid").count();
+    assert!(spawns <= 8, "{spawns} workers spawned in 3 s:\n{text}");
+    assert_eq!(daemon.sigterm_and_wait(), 0, "a drained daemon exits 0");
+}
+
 /// A launched rank is a launched rank, whichever launcher started it:
 /// `resilience/respawn` under a self-managed daemon must not take the
 /// in-process kill-and-restart path, so its job output equals a

@@ -6,21 +6,30 @@
 //! ```
 //!
 //! Binds the cluster and HTTP gateway ports (ephemeral by default,
-//! printed on startup), spawns `--workers` local `patternlets worker`
-//! processes, respawns any that die, and serves jobs until SIGINT /
-//! SIGTERM — which drains in-flight jobs, prints a final metrics
-//! summary, and exits 0. A second signal exits immediately.
+//! printed on startup), runs `--workers` local `patternlets worker`
+//! processes, and serves jobs until SIGINT / SIGTERM — which drains
+//! in-flight jobs, prints a final metrics summary, and exits 0. A second
+//! signal exits immediately.
+//!
+//! The local workers run under `patternlets_serve::supervise`, the
+//! supervisor `pmrun` runs its ranks with, with no respawn budget: a
+//! worker that fails is respawned after a backoff that doubles from
+//! 100 ms to a 5 s cap, so a crash-looping worker command cools down
+//! instead of spinning. The first signal starts no further respawn, and
+//! once the scheduler has drained, the workers it told to shut down get
+//! 5 s to exit before they are killed.
 //!
 //! External workers may also join (`patternlets worker <cluster-addr>`
 //! from anywhere that can reach the port): the pool is membership, not
 //! configuration.
 
 use std::io::Write;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use patternlets_core::signals;
 use patternlets_serve::daemon::{self, DaemonConfig};
+use patternlets_serve::supervise::{sibling_program, Event, Kill, Supervisor};
 
 struct Options {
     workers: usize,
@@ -84,38 +93,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// The `patternlets` CLI next to our own executable — the same layout
-/// cargo gives every workspace build.
-fn default_worker_cmd() -> String {
-    std::env::current_exe()
-        .ok()
-        .and_then(|exe| {
-            let sibling = exe.with_file_name("patternlets");
-            sibling.exists().then(|| sibling.display().to_string())
-        })
-        .unwrap_or_else(|| "patternlets".to_string())
-}
-
-fn spawn_worker(cmd: &str, cluster: &str, quiet: bool) -> Option<Child> {
-    match Command::new(cmd)
-        .arg("worker")
-        .arg(cluster)
-        .stdin(Stdio::null())
-        .spawn()
-    {
-        Ok(child) => {
-            if !quiet {
-                println!("pmserve: spawned worker pid {}", child.id());
-            }
-            Some(child)
-        }
-        Err(e) => {
-            eprintln!("pmserve: cannot spawn worker ({cmd}): {e}");
-            None
-        }
-    }
-}
-
 fn main() {
     let opts = parse_args();
     signals::install_termination_handler();
@@ -138,65 +115,46 @@ fn main() {
     println!("pmserve: gateway on http://{}", daemon.http_addr);
     std::io::stdout().flush().ok();
 
-    let worker_cmd = opts.worker_cmd.clone().unwrap_or_else(default_worker_cmd);
-    let mut children: Vec<Child> = Vec::new();
-    for _ in 0..opts.workers {
-        children.extend(spawn_worker(&worker_cmd, &cluster, opts.quiet));
-    }
+    let worker_cmd = sibling_program(opts.worker_cmd.as_deref().unwrap_or("patternlets"));
+    let spawn = |_, _| {
+        let mut cmd = Command::new(&worker_cmd);
+        let child = cmd
+            .arg("worker")
+            .arg(&cluster)
+            .stdin(Stdio::null())
+            .spawn()?;
+        if !opts.quiet {
+            println!("pmserve: spawned worker pid {}", child.id());
+        }
+        Ok(child)
+    };
+    let mut workers = match Supervisor::launch(opts.workers, usize::MAX, spawn) {
+        Ok(workers) => workers,
+        Err((_, e)) => {
+            eprintln!("pmserve: cannot spawn worker ({worker_cmd}): {e}");
+            std::process::exit(1);
+        }
+    };
 
-    // Supervision loop: reap + respawn dead local workers, watch for the
-    // drain signal, and wait for the scheduler to finish.
-    let mut drain_sent = false;
-    loop {
-        if signals::termination_count() > 1 {
-            eprintln!("pmserve: second signal; exiting immediately");
-            for child in &mut children {
-                let _ = child.kill();
-            }
-            std::process::exit(130);
-        }
-        if signals::termination_requested() && !drain_sent {
-            daemon.drain();
-            drain_sent = true;
-        }
-        // Reap exited workers; respawn (only while not draining — a
-        // shrinking pool is the desired end state afterwards).
-        let mut alive = Vec::with_capacity(children.len());
-        for mut child in children {
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    if !opts.quiet {
-                        println!("pmserve: worker pid {} exited ({status})", child.id());
-                    }
-                    if !drain_sent {
-                        alive.extend(spawn_worker(&worker_cmd, &cluster, opts.quiet));
-                    }
+    // Serve until a signal drains the scheduler, whose Shutdown tells
+    // every worker to exit; the local ones get 5 s to.
+    while !(daemon.finished() && workers.settled()) {
+        for event in workers.tick() {
+            match event {
+                Event::Draining => daemon.drain(),
+                Event::Killed(Kill::Signal) => {
+                    eprintln!("pmserve: second signal; exiting immediately");
+                    std::process::exit(130);
                 }
-                _ => alive.push(child),
+                Event::Ended(slot, how, _) if !opts.quiet => {
+                    println!("pmserve: worker {slot} {how}")
+                }
+                _ => {}
             }
         }
-        children = alive;
-        if daemon.finished() {
-            break;
+        if daemon.finished() && workers.deadline.is_none() {
+            workers.deadline = Some(Instant::now() + Duration::from_secs(5));
         }
-        std::thread::sleep(Duration::from_millis(100));
     }
     daemon.wait();
-
-    // The scheduler broadcast Shutdown to every worker on its way out;
-    // give local ones a moment to exit before sweeping up.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    for child in &mut children {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                _ if std::time::Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
 }

@@ -34,7 +34,10 @@
 //! * **one report path** for both launchers: a rank sends its metrics
 //!   and trace as `JobMetrics`/`JobTrace` frames through a
 //!   [`JobLineSink`], and the launcher keeps them in a [`job::Reports`]
-//!   (one per job here; `pmrun` keeps one for its one job).
+//!   (one per job here; `pmrun` keeps one for its one job);
+//! * **one supervisor** ([`supervise::Supervisor`]) for both launchers'
+//!   child processes: the daemon's local workers and `pmrun`'s ranks get
+//!   the same backoff, budget and signal policy.
 //!
 //! Fault behavior inherits the net crate's machinery: a worker SIGKILLed
 //! mid-job takes down exactly that job (its peers observe the rank
@@ -50,6 +53,7 @@ pub mod job;
 pub mod json;
 pub mod pool;
 pub mod scheduler;
+pub mod supervise;
 pub mod worker;
 
 pub use client::{JobStatus, SubmitSpec};
