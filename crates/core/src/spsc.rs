@@ -680,11 +680,8 @@ impl SpscRing {
 
 /// One record as two pieces, written back to back: its head and its
 /// payload. [`Producer::push_all`] copies both into the ring, so the
-/// record is never joined into one buffer on its way; [`to_vec`] joins
-/// them for a transport that keeps records whole. Any single byte slice
-/// converts to a head with an empty payload.
-///
-/// [`to_vec`]: Pieces::to_vec
+/// record is never joined into one buffer on its way. Any single byte
+/// slice converts to a head with an empty payload.
 #[derive(Debug, Clone, Copy)]
 pub struct Pieces<'a> {
     head: &'a [u8],
@@ -700,11 +697,6 @@ impl<'a> Pieces<'a> {
     /// Bytes in both pieces.
     fn len(&self) -> usize {
         self.head.len() + self.payload.len()
-    }
-
-    /// The record as one buffer: both pieces, copied.
-    pub fn to_vec(&self) -> Vec<u8> {
-        [self.head, self.payload].concat()
     }
 
     /// Drop the first `n` bytes, crossing from the head into the payload.

@@ -21,7 +21,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use patternlets_core::{crc32, Error, Result};
 
 use crate::datatype::Datatype;
@@ -150,7 +150,7 @@ fn decode_record<T: Datatype>(bytes: &[u8]) -> Result<(u64, Vec<T>)> {
         });
     }
     let payload_len = u64::from_le_bytes(cur.take(8)?.try_into().unwrap()) as usize;
-    let payload = cur.take(payload_len)?.to_vec();
+    let payload = cur.take(payload_len)?;
     let stored = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
     let computed = crc32(&bytes[..bytes.len() - 4]);
     if cur.at != bytes.len() {
@@ -164,7 +164,7 @@ fn decode_record<T: Datatype>(bytes: &[u8]) -> Result<(u64, Vec<T>)> {
             "checkpoint crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
-    let data = T::decode_slice(&Bytes::from(payload), count as usize)?;
+    let data = T::decode_slice(payload, count as usize)?;
     Ok((step, data))
 }
 

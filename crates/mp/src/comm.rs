@@ -388,17 +388,13 @@ impl Comm {
 
         // Publish what we are about to block on, for the waits-for
         // deadlock detector; cleared on every exit path by the guard.
-        let world_sources: Vec<usize> = match src {
-            SourceSel::Rank(r) => vec![group[r]],
-            SourceSel::Any => group.iter().copied().filter(|&w| w != my_world).collect(),
-        };
         fabric.publish_wait(
             my_world,
             crate::world::WaitRecord {
                 comm_id: self.comm_id,
                 src,
                 tag,
-                world_sources,
+                world_rank: my_world,
                 world_group: Arc::clone(group),
             },
         );

@@ -5,7 +5,7 @@
 //! value is a *copy*, decoded from the wire, exactly as it would be after a
 //! real network hop.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use patternlets_core::{Error, Result};
 
 use crate::envelope::{Payload, SharedPayload};
@@ -21,7 +21,15 @@ pub trait Datatype: Sized + Send + 'static {
     fn encode_slice(data: &[Self], out: &mut BytesMut);
 
     /// Decode a whole payload of `count` elements.
-    fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>>;
+    fn decode_slice(bytes: &[u8], count: usize) -> Result<Vec<Self>>;
+
+    /// Decode a whole payload of `count` elements from a buffer the
+    /// receiver owns. The default decodes it in place; `u8`, whose
+    /// elements are the bytes, takes the buffer itself when nothing else
+    /// shares it.
+    fn decode_owned(bytes: Bytes, count: usize) -> Result<Vec<Self>> {
+        Self::decode_slice(&bytes, count)
+    }
 
     /// Exact size of `data`'s wire encoding. The default produces the
     /// encoding into a scratch buffer and measures it; impls with a
@@ -58,7 +66,7 @@ pub trait Datatype: Sized + Send + 'static {
 /// last clone), falling back to the wire form if the type opted out.
 pub(crate) fn decode_payload<T: Datatype>(payload: Payload, count: usize) -> Result<Vec<T>> {
     match payload {
-        Payload::Bytes(bytes) => T::decode_slice(&bytes, count),
+        Payload::Bytes(bytes) => T::decode_owned(bytes, count),
         Payload::InProc(shared) => match T::from_shared(shared) {
             Ok(data) => {
                 if data.len() != count {
@@ -70,11 +78,9 @@ pub(crate) fn decode_payload<T: Datatype>(payload: Payload, count: usize) -> Res
                 }
                 Ok(data)
             }
-            Err(shared) => T::decode_slice(&shared.to_wire(), count),
+            Err(shared) => T::decode_owned(shared.to_wire(), count),
         },
-        Payload::Inline { buf, len } => {
-            T::decode_slice(&Bytes::copy_from_slice(&buf[..len as usize]), count)
-        }
+        Payload::Inline { buf, len } => T::decode_slice(&buf[..len as usize], count),
     }
 }
 
@@ -114,11 +120,13 @@ fn le_elements<'a, const N: usize>(
 }
 
 /// Fixed-width types: a closed-form `encoded_len` and the in-process
-/// zero-copy path; `$encode`/`$decode` are the bulk codec bodies.
+/// zero-copy path; `$encode`/`$decode` are the bulk codec bodies, and
+/// `$owned` an optional `decode_owned`.
 macro_rules! impl_fixed {
     ($($t:ty => $name:literal, $size:literal,
        |$data:ident, $out:ident| $encode:expr,
-       |$bytes:ident, $count:ident| $decode:expr;)*) => {$(
+       |$bytes:ident, $count:ident| $decode:expr
+       $(, $owned:item)?;)*) => {$(
         impl Datatype for $t {
             const TYPE_NAME: &'static str = $name;
 
@@ -126,9 +134,11 @@ macro_rules! impl_fixed {
                 $encode
             }
 
-            fn decode_slice($bytes: &Bytes, $count: usize) -> Result<Vec<Self>> {
+            fn decode_slice($bytes: &[u8], $count: usize) -> Result<Vec<Self>> {
                 $decode
             }
+
+            $($owned)?
 
             fn encoded_len(data: &[Self]) -> usize {
                 data.len() * $size
@@ -174,6 +184,10 @@ impl_fixed! {
     |bytes, count| {
         check_len("u8", bytes, count, 1)?;
         Ok(bytes.to_vec())
+    },
+    fn decode_owned(bytes: Bytes, count: usize) -> Result<Vec<Self>> {
+        check_len("u8", &bytes, count, 1)?;
+        Ok(Vec::from(bytes))
     };
     bool => "bool", 1,
     |data, out| put_le(data, out, |v| [u8::from(v)]),
@@ -204,8 +218,8 @@ impl Datatype for String {
         }
     }
 
-    fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-        let mut rest: &[u8] = bytes;
+    fn decode_slice(bytes: &[u8], count: usize) -> Result<Vec<Self>> {
+        let mut rest = bytes;
         let mut out = Vec::with_capacity(count.min(rest.len() / 8));
         for _ in 0..count {
             let Some((len, tail)) = rest.split_first_chunk::<8>() else {
@@ -258,23 +272,23 @@ impl<T: Datatype> Datatype for (T, usize) {
         }
     }
 
-    fn decode_slice(bytes: &Bytes, count: usize) -> Result<Vec<Self>> {
-        let mut buf = bytes.clone();
-        let mut out = Vec::with_capacity(count);
+    fn decode_slice(bytes: &[u8], count: usize) -> Result<Vec<Self>> {
+        let truncated = || Error::Codec("(T, usize): truncated".into());
+        let mut rest = bytes;
+        // Each pair takes its two 8-byte fields at least.
+        let mut out = Vec::with_capacity(count.min(rest.len() / 16));
         for _ in 0..count {
-            if buf.remaining() < 8 {
-                return Err(Error::Codec("(T, usize): truncated".into()));
-            }
-            let vlen = buf.get_u64_le() as usize;
-            if buf.remaining() < vlen.saturating_add(8) {
-                return Err(Error::Codec("(T, usize): truncated".into()));
-            }
-            let vbytes = buf.copy_to_bytes(vlen);
-            let v = T::decode_slice(&vbytes, 1)?
+            let (vlen, tail) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
+            let (vbytes, tail) = usize::try_from(u64::from_le_bytes(*vlen))
+                .ok()
+                .and_then(|vlen| tail.split_at_checked(vlen))
+                .ok_or_else(truncated)?;
+            let (loc, tail) = tail.split_first_chunk::<8>().ok_or_else(truncated)?;
+            let v = T::decode_slice(vbytes, 1)?
                 .pop()
                 .ok_or_else(|| Error::Codec("(T, usize): empty value".into()))?;
-            let loc = buf.get_u64_le() as usize;
-            out.push((v, loc));
+            out.push((v, u64::from_le_bytes(*loc) as usize));
+            rest = tail;
         }
         Ok(out)
     }

@@ -94,6 +94,22 @@ impl Payload {
     }
 }
 
+/// A received wire encoding: at most [`INLINE_MAX`] bytes move inline,
+/// a larger vector is adopted without a copy.
+impl From<Vec<u8>> for Payload {
+    fn from(wire: Vec<u8>) -> Payload {
+        if wire.len() > INLINE_MAX {
+            return Payload::Bytes(Bytes::from(wire));
+        }
+        let mut buf = [0u8; INLINE_MAX];
+        buf[..wire.len()].copy_from_slice(&wire);
+        Payload::Inline {
+            buf,
+            len: wire.len() as u8,
+        }
+    }
+}
+
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

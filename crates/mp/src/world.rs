@@ -80,12 +80,29 @@ pub struct WaitRecord {
     pub src: SourceSel,
     /// The receive's tag selector.
     pub tag: TagSel,
-    /// World ranks whose future sends could satisfy this receive.
-    pub world_sources: Vec<usize>,
+    /// World rank of the receiving rank.
+    pub world_rank: usize,
     /// World ranks of the whole communicator the receive is posted on
     /// (the failure model fails collective receives when *any* member is
     /// dead, not just the awaited peer).
     pub world_group: Arc<Vec<usize>>,
+}
+
+impl WaitRecord {
+    /// World ranks whose future sends could satisfy this receive: the
+    /// awaited member, or every member but the receiver.
+    pub fn world_sources(&self) -> impl Iterator<Item = usize> + '_ {
+        let wanted = move |(local, world): &(usize, usize)| match self.src {
+            SourceSel::Rank(r) => *local == r,
+            SourceSel::Any => *world != self.world_rank,
+        };
+        self.world_group
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(wanted)
+            .map(|(_, world)| world)
+    }
 }
 
 /// What every rank of one world shares above the transport: simulated
@@ -268,13 +285,12 @@ impl Fabric for Transport {
                 return true;
             }
             match rec.src {
-                SourceSel::Rank(_) => rec.world_sources.iter().any(|&w| self.rank_failed(w)),
+                SourceSel::Rank(_) => rec.world_sources().any(|w| self.rank_failed(w)),
                 SourceSel::Any => {
-                    rec.world_sources.iter().any(|&w| self.rank_failed(w))
+                    rec.world_sources().any(|w| self.rank_failed(w))
                         && rec
-                            .world_sources
-                            .iter()
-                            .all(|&w| self.rank_failed(w) || !self.rank_alive(w))
+                            .world_sources()
+                            .all(|w| self.rank_failed(w) || !self.rank_alive(w))
                 }
             }
         };
@@ -315,7 +331,7 @@ impl Fabric for Transport {
                     continue;
                 }
                 if let Some(rec) = &records[r] {
-                    if rec.world_sources.iter().any(|&s| !stuck[s]) {
+                    if rec.world_sources().any(|s| !stuck[s]) {
                         stuck[r] = false;
                         changed = true;
                     }
@@ -355,7 +371,10 @@ impl Fabric for Transport {
             } else if let Some(rec) = &records[r] {
                 graph.push_str(&format!(
                     "[world {r}: blocked on {:?} from world {:?} (comm {:#x}, tag {:?})] ",
-                    rec.src, rec.world_sources, rec.comm_id, rec.tag
+                    rec.src,
+                    rec.world_sources().collect::<Vec<_>>(),
+                    rec.comm_id,
+                    rec.tag
                 ));
             }
         }
@@ -715,7 +734,7 @@ mod tests {
                 comm_id: 0,
                 src: SourceSel::Rank(1),
                 tag: TagSel::Tag(0),
-                world_sources: vec![1],
+                world_rank: 0,
                 world_group: Arc::new(vec![0, 1]),
             },
         );

@@ -66,7 +66,7 @@
 //! funnel into the same reconnect/resume machinery, so a chaos soak
 //! exercises exactly the code paths a flaky network would.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -76,16 +76,16 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use patternlets_core::rng::{Rng, SplitMix64};
-use patternlets_core::spsc::{Park, Pieces};
+use patternlets_core::spsc::Park;
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
 use crate::frame::{encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL};
-use crate::mesh::{Link, Mesh, PeerMesh};
+use crate::mesh::{Link, Mesh, PeerMesh, Record};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
-use crate::ring::SendRing;
+use crate::ring::{flatten, SendRing, SharedRecord};
 
 /// A peer silent this long (no frame, no ping) while not finished gets a
 /// reconnect probe; still silent after the probe, it is declared failed.
@@ -114,8 +114,8 @@ const RESUME_REPLY_TIMEOUT: Duration = Duration::from_millis(500);
 const MID_FRAME_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// Most frames one flush pass will hand to a single vectored write.
-/// Bounds both the `IoSlice` array and how long one sender can be stuck
-/// flushing other senders' traffic.
+/// Bounds both the `IoSlice` array (two slices a record) and how long one
+/// sender can be stuck flushing other senders' traffic.
 const MAX_COALESCED: usize = 64;
 
 /// Longest one wait parks in `poll(2)` before it re-checks what no bytes
@@ -148,7 +148,7 @@ enum ConnState {
 /// state.
 struct Ring {
     seq: SendRing,
-    unseq: VecDeque<Bytes>,
+    unseq: VecDeque<SharedRecord>,
     flushing: bool,
     state: ConnState,
 }
@@ -176,7 +176,7 @@ struct Ring {
 /// resume takes `stream`: a flusher waiting on a full socket drains, and a
 /// drain may cut this very link.
 struct PeerWriter {
-    stream: Mutex<TcpStream>,
+    stream: Mutex<Flush>,
     breaker: Mutex<Option<TcpStream>>,
     ring: Mutex<Ring>,
     /// Seeded per-connection chaos stream, when `--net-chaos` is armed.
@@ -184,6 +184,13 @@ struct PeerWriter {
     /// `(hub, my lane, peer lane)` when metrics are on: batch sizes and
     /// frame counts go to my lane, bytes to the destination peer's lane.
     metrics: Option<(MetricsHub, usize, usize)>,
+}
+
+/// What the flusher holds: the socket, and the batch it takes from the
+/// ring, reused from one flush to the next.
+struct Flush {
+    stream: TcpStream,
+    batch: Vec<SharedRecord>,
 }
 
 /// What a writer does while its socket is full: the link drains the
@@ -198,7 +205,10 @@ impl PeerWriter {
     ) -> Self {
         let breaker = stream.try_clone().ok();
         PeerWriter {
-            stream: Mutex::new(stream),
+            stream: Mutex::new(Flush {
+                stream,
+                batch: Vec::with_capacity(MAX_COALESCED),
+            }),
             breaker: Mutex::new(breaker),
             ring: Mutex::new(Ring {
                 seq: SendRing::new(),
@@ -216,7 +226,7 @@ impl PeerWriter {
     /// link is terminal (peer finished/failed or fabric closing) — a
     /// transiently-down link accepts sequenced records for replay and
     /// silently drops unsequenced ones.
-    fn push(&self, record: Bytes, sequenced: bool, wait: WaitWritable) -> bool {
+    fn push(&self, record: SharedRecord, sequenced: bool, wait: WaitWritable) -> bool {
         {
             let mut ring = self.ring.lock();
             match ring.state {
@@ -254,8 +264,9 @@ impl PeerWriter {
             // lock, so a batch taken for one connection can never go out on
             // the next one ahead of the replay (the peer would count it as
             // the frames it expects, then drop the real ones as duplicates).
-            let mut stream = self.stream.lock();
-            let batch: Vec<Bytes> = {
+            let mut flush = self.stream.lock();
+            let Flush { stream, batch } = &mut *flush;
+            {
                 let mut ring = self.ring.lock();
                 if ring.state != ConnState::Connected
                     || (ring.unseq.is_empty() && ring.seq.unsent() == 0)
@@ -263,19 +274,14 @@ impl PeerWriter {
                     ring.flushing = false;
                     return;
                 }
-                let mut batch: Vec<Bytes> = Vec::new();
-                while batch.len() < MAX_COALESCED {
-                    match ring.unseq.pop_front() {
-                        Some(r) => batch.push(r),
-                        None => break,
-                    }
-                }
-                let room = MAX_COALESCED - batch.len();
-                batch.extend(ring.seq.next_batch(room));
-                batch
-            };
-            if !self.write_batch(&mut stream, &batch, wait) {
-                drop(stream);
+                let unseq = ring.unseq.len().min(MAX_COALESCED);
+                batch.extend(ring.unseq.drain(..unseq));
+                ring.seq.next_batch(MAX_COALESCED - unseq, batch);
+            }
+            let written = self.write_batch(stream, batch, wait);
+            batch.clear();
+            if !written {
+                drop(flush);
                 self.disconnect();
                 // Loop back: the state check above clears `flushing`.
             }
@@ -285,7 +291,12 @@ impl PeerWriter {
     /// Write a batch of records — through the chaos plan when armed.
     /// `false` drops the connection (sequenced frames in the batch stay in
     /// the ring and are replayed after resume).
-    fn write_batch(&self, stream: &mut TcpStream, batch: &[Bytes], wait: WaitWritable) -> bool {
+    fn write_batch(
+        &self,
+        stream: &mut TcpStream,
+        batch: &[SharedRecord],
+        wait: WaitWritable,
+    ) -> bool {
         if let Some(chaos) = &self.chaos {
             let total: usize = batch.iter().map(|r| r.len()).sum();
             let decision = chaos.lock().decide(total, batch.len());
@@ -296,19 +307,19 @@ impl PeerWriter {
                 ChaosAction::Pass => {}
                 ChaosAction::Cut => return false,
                 ChaosAction::Truncate { bytes } => {
-                    let flat = Bytes::from(batch.concat());
-                    let cut = bytes.min(flat.len());
-                    write_all(stream, &[flat.slice(0..cut)], wait);
+                    let mut flat = flatten(batch);
+                    flat.truncate(bytes);
+                    write_all(stream, &[SharedRecord::from(flat)], wait);
                     return false;
                 }
                 ChaosAction::Corrupt { byte, bit } => {
                     // Damage a copy; the ring keeps the clean original
                     // for the post-CRC-reject replay.
-                    let mut flat: Vec<u8> = batch.concat();
+                    let mut flat = flatten(batch);
                     if let Some(b) = flat.get_mut(byte) {
                         *b ^= 1 << bit;
                     }
-                    let ok = write_all(stream, &[Bytes::from(flat)], wait);
+                    let ok = write_all(stream, &[SharedRecord::from(flat)], wait);
                     if ok {
                         self.record_batch(batch);
                     }
@@ -323,7 +334,7 @@ impl PeerWriter {
         true
     }
 
-    fn record_batch(&self, batch: &[Bytes]) {
+    fn record_batch(&self, batch: &[SharedRecord]) {
         if let Some((hub, me, peer)) = &self.metrics {
             hub.observe(*me, HistId::WRITEV_BATCH_FRAMES, batch.len() as u64);
             hub.add(*me, CounterId::NetFramesSent, batch.len() as u64);
@@ -365,14 +376,14 @@ impl PeerWriter {
     /// frames go out with the next flush (a heartbeat at the latest), so
     /// the calling redial thread never blocks on a socket write here.
     fn resume(&self, stream: TcpStream, peer_recv: u64) -> Result<u64> {
-        let mut current = self.stream.lock();
+        let mut flush = self.stream.lock();
         let mut ring = self.ring.lock();
         if ring.state == ConnState::Terminal {
             return Err(Error::Codec("peer link already terminal".into()));
         }
         let replayed = ring.seq.resume(peer_recv)?;
         *self.breaker.lock() = stream.try_clone().ok();
-        *current = stream;
+        flush.stream = stream;
         ring.state = ConnState::Connected;
         Ok(replayed)
     }
@@ -392,40 +403,29 @@ impl PeerWriter {
     }
 }
 
-/// Write every byte of `batch` with vectored writes, advancing across
-/// short writes manually (`write_all_vectored` is not yet stable) and
-/// calling `wait` whenever the socket is full. `false` on a write error
-/// or a socket that accepts nothing.
-fn write_all(stream: &mut TcpStream, batch: &[Bytes], wait: WaitWritable) -> bool {
+/// Write every byte of a batch of at most [`MAX_COALESCED`] records, each
+/// head and payload a slice of one vectored write, advancing across short
+/// writes (`write_all_vectored` is not yet stable) and calling `wait`
+/// whenever the socket is full. `false` on a write error or a socket that
+/// accepts nothing.
+fn write_all(stream: &mut TcpStream, batch: &[SharedRecord], wait: WaitWritable) -> bool {
     use std::io::{IoSlice, Write};
-    let mut idx = 0; // first record not fully written
-    let mut off = 0; // bytes of batch[idx] already written
-    while idx < batch.len() {
-        let mut slices = Vec::with_capacity(batch.len() - idx);
-        slices.push(IoSlice::new(&batch[idx][off..]));
-        for record in &batch[idx + 1..] {
-            slices.push(IoSlice::new(record));
+    let mut slices = [IoSlice::new(&[]); 2 * MAX_COALESCED];
+    let mut filled = 0;
+    for piece in batch.iter().flat_map(SharedRecord::pieces) {
+        if !piece.is_empty() {
+            slices[filled] = IoSlice::new(piece);
+            filled += 1;
         }
-        let mut n = match stream.write_vectored(&slices) {
+    }
+    let mut unwritten = &mut slices[..filled];
+    while !unwritten.is_empty() {
+        match stream.write_vectored(unwritten) {
             Ok(0) => return false,
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                wait(stream);
-                continue;
-            }
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => wait(stream),
             Err(_) => return false,
-        };
-        while n > 0 {
-            let remaining = batch[idx].len() - off;
-            if n >= remaining {
-                n -= remaining;
-                idx += 1;
-                off = 0;
-            } else {
-                off += n;
-                n = 0;
-            }
         }
     }
     true
@@ -487,15 +487,20 @@ impl ReadSide {
     /// Read what the socket holds, up to [`MAX_READS_PER_DRAIN`] reads,
     /// and hand each complete frame to `deliver`. `None` while the stream
     /// lives; `Some` once it ended — `Ok` for an end between records, an
-    /// error for a broken, damaged, torn or stalled one.
-    fn pump(&mut self, mut deliver: impl FnMut(Frame)) -> Option<Result<()>> {
+    /// error for a broken, damaged, torn or stalled one, or one whose
+    /// frame `deliver` refused.
+    fn pump(&mut self, mut deliver: impl FnMut(Frame) -> Result<()>) -> Option<Result<()>> {
         let stream = self.stream.as_mut()?;
         let mut progressed = false;
         let mut reads = 0;
         loop {
             loop {
-                match self.frames.next_frame() {
-                    Ok(Some(frame)) => deliver(frame),
+                match self
+                    .frames
+                    .next_frame()
+                    .and_then(|frame| frame.map(&mut deliver).transpose())
+                {
+                    Ok(Some(())) => {}
                     Ok(None) => break,
                     Err(e) => return Some(Err(e)),
                 }
@@ -559,18 +564,25 @@ pub struct TcpLink {
 
 impl TcpLink {
     /// Sleep until a peer socket has bytes (or, with `out`, until `out`
-    /// can take more), or for [`POLL_PARK`] at most.
+    /// can take more), or for [`POLL_PARK`] at most. The descriptor list
+    /// is the parking thread's own, reused from one park to the next.
     fn poll(&self, out: Option<&TcpStream>) {
-        let mut fds: Vec<PollFd> = self
-            .readers
-            .iter()
-            .flatten()
-            .map(|reader| reader.fd.load(Ordering::Relaxed))
-            .filter(|&fd| fd >= 0)
-            .map(PollFd::readable)
-            .collect();
-        fds.extend(out.map(PollFd::writable));
-        poll_fds(&mut fds, POLL_PARK);
+        thread_local! {
+            static FDS: RefCell<Vec<PollFd>> = const { RefCell::new(Vec::new()) };
+        }
+        FDS.with_borrow_mut(|fds| {
+            fds.clear();
+            fds.extend(
+                self.readers
+                    .iter()
+                    .flatten()
+                    .map(|reader| reader.fd.load(Ordering::Relaxed))
+                    .filter(|&fd| fd >= 0)
+                    .map(PollFd::readable),
+            );
+            fds.extend(out.map(PollFd::writable));
+            poll_fds(fds, POLL_PARK);
+        });
     }
 }
 
@@ -578,14 +590,18 @@ impl Link for TcpLink {
     const PEER_TIMEOUT: Duration = PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = PEER_TIMEOUT;
 
-    /// Join the record's pieces into the one buffer the send ring keeps,
+    /// Keep the record as a copy of its head and a share of its payload,
     /// then enqueue and flush it, draining and polling while the socket is
     /// full.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, sequenced: bool) -> bool {
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, sequenced: bool) -> bool {
         let Some(writer) = &self.writers[peer] else {
             return true;
         };
-        writer.push(Bytes::from(record.to_vec()), sequenced, &|stream| {
+        let record = SharedRecord {
+            head: Bytes::copy_from_slice(record.head),
+            payload: record.payload.clone(),
+        };
+        writer.push(record, sequenced, &|stream| {
             self.drain(mesh);
             self.poll(Some(stream));
         })
@@ -634,7 +650,7 @@ impl Link for TcpLink {
                     t0,
                     server_ns: unix_now_ns(),
                 });
-                self.write(mesh, peer, Pieces::from(&reply), false);
+                self.write(mesh, peer, Record::whole(&reply), false);
             }
             Frame::ClockReply { t0, server_ns } => {
                 *self.clock_reply.lock() = Some((t0, server_ns));
@@ -697,7 +713,7 @@ impl Mesh<TcpLink> {
         for _ in 0..PROBES {
             let t0 = unix_now_ns();
             let probe = encode_frame(&Frame::ClockProbe { t0 });
-            if !self.link.write(self, 0, Pieces::from(&probe), false) {
+            if !self.link.write(self, 0, Record::whole(&probe), false) {
                 break;
             }
             let reply = Cell::new(None);
@@ -1185,7 +1201,7 @@ mod tests {
         /// [`push`](Self::push) a copy of `record`, with nothing to drain
         /// while the socket is full.
         fn send(&self, record: &[u8], sequenced: bool) -> bool {
-            self.push(Bytes::copy_from_slice(record), sequenced, &|stream| {
+            self.push(SharedRecord::from(record.to_vec()), sequenced, &|stream| {
                 poll_fds(&mut [PollFd::writable(stream)], POLL_PARK)
             })
         }
@@ -1465,7 +1481,10 @@ mod tests {
         let started = Instant::now();
         let mut delivered = 0;
         let ended = loop {
-            if let Some(ended) = reader.side.lock().pump(|_| delivered += 1) {
+            if let Some(ended) = reader.side.lock().pump(|_| {
+                delivered += 1;
+                Ok(())
+            }) {
                 break ended;
             }
             assert!(

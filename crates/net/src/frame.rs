@@ -42,6 +42,7 @@
 //! `crates/net/tests/stream_frames.rs` holds the parser to `read_frame`'s
 //! answers, and both to that bound, on hostile input.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use patternlets_core::{crc32, crc32_extend, Error, Result};
@@ -85,8 +86,10 @@ pub enum Frame {
         src: u64,
         /// Message tag (negative = runtime-internal).
         tag: i32,
-        /// Element type name (interned back to `&'static str` on receipt).
-        type_name: String,
+        /// Element type name: decoded as the `&'static str` of a built-in
+        /// [`patternlets_mp::Datatype`] without allocating, owned for any
+        /// other (the peer mesh interns those).
+        type_name: Cow<'static, str>,
         /// Element count.
         count: u64,
         /// Per-sender sequence number (receiver dedup).
@@ -287,6 +290,22 @@ impl Frame {
     }
 }
 
+/// `TYPE_NAME`s of the built-in [`patternlets_mp::Datatype`] impls: an
+/// `Env` frame naming one of these decodes to the static name.
+const KNOWN_TYPE_NAMES: &[&str] = &[
+    "i32",
+    "i64",
+    "u32",
+    "u64",
+    "f32",
+    "f64",
+    "u8",
+    "bool",
+    "usize",
+    "String",
+    "(T, usize)",
+];
+
 const KIND_HELLO: u8 = 0;
 const KIND_ENV: u8 = 1;
 const KIND_FINISH: u8 = 2;
@@ -410,6 +429,14 @@ impl EnvHeader<'_> {
         );
         w.finish_head(payload)
     }
+
+    /// This envelope's whole wire record carrying `payload`, in one
+    /// exactly sized buffer.
+    pub(crate) fn record(&self, payload: &[u8]) -> Vec<u8> {
+        let mut record = self.head(payload, payload.len());
+        record.extend_from_slice(payload);
+        record
+    }
 }
 
 struct BodyReader<'a> {
@@ -448,6 +475,19 @@ impl<'a> BodyReader<'a> {
     fn string(&mut self) -> Result<String> {
         String::from_utf8(self.bytes()?).map_err(|_| Error::Codec("non-UTF8 string field".into()))
     }
+    /// A type name: a built-in one borrowed as its static, any other
+    /// owned.
+    fn type_name(&mut self) -> Result<Cow<'static, str>> {
+        let len = self.u32()? as usize;
+        let name = std::str::from_utf8(self.take(len)?)
+            .map_err(|_| Error::Codec("non-UTF8 string field".into()))?;
+        Ok(
+            match KNOWN_TYPE_NAMES.iter().find(|&&known| known == name) {
+                Some(&known) => Cow::Borrowed(known),
+                None => Cow::Owned(name.to_owned()),
+            },
+        )
+    }
     fn finish(self) -> Result<()> {
         if self.pos != self.buf.len() {
             return Err(Error::Codec(format!(
@@ -479,7 +519,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             overtake,
             payload,
         } => {
-            let mut record = EnvHeader {
+            return EnvHeader {
                 comm_id: *comm_id,
                 src: *src,
                 tag: *tag,
@@ -489,9 +529,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 needs_ack: *needs_ack,
                 overtake: *overtake,
             }
-            .head(payload, payload.len());
-            record.extend_from_slice(payload);
-            return record;
+            .record(payload);
         }
         Frame::Finish { rank } => {
             w.u8(KIND_FINISH);
@@ -638,7 +676,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame> {
             comm_id: r.u64()?,
             src: r.u64()?,
             tag: r.i32()?,
-            type_name: r.string()?,
+            type_name: r.type_name()?,
             count: r.u64()?,
             seq: r.u64()?,
             needs_ack: match r.u8()? {
@@ -991,6 +1029,28 @@ mod tests {
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(frame));
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF after");
+    }
+
+    #[test]
+    fn built_in_type_names_decode_as_their_statics() {
+        for (name, built_in) in [("u8", true), ("(T, usize)", true), ("custom::T", false)] {
+            let wire = encode_frame(&Frame::Env {
+                comm_id: 0,
+                src: 0,
+                tag: 0,
+                type_name: name.to_string().into(),
+                count: 0,
+                seq: 0,
+                needs_ack: false,
+                overtake: 0,
+                payload: Vec::new(),
+            });
+            let Frame::Env { type_name, .. } = decode_frame(&wire).unwrap() else {
+                panic!("an Env record decodes to an Env frame");
+            };
+            assert_eq!(type_name, name);
+            assert_eq!(matches!(type_name, Cow::Borrowed(_)), built_in, "{name}");
+        }
     }
 
     #[test]

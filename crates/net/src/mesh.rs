@@ -7,17 +7,19 @@
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
 //! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! records to peers, each handed over as a head and a payload, so the
-//! shared-memory link copies an envelope's payload straight into its
-//! ring. The rank drains the link itself: no thread stands between a
-//! link and the dispatch. Whenever one of the rank's threads
-//! waits — in a receive, a probe, an agreement, `finish`'s wait for acks,
-//! or on a full outbound ring or socket — it drains every inbound ring or
-//! socket, and the heartbeat tick drains them as a backstop. Between
-//! drains the wait parks the link's way ([`Link::park`]): on the futex
-//! doorbell every producer rings, for the shared-memory link
-//! ([`crate::shm`]); in `poll(2)` on the peer sockets, for the TCP link
-//! ([`crate::fabric`]), which also brings the reconnect machinery.
+//! records to peers, each handed over as a head and a payload still in
+//! the envelope's buffer ([`Record`]), so the shared-memory link copies
+//! an envelope's payload straight into its ring and the TCP link keeps a
+//! share of it for replay. The rank drains the link itself: no thread
+//! stands between a link and the dispatch. Whenever one of the rank's
+//! threads waits — in a receive, a probe, an agreement, `finish`'s wait
+//! for acks, or on a full outbound ring or socket — it drains every
+//! inbound ring or socket, and the heartbeat tick drains them as a
+//! backstop. Between drains the wait parks the link's way
+//! ([`Link::park`]): on the futex doorbell every producer rings, for the
+//! shared-memory link ([`crate::shm`]); in `poll(2)` on the peer sockets,
+//! for the TCP link ([`crate::fabric`]), which also brings the reconnect
+//! machinery.
 //!
 //! ## Failure detection
 //!
@@ -50,11 +52,13 @@
 //! resolves, because `Finish` frames feed the same every-sender-finished
 //! check the thread backend uses.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use patternlets_core::spsc::{Park, Pieces, Wait};
 use patternlets_core::{Error, Result};
@@ -78,37 +82,75 @@ pub(crate) const FINISH_DRAIN: Duration = Duration::from_secs(1);
 /// `last_heard` sentinel: no frame from this peer yet.
 const NEVER_HEARD: u64 = u64::MAX;
 
-/// `TYPE_NAME`s of the built-in [`patternlets_mp::Datatype`] impls, used
-/// to intern wire type names back into `&'static str` without leaking.
-const KNOWN_TYPE_NAMES: &[&str] = &[
-    "i32",
-    "i64",
-    "u32",
-    "u64",
-    "f32",
-    "f64",
-    "u8",
-    "bool",
-    "usize",
-    "String",
-    "(T, usize)",
-];
+/// The unknown (user-defined `Datatype`) type names this process has
+/// received, each leaked once so an envelope can hold it as a
+/// `&'static str` and repeated traffic of the same type allocates
+/// nothing. Peers choose the names, so the table is bounded.
+pub(crate) struct TypeNames(Mutex<Vec<&'static str>>);
 
-/// Intern a wire type name. Built-in names map to their static constants;
-/// unknown (user-defined `Datatype`) names are leaked once and cached, so
-/// repeated traffic of the same type allocates nothing.
-pub(crate) fn intern_type_name(name: &str) -> &'static str {
-    if let Some(known) = KNOWN_TYPE_NAMES.iter().find(|&&k| k == name) {
-        return known;
+impl TypeNames {
+    /// Most distinct unknown names one table keeps.
+    pub(crate) const CAP: usize = 256;
+
+    pub(crate) const fn new() -> TypeNames {
+        TypeNames(Mutex::new(Vec::new()))
     }
-    static EXTRA: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut extra = EXTRA.lock();
-    if let Some(cached) = extra.iter().find(|&&k| k == name) {
-        return cached;
+
+    /// An unknown type name as a `&'static str`, from the table, leaked
+    /// the first time it is seen. A new name once the table holds
+    /// [`CAP`] is a codec error.
+    ///
+    /// [`CAP`]: TypeNames::CAP
+    pub(crate) fn intern(&self, name: &str) -> Result<&'static str> {
+        let mut names = self.0.lock();
+        if let Some(&cached) = names.iter().find(|&&k| k == name) {
+            return Ok(cached);
+        }
+        if names.len() == Self::CAP {
+            return Err(Error::Codec(format!(
+                "a {}-byte type name past the {} distinct unknown ones this process keeps",
+                name.len(),
+                Self::CAP
+            )));
+        }
+        let leaked: &'static str = Box::leak(name.into());
+        names.push(leaked);
+        Ok(leaked)
     }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    extra.push(leaked);
-    leaked
+}
+
+/// This process's table of received type names.
+static TYPE_NAMES: TypeNames = TypeNames::new();
+
+/// An encoded record on its way to a [`Link`]: a head, then payload bytes
+/// that are still the envelope's own buffer. A link that copies records
+/// out reads both where they lie; one that keeps records for replay
+/// shares the payload's buffer instead of copying it.
+#[derive(Clone, Copy)]
+pub struct Record<'a> {
+    /// An `Env` record's head (with a small payload inside it), or any
+    /// other frame's whole record.
+    pub head: &'a [u8],
+    /// The bytes after the head: a larger `Env` payload, or empty.
+    pub payload: &'a Bytes,
+}
+
+/// The payload of a record that is all head.
+static NO_PAYLOAD: Bytes = Bytes::new();
+
+impl<'a> Record<'a> {
+    /// A record that is all head.
+    pub fn whole(record: &'a [u8]) -> Self {
+        Record {
+            head: record,
+            payload: &NO_PAYLOAD,
+        }
+    }
+
+    /// Both pieces, borrowed, for a link that copies them out.
+    pub fn pieces(&self) -> Pieces<'a> {
+        Pieces::new(self.head, self.payload)
+    }
 }
 
 /// The byte transport under a [`PeerMesh`]: how encoded frames reach each
@@ -125,20 +167,17 @@ pub trait Link: Sized + Send + Sync + 'static {
     const ESTABLISH_GRACE: Duration;
 
     /// Write one encoded record to `peer`, draining this rank's inbound
-    /// side while the way to `peer` is full. The record comes in two
-    /// pieces: an `Env` record's head (`EnvHeader::head`) and the
-    /// envelope's payload bytes, or any other frame's whole record and an
-    /// empty payload. A sequenced record must reach the peer exactly once
-    /// even across a reconnect; an unsequenced one may be dropped. `false`
-    /// once the link to `peer` is terminal.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, sequenced: bool) -> bool;
+    /// side while the way to `peer` is full. A sequenced record must reach
+    /// the peer exactly once even across a reconnect; an unsequenced one
+    /// may be dropped. `false` once the link to `peer` is terminal.
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, sequenced: bool) -> bool;
 
     /// Write a `Ping`, an unsequenced record — the heartbeat's, or the
     /// ack of a peer's `Finish` — and say whether it went out. A plain
     /// [`write`](Link::write) unless the link drops pings rather than
     /// wait.
     fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
-        self.write(mesh, peer, Pieces::from(record), false)
+        self.write(mesh, peer, Record::whole(record), false)
     }
 
     /// Sequenced records written to `peer` and not yet acknowledged.
@@ -257,7 +296,7 @@ impl<L: Link> Mesh<L> {
         for peer in (0..self.np).filter(|&p| p != self.me) {
             if !self
                 .link
-                .write(self, peer, Pieces::from(&record), sequenced)
+                .write(self, peer, Record::whole(&record), sequenced)
                 && !self.finished[peer].load(Ordering::SeqCst)
             {
                 self.note_failed(peer);
@@ -278,8 +317,22 @@ impl<L: Link> Mesh<L> {
         self.wake();
     }
 
-    /// Dispatch one frame read from `peer`'s link.
-    pub(crate) fn handle_frame(&self, peer: usize, frame: Frame) {
+    /// Dispatch one frame read from `peer`'s link. An error — an `Env`
+    /// naming a new type once [`TypeNames`] is full — means the link's
+    /// stream cannot go on, as for a frame that does not decode; the frame
+    /// is not counted as delivered.
+    pub(crate) fn handle_frame(&self, peer: usize, frame: Frame) -> Result<()> {
+        let type_name = match &frame {
+            Frame::Env {
+                type_name: Cow::Borrowed(built_in),
+                ..
+            } => built_in,
+            Frame::Env {
+                type_name: Cow::Owned(unknown),
+                ..
+            } => TYPE_NAMES.intern(unknown)?,
+            _ => "",
+        };
         self.last_heard[peer].store(self.elapsed_ms(), Ordering::Relaxed);
         self.probed[peer].store(false, Ordering::Relaxed);
         if let Some(hub) = &self.obs.metrics {
@@ -299,7 +352,7 @@ impl<L: Link> Mesh<L> {
                 comm_id,
                 src,
                 tag,
-                type_name,
+                type_name: _,
                 count,
                 seq,
                 needs_ack,
@@ -310,9 +363,9 @@ impl<L: Link> Mesh<L> {
                     comm_id,
                     src: src as usize,
                     tag,
-                    type_name: intern_type_name(&type_name),
+                    type_name,
                     count: count as usize,
-                    payload: Payload::Bytes(bytes::Bytes::from(payload)),
+                    payload: Payload::from(payload),
                     seq,
                     needs_ack,
                 };
@@ -353,6 +406,7 @@ impl<L: Link> Mesh<L> {
             }
             other => self.link.control(self, peer, other),
         }
+        Ok(())
     }
 
     /// Ping every live peer on a cadence and apply the link's liveness
@@ -517,8 +571,7 @@ impl<L: Link> Fabric for PeerMesh<L> {
 
     fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
         let mesh = &*self.inner;
-        let payload = env.payload.to_wire();
-        let head = EnvHeader {
+        let header = EnvHeader {
             comm_id: env.comm_id,
             src: env.src as u64,
             tag: env.tag,
@@ -527,11 +580,22 @@ impl<L: Link> Fabric for PeerMesh<L> {
             seq: env.seq,
             needs_ack: env.needs_ack,
             overtake: overtake as u32,
-        }
-        .head(&payload, 0);
+        };
+        // A small payload is read in place into the head's buffer, so its
+        // record is one allocation; a larger one stays where it is.
+        let (head, payload) = match &env.payload {
+            Payload::Inline { buf, len } => (header.record(&buf[..*len as usize]), Bytes::new()),
+            other => {
+                let payload = other.to_wire();
+                (header.head(&payload, 0), payload)
+            }
+        };
         // With `duplicate`, transmit a second copy; the receiving mailbox
         // dedups it and records the drop on its own side.
-        let record = Pieces::new(&head, &payload);
+        let record = Record {
+            head: &head,
+            payload: &payload,
+        };
         let ok = (!duplicate || mesh.link.write(mesh, dest, record, true))
             && mesh.link.write(mesh, dest, record, true);
         if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
@@ -838,11 +902,35 @@ pub(crate) mod tests {
         own_failure_reaches_peers_within_a_second(3);
     }
 
+    impl TypeNames {
+        /// Names held.
+        fn len(&self) -> usize {
+            self.0.lock().len()
+        }
+    }
+
     #[test]
-    fn type_name_interning_reuses_known_statics() {
-        assert_eq!(intern_type_name("i64"), "i64");
-        let a = intern_type_name("custom::Type");
-        let b = intern_type_name("custom::Type");
+    fn unknown_type_names_leak_once() {
+        let names = TypeNames::new();
+        let a = names.intern("custom::Type").unwrap();
+        let b = names.intern("custom::Type").unwrap();
         assert!(std::ptr::eq(a, b), "unknown names leak exactly once");
+        assert_eq!(names.len(), 1);
+    }
+
+    #[test]
+    fn type_name_interning_stops_at_its_cap() {
+        let names = TypeNames::new();
+        let name = |i: usize| format!("custom::T{i}");
+        let over = TypeNames::CAP + 16;
+        let interned = (0..over)
+            .filter(|&i| names.intern(&name(i)).is_ok())
+            .count();
+        assert_eq!(interned, TypeNames::CAP);
+        assert_eq!(names.len(), TypeNames::CAP, "the table stops growing");
+        // Names it holds still resolve; new ones fail.
+        assert!(names.intern(&name(0)).is_ok());
+        assert!(matches!(names.intern(&name(over)), Err(Error::Codec(_))));
+        assert_eq!(names.len(), TypeNames::CAP);
     }
 }

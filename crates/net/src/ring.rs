@@ -21,14 +21,62 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use patternlets_core::{Error, Result};
 
+/// One encoded record as a TCP link keeps it: the record's head, and the
+/// payload bytes that follow it, each a shared buffer. The payload is the
+/// sending envelope's own buffer, so retaining a record, batching it and
+/// replaying it are refcount bumps, not copies.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SharedRecord {
+    /// The record's first bytes: an `Env` head, or a whole record.
+    pub head: Bytes,
+    /// The bytes after the head; empty for a record that is all head.
+    pub payload: Bytes,
+}
+
+impl SharedRecord {
+    /// Bytes on the wire.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.payload.len()
+    }
+
+    /// True for a record of no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The head, then the payload.
+    pub fn pieces(&self) -> [&[u8]; 2] {
+        [&self.head, &self.payload]
+    }
+}
+
+/// A whole record, adopted as the head.
+impl From<Vec<u8>> for SharedRecord {
+    fn from(record: Vec<u8>) -> Self {
+        SharedRecord {
+            head: Bytes::from(record),
+            payload: Bytes::new(),
+        }
+    }
+}
+
+/// The wire bytes of `batch`, joined into one buffer: a copy, for the
+/// chaos plan to damage.
+pub fn flatten(batch: &[SharedRecord]) -> Vec<u8> {
+    batch
+        .iter()
+        .flat_map(SharedRecord::pieces)
+        .flatten()
+        .copied()
+        .collect()
+}
+
 /// Retained encoded frames awaiting acknowledgement, plus the replay
-/// cursor for the current connection incarnation. Records are shared
-/// [`Bytes`]: retaining one and handing it to a batch are refcount bumps,
-/// not copies.
+/// cursor for the current connection incarnation.
 #[derive(Debug, Default)]
 pub struct SendRing {
     /// Encoded records, `frames[0]` having absolute sequence `base`.
-    frames: VecDeque<Bytes>,
+    frames: VecDeque<SharedRecord>,
     /// Absolute sequence number of the oldest retained frame.
     base: u64,
     /// Absolute sequence number of the next frame to hand to the wire.
@@ -61,7 +109,7 @@ impl SendRing {
 
     /// Retain one encoded record; returns its absolute sequence number.
     /// A `Vec` is adopted, not copied.
-    pub fn push(&mut self, record: impl Into<Bytes>) -> u64 {
+    pub fn push(&mut self, record: impl Into<SharedRecord>) -> u64 {
         let seq = self.next();
         self.frames.push_back(record.into());
         seq
@@ -106,15 +154,14 @@ impl SendRing {
         Ok(self.next() - peer_recv)
     }
 
-    /// Share up to `max` records starting at the cursor and advance the
-    /// cursor past them. The shares are what goes on the wire; the ring
-    /// keeps its own until acknowledged.
-    pub fn next_batch(&mut self, max: usize) -> Vec<Bytes> {
+    /// Append shares of up to `max` records starting at the cursor to
+    /// `out`, and advance the cursor past them. The shares are what goes
+    /// on the wire; the ring keeps its own until acknowledged.
+    pub fn next_batch(&mut self, max: usize, out: &mut Vec<SharedRecord>) {
         let start = (self.cursor - self.base) as usize;
         let take = self.frames.len().saturating_sub(start).min(max);
-        let out: Vec<Bytes> = self.frames.iter().skip(start).take(take).cloned().collect();
-        self.cursor += out.len() as u64;
-        out
+        out.extend(self.frames.range(start..start + take).cloned());
+        self.cursor += take as u64;
     }
 }
 
@@ -122,8 +169,14 @@ impl SendRing {
 mod tests {
     use super::*;
 
-    fn rec(n: u8) -> Bytes {
-        Bytes::from(vec![n; 4])
+    fn rec(n: u8) -> SharedRecord {
+        SharedRecord::from(vec![n; 4])
+    }
+
+    fn next_batch(r: &mut SendRing, max: usize) -> Vec<SharedRecord> {
+        let mut out = Vec::new();
+        r.next_batch(max, &mut out);
+        out
     }
 
     #[test]
@@ -145,11 +198,11 @@ mod tests {
         for i in 0..5 {
             r.push(rec(i));
         }
-        let a = r.next_batch(2);
-        let b = r.next_batch(10);
+        let a = next_batch(&mut r, 2);
+        let b = next_batch(&mut r, 10);
         assert_eq!(a, vec![rec(0), rec(1)]);
         assert_eq!(b, vec![rec(2), rec(3), rec(4)]);
-        assert!(r.next_batch(10).is_empty());
+        assert!(next_batch(&mut r, 10).is_empty());
         // Nothing acknowledged yet: all five are still retained.
         assert_eq!(r.retained(), 5);
         r.ack(3);
@@ -162,15 +215,24 @@ mod tests {
         let record = vec![9u8; 64];
         let at = record.as_ptr();
         r.push(record);
-        let first = r.next_batch(1);
+        let payload = Bytes::from(vec![3u8; 4096]);
+        let payload_at = payload.as_ptr();
+        r.push(SharedRecord {
+            head: Bytes::from(vec![1u8; 8]),
+            payload,
+        });
+        let first = next_batch(&mut r, 2);
         r.resume(0).unwrap();
-        let replay = r.next_batch(1);
+        let replay = next_batch(&mut r, 2);
         assert_eq!(
-            first[0].as_ptr(),
+            first[0].head.as_ptr(),
             at,
             "the pushed Vec is adopted and shared"
         );
-        assert_eq!(replay[0].as_ptr(), at, "a replay shares it too");
+        assert_eq!(replay[0].head.as_ptr(), at, "a replay shares it too");
+        assert_eq!(first[1].payload.as_ptr(), payload_at, "so is a payload");
+        assert_eq!(replay[1].payload.as_ptr(), payload_at);
+        assert_eq!(replay[1].len(), 8 + 4096);
     }
 
     #[test]
@@ -179,11 +241,11 @@ mod tests {
         for i in 0..6 {
             r.push(rec(i));
         }
-        assert_eq!(r.next_batch(6).len(), 6); // all "written" once
+        assert_eq!(next_batch(&mut r, 6).len(), 6); // all "written" once
         r.ack(2); // peer confirmed 0 and 1
         let replayed = r.resume(4).unwrap(); // peer actually delivered 4
         assert_eq!(replayed, 2);
-        assert_eq!(r.next_batch(10), vec![rec(4), rec(5)]);
+        assert_eq!(next_batch(&mut r, 10), vec![rec(4), rec(5)]);
     }
 
     #[test]

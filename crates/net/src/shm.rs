@@ -73,7 +73,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell, Consumer, Park, Pieces, Producer, SpscRing, CACHE_LINE};
+use patternlets_core::spsc::{self, Bell, Consumer, Park, Producer, SpscRing, CACHE_LINE};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
 use patternlets_mp::fabric::{Fabric, WorldSpec};
@@ -81,7 +81,7 @@ use patternlets_mp::fabric::{Fabric, WorldSpec};
 use crate::chaos::NetChaosPlan;
 use crate::fabric::TcpFabric;
 use crate::frame::{body_len, decode_frame, decode_record, grow, Frame, CRC_MISMATCH};
-use crate::mesh::{Link, Mesh, PeerMesh};
+use crate::mesh::{Link, Mesh, PeerMesh, Record};
 use crate::rendezvous;
 
 /// Data bytes per directed ring. Big enough that a collective round of
@@ -546,7 +546,7 @@ impl Link for ShmLink {
     /// each other for ever. `false` when the peer is already
     /// failed/finished or became so while the ring was full — so a full
     /// ring to a SIGKILL'd peer cannot wedge a send.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Pieces, _sequenced: bool) -> bool {
+    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, _sequenced: bool) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -555,7 +555,7 @@ impl Link for ShmLink {
         }
         let mut producer = ring.lock();
         let ok = producer
-            .push_all(record, || {
+            .push_all(record.pieces(), || {
                 self.drain(mesh);
                 mesh.gone(peer)
             })
@@ -654,8 +654,11 @@ impl Link for ShmLink {
             // keeps writing cannot hold this thread here.
             let mut budget = frames.queued() / 8 + 1;
             let ended = loop {
-                match frames.try_next() {
-                    Ok(Some(frame)) => mesh.handle_frame(peer, frame),
+                match frames
+                    .try_next()
+                    .and_then(|frame| frame.map(|f| mesh.handle_frame(peer, f)).transpose())
+                {
+                    Ok(Some(())) => {}
                     Ok(None) if frames.at_eof() => break Some(None),
                     Ok(None) => break None,
                     Err(e) => break Some(Some(e)),

@@ -19,12 +19,15 @@
 //! paths must all yield the frames `read_frame` does, whether each record
 //! went in whole or as a head and a payload. Hostile bytes in a ring —
 //! the length prefix comes from another process — must neither panic the
-//! decoder nor make it allocate by the length they claim. And a shm send
-//! writes its record into the ring from the payload's own buffer: the
-//! sending thread allocates no second, record-sized one.
+//! decoder nor make it allocate by the length they claim. And the
+//! allocations of whole messages are counted: a 64 KiB send, over shm or
+//! TCP, allocates no record-sized buffer beside the payload's encoding; a
+//! 64 KiB shm receive makes one payload-sized buffer, wherever the drain
+//! ran; and an 8 B round trip allocates a head per send and little more
+//! than the returned `Vec` per receive.
 
 use patternlets_core::spsc::{Pieces, SpscRing};
-use patternlets_mp::World;
+use patternlets_mp::{Comm, World};
 use patternlets_net::frame::{encode_frame, read_frame, Frame, MAX_FRAME_LEN};
 use patternlets_net::shm::{FabricMode, RingFrames};
 use patternlets_net::{install_job_fabric, rendezvous, with_job_ctx, JobCtx};
@@ -33,6 +36,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::Read;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// The largest single allocation this thread made since last reset.
@@ -40,7 +45,14 @@ thread_local! {
     /// Allocations of at least `.0` bytes this thread made while `.0` was
     /// set, in `.1`.
     static AT_LEAST: Cell<(usize, usize)> = const { Cell::new((usize::MAX, 0)) };
+    /// This thread's allocations are left out of [`EVERYWHERE`].
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Allocations of at least `EVERYWHERE_MIN` bytes on every thread not
+/// [`UNCOUNTED`], while a count is running.
+static EVERYWHERE: AtomicUsize = AtomicUsize::new(0);
+static EVERYWHERE_MIN: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// The system allocator, noting each thread's largest allocation.
 struct Measured;
@@ -68,6 +80,32 @@ fn note(size: usize) {
         let (min, n) = a.get();
         a.set((min, n + usize::from(size >= min)));
     });
+    if size >= EVERYWHERE_MIN.load(Ordering::Relaxed)
+        && !UNCOUNTED.try_with(Cell::get).unwrap_or(false)
+    {
+        EVERYWHERE.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A running count of the allocations of at least some size on every
+/// thread but the [`UNCOUNTED`] ones.
+struct Everywhere;
+
+/// Start counting allocations of at least `min` bytes on every thread.
+/// Only one count runs at a time: [`two_ranks`] runs one world at a time,
+/// and no other test allocates that much.
+fn everywhere(min: usize) -> Everywhere {
+    EVERYWHERE.store(0, Ordering::SeqCst);
+    EVERYWHERE_MIN.store(min, Ordering::SeqCst);
+    Everywhere
+}
+
+impl Everywhere {
+    /// Stop counting; the count.
+    fn stop(self) -> usize {
+        EVERYWHERE_MIN.store(usize::MAX, Ordering::SeqCst);
+        EVERYWHERE.load(Ordering::SeqCst)
+    }
 }
 
 /// Run `f` and count the allocations of at least `min` bytes it made on
@@ -367,6 +405,63 @@ proptest! {
     }
 }
 
+/// Run `body` as both ranks of a two-rank world over `fabric`, the ranks
+/// threads of this process; returns each rank's result. One world at a
+/// time: the process-wide count must see one world's allocations only.
+fn two_ranks<R: Send>(fabric: FabricMode, body: impl Fn(Comm) -> R + Sync) -> Vec<R> {
+    static ONE_WORLD: Mutex<()> = Mutex::new(());
+    let _one = ONE_WORLD
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    install_job_fabric();
+    let server = rendezvous::serve().unwrap().to_string();
+    let dir = std::env::temp_dir().join(format!(
+        "spsc-model-{}-{}",
+        fabric.as_str(),
+        std::process::id()
+    ));
+    let results = std::thread::scope(|scope| {
+        let ranks: Vec<_> = (0..2)
+            .map(|rank| {
+                let mut ctx = JobCtx::new(rank, 2, server.clone(), 0, None);
+                ctx.fabric = fabric;
+                ctx.shm_dir = dir.clone();
+                let body = &body;
+                scope.spawn(move || {
+                    with_job_ctx(ctx, || World::builder(2).run(body).unwrap().remove(0))
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    results
+}
+
+/// Allocations of at least `LEN` bytes rank 0's thread makes in its
+/// second 64 KiB `Comm::send` to rank 1 (the first message of each rank
+/// warms up), over `fabric`.
+fn payload_sized_allocations_in_a_send(fabric: FabricMode) -> usize {
+    const LEN: usize = 64 << 10;
+    let counts = two_ranks(fabric, |comm| {
+        let data = vec![7u8; LEN];
+        let mut n = 0;
+        for round in 0..2 {
+            if comm.rank() == 0 {
+                // Rank 0 receives too, so its first drain is behind it.
+                comm.recv::<u8>(1, round).unwrap();
+                n = allocations_of_at_least(LEN, || comm.send(&data, 1, round).unwrap()).1;
+            } else {
+                comm.send(&[1u8], 0, round).unwrap();
+                let (got, _) = comm.recv::<u8>(0, round).unwrap();
+                assert_eq!(got, data);
+            }
+        }
+        n
+    });
+    counts[0]
+}
+
 /// A 64 KiB `Comm::send` over a two-rank shared-memory world whose ranks
 /// are threads of this process. The sending thread allocates one
 /// payload-sized buffer, the payload's encoding; the ring takes the
@@ -374,42 +469,91 @@ proptest! {
 /// joining them.
 #[test]
 fn a_64_kib_shm_send_allocates_one_payload_sized_buffer() {
+    let n = payload_sized_allocations_in_a_send(FabricMode::Shm);
+    assert_eq!(n, 1, "allocations of at least 64 KiB in one send");
+}
+
+/// The same over TCP: the link keeps the record as a copy of its head and
+/// a share of the encoding, written with one vectored write, so the only
+/// payload-sized buffer is still the encoding.
+#[test]
+fn a_64_kib_tcp_send_allocates_one_payload_sized_buffer() {
+    let n = payload_sized_allocations_in_a_send(FabricMode::Tcp);
+    assert_eq!(n, 1, "allocations of at least 64 KiB in one send");
+}
+
+/// A 64 KiB `u8` receive over shared memory makes one payload-sized
+/// buffer: the drain copies the payload out of the ring once, and the
+/// receive hands that same buffer back. Either of the receiving rank's
+/// threads may drain — its own, waiting in `recv`, or its heartbeat — so
+/// every thread in the process is counted but the sending rank's own,
+/// whose encoding is the send's.
+#[test]
+fn a_64_kib_shm_receive_allocates_one_payload_sized_buffer() {
     const LEN: usize = 64 << 10;
-    assert!(install_job_fabric(), "no other provider in this binary");
-    let server = rendezvous::serve().unwrap().to_string();
-    let dir = std::env::temp_dir().join(format!("spsc-model-send-{}", std::process::id()));
-    let counts: Vec<usize> = std::thread::scope(|scope| {
-        let ranks: Vec<_> = (0..2)
-            .map(|rank| {
-                let mut ctx = JobCtx::new(rank, 2, server.clone(), 0, None);
-                ctx.fabric = FabricMode::Shm;
-                ctx.shm_dir = dir.clone();
-                scope.spawn(move || {
-                    with_job_ctx(ctx, || {
-                        let out = World::builder(2).run(|comm| {
-                            let data = vec![7u8; LEN];
-                            let mut counts = Vec::new();
-                            // The first message of each rank warms up.
-                            for round in 0..2 {
-                                if comm.rank() == 0 {
-                                    let ((), n) = allocations_of_at_least(LEN, || {
-                                        comm.send(&data, 1, round).unwrap()
-                                    });
-                                    counts.push(n);
-                                } else {
-                                    let (got, _) = comm.recv::<u8>(0, round).unwrap();
-                                    assert_eq!(got, data);
-                                }
-                            }
-                            counts.last().copied().unwrap_or(0)
-                        });
-                        out.unwrap()[0]
-                    })
-                })
-            })
-            .collect();
-        ranks.into_iter().map(|h| h.join().unwrap()).collect()
+    let counts = two_ranks(FabricMode::Shm, |comm| {
+        let mut n = 0;
+        for round in 0..2 {
+            if comm.rank() == 0 {
+                UNCOUNTED.with(|u| u.set(true));
+                // Sent only once rank 1 counts.
+                comm.recv::<u8>(1, round).unwrap();
+                comm.send(&vec![7u8; LEN], 1, round).unwrap();
+            } else {
+                let count = everywhere(LEN);
+                comm.send(&[1u8], 0, round).unwrap();
+                let (got, _) = comm.recv::<u8>(0, round).unwrap();
+                n = count.stop();
+                assert!(got.len() == LEN && got.iter().all(|&b| b == 7));
+            }
+        }
+        n
     });
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(counts[0], 1, "allocations of at least {LEN} B in one send");
+    assert_eq!(
+        counts[1], 1,
+        "allocations of at least 64 KiB in one receive"
+    );
+}
+
+/// An 8-byte `u8` round trip over shared memory. A send allocates only
+/// the record's head, which carries the small payload inline. A receive
+/// allocates only the returned `Vec` — plus, when the receiving thread
+/// drained the record itself rather than its heartbeat, the frame's
+/// payload buffer, which is moved inline and freed.
+#[test]
+fn an_8_byte_shm_round_trip_allocates_only_heads_and_returned_vecs() {
+    let rounds = two_ranks(FabricMode::Shm, |comm| {
+        let peer = 1 - comm.rank();
+        let mut counts = Vec::new();
+        for round in 0..8 {
+            let data = [round as u8; 8];
+            let send = || allocations_of_at_least(1, || comm.send(&data, peer, round).unwrap()).1;
+            let recv = || {
+                let ((got, _), n) =
+                    allocations_of_at_least(1, || comm.recv::<u8>(peer, round).unwrap());
+                assert_eq!(got, data);
+                n
+            };
+            counts.push(if comm.rank() == 0 {
+                (send(), recv())
+            } else {
+                let received = recv();
+                (send(), received)
+            });
+        }
+        // Counted no more: the peer's `Finish`, which a last receive may
+        // drain, is acknowledged with a ping.
+        comm.barrier().unwrap();
+        counts
+    });
+    for (rank, counts) in rounds.iter().enumerate() {
+        // The first message each way warms up.
+        for &(sent, received) in &counts[1..] {
+            assert_eq!(sent, 1, "rank {rank}: allocations in one send: {counts:?}");
+            assert!(
+                (1..=2).contains(&received),
+                "rank {rank}: allocations in one receive: {counts:?}"
+            );
+        }
+    }
 }

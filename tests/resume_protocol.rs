@@ -11,7 +11,7 @@
 
 use patternlets_net::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
 use patternlets_net::frame::{decode_frame, encode_frame, Frame};
-use patternlets_net::ring::SendRing;
+use patternlets_net::ring::{flatten, SendRing};
 use proptest::prelude::*;
 
 /// One application envelope, payload stamped with its index so delivery
@@ -21,7 +21,7 @@ fn env_record(index: u64) -> Vec<u8> {
         comm_id: 7,
         src: 0,
         tag: 1,
-        type_name: "u64".to_string(),
+        type_name: "u64".into(),
         count: 1,
         seq: index,
         needs_ack: false,
@@ -74,7 +74,8 @@ fn run_session(plan: NetChaosPlan, total: u64, batch_max: usize) -> Vec<u64> {
     // by a generous fault budget so a livelocked protocol fails loudly
     // instead of hanging the test.
     while (delivered.len() as u64) < total {
-        let batch = ring.next_batch(batch_max);
+        let mut batch = Vec::new();
+        ring.next_batch(batch_max, &mut batch);
         if batch.is_empty() {
             panic!(
                 "ring drained ({} retained) but only {}/{total} delivered",
@@ -83,7 +84,7 @@ fn run_session(plan: NetChaosPlan, total: u64, batch_max: usize) -> Vec<u64> {
             );
         }
         let frame_count = batch.len();
-        let mut bytes: Vec<u8> = batch.concat();
+        let mut bytes: Vec<u8> = flatten(&batch);
         let died = match chaos.decide(bytes.len(), frame_count).action {
             ChaosAction::Pass => receive(&bytes, &mut delivered),
             ChaosAction::Cut => true, // nothing of the batch was written
