@@ -56,6 +56,92 @@ pub struct Comm {
 /// The world communicator's id.
 const WORLD_COMM_ID: u64 = 0;
 
+/// A payload as a send hands it to the fabric: an owned [`Payload`], or
+/// — for a larger `u8` send to a rank across the wire — the caller's
+/// slice, which the fabric copies once where it needs it.
+pub(crate) trait Outgoing: Sized {
+    /// Bytes of the wire encoding.
+    fn wire_len(&self) -> usize;
+
+    /// The counter the send is recorded under.
+    fn repr(&self) -> CounterId;
+
+    /// Hand `env` from `me` to `dest`'s mailbox.
+    fn deliver(
+        env: Envelope<Self>,
+        fabric: &dyn Fabric,
+        me: usize,
+        dest: usize,
+        overtake: usize,
+        duplicate: bool,
+    );
+}
+
+impl Outgoing for Payload {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn repr(&self) -> CounterId {
+        match self {
+            Payload::InProc(_) => CounterId::MsgsSentInproc,
+            Payload::Bytes(_) => CounterId::MsgsSentEncoded,
+            Payload::Inline { .. } => CounterId::MsgsSentInline,
+        }
+    }
+
+    fn deliver(
+        env: Envelope,
+        fabric: &dyn Fabric,
+        me: usize,
+        dest: usize,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        if dest == me {
+            // Self-send shortcut: the destination mailbox is this rank's
+            // own, so deliver straight into it instead of dispatching
+            // through the fabric. Everything observable — fault ops,
+            // sequence numbers, chaos draws, traces — already happened
+            // in `send_prepared`, and the mailbox dedups exactly as on
+            // the fabric path. Skipping the fabric's progress bump is
+            // safe here: a self-send strictly precedes (in program order)
+            // any receive it could satisfy, so no deadlock verdict can be
+            // invalidated by it.
+            fabric.mailbox(me).deliver_copies(env, overtake, duplicate);
+        } else {
+            fabric.deliver(me, dest, env, overtake, duplicate);
+        }
+    }
+}
+
+impl Outgoing for &[u8] {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+
+    fn repr(&self) -> CounterId {
+        CounterId::MsgsSentEncoded
+    }
+
+    fn deliver(
+        env: Envelope<Self>,
+        fabric: &dyn Fabric,
+        me: usize,
+        dest: usize,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        if dest == me {
+            // The self-send shortcut's mailbox holds owned payloads.
+            let env = env.map_payload(|wire| Payload::from(wire.to_vec()));
+            Payload::deliver(env, fabric, me, dest, overtake, duplicate);
+        } else {
+            fabric.deliver_wire(me, dest, env, overtake, duplicate);
+        }
+    }
+}
+
 impl Comm {
     /// A rank's world communicator over any [`Fabric`] — the constructor
     /// both the thread backend and provider-built worlds use.
@@ -219,17 +305,30 @@ impl Comm {
                 size: self.size(),
             });
         }
-        let payload = self.prepare_payload(data, dest);
-        self.send_prepared(payload, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
+        match T::wire_bytes(data) {
+            Some(wire)
+                if wire.len() > INLINE_MAX
+                    && !self
+                        .fabric
+                        .shares_address_space(self.world_rank(), self.group[dest]) =>
+            {
+                self.send_prepared(wire, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
+            }
+            _ => {
+                let payload = self.prepare_payload(data, dest);
+                self.send_prepared(payload, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
+            }
+        }
     }
 
     /// Deliver an already-prepared payload to `dest`. All the transmission
     /// machinery lives here — fault accounting, sequence numbers, tracing,
-    /// chaos injection — so collectives that forward one payload to many
-    /// children pay the payload preparation exactly once.
-    pub(crate) fn send_prepared(
+    /// chaos injection — for both payload forms, so collectives that
+    /// forward one payload to many children pay the payload preparation
+    /// exactly once.
+    pub(crate) fn send_prepared<P: Outgoing>(
         &self,
-        payload: Payload,
+        payload: P,
         type_name: &'static str,
         count: usize,
         dest: usize,
@@ -251,14 +350,14 @@ impl Comm {
             });
         }
         let seq = self.fabric.next_send_seq(me);
-        let repr = match &payload {
-            Payload::InProc(_) => CounterId::MsgsSentInproc,
-            Payload::Bytes(_) => CounterId::MsgsSentEncoded,
-            Payload::Inline { .. } => CounterId::MsgsSentInline,
-        };
-        self.ctx
-            .obs
-            .send(me, self.group[dest], tag, payload.len(), seq, repr);
+        self.ctx.obs.send(
+            me,
+            self.group[dest],
+            tag,
+            payload.wire_len(),
+            seq,
+            payload.repr(),
+        );
         let env = Envelope {
             comm_id: self.comm_id,
             src: self.local_rank,
@@ -289,23 +388,14 @@ impl Comm {
             overtake = decision.overtake;
             duplicate = decision.duplicate;
         }
-        if self.group[dest] == me {
-            // Self-send shortcut: the destination mailbox is this rank's
-            // own, so deliver straight into it instead of dispatching
-            // through the fabric. Everything observable — fault ops,
-            // sequence numbers, chaos draws, traces — already happened
-            // above, and the mailbox dedups exactly as on the fabric path.
-            // Skipping the fabric's progress bump is safe here: a
-            // self-send strictly precedes (in program order) any receive
-            // it could satisfy, so no deadlock verdict can be invalidated
-            // by it.
-            self.fabric
-                .mailbox(me)
-                .deliver_copies(env, overtake, duplicate);
-        } else {
-            self.fabric
-                .deliver(me, self.group[dest], env, overtake, duplicate);
-        }
+        P::deliver(
+            env,
+            &*self.fabric,
+            me,
+            self.group[dest],
+            overtake,
+            duplicate,
+        );
         Ok(seq)
     }
 
@@ -950,6 +1040,52 @@ mod tests {
         assert!(out.iter().all(|&(h, q, _)| h == 4 && q == 2));
         let zeros = out.iter().filter(|&&(_, _, r)| r == 0).count();
         assert_eq!(zeros, 4, "four quarter-comms, each with a rank 0");
+    }
+
+    /// The sender overwrites its 64 KiB buffer as soon as each `send`
+    /// returns; the receiver gets the bytes the buffer held at the call,
+    /// on the shared in-process path and on the encoded baseline, where a
+    /// `u8` send reaches the fabric as the caller's slice.
+    #[test]
+    fn a_sender_may_reuse_its_buffer_as_soon_as_send_returns() {
+        const LEN: usize = 64 << 10;
+        let pattern = |round: usize| (0..LEN).map(move |i| (i * 31 + round) as u8);
+        for encoded in [false, true] {
+            let out = World::builder(2)
+                .encoded_payloads(encoded)
+                .run(|comm| {
+                    let mut buf = vec![0u8; LEN];
+                    for round in 0..4 {
+                        if comm.rank() == 0 {
+                            buf.iter_mut().zip(pattern(round)).for_each(|(b, v)| *b = v);
+                            comm.send(&buf, 1, round as i32).unwrap();
+                            buf.fill(0xEE);
+                        } else {
+                            let (got, _) = comm.recv::<u8>(0, round as i32).unwrap();
+                            assert!(got.iter().copied().eq(pattern(round)), "round {round}");
+                        }
+                    }
+                })
+                .unwrap();
+            assert_eq!(out.len(), 2, "encoded baseline: {encoded}");
+        }
+    }
+
+    /// On the encoded baseline no two ranks share an address space, a
+    /// rank and itself included, so a large `u8` self-send leaves `send`
+    /// as the caller's slice; the self-send shortcut copies it into the
+    /// rank's own mailbox.
+    #[test]
+    fn a_large_u8_self_send_arrives_on_the_encoded_baseline() {
+        let data: Vec<u8> = (0..=255).collect();
+        let out = World::builder(1)
+            .encoded_payloads(true)
+            .run(|comm| {
+                comm.send(&data, 0, 3).unwrap();
+                comm.recv::<u8>(0, 3).unwrap().0
+            })
+            .unwrap();
+        assert_eq!(out[0], data);
     }
 
     #[test]

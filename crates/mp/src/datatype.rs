@@ -31,6 +31,16 @@ pub trait Datatype: Sized + Send + 'static {
         Self::decode_slice(&bytes, count)
     }
 
+    /// The wire encoding of `data` where it lies, when the elements are
+    /// their own encoding. Only `u8` returns `Some`: a send of bytes then
+    /// hands a wire-crossing fabric the caller's slice, and the fabric's
+    /// one copy (into a shared-memory ring, or a buffer kept for replay)
+    /// replaces the encode.
+    fn wire_bytes(data: &[Self]) -> Option<&[u8]> {
+        let _ = data;
+        None
+    }
+
     /// Exact size of `data`'s wire encoding. The default produces the
     /// encoding into a scratch buffer and measures it; impls with a
     /// closed-form size override this so the in-process fast path never
@@ -121,12 +131,12 @@ fn le_elements<'a, const N: usize>(
 
 /// Fixed-width types: a closed-form `encoded_len` and the in-process
 /// zero-copy path; `$encode`/`$decode` are the bulk codec bodies, and
-/// `$owned` an optional `decode_owned`.
+/// `$extra` any further methods a type overrides.
 macro_rules! impl_fixed {
     ($($t:ty => $name:literal, $size:literal,
        |$data:ident, $out:ident| $encode:expr,
        |$bytes:ident, $count:ident| $decode:expr
-       $(, $owned:item)?;)*) => {$(
+       $(, $extra:item)*;)*) => {$(
         impl Datatype for $t {
             const TYPE_NAME: &'static str = $name;
 
@@ -138,7 +148,7 @@ macro_rules! impl_fixed {
                 $decode
             }
 
-            $($owned)?
+            $($extra)*
 
             fn encoded_len(data: &[Self]) -> usize {
                 data.len() * $size
@@ -188,6 +198,9 @@ impl_fixed! {
     fn decode_owned(bytes: Bytes, count: usize) -> Result<Vec<Self>> {
         check_len("u8", &bytes, count, 1)?;
         Ok(Vec::from(bytes))
+    },
+    fn wire_bytes(data: &[Self]) -> Option<&[u8]> {
+        Some(data)
     };
     bool => "bool", 1,
     |data, out| put_le(data, out, |v| [u8::from(v)]),
@@ -448,6 +461,16 @@ mod tests {
         // Pairs opt out: to_shared is None, and a foreign shared payload
         // falls back to wire decoding.
         assert!(<(i64, usize)>::to_shared(&[(1, 2)]).is_none());
+    }
+
+    #[test]
+    fn only_u8_is_its_own_wire_form() {
+        let bytes = [1u8, 2, 3];
+        let wire = u8::wire_bytes(&bytes).expect("u8 elements are their encoding");
+        assert_eq!(wire.as_ptr(), bytes.as_ptr(), "the slice where it lies");
+        assert_eq!(wire, &encode(&bytes)[..]);
+        assert!(bool::wire_bytes(&[true]).is_none());
+        assert!(i32::wire_bytes(&[1]).is_none());
     }
 
     #[test]

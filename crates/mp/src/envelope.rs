@@ -29,6 +29,12 @@ pub const INLINE_MAX: usize = 64;
 /// transport seam — [`Payload::to_wire`] recovers the byte form on
 /// demand, so a network backend never needs to know which representation
 /// a sender chose.
+///
+/// A larger `u8` send to a rank across the wire builds no `Payload` at
+/// all: its elements already are its wire form, so the sender hands the
+/// fabric an `Envelope<&[u8]>` over its own slice
+/// ([`Fabric::deliver_wire`](crate::Fabric::deliver_wire)), and the
+/// fabric makes the one copy it needs.
 #[derive(Clone)]
 pub enum Payload {
     /// Encoded wire form (cheap to clone: `Bytes` is refcounted).
@@ -186,9 +192,11 @@ impl SharedPayload {
     }
 }
 
-/// One in-flight message.
+/// One in-flight message. `P` is the payload's form: an owned
+/// [`Payload`] for every envelope a mailbox holds, or the sender's own
+/// `&[u8]` for a `u8` send on its way to a wire-crossing fabric.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub struct Envelope<P = Payload> {
     /// Which communicator this message belongs to; receives only match
     /// envelopes from their own communicator.
     pub comm_id: u64,
@@ -202,13 +210,29 @@ pub struct Envelope {
     /// Element count.
     pub count: usize,
     /// The payload, in wire or shared in-process form.
-    pub payload: Payload,
+    pub payload: P,
     /// Per-sender sequence number (diagnostics; also documents the
     /// non-overtaking order).
     pub seq: u64,
     /// Synchronous-send handshake: the receiver must acknowledge this
     /// envelope on the reserved ack tag when it matches it.
     pub needs_ack: bool,
+}
+
+impl<P> Envelope<P> {
+    /// The same envelope with its payload turned into another form.
+    pub fn map_payload<Q>(self, f: impl FnOnce(P) -> Q) -> Envelope<Q> {
+        Envelope {
+            comm_id: self.comm_id,
+            src: self.src,
+            tag: self.tag,
+            type_name: self.type_name,
+            count: self.count,
+            payload: f(self.payload),
+            seq: self.seq,
+            needs_ack: self.needs_ack,
+        }
+    }
 }
 
 /// The reserved tag on which synchronous-send acknowledgements travel;

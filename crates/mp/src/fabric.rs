@@ -9,7 +9,11 @@
 //! Patternlet code never sees the difference: the
 //! [`Datatype`](crate::Datatype) layer already round-trips every payload
 //! through bytes, so the only thing a backend changes is *how* those
-//! bytes cross the rank boundary. What is not transport — hostnames, the
+//! bytes cross the rank boundary. A backend receives them as an owned
+//! [`Payload`] ([`Fabric::deliver`]), or — for a larger `u8` send, whose
+//! elements are their own bytes — as the sender's slice, borrowed for the
+//! call ([`Fabric::deliver_wire`]), so that its one copy of the bytes is
+//! the only one. What is not transport — hostnames, the
 //! receive poll interval, tracer, metrics hub and fault plan — lives in
 //! the world context [`crate::WorldBuilder`] builds from the
 //! [`WorldSpec`] and every `Comm` holds.
@@ -26,11 +30,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use bytes::Bytes;
 use patternlets_core::Result;
 use patternlets_metrics::{MetricsHub, Obs};
 use patternlets_trace::Tracer;
 
-use crate::envelope::Envelope;
+use crate::envelope::{Envelope, Payload};
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
 use crate::world::WaitRecord;
@@ -66,6 +71,26 @@ pub trait Fabric: Send + Sync {
     /// mailbox deduplicates and records as a duplicate drop.
     fn deliver(&self, me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool);
 
+    /// [`deliver`](Fabric::deliver) an envelope whose payload is still
+    /// the sender's slice: the wire form of a `u8` send larger than
+    /// [`INLINE_MAX`](crate::INLINE_MAX), to a rank this one shares no
+    /// address space with. The slice is only borrowed for the call, so
+    /// the sender may reuse it as soon as this returns. The default
+    /// copies it into a [`Payload::Bytes`] (the copy an encode makes) and
+    /// delivers that; a fabric that copies the bytes somewhere anyway —
+    /// a ring, a buffer kept for replay — overrides it to copy once.
+    fn deliver_wire(
+        &self,
+        me: usize,
+        dest: usize,
+        env: Envelope<&[u8]>,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        let env = env.map_payload(|wire| Payload::Bytes(Bytes::from(wire.to_vec())));
+        self.deliver(me, dest, env, overtake, duplicate);
+    }
+
     /// The mailbox of `world_rank`. Backends hosting a single rank may
     /// panic for any other rank; `Comm` only reads its own.
     fn mailbox(&self, world_rank: usize) -> &Mailbox;
@@ -100,7 +125,8 @@ pub trait Fabric: Send + Sync {
     /// handing them to the destination's [`Mailbox`] directly. By default
     /// only a rank's sends to itself qualify; `InProc` payloads that do
     /// reach a wire-crossing backend are converted at the framing seam via
-    /// `Payload::to_wire`.
+    /// `Payload::to_wire`. A `false` also lets a large `u8` send skip its
+    /// encode and reach [`Fabric::deliver_wire`] as the sender's slice.
     fn shares_address_space(&self, me: usize, dest: usize) -> bool {
         me == dest
     }

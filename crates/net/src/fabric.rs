@@ -46,7 +46,10 @@
 //! peer's count is resent); the mailbox's sequence dedup stands behind it
 //! as a second line of defense. Only when the reconnect budget
 //! ([`RECONNECT_BUDGET`]) is exhausted does the verdict escalate to
-//! [`Error::RankFailed`](patternlets_core::Error::RankFailed).
+//! [`Error::RankFailed`](patternlets_core::Error::RankFailed). A record
+//! that arrives intact and is refused — a body that does not decode, or a
+//! frame the mesh will not take — is no lost connection: a resume would
+//! replay it, so it fails the peer at once, as it does on a ring.
 //!
 //! ## Liveness
 //!
@@ -82,7 +85,9 @@ use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
-use crate::frame::{encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL};
+use crate::frame::{
+    decode_body, encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL,
+};
 use crate::mesh::{Link, Mesh, PeerMesh, Record};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::{flatten, SendRing, SharedRecord};
@@ -483,26 +488,35 @@ impl PeerReader {
     }
 }
 
+/// How a peer's stream ended.
+enum StreamEnd {
+    /// The bytes ended, broke, or arrived damaged, torn or stalled; the
+    /// error says which, `None` an end between records. A reconnect may
+    /// heal it.
+    Broken(Option<Error>),
+    /// A record arrived intact and this rank could not take it: a body
+    /// that does not decode, or a frame the mesh refused. The peer would
+    /// replay the same record after any reconnect, so the peer fails.
+    Refused,
+}
+
 impl ReadSide {
     /// Read what the socket holds, up to [`MAX_READS_PER_DRAIN`] reads,
     /// and hand each complete frame to `deliver`. `None` while the stream
-    /// lives; `Some` once it ended — `Ok` for an end between records, an
-    /// error for a broken, damaged, torn or stalled one, or one whose
-    /// frame `deliver` refused.
-    fn pump(&mut self, mut deliver: impl FnMut(Frame) -> Result<()>) -> Option<Result<()>> {
+    /// lives; `Some` once it ended.
+    fn pump(&mut self, mut deliver: impl FnMut(Frame) -> Result<()>) -> Option<StreamEnd> {
         let stream = self.stream.as_mut()?;
         let mut progressed = false;
         let mut reads = 0;
         loop {
             loop {
-                match self
-                    .frames
-                    .next_frame()
-                    .and_then(|frame| frame.map(&mut deliver).transpose())
-                {
-                    Ok(Some(())) => {}
+                let body = match self.frames.next_body() {
+                    Ok(Some(body)) => body,
                     Ok(None) => break,
-                    Err(e) => return Some(Err(e)),
+                    Err(e) => return Some(StreamEnd::Broken(Some(e))),
+                };
+                if decode_body(body).and_then(&mut deliver).is_err() {
+                    return Some(StreamEnd::Refused);
                 }
             }
             if reads == MAX_READS_PER_DRAIN {
@@ -510,11 +524,14 @@ impl ReadSide {
             }
             reads += 1;
             match self.frames.fill(stream) {
-                Ok(0) => return Some(self.frames.at_eof()),
+                Ok(0) => return Some(StreamEnd::Broken(self.frames.at_eof().err())),
                 Ok(_) => progressed = true,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Some(Err(Error::Codec(format!("read error: {e}")))),
+                Err(e) => {
+                    let e = Error::Codec(format!("read error: {e}"));
+                    return Some(StreamEnd::Broken(Some(e)));
+                }
             }
             if self.frames.room() > 0 {
                 // A short read: the socket had no more. Decode, then stop.
@@ -529,10 +546,10 @@ impl ReadSide {
             .stalled_since
             .is_some_and(|since| since.elapsed() > MID_FRAME_TIMEOUT)
         {
-            return Some(Err(Error::Codec(format!(
+            return Some(StreamEnd::Broken(Some(Error::Codec(format!(
                 "{MID_FRAME_STALL}: {} bytes of a record, then {MID_FRAME_TIMEOUT:?} of silence",
                 self.frames.buffered()
-            ))));
+            )))));
         }
         None
     }
@@ -590,8 +607,9 @@ impl Link for TcpLink {
     const PEER_TIMEOUT: Duration = PEER_TIMEOUT;
     const ESTABLISH_GRACE: Duration = PEER_TIMEOUT;
 
-    /// Keep the record as a copy of its head and a share of its payload,
-    /// then enqueue and flush it, draining and polling while the socket is
+    /// Keep the record as a copy of its head and a share of its payload
+    /// (one copy of it when the caller's slice is all there is), then
+    /// enqueue and flush it, draining and polling while the socket is
     /// full.
     fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, sequenced: bool) -> bool {
         let Some(writer) = &self.writers[peer] else {
@@ -599,7 +617,10 @@ impl Link for TcpLink {
         };
         let record = SharedRecord {
             head: Bytes::copy_from_slice(record.head),
-            payload: record.payload.clone(),
+            payload: match record.share {
+                Some(share) => share.clone(),
+                None => Bytes::copy_from_slice(record.payload),
+            },
         };
         writer.push(record, sequenced, &|stream| {
             self.drain(mesh);
@@ -674,7 +695,9 @@ impl Link for TcpLink {
     /// Decode and dispatch every frame that has fully arrived on each
     /// peer socket nobody else is draining. A socket found ended, broken,
     /// damaged or stalled mid-record is dropped and handed to the
-    /// reconnect machinery (see the module docs). Once the mesh is
+    /// reconnect machinery (see the module docs); one that delivered an
+    /// intact record this rank refuses fails the peer at once, as a ring
+    /// does, since a resume would replay that record. Once the mesh is
     /// closing, nothing is drained.
     fn drain(&self, mesh: &Mesh<Self>) {
         for (peer, reader) in self.readers.iter().enumerate() {
@@ -688,12 +711,15 @@ impl Link for TcpLink {
             let Some(mut side) = reader.side.try_lock() else {
                 continue;
             };
-            let Some(ended) = side.pump(|frame| mesh.handle_frame(peer, frame)) else {
+            let Some(end) = side.pump(|frame| mesh.handle_frame(peer, frame)) else {
                 continue;
             };
             reader.remove(&mut side);
             drop(side);
-            mesh.stream_died(peer, ended.err());
+            match end {
+                StreamEnd::Broken(error) => mesh.stream_died(peer, error),
+                StreamEnd::Refused => mesh.note_failed(peer),
+            }
         }
     }
 }
@@ -1383,6 +1409,95 @@ mod tests {
         }
     }
 
+    /// A `u8` send hands the link the caller's slice, and the link keeps
+    /// its one copy for replay: the sender may overwrite its buffer as
+    /// soon as the call returns, even when the connection is cut before
+    /// the peer acknowledged the record, and the replay after the
+    /// `Resume` carries the bytes the buffer held at the call.
+    #[test]
+    fn a_replay_after_a_resume_carries_the_bytes_the_buffer_held_at_the_send() {
+        const LEN: usize = 64 << 10;
+        let fabrics = tcp_mesh_with(2, None, true);
+        let pattern = |seq: u64| (0..LEN as u64).map(move |i| (i * 31 + seq) as u8);
+        let mut buf = vec![0u8; LEN];
+        let mut send = |seq: u64| {
+            buf.iter_mut().zip(pattern(seq)).for_each(|(b, v)| *b = v);
+            let env = Envelope {
+                comm_id: 0,
+                src: 0,
+                tag: 7,
+                type_name: "u8",
+                count: LEN,
+                payload: &buf[..],
+                seq,
+                needs_ack: false,
+            };
+            fabrics[0].deliver_wire(0, 1, env, 0, false);
+            buf.fill(0xEE);
+        };
+        // The first record goes out just before the cut, long before the
+        // peer's heartbeat could ack it; the second is sent while the
+        // link is down, so only the replay carries it.
+        send(0);
+        fabrics[0].disrupt(1);
+        send(1);
+        for seq in 0..2 {
+            let got = recv_one(&*fabrics[1], 1, 0, 7);
+            assert_eq!(got.seq, seq);
+            let wire = got.payload.to_wire();
+            assert!(wire.iter().copied().eq(pattern(seq)), "record {seq}");
+        }
+        let replayed: u64 = fabrics
+            .iter()
+            .map(|f| {
+                let hub = f.inner.obs.metrics.as_ref().unwrap();
+                hub.snapshot().total(CounterId::NetFramesReplayed)
+            })
+            .sum();
+        assert!(replayed >= 1, "the send ring replayed after the resume");
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
+        }
+    }
+
+    /// Regression: an intact record the receiving rank cannot take — here
+    /// an unknown kind byte under a valid CRC — fails the peer at once. A
+    /// reconnect would only replay it: the link used to reconnect four or
+    /// five times a second for ever, delivering nothing after it.
+    #[test]
+    fn an_intact_record_the_rank_refuses_fails_the_peer_at_once() {
+        use patternlets_core::{crc32, crc32_extend};
+        let fabrics = tcp_mesh_with(2, None, true);
+        let mut record = encode_frame(&Frame::Ping { seen: 0 });
+        record[8] = 0xFF; // no frame has this kind
+        let crc = crc32_extend(crc32(&record[..4]), &record[8..]);
+        record[4..8].copy_from_slice(&crc.to_le_bytes());
+        let sent = Instant::now();
+        let sender = &fabrics[0].inner;
+        assert!(sender.link.write(sender, 1, Record::whole(&record), true));
+        while !fabrics[1].rank_failed(0) {
+            assert!(
+                sent.elapsed() < RECONNECT_BUDGET,
+                "no verdict within the reconnect budget"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let reconnects: u64 = fabrics
+            .iter()
+            .map(|f| {
+                let hub = f.inner.obs.metrics.as_ref().unwrap();
+                hub.snapshot().total(CounterId::NetReconnects)
+            })
+            .sum();
+        assert!(
+            reconnects <= 1,
+            "{reconnects} reconnects replayed the record"
+        );
+        for (me, f) in fabrics.iter().enumerate() {
+            f.finish(me);
+        }
+    }
+
     /// Regression: a batch the flusher took for one connection must never
     /// go out on the next. A resume landing while the flusher slept in a
     /// chaos delay let the stale batch reach the fresh socket ahead of the
@@ -1494,7 +1609,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         };
         assert_eq!(delivered, 1, "the whole record ahead of the stall");
-        let err = ended.unwrap_err().to_string();
+        let StreamEnd::Broken(Some(err)) = ended else {
+            panic!("a stall is a broken stream");
+        };
+        let err = err.to_string();
         assert!(err.contains(MID_FRAME_STALL), "{err}");
         assert!(started.elapsed() >= MID_FRAME_TIMEOUT);
     }

@@ -26,14 +26,14 @@
 //!
 //! Two readers take frames off a stream. [`StreamFrames`] is the peer
 //! link's: a non-blocking parser that buffers whatever a socket holds and
-//! decodes each complete record in place with [`decode_frame`], the shm
-//! link's decoder. [`read_frame`] is the blocking one the handshakes
-//! (`Hello`, `Resume`, rendezvous, `pmserve`'s worker connections) use,
-//! and it is timeout-aware: on a socket armed with a read timeout,
-//! silence *between* frames is reported as [`IDLE_TIMEOUT`] (the caller
-//! decides whether to keep waiting) while silence *inside* a frame is
-//! [`MID_FRAME_STALL`], so a stalled peer cannot pin a handshake on a
-//! `read_exact` that never returns. Every reader, the shm link's
+//! checks and decodes each complete record in place, as [`decode_frame`],
+//! the shm link's decoder, does. [`read_frame`] is the blocking one the
+//! handshakes (`Hello`, `Resume`, rendezvous, `pmserve`'s worker
+//! connections) use, and it is timeout-aware: on a socket armed with a
+//! read timeout, silence *between* frames is reported as [`IDLE_TIMEOUT`]
+//! (the caller decides whether to keep waiting) while silence *inside* a
+//! frame is [`MID_FRAME_STALL`], so a stalled peer cannot pin a handshake
+//! on a `read_exact` that never returns. Every reader, the shm link's
 //! `RingFrames` too, checks a record's header with one function
 //! (`body_len`) and grows its buffer by one rule (`grow`), so none sizes
 //! anything by a length a peer claims: each holds at most its first
@@ -832,9 +832,14 @@ pub(crate) fn grow(buf: &mut Vec<u8>, filled: usize, first: usize, want: usize) 
 /// Check and decode one record whose 8-byte header (length prefix, CRC)
 /// and body have been read apart; the length is the caller's to match.
 pub(crate) fn decode_record(head: &[u8; 8], body: &[u8]) -> Result<Frame> {
-    let crc = u32::from_le_bytes(head[4..8].try_into().expect("4"));
-    check_crc(crc, head[..4].try_into().expect("4"), body)?;
+    check_record(head, body)?;
     decode_body(body)
+}
+
+/// Check a record's body against the CRC its header carries.
+fn check_record(head: &[u8; 8], body: &[u8]) -> Result<()> {
+    let crc = u32::from_le_bytes(head[4..8].try_into().expect("4"));
+    check_crc(crc, head[..4].try_into().expect("4"), body)
 }
 
 /// Did a read on a socket with a timeout time out?
@@ -907,8 +912,8 @@ const STREAM_BUF_BASE: usize = 64 << 10;
 /// A non-blocking frame parser over a byte stream: the TCP link's read
 /// side. [`fill`](StreamFrames::fill) reads whatever one `read` call
 /// yields into a buffer, and [`next_frame`](StreamFrames::next_frame)
-/// checks and decodes each complete record in place with
-/// [`decode_frame`] — the frames and errors are exactly those
+/// checks and decodes each complete record in place as
+/// [`decode_frame`] does — the frames and errors are exactly those
 /// [`read_frame`] gives for the same bytes. Like every frame reader, it
 /// checks the peer's length prefix with `body_len` before anything is
 /// sized by it and grows by `grow`: past its 64 KiB start, only when it
@@ -982,6 +987,16 @@ impl StreamFrames {
     /// checksum mismatch (prefixed [`CRC_MISMATCH`]), a length over
     /// [`MAX_FRAME_LEN`], or a body that does not decode.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+        self.next_body()?.map(decode_body).transpose()
+    }
+
+    /// The body of the next record whose every byte has arrived and whose
+    /// checksum holds, or `Ok(None)` until more do — what
+    /// [`next_frame`](Self::next_frame) decodes. An error here means the
+    /// bytes were damaged on their way: a checksum mismatch or a length
+    /// over [`MAX_FRAME_LEN`]. A body that passes and then does not
+    /// decode came as its sender wrote it.
+    pub(crate) fn next_body(&mut self) -> Result<Option<&[u8]>> {
         let queued = &self.buf[self.start..self.end];
         let Some(head) = queued.first_chunk() else {
             return Ok(None);
@@ -990,9 +1005,10 @@ impl StreamFrames {
         if queued.len() < 8 + len {
             return Ok(None);
         }
-        let frame = decode_frame(&queued[..8 + len])?;
-        self.start += 8 + len;
-        Ok(Some(frame))
+        check_record(head, &queued[8..8 + len])?;
+        let body = self.start + 8..self.start + 8 + len;
+        self.start = body.end;
+        Ok(Some(&self.buf[body]))
     }
 
     /// What an end of stream here means: `Ok` between records, else the

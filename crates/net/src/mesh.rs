@@ -7,19 +7,20 @@
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
 //! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! records to peers, each handed over as a head and a payload still in
-//! the envelope's buffer ([`Record`]), so the shared-memory link copies
-//! an envelope's payload straight into its ring and the TCP link keeps a
-//! share of it for replay. The rank drains the link itself: no thread
-//! stands between a link and the dispatch. Whenever one of the rank's
-//! threads waits — in a receive, a probe, an agreement, `finish`'s wait
-//! for acks, or on a full outbound ring or socket — it drains every
-//! inbound ring or socket, and the heartbeat tick drains them as a
-//! backstop. Between drains the wait parks the link's way
-//! ([`Link::park`]): on the futex doorbell every producer rings, for the
-//! shared-memory link ([`crate::shm`]); in `poll(2)` on the peer sockets,
-//! for the TCP link ([`crate::fabric`]), which also brings the reconnect
-//! machinery.
+//! records to peers, each handed over as a head and a payload still where
+//! the sender left it ([`Record`]): in the envelope's buffer, or in the
+//! caller's own slice for a `u8` send. The shared-memory link copies the
+//! payload straight into its ring; the TCP link keeps a share of the
+//! envelope's buffer for replay, or copies the caller's slice once. The
+//! rank drains the link itself: no thread stands between a link and the
+//! dispatch. Whenever one of the rank's threads waits — in a receive, a
+//! probe, an agreement, `finish`'s wait for acks, or on a full outbound
+//! ring or socket — it drains every inbound ring or socket, and the
+//! heartbeat tick drains them as a backstop. Between drains the wait
+//! parks the link's way ([`Link::park`]): on the futex doorbell every
+//! producer rings, for the shared-memory link ([`crate::shm`]); in
+//! `poll(2)` on the peer sockets, for the TCP link ([`crate::fabric`]),
+//! which also brings the reconnect machinery.
 //!
 //! ## Failure detection
 //!
@@ -63,7 +64,7 @@ use parking_lot::Mutex;
 use patternlets_core::spsc::{Park, Pieces, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, Obs};
-use patternlets_mp::envelope::{Envelope, Payload};
+use patternlets_mp::envelope::{Envelope, Payload, INLINE_MAX};
 use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
 use patternlets_mp::mailbox::Mailbox;
 
@@ -123,27 +124,30 @@ impl TypeNames {
 static TYPE_NAMES: TypeNames = TypeNames::new();
 
 /// An encoded record on its way to a [`Link`]: a head, then payload bytes
-/// that are still the envelope's own buffer. A link that copies records
-/// out reads both where they lie; one that keeps records for replay
-/// shares the payload's buffer instead of copying it.
+/// that are still where the sender left them — the envelope's buffer, or
+/// the caller's slice of a `u8` send. A link that copies records out
+/// reads both where they lie; one that keeps records for replay shares
+/// the envelope's buffer when there is one, and copies the payload once
+/// when there is not.
 #[derive(Clone, Copy)]
 pub struct Record<'a> {
     /// An `Env` record's head (with a small payload inside it), or any
     /// other frame's whole record.
     pub head: &'a [u8],
     /// The bytes after the head: a larger `Env` payload, or empty.
-    pub payload: &'a Bytes,
+    pub payload: &'a [u8],
+    /// The buffer `payload` is, when an envelope owns it; `None` for a
+    /// payload borrowed from the caller, or for none.
+    pub share: Option<&'a Bytes>,
 }
-
-/// The payload of a record that is all head.
-static NO_PAYLOAD: Bytes = Bytes::new();
 
 impl<'a> Record<'a> {
     /// A record that is all head.
     pub fn whole(record: &'a [u8]) -> Self {
         Record {
             head: record,
-            payload: &NO_PAYLOAD,
+            payload: &[],
+            share: None,
         }
     }
 
@@ -409,6 +413,50 @@ impl<L: Link> Mesh<L> {
         Ok(())
     }
 
+    /// Write `env`'s record, carrying `payload` (its wire form, the bytes
+    /// of `share` when that is given), to `dest` — twice with `duplicate`;
+    /// the receiving mailbox dedups the second copy and records the drop
+    /// on its own side. A payload of at most [`INLINE_MAX`] bytes is
+    /// copied into the head's buffer, so its record is one allocation; a
+    /// larger one stays where it is, and the CRC reads it there.
+    fn write_env<P>(
+        &self,
+        dest: usize,
+        env: &Envelope<P>,
+        payload: &[u8],
+        share: Option<&Bytes>,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        let header = EnvHeader {
+            comm_id: env.comm_id,
+            src: env.src as u64,
+            tag: env.tag,
+            type_name: env.type_name,
+            count: env.count as u64,
+            seq: env.seq,
+            needs_ack: env.needs_ack,
+            overtake: overtake as u32,
+        };
+        let head;
+        let record = if payload.len() <= INLINE_MAX {
+            head = header.record(payload);
+            Record::whole(&head)
+        } else {
+            head = header.head(payload, 0);
+            Record {
+                head: &head,
+                payload,
+                share,
+            }
+        };
+        let ok = (!duplicate || self.link.write(self, dest, record, true))
+            && self.link.write(self, dest, record, true);
+        if !ok && !self.finished[dest].load(Ordering::SeqCst) {
+            self.note_failed(dest);
+        }
+    }
+
     /// Ping every live peer on a cadence and apply the link's liveness
     /// rule to the silent ones (see the module docs). Each tick first
     /// drains the link, so a rank that is computing still sees its peers'
@@ -570,37 +618,30 @@ impl<L: Link> Fabric for PeerMesh<L> {
     }
 
     fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
-        let mesh = &*self.inner;
-        let header = EnvHeader {
-            comm_id: env.comm_id,
-            src: env.src as u64,
-            tag: env.tag,
-            type_name: env.type_name,
-            count: env.count as u64,
-            seq: env.seq,
-            needs_ack: env.needs_ack,
-            overtake: overtake as u32,
-        };
-        // A small payload is read in place into the head's buffer, so its
-        // record is one allocation; a larger one stays where it is.
-        let (head, payload) = match &env.payload {
-            Payload::Inline { buf, len } => (header.record(&buf[..*len as usize]), Bytes::new()),
-            other => {
-                let payload = other.to_wire();
-                (header.head(&payload, 0), payload)
+        match &env.payload {
+            Payload::Inline { buf, len } => {
+                let wire = &buf[..*len as usize];
+                self.inner
+                    .write_env(dest, &env, wire, None, overtake, duplicate);
             }
-        };
-        // With `duplicate`, transmit a second copy; the receiving mailbox
-        // dedups it and records the drop on its own side.
-        let record = Record {
-            head: &head,
-            payload: &payload,
-        };
-        let ok = (!duplicate || mesh.link.write(mesh, dest, record, true))
-            && mesh.link.write(mesh, dest, record, true);
-        if !ok && !mesh.finished[dest].load(Ordering::SeqCst) {
-            mesh.note_failed(dest);
+            other => {
+                let wire = other.to_wire();
+                self.inner
+                    .write_env(dest, &env, &wire, Some(&wire), overtake, duplicate);
+            }
         }
+    }
+
+    fn deliver_wire(
+        &self,
+        _me: usize,
+        dest: usize,
+        env: Envelope<&[u8]>,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        self.inner
+            .write_env(dest, &env, env.payload, None, overtake, duplicate);
     }
 
     fn mailbox(&self, world_rank: usize) -> &Mailbox {

@@ -20,11 +20,13 @@
 //! went in whole or as a head and a payload. Hostile bytes in a ring —
 //! the length prefix comes from another process — must neither panic the
 //! decoder nor make it allocate by the length they claim. And the
-//! allocations of whole messages are counted: a 64 KiB send, over shm or
-//! TCP, allocates no record-sized buffer beside the payload's encoding; a
-//! 64 KiB shm receive makes one payload-sized buffer, wherever the drain
-//! ran; and an 8 B round trip allocates a head per send and little more
-//! than the returned `Vec` per receive.
+//! allocations of whole messages are counted: a 4 KiB or 64 KiB `u8` send
+//! over shm allocates no payload-sized buffer, since the ring copies the
+//! caller's slice; over TCP it allocates one, the copy the link keeps for
+//! replay; a 64 KiB shm receive makes one payload-sized buffer, wherever
+//! the drain ran; and an 8 B round trip allocates a head per send and
+//! little more than the returned `Vec` per receive. A sender may reuse
+//! its buffer as soon as `send` returns, over either fabric.
 
 use patternlets_core::spsc::{Pieces, SpscRing};
 use patternlets_mp::{Comm, World};
@@ -438,19 +440,18 @@ fn two_ranks<R: Send>(fabric: FabricMode, body: impl Fn(Comm) -> R + Sync) -> Ve
     results
 }
 
-/// Allocations of at least `LEN` bytes rank 0's thread makes in its
-/// second 64 KiB `Comm::send` to rank 1 (the first message of each rank
-/// warms up), over `fabric`.
-fn payload_sized_allocations_in_a_send(fabric: FabricMode) -> usize {
-    const LEN: usize = 64 << 10;
+/// Allocations of at least `len` bytes rank 0's thread makes in its
+/// second `len`-byte `Comm::send` to rank 1 (the first message of each
+/// rank warms up), over `fabric`.
+fn payload_sized_allocations_in_a_send(fabric: FabricMode, len: usize) -> usize {
     let counts = two_ranks(fabric, |comm| {
-        let data = vec![7u8; LEN];
+        let data = vec![7u8; len];
         let mut n = 0;
         for round in 0..2 {
             if comm.rank() == 0 {
                 // Rank 0 receives too, so its first drain is behind it.
                 comm.recv::<u8>(1, round).unwrap();
-                n = allocations_of_at_least(LEN, || comm.send(&data, 1, round).unwrap()).1;
+                n = allocations_of_at_least(len, || comm.send(&data, 1, round).unwrap()).1;
             } else {
                 comm.send(&[1u8], 0, round).unwrap();
                 let (got, _) = comm.recv::<u8>(0, round).unwrap();
@@ -462,15 +463,23 @@ fn payload_sized_allocations_in_a_send(fabric: FabricMode) -> usize {
     counts[0]
 }
 
-/// A 64 KiB `Comm::send` over a two-rank shared-memory world whose ranks
-/// are threads of this process. The sending thread allocates one
-/// payload-sized buffer, the payload's encoding; the ring takes the
-/// record from a small head and that buffer, with no record buffer
-/// joining them.
+/// A 64 KiB `u8` `Comm::send` over a two-rank shared-memory world whose
+/// ranks are threads of this process. The sending thread allocates no
+/// payload-sized buffer: a `u8` slice is its own wire form, so the ring
+/// takes the record from a small head and the caller's slice, with no
+/// encoding and no record buffer between them.
 #[test]
-fn a_64_kib_shm_send_allocates_one_payload_sized_buffer() {
-    let n = payload_sized_allocations_in_a_send(FabricMode::Shm);
-    assert_eq!(n, 1, "allocations of at least 64 KiB in one send");
+fn a_64_kib_shm_send_allocates_no_payload_sized_buffer() {
+    let n = payload_sized_allocations_in_a_send(FabricMode::Shm, 64 << 10);
+    assert_eq!(n, 0, "allocations of at least 64 KiB in one send");
+}
+
+/// The same at 4 KiB, the other size above `INLINE_MAX` that pbench's
+/// round trips send.
+#[test]
+fn a_4_kib_shm_send_allocates_no_payload_sized_buffer() {
+    let n = payload_sized_allocations_in_a_send(FabricMode::Shm, 4 << 10);
+    assert_eq!(n, 0, "allocations of at least 4 KiB in one send");
 }
 
 /// The same over TCP: the link keeps the record as a copy of its head and
@@ -478,8 +487,40 @@ fn a_64_kib_shm_send_allocates_one_payload_sized_buffer() {
 /// payload-sized buffer is still the encoding.
 #[test]
 fn a_64_kib_tcp_send_allocates_one_payload_sized_buffer() {
-    let n = payload_sized_allocations_in_a_send(FabricMode::Tcp);
+    let n = payload_sized_allocations_in_a_send(FabricMode::Tcp, 64 << 10);
     assert_eq!(n, 1, "allocations of at least 64 KiB in one send");
+}
+
+/// Rank 0 overwrites its 64 KiB buffer as soon as each `send` returns;
+/// rank 1 must receive the bytes the buffer held at the call, whichever
+/// fabric copied them out.
+fn a_sender_may_reuse_its_buffer_at_once(fabric: FabricMode) {
+    const LEN: usize = 64 << 10;
+    let pattern = |round: usize| (0..LEN).map(move |i| (i * 31 + round) as u8);
+    two_ranks(fabric, |comm| {
+        let mut buf = vec![0u8; LEN];
+        for round in 0..4 {
+            if comm.rank() == 0 {
+                buf.iter_mut().zip(pattern(round)).for_each(|(b, v)| *b = v);
+                comm.send(&buf, 1, round as i32).unwrap();
+                buf.fill(0xEE);
+            } else {
+                let (got, _) = comm.recv::<u8>(0, round as i32).unwrap();
+                assert!(got.iter().copied().eq(pattern(round)), "round {round}");
+            }
+        }
+        comm.barrier().unwrap();
+    });
+}
+
+#[test]
+fn a_shm_sender_may_reuse_its_buffer_as_soon_as_send_returns() {
+    a_sender_may_reuse_its_buffer_at_once(FabricMode::Shm);
+}
+
+#[test]
+fn a_tcp_sender_may_reuse_its_buffer_as_soon_as_send_returns() {
+    a_sender_may_reuse_its_buffer_at_once(FabricMode::Tcp);
 }
 
 /// A 64 KiB `u8` receive over shared memory makes one payload-sized
