@@ -81,11 +81,6 @@ pub struct RunConfig {
     /// [`RunConfig::team`] records counters/histograms into it; `None`
     /// costs one branch.
     pub metrics: Option<MetricsHub>,
-    /// Directory for per-rank checkpoint files (tests set it directly;
-    /// `pmrun --respawn` shares one through the job context). `None`
-    /// means the resilience patternlets that checkpoint pick their own
-    /// scratch dir.
-    pub ckpt_dir: Option<std::path::PathBuf>,
 }
 
 impl RunConfig {
@@ -98,7 +93,6 @@ impl RunConfig {
             kill: None,
             tracer: None,
             metrics: None,
-            ckpt_dir: None,
         }
     }
 
@@ -111,7 +105,6 @@ impl RunConfig {
             kill: None,
             tracer: None,
             metrics: None,
-            ckpt_dir: None,
         }
     }
 
@@ -140,22 +133,11 @@ impl RunConfig {
         self.metrics.as_ref()
     }
 
-    /// Use `dir` for per-rank checkpoint files.
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.ckpt_dir = Some(dir.into());
-        self
-    }
-
-    /// A [`CheckpointStore`] for `rank`, resolved in priority order: the
-    /// configured directory, then the job context's (set by `pmrun
-    /// --respawn`), then `None` — the caller runs checkpoint-free or picks
-    /// a scratch dir of its own.
+    /// A [`CheckpointStore`] for `rank` in the job context's directory
+    /// (set by `pmrun --respawn`), or `None` — the caller runs
+    /// checkpoint-free or picks a scratch dir of its own.
     pub fn checkpoint_store(&self, rank: usize) -> Option<CheckpointStore> {
-        let dir = self
-            .ckpt_dir
-            .clone()
-            .or_else(|| JobCtx::current()?.ckpt_dir)?;
-        CheckpointStore::new(dir, rank).ok()
+        CheckpointStore::new(JobCtx::current()?.ckpt_dir?, rank).ok()
     }
 
     /// A sink stamping lines with `task`.

@@ -182,12 +182,6 @@ impl Sink {
         self.task
     }
 
-    /// A sink for a different task sharing the same log. Used by runtimes
-    /// that create per-task sinks from a master sink.
-    pub fn for_task(&self, task: impl Into<TaskId>) -> Sink {
-        self.output.sink(task)
-    }
-
     /// The underlying output log.
     pub fn output(&self) -> &Output {
         &self.output

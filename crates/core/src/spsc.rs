@@ -679,13 +679,16 @@ impl SpscRing {
 }
 
 /// One record as two pieces, written back to back: its head and its
-/// payload. [`Producer::push_all`] copies both into the ring, so the
-/// record is never joined into one buffer on its way. Any single byte
-/// slice converts to a head with an empty payload.
+/// payload, each still where its writer left it (a peer mesh hands its
+/// links every record this way). [`Producer::push_all`] copies both into
+/// the ring, so the record is never joined into one buffer on its way.
+/// Any single byte slice converts to a head with an empty payload.
 #[derive(Debug, Clone, Copy)]
 pub struct Pieces<'a> {
-    head: &'a [u8],
-    payload: &'a [u8],
+    /// The record's first bytes.
+    pub head: &'a [u8],
+    /// The bytes after the head; empty for a record that is all head.
+    pub payload: &'a [u8],
 }
 
 impl<'a> Pieces<'a> {

@@ -7,7 +7,7 @@
 //! schedule, exactly what `#pragma omp parallel for` does to the outer
 //! loop).
 
-use patternlets_shmem::sched::{static_map, Schedule};
+use patternlets_shmem::sched::Schedule;
 use patternlets_shmem::Team;
 
 /// A dense row-major `f64` matrix.
@@ -148,12 +148,6 @@ impl Matrix {
             data: blocks.concat(),
         }
     }
-}
-
-/// Sanity check used by the lab and its tests: the static row partition
-/// really covers every output row exactly once.
-pub fn row_partition(rows: usize, tasks: usize) -> Vec<usize> {
-    static_map(Schedule::StaticBlock, rows, tasks)
 }
 
 #[cfg(test)]

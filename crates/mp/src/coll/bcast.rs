@@ -4,7 +4,7 @@ use patternlets_core::{Error, Result};
 
 use crate::comm::Comm;
 use crate::datatype::{decode_payload, Datatype};
-use crate::envelope::{opcodes, Payload};
+use crate::envelope::{opcodes, Outgoing, Payload};
 
 impl Comm {
     /// Broadcast `buf` from `root` to every rank. On the root, `buf` is the
@@ -52,9 +52,16 @@ impl Comm {
             if vrank + mask < p {
                 let child = (vrank + mask + root) % p;
                 let payload = outgoing
-                    .get_or_insert_with(|| self.prepare_payload(buf.as_slice(), child))
+                    .get_or_insert_with(|| self.prepare_payload(buf.as_slice(), child).into_owned())
                     .clone();
-                self.send_prepared(payload, T::TYPE_NAME, count, child, tags(0), false)?;
+                self.send_prepared(
+                    Outgoing::Owned(payload),
+                    T::TYPE_NAME,
+                    count,
+                    child,
+                    tags(0),
+                    false,
+                )?;
             }
             mask >>= 1;
         }
@@ -87,9 +94,16 @@ impl Comm {
             for r in 0..p {
                 if r != root {
                     let payload = outgoing
-                        .get_or_insert_with(|| self.prepare_payload(buf.as_slice(), r))
+                        .get_or_insert_with(|| self.prepare_payload(buf.as_slice(), r).into_owned())
                         .clone();
-                    self.send_prepared(payload, T::TYPE_NAME, buf.len(), r, tags(0), false)?;
+                    self.send_prepared(
+                        Outgoing::Owned(payload),
+                        T::TYPE_NAME,
+                        buf.len(),
+                        r,
+                        tags(0),
+                        false,
+                    )?;
                 }
             }
         } else {

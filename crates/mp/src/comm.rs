@@ -10,7 +10,7 @@ use patternlets_metrics::{CounterId, HistId, Phase};
 
 use crate::checkpoint::CheckpointStore;
 use crate::datatype::{decode_payload, encode, Datatype};
-use crate::envelope::{collective_tag, is_collective_tag, Envelope, Payload, INLINE_MAX};
+use crate::envelope::{collective_tag, is_collective_tag, Envelope, Outgoing, Payload, INLINE_MAX};
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric};
 use crate::fault::retry_backoff;
 use crate::status::{SourceSel, Status, TagSel};
@@ -55,92 +55,6 @@ pub struct Comm {
 
 /// The world communicator's id.
 const WORLD_COMM_ID: u64 = 0;
-
-/// A payload as a send hands it to the fabric: an owned [`Payload`], or
-/// — for a larger `u8` send to a rank across the wire — the caller's
-/// slice, which the fabric copies once where it needs it.
-pub(crate) trait Outgoing: Sized {
-    /// Bytes of the wire encoding.
-    fn wire_len(&self) -> usize;
-
-    /// The counter the send is recorded under.
-    fn repr(&self) -> CounterId;
-
-    /// Hand `env` from `me` to `dest`'s mailbox.
-    fn deliver(
-        env: Envelope<Self>,
-        fabric: &dyn Fabric,
-        me: usize,
-        dest: usize,
-        overtake: usize,
-        duplicate: bool,
-    );
-}
-
-impl Outgoing for Payload {
-    fn wire_len(&self) -> usize {
-        self.len()
-    }
-
-    fn repr(&self) -> CounterId {
-        match self {
-            Payload::InProc(_) => CounterId::MsgsSentInproc,
-            Payload::Bytes(_) => CounterId::MsgsSentEncoded,
-            Payload::Inline { .. } => CounterId::MsgsSentInline,
-        }
-    }
-
-    fn deliver(
-        env: Envelope,
-        fabric: &dyn Fabric,
-        me: usize,
-        dest: usize,
-        overtake: usize,
-        duplicate: bool,
-    ) {
-        if dest == me {
-            // Self-send shortcut: the destination mailbox is this rank's
-            // own, so deliver straight into it instead of dispatching
-            // through the fabric. Everything observable — fault ops,
-            // sequence numbers, chaos draws, traces — already happened
-            // in `send_prepared`, and the mailbox dedups exactly as on
-            // the fabric path. Skipping the fabric's progress bump is
-            // safe here: a self-send strictly precedes (in program order)
-            // any receive it could satisfy, so no deadlock verdict can be
-            // invalidated by it.
-            fabric.mailbox(me).deliver_copies(env, overtake, duplicate);
-        } else {
-            fabric.deliver(me, dest, env, overtake, duplicate);
-        }
-    }
-}
-
-impl Outgoing for &[u8] {
-    fn wire_len(&self) -> usize {
-        self.len()
-    }
-
-    fn repr(&self) -> CounterId {
-        CounterId::MsgsSentEncoded
-    }
-
-    fn deliver(
-        env: Envelope<Self>,
-        fabric: &dyn Fabric,
-        me: usize,
-        dest: usize,
-        overtake: usize,
-        duplicate: bool,
-    ) {
-        if dest == me {
-            // The self-send shortcut's mailbox holds owned payloads.
-            let env = env.map_payload(|wire| Payload::from(wire.to_vec()));
-            Payload::deliver(env, fabric, me, dest, overtake, duplicate);
-        } else {
-            fabric.deliver_wire(me, dest, env, overtake, duplicate);
-        }
-    }
-}
 
 impl Comm {
     /// A rank's world communicator over any [`Fabric`] — the constructor
@@ -269,25 +183,33 @@ impl Comm {
         self.send_flagged(data, dest, tag, false).map(|_| ())
     }
 
-    /// The payload representation for a send of `data` to `dest`: the
-    /// inline form for small encodings, the shared in-process form when
-    /// the fabric says the two ranks share an address space (and the
-    /// element type supports sharing), the encoded wire form otherwise.
-    /// Collectives call this once at the root and forward the same
-    /// payload to every child.
-    pub(crate) fn prepare_payload<T: Datatype>(&self, data: &[T], dest: usize) -> Payload {
+    /// The payload's form for a send of `data` to `dest` — the one place
+    /// it is chosen: inline when the encoding fits [`INLINE_MAX`]; the
+    /// shared in-process form when the fabric says the two ranks share an
+    /// address space (and the element type supports sharing); the
+    /// sender's own slice when the elements are their wire form; the
+    /// encoded wire form otherwise. Collectives call this once at the
+    /// root and forward the same owned payload to every child.
+    pub(crate) fn prepare_payload<'a, T: Datatype>(
+        &self,
+        data: &'a [T],
+        dest: usize,
+    ) -> Outgoing<'a> {
         if T::encoded_len(data) <= INLINE_MAX {
-            return Payload::inline(data);
+            return Outgoing::Owned(Payload::inline(data));
         }
         if self
             .fabric
             .shares_address_space(self.world_rank(), self.group[dest])
         {
             if let Some(shared) = T::to_shared(data) {
-                return Payload::InProc(shared);
+                return Outgoing::Owned(Payload::InProc(shared));
             }
         }
-        Payload::Bytes(encode(data))
+        match T::wire_bytes(data) {
+            Some(wire) => Outgoing::Wire(wire),
+            None => Outgoing::Owned(Payload::Bytes(encode(data))),
+        }
     }
 
     /// Deliver an envelope, optionally demanding a receive-side ack.
@@ -305,30 +227,18 @@ impl Comm {
                 size: self.size(),
             });
         }
-        match T::wire_bytes(data) {
-            Some(wire)
-                if wire.len() > INLINE_MAX
-                    && !self
-                        .fabric
-                        .shares_address_space(self.world_rank(), self.group[dest]) =>
-            {
-                self.send_prepared(wire, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
-            }
-            _ => {
-                let payload = self.prepare_payload(data, dest);
-                self.send_prepared(payload, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
-            }
-        }
+        let payload = self.prepare_payload(data, dest);
+        self.send_prepared(payload, T::TYPE_NAME, data.len(), dest, tag, needs_ack)
     }
 
     /// Deliver an already-prepared payload to `dest`. All the transmission
     /// machinery lives here — fault accounting, sequence numbers, tracing,
-    /// chaos injection — for both payload forms, so collectives that
+    /// chaos injection — for every payload form, so collectives that
     /// forward one payload to many children pay the payload preparation
     /// exactly once.
-    pub(crate) fn send_prepared<P: Outgoing>(
+    pub(crate) fn send_prepared(
         &self,
-        payload: P,
+        payload: Outgoing<'_>,
         type_name: &'static str,
         count: usize,
         dest: usize,
@@ -350,14 +260,14 @@ impl Comm {
             });
         }
         let seq = self.fabric.next_send_seq(me);
-        self.ctx.obs.send(
-            me,
-            self.group[dest],
-            tag,
-            payload.wire_len(),
-            seq,
-            payload.repr(),
-        );
+        let repr = match &payload {
+            Outgoing::Owned(Payload::InProc(_)) => CounterId::MsgsSentInproc,
+            Outgoing::Owned(Payload::Inline { .. }) => CounterId::MsgsSentInline,
+            Outgoing::Owned(Payload::Bytes(_)) | Outgoing::Wire(_) => CounterId::MsgsSentEncoded,
+        };
+        self.ctx
+            .obs
+            .send(me, self.group[dest], tag, payload.len(), seq, repr);
         let env = Envelope {
             comm_id: self.comm_id,
             src: self.local_rank,
@@ -388,14 +298,24 @@ impl Comm {
             overtake = decision.overtake;
             duplicate = decision.duplicate;
         }
-        P::deliver(
-            env,
-            &*self.fabric,
-            me,
-            self.group[dest],
-            overtake,
-            duplicate,
-        );
+        let dest = self.group[dest];
+        if dest == me {
+            // Self-send shortcut: the destination mailbox is this rank's
+            // own, so deliver straight into it instead of dispatching
+            // through the fabric. Everything observable — fault ops,
+            // sequence numbers, chaos draws, traces — already happened
+            // above, and the mailbox dedups exactly as on the fabric
+            // path. Skipping the fabric's progress bump is safe here: a
+            // self-send strictly precedes (in program order) any receive
+            // it could satisfy, so no deadlock verdict can be invalidated
+            // by it.
+            let env = env.map_payload(Outgoing::into_owned);
+            self.fabric
+                .mailbox(me)
+                .deliver_copies(env, overtake, duplicate);
+        } else {
+            self.fabric.transmit(me, dest, env, overtake, duplicate);
+        }
         Ok(seq)
     }
 

@@ -30,11 +30,11 @@ pub const INLINE_MAX: usize = 64;
 /// demand, so a network backend never needs to know which representation
 /// a sender chose.
 ///
-/// A larger `u8` send to a rank across the wire builds no `Payload` at
-/// all: its elements already are its wire form, so the sender hands the
-/// fabric an `Envelope<&[u8]>` over its own slice
-/// ([`Fabric::deliver_wire`](crate::Fabric::deliver_wire)), and the
-/// fabric makes the one copy it needs.
+/// One function picks a send's form, `Comm::prepare_payload`. A larger
+/// `u8` send to a rank across the wire builds no `Payload` at all: its
+/// elements already are its wire form, so the sender hands the fabric its
+/// own slice ([`Outgoing::Wire`]), and the fabric makes the one copy it
+/// needs.
 #[derive(Clone)]
 pub enum Payload {
     /// Encoded wire form (cheap to clone: `Bytes` is refcounted).
@@ -116,6 +116,43 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
+/// A payload as a send hands it to a fabric
+/// ([`Fabric::transmit`](crate::Fabric::transmit)): owned, or — for a
+/// larger `u8` send to a rank across the wire — the sender's own slice,
+/// borrowed for the call, so that the fabric's one copy of the bytes
+/// (into a ring, or a buffer kept for replay) is the only one.
+#[derive(Debug, Clone)]
+pub enum Outgoing<'a> {
+    /// A payload the envelope owns.
+    Owned(Payload),
+    /// The sender's slice, which is its own wire form.
+    Wire(&'a [u8]),
+}
+
+impl Outgoing<'_> {
+    /// Size of the wire encoding in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            Outgoing::Owned(payload) => payload.len(),
+            Outgoing::Wire(wire) => wire.len(),
+        }
+    }
+
+    /// True when the wire encoding is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The owned payload; a slice is copied once, the copy an encode
+    /// makes.
+    pub fn into_owned(self) -> Payload {
+        match self {
+            Outgoing::Owned(payload) => payload,
+            Outgoing::Wire(wire) => Payload::from(wire.to_vec()),
+        }
+    }
+}
+
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -193,8 +230,8 @@ impl SharedPayload {
 }
 
 /// One in-flight message. `P` is the payload's form: an owned
-/// [`Payload`] for every envelope a mailbox holds, or the sender's own
-/// `&[u8]` for a `u8` send on its way to a wire-crossing fabric.
+/// [`Payload`] for every envelope a mailbox holds, or an [`Outgoing`] on
+/// its way into a fabric.
 #[derive(Debug, Clone)]
 pub struct Envelope<P = Payload> {
     /// Which communicator this message belongs to; receives only match

@@ -9,12 +9,13 @@
 //! Patternlet code never sees the difference: the
 //! [`Datatype`](crate::Datatype) layer already round-trips every payload
 //! through bytes, so the only thing a backend changes is *how* those
-//! bytes cross the rank boundary. A backend receives them as an owned
-//! [`Payload`] ([`Fabric::deliver`]), or — for a larger `u8` send, whose
-//! elements are their own bytes — as the sender's slice, borrowed for the
-//! call ([`Fabric::deliver_wire`]), so that its one copy of the bytes is
-//! the only one. What is not transport — hostnames, the
-//! receive poll interval, tracer, metrics hub and fault plan — lives in
+//! bytes cross the rank boundary. Every send reaches a backend through
+//! one method, [`Fabric::transmit`], in the form `Comm::prepare_payload`
+//! chose: an owned [`Payload`](crate::Payload), or — for a larger `u8`
+//! send, whose elements are their own bytes — the sender's slice,
+//! borrowed for the call ([`Outgoing::Wire`]), so that the backend's one
+//! copy of the bytes is the only one. What is not transport — hostnames,
+//! the receive poll interval, tracer, metrics hub and fault plan — lives in
 //! the world context [`crate::WorldBuilder`] builds from the
 //! [`WorldSpec`] and every `Comm` holds.
 //!
@@ -30,12 +31,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use bytes::Bytes;
 use patternlets_core::Result;
 use patternlets_metrics::{MetricsHub, Obs};
 use patternlets_trace::Tracer;
 
-use crate::envelope::{Envelope, Payload};
+use crate::envelope::{Envelope, Outgoing};
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
 use crate::world::WaitRecord;
@@ -54,7 +54,7 @@ pub type AgreeSlot = HashMap<usize, u64>;
 /// only one rank of the world (one process of a multi-process job) must
 /// support [`Fabric::mailbox`] for that rank alone; `Comm` only ever
 /// reads its own mailbox, and delivers a rank's sends to itself straight
-/// into it, never through [`Fabric::deliver`]. The defaulted methods fit
+/// into it, never through [`Fabric::transmit`]. The defaulted methods fit
 /// a backend that hosts one rank per process; the thread backend, which
 /// sees every rank, overrides them.
 pub trait Fabric: Send + Sync {
@@ -68,27 +68,22 @@ pub trait Fabric: Send + Sync {
     /// Deliver `env` from `me` to `dest`'s mailbox (`dest != me`),
     /// displaced past up to `overtake` envelopes from other senders; when
     /// `duplicate`, a second copy is transmitted, which the receiving
-    /// mailbox deduplicates and records as a duplicate drop.
-    fn deliver(&self, me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool);
-
-    /// [`deliver`](Fabric::deliver) an envelope whose payload is still
-    /// the sender's slice: the wire form of a `u8` send larger than
-    /// [`INLINE_MAX`](crate::INLINE_MAX), to a rank this one shares no
-    /// address space with. The slice is only borrowed for the call, so
-    /// the sender may reuse it as soon as this returns. The default
-    /// copies it into a [`Payload::Bytes`] (the copy an encode makes) and
-    /// delivers that; a fabric that copies the bytes somewhere anyway —
-    /// a ring, a buffer kept for replay — overrides it to copy once.
-    fn deliver_wire(
+    /// mailbox deduplicates and records as a duplicate drop. An
+    /// [`Outgoing::Wire`] payload is only borrowed for the call, so the
+    /// sender may reuse its slice as soon as this returns.
+    fn transmit(
         &self,
         me: usize,
         dest: usize,
-        env: Envelope<&[u8]>,
+        env: Envelope<Outgoing<'_>>,
         overtake: usize,
         duplicate: bool,
-    ) {
-        let env = env.map_payload(|wire| Payload::Bytes(Bytes::from(wire.to_vec())));
-        self.deliver(me, dest, env, overtake, duplicate);
+    );
+
+    /// [`transmit`](Fabric::transmit) an envelope that owns its payload.
+    fn deliver(&self, me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
+        let env = env.map_payload(Outgoing::Owned);
+        self.transmit(me, dest, env, overtake, duplicate);
     }
 
     /// The mailbox of `world_rank`. Backends hosting a single rank may
@@ -126,7 +121,7 @@ pub trait Fabric: Send + Sync {
     /// only a rank's sends to itself qualify; `InProc` payloads that do
     /// reach a wire-crossing backend are converted at the framing seam via
     /// `Payload::to_wire`. A `false` also lets a large `u8` send skip its
-    /// encode and reach [`Fabric::deliver_wire`] as the sender's slice.
+    /// encode and reach [`Fabric::transmit`] as the sender's slice.
     fn shares_address_space(&self, me: usize, dest: usize) -> bool {
         me == dest
     }

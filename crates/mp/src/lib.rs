@@ -59,7 +59,7 @@ pub mod world;
 pub use checkpoint::CheckpointStore;
 pub use comm::Comm;
 pub use datatype::Datatype;
-pub use envelope::{Envelope, Payload, SharedPayload, INLINE_MAX};
+pub use envelope::{Envelope, Outgoing, Payload, SharedPayload, INLINE_MAX};
 pub use fabric::{install_fabric_provider, Fabric, FabricProvider, ProvidedWorld, WorldSpec};
 pub use fault::FaultPlan;
 pub use request::{RecvRequest, SendRequest};

@@ -25,7 +25,7 @@ use patternlets_trace::Tracer;
 use parking_lot::Mutex as PlMutex;
 
 use crate::comm::Comm;
-use crate::envelope::Envelope;
+use crate::envelope::{Envelope, Outgoing};
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric, ProvidedWorld, WorldSpec};
 use crate::fault::{ChaosDecision, FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
@@ -220,7 +220,15 @@ impl Fabric for Transport {
         self.agree_cv.notify_all();
     }
 
-    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
+    fn transmit(
+        &self,
+        _me: usize,
+        dest: usize,
+        env: Envelope<Outgoing<'_>>,
+        overtake: usize,
+        duplicate: bool,
+    ) {
+        let env = env.map_payload(Outgoing::into_owned);
         // Order matters: bump progress BEFORE the delivery becomes
         // matchable, so any deadlock verdict computed across this delivery
         // sees the progress change and rejects itself.

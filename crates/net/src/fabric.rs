@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use patternlets_core::rng::{Rng, SplitMix64};
-use patternlets_core::spsc::Park;
+use patternlets_core::spsc::{Park, Pieces};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
@@ -88,7 +88,7 @@ use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
 use crate::frame::{
     decode_body, encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL,
 };
-use crate::mesh::{Link, Mesh, PeerMesh, Record};
+use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::{flatten, SendRing, SharedRecord};
 
@@ -611,16 +611,20 @@ impl Link for TcpLink {
     /// (one copy of it when the caller's slice is all there is), then
     /// enqueue and flush it, draining and polling while the socket is
     /// full.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, sequenced: bool) -> bool {
+    fn write(
+        &self,
+        mesh: &Mesh<Self>,
+        peer: usize,
+        record: Pieces,
+        share: Option<&Bytes>,
+        sequenced: bool,
+    ) -> bool {
         let Some(writer) = &self.writers[peer] else {
             return true;
         };
         let record = SharedRecord {
             head: Bytes::copy_from_slice(record.head),
-            payload: match record.share {
-                Some(share) => share.clone(),
-                None => Bytes::copy_from_slice(record.payload),
-            },
+            payload: share.map_or_else(|| Bytes::copy_from_slice(record.payload), Bytes::clone),
         };
         writer.push(record, sequenced, &|stream| {
             self.drain(mesh);
@@ -671,7 +675,7 @@ impl Link for TcpLink {
                     t0,
                     server_ns: unix_now_ns(),
                 });
-                self.write(mesh, peer, Record::whole(&reply), false);
+                self.write(mesh, peer, (&reply).into(), None, false);
             }
             Frame::ClockReply { t0, server_ns } => {
                 *self.clock_reply.lock() = Some((t0, server_ns));
@@ -739,7 +743,7 @@ impl Mesh<TcpLink> {
         for _ in 0..PROBES {
             let t0 = unix_now_ns();
             let probe = encode_frame(&Frame::ClockProbe { t0 });
-            if !self.link.write(self, 0, Record::whole(&probe), false) {
+            if !self.link.write(self, 0, (&probe).into(), None, false) {
                 break;
             }
             let reply = Cell::new(None);
@@ -1432,7 +1436,13 @@ mod tests {
                 seq,
                 needs_ack: false,
             };
-            fabrics[0].deliver_wire(0, 1, env, 0, false);
+            fabrics[0].transmit(
+                0,
+                1,
+                env.map_payload(patternlets_mp::Outgoing::Wire),
+                0,
+                false,
+            );
             buf.fill(0xEE);
         };
         // The first record goes out just before the cut, long before the
@@ -1474,7 +1484,7 @@ mod tests {
         record[4..8].copy_from_slice(&crc.to_le_bytes());
         let sent = Instant::now();
         let sender = &fabrics[0].inner;
-        assert!(sender.link.write(sender, 1, Record::whole(&record), true));
+        assert!(sender.link.write(sender, 1, (&record).into(), None, true));
         while !fabrics[1].rank_failed(0) {
             assert!(
                 sent.elapsed() < RECONNECT_BUDGET,

@@ -6,17 +6,19 @@
 //! into the membership state; `Hello`, `Ping` and clock probes on to the
 //! link), the finished/failed verdicts and the wake-ups they owe blocked
 //! agreements, the announcement of this rank's own failure, `finish`,
-//! `deliver`, agreement, and the heartbeat loop. A [`Link`] moves encoded
-//! records to peers, each handed over as a head and a payload still where
-//! the sender left it ([`Record`]): in the envelope's buffer, or in the
-//! caller's own slice for a `u8` send. The shared-memory link copies the
-//! payload straight into its ring; the TCP link keeps a share of the
-//! envelope's buffer for replay, or copies the caller's slice once. The
-//! rank drains the link itself: no thread stands between a link and the
-//! dispatch. Whenever one of the rank's threads waits — in a receive, a
-//! probe, an agreement, `finish`'s wait for acks, or on a full outbound
-//! ring or socket — it drains every inbound ring or socket, and the
-//! heartbeat tick drains them as a backstop. Between drains the wait
+//! `transmit`, agreement, and the heartbeat loop. `transmit` has one
+//! path from an envelope to a record (`Mesh::write_env`), whatever form
+//! its payload came in. A [`Link`] moves encoded records to peers, each
+//! handed over as a head and a payload still where the sender left it
+//! ([`Pieces`]): in the envelope's buffer, which the link may share, or
+//! in the caller's own slice for a `u8` send. The shared-memory link
+//! copies both pieces straight into its ring; the TCP link keeps a share
+//! of the envelope's buffer for replay, or copies the caller's slice
+//! once. The rank drains the link itself: no thread stands between a
+//! link and the dispatch. Whenever one of the rank's threads waits — in a
+//! receive, a probe, an agreement, `finish`'s wait for acks, or on a full
+//! outbound ring or socket — it drains every inbound ring or socket, and
+//! the heartbeat tick drains them as a backstop. Between drains the wait
 //! parks the link's way ([`Link::park`]): on the futex doorbell every
 //! producer rings, for the shared-memory link ([`crate::shm`]); in
 //! `poll(2)` on the peer sockets, for the TCP link ([`crate::fabric`]),
@@ -64,7 +66,7 @@ use parking_lot::Mutex;
 use patternlets_core::spsc::{Park, Pieces, Wait};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, HistId, Obs};
-use patternlets_mp::envelope::{Envelope, Payload, INLINE_MAX};
+use patternlets_mp::envelope::{Envelope, Outgoing, Payload, INLINE_MAX};
 use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
 use patternlets_mp::mailbox::Mailbox;
 
@@ -123,40 +125,6 @@ impl TypeNames {
 /// This process's table of received type names.
 static TYPE_NAMES: TypeNames = TypeNames::new();
 
-/// An encoded record on its way to a [`Link`]: a head, then payload bytes
-/// that are still where the sender left them — the envelope's buffer, or
-/// the caller's slice of a `u8` send. A link that copies records out
-/// reads both where they lie; one that keeps records for replay shares
-/// the envelope's buffer when there is one, and copies the payload once
-/// when there is not.
-#[derive(Clone, Copy)]
-pub struct Record<'a> {
-    /// An `Env` record's head (with a small payload inside it), or any
-    /// other frame's whole record.
-    pub head: &'a [u8],
-    /// The bytes after the head: a larger `Env` payload, or empty.
-    pub payload: &'a [u8],
-    /// The buffer `payload` is, when an envelope owns it; `None` for a
-    /// payload borrowed from the caller, or for none.
-    pub share: Option<&'a Bytes>,
-}
-
-impl<'a> Record<'a> {
-    /// A record that is all head.
-    pub fn whole(record: &'a [u8]) -> Self {
-        Record {
-            head: record,
-            payload: &[],
-            share: None,
-        }
-    }
-
-    /// Both pieces, borrowed, for a link that copies them out.
-    pub fn pieces(&self) -> Pieces<'a> {
-        Pieces::new(self.head, self.payload)
-    }
-}
-
 /// The byte transport under a [`PeerMesh`]: how encoded frames reach each
 /// peer, how the rank's threads drain inbound frames into the mesh's
 /// dispatch ([`drain`](Link::drain)) and sleep between drains
@@ -171,17 +139,28 @@ pub trait Link: Sized + Send + Sync + 'static {
     const ESTABLISH_GRACE: Duration;
 
     /// Write one encoded record to `peer`, draining this rank's inbound
-    /// side while the way to `peer` is full. A sequenced record must reach
-    /// the peer exactly once even across a reconnect; an unsequenced one
-    /// may be dropped. `false` once the link to `peer` is terminal.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, sequenced: bool) -> bool;
+    /// side while the way to `peer` is full. The record is a head and a
+    /// payload still where the sender left it; `share` is the buffer the
+    /// payload is, when an envelope owns one, for a link that keeps
+    /// records for replay (`None` for a payload borrowed from the caller,
+    /// or for none). A sequenced record must reach the peer exactly once
+    /// even across a reconnect; an unsequenced one may be dropped. `false`
+    /// once the link to `peer` is terminal.
+    fn write(
+        &self,
+        mesh: &Mesh<Self>,
+        peer: usize,
+        record: Pieces,
+        share: Option<&Bytes>,
+        sequenced: bool,
+    ) -> bool;
 
     /// Write a `Ping`, an unsequenced record — the heartbeat's, or the
     /// ack of a peer's `Finish` — and say whether it went out. A plain
     /// [`write`](Link::write) unless the link drops pings rather than
     /// wait.
     fn ping(&self, mesh: &Mesh<Self>, peer: usize, record: &[u8]) -> bool {
-        self.write(mesh, peer, Record::whole(record), false)
+        self.write(mesh, peer, record.into(), None, false)
     }
 
     /// Sequenced records written to `peer` and not yet acknowledged.
@@ -300,7 +279,7 @@ impl<L: Link> Mesh<L> {
         for peer in (0..self.np).filter(|&p| p != self.me) {
             if !self
                 .link
-                .write(self, peer, Record::whole(&record), sequenced)
+                .write(self, peer, (&record).into(), None, sequenced)
                 && !self.finished[peer].load(Ordering::SeqCst)
             {
                 self.note_failed(peer);
@@ -413,21 +392,22 @@ impl<L: Link> Mesh<L> {
         Ok(())
     }
 
-    /// Write `env`'s record, carrying `payload` (its wire form, the bytes
-    /// of `share` when that is given), to `dest` — twice with `duplicate`;
-    /// the receiving mailbox dedups the second copy and records the drop
-    /// on its own side. A payload of at most [`INLINE_MAX`] bytes is
-    /// copied into the head's buffer, so its record is one allocation; a
-    /// larger one stays where it is, and the CRC reads it there.
-    fn write_env<P>(
-        &self,
-        dest: usize,
-        env: &Envelope<P>,
-        payload: &[u8],
-        share: Option<&Bytes>,
-        overtake: usize,
-        duplicate: bool,
-    ) {
+    /// Write `env`'s record to `dest` — twice with `duplicate`; the
+    /// receiving mailbox dedups the second copy and records the drop on
+    /// its own side. A payload of at most [`INLINE_MAX`] bytes is copied
+    /// into the head's buffer, so its record is one allocation; a larger
+    /// one stays where it is — the sender's slice, or the envelope's
+    /// buffer, which the link may share — and the CRC reads it there.
+    fn write_env(&self, dest: usize, env: &Envelope<Outgoing>, overtake: usize, duplicate: bool) {
+        let encoded;
+        let (payload, share) = match &env.payload {
+            Outgoing::Wire(wire) => (*wire, None),
+            Outgoing::Owned(Payload::Inline { buf, len }) => (&buf[..*len as usize], None),
+            Outgoing::Owned(owned) => {
+                encoded = owned.to_wire();
+                (&encoded[..], Some(&encoded))
+            }
+        };
         let header = EnvHeader {
             comm_id: env.comm_id,
             src: env.src as u64,
@@ -438,20 +418,14 @@ impl<L: Link> Mesh<L> {
             needs_ack: env.needs_ack,
             overtake: overtake as u32,
         };
-        let head;
-        let record = if payload.len() <= INLINE_MAX {
-            head = header.record(payload);
-            Record::whole(&head)
+        let (head, payload, share) = if payload.len() <= INLINE_MAX {
+            (header.record(payload), &[][..], None)
         } else {
-            head = header.head(payload, 0);
-            Record {
-                head: &head,
-                payload,
-                share,
-            }
+            (header.head(payload, 0), payload, share)
         };
-        let ok = (!duplicate || self.link.write(self, dest, record, true))
-            && self.link.write(self, dest, record, true);
+        let record = Pieces::new(&head, payload);
+        let ok = (!duplicate || self.link.write(self, dest, record, share, true))
+            && self.link.write(self, dest, record, share, true);
         if !ok && !self.finished[dest].load(Ordering::SeqCst) {
             self.note_failed(dest);
         }
@@ -617,31 +591,15 @@ impl<L: Link> Fabric for PeerMesh<L> {
         self.inner.send_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn deliver(&self, _me: usize, dest: usize, env: Envelope, overtake: usize, duplicate: bool) {
-        match &env.payload {
-            Payload::Inline { buf, len } => {
-                let wire = &buf[..*len as usize];
-                self.inner
-                    .write_env(dest, &env, wire, None, overtake, duplicate);
-            }
-            other => {
-                let wire = other.to_wire();
-                self.inner
-                    .write_env(dest, &env, &wire, Some(&wire), overtake, duplicate);
-            }
-        }
-    }
-
-    fn deliver_wire(
+    fn transmit(
         &self,
         _me: usize,
         dest: usize,
-        env: Envelope<&[u8]>,
+        env: Envelope<Outgoing>,
         overtake: usize,
         duplicate: bool,
     ) {
-        self.inner
-            .write_env(dest, &env, env.payload, None, overtake, duplicate);
+        self.inner.write_env(dest, &env, overtake, duplicate);
     }
 
     fn mailbox(&self, world_rank: usize) -> &Mailbox {

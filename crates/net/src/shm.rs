@@ -72,8 +72,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
-use patternlets_core::spsc::{self, Bell, Consumer, Park, Producer, SpscRing, CACHE_LINE};
+use patternlets_core::spsc::{self, Bell, Consumer, Park, Pieces, Producer, SpscRing, CACHE_LINE};
 use patternlets_core::{Error, Result};
 use patternlets_metrics::{CounterId, MetricsHub};
 use patternlets_mp::fabric::{Fabric, WorldSpec};
@@ -81,7 +82,7 @@ use patternlets_mp::fabric::{Fabric, WorldSpec};
 use crate::chaos::NetChaosPlan;
 use crate::fabric::TcpFabric;
 use crate::frame::{body_len, decode_frame, decode_record, grow, Frame, CRC_MISMATCH};
-use crate::mesh::{Link, Mesh, PeerMesh, Record};
+use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 
 /// Data bytes per directed ring. Big enough that a collective round of
@@ -546,7 +547,14 @@ impl Link for ShmLink {
     /// each other for ever. `false` when the peer is already
     /// failed/finished or became so while the ring was full — so a full
     /// ring to a SIGKILL'd peer cannot wedge a send.
-    fn write(&self, mesh: &Mesh<Self>, peer: usize, record: Record, _sequenced: bool) -> bool {
+    fn write(
+        &self,
+        mesh: &Mesh<Self>,
+        peer: usize,
+        record: Pieces,
+        _share: Option<&Bytes>,
+        _sequenced: bool,
+    ) -> bool {
         let Some(ring) = &self.rings[peer] else {
             return true;
         };
@@ -555,7 +563,7 @@ impl Link for ShmLink {
         }
         let mut producer = ring.lock();
         let ok = producer
-            .push_all(record.pieces(), || {
+            .push_all(record, || {
                 self.drain(mesh);
                 mesh.gone(peer)
             })

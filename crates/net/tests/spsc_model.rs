@@ -23,104 +23,20 @@
 //! allocations of whole messages are counted: a 4 KiB or 64 KiB `u8` send
 //! over shm allocates no payload-sized buffer, since the ring copies the
 //! caller's slice; over TCP it allocates one, the copy the link keeps for
-//! replay; a 64 KiB shm receive makes one payload-sized buffer, wherever
-//! the drain ran; and an 8 B round trip allocates a head per send and
-//! little more than the returned `Vec` per receive. A sender may reuse
+//! replay; and an 8 B round trip allocates a head per send and little
+//! more than the returned `Vec` per receive (`shm_receive_count.rs`
+//! counts a 64 KiB receive, in a binary of its own). A sender may reuse
 //! its buffer as soon as `send` returns, over either fabric.
 
+mod common;
+
+use common::{allocations_of_at_least, ranks, two_ranks, LARGEST};
 use patternlets_core::spsc::{Pieces, SpscRing};
-use patternlets_mp::{Comm, World};
 use patternlets_net::frame::{encode_frame, read_frame, Frame, MAX_FRAME_LEN};
 use patternlets_net::shm::{FabricMode, RingFrames};
-use patternlets_net::{install_job_fabric, rendezvous, with_job_ctx, JobCtx};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-thread_local! {
-    /// The largest single allocation this thread made since last reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// Allocations of at least `.0` bytes this thread made while `.0` was
-    /// set, in `.1`.
-    static AT_LEAST: Cell<(usize, usize)> = const { Cell::new((usize::MAX, 0)) };
-    /// This thread's allocations are left out of [`EVERYWHERE`].
-    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Allocations of at least `EVERYWHERE_MIN` bytes on every thread not
-/// [`UNCOUNTED`], while a count is running.
-static EVERYWHERE: AtomicUsize = AtomicUsize::new(0);
-static EVERYWHERE_MIN: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// The system allocator, noting each thread's largest allocation.
-struct Measured;
-
-// SAFETY: every call is forwarded unchanged to the system allocator.
-unsafe impl GlobalAlloc for Measured {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-    let _ = AT_LEAST.try_with(|a| {
-        let (min, n) = a.get();
-        a.set((min, n + usize::from(size >= min)));
-    });
-    if size >= EVERYWHERE_MIN.load(Ordering::Relaxed)
-        && !UNCOUNTED.try_with(Cell::get).unwrap_or(false)
-    {
-        EVERYWHERE.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A running count of the allocations of at least some size on every
-/// thread but the [`UNCOUNTED`] ones.
-struct Everywhere;
-
-/// Start counting allocations of at least `min` bytes on every thread.
-/// Only one count runs at a time: [`two_ranks`] runs one world at a time,
-/// and no other test allocates that much.
-fn everywhere(min: usize) -> Everywhere {
-    EVERYWHERE.store(0, Ordering::SeqCst);
-    EVERYWHERE_MIN.store(min, Ordering::SeqCst);
-    Everywhere
-}
-
-impl Everywhere {
-    /// Stop counting; the count.
-    fn stop(self) -> usize {
-        EVERYWHERE_MIN.store(usize::MAX, Ordering::SeqCst);
-        EVERYWHERE.load(Ordering::SeqCst)
-    }
-}
-
-/// Run `f` and count the allocations of at least `min` bytes it made on
-/// this thread.
-fn allocations_of_at_least<R>(min: usize, f: impl FnOnce() -> R) -> (R, usize) {
-    AT_LEAST.with(|a| a.set((min, 0)));
-    let out = f();
-    let (_, n) = AT_LEAST.with(|a| a.replace((usize::MAX, 0)));
-    (out, n)
-}
-
-#[global_allocator]
-static ALLOC: Measured = Measured;
 
 /// `JobLine` frames with `line`s of the given lengths.
 fn job_lines(sizes: &[usize]) -> Vec<Frame> {
@@ -407,39 +323,6 @@ proptest! {
     }
 }
 
-/// Run `body` as both ranks of a two-rank world over `fabric`, the ranks
-/// threads of this process; returns each rank's result. One world at a
-/// time: the process-wide count must see one world's allocations only.
-fn two_ranks<R: Send>(fabric: FabricMode, body: impl Fn(Comm) -> R + Sync) -> Vec<R> {
-    static ONE_WORLD: Mutex<()> = Mutex::new(());
-    let _one = ONE_WORLD
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    install_job_fabric();
-    let server = rendezvous::serve().unwrap().to_string();
-    let dir = std::env::temp_dir().join(format!(
-        "spsc-model-{}-{}",
-        fabric.as_str(),
-        std::process::id()
-    ));
-    let results = std::thread::scope(|scope| {
-        let ranks: Vec<_> = (0..2)
-            .map(|rank| {
-                let mut ctx = JobCtx::new(rank, 2, server.clone(), 0, None);
-                ctx.fabric = fabric;
-                ctx.shm_dir = dir.clone();
-                let body = &body;
-                scope.spawn(move || {
-                    with_job_ctx(ctx, || World::builder(2).run(body).unwrap().remove(0))
-                })
-            })
-            .collect();
-        ranks.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    results
-}
-
 /// Allocations of at least `len` bytes rank 0's thread makes in its
 /// second `len`-byte `Comm::send` to rank 1 (the first message of each
 /// rank warms up), over `fabric`.
@@ -523,37 +406,37 @@ fn a_tcp_sender_may_reuse_its_buffer_as_soon_as_send_returns() {
     a_sender_may_reuse_its_buffer_at_once(FabricMode::Tcp);
 }
 
-/// A 64 KiB `u8` receive over shared memory makes one payload-sized
-/// buffer: the drain copies the payload out of the ring once, and the
-/// receive hands that same buffer back. Either of the receiving rank's
-/// threads may drain — its own, waiting in `recv`, or its heartbeat — so
-/// every thread in the process is counted but the sending rank's own,
-/// whose encoding is the send's.
-#[test]
-fn a_64_kib_shm_receive_allocates_one_payload_sized_buffer() {
+/// A 64 KiB `u8` `bcast` from rank 1 arrives byte-identical on every
+/// rank. The root's slice becomes one owned payload for all its children.
+/// At np 3 the root sends to both other ranks; at np 4 an interior rank
+/// also forwards the payload it received.
+fn a_64_kib_bcast_arrives_intact(fabric: FabricMode) {
     const LEN: usize = 64 << 10;
-    let counts = two_ranks(FabricMode::Shm, |comm| {
-        let mut n = 0;
-        for round in 0..2 {
-            if comm.rank() == 0 {
-                UNCOUNTED.with(|u| u.set(true));
-                // Sent only once rank 1 counts.
-                comm.recv::<u8>(1, round).unwrap();
-                comm.send(&vec![7u8; LEN], 1, round).unwrap();
+    let data: Vec<u8> = (0..LEN).map(|i| (i * 31 + i / 251) as u8).collect();
+    for np in [3, 4] {
+        let got = ranks(np, fabric, |comm| {
+            let mut buf = if comm.rank() == 1 {
+                data.clone()
             } else {
-                let count = everywhere(LEN);
-                comm.send(&[1u8], 0, round).unwrap();
-                let (got, _) = comm.recv::<u8>(0, round).unwrap();
-                n = count.stop();
-                assert!(got.len() == LEN && got.iter().all(|&b| b == 7));
-            }
+                Vec::new()
+            };
+            comm.bcast(1, &mut buf).unwrap();
+            buf
+        });
+        for (rank, buf) in got.iter().enumerate() {
+            assert!(*buf == data, "np {np}, rank {rank}: {} bytes", buf.len());
         }
-        n
-    });
-    assert_eq!(
-        counts[1], 1,
-        "allocations of at least 64 KiB in one receive"
-    );
+    }
+}
+
+#[test]
+fn a_64_kib_u8_bcast_arrives_intact_over_shm() {
+    a_64_kib_bcast_arrives_intact(FabricMode::Shm);
+}
+
+#[test]
+fn a_64_kib_u8_bcast_arrives_intact_over_tcp() {
+    a_64_kib_bcast_arrives_intact(FabricMode::Tcp);
 }
 
 /// An 8-byte `u8` round trip over shared memory. A send allocates only

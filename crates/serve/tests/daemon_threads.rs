@@ -141,12 +141,8 @@ fn silent_cluster_connections_hold_at_most_the_cap() {
     const CAP: usize = 2;
     const FIRST_READ: Duration = Duration::from_millis(300);
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let earlier = threads_named("pmserve-cl-conn");
-    let new_conn_threads = || {
-        threads_named("pmserve-cl-conn")
-            .difference(&earlier)
-            .count()
-    };
+    let earlier = threads_named("pmserve-");
+    let new_threads = |prefix| threads_named(prefix).difference(&earlier).count();
     let limits = Limits {
         threads: CAP,
         first_read: FIRST_READ,
@@ -163,9 +159,7 @@ fn silent_cluster_connections_hold_at_most_the_cap() {
         let addr = addr.clone();
         std::thread::spawn(move || run_worker(&addr, registry_runner))
     }));
-    let mut most = 0;
     while daemon.pool.live() < 2 {
-        most = most.max(new_conn_threads());
         assert!(start.elapsed() < DEADLINE, "workers never joined the pool");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -175,8 +169,20 @@ fn silent_cluster_connections_hold_at_most_the_cap() {
     let http = daemon.http_addr.to_string();
     for _ in 0..5 {
         run_job(&http, "mpi/broadcast", 2);
-        most = most.max(new_conn_threads());
     }
+    // Pool threads live as long as the process, so counting them once
+    // at the end counts every one the loop ever spawned. But a thread
+    // carries its spawner's name until it sets its own, and each joining
+    // worker's `pmserve-worker` reader is spawned from a pool thread: it
+    // is counted only once both readers have named themselves.
+    while new_threads("pmserve-worker") < 2 {
+        assert!(
+            start.elapsed() < DEADLINE,
+            "worker readers never named themselves"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let most = new_threads("pmserve-cl-conn");
     assert!(
         most <= CAP,
         "{most} cluster connection threads for a cap of {CAP}"

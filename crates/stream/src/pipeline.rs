@@ -111,11 +111,6 @@ impl<T: Send + 'static> Pipeline<T> {
         }
     }
 
-    /// Number of stages described so far (source counts as one).
-    pub fn stage_count(&self) -> usize {
-        self.stages
-    }
-
     /// Spawn the stage threads, drive every item through `sink` on the
     /// calling thread, and join the stages once the stream ends.
     pub fn run<F: FnMut(T)>(self, capacity: usize, obs: &Obs, mut sink: F) {
