@@ -1,5 +1,5 @@
-//! `stream/farm_feedback` — a farm with a *feedback edge*: workers inject
-//! follow-on work into their own input queue (FastFlow's
+//! `stream/farm_feedback` — a farm with *feedback edges*: workers inject
+//! follow-on work back to the emitter that feeds them (FastFlow's
 //! `wrap_around()`), turning the farm into a dynamic task pool.
 
 use crate::harness::{Patternlet, RunConfig, Technology};
@@ -11,13 +11,14 @@ pub const PATTERNLET: Patternlet = Patternlet {
     technology: Technology::Stream,
     patterns: &["Master-Worker", "Pipeline"],
     figures: &[],
-    summary: "workers feed Collatz steps back into their own input queue",
+    summary: "workers feed Collatz steps back to the farm's emitter",
     exercise: "Each worker advances a Collatz orbit by ONE step and injects \
-               the rest — no worker ever owns a whole orbit. Why must the \
-               feedback queue be unbounded when every other queue here is \
-               bounded? (Hint: imagine every worker blocked on a full \
-               feedback queue at once.) And why does the farm count \
-               in-flight items instead of waiting for senders to drop?",
+               the rest — no worker ever owns a whole orbit. Every edge \
+               here is bounded, so why must the emitter never block on a \
+               full work edge, and keep a backlog instead? (Hint: imagine \
+               every worker blocked writing back to an emitter that is \
+               itself blocked.) And why does the emitter count in-flight \
+               items instead of waiting for senders to drop?",
     run,
 };
 

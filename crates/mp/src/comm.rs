@@ -10,7 +10,7 @@ use patternlets_metrics::{CounterId, HistId, Phase};
 
 use crate::checkpoint::CheckpointStore;
 use crate::datatype::{decode_payload, encode, Datatype};
-use crate::envelope::{collective_tag, is_collective_tag, Envelope, Outgoing, Payload, INLINE_MAX};
+use crate::envelope::{collective_tag, Envelope, Outgoing, Payload, INLINE_MAX};
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric};
 use crate::fault::retry_backoff;
 use crate::status::{SourceSel, Status, TagSel};
@@ -397,17 +397,16 @@ impl Comm {
         self.fault_op("recv")?;
 
         // Publish what we are about to block on, for the waits-for
-        // deadlock detector; cleared on every exit path by the guard.
-        fabric.publish_wait(
-            my_world,
-            crate::world::WaitRecord {
-                comm_id: self.comm_id,
-                src,
-                tag,
-                world_rank: my_world,
-                world_group: Arc::clone(group),
-            },
-        );
+        // deadlock detector; cleared on every exit path by the guard. The
+        // liveness check builds its own copy, only when a poll times out.
+        let wait = || crate::world::WaitRecord {
+            comm_id: self.comm_id,
+            src,
+            tag,
+            world_rank: my_world,
+            world_group: Arc::clone(group),
+        };
+        fabric.publish_wait(my_world, wait());
         struct ClearGuard<'a>(&'a dyn Fabric, usize);
         impl Drop for ClearGuard<'_> {
             fn drop(&mut self) {
@@ -432,50 +431,16 @@ impl Comm {
             tag,
             self.ctx.poll_interval,
             || {
-                // Collective-internal receives fail fast when ANY group
-                // member has died: the collective can no longer complete
-                // for anyone, whichever rank this round happens to be
-                // paired with. (ULFM semantics: every survivor reports
-                // the failure rather than hanging.)
-                if matches!(tag, TagSel::Tag(t) if is_collective_tag(t)) {
-                    if let Some(&dead) = group.iter().find(|&&w| fabric.rank_failed(w)) {
-                        return Some(Error::RankFailed {
-                            rank: dead,
-                            op: ctx(),
-                        });
-                    }
+                let wait = wait();
+                if let Some(rank) = wait.failed_sender(fabric) {
+                    return Some(Error::RankFailed { rank, op: ctx() });
                 }
-                match src {
-                    // Receiving from myself: alive by definition (but a
-                    // queued match was already checked, so self-recv
-                    // without a prior self-send correctly deadlocks).
-                    SourceSel::Rank(r) if r == me => {}
-                    SourceSel::Rank(r) => {
-                        if fabric.rank_failed(group[r]) {
-                            return Some(Error::RankFailed {
-                                rank: group[r],
-                                op: ctx(),
-                            });
-                        }
-                        if fabric.rank_alive(group[r]) {
-                            return fabric.deadlocked(my_world).map(cycle(ctx()));
-                        }
-                    }
-                    SourceSel::Any => {
-                        // A failed sender can never send again, so it only
-                        // blocks this receive once no live sender is left.
-                        let mut dead = None;
-                        for &w in group.iter().filter(|&&w| w != my_world) {
-                            if fabric.rank_failed(w) {
-                                dead.get_or_insert(w);
-                            } else if fabric.rank_alive(w) {
-                                return fabric.deadlocked(my_world).map(cycle(ctx()));
-                            }
-                        }
-                        if let Some(rank) = dead {
-                            return Some(Error::RankFailed { rank, op: ctx() });
-                        }
-                    }
+                // Receiving from myself: alive by definition (but a queued
+                // match was already checked, so self-recv without a prior
+                // self-send correctly deadlocks).
+                let from_self = matches!(src, SourceSel::Rank(r) if r == me);
+                if !from_self && wait.world_sources().any(|w| fabric.rank_alive(w)) {
+                    return fabric.deadlocked(my_world).map(cycle(ctx()));
                 }
                 Some(Error::Deadlock(
                     ctx().detail("every possible sender has finished"),

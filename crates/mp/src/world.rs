@@ -25,7 +25,7 @@ use patternlets_trace::Tracer;
 use parking_lot::Mutex as PlMutex;
 
 use crate::comm::Comm;
-use crate::envelope::{Envelope, Outgoing};
+use crate::envelope::{is_collective_tag, Envelope, Outgoing};
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric, ProvidedWorld, WorldSpec};
 use crate::fault::{ChaosDecision, FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
@@ -102,6 +102,35 @@ impl WaitRecord {
             .enumerate()
             .filter(wanted)
             .map(|(_, world)| world)
+    }
+
+    /// The failed rank this wait resolves to `RankFailed` on, if any: the
+    /// one rule both the receiver's liveness check and the deadlock
+    /// detector apply, so the detector never calls `Deadlock` where the
+    /// receiver's next poll would report `RankFailed`.
+    ///
+    /// A collective-internal receive fails when *any* member of its group
+    /// has died: the collective can no longer complete for anyone (ULFM
+    /// semantics). A receive from one rank fails when that rank has; a
+    /// receive from any rank, once a sender has failed and no live one is
+    /// left. A receive from itself never fails: its owner is alive by
+    /// definition.
+    pub fn failed_sender(&self, fabric: &dyn Fabric) -> Option<usize> {
+        if matches!(self.tag, TagSel::Tag(t) if is_collective_tag(t)) {
+            if let Some(&dead) = self.world_group.iter().find(|&&w| fabric.rank_failed(w)) {
+                return Some(dead);
+            }
+        }
+        match self.src {
+            SourceSel::Rank(r) if self.world_group[r] == self.world_rank => None,
+            SourceSel::Rank(_) => self.world_sources().find(|&w| fabric.rank_failed(w)),
+            SourceSel::Any => {
+                let dead = self.world_sources().find(|&w| fabric.rank_failed(w))?;
+                self.world_sources()
+                    .all(|w| fabric.rank_failed(w) || !fabric.rank_alive(w))
+                    .then_some(dead)
+            }
+        }
     }
 }
 
@@ -279,30 +308,6 @@ impl Fabric for Transport {
         let records: Vec<Option<WaitRecord>> =
             self.waits.iter().map(|w| w.lock().clone()).collect();
 
-        // A wait the failure model fail-fasts is an *escape*, not a block:
-        // its owner's own liveness check resolves it to `RankFailed` on
-        // the next poll, after which the owner makes progress. Mirrors
-        // the conditions in `recv_match`'s liveness closure exactly —
-        // without this, a detector running in the window between a kill
-        // and the blocked peer's next poll would see that peer as stuck
-        // and misreport `Deadlock` where `RankFailed` is imminent.
-        let failure_resolves = |rec: &WaitRecord| -> bool {
-            if matches!(rec.tag, TagSel::Tag(t) if crate::envelope::is_collective_tag(t))
-                && rec.world_group.iter().any(|&w| self.rank_failed(w))
-            {
-                return true;
-            }
-            match rec.src {
-                SourceSel::Rank(_) => rec.world_sources().any(|w| self.rank_failed(w)),
-                SourceSel::Any => {
-                    rec.world_sources().any(|w| self.rank_failed(w))
-                        && rec
-                            .world_sources()
-                            .all(|w| self.rank_failed(w) || !self.rank_alive(w))
-                }
-            }
-        };
-
         // Initial stuck set: finished, or blocked with no queued match.
         // The caller holds its OWN mailbox lock, so other mailboxes are
         // only try-probed: an unprobeable mailbox means its owner is
@@ -317,8 +322,10 @@ impl Fabric for Transport {
                 record.is_some()
             } else {
                 match record {
-                    None => false,                               // running
-                    Some(rec) if failure_resolves(rec) => false, // about to error out
+                    None => false, // running
+                    // A wait that fails fast is an escape, not a block: its owner
+                    // reports `RankFailed` on its next poll.
+                    Some(rec) if rec.failed_sender(self).is_some() => false,
                     Some(rec) => {
                         match self.mailboxes[r].try_probe(rec.comm_id, rec.src, rec.tag) {
                             Some(has_match) => !has_match,
@@ -353,7 +360,11 @@ impl Fabric for Transport {
         // A failure that landed after the caller's own liveness check
         // resolves its wait on the next poll. Ranks raise `failed` before
         // `finished`, so a peer seen finished above shows its failure here.
-        if !stuck[me] || records[me].as_ref().is_some_and(failure_resolves) {
+        if !stuck[me]
+            || records[me]
+                .as_ref()
+                .is_some_and(|rec| rec.failed_sender(self).is_some())
+        {
             return None;
         }
         // Confirm against a quiescent snapshot: no wait was posted,

@@ -85,9 +85,7 @@ use patternlets_metrics::{CounterId, HistId, MetricsHub};
 use patternlets_mp::fabric::WorldSpec;
 
 use crate::chaos::{ChaosAction, NetChaosConn, NetChaosPlan};
-use crate::frame::{
-    decode_body, encode_frame, read_frame, Frame, StreamFrames, CRC_MISMATCH, MID_FRAME_STALL,
-};
+use crate::frame::{decode_body, encode_frame, read_frame, Frame, StreamFrames, MID_FRAME_STALL};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous::{self, REGISTER_TIMEOUT};
 use crate::ring::{flatten, SendRing, SharedRecord};
@@ -777,11 +775,7 @@ impl Mesh<TcpLink> {
     /// clean EOF). Sync the write side, then — unless the peer finished or
     /// failed or this rank is closing — start the one redial thread.
     fn stream_died(&self, peer: usize, error: Option<Error>) {
-        if let (Some(e), Some(hub)) = (&error, &self.obs.metrics) {
-            if e.to_string().contains(CRC_MISMATCH) {
-                hub.incr(self.me, CounterId::NetCrcRejects);
-            }
-        }
+        self.count_crc_reject(error.as_ref());
         if let Some(writer) = &self.link.writers[peer] {
             writer.disconnect();
         }

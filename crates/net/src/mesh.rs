@@ -70,7 +70,7 @@ use patternlets_mp::envelope::{Envelope, Outgoing, Payload, INLINE_MAX};
 use patternlets_mp::fabric::{AgreeKey, AgreeSlot, Fabric, WorldSpec};
 use patternlets_mp::mailbox::Mailbox;
 
-use crate::frame::{encode_frame, EnvHeader, Frame};
+use crate::frame::{encode_frame, EnvHeader, Frame, CRC_MISMATCH};
 
 /// How often the heartbeat thread pings every live peer.
 pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
@@ -283,6 +283,16 @@ impl<L: Link> Mesh<L> {
                 && !self.finished[peer].load(Ordering::SeqCst)
             {
                 self.note_failed(peer);
+            }
+        }
+    }
+
+    /// A link's stream ended on `error` (`None` for a clean EOF): count
+    /// it as a checksum reject if the frame failed its CRC.
+    pub(crate) fn count_crc_reject(&self, error: Option<&Error>) {
+        if let (Some(e), Some(hub)) = (error, &self.obs.metrics) {
+            if e.to_string().contains(CRC_MISMATCH) {
+                hub.incr(self.me, CounterId::NetCrcRejects);
             }
         }
     }

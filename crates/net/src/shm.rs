@@ -81,7 +81,7 @@ use patternlets_mp::fabric::{Fabric, WorldSpec};
 
 use crate::chaos::NetChaosPlan;
 use crate::fabric::TcpFabric;
-use crate::frame::{body_len, decode_frame, decode_record, grow, Frame, CRC_MISMATCH};
+use crate::frame::{body_len, decode_frame, decode_record, grow, Frame};
 use crate::mesh::{Link, Mesh, PeerMesh};
 use crate::rendezvous;
 
@@ -681,11 +681,7 @@ impl Link for ShmLink {
             };
             *slot = None;
             drop(slot);
-            if let (Some(e), Some(hub)) = (&error, &mesh.obs.metrics) {
-                if e.to_string().contains(CRC_MISMATCH) {
-                    hub.incr(mesh.me, CounterId::NetCrcRejects);
-                }
-            }
+            mesh.count_crc_reject(error.as_ref());
             let excused = error.is_none() && mesh.gone(peer);
             if !excused && !mesh.closing.load(Ordering::SeqCst) {
                 mesh.note_failed(peer);

@@ -28,9 +28,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use patternlets_core::{Error, Result};
+
+/// A value aligned to 128 bytes (two cache lines, for adjacent-line
+/// prefetch), so hot atomics owned by different threads don't
+/// false-share.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// A cyclic (reusable) barrier for a fixed-size team.
 pub trait Barrier: Send + Sync {
@@ -173,8 +185,8 @@ impl SenseReversingBarrier {
         assert!(n > 0);
         SenseReversingBarrier {
             n,
-            count: CachePadded::new(AtomicU64::new(n as u64)),
-            sense: CachePadded::new(AtomicU64::new(0)),
+            count: CachePadded(AtomicU64::new(n as u64)),
+            sense: CachePadded(AtomicU64::new(0)),
         }
     }
 }
@@ -219,10 +231,8 @@ impl TreeBarrier {
         assert!(n > 0);
         TreeBarrier {
             n,
-            arrive: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            release: CachePadded::new(AtomicU64::new(0)),
+            arrive: (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect(),
+            release: CachePadded(AtomicU64::new(0)),
         }
     }
 }
@@ -286,15 +296,9 @@ impl DisseminationBarrier {
             n,
             rounds,
             flags: (0..rounds)
-                .map(|_| {
-                    (0..n)
-                        .map(|_| CachePadded::new(AtomicU64::new(0)))
-                        .collect()
-                })
+                .map(|_| (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect())
                 .collect(),
-            episode: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            episode: (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect(),
         }
     }
 }

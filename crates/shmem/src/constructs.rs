@@ -7,10 +7,12 @@
 //! * [`fork_join`] — run heterogeneous closures concurrently and join them
 //!   all, returning their results (the Pthreads `pthread_create` /
 //!   `pthread_join` shape).
-//! * [`MasterWorker`] — a work queue: the master produces items, a pool of
-//!   workers consumes them, results flow back to the master.
+//! * [`MasterWorker`] — a work queue: a pool of workers claims the
+//!   master's items one at a time from a shared cursor, and results flow
+//!   back to the master.
 
-use crossbeam::channel;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fork each closure onto its own thread, join all, and return the results
 /// in argument order. Panics propagate after all threads complete.
@@ -37,52 +39,47 @@ pub fn join2<RA: Send, RB: Send>(
     })
 }
 
-/// The *Master-Worker* pattern: a master feeds work items to `n_workers`
-/// worker threads and collects `(worker_id, result)` pairs.
+/// The *Master-Worker* pattern: `n_workers` worker threads take the
+/// master's work items one at a time and hand back `(worker_id, result)`
+/// pairs.
 pub struct MasterWorker;
 
 impl MasterWorker {
-    /// Process `items` with `n_workers` workers applying `work`. Results
-    /// are returned as `(worker_id, item_index, result)` tuples in
-    /// completion order, so callers can observe both the answer and the
-    /// (nondeterministic) division of labour.
+    /// Process `items` with `n_workers` workers applying `work`. A worker
+    /// asks for more work by claiming the next index from a shared cursor,
+    /// and reads the item in place. Results are returned as
+    /// `(worker_id, item_index, result)` tuples in completion order, so
+    /// callers can observe both the answer and the (nondeterministic)
+    /// division of labour.
     pub fn run<T, R, F>(n_workers: usize, items: Vec<T>, work: F) -> Vec<(usize, usize, R)>
     where
-        T: Send,
+        T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
         assert!(n_workers > 0, "need at least one worker");
-        let n_items = items.len();
-        let (task_tx, task_rx) = channel::unbounded::<(usize, T)>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, usize, R)>();
-        for (i, item) in items.into_iter().enumerate() {
-            task_tx.send((i, item)).expect("queue open");
-        }
-        drop(task_tx); // workers drain until empty
-
+        let next = AtomicUsize::new(0);
+        let results = Mutex::new(Vec::with_capacity(items.len()));
         std::thread::scope(|scope| {
             for wid in 0..n_workers {
-                let task_rx = task_rx.clone();
-                let result_tx = result_tx.clone();
-                let work = &work;
-                scope.spawn(move || {
-                    while let Ok((i, item)) = task_rx.recv() {
-                        let r = work(&item);
-                        result_tx.send((wid, i, r)).expect("master listening");
-                    }
+                let (items, next, results, work) = (&items, &next, &results, &work);
+                scope.spawn(move || loop {
+                    // Relaxed: the cursor publishes no data (the items are
+                    // read-only); the RMW alone hands each index out once.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let r = work(item);
+                    results.lock().push((wid, i, r));
                 });
             }
-            drop(result_tx);
-            result_rx.iter().take(n_items).collect()
-        })
+        });
+        results.into_inner()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fork_join_returns_results_in_argument_order() {
@@ -146,6 +143,27 @@ mod tests {
     fn master_worker_empty_items() {
         let results = MasterWorker::run(3, Vec::<i32>::new(), |&x| x);
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn master_worker_claims_every_index_once_at_every_team_size() {
+        for workers in 1..=8usize {
+            // No items, fewer items than workers, and several per worker.
+            for n in [0, 1, workers - 1, workers, 3 * workers + 1, 200] {
+                let items: Vec<usize> = (0..n).collect();
+                let results = MasterWorker::run(workers, items, |&x| x * 10);
+                let mut claims = vec![0; n];
+                for &(w, i, r) in &results {
+                    assert!(w < workers);
+                    assert_eq!(r, i * 10);
+                    claims[i] += 1;
+                }
+                assert!(
+                    claims.iter().all(|&c| c == 1),
+                    "{workers} workers, {n} items: {claims:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -125,25 +125,10 @@ impl Team {
     where
         F: Fn(&TeamCtx) + Sync,
     {
-        let shared = RegionShared::new(self.n, self.barrier_kind, self.obs.clone());
-        let run = |tid: usize| {
-            let ctx = TeamCtx::new(tid, &shared);
-            let region = shared.obs.region(tid, shared.n);
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-            drop(region);
-            shared.record_departure(tid, &outcome);
+        self.fork(body, |_, outcome| {
             if let Err(payload) = outcome {
                 std::panic::resume_unwind(payload);
             }
-        };
-        std::thread::scope(|scope| {
-            // Thread 0 runs on the caller's thread, like an OpenMP master;
-            // threads 1..n are forked.
-            for tid in 1..self.n {
-                let run = &run;
-                scope.spawn(move || run(tid));
-            }
-            run(0);
         });
     }
 
@@ -175,15 +160,9 @@ impl Team {
         R: Send,
         F: Fn(&TeamCtx) -> Result<R> + Sync,
     {
-        let shared = RegionShared::new(self.n, self.barrier_kind, self.obs.clone());
         let results: Vec<Mutex<Option<Result<R>>>> =
             (0..self.n).map(|_| Mutex::new(None)).collect();
-        let run = |tid: usize| {
-            let ctx = TeamCtx::new(tid, &shared);
-            let region = shared.obs.region(tid, shared.n);
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-            drop(region);
-            shared.record_departure(tid, &outcome);
+        self.fork(body, |tid, outcome| {
             *results[tid].lock() = Some(match outcome {
                 Ok(r) => r,
                 Err(payload) => Err(Error::TaskPanicked {
@@ -191,6 +170,30 @@ impl Team {
                     message: panic_message(payload.as_ref()),
                 }),
             });
+        });
+        results
+            .into_iter()
+            .map(|m| m.into_inner().expect("every thread produced a result"))
+            .collect()
+    }
+
+    /// One region: each thread builds its [`TeamCtx`], runs `body` inside
+    /// its region span with panics caught, records its departure, and
+    /// hands its id and outcome to `depart`. Thread 0 runs on the caller's
+    /// thread, like an OpenMP master; threads 1..n are forked.
+    fn fork<R, F, D>(&self, body: F, depart: D)
+    where
+        F: Fn(&TeamCtx) -> R + Sync,
+        D: Fn(usize, std::thread::Result<R>) + Sync,
+    {
+        let shared = RegionShared::new(self.n, self.barrier_kind, self.obs.clone());
+        let run = |tid: usize| {
+            let ctx = TeamCtx::new(tid, &shared);
+            let region = shared.obs.region(tid, shared.n);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+            drop(region);
+            shared.record_departure(tid, &outcome);
+            depart(tid, outcome);
         };
         std::thread::scope(|scope| {
             for tid in 1..self.n {
@@ -199,10 +202,6 @@ impl Team {
             }
             run(0);
         });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every thread produced a result"))
-            .collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The task farm: one input stream fanned out to N replicated workers.
 //!
 //! The farm is the streaming form of master-worker, built the FastFlow
-//! way from 1:1 [`spsc_edge`](crate::spsc_edge)s only: each worker owns
+//! way from 1:1 [`spsc_edge`](mod@crate::spsc_edge)s only: each worker owns
 //! a work edge from the **emitter** and a result edge to the
 //! **collector** (the calling thread). The emitter deals blocks of
 //! `batch_for(capacity)` items round-robin, FastFlow's default: block `b`
@@ -20,19 +20,17 @@
 //! head the result edge: the worker pops what the emitter pushes, and
 //! the collector pops what the worker pushes.
 //!
-//! [`farm_feedback`] adds the feedback edge: workers receive a
-//! [`Feedback`] handle and may inject *new* work items into their own
-//! input queue. That turns the farm into a dynamic task pool — wavefront
-//! sweeps and divide-and-conquer both reduce to it. Termination is the
-//! interesting part: EOS-by-sender-drop cannot work on a cycle (workers
-//! hold senders forever), so the farm counts **in-flight items** — seeds
-//! plus injections minus completions — and the worker that finishes the
-//! last one closes the queue for everyone.
+//! [`farm_feedback`] closes the loop on the same 1:1 edges, as FastFlow's
+//! feedback farm does: a third edge per worker carries its injections
+//! back to the emitter, which keeps a backlog and deals it with
+//! [`try_send`](crate::SpscSender::try_send). The emitter never blocks
+//! on an edge, so the cycle cannot deadlock however small the edges are.
 
-use crate::channel::{batch_for, bounded, unbounded, Sender};
-use crate::spsc_edge::spsc_edge;
+use crate::spsc_edge::{batch_for, spsc_edge, SpscReceiver, SpscSender};
 use crate::Obs;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use patternlets_core::spsc::{wait, Doorbell};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Shape of a farm run.
 #[derive(Clone)]
@@ -130,21 +128,38 @@ where
     });
 }
 
-/// A worker's handle onto its own input queue: the feedback edge.
+/// A worker's handle onto the farm's input: its edge back to the emitter,
+/// where `Some` carries an injection and `None` the completion of the
+/// worker's item. The edge has one producer, so the handle is not `Sync`.
 pub struct Feedback<T> {
-    tx: Sender<T>,
-    in_flight: AtomicUsizeRef,
+    back: SpscSender<Option<T>>,
+    /// The emitter's doorbell, rung after every write back.
+    bell: Arc<Doorbell>,
 }
 
-type AtomicUsizeRef = std::sync::Arc<AtomicUsize>;
-
 impl<T> Feedback<T> {
-    /// Inject a new work item into the farm. The in-flight count is
-    /// raised *before* the push, so the farm cannot observe a momentary
-    /// zero between a parent finishing and its children arriving.
+    /// Inject a new work item into the farm. It reaches the emitter before
+    /// the completion of the item being worked on, so the emitter's
+    /// in-flight count never reads a momentary zero.
     pub fn inject(&self, item: T) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.tx.send(item);
+        self.write_back(Some(item));
+    }
+
+    /// Send `msg` to the emitter and wake it. `false` once the emitter
+    /// has ended the pass (the message is dropped).
+    fn write_back(&self, msg: Option<T>) -> bool {
+        let sent = self.back.send(msg);
+        self.bell.ring();
+        sent
+    }
+}
+
+impl<T> Drop for Feedback<T> {
+    /// A worker that leaves (at the end of the pass, or by panic) ends its
+    /// edge back, and wakes the emitter to see it.
+    fn drop(&mut self) {
+        self.back.close();
+        self.bell.ring();
     }
 }
 
@@ -153,9 +168,12 @@ impl<T> Feedback<T> {
 /// `Some` return value is gathered into the result (completion order —
 /// there is no stable emission order on a cycle to restore).
 ///
-/// The run ends when the in-flight count — seeds plus injections minus
-/// completed items — reaches zero; the worker that zeroes it closes the
-/// queue, which releases every parked worker through EOS.
+/// The pass ends when the emitter's in-flight count reaches zero, or as
+/// soon as a worker's edge back ends first: only a panic takes a worker
+/// away mid-pass. The emitter then drops its edges, which releases every
+/// worker blocked on one, and the scope re-raises the panic.
+///
+/// Trace lanes: emitter 0, workers `1..=N`, collector `N + 1`.
 pub fn farm_feedback<T, U, W>(cfg: &FarmConfig, seeds: Vec<T>, worker: W) -> Vec<U>
 where
     T: Send,
@@ -163,50 +181,88 @@ where
     W: Fn(T, &Feedback<T>) -> Option<U> + Sync,
 {
     let workers = cfg.workers.max(1);
-    // The feedback edge must be unbounded: a bounded cycle deadlocks when
-    // every worker is blocked pushing and none is left popping.
-    let (work_tx, work_rx) = unbounded::<T>(cfg.queue_base, &cfg.obs);
-    let (res_tx, res_rx) = bounded::<U>(cfg.capacity.max(1), cfg.queue_base + 1, &cfg.obs);
-    let in_flight: AtomicUsizeRef = std::sync::Arc::new(AtomicUsize::new(seeds.len()));
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    for seed in seeds {
-        work_tx.send(seed);
-    }
+    let capacity = cfg.capacity.max(1);
+    let bell = Arc::new(Doorbell::new());
+    let mut in_flight = seeds.len();
+    let mut backlog = VecDeque::from(seeds);
     let mut results = Vec::new();
-    std::thread::scope(|s| {
+    let res_rxs = std::thread::scope(|s| {
+        let mut work_txs = Vec::with_capacity(workers);
+        let mut res_rxs = Vec::with_capacity(workers);
+        let mut back_rxs: Vec<SpscReceiver<Option<T>>> = Vec::with_capacity(workers);
         for w in 0..workers {
-            let rx = work_rx.for_lane(w + 1);
-            let feedback = Feedback {
-                tx: work_tx.for_lane(w + 1),
-                in_flight: std::sync::Arc::clone(&in_flight),
-            };
-            let tx = res_tx.for_lane(w + 1);
+            let (work_tx, work_rx) = spsc_edge(capacity, cfg.queue_base, &cfg.obs);
+            let (res_tx, res_rx) = spsc_edge(capacity, cfg.queue_base + 1, &cfg.obs);
+            let (back, back_rx) = spsc_edge(capacity, 0, &Obs::none());
+            work_txs.push(work_tx);
+            res_rxs.push(res_rx.for_lane(workers + 1));
+            back_rxs.push(back_rx);
+            let (rx, tx) = (work_rx.for_lane(w + 1), res_tx.for_lane(w + 1));
+            let bell = Arc::clone(&bell);
+            let feedback = Feedback { back, bell };
             let worker = &worker;
             s.spawn(move || {
                 while let Some(item) = rx.recv() {
                     let out = worker(item, &feedback);
-                    if let Some(result) = out {
-                        if !tx.send(result) {
-                            break;
-                        }
-                    }
-                    if feedback.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last in-flight item: the stream is over for all.
-                        feedback.tx.close();
+                    if out.is_some_and(|r| !tx.send(r)) || !feedback.write_back(None) {
+                        break;
                     }
                 }
             });
         }
-        drop(work_tx);
-        drop(work_rx);
-        drop(res_tx);
-        let res_rx = res_rx.for_lane(workers + 1);
-        while let Some(result) = res_rx.recv() {
-            results.push(result);
+        let mut next = 0;
+        while in_flight > 0 {
+            let mut moved = false;
+            for rx in &back_rxs {
+                while let Some(msg) = rx.try_recv() {
+                    moved = true;
+                    match msg {
+                        Some(item) => {
+                            backlog.push_back(item);
+                            in_flight += 1;
+                        }
+                        None => in_flight -= 1,
+                    }
+                }
+            }
+            for rx in &res_rxs {
+                results.extend(std::iter::from_fn(|| rx.try_recv()));
+            }
+            if back_rxs.iter().any(SpscReceiver::is_ended) {
+                // A worker panicked: dropping every edge here releases
+                // the rest, and the scope re-raises the panic.
+                return Vec::new();
+            }
+            // Deal round-robin until the backlog is empty or every work
+            // edge is full.
+            let mut full = 0;
+            while full < workers {
+                let Some(item) = backlog.pop_front() else {
+                    break;
+                };
+                match work_txs[next].try_send(item) {
+                    Ok(()) => (moved, full) = (true, 0),
+                    Err(item) => {
+                        backlog.push_front(item);
+                        full += 1;
+                    }
+                }
+                next = (next + 1) % workers;
+            }
+            // A worker writes back, and rings, after each result it sends.
+            let ready = || back_rxs.iter().any(|rx| !rx.is_empty() || rx.is_ended());
+            if !moved && !ready() {
+                wait(&bell, ready);
+            }
         }
+        // Dropping the other edges ends the pass; result edges outlive it.
+        res_rxs
     });
+    // Every worker has left and closed its result edge: reading each to
+    // its end takes nothing more and marks the result stream's EOS.
+    for rx in res_rxs {
+        results.extend(std::iter::from_fn(|| rx.recv()));
+    }
     results
 }
 
@@ -214,7 +270,9 @@ where
 mod tests {
     use super::*;
     use patternlets_metrics::{CounterId, GaugeId, MetricsHub};
+    use patternlets_trace::EventKind;
     use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -424,4 +482,130 @@ mod tests {
         });
         assert_eq!(out, vec![0, 0, 0]);
     }
+
+    #[test]
+    fn a_panicking_feedback_worker_ends_the_pass() {
+        struct Counted(u32, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let made = Arc::new(AtomicUsize::new(0));
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let (m, d) = (Arc::clone(&made), Arc::clone(&dropped));
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let make = |n| {
+                m.fetch_add(1, Ordering::SeqCst);
+                Counted(n, Arc::clone(&d))
+            };
+            let cfg = FarmConfig {
+                workers: 3,
+                capacity: 2,
+                ..FarmConfig::default()
+            };
+            // A binary tree of 801 nodes: far wider than every edge.
+            let grow = |c: Counted, fb: &Feedback<Counted>| {
+                assert_ne!(c.0, 300, "the worker fails on node 300");
+                if c.0 < 400 {
+                    fb.inject(make(2 * c.0 + 1));
+                    fb.inject(make(2 * c.0 + 2));
+                }
+                Some(c.0)
+            };
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                farm_feedback(&cfg, vec![make(0)], grow)
+            }));
+            done_tx.send(outcome.is_err()).unwrap();
+        });
+        let panicked = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("farm_feedback returns within the deadline");
+        assert!(panicked, "the worker's panic reaches the caller");
+        assert!(made.load(Ordering::SeqCst) > 300);
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            made.load(Ordering::SeqCst),
+            "every item made was dropped exactly once"
+        );
+    }
+
+    #[test]
+    fn feedback_traces_the_end_of_every_work_and_result_edge() {
+        let tracer = patternlets_trace::Tracer::new();
+        let cfg = FarmConfig {
+            workers: 3,
+            capacity: 2,
+            obs: Obs {
+                tracer: Some(tracer.clone()),
+                metrics: None,
+            },
+            queue_base: 4,
+            ..FarmConfig::default()
+        };
+        let out = farm_feedback(&cfg, vec![0u32], |n, fb| {
+            if n < 20 {
+                fb.inject(2 * n + 1);
+                fb.inject(2 * n + 2);
+            }
+            Some(n)
+        });
+        assert_eq!(out.len(), 41);
+        let trace = tracer.drain();
+        let eos = |q| {
+            trace
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::StageEos { queue } if queue == q))
+                .count()
+        };
+        assert_eq!((eos(4), eos(5)), (3, 3), "one EOS per edge");
+    }
+
+    #[test]
+    fn bursts_of_injections_complete_at_every_shape() {
+        // Three seeds each inject 500 leaves in one burst, far more than
+        // any edge holds, so workers block writing back while the emitter
+        // deals.
+        for capacity in [1, 2, 16] {
+            for workers in [1, 2, 4, 7] {
+                let cfg = FarmConfig {
+                    workers,
+                    capacity,
+                    ..FarmConfig::default()
+                };
+                let mut out = farm_feedback(&cfg, vec![0u32, 1, 2], |n, fb| {
+                    if n < 3 {
+                        (0..500).for_each(|k| fb.inject(3 + n * 500 + k));
+                    }
+                    Some(n)
+                });
+                out.sort_unstable();
+                assert_eq!(
+                    out,
+                    (0..1503).collect::<Vec<_>>(),
+                    "{workers} workers, capacity {capacity}"
+                );
+            }
+        }
+    }
 }
+
+/// A worker cannot share its `&Feedback` with threads of its own: two
+/// producers on the edge back would race.
+///
+/// ```compile_fail
+/// use patternlets_stream::{farm_feedback, FarmConfig};
+/// farm_feedback(&FarmConfig::default(), vec![0u32], |n, fb| {
+///     if n == 0 {
+///         std::thread::scope(|s| {
+///             s.spawn(|| fb.inject(1));
+///             s.spawn(|| fb.inject(2));
+///         });
+///     }
+///     Some(n)
+/// });
+/// ```
+#[cfg(doctest)]
+pub struct FeedbackIsNotSync;

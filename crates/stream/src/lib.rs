@@ -6,26 +6,23 @@
 //! unbounded sequence of items flowing through a graph of stages connected
 //! by bounded queues — the FastFlow/TBB-flow-graph model, in safe Rust.
 //!
-//! Four layers:
+//! Three layers, and one queue kind under them:
 //!
-//! * [`channel`] — a bounded MPMC [`channel::Sender`]/[`channel::Receiver`]
-//!   pair with **blocking backpressure** (a full queue blocks the
-//!   producer — the queue depth never exceeds its capacity) and a
-//!   counted-sender **end-of-stream protocol** (when every `Sender` is
-//!   dropped or the channel is closed, `recv` drains what is queued and
-//!   then returns `None` to every consumer, exactly once each).
-//! * [`spsc_edge`] — the same contract on a lock-free 1:1 ring: the edge
-//!   every pipeline and farm queue is built from.
+//! * [`spsc_edge`](mod@spsc_edge) — a bounded lock-free 1:1 ring: a full
+//!   edge blocks the producer, end-of-stream is sticky (when the sender
+//!   drops, `recv` drains and then returns `None`), and non-blocking ends
+//!   serve a thread that tends several edges. Every queue below is one.
 //! * [`pipeline`] — a linear stage graph: `source → stage → … → sink`,
 //!   one thread per stage, order-preserving, EOS propagating stage to
-//!   stage by `Sender` drop.
+//!   stage by sender drop.
 //! * [`farm`] — the emitter/worker/collector shape: one input stream
-//!   dealt round-robin to N replicated workers, each with its own work
-//!   and result edge, results collected in emission order; plus
-//!   [`farm::farm_feedback`], a farm whose workers can inject new work
-//!   items back into their own input over the MPMC channel — the
-//!   feedback edge that turns a farm into a dynamic task pool
-//!   (divide-and-conquer, wavefronts).
+//!   dealt round-robin to N workers, each on its own edges, results in
+//!   emission order; plus [`farm::farm_feedback`], whose workers inject
+//!   new work back to the emitter, the edge that turns a farm into a
+//!   dynamic task pool (divide-and-conquer, wavefronts).
+//!
+//! [`channel`], a bounded MPMC queue no executor uses, stays only as the
+//! fixture of a benchmark probe that times it against the edge.
 //!
 //! Every queue carries an id that doubles as its *metrics lane*:
 //! [`CounterId::StreamItemsIn`]/[`CounterId::StreamItemsOut`] count the
@@ -44,7 +41,7 @@ pub mod farm;
 pub mod pipeline;
 pub mod spsc_edge;
 
-pub use channel::{bounded, unbounded, Receiver, Sender};
+pub use channel::{bounded, Receiver, Sender};
 pub use farm::{farm_feedback, run_farm, FarmConfig, Feedback};
 pub use pipeline::Pipeline;
 pub use spsc_edge::{spsc_edge, SpscReceiver, SpscSender};

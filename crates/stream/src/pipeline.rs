@@ -13,13 +13,11 @@
 //! keeps order the same way, reading its workers' edges in dealing order).
 //!
 //! That same topology fact — every queue is statically 1:1 — is why the
-//! edges here are the lock-free [`spsc_edge`](crate::spsc_edge) rings
-//! rather than the mutex-guarded MPMC channel: a pipeline edge never has
-//! a second producer or consumer to synchronize with, so it pays two
-//! atomics per batch instead of a lock acquisition.
+//! edges here are lock-free [`spsc_edge`](mod@crate::spsc_edge) rings: a
+//! pipeline edge never has a second producer or consumer to synchronize
+//! with, so it pays two atomics per batch instead of a lock acquisition.
 
-use crate::channel::batch_for;
-use crate::spsc_edge::{spsc_edge, SpscReceiver};
+use crate::spsc_edge::{batch_for, spsc_edge, SpscReceiver};
 use crate::Obs;
 use std::thread::JoinHandle;
 

@@ -1,14 +1,16 @@
-//! The lock-free 1:1 edge: a typed SPSC ring for pipeline and farm queues.
+//! The lock-free 1:1 edge: the typed SPSC ring every stream queue is.
 //!
 //! Every [`Pipeline`](crate::Pipeline) queue is statically 1:1 — one
-//! stage thread produces, the next consumes — so the MPMC channel's
-//! mutex buys nothing there. This module is the FastFlow move: a
-//! wait-free-in-the-common-case single-producer/single-consumer ring
-//! (two `memcpy`-free slot writes and two atomics per batch) with the
-//! same observable contract as [`channel`](crate::channel) — a hard
-//! capacity bound, batched transfers, sticky end-of-stream, abandonment
-//! when the receiver is gone, and identical metrics/trace emissions, so
-//! a timeline reader cannot tell which queue implementation ran.
+//! stage thread produces, the next consumes — and so is every farm queue,
+//! because each worker owns its own edges. This module is the FastFlow
+//! move: a wait-free-in-the-common-case single-producer/single-consumer
+//! ring (two `memcpy`-free slot writes and two atomics per batch) with a
+//! hard capacity bound, batched transfers, sticky end-of-stream,
+//! abandonment when the receiver is gone, and the metrics/trace emissions
+//! of every stream queue.
+//!
+//! Stage threads block; a thread that tends several edges, as
+//! `farm_feedback`'s emitter does, uses the non-blocking ends instead.
 //!
 //! The head/tail publication protocol and the spin-then-park doorbells
 //! are the same design as [`patternlets_core::spsc`] (the byte ring
@@ -16,17 +18,31 @@
 //! [`wait`] ladder; this ring is typed and in-process, so slots hold `T`
 //! directly instead of serialized frames — no encode, no copy, just a
 //! move into and out of the slot.
-//!
-//! The farm is built from these edges too, one work and one result edge
-//! per worker; only `farm_feedback`'s cycle keeps the MPMC channel.
 
 use crate::Obs;
 use patternlets_core::spsc::{wait, Doorbell, Wait};
 use patternlets_metrics::CounterId;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Items the built-in executors move per [`SpscSender::send_many`] /
+/// [`SpscReceiver::recv_many`]. With fewer cores than stage threads the
+/// two sides of a queue run in lock-step, and an unbatched transfer pays
+/// a park/notify *syscall per item*; batching pays one per `BATCH`.
+pub(crate) const BATCH: usize = 32;
+
+/// The per-transfer batch for a queue of `capacity` slots: [`BATCH`],
+/// clamped to the capacity (min 1), so a receiver asking for a full
+/// queueful moves it in one transfer: a small queue costs one park/notify
+/// cycle per `capacity` items. Clamping below capacity is harmful (a
+/// `capacity/2` batch wakes the consumer twice per queueful: 0.69M vs
+/// 1.10M items/sec through a capacity-8 farm), and above it buys nothing.
+pub(crate) fn batch_for(capacity: usize) -> usize {
+    BATCH.min(capacity.max(1))
+}
 
 /// A cache-line-aligned position counter: head and tail each get their
 /// own line so the producer's stores never invalidate the consumer's.
@@ -56,8 +72,8 @@ struct Ring<T> {
     obs: Obs,
 }
 
-// One producer moves `T`s in, one consumer moves them out; the ring
-// itself only ever hands a slot to exactly one side at a time.
+// SAFETY: the head/tail protocol hands each slot to one side at a time,
+// and each side is one thread: `SpscSender` and `SpscReceiver` are `!Sync`.
 unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
@@ -98,22 +114,26 @@ impl<T> Drop for Ring<T> {
     }
 }
 
-/// The producing half of a 1:1 edge. Not cloneable — single producer is
-/// the whole point. Dropping it closes the edge (EOS to the receiver).
+/// The producing half of a 1:1 edge. Not cloneable, and `Send` but not
+/// `Sync` (`send` takes `&self`): single producer is the whole point.
+/// Dropping it closes the edge (EOS to the receiver).
 pub struct SpscSender<T> {
     ring: Arc<Ring<T>>,
     lane: usize,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
-/// The consuming half of a 1:1 edge. Not cloneable. Dropping it makes
-/// further sends return `false` so the producer stops.
+/// The consuming half of a 1:1 edge. Not cloneable, and not `Sync`.
+/// Dropping it makes further sends return `false` so the producer stops.
 pub struct SpscReceiver<T> {
     ring: Arc<Ring<T>>,
     lane: usize,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
-/// A bounded 1:1 edge of `capacity` slots, with the same `queue` id /
-/// `obs` observability contract as [`channel::bounded`](crate::bounded).
+/// A bounded 1:1 edge of `capacity` slots. `queue` is the id under which
+/// this edge's metrics are recorded (lane = queue id); `obs` carries the
+/// tracer/metrics hooks, both optional.
 pub fn spsc_edge<T>(capacity: usize, queue: usize, obs: &Obs) -> (SpscSender<T>, SpscReceiver<T>) {
     assert!(capacity > 0, "a zero-capacity queue can never move an item");
     let slots = (0..capacity)
@@ -137,8 +157,13 @@ pub fn spsc_edge<T>(capacity: usize, queue: usize, obs: &Obs) -> (SpscSender<T>,
         SpscSender {
             ring: Arc::clone(&ring),
             lane: 0,
+            _not_sync: PhantomData,
         },
-        SpscReceiver { ring, lane: 0 },
+        SpscReceiver {
+            ring,
+            lane: 0,
+            _not_sync: PhantomData,
+        },
     )
 }
 
@@ -175,13 +200,38 @@ impl<T> SpscSender<T> {
         let Some((tail, head)) = self.wait_for_space() else {
             return false;
         };
+        self.push(tail, head, item);
+        true
+    }
+
+    /// Push an item if a slot is free right now, without waiting. Gives
+    /// the item back when the ring is full, closed, or the receiver is
+    /// gone.
+    pub fn try_send(&self, item: T) -> Result<(), T> {
         let ring = &*self.ring;
+        let tail = ring.tail.0.load(Ordering::Relaxed);
+        let head = ring.head.0.load(Ordering::Acquire);
+        if tail - head == ring.capacity
+            || ring.closed.load(Ordering::Acquire)
+            || ring.receiver_gone.load(Ordering::Acquire)
+        {
+            return Err(item);
+        }
+        self.push(tail, head, item);
+        Ok(())
+    }
+
+    /// Write `item` into the free slot at `tail` and publish it.
+    fn push(&self, tail: usize, head: usize, item: T) {
+        let ring = &*self.ring;
+        // SAFETY: the caller saw `tail - head < capacity`, so the slot at
+        // `tail` is free: the consumer released it (or never had it), and
+        // only this single producer writes slots.
         unsafe { (*ring.slots[tail % ring.capacity].get()).write(item) };
         ring.tail.0.store(tail + 1, Ordering::Release);
         ring.consumer_bell.ring();
         ring.obs
             .stage_push(self.lane, ring.queue, tail - head, tail + 1 - head);
-        true
     }
 
     /// Push a whole batch, blocking for space as needed: one tail
@@ -268,13 +318,39 @@ impl<T> SpscReceiver<T> {
     /// fully drained.
     pub fn recv(&self) -> Option<T> {
         let (head, _) = self.wait_for_items()?;
+        Some(self.pop(head))
+    }
+
+    /// Pop an item if one is queued right now, without waiting: `None`
+    /// means "empty for now", and says nothing about end-of-stream.
+    pub fn try_recv(&self) -> Option<T> {
+        let head = self.ring.head.0.load(Ordering::Relaxed);
+        (self.ring.tail.0.load(Ordering::Acquire) != head).then(|| self.pop(head))
+    }
+
+    /// Nothing is queued right now.
+    pub fn is_empty(&self) -> bool {
+        self.ring.tail.0.load(Ordering::Acquire) == self.ring.head.0.load(Ordering::Relaxed)
+    }
+
+    /// The sender closed (or dropped) the edge and everything it sent has
+    /// been taken. `closed` is read first, so a last publish is not missed.
+    pub fn is_ended(&self) -> bool {
+        self.ring.closed.load(Ordering::Acquire) && self.is_empty()
+    }
+
+    /// Take the queued item at `head` and hand its slot back.
+    fn pop(&self, head: usize) -> T {
         let ring = &*self.ring;
+        // SAFETY: the caller saw `tail > head` with an Acquire load, so the
+        // producer's write to the slot at `head` is visible, and only this
+        // single consumer reads slots.
         let item = unsafe { (*ring.slots[head % ring.capacity].get()).assume_init_read() };
         ring.head.0.store(head + 1, Ordering::Release);
         ring.producer_bell.ring();
         let before = ring.tail.0.load(Ordering::Relaxed) - head;
         ring.obs.stage_pop(self.lane, ring.queue, before, 1);
-        Some(item)
+        item
     }
 
     /// Pop up to `max` items in one head publication, blocking while the
@@ -385,6 +461,36 @@ mod tests {
         drop(rx);
         assert!(!tx.send(2), "no receiver will ever drain this");
         assert!(!tx.send_many(0..10));
+    }
+
+    #[test]
+    fn non_blocking_ends_give_items_back_and_count_like_the_blocking_ones() {
+        let hub = patternlets_metrics::MetricsHub::new();
+        let obs = Obs {
+            tracer: None,
+            metrics: Some(hub.clone()),
+        };
+        let (tx, rx) = spsc_edge(2, 0, &obs);
+        assert!(rx.is_empty() && !rx.is_ended());
+        assert_eq!(rx.try_recv(), None);
+        assert_eq!(tx.try_send(1), Ok(()));
+        assert_eq!(tx.try_send(2), Ok(()));
+        assert_eq!(tx.try_send(3), Err(3), "a full ring gives the item back");
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(tx.try_send(3), Ok(()));
+        drop(tx);
+        assert!(!rx.is_ended(), "queued items still drain");
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), Some(3));
+        assert!(rx.is_empty() && rx.is_ended());
+        let snap = hub.snapshot();
+        assert_eq!(snap.total(CounterId::StreamItemsIn), 3);
+        assert_eq!(snap.total(CounterId::StreamItemsOut), 3);
+        assert_eq!(snap.total_max(GaugeId::StreamQueueDepth), 2);
+
+        let (tx, rx) = spsc_edge(2, 0, &Obs::none());
+        drop(rx);
+        assert_eq!(tx.try_send(4), Err(4), "a dead edge gives the item back");
     }
 
     #[test]
