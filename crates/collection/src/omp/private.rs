@@ -1,6 +1,6 @@
 //! `omp/private` — the data environment: shared vs private variables.
-//! With a shared counter ([`Mode::Off`]) concurrent updates race; with
-//! per-thread (private) counters combined at the end ([`Mode::On`]) the
+//! With a shared counter ([`Mode::Off`](crate::harness::Mode::Off)) concurrent updates race; with
+//! per-thread (private) counters combined at the end ([`Mode::On`](crate::harness::Mode::On)) the
 //! count is exact — the student-discovered idea behind the reduction
 //! clause (paper §III.D discussion).
 

@@ -1,7 +1,7 @@
 //! `omp/reduction` — the *Reduction* pattern (paper Fig. 20–22).
 //!
 //! An array of random values is summed twice: sequentially, then "in
-//! parallel". With the reduction clause off ([`Mode::Off`]) the parallel
+//! parallel". With the reduction clause off ([`Mode::Off`](crate::harness::Mode::Off)) the parallel
 //! sum races on a shared accumulator and (with >1 thread) typically loses
 //! updates — Fig. 22's wrong answer. With it on, per-thread partials are
 //! tree-combined and the sums agree (Fig. 21).

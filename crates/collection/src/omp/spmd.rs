@@ -1,8 +1,8 @@
 //! `omp/spmd` — the *Single Program Multiple Data* pattern
 //! (paper Fig. 1–3).
 //!
-//! With the `parallel` directive "commented out" ([`Mode::Off`]) one thread
-//! says hello (Fig. 2); uncommented ([`Mode::On`]), every team thread says
+//! With the `parallel` directive "commented out" ([`Mode::Off`](crate::harness::Mode::Off)) one thread
+//! says hello (Fig. 2); uncommented ([`Mode::On`](crate::harness::Mode::On)), every team thread says
 //! hello in nondeterministic order (Fig. 3).
 
 use crate::harness::{Patternlet, RunConfig, Technology};

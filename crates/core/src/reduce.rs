@@ -13,7 +13,7 @@
 //!   [`ops::FnOp`] for user-defined associative operations (supported by
 //!   OpenMP ≥ 4.0 and MPI, as the paper notes);
 //! * [`tree_fold`] — the pairwise combining tree itself, used by
-//!   [`crate::TeamCtx::reduce`] and by the `mp` collectives.
+//!   `patternlets_shmem::TeamCtx::reduce` and by the `mp` collectives.
 
 /// An associative combining operation with an identity element.
 ///

@@ -82,7 +82,7 @@ const SPIN: u32 = 64;
 /// the liveness checks) in a handful of microseconds.
 const YIELDS: u32 = 32;
 
-/// The spin budget, resolved once per process: [`SPIN`] when another
+/// The spin budget, resolved once per process: `SPIN` when another
 /// hardware thread could be filling/draining the ring concurrently,
 /// zero on a single-CPU host — there, the peer *cannot* run while we
 /// spin, so every spin iteration only delays the yield that would hand

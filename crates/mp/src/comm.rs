@@ -10,6 +10,7 @@ use patternlets_metrics::{CounterId, HistId, Phase};
 
 use crate::checkpoint::CheckpointStore;
 use crate::datatype::{decode_payload, encode, Datatype};
+use crate::deadlock::{Detector, WaitRecord};
 use crate::envelope::{collective_tag, Envelope, Outgoing, Payload, INLINE_MAX};
 use crate::fabric::{AgreeKey, AgreeSlot, Fabric};
 use crate::fault::retry_backoff;
@@ -305,10 +306,7 @@ impl Comm {
             // through the fabric. Everything observable — fault ops,
             // sequence numbers, chaos draws, traces — already happened
             // above, and the mailbox dedups exactly as on the fabric
-            // path. Skipping the fabric's progress bump is safe here: a
-            // self-send strictly precedes (in program order) any receive
-            // it could satisfy, so no deadlock verdict can be invalidated
-            // by it.
+            // path.
             let env = env.map_payload(Outgoing::into_owned);
             self.fabric
                 .mailbox(me)
@@ -391,62 +389,61 @@ impl Comm {
             }
         }
         let fabric = &*self.fabric;
-        let me = self.local_rank;
-        let group = &self.group;
         let my_world = self.world_rank();
         self.fault_op("recv")?;
 
-        // Publish what we are about to block on, for the waits-for
-        // deadlock detector; cleared on every exit path by the guard. The
-        // liveness check builds its own copy, only when a poll times out.
-        let wait = || crate::world::WaitRecord {
-            comm_id: self.comm_id,
-            src,
-            tag,
-            world_rank: my_world,
-            world_group: Arc::clone(group),
-        };
-        fabric.publish_wait(my_world, wait());
-        struct ClearGuard<'a>(&'a dyn Fabric, usize);
-        impl Drop for ClearGuard<'_> {
-            fn drop(&mut self) {
-                self.0.clear_wait(self.1);
+        // The detector this receive published its wait record to, at its
+        // first timed-out poll; only then is the record cleared, on the
+        // match or an error return (see `crate::deadlock`).
+        let published: Cell<Option<&Detector>> = Cell::new(None);
+        let retire = || {
+            if let Some(detector) = published.get() {
+                detector.clear(my_world);
             }
-        }
-        let _guard = ClearGuard(fabric, my_world);
-
+        };
         let ctx = || {
             OpContext::new("recv")
                 .peer(format!("{src:?}"))
                 .tag(format!("{tag:?}"))
         };
-        let cycle = |op: OpContext| {
-            move |graph: String| {
-                Error::Deadlock(op.detail(format!("waits-for cycle with no live escape: {graph}")))
-            }
-        };
+        // Receiving from myself: alive by definition (but a queued match
+        // was already checked, so self-recv without a prior self-send
+        // correctly deadlocks).
+        let from_self = matches!(src, SourceSel::Rank(r) if r == self.local_rank);
         let env = fabric.mailbox(my_world).recv_match(
             self.comm_id,
             src,
             tag,
             self.ctx.poll_interval,
             || {
-                let wait = wait();
-                if let Some(rank) = wait.failed_sender(fabric) {
-                    return Some(Error::RankFailed { rank, op: ctx() });
-                }
-                // Receiving from myself: alive by definition (but a queued
-                // match was already checked, so self-recv without a prior
-                // self-send correctly deadlocks).
-                let from_self = matches!(src, SourceSel::Rank(r) if r == me);
-                if !from_self && wait.world_sources().any(|w| fabric.rank_alive(w)) {
-                    return fabric.deadlocked(my_world).map(cycle(ctx()));
-                }
-                Some(Error::Deadlock(
-                    ctx().detail("every possible sender has finished"),
-                ))
+                let wait = WaitRecord {
+                    comm_id: self.comm_id,
+                    src,
+                    tag,
+                    world_rank: my_world,
+                    world_group: Arc::clone(&self.group),
+                };
+                let err = if let Some(rank) = wait.failed_sender(fabric) {
+                    Error::RankFailed { rank, op: ctx() }
+                } else if !from_self && wait.world_sources().any(|w| fabric.rank_alive(w)) {
+                    // A sender still runs: only the detector can prove
+                    // that it never sends.
+                    let detector = self.ctx.detector.as_ref()?;
+                    if published.get().is_none() {
+                        detector.publish(my_world, wait);
+                        published.set(Some(detector));
+                    }
+                    let graph = detector.deadlocked(fabric, my_world)?;
+                    Error::Deadlock(
+                        ctx().detail(format!("waits-for cycle with no live escape: {graph}")),
+                    )
+                } else {
+                    Error::Deadlock(ctx().detail("every possible sender has finished"))
+                };
+                retire();
+                Some(err)
             },
-            || fabric.clear_wait(my_world),
+            retire,
         )?;
         self.ctx.obs.recv(
             my_world,

@@ -15,9 +15,11 @@
 //! send, whose elements are their own bytes — the sender's slice,
 //! borrowed for the call ([`Outgoing::Wire`]), so that the backend's one
 //! copy of the bytes is the only one. What is not transport — hostnames,
-//! the receive poll interval, tracer, metrics hub and fault plan — lives in
-//! the world context [`crate::WorldBuilder`] builds from the
-//! [`WorldSpec`] and every `Comm` holds.
+//! the receive poll interval, tracer, metrics hub, fault plan and, in a
+//! thread world, the waits-for deadlock detector — lives in the world
+//! context [`crate::WorldBuilder`] builds from the [`WorldSpec`] and every
+//! `Comm` holds. The detector reads mailboxes and liveness through this
+//! trait; no backend implements anything for it.
 //!
 //! A process that wants worlds built on a different backend installs a
 //! [`FabricProvider`] via [`install_fabric_provider`] (the net crate's
@@ -38,7 +40,6 @@ use patternlets_trace::Tracer;
 use crate::envelope::{Envelope, Outgoing};
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
-use crate::world::WaitRecord;
 
 /// Key of one agreement round: (communicator id, operation kind,
 /// agreement sequence number on that communicator).
@@ -54,9 +55,10 @@ pub type AgreeSlot = HashMap<usize, u64>;
 /// only one rank of the world (one process of a multi-process job) must
 /// support [`Fabric::mailbox`] for that rank alone; `Comm` only ever
 /// reads its own mailbox, and delivers a rank's sends to itself straight
-/// into it, never through [`Fabric::transmit`]. The defaulted methods fit
-/// a backend that hosts one rank per process; the thread backend, which
-/// sees every rank, overrides them.
+/// into it, never through [`Fabric::transmit`]. Nine methods are
+/// required; the three provided ones fit a backend that hosts one rank
+/// per process, and the thread backend overrides only
+/// [`Fabric::shares_address_space`].
 pub trait Fabric: Send + Sync {
     /// World size.
     fn np(&self) -> usize;
@@ -124,27 +126,6 @@ pub trait Fabric: Send + Sync {
     /// encode and reach [`Fabric::transmit`] as the sender's slice.
     fn shares_address_space(&self, me: usize, dest: usize) -> bool {
         me == dest
-    }
-
-    /// Record that `me` is blocked on `record` (waits-for deadlock
-    /// detection). Backends without a global view ignore this.
-    fn publish_wait(&self, me: usize, record: WaitRecord) {
-        let _ = (me, record);
-    }
-
-    /// Record that `me` is no longer blocked.
-    fn clear_wait(&self, me: usize) {
-        let _ = me;
-    }
-
-    /// Waits-for deadlock verdict for `me`: a rendered stuck-set when the
-    /// backend can *prove* no future delivery can wake `me`, else `None`.
-    /// Backends without a global view return `None` (never a false
-    /// positive); receives from finished ranks still resolve through
-    /// [`Fabric::rank_alive`].
-    fn deadlocked(&self, me: usize) -> Option<String> {
-        let _ = me;
-        None
     }
 
     /// A communicator owned by `me` was dropped: release per-communicator

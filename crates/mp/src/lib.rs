@@ -48,6 +48,7 @@ pub mod checkpoint;
 pub mod coll;
 pub mod comm;
 pub mod datatype;
+mod deadlock;
 pub mod envelope;
 pub mod fabric;
 pub mod fault;

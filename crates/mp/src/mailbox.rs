@@ -344,6 +344,13 @@ impl Mailbox {
         true
     }
 
+    /// Envelopes ever queued here. The count moves in the critical section
+    /// that makes an envelope matchable, which the deadlock detector's
+    /// verdict check relies on.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.delivered.load(Ordering::Acquire)
+    }
+
     /// Number of queued envelopes (diagnostics).
     pub fn len(&self) -> usize {
         self.inner.lock().queued

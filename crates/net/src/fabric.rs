@@ -20,7 +20,7 @@
 //! record, decoded in place. Each peer's read side sits behind a try-lock,
 //! so one thread reads it at a time and a busy one is skipped. Between
 //! drains a waiter parks in `poll(2)` on the peer sockets for at most
-//! [`POLL_PARK`], with no spin or yield first, since every drain is a
+//! `POLL_PARK`, with no spin or yield first, since every drain is a
 //! syscall; a write that hits `WouldBlock` drains and then polls for
 //! `POLLOUT` too, so two ranks writing into each other's full buffers both
 //! progress. The heartbeat tick drains as the backstop while the rank
@@ -35,7 +35,7 @@
 //! `Ping { seen }` — and each end counts the sequenced frames it has
 //! delivered. When a drain finds a socket dead (EOF, read error, a frame
 //! whose CRC doesn't check out, or a record stalled mid-way for
-//! [`MID_FRAME_TIMEOUT`]), a short-lived `net-redial-{peer}` thread (at
+//! `MID_FRAME_TIMEOUT`), a short-lived `net-redial-{peer}` thread (at
 //! most one per peer) re-establishes it: the higher-ranked side redials
 //! the lower side's listener with exponential backoff, the lower side's
 //! redial thread accepts on it for itself, and both exchange `Resume`
@@ -46,7 +46,7 @@
 //! peer's count is resent); the mailbox's sequence dedup stands behind it
 //! as a second line of defense. Only when the reconnect budget
 //! ([`RECONNECT_BUDGET`]) is exhausted does the verdict escalate to
-//! [`Error::RankFailed`](patternlets_core::Error::RankFailed). A record
+//! [`Error::RankFailed`]. A record
 //! that arrives intact and is refused — a body that does not decode, or a
 //! frame the mesh will not take — is no lost connection: a resume would
 //! replay it, so it fails the peer at once, as it does on a ring.
@@ -58,7 +58,7 @@
 //! past [`PEER_TIMEOUT`] gets a *probe* — its connection is cut, forcing
 //! a reconnect round-trip — and is declared failed only if still silent
 //! after that. A verdict reached by another thread reaches a waiter
-//! parked in `poll` within one [`POLL_PARK`]: no bytes announce it.
+//! parked in `poll` within one `POLL_PARK`: no bytes announce it.
 //!
 //! ## Wire chaos
 //!
@@ -579,7 +579,7 @@ pub struct TcpLink {
 
 impl TcpLink {
     /// Sleep until a peer socket has bytes (or, with `out`, until `out`
-    /// can take more), or for [`POLL_PARK`] at most. The descriptor list
+    /// can take more), or for `POLL_PARK` at most. The descriptor list
     /// is the parking thread's own, reused from one park to the next.
     fn poll(&self, out: Option<&TcpStream>) {
         thread_local! {
@@ -881,7 +881,7 @@ impl Mesh<TcpLink> {
     /// Accept side of a reconnect (the peer outranks this rank): accept
     /// redials and read each dialer's `Resume` until `peer`'s arrives, on
     /// this thread or parked by another peer's redial thread, then answer
-    /// it. Each wait on the listener lasts [`POLL_PARK`] at most, so a
+    /// it. Each wait on the listener lasts `POLL_PARK` at most, so a
     /// `Resume` parked for `peer` is taken up within one.
     fn reconnect_accept(&self, peer: usize) -> Option<TcpStream> {
         let deadline = Instant::now() + RECONNECT_BUDGET;

@@ -18,7 +18,7 @@
 //!
 //! Decoding is strict: truncated bodies, trailing garbage, over-long
 //! frames, checksum mismatches, and unknown kind bytes are all rejected
-//! with [`Error::Codec`](patternlets_core::Error::Codec) rather than
+//! with [`Error::Codec`] rather than
 //! guessed at. A CRC mismatch (error message prefixed [`CRC_MISMATCH`])
 //! means the *stream* is untrustworthy, not just the frame: the fabric
 //! reacts by tearing the connection down and resuming from the send ring

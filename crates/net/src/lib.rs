@@ -87,7 +87,7 @@ pub const ENV_CKPT_DIR: &str = "PMRUN_CKPT_DIR";
 static CLOCK_OFFSET_NS: std::sync::atomic::AtomicI64 = std::sync::atomic::AtomicI64::new(0);
 
 /// The current clock-offset estimate to rank 0, in nanoseconds (see
-/// [`CLOCK_OFFSET_NS`]). Latest world establishment wins.
+/// `CLOCK_OFFSET_NS`). Latest world establishment wins.
 pub fn clock_offset_ns() -> i64 {
     CLOCK_OFFSET_NS.load(std::sync::atomic::Ordering::Relaxed)
 }

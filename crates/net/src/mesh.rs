@@ -48,12 +48,13 @@
 //! ## What the thread backend has that this one doesn't
 //!
 //! The waits-for deadlock *detector* needs a global view of every rank's
-//! blocked receive; a process only sees its own, so the mesh keeps the
-//! [`Fabric`] defaults that never report a deadlock — a genuinely cyclic
-//! deadlock hangs under `pmrun` just as it would under real MPI, while
-//! the common classroom case (receiving from a rank that exited) still
-//! resolves, because `Finish` frames feed the same every-sender-finished
-//! check the thread backend uses.
+//! blocked receive; a process only sees its own. The detector lives in
+//! the world context of a thread world, not behind [`Fabric`], so a world
+//! built over the mesh has none and never reports a waits-for cycle — a
+//! genuinely cyclic deadlock hangs under `pmrun` just as it would under
+//! real MPI, while the common classroom case (receiving from a rank that
+//! exited) still resolves, because `Finish` frames feed the same
+//! every-sender-finished check the thread backend uses.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

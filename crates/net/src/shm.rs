@@ -406,7 +406,7 @@ impl RingFrames {
 
     /// The next frame, if the whole of it has arrived; `Ok(None)` if not
     /// yet. An error means the ring cannot be trusted again: a checksum
-    /// mismatch (prefixed [`CRC_MISMATCH`]), a length over
+    /// mismatch (prefixed [`CRC_MISMATCH`](crate::frame::CRC_MISMATCH)), a length over
     /// [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN), a body that does
     /// not decode, or a ring its producer closed in the middle of a record.
     pub fn try_next(&mut self) -> Result<Option<Frame>> {

@@ -234,7 +234,7 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
 /// Read a response from a connected stream: status line, headers, then a
 /// fixed-length, chunked, or read-to-EOF body, handed to `sink` with the
 /// status as it arrives, a chunk at a time; returns the status. The head,
-/// and each chunk-size line, is held to [`MAX_HEAD`] bytes: a line that
+/// and each chunk-size line, is held to `MAX_HEAD` bytes: a line that
 /// runs past its budget is an error.
 pub fn read_response_with(
     stream: &mut TcpStream,

@@ -1,7 +1,7 @@
 //! The FIFO-with-admission-control job scheduler.
 //!
 //! One thread owns every lifecycle transition (the event loop in
-//! [`run_scheduler`]); everyone else — HTTP handlers, worker-connection
+//! `run_scheduler`); everyone else — HTTP handlers, worker-connection
 //! readers — communicates with it through [`Event`]s. Single-threaded
 //! transitions make the state machine in `job.rs` trivially race-free:
 //! a job cannot be finalized twice, a worker cannot be claimed by two

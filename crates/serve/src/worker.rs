@@ -4,7 +4,7 @@
 //! cluster port, announce with [`Frame::WorkerHello`], then serve
 //! [`Frame::JobAssign`]s until the daemon says [`Frame::Shutdown`] (or
 //! disappears). Each assignment runs under
-//! [`with_job_ctx`](patternlets_net::with_job_ctx), so every world the
+//! [`with_job_ctx`], so every world the
 //! patternlet builds goes over TCP as the assigned rank of the job's
 //! private epoch block — the worker itself never restarts between jobs,
 //! which is the whole point of the elastic pool.

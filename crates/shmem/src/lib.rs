@@ -14,7 +14,7 @@
 //! | `#pragma omp critical [(name)]` | [`TeamCtx::critical`] / [`TeamCtx::critical_named`] |
 //! | `#pragma omp atomic` | [`sync::atomic`] wrappers (incl. CAS-loop `AtomicF64`) |
 //! | `#pragma omp master` / `single` / `sections` | [`TeamCtx::master`] / [`TeamCtx::single`] / [`TeamCtx::sections`] |
-//! | `omp_get_wtime` | [`wtime`] |
+//! | `omp_get_wtime` | [`wtime`](fn@wtime) |
 //!
 //! The API is data-race free in the Rayon tradition: a parallel region's
 //! body is a `Fn(&TeamCtx) + Sync` closure; anything mutable it touches must

@@ -10,11 +10,11 @@
 //!   Figure 16 computes it (with proper clamping at the end of the range).
 //! * [`Schedule::StaticCyclic`] — `schedule(static,1)`: iteration `i` goes
 //!   to thread `i mod n`.
-//! * [`Schedule::StaticChunked(k)`] — `schedule(static,k)`: chunks of `k`
+//! * [`Schedule::StaticChunked(k)`](Schedule::StaticChunked) — `schedule(static,k)`: chunks of `k`
 //!   dealt round-robin.
-//! * [`Schedule::Dynamic(k)`] — `schedule(dynamic,k)`: chunks of `k` claimed
+//! * [`Schedule::Dynamic(k)`](Schedule::Dynamic) — `schedule(dynamic,k)`: chunks of `k` claimed
 //!   first-come-first-served from a shared atomic counter.
-//! * [`Schedule::Guided(k)`] — `schedule(guided,k)`: each claim takes
+//! * [`Schedule::Guided(k)`](Schedule::Guided) — `schedule(guided,k)`: each claim takes
 //!   `max(k, remaining / n)` iterations, so chunks shrink as the loop
 //!   drains.
 //!
